@@ -60,7 +60,8 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
 
     Mirrors the distributed message pattern: every player reads only its own
     data, its incident edge variables, and (for the edge update) the signal
-    of the edge's other endpoint.
+    of the edge's other endpoint.  Kept as the reference that the stacked
+    production update, `admm_iterate_compact`, is tested against.
     """
     x, lam, Z, k = state.x, state.lam, state.Z, state.k
     rho = params.rho
@@ -99,15 +100,16 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
 def admm_iterate_compact(game: Game, graph: CommGraph, params: AlgoParams,
                          state: AdmmState, inner: InnerSolver,
                          mu: float) -> tuple[AdmmState, IterInfo]:
-    """Same iteration in stacked form (independent code path for testing)."""
+    """Same iteration in stacked form; the update `run_admm` performs."""
     x, lam, Z, k = state.x, state.lam, state.Z, state.k
     rho = params.rho
     sub = equality_subgame(game, graph, params, x, lam, Z)
     sol = inner.solve(sub, mu)
     x_t = sol.x
     tracked_t = game.local_residual(x_t) + graph.node_aggregate(Z)
-    lam_t = lam + params.apply_H(tracked_t)
-    Z_t = Z - params.apply_W(graph.edge_differences(lam_t + params.apply_H(tracked_t)))
+    h_t = params.apply_H(tracked_t)
+    lam_t = lam + h_t
+    Z_t = Z - params.apply_W(graph.edge_differences(lam_t + h_t))
     new = AdmmState(x + rho * (x_t - x), lam + rho * (lam_t - lam),
                     Z + rho * (Z_t - Z), k + 1)
     return new, IterInfo(sol.certificate.iterations, mu, sol.certificate.bound)
@@ -138,7 +140,7 @@ def _check_finite(state: AdmmState) -> None:
 def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
              inner: InnerSolver, stop: StopRule = StopRule(),
              state0: AdmmState | None = None, seed: int = 0,
-             trace_stride: int = 1, compact: bool = False) -> RunResult:
+             trace_stride: int = 1) -> RunResult:
     """Iterate to convergence of all equality-operator residuals.
 
     Refuses to start if the fixed-step-size conditions fail.  Stops when the
@@ -154,7 +156,6 @@ def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
             f"min eig(R - Lam^T H Lam) = {check.margin_x:.6g}, "
             f"min eig(W^-1 - Vbar^T H Vbar) = {check.margin_z:.6g}")
     state = state0 if state0 is not None else initial_state(game, graph, seed)
-    step = admm_iterate_compact if compact else admm_iterate
     rows: list[TraceRow] = []
     res = residual_equality(game, graph, state.x, state.Z, state.lam)
     converged = res.max() <= stop.tol
@@ -162,7 +163,8 @@ def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
     while not converged and k < stop.max_iter:
         k += 1
         prev_x = state.x
-        state, info = step(game, graph, params, state, inner, params.mu(k))
+        state, info = admm_iterate_compact(game, graph, params, state, inner,
+                                           params.mu(k))
         _check_finite(state)
         res = residual_equality(game, graph, state.x, state.Z, state.lam)
         if k % trace_stride == 0:

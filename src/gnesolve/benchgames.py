@@ -345,20 +345,33 @@ def task_allocation_game(seed: int) -> Game:
         return (2.0 * (blk["p"] @ y - blk["d"]) * blk["p"]
                 + 2.0 * blk["S"] @ y)
 
+    # per-worker data stacked along a leading worker axis; the profile
+    # oracles apply `@` to these stacks, which evaluates each worker's
+    # products exactly as the per-worker oracles do (einsum would reorder
+    # the sums and change the last bit)
+    A_stack = np.stack([blk["A"] for blk in blocks])
+    At_stack = np.ascontiguousarray(A_stack.transpose(0, 2, 1))
+    S_stack = np.stack([blk["S"] for blk in blocks])
+    p_stack, q_stack, xi_stack, l_rows = (
+        np.stack([blk[key] for blk in blocks]) for key in ("p", "q", "xi", "l"))
+    d_stack = np.array([blk["d"] for blk in blocks])
+
     def _grad_profile(x: np.ndarray, with_branch: bool) -> np.ndarray:
         load = A_full @ x
         price = prices(load)
         slope = chi * _soft_log1p_grad(load)
-        out = np.empty_like(x)
-        for w, blk in enumerate(blocks):
-            y = x[4 * w:4 * w + 4]
-            own = blk["A"] @ y
-            g = (smooth_cost_grad(blk, y) - blk["A"].T @ price
-                 + blk["A"].T @ (slope * own))
-            if with_branch:
-                g = g + branch_grad(blk, y)
-            out[4 * w:4 * w + 4] = g
-        return out
+        y = x.reshape(N_WORKERS, 4, 1)
+        own = A_stack @ y
+        demand = (p_stack[:, None, :] @ y)[:, 0] - d_stack[:, None]
+        g = (2.0 * demand * p_stack + (2.0 * S_stack @ y)[:, :, 0]
+             - (At_stack @ price[:, None])[:, :, 0]
+             + (At_stack @ (slope[:, None] * own))[:, :, 0])
+        if with_branch:
+            y = y[:, :, 0]
+            quad = q_stack * y * y - xi_stack * y
+            g = g + np.where(quad >= l_rows * y, 2.0 * q_stack * y - xi_stack,
+                             l_rows)
+        return g.reshape(-1)
 
     def profile_oracle(x: np.ndarray) -> np.ndarray:
         return _grad_profile(x, with_branch=True)

@@ -15,8 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import benchgames
 from .admm import StopRule, run_admm
 from .config import DEFAULTS, ExperimentConfig, load_config, parse_edge_list
@@ -166,12 +164,7 @@ def cmd_run(args) -> int:
         fh.write("\n")
 
     state = result.state
-    if game.kind == INEQUALITY:
-        # relaxation overshoot may leave tiny negative entries in the mean
-        lam_arg = np.maximum(state.lam.mean(axis=0), 0.0)
-    else:
-        lam_arg = state.lam
-    kkt = kkt_residual(game, state.x, lam_arg, tol=10.0 * stop.tol)
+    kkt = kkt_residual(game, state.x, state.lam, tol=10.0 * stop.tol)
     summary = {
         "algorithm": algorithm,
         "converged": result.converged,

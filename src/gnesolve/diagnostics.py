@@ -69,10 +69,14 @@ def kkt_residual_inequality(game: Game, x, lam, tol: float = 1e-6) -> KktReport:
 
     Adds the complementarity residual ``|| min(lam, -gap) ||`` which
     vanishes exactly when the multiplier is supported on active rows and the
-    constraint holds.
+    constraint holds.  The average of an (N, m) stack of local multipliers
+    is clipped at zero, since relaxation overshoot may leave tiny negative
+    entries in it; a single shared multiplier must be nonnegative.
     """
     x = as_vector(x)
     shared, consensus = _shared_multiplier(lam)
+    if np.ndim(lam) == 2:
+        shared = np.maximum(shared, 0.0)
     if shared.min() < 0:
         raise ValidationError("the shared multiplier must be nonnegative")
     stationarity = _stationarity_blocks(game, x, shared)

@@ -224,13 +224,15 @@ class Game:
     def pseudo_gradient(self, x) -> np.ndarray:
         """Stacked subgradient selection of all players at profile ``x``."""
         x = as_vector(x)
-        blocks = self.split(x)
         if self.profile_oracle is not None:
+            if x.size != self.n:
+                raise StructuralError(f"profile length {x.size}, expected {self.n}")
             g = np.asarray(self.profile_oracle(x), dtype=float)
             if g.shape != (self.n,):
                 raise StructuralError(
                     f"profile oracle returned shape {g.shape}, expected ({self.n},)")
         else:
+            blocks = self.split(x)
             parts = []
             for i, p in enumerate(self.players):
                 others = np.concatenate(

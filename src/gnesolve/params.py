@@ -30,16 +30,18 @@ def exact_schedule() -> MuSchedule:
     return mu
 
 
-def _check_spd(M: np.ndarray, name: str) -> None:
+def _check_spd(M: np.ndarray, name: str) -> np.ndarray:
+    """Validate a symmetric positive definite block; returns its eigenvalues."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise StructuralError(f"{name} must be square, got shape {M.shape}")
     if not np.array_equal(M, M.T):
         if np.abs(M - M.T).max() > 1e-12 * (1.0 + np.abs(M).max()):
             raise ValidationError(f"{name} is not symmetric")
-    smallest = np.linalg.eigvalsh(0.5 * (M + M.T)).min()
-    if smallest <= 0.0:
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    if eigs[0] <= 0.0:
         raise ValidationError(
-            f"{name} is not positive definite (smallest eigenvalue {smallest:.3g})")
+            f"{name} is not positive definite (smallest eigenvalue {eigs[0]:.3g})")
+    return eigs
 
 
 @dataclass
@@ -59,6 +61,9 @@ class AlgoParams:
     mu : callable
         Inner-solve tolerance schedule evaluated at the 1-based outer
         iteration index; must be nonnegative and summable.
+    r_min, r_max : float
+        Smallest and largest eigenvalue over the ``R`` blocks, computed
+        once at construction.
     """
 
     R: list
@@ -71,8 +76,19 @@ class AlgoParams:
         self.R = [np.atleast_2d(np.asarray(Ri, dtype=float)) for Ri in self.R]
         self.H = np.asarray(self.H, dtype=float)
         self.W = np.asarray(self.W, dtype=float)
-        for i, Ri in enumerate(self.R):
-            _check_spd(Ri, f"R[{i}]")
+        r_eigs = [_check_spd(Ri, f"R[{i}]") for i, Ri in enumerate(self.R)]
+        self.r_min = min(e[0] for e in r_eigs)
+        self.r_max = max(e[-1] for e in r_eigs)
+        # blocks zero-padded to a common order, so that R v is one batched
+        # product; _r_index maps profile entries into the padded layout and
+        # is a plain slice when every block has that order
+        dims = [Ri.shape[0] for Ri in self.R]
+        order = max(dims)
+        self._R_stack = np.zeros((len(dims), order, order))
+        for Rs, Ri, d in zip(self._R_stack, self.R, dims):
+            Rs[:d, :d] = Ri
+        self._r_index = (slice(None) if min(dims) == order else np.concatenate(
+            [i * order + np.arange(d) for i, d in enumerate(dims)]))
         if self.H.ndim != 3 or self.H.shape[1] != self.H.shape[2]:
             raise StructuralError("H must be an (N, m, m) array")
         if self.W.ndim != 3 or self.W.shape[1] != self.W.shape[2]:
@@ -109,11 +125,11 @@ class AlgoParams:
     # -- block applications ---------------------------------------------------
 
     def apply_R(self, game: Game, v: np.ndarray) -> np.ndarray:
-        """Blockwise product ``R v`` on a stacked profile vector."""
-        out = np.empty_like(v)
-        for Ri, o, d in zip(self.R, game.offsets, game.dims):
-            out[o:o + d] = Ri @ v[o:o + d]
-        return out
+        """Blockwise product ``R v`` on a stacked profile vector of ``game``,
+        whose player dimensions are the orders of the ``R`` blocks."""
+        padded = np.zeros(self._R_stack.shape[:2])
+        padded.reshape(-1)[self._r_index] = v
+        return (self._R_stack @ padded[:, :, None]).reshape(-1)[self._r_index]
 
     def apply_H(self, rows: np.ndarray) -> np.ndarray:
         """Per-player products ``H_i rows_i`` on an (N, m) array."""
@@ -127,10 +143,12 @@ class AlgoParams:
         return np.einsum("lij,lj->li", self.W, rows)
 
     def r_min_eig(self) -> float:
-        return min(np.linalg.eigvalsh(Ri).min() for Ri in self.R)
+        """Smallest eigenvalue over the ``R`` blocks; same as ``r_min``."""
+        return self.r_min
 
     def r_max_eig(self) -> float:
-        return max(np.linalg.eigvalsh(Ri).max() for Ri in self.R)
+        """Largest eigenvalue over the ``R`` blocks; same as ``r_max``."""
+        return self.r_max
 
     def h_is_diagonal(self) -> bool:
         return all(np.count_nonzero(Hi - np.diag(np.diag(Hi))) == 0 for Hi in self.H)

@@ -36,7 +36,7 @@ class Subgame:
     def __post_init__(self):
         self.anchor = as_vector(self.anchor)
         self.shift = as_vector(self.shift)
-        self.modulus = self.params.r_min_eig()
+        self.modulus = self.params.r_min
 
     def pseudo_gradient(self, y: np.ndarray) -> np.ndarray:
         return (self.game.pseudo_gradient(y)
@@ -104,8 +104,9 @@ class InnerSettings:
         Projected-gradient step; default ``1 / (modulus + lipschitz)``.
     lipschitz
         Lipschitz estimate for the subgame pseudo-gradient.  When absent it
-        is estimated once by sampling difference quotients (a heuristic; the
-        bound is only as good as the estimate).
+        is estimated once per game and parameters, from the game's hint or
+        by sampling difference quotients (a heuristic; the bound is only as
+        good as the estimate).
     cap
         Hard iteration limit; exceeding it raises rather than silently
         returning an uncertified point.
@@ -130,7 +131,8 @@ class InnerSolver:
 
     def __init__(self, settings: InnerSettings | None = None):
         self.settings = settings or InnerSettings()
-        self._lipschitz: float | None = self.settings.lipschitz
+        # (game, params, estimate) of the last subgame family estimated
+        self._lipschitz: tuple | None = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -151,13 +153,18 @@ class InnerSolver:
     def lipschitz(self, sub: Subgame) -> float:
         """Lipschitz estimate for the full subgame map (base game plus the
         proximal pull); a user-supplied value takes precedence, then the
-        game's hint for the bare map plus the proximal weight."""
-        if self._lipschitz is None:
+        game's hint for the bare map plus the proximal weight.  Estimates
+        are cached for the subgame's game and parameters only."""
+        if self.settings.lipschitz is not None:
+            return self.settings.lipschitz
+        cached = self._lipschitz
+        if cached is None or cached[0] is not sub.game or cached[1] is not sub.params:
             if sub.game.lipschitz_hint is not None:
-                self._lipschitz = sub.game.lipschitz_hint + sub.params.r_max_eig()
+                value = sub.game.lipschitz_hint + sub.params.r_max
             else:
-                self._lipschitz = self._estimate_lipschitz(sub)
-        return self._lipschitz
+                value = self._estimate_lipschitz(sub)
+            self._lipschitz = cached = (sub.game, sub.params, value)
+        return cached[2]
 
     def gamma(self, sub: Subgame) -> float:
         if self.settings.gamma is not None:

@@ -195,3 +195,6 @@ output.dir = {out}
     assert main(["run", str(cfg)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["kkt"]["is_variational"] is True
+    # the certificate sees the local multipliers, not their clipped mean
+    assert summary["consensus_error"] > 0.0
+    assert summary["kkt"]["consensus"] == summary["consensus_error"]

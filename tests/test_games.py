@@ -89,6 +89,20 @@ def test_profile_oracle_matches_blockwise():
             assert np.allclose(game.pseudo_gradient(x),
                                game.pseudo_gradient_blockwise(x),
                                rtol=1e-12, atol=1e-12)
+            if game.smooth_oracle is not None:
+                # task allocation: smooth part plus the max-branch selection
+                # (ties to the quadratic branch), rebuilt from the payload
+                workers = game.generator["workers"]
+                q, xi, l = (np.concatenate([w[key] for w in workers])
+                            for key in ("q", "xi", "l"))
+                # the box holds only the linear branch; the shifted point
+                # reaches the quadratic one at its negative coordinates
+                for y in (x, x - 0.5 * game.box_upper):
+                    branch = np.where(q * y * y - xi * y >= l * y,
+                                      2.0 * q * y - xi, l)
+                    assert np.allclose(game.smooth_oracle(y) + branch,
+                                       game.profile_oracle(y),
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_stacked_decision_roundtrip():

@@ -162,3 +162,24 @@ def test_exact_mode_requires_solver(pair_graph, toy_params):
     sub = Subgame(game, np.zeros(1), np.zeros(1), params)
     with pytest.raises(ValidationError, match="exact inner mode"):
         InnerSolver(InnerSettings(mode="exact")).solve(sub, 0.0)
+
+
+def test_lipschitz_estimate_follows_the_game(eq_game, pair_graph, toy_params):
+    # one solver reused across games: each subgame family gets its own L
+    game, _ = eq_game
+    solver = InnerSolver()
+    quad = equality_subgame(game, pair_graph, toy_params, np.zeros(2),
+                            np.zeros((2, 1)), np.zeros((1, 1)))
+    assert solver.lipschitz(quad) == pytest.approx(11.5)
+    rc = gs.rate_control_game(0)
+    rc_params = gs.rate_control_params(rc, gs.path_graph(15))
+    rc_sub = inequality_subgame(rc, rc_params, np.zeros(15),
+                                np.zeros((15, rc.m)))
+    own = InnerSolver().lipschitz(rc_sub)
+    assert own == pytest.approx(rc.lipschitz_hint + 10.0)
+    assert solver.lipschitz(rc_sub) == own
+    # same game, other parameters: the proximal weight is part of L
+    heavier = gs.AlgoParams.uniform(game, pair_graph, r=20.0, h=0.5, w=0.5,
+                                    rho=1.1)
+    sub = inequality_subgame(game, heavier, np.zeros(2), np.zeros((2, 1)))
+    assert solver.lipschitz(sub) == pytest.approx(21.5)
