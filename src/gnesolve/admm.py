@@ -19,8 +19,8 @@ from .diagnostics import consensus_error
 from .errors import DivergenceError, ValidationError
 from .games import EQUALITY, Game
 from .graphs import CommGraph
-from .operators import (check_step_sizes_equality, pack_lifted,
-                        residual_equality, unpack_lifted)
+from .operators import (pack_lifted, residual_equality, step_size_margins,
+                        unpack_lifted)
 from .params import AlgoParams
 from .proxpoint import LiftedEqualityResolvent, pppa_step
 from .rng import SplitMix64
@@ -128,6 +128,7 @@ class RunResult:
     converged: bool
     iterations: int
     residuals: object
+    margins: dict              # step-size validator margins checked at start
 
 
 def _check_finite(state: AdmmState) -> None:
@@ -143,18 +144,14 @@ def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
              trace_stride: int = 1) -> RunResult:
     """Iterate to convergence of all equality-operator residuals.
 
-    Refuses to start if the fixed-step-size conditions fail.  Stops when the
-    stationarity, multiplier-difference, and constraint-tracking residuals
-    all fall below ``stop.tol``, or errors out on non-finite states.
+    Refuses to start if the fixed-step-size conditions fail, and reports
+    their margins on the result.  Stops when the stationarity,
+    multiplier-difference, and constraint-tracking residuals all fall below
+    ``stop.tol``, or errors out on non-finite states.
     """
     if game.kind != EQUALITY:
         raise ValidationError("the equality algorithm needs an equality-coupled game")
-    check = check_step_sizes_equality(params, game, graph)
-    if not check.ok:
-        raise ValidationError(
-            "step-size conditions failed: "
-            f"min eig(R - Lam^T H Lam) = {check.margin_x:.6g}, "
-            f"min eig(W^-1 - Vbar^T H Vbar) = {check.margin_z:.6g}")
+    margins = step_size_margins(params, game, graph)
     state = state0 if state0 is not None else initial_state(game, graph, seed)
     rows: list[TraceRow] = []
     res = residual_equality(game, graph, state.x, state.Z, state.lam)
@@ -176,9 +173,10 @@ def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
                 stationarity=res.stationarity,
                 complementarity=math.nan,
                 inner_iterations=info.inner_iterations,
-                mu=info.mu))
+                mu=info.mu,
+                certified=info.certified))
         converged = res.max() <= stop.tol
-    return RunResult(state, rows, converged, k, res)
+    return RunResult(state, rows, converged, k, res, margins)
 
 
 @dataclass(frozen=True)

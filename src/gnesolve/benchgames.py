@@ -57,14 +57,19 @@ def _soft_log1p(u: np.ndarray) -> np.ndarray:
 
     Relaxed iterates can leave the box by a fraction of its width; the
     extension keeps logarithmic utilities defined there while agreeing with
-    the exact formula on the box.
+    the exact formula on the box.  When no entry is negative (every call on
+    the box) only the exact formula is evaluated.
     """
     u = np.asarray(u, dtype=float)
+    if u.min() >= 0.0:
+        return np.log1p(u)
     return np.where(u >= 0.0, np.log1p(np.maximum(u, 0.0)), u - 0.5 * u * u)
 
 
 def _soft_log1p_grad(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
+    if u.min() >= 0.0:
+        return 1.0 / (1.0 + u)
     return np.where(u >= 0.0, 1.0 / (1.0 + np.maximum(u, 0.0)), 1.0 - u)
 
 

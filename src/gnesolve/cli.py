@@ -23,7 +23,7 @@ from .errors import (ConfigError, DivergenceError, GnesolveError,
                      ValidationError)
 from .games import EQUALITY, INEQUALITY, Game, game_to_dict, load_game
 from .graphs import CommGraph, build_incidence
-from .operators import (check_step_sizes_equality, inequality_preconditioner)
+from .operators import step_size_margins
 from .params import AlgoParams, exact_schedule, inverse_square
 from .splitting import run_splitting
 from .subgames import InnerSettings, InnerSolver
@@ -107,24 +107,13 @@ def _algorithm(cfg: ExperimentConfig, game: Game) -> str:
     return algorithm
 
 
-def _validate(cfg: ExperimentConfig):
+def _setup(cfg: ExperimentConfig):
     game = _build_game(cfg)
     graph = _build_graph(cfg, game)
     params = _build_params(cfg, game, graph)
     algorithm = _algorithm(cfg, game)
-    _build_inner(cfg)   # surfaces bad inner settings at validation time
-    if algorithm == "admm":
-        check = check_step_sizes_equality(params, game, graph)
-        if not check.ok:
-            raise ValidationError(
-                "step-size conditions failed: "
-                f"min eig(R - Lam^T H Lam) = {check.margin_x:.6g}, "
-                f"min eig(W^-1 - Vbar^T H Vbar) = {check.margin_z:.6g}")
-        margins = {"x": check.margin_x, "z": check.margin_z}
-    else:
-        report = inequality_preconditioner(params, game, graph)
-        margins = report.margins
-    return game, graph, params, algorithm, margins
+    inner = _build_inner(cfg)   # surfaces bad inner settings before any run
+    return game, graph, params, algorithm, inner
 
 
 def _parameter_echo(cfg: ExperimentConfig) -> dict:
@@ -137,7 +126,8 @@ def _parameter_echo(cfg: ExperimentConfig) -> dict:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    _, _, _, algorithm, margins = _validate(cfg)
+    game, graph, params, algorithm, _ = _setup(cfg)
+    margins = step_size_margins(params, game, graph)
     print(f"ok: {algorithm} step sizes valid; margins: "
           + ", ".join(f"{k}={v:.6g}" for k, v in margins.items()))
     return EXIT_OK
@@ -145,13 +135,13 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    game, graph, params, algorithm, margins = _validate(cfg)
-    inner = _build_inner(cfg)
+    game, graph, params, algorithm, inner = _setup(cfg)
     stop = StopRule(cfg.get_int("stop.max_iter"), cfg.get_float("stop.tol"))
     out_dir = Path(os.environ.get("GNESOLVE_OUTPUT_DIR") or cfg.get("output.dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
+    # the runner validates the step sizes before its first iteration
     runner = run_admm if algorithm == "admm" else run_splitting
     result = runner(game, graph, params, inner, stop,
                     seed=cfg.get_int("run.seed"),
@@ -170,7 +160,7 @@ def cmd_run(args) -> int:
         "converged": result.converged,
         "iterations": result.iterations,
         "wall_seconds": wall,
-        "validator_margins": margins,
+        "validator_margins": result.margins,
         "consensus_error": consensus_error(state.lam),
         "kkt": {
             "stationarity_per_player": list(kkt.stationarity_per_player),

@@ -34,7 +34,7 @@ DEFAULTS = {
     "params.seed": "0",
     "params.mu": "inverse-square",
     "params.mu0": "1.0",
-    "inner.mode": "oracle",
+    "inner.mode": "residual",
     "inner.cap": "100000",
     "stop.max_iter": "10000",
     "stop.tol": "1e-6",

@@ -307,10 +307,22 @@ class Game:
         """
         x = as_vector(x)
         price = as_vector(price)
+        return self.backward_step(x - gamma * (self.smooth_gradient(x) + price),
+                                  gamma)
+
+    def smooth_gradient(self, x) -> np.ndarray:
+        """Forward part of the natural map: the smooth oracle for games with
+        a splitting structure, otherwise the pseudo-gradient."""
         if self.separable_prox is not None:
-            g = np.asarray(self.smooth_oracle(x), dtype=float)
-            return self.separable_prox(x - gamma * (g + price), gamma)
-        return self.project(x - gamma * (self.pseudo_gradient(x) + price))
+            return np.asarray(self.smooth_oracle(as_vector(x)), dtype=float)
+        return self.pseudo_gradient(x)
+
+    def backward_step(self, v, gamma: float) -> np.ndarray:
+        """Backward part of the natural map: the separable prox (nonsmooth
+        part plus box) when present, otherwise the box projection."""
+        if self.separable_prox is not None:
+            return self.separable_prox(v, gamma)
+        return self.project(v)
 
 
 def pseudo_subdifferential(game: Game, x) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError, ValidationError
-from .games import Game, as_vector
+from .games import EQUALITY, Game, as_vector
 from .graphs import CommGraph
 from .params import AlgoParams
 
@@ -226,6 +226,21 @@ def inequality_preconditioner(params: AlgoParams, game: Game,
             "inequality preconditioner is not positive definite: "
             f"min eig {smallest:.6g}")
     return PreconditionerReport(Phi, {"min_eig": smallest})
+
+
+def step_size_margins(params: AlgoParams, game: Game,
+                      graph: CommGraph) -> dict:
+    """Validator margins of the fixed step sizes for the game's coupling
+    kind; raises `ValidationError` naming the failed condition."""
+    if game.kind == EQUALITY:
+        check = check_step_sizes_equality(params, game, graph)
+        if not check.ok:
+            raise ValidationError(
+                "step-size conditions failed: "
+                f"min eig(R - Lam^T H Lam) = {check.margin_x:.6g}, "
+                f"min eig(W^-1 - Vbar^T H Vbar) = {check.margin_z:.6g}")
+        return {"x": check.margin_x, "z": check.margin_z}
+    return inequality_preconditioner(params, game, graph).margins
 
 
 # -- residuals to the operator zero sets ---------------------------------------

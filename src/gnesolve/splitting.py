@@ -15,7 +15,7 @@ from .diagnostics import consensus_error
 from .errors import DivergenceError, ValidationError
 from .games import INEQUALITY, Game
 from .graphs import CommGraph
-from .operators import inequality_preconditioner, residual_inequality
+from .operators import residual_inequality, step_size_margins
 from .params import AlgoParams
 from .subgames import InnerSolver, inequality_subgame
 from .trace import TraceRow
@@ -90,7 +90,7 @@ def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,
         raise ValidationError(
             "multiplier step matrices must be diagonal for the splitting "
             "algorithm (exact weighted orthant projection)")
-    inequality_preconditioner(params, game, graph)   # raises when indefinite
+    margins = step_size_margins(params, game, graph)   # raises when indefinite
     state = state0 if state0 is not None else initial_state(game, graph, seed)
     rows: list[TraceRow] = []
     # extrapolated multipliers dip negative by O((rho - 1) |lam|) during the
@@ -121,6 +121,7 @@ def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,
                 stationarity=res.stationarity,
                 complementarity=res.complementarity,
                 inner_iterations=info.inner_iterations,
-                mu=info.mu))
+                mu=info.mu,
+                certified=info.certified))
         converged = res.max() <= stop.tol
-    return RunResult(state, rows, converged, k, res)
+    return RunResult(state, rows, converged, k, res, margins)

@@ -9,6 +9,7 @@ with a certified distance bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,19 @@ class Subgame:
     def project(self, y: np.ndarray) -> np.ndarray:
         return self.game.project(y)
 
+    def smooth_gradient(self, y: np.ndarray) -> np.ndarray:
+        """Smooth part ``G`` of the subgame map: the game's smooth gradient
+        plus the proximal pull and the price, in `Game.natural_step`'s
+        order of operations."""
+        return (self.game.smooth_gradient(y)
+                + (self.params.apply_R(self.game, y - self.anchor) + self.shift))
+
+    def backward_step(self, v: np.ndarray, gamma: float) -> np.ndarray:
+        return self.game.backward_step(v, gamma)
+
     def step(self, y: np.ndarray, gamma: float) -> np.ndarray:
-        """Forward(-backward) step whose fixed points are the equilibrium."""
-        price = self.params.apply_R(self.game, y - self.anchor) + self.shift
-        return self.game.natural_step(y, price, gamma)
+        """Forward-backward step whose fixed points are the equilibrium."""
+        return self.backward_step(y - gamma * self.smooth_gradient(y), gamma)
 
     def natural_residual(self, y: np.ndarray, gamma: float) -> float:
         return float(np.linalg.norm(y - self.step(y, gamma)))
@@ -95,24 +105,27 @@ class InnerSettings:
 
     mode
         ``"exact"`` uses the game's closed-form regularized-equilibrium
-        solver; ``"oracle"`` runs the projected forward(-backward) iteration
-        to a machine-precision fixed point and returns the first iterate
-        within the requested tolerance of it; ``"residual"`` stops once the
-        natural-map residual certifies the tolerance through the
-        strong-monotonicity bound.
+        solver.  ``"residual"`` (the default) runs forward-backward steps and
+        stops at the first iterate whose computable error bound
+        ``|(y - y+)/gamma - G(y) + G(y+)| / r_min`` certifies the tolerance;
+        the bound follows from strong monotonicity alone.  ``"oracle"`` runs
+        the same iteration to a machine-precision fixed point and returns
+        the first iterate of a replay within the tolerance of it; it costs
+        several times the steps and is kept as a test reference.
     gamma
-        Projected-gradient step; default ``1 / (modulus + lipschitz)``.
+        Forward-backward step; default ``1 / (modulus + lipschitz)``.
     lipschitz
-        Lipschitz estimate for the subgame pseudo-gradient.  When absent it
-        is estimated once per game and parameters, from the game's hint or
-        by sampling difference quotients (a heuristic; the bound is only as
-        good as the estimate).
+        Lipschitz estimate for the subgame pseudo-gradient, used only to
+        pick the default step.  When absent it is estimated once per game
+        and parameters, from the game's hint or by sampling difference
+        quotients.  A poor estimate slows the inner solve but cannot make a
+        residual-mode certificate wrong.
     cap
         Hard iteration limit; exceeding it raises rather than silently
         returning an uncertified point.
     """
 
-    mode: str = "oracle"
+    mode: str = "residual"
     gamma: float | None = None
     lipschitz: float | None = None
     cap: int = 100_000
@@ -228,23 +241,32 @@ class InnerSolver:
         return InnerSolution(y, cert, x_hat)
 
     def _solve_residual(self, sub: Subgame, mu: float) -> InnerSolution:
+        """Forward-backward steps ``y+ = backward(y - gamma G(y))`` until the
+        computable error bound certifies ``mu``.
+
+        ``e = (y - y+) / gamma - G(y) + G(y+)`` lies in ``G(y+)`` plus the
+        subdifferential of the backward part at ``y+``, an operator that is
+        strongly monotone with modulus ``sigma = r_min``; hence
+        ``|y+ - y*| <= |e| / sigma``.  The bound needs no Lipschitz
+        constant, which only sets the step.  ``G(y+)`` is reused by the next
+        step, so each step costs one oracle call.
+        """
         if mu == 0.0:
             raise ValidationError(
                 "residual mode cannot certify an exactly zero tolerance")
         gamma = self.gamma(sub)
-        Lt = self.lipschitz(sub)
         sigma = sub.modulus
-        factor = (1.0 + gamma * Lt) / (gamma * sigma)
         y = sub.project(sub.anchor)
-        for it in range(self.settings.cap + 1):
-            y_next = sub.step(y, gamma)
-            # the bound certifies the distance of y (not y_next) to the
-            # equilibrium, via strong monotonicity of the subgame map
-            bound = factor * float(np.linalg.norm(y - y_next))
+        g = sub.smooth_gradient(y)
+        bound = math.inf
+        for it in range(1, self.settings.cap + 1):
+            y_next = sub.backward_step(y - gamma * g, gamma)
+            g_next = sub.smooth_gradient(y_next)
+            bound = float(np.linalg.norm((y - y_next) / gamma - g + g_next)) / sigma
             if bound <= mu:
                 return InnerSolution(
-                    y, InnerCertificate("residual", bound, it), None)
-            y = y_next
+                    y_next, InnerCertificate("residual", bound, it), None)
+            y, g = y_next, g_next
         raise InexactnessError(
             f"residual mode could not certify {mu:.3g} within "
             f"{self.settings.cap} iterations", achieved=bound)

@@ -6,7 +6,8 @@ import csv
 from dataclasses import dataclass, fields
 
 TRACE_COLUMNS = ("k", "step_norm", "consensus_error", "feasibility",
-                 "stationarity", "complementarity", "inner_iterations", "mu")
+                 "stationarity", "complementarity", "inner_iterations", "mu",
+                 "certified")
 
 
 @dataclass(frozen=True)
@@ -19,6 +20,7 @@ class TraceRow:
     complementarity: float     # nan for equality-coupled runs
     inner_iterations: int
     mu: float
+    certified: float           # inner certificate bound; 0.0 for exact solves
 
     def as_tuple(self):
         return tuple(getattr(self, f.name) for f in fields(self))

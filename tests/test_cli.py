@@ -6,7 +6,8 @@ import gnesolve as gs
 from gnesolve.cli import main
 from gnesolve.config import parse_config_text, parse_edge_list
 from gnesolve.errors import ConfigError
-from gnesolve.trace import TraceRow, read_trace_csv, write_trace_csv
+from gnesolve.trace import (TRACE_COLUMNS, TraceRow, read_trace_csv,
+                            write_trace_csv)
 
 
 # -- config parsing ------------------------------------------------------------------
@@ -46,8 +47,8 @@ def test_parse_edge_list():
 # -- trace files ----------------------------------------------------------------------
 
 def sample_rows():
-    return [TraceRow(1, 0.5, 0.25, 1e-3, 2e-3, float("nan"), 7, 1.0),
-            TraceRow(2, 0.25, 0.125, 5e-4, 1e-3, float("nan"), 6, 0.25)]
+    return [TraceRow(1, 0.5, 0.25, 1e-3, 2e-3, float("nan"), 7, 1.0, 0.5),
+            TraceRow(2, 0.25, 0.125, 5e-4, 1e-3, float("nan"), 6, 0.25, 0.2)]
 
 
 def test_trace_round_trip(tmp_path):
@@ -59,6 +60,8 @@ def test_trace_round_trip(tmp_path):
     rows = read_trace_csv(path)
     assert rows[0]["k"] == "1"
     assert float(rows[1]["step_norm"]) == 0.25
+    assert list(rows[0]) == list(TRACE_COLUMNS)
+    assert float(rows[1]["certified"]) == 0.2
 
 
 # -- full CLI -------------------------------------------------------------------------
@@ -88,6 +91,7 @@ def test_run_quadratic_equality(tmp_path, capsys):
     trace = read_trace_csv(out / "trace.csv")
     ks = [int(r["k"]) for r in trace]
     assert ks == sorted(ks) and ks[0] == 1
+    assert {r["certified"] for r in trace} == {"0.0"}   # exact inner solves
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -145,7 +149,10 @@ def test_extract(tmp_path, capsys):
     assert len(lines) == len(trace)
     k, value = lines[0].split()
     assert k == trace[0]["k"] and value == trace[0]["consensus_error"]
+    assert main(["extract", str(out / "trace.csv"), "certified"]) == 0
+    assert capsys.readouterr().out.split()[:2] == [trace[0]["k"], "0.0"]
     assert main(["extract", str(out / "trace.csv"), "bogus"]) == 2
+    assert "'certified'" in capsys.readouterr().err
 
 
 def test_extract_empty_trace(tmp_path, capsys):
@@ -198,3 +205,59 @@ output.dir = {out}
     # the certificate sees the local multipliers, not their clipped mean
     assert summary["consensus_error"] > 0.0
     assert summary["kkt"]["consensus"] == summary["consensus_error"]
+
+
+INEQ_CFG = """
+game.file = {inst}
+algorithm = splitting
+params.mu = exact
+inner.mode = exact
+stop.max_iter = 5000
+stop.tol = 1e-8
+output.dir = {out}
+"""
+
+
+@pytest.mark.parametrize("kind", [gs.EQUALITY, gs.INEQUALITY])
+def test_run_validates_step_sizes_once(tmp_path, monkeypatch, capsys, kind):
+    import gnesolve.admm
+    import gnesolve.cli
+    import gnesolve.operators
+    import gnesolve.splitting
+    calls = []
+    for name in ("check_step_sizes_equality", "inequality_preconditioner"):
+        original = getattr(gnesolve.operators, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        for module in (gnesolve.operators, gnesolve.cli, gnesolve.admm,
+                       gnesolve.splitting):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    if kind == gs.EQUALITY:
+        text = QUAD_CFG.format(out=tmp_path / "out")
+    else:
+        inst = tmp_path / "inst.json"
+        gs.save_game(gs.quadratic_game(kind=gs.INEQUALITY)[0], inst)
+        text = INEQ_CFG.format(inst=inst, out=tmp_path / "out")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 0
+    assert len(calls) == 1
+    printed = capsys.readouterr().out
+    assert main(["run", str(cfg)]) == 0
+    assert len(calls) == 2
+    # the runner's margins reach the summary, equal to what validate printed
+    margins = json.loads(
+        (tmp_path / "out" / "summary.json").read_text())["validator_margins"]
+    assert printed.strip().endswith(
+        ", ".join(f"{k}={v:.6g}" for k, v in margins.items()))
+    # a failing step size still exits 2 with the validator's message
+    cfg.write_text(text + "params.r = 0.4\n")
+    capsys.readouterr()
+    errors = []
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert "min eig" in errors[0] and errors[0] == errors[1]

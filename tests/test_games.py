@@ -105,6 +105,50 @@ def test_profile_oracle_matches_blockwise():
                                        rtol=1e-12, atol=1e-12)
 
 
+def _where_soft_log1p(u):
+    u = np.asarray(u, dtype=float)
+    return np.where(u >= 0.0, np.log1p(np.maximum(u, 0.0)), u - 0.5 * u * u)
+
+
+def _where_soft_log1p_grad(u):
+    u = np.asarray(u, dtype=float)
+    return np.where(u >= 0.0, 1.0 / (1.0 + np.maximum(u, 0.0)), 1.0 - u)
+
+
+def test_price_helpers_fast_path_bit_identical(monkeypatch):
+    # the nonnegative-input fast path of the soft-log helpers reproduces the
+    # two-branch formula bit for bit, on the box and on shifted profiles
+    # whose loads and rates are partly negative
+    from gnesolve import benchgames
+    games = (gs.rate_control_game(0), gs.task_allocation_game(0))
+    rng = SplitMix64(21)
+    points = []
+    for game in games:
+        for _ in range(20):
+            x = game.sample_profile(rng)
+            points += [(game, y) for y in (x, x - 0.5 * game.box_upper,
+                                           x - game.box_upper)]
+    oracles = ("profile_oracle", "smooth_oracle")
+    fast = [[getattr(g, name)(y) for name in oracles
+             if getattr(g, name) is not None] + [g.pseudo_gradient_blockwise(y)]
+            for g, y in points]
+    loads = [np.concatenate([y, np.hstack([p.A for p in g.players]) @ y])
+             for g, y in points]
+    helpers = [(benchgames._soft_log1p(u), benchgames._soft_log1p_grad(u))
+               for u in loads]
+    assert any(u.min() < 0.0 for u in loads)
+    assert any(u.min() >= 0.0 for u in loads)
+    monkeypatch.setattr(benchgames, "_soft_log1p", _where_soft_log1p)
+    monkeypatch.setattr(benchgames, "_soft_log1p_grad", _where_soft_log1p_grad)
+    for (g, y), got in zip(points, fast):
+        want = [getattr(g, name)(y) for name in oracles
+                if getattr(g, name) is not None] + [g.pseudo_gradient_blockwise(y)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for u, (value, slope) in zip(loads, helpers):
+        assert np.array_equal(value, _where_soft_log1p(u))
+        assert np.array_equal(slope, _where_soft_log1p_grad(u))
+
+
 def test_stacked_decision_roundtrip():
     game, _ = gs.quadratic_game()
     x = np.array([0.25, -0.75])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gnesolve as gs
+from gnesolve.config import DEFAULTS
 from gnesolve.errors import InexactnessError, ValidationError
 from gnesolve.games import Box, Player
 from gnesolve.rng import SplitMix64
@@ -183,3 +185,92 @@ def test_lipschitz_estimate_follows_the_game(eq_game, pair_graph, toy_params):
                                     rho=1.1)
     sub = inequality_subgame(game, heavier, np.zeros(2), np.zeros((2, 1)))
     assert solver.lipschitz(sub) == pytest.approx(21.5)
+
+
+# -- the Lipschitz-free residual certificate ---------------------------------------
+
+def assert_residual_certificates(sub, x_star, mus):
+    """Residual mode certifies every tolerance: the true distance is within
+    the bound and the bound within the tolerance, also with a step taken
+    from a Lipschitz estimate ten times too large."""
+    L = InnerSolver().lipschitz(sub)
+    for settings_ in (InnerSettings(), InnerSettings(lipschitz=10.0 * L)):
+        solver = InnerSolver(settings_)
+        for mu in mus:
+            sol = solver.solve(sub, mu)
+            assert sol.certificate.mode == "residual"
+            assert sol.certificate.bound <= mu
+            # x_star is oracle mode's 1e-13 fixed point; the slack covers
+            # its own distance to the equilibrium
+            dist = float(np.linalg.norm(sol.x - x_star))
+            assert dist <= sol.certificate.bound + 1e-10 * (1.0 + mu)
+
+
+def affine_game(rng, n_players, dim, prox):
+    """Monotone affine pseudo-gradient ``M x + c`` (PSD plus skew part) on
+    a random box; with ``prox`` a linear cost ``l . x`` is handled by a
+    separable prox instead of the oracle."""
+    n = n_players * dim
+    P = rng.normal(size=(n, n)) / np.sqrt(n)
+    K = rng.normal(size=(n, n))
+    M = P @ P.T + (K - K.T) / 2.0
+    c = rng.normal(size=n) * 3.0
+    lower = rng.uniform(-2.0, 0.0, size=n)
+    upper = lower + rng.uniform(0.5, 3.0, size=n)
+    l = rng.uniform(0.0, 2.0, size=n) if prox else np.zeros(n)
+    # the profile oracle takes precedence; the per-player oracles are unused
+    players = [Player(dim, lambda xi, o: xi, np.zeros((1, dim)), np.zeros(1),
+                      Box(lower[i * dim:(i + 1) * dim],
+                          upper[i * dim:(i + 1) * dim]))
+               for i in range(n_players)]
+    extra = {}
+    if prox:
+        extra = dict(smooth_oracle=lambda x: M @ x + c,
+                     separable_prox=lambda v, g: np.clip(v - g * l, lower, upper))
+    return gs.Game(players, gs.EQUALITY,
+                   profile_oracle=lambda x: M @ x + c + l,
+                   lipschitz_hint=float(np.linalg.norm(M, 2)), **extra)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_residual_certificate_affine_subgames(n_players, dim, prox, seed):
+    rng = np.random.default_rng(seed)
+    game = affine_game(rng, n_players, dim, prox)
+    R = []
+    for _ in range(n_players):
+        G = rng.normal(size=(dim, dim))
+        R.append(rng.uniform(0.2, 3.0) * np.eye(dim) + 0.5 * G @ G.T)
+    # only R enters the subgame; H and W are placeholders
+    params = gs.AlgoParams(R, np.ones((n_players, 1, 1)), np.ones((1, 1, 1)),
+                           1.0)
+    anchor = rng.uniform(game.box_lower - 1.0, game.box_upper + 1.0)
+    sub = Subgame(game, anchor, rng.normal(size=game.n), params)
+    x_star = InnerSolver(InnerSettings(mode="oracle")).solve(sub, 0.0).x
+    assert_residual_certificates(sub, x_star, (1e-2, 1e-4, 1e-6))
+
+
+@pytest.mark.parametrize("name", ["rate-control", "task-allocation"])
+def test_residual_certificate_published_first_subgames(name):
+    if name == "rate-control":
+        game = gs.rate_control_game(0)
+        graph = gs.benchmark_graph("chain15")
+        params = gs.rate_control_params(game, graph)
+        state = gs.initial_state(game, graph, seed=0)
+        sub = inequality_subgame(game, params, state.x, state.lam)
+    else:
+        game = gs.task_allocation_game(0)
+        graph = gs.benchmark_graph("chain14")
+        params = gs.task_allocation_params(game, graph, seed=0)
+        state = gs.initial_state(game, graph, seed=0)
+        sub = equality_subgame(game, graph, params, state.x, state.lam, state.Z)
+    x_star = InnerSolver(InnerSettings(mode="oracle")).solve(sub, 0.0).x
+    mu_1 = params.mu(1)
+    assert_residual_certificates(sub, x_star, (mu_1, 1e-3 * mu_1, 1e-6))
+
+
+def test_residual_mode_is_the_default():
+    assert InnerSettings().mode == "residual"
+    assert InnerSolver().settings.mode == "residual"
+    assert DEFAULTS["inner.mode"] == "residual"
