@@ -1,8 +1,8 @@
 """Distributed computation of variational generalized Nash equilibria in
 monotone games with affine equality or inequality coupling constraints."""
 
-from .admm import (AdmmState, StopRule, admm_iterate, admm_iterate_compact,
-                   correspondence_check, initial_state, run_admm)
+from .admm import (AdmmState, StopRule, admm_iterate, correspondence_check,
+                   initial_state, run_admm)
 from .benchgames import (benchmark_graph, quadratic_game, rate_control_game,
                          rate_control_params, task_allocation_game,
                          task_allocation_params)
@@ -14,16 +14,15 @@ from .errors import (ConfigError, DivergenceError, GnesolveError,
                      ValidationError)
 from .games import (Box, EQUALITY, Game, INEQUALITY, MonotonicityReport,
                     Player, StackedDecision, check_monotonicity_samples,
-                    game_from_dict, game_to_dict, load_game, project_box,
-                    pseudo_subdifferential, save_game)
-from .graphs import CommGraph, build_incidence, edges_one_based, path_graph
+                    game_from_dict, game_to_dict, load_game, save_game)
+from .graphs import CommGraph, build_incidence, path_graph
 from .operators import (check_step_sizes_equality, equality_preconditioner,
                         inequality_preconditioner, residual_equality,
                         residual_inequality)
 from .params import AlgoParams, exact_schedule, inverse_square
 from .proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
                         MatrixResolvent, pppa_step, run_proxpoint)
-from .splitting import project_nonneg_weighted, run_splitting, splitting_iterate
+from .splitting import run_splitting, splitting_iterate
 from .subgames import (InnerCertificate, InnerSettings, InnerSolver, Subgame,
                        equality_subgame, inequality_subgame)
 from .trace import TraceRow, read_trace_csv, write_trace_csv

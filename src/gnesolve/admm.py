@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import consensus_error
-from .errors import DivergenceError, ValidationError
+from .errors import (DivergenceError, InexactnessError, NumericError,
+                     ValidationError)
 from .games import EQUALITY, Game
 from .graphs import CommGraph
 from .operators import (pack_lifted, residual_equality, step_size_margins,
@@ -56,51 +57,11 @@ class IterInfo:
 def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
                  state: AdmmState, inner: InnerSolver,
                  mu: float) -> tuple[AdmmState, IterInfo]:
-    """One outer iteration, written player-by-player and edge-by-edge.
-
-    Mirrors the distributed message pattern: every player reads only its own
-    data, its incident edge variables, and (for the edge update) the signal
-    of the edge's other endpoint.  Kept as the reference that the stacked
-    production update, `admm_iterate_compact`, is tested against.
-    """
-    x, lam, Z, k = state.x, state.lam, state.Z, state.k
-    rho = params.rho
-    blocks = game.split(x)
-    agg = graph.node_aggregate(Z)
-
-    # step 1: regularized subgame, solved to mu
-    sub = equality_subgame(game, graph, params, x, lam, Z)
-    sol = inner.solve(sub, mu)
-    xt_blocks = game.split(sol.x)
-
-    lam_next = np.empty_like(lam)
-    tracked_t = np.empty_like(lam)
-    for i, p in enumerate(game.players):
-        tracked_t[i] = p.A @ xt_blocks[i] + agg[i] - p.b
-        lam_next[i] = lam[i] + rho * (params.H[i] @ tracked_t[i])
-
-    # step 3 signal: recover the unrelaxed multiplier from the relaxed one
-    s = np.empty_like(lam)
-    for i in range(game.n_players):
-        lam_tilde_i = lam_next[i] / rho + (rho - 1.0) / rho * lam[i]
-        s[i] = lam_tilde_i + params.H[i] @ tracked_t[i]
-
-    Z_next = Z.copy()
-    for l, (i, j) in enumerate(graph.edges):
-        z_tilde = Z[l] - params.W[l] @ (s[j] - s[i])
-        Z_next[l] = Z[l] + rho * (z_tilde - Z[l])
-
-    x_next = np.concatenate([
-        xi + rho * (xti - xi) for xi, xti in zip(blocks, xt_blocks)])
-    new = AdmmState(x_next, lam_next, Z_next, k + 1)
-    info = IterInfo(sol.certificate.iterations, mu, sol.certificate.bound)
-    return new, info
-
-
-def admm_iterate_compact(game: Game, graph: CommGraph, params: AlgoParams,
-                         state: AdmmState, inner: InnerSolver,
-                         mu: float) -> tuple[AdmmState, IterInfo]:
-    """Same iteration in stacked form; the update `run_admm` performs."""
+    """One outer iteration as stacked array updates: subgame solve to
+    ``mu``, multiplier step along ``H`` times the tracked constraint
+    residual, edge step along ``W`` times the multiplier-signal differences,
+    and relaxation by ``rho``.  Each per-player and per-edge row reads only
+    its own data and its neighbours' signals."""
     x, lam, Z, k = state.x, state.lam, state.Z, state.k
     rho = params.rho
     sub = equality_subgame(game, graph, params, x, lam, Z)
@@ -131,11 +92,50 @@ class RunResult:
     margins: dict              # step-size validator margins checked at start
 
 
-def _check_finite(state: AdmmState) -> None:
-    for arr in (state.x, state.lam, state.Z):
-        if not np.all(np.isfinite(arr)):
-            raise DivergenceError(
-                f"non-finite state at outer iteration {state.k}", state.k)
+def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
+                         inner: InnerSolver, stop: StopRule, state: AdmmState,
+                         trace_stride: int, margins: dict, iterate,
+                         residuals, feasibility) -> RunResult:
+    """The outer loop of both algorithms.
+
+    ``iterate`` is the algorithm's one-iteration update, ``residuals(state)``
+    its distance to the operator's zero set, and ``feasibility(x)`` the
+    trace's feasibility column.  Stops when every residual is at most
+    ``stop.tol`` or after ``stop.max_iter`` iterations; a non-finite state
+    raises `DivergenceError`.  An error raised inside the loop carries the
+    failing outer iteration and the trace rows computed before it.
+    """
+    rows: list[TraceRow] = []
+    k = 0
+    try:
+        res = residuals(state)
+        converged = res.max() <= stop.tol
+        while not converged and k < stop.max_iter:
+            k += 1
+            prev_x = state.x
+            state, info = iterate(game, graph, params, state, inner,
+                                  params.mu(k))
+            if not all(np.isfinite(a).all() for a in (state.x, state.lam, state.Z)):
+                raise DivergenceError(
+                    f"non-finite state at outer iteration {k}", k)
+            res = residuals(state)
+            if k % trace_stride == 0:
+                rows.append(TraceRow(
+                    k=k,
+                    step_norm=float(np.linalg.norm(state.x - prev_x)),
+                    consensus_error=consensus_error(state.lam),
+                    feasibility=feasibility(state.x),
+                    stationarity=res.stationarity,
+                    # equality residuals have no complementarity part
+                    complementarity=getattr(res, "complementarity", math.nan),
+                    inner_iterations=info.inner_iterations,
+                    mu=info.mu,
+                    certified=info.certified))
+            converged = res.max() <= stop.tol
+    except (DivergenceError, InexactnessError, NumericError) as exc:
+        exc.iteration, exc.rows = k, rows
+        raise
+    return RunResult(state, rows, converged, k, res, margins)
 
 
 def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
@@ -153,30 +153,11 @@ def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
         raise ValidationError("the equality algorithm needs an equality-coupled game")
     margins = step_size_margins(params, game, graph)
     state = state0 if state0 is not None else initial_state(game, graph, seed)
-    rows: list[TraceRow] = []
-    res = residual_equality(game, graph, state.x, state.Z, state.lam)
-    converged = res.max() <= stop.tol
-    k = 0
-    while not converged and k < stop.max_iter:
-        k += 1
-        prev_x = state.x
-        state, info = admm_iterate_compact(game, graph, params, state, inner,
-                                           params.mu(k))
-        _check_finite(state)
-        res = residual_equality(game, graph, state.x, state.Z, state.lam)
-        if k % trace_stride == 0:
-            rows.append(TraceRow(
-                k=k,
-                step_norm=float(np.linalg.norm(state.x - prev_x)),
-                consensus_error=consensus_error(state.lam),
-                feasibility=float(np.linalg.norm(game.coupling_gap(state.x))),
-                stationarity=res.stationarity,
-                complementarity=math.nan,
-                inner_iterations=info.inner_iterations,
-                mu=info.mu,
-                certified=info.certified))
-        converged = res.max() <= stop.tol
-    return RunResult(state, rows, converged, k, res, margins)
+    return iterate_to_tolerance(
+        game, graph, params, inner, stop, state, trace_stride, margins,
+        admm_iterate,
+        lambda s: residual_equality(game, graph, s.x, s.Z, s.lam),
+        lambda x: float(np.linalg.norm(game.coupling_gap(x))))
 
 
 @dataclass(frozen=True)

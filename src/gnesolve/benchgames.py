@@ -16,29 +16,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import (Box, EQUALITY, Game, INEQUALITY, Player,
-                    check_monotonicity_samples, register_rebuilder)
+                    check_monotonicity_samples, register_rebuilder,
+                    sampled_lipschitz)
 from .graphs import CommGraph, path_graph
 from .params import AlgoParams, MuSchedule, inverse_square
 from .rng import SplitMix64
 
 AUDIT_PAIRS = 200
-_HINT_PAIRS = 30
-
-
-def _lipschitz_hint(game: Game, seed: int) -> float:
-    """Sampled difference-quotient estimate of the pseudo-gradient's
-    Lipschitz constant over the box (heuristic, with head-room factor)."""
-    rng = SplitMix64(seed ^ 0x1B5EED)
-    worst = 0.0
-    for _ in range(_HINT_PAIRS):
-        a = game.sample_profile(rng)
-        b = game.sample_profile(rng)
-        gap = np.linalg.norm(a - b)
-        if gap < 1e-12:
-            continue
-        worst = max(worst, float(np.linalg.norm(
-            game.pseudo_gradient(a) - game.pseudo_gradient(b)) / gap))
-    return 1.3 * worst if worst > 0 else 1.0
 
 
 def _audit(game: Game, seed: int, label: str) -> None:
@@ -272,7 +256,8 @@ def rate_control_game(seed: int) -> Game:
                            "xi": xi.tolist()})
     # separable utility curvature peaks at chi_i (rate zero); sampling only
     # captures the milder congestion coupling
-    game.lipschitz_hint = float(chi.max()) + _lipschitz_hint(game, seed)
+    game.lipschitz_hint = float(chi.max()) + sampled_lipschitz(
+        game, game.pseudo_gradient, seed ^ 0x1B5EED, 30, 1.3)
     _audit(game, seed, "rate-control game")
     return game
 
@@ -437,7 +422,8 @@ def task_allocation_game(seed: int) -> Game:
         2.0 * float(blk["q"].max()) + 2.0 * float(blk["p"] @ blk["p"])
         + 2.0 * float(np.linalg.norm(blk["S"]))
         for blk in blocks)
-    game.lipschitz_hint = separable + _lipschitz_hint(game, seed)
+    game.lipschitz_hint = separable + sampled_lipschitz(
+        game, game.pseudo_gradient, seed ^ 0x1B5EED, 30, 1.3)
     _audit(game, seed, "task-allocation game")
     return game
 

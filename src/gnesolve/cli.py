@@ -2,8 +2,11 @@
 the matching algorithm, and write the trace, summary, and instance files.
 
 Exit codes: 0 success, 2 validation or configuration failure, 3 divergence,
-4 I/O failure.  ``GNESOLVE_OUTPUT_DIR`` overrides the configured output
-directory.
+4 I/O failure, 5 numeric failure (a non-finite oracle value, or an inner
+solve that could not certify its tolerance).  A run that fails with 3 or 5
+still writes the trace rows computed before the failure, the instance, and
+a summary whose ``failure`` field holds the error and the outer iteration.
+``GNESOLVE_OUTPUT_DIR`` overrides the configured output directory.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .admm import StopRule, run_admm
 from .config import DEFAULTS, ExperimentConfig, load_config, parse_edge_list
 from .diagnostics import consensus_error, kkt_residual
 from .errors import (ConfigError, DivergenceError, GnesolveError,
-                     ValidationError)
+                     InexactnessError, NumericError, ValidationError)
 from .games import EQUALITY, INEQUALITY, Game, game_to_dict, load_game
 from .graphs import CommGraph, build_incidence
 from .operators import step_size_margins
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_IO = 4
+EXIT_NUMERIC = 5
 
 
 def _build_game(cfg: ExperimentConfig) -> Game:
@@ -133,6 +137,15 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _write_outputs(out_dir: Path, game: Game, rows, summary: dict) -> None:
+    write_trace_csv(out_dir / "trace.csv", rows)
+    for name, payload in (("instance.json", game_to_dict(game)),
+                          ("summary.json", summary)):
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     game, graph, params, algorithm, inner = _setup(cfg)
@@ -143,15 +156,21 @@ def cmd_run(args) -> int:
     started = time.perf_counter()
     # the runner validates the step sizes before its first iteration
     runner = run_admm if algorithm == "admm" else run_splitting
-    result = runner(game, graph, params, inner, stop,
-                    seed=cfg.get_int("run.seed"),
-                    trace_stride=cfg.get_int("trace.stride"))
+    try:
+        result = runner(game, graph, params, inner, stop,
+                        seed=cfg.get_int("run.seed"),
+                        trace_stride=cfg.get_int("trace.stride"))
+    except (DivergenceError, InexactnessError, NumericError) as exc:
+        _write_outputs(out_dir, game, exc.rows or [], {
+            "algorithm": algorithm,
+            "converged": False,
+            "wall_seconds": time.perf_counter() - started,
+            "failure": {"error": type(exc).__name__, "message": str(exc),
+                        "iteration": exc.iteration},
+            "parameters": _parameter_echo(cfg),
+        })
+        raise
     wall = time.perf_counter() - started
-
-    write_trace_csv(out_dir / "trace.csv", result.rows)
-    with open(out_dir / "instance.json", "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(game), fh, indent=1)
-        fh.write("\n")
 
     state = result.state
     kkt = kkt_residual(game, state.x, state.lam, tol=10.0 * stop.tol)
@@ -172,11 +191,10 @@ def cmd_run(args) -> int:
         "final_residuals": result.residuals.__dict__,
         "parameters": _parameter_echo(cfg),
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    _write_outputs(out_dir, game, result.rows, summary)
     # exhausting the iteration budget is reported, not an error; divergence
-    # (non-finite states) raises and maps to its own exit code
+    # and numeric failures raise after writing the partial outputs, and map
+    # to their own exit codes
     print(f"{algorithm}: {'converged' if result.converged else 'stopped'} "
           f"after {result.iterations} iterations; outputs in {out_dir}")
     return EXIT_OK
@@ -222,6 +240,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except (InexactnessError, NumericError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -2,7 +2,14 @@
 
 
 class GnesolveError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error raised inside the outer loop of a run carries the failing outer
+    iteration and the trace rows computed before it.
+    """
+
+    iteration: int | None = None
+    rows: list | None = None
 
 
 class StructuralError(GnesolveError):

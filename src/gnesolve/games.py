@@ -72,10 +72,6 @@ class Box:
         width = self.upper - self.lower
         return Box(self.lower - fraction * width, self.upper + fraction * width)
 
-    def contains(self, v: np.ndarray, tol: float = 0.0) -> bool:
-        v = np.asarray(v, dtype=float)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
-
     def sample(self, rng: SplitMix64) -> np.ndarray:
         return np.array([rng.uniform(lo, hi) for lo, hi in zip(self.lower, self.upper)])
 
@@ -192,8 +188,8 @@ class Game:
                 "smooth_oracle and separable_prox must be supplied together")
         self.smooth_oracle = smooth_oracle
         self.separable_prox = separable_prox
-        self._lower = np.concatenate([p.box.lower for p in players])
-        self._upper = np.concatenate([p.box.upper for p in players])
+        self.box_lower = np.concatenate([p.box.lower for p in players])
+        self.box_upper = np.concatenate([p.box.upper for p in players])
 
     # -- profile helpers ---------------------------------------------------
 
@@ -206,18 +202,10 @@ class Game:
     def project(self, x) -> np.ndarray:
         """Projection onto the product of the private boxes."""
         x = as_vector(x)
-        return np.clip(x, self._lower, self._upper)
+        return np.clip(x, self.box_lower, self.box_upper)
 
     def sample_profile(self, rng: SplitMix64) -> np.ndarray:
         return np.concatenate([p.box.sample(rng) for p in self.players])
-
-    @property
-    def box_lower(self) -> np.ndarray:
-        return self._lower
-
-    @property
-    def box_upper(self) -> np.ndarray:
-        return self._upper
 
     # -- oracles -----------------------------------------------------------
 
@@ -245,21 +233,6 @@ class Game:
                         f"expected ({p.dim},)")
                 parts.append(gi)
             g = np.concatenate(parts)
-        if not np.all(np.isfinite(g)):
-            raise NumericError("pseudo-gradient has non-finite entries")
-        return g
-
-    def pseudo_gradient_blockwise(self, x) -> np.ndarray:
-        """Same selection but always through the per-player oracles."""
-        x = as_vector(x)
-        blocks = self.split(x)
-        parts = []
-        for i, p in enumerate(self.players):
-            others = np.concatenate(
-                [blocks[j] for j in range(self.n_players) if j != i]
-            ) if self.n_players > 1 else np.empty(0)
-            parts.append(np.asarray(p.oracle(blocks[i], others), dtype=float))
-        g = np.concatenate(parts)
         if not np.all(np.isfinite(g)):
             raise NumericError("pseudo-gradient has non-finite entries")
         return g
@@ -325,16 +298,6 @@ class Game:
         return self.project(v)
 
 
-def pseudo_subdifferential(game: Game, x) -> np.ndarray:
-    """Selection of the game's pseudo-subdifferential at profile ``x``."""
-    return game.pseudo_gradient(x)
-
-
-def project_box(box: Box, v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``v`` onto ``box``."""
-    return box.project(v)
-
-
 @dataclass(frozen=True)
 class MonotonicityReport:
     min_inner_product: float
@@ -364,6 +327,24 @@ def check_monotonicity_samples(game: Game, n_pairs: int, seed: int,
         if inner < -tol:
             violations += 1
     return MonotonicityReport(worst, violations, n_pairs)
+
+
+def sampled_lipschitz(game: Game, operator: Callable[[np.ndarray], np.ndarray],
+                      seed: int, n_pairs: int, headroom: float) -> float:
+    """Largest difference quotient ``|F(a) - F(b)| / |a - b|`` of
+    ``operator`` over ``n_pairs`` profile pairs drawn in the product box,
+    times ``headroom``; 1.0 when no pair separates.  A heuristic: it may
+    underestimate the true Lipschitz constant."""
+    rng = SplitMix64(seed)
+    worst = 0.0
+    for _ in range(n_pairs):
+        a = game.sample_profile(rng)
+        b = game.sample_profile(rng)
+        gap = np.linalg.norm(a - b)
+        if gap < 1e-12:
+            continue
+        worst = max(worst, float(np.linalg.norm(operator(a) - operator(b)) / gap))
+    return headroom * worst if worst > 0 else 1.0
 
 
 # -- serialization -----------------------------------------------------------

@@ -22,8 +22,6 @@ class CommGraph:
     n_nodes: int
     edges: tuple
     incidence: np.ndarray
-    in_edges: tuple
-    out_edges: tuple
 
     @property
     def n_edges(self) -> int:
@@ -103,13 +101,7 @@ def build_incidence(n_nodes: int, edges) -> CommGraph:
     if len(reached) != n_nodes:
         missing = sorted(set(range(n_nodes)) - reached)
         raise ValidationError(f"graph is disconnected; unreachable nodes {missing}")
-    in_edges = tuple(
-        tuple(l for l, (_, j) in enumerate(edges) if j == node)
-        for node in range(n_nodes))
-    out_edges = tuple(
-        tuple(l for l, (i, _) in enumerate(edges) if i == node)
-        for node in range(n_nodes))
-    return CommGraph(n_nodes, edges, V, in_edges, out_edges)
+    return CommGraph(n_nodes, edges, V)
 
 
 def path_graph(n_nodes: int) -> CommGraph:
@@ -120,8 +112,3 @@ def path_graph(n_nodes: int) -> CommGraph:
     fixed-step-size conditions of the inequality algorithm are tightest in.
     """
     return build_incidence(n_nodes, [(i, i + 1) for i in range(n_nodes - 1)])
-
-
-def edges_one_based(pairs) -> list[tuple[int, int]]:
-    """Convert 1-based (i, j) pairs from config files to 0-based."""
-    return [(int(i) - 1, int(j) - 1) for i, j in pairs]

@@ -51,7 +51,9 @@ def equality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, np.ndar
 
     The full operator adds the normal cone of the product box plus the
     pseudo-subdifferential on the ``x`` block; those set-valued parts are
-    handled by the resolvent routines, not here.
+    handled by the resolvent routines, not here.  The inequality operator
+    has the same linear part and shift, with the normal cone of the
+    nonnegative orthant added on the multiplier block.
     """
     n, mM, mN = game.n, game.m * graph.n_edges, game.m * game.n_players
     Lam = constraint_matrix(game)
@@ -63,12 +65,6 @@ def equality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, np.ndar
     K[n + mM:, n:n + mM] = -Vb
     q = np.concatenate([np.zeros(n), np.zeros(mM), stacked_b(game)])
     return K, q
-
-
-def inequality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Same linear part as the equality operator; the multiplier block
-    additionally carries the normal cone of the nonnegative orthant."""
-    return equality_operator(game, graph)
 
 
 def lifted_equality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -135,9 +135,6 @@ class AlgoParams:
         """Per-player products ``H_i rows_i`` on an (N, m) array."""
         return np.einsum("nij,nj->ni", self.H, rows)
 
-    def apply_Hinv(self, rows: np.ndarray) -> np.ndarray:
-        return np.stack([np.linalg.solve(Hi, ri) for Hi, ri in zip(self.H, rows)])
-
     def apply_W(self, rows: np.ndarray) -> np.ndarray:
         """Per-edge products ``W_l rows_l`` on an (M, m) array."""
         return np.einsum("lij,lj->li", self.W, rows)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InexactnessError, ValidationError
-from .games import Game, as_vector
+from .games import Game, as_vector, sampled_lipschitz
 from .graphs import CommGraph
 from .params import AlgoParams
-from .rng import SplitMix64
 
 
 @dataclass
@@ -43,9 +42,6 @@ class Subgame:
         return (self.game.pseudo_gradient(y)
                 + self.params.apply_R(self.game, y - self.anchor)
                 + self.shift)
-
-    def project(self, y: np.ndarray) -> np.ndarray:
-        return self.game.project(y)
 
     def smooth_gradient(self, y: np.ndarray) -> np.ndarray:
         """Smooth part ``G`` of the subgame map: the game's smooth gradient
@@ -129,14 +125,14 @@ class InnerSettings:
     gamma: float | None = None
     lipschitz: float | None = None
     cap: int = 100_000
-    fixed_point_tol: float = 1e-13
 
     def __post_init__(self):
         if self.mode not in ("exact", "oracle", "residual"):
             raise ValidationError(f"unknown inner mode {self.mode!r}")
 
 
-_ESTIMATE_SEED = 0x5EED
+#: relative step size at which oracle mode's fixed-point pass stops
+FIXED_POINT_TOL = 1e-13
 
 
 class InnerSolver:
@@ -148,20 +144,6 @@ class InnerSolver:
         self._lipschitz: tuple | None = None
 
     # -- helpers -----------------------------------------------------------
-
-    def _estimate_lipschitz(self, sub: Subgame) -> float:
-        rng = SplitMix64(_ESTIMATE_SEED)
-        worst = 0.0
-        for _ in range(20):
-            a = sub.game.sample_profile(rng)
-            b = sub.game.sample_profile(rng)
-            gap = np.linalg.norm(a - b)
-            if gap < 1e-12:
-                continue
-            quot = np.linalg.norm(
-                sub.pseudo_gradient(a) - sub.pseudo_gradient(b)) / gap
-            worst = max(worst, quot)
-        return 1.5 * worst if worst > 0 else 1.0
 
     def lipschitz(self, sub: Subgame) -> float:
         """Lipschitz estimate for the full subgame map (base game plus the
@@ -175,7 +157,8 @@ class InnerSolver:
             if sub.game.lipschitz_hint is not None:
                 value = sub.game.lipschitz_hint + sub.params.r_max
             else:
-                value = self._estimate_lipschitz(sub)
+                value = sampled_lipschitz(sub.game, sub.pseudo_gradient,
+                                          0x5EED, 20, 1.5)
             self._lipschitz = cached = (sub.game, sub.params, value)
         return cached[2]
 
@@ -206,8 +189,8 @@ class InnerSolver:
         return InnerSolution(x_hat, cert, x_hat)
 
     def _fixed_point(self, sub: Subgame, gamma: float) -> tuple[np.ndarray, int]:
-        y = sub.project(sub.anchor)
-        tol = self.settings.fixed_point_tol
+        y = sub.game.project(sub.anchor)
+        tol = FIXED_POINT_TOL
         for it in range(1, self.settings.cap + 1):
             y_next = sub.step(y, gamma)
             step = np.linalg.norm(y_next - y)
@@ -222,11 +205,11 @@ class InnerSolver:
     def _solve_oracle(self, sub: Subgame, mu: float) -> InnerSolution:
         gamma = self.gamma(sub)
         x_hat, its = self._fixed_point(sub, gamma)
-        if mu <= self.settings.fixed_point_tol:
+        if mu <= FIXED_POINT_TOL:
             return InnerSolution(x_hat, InnerCertificate("oracle", 0.0, its), x_hat)
         # replay the deterministic trajectory, stop at the first point close
         # enough to the equilibrium
-        y = sub.project(sub.anchor)
+        y = sub.game.project(sub.anchor)
         bound = float(np.linalg.norm(y - x_hat))
         replay = 0
         while bound > mu:
@@ -256,7 +239,7 @@ class InnerSolver:
                 "residual mode cannot certify an exactly zero tolerance")
         gamma = self.gamma(sub)
         sigma = sub.modulus
-        y = sub.project(sub.anchor)
+        y = sub.game.project(sub.anchor)
         g = sub.smooth_gradient(y)
         bound = math.inf
         for it in range(1, self.settings.cap + 1):

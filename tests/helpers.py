@@ -1,6 +1,6 @@
 """Independent oracles used by the tests: objective values rebuilt from the
-instance payloads (not from the package's gradient code) and plain central
-finite differences."""
+instance payloads (not from the package's gradient code), plain central
+finite differences, and the per-player loop form of an ADMM iteration."""
 
 import numpy as np
 
@@ -61,3 +61,44 @@ def quadratic_value(t, delta, i):
         other = x[1 - i]
         return 0.5 * (x[i] - t[i]) ** 2 + delta * x[i] * other
     return value
+
+
+def admm_iterate_componentwise(game, graph, params, state, inner, mu):
+    """One proximal ADMM iteration written player-by-player and
+    edge-by-edge, as the distributed message pattern runs it: every player
+    reads only its own data, its incident edge variables, and (for the edge
+    update) the signal of the edge's other endpoint.  Reference for the
+    stacked `gnesolve.admm.admm_iterate`."""
+    from gnesolve.admm import AdmmState, IterInfo
+    from gnesolve.subgames import equality_subgame
+
+    x, lam, Z, k = state.x, state.lam, state.Z, state.k
+    rho = params.rho
+    blocks = game.split(x)
+    agg = graph.node_aggregate(Z)
+
+    # step 1: regularized subgame, solved to mu
+    sol = inner.solve(equality_subgame(game, graph, params, x, lam, Z), mu)
+    xt_blocks = game.split(sol.x)
+
+    lam_next = np.empty_like(lam)
+    tracked_t = np.empty_like(lam)
+    for i, p in enumerate(game.players):
+        tracked_t[i] = p.A @ xt_blocks[i] + agg[i] - p.b
+        lam_next[i] = lam[i] + rho * (params.H[i] @ tracked_t[i])
+
+    # step 3 signal: recover the unrelaxed multiplier from the relaxed one
+    s = np.empty_like(lam)
+    for i in range(game.n_players):
+        lam_tilde_i = lam_next[i] / rho + (rho - 1.0) / rho * lam[i]
+        s[i] = lam_tilde_i + params.H[i] @ tracked_t[i]
+
+    Z_next = Z.copy()
+    for l, (i, j) in enumerate(graph.edges):
+        z_tilde = Z[l] - params.W[l] @ (s[j] - s[i])
+        Z_next[l] = Z[l] + rho * (z_tilde - Z[l])
+
+    x_next = np.concatenate([
+        xi + rho * (xti - xi) for xi, xti in zip(blocks, xt_blocks)])
+    info = IterInfo(sol.certificate.iterations, mu, sol.certificate.bound)
+    return AdmmState(x_next, lam_next, Z_next, k + 1), info

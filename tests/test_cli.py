@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import gnesolve as gs
@@ -261,3 +262,55 @@ def test_run_validates_step_sizes_once(tmp_path, monkeypatch, capsys, kind):
         assert main([command, str(cfg)]) == 2
         errors.append(capsys.readouterr().err)
     assert "min eig" in errors[0] and errors[0] == errors[1]
+
+
+class FailingInner:
+    """Exact inner solves for two outer iterations, then a failure: a raised
+    inner error, or a non-finite solution that makes the run diverge."""
+
+    def __init__(self, failure):
+        self.failure = failure
+        self.exact = gs.InnerSolver(gs.InnerSettings(mode="exact"))
+        self.calls = 0
+
+    def solve(self, sub, mu):
+        from gnesolve.subgames import InnerCertificate, InnerSolution
+        self.calls += 1
+        if self.calls < 3:
+            return self.exact.solve(sub, mu)
+        if self.failure is gs.DivergenceError:
+            bad = np.full(sub.anchor.shape, np.inf)
+            return InnerSolution(bad, InnerCertificate("oracle", 0.0, 1), bad)
+        raise self.failure("inner solve failed on purpose")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("failure, code, message", [
+    (gs.InexactnessError, 5, "numeric failure: inner solve failed"),
+    (gs.NumericError, 5, "numeric failure: inner solve failed"),
+    (gs.DivergenceError, 3, "divergence: non-finite state at outer iteration 3"),
+], ids=["inexact", "numeric", "divergence"])
+@pytest.mark.parametrize("kind", [gs.EQUALITY, gs.INEQUALITY])
+def test_failed_run_keeps_partial_outputs(tmp_path, monkeypatch, capsys, kind,
+                                          failure, code, message):
+    import gnesolve.cli
+    monkeypatch.setattr(gnesolve.cli, "_build_inner",
+                        lambda cfg: FailingInner(failure))
+    out = tmp_path / "out"
+    if kind == gs.EQUALITY:
+        text = QUAD_CFG.format(out=out)
+    else:
+        inst = tmp_path / "inst.json"
+        gs.save_game(gs.quadratic_game(kind=gs.INEQUALITY)[0], inst)
+        text = INEQ_CFG.format(inst=inst, out=out)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert [r["k"] for r in read_trace_csv(out / "trace.csv")] == ["1", "2"]
+    assert json.loads((out / "instance.json").read_text())["kind"] == kind
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["failure"]["error"] == failure.__name__
+    assert summary["failure"]["iteration"] == 3
+    assert summary["parameters"]["stop.tol"] == "1e-8"

@@ -48,7 +48,7 @@ def test_box_inflate():
 def test_pseudo_gradient_quadratic_example():
     # closed-form gradient (x_i - t_i + delta x_{-i}) at x = t reversed
     game, _ = gs.quadratic_game(t=(2.0, 1.0), delta=0.5)
-    pg = gs.pseudo_subdifferential(game, np.array([2.0, 1.0]))
+    pg = game.pseudo_gradient(np.array([2.0, 1.0]))
     assert np.allclose(pg, [0.5, 1.0])
 
 
@@ -78,6 +78,12 @@ def test_oracle_shape_and_finiteness_errors():
         game.pseudo_gradient(np.zeros(2))
 
 
+def blockwise(game, x):
+    """Pseudo-gradient through the per-player oracles: the same players in
+    a game without the vectorized profile oracle."""
+    return gs.Game(game.players, game.kind).pseudo_gradient(x)
+
+
 def test_profile_oracle_matches_blockwise():
     for build in (lambda: gs.rate_control_game(0),
                   lambda: gs.task_allocation_game(0),
@@ -87,7 +93,7 @@ def test_profile_oracle_matches_blockwise():
         for _ in range(5):
             x = game.sample_profile(rng)
             assert np.allclose(game.pseudo_gradient(x),
-                               game.pseudo_gradient_blockwise(x),
+                               blockwise(game, x),
                                rtol=1e-12, atol=1e-12)
             if game.smooth_oracle is not None:
                 # task allocation: smooth part plus the max-branch selection
@@ -130,7 +136,7 @@ def test_price_helpers_fast_path_bit_identical(monkeypatch):
                                            x - game.box_upper)]
     oracles = ("profile_oracle", "smooth_oracle")
     fast = [[getattr(g, name)(y) for name in oracles
-             if getattr(g, name) is not None] + [g.pseudo_gradient_blockwise(y)]
+             if getattr(g, name) is not None] + [blockwise(g, y)]
             for g, y in points]
     loads = [np.concatenate([y, np.hstack([p.A for p in g.players]) @ y])
              for g, y in points]
@@ -142,7 +148,7 @@ def test_price_helpers_fast_path_bit_identical(monkeypatch):
     monkeypatch.setattr(benchgames, "_soft_log1p_grad", _where_soft_log1p_grad)
     for (g, y), got in zip(points, fast):
         want = [getattr(g, name)(y) for name in oracles
-                if getattr(g, name) is not None] + [g.pseudo_gradient_blockwise(y)]
+                if getattr(g, name) is not None] + [blockwise(g, y)]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     for u, (value, slope) in zip(loads, helpers):
         assert np.array_equal(value, _where_soft_log1p(u))

@@ -11,7 +11,9 @@ def test_three_node_path_incidence():
     graph = build_incidence(3, [(0, 1), (1, 2)])
     expected = np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])
     assert np.array_equal(graph.incidence, expected)
-    assert graph.out_edges[0] == (0,) and graph.in_edges[1] == (0,)
+    # edge 0 leaves node 0 and enters node 1, in the order it was given
+    assert graph.edges == ((0, 1), (1, 2))
+    assert graph.incidence[0, 0] == -1.0 and graph.incidence[1, 0] == 1.0
 
 
 def test_column_sums_vanish():

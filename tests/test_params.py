@@ -64,7 +64,6 @@ def test_apply_blocks(eq_game, pair_graph, dims, seed):
     assert np.allclose(params.apply_R(game, v), 3.0 * v)
     rows = np.array([[2.0], [4.0]])
     assert np.allclose(params.apply_H(rows), 0.5 * rows)
-    assert np.allclose(params.apply_Hinv(rows), 2.0 * rows)
     assert np.allclose(params.apply_W(np.array([[8.0]])), np.array([[2.0]]))
 
     # mixed block orders with dense (non-diagonal) SPD blocks

@@ -6,26 +6,29 @@ from gnesolve.admm import AdmmState, initial_state
 from gnesolve.errors import ValidationError
 from gnesolve.operators import pack_plain, unpack_plain
 from gnesolve.proxpoint import InequalityResolvent, pppa_step
-from gnesolve.splitting import (project_nonneg_weighted, run_splitting,
-                                splitting_iterate)
+from gnesolve.splitting import run_splitting, splitting_iterate
 from gnesolve.subgames import inequality_subgame
 from conftest import edge_flow_for
 
 
-def test_weighted_projection_examples():
-    H = 0.5 * np.eye(2)
-    assert np.allclose(project_nonneg_weighted(H, np.array([-1.0, 2.0])),
-                       [0.0, 2.0])
-    v = np.array([0.3, 4.0])
-    assert np.array_equal(project_nonneg_weighted(H, v), v)
-    p = project_nonneg_weighted(H, np.array([-3.0, -0.1]))
-    assert np.array_equal(project_nonneg_weighted(H, p), p)
+@pytest.fixture(scope="module")
+def rate_control():
+    """The published rate-control game on its 15-node chain, with the
+    published step sizes."""
+    game = gs.rate_control_game(0)
+    graph = gs.benchmark_graph("chain15")
+    return game, graph, gs.rate_control_params(game, graph)
 
 
-def test_weighted_projection_rejects_dense():
-    H = np.array([[1.0, 0.2], [0.2, 1.0]])
+def test_weighted_projection_rejects_dense(rate_control):
+    # the orthant projection in the H^-1 metric is a plain clamp only for
+    # diagonal H; the driver refuses dense multiplier steps up front
+    game, graph, params = rate_control
+    H = params.H.copy()
+    H[0, 0, 1] = H[0, 1, 0] = 0.1
+    dense = gs.AlgoParams(params.R, H, params.W, params.rho, params.mu)
     with pytest.raises(ValidationError, match="diagonal"):
-        project_nonneg_weighted(H, np.zeros(2))
+        run_splitting(game, graph, dense, gs.InnerSolver())
 
 
 def test_fixed_point_invariance(ineq_game, pair_graph, toy_params,
@@ -54,28 +57,41 @@ def test_rho_one_is_unrelaxed(ineq_game, pair_graph, exact_inner):
 
 
 def test_parallel_steps_commute(ineq_game, pair_graph, toy_params,
-                                exact_inner):
+                                exact_inner, rate_control):
     # decisions and edge variables read only iteration-k data: computing the
-    # edge update before the subgame solve gives bitwise-identical results
-    game, _ = ineq_game
-    state = initial_state(game, pair_graph, seed=6)
-    reference, _ = splitting_iterate(game, pair_graph, toy_params, state,
-                                     exact_inner, 0.0)
-    Z_tilde = np.empty_like(state.Z)
-    for l, (i, j) in enumerate(pair_graph.edges):
-        Z_tilde[l] = state.Z[l] - toy_params.W[l] @ (state.lam[j] - state.lam[i])
-    sub = inequality_subgame(game, toy_params, state.x, state.lam)
-    x_tilde = exact_inner.solve(sub, 0.0).x
-    rho = toy_params.rho
-    refl = pair_graph.node_aggregate(2.0 * Z_tilde - state.Z)
-    lam_next = np.empty_like(state.lam)
-    for i, p in enumerate(game.players):
-        xi, xti = state.x[i:i + 1], x_tilde[i:i + 1]
-        reflected = p.A @ (2.0 * xti - xi) + refl[i] - p.b
-        lt = np.maximum(state.lam[i] + toy_params.H[i] @ reflected, 0.0)
-        lam_next[i] = state.lam[i] + rho * (lt - state.lam[i])
-    assert np.array_equal(reference.Z, state.Z + rho * (Z_tilde - state.Z))
-    assert np.array_equal(reference.lam, lam_next)
+    # edge update before the subgame solve, player by player and edge by
+    # edge, gives bitwise-identical results to the stacked update
+    toy, _ = ineq_game
+    rc_game, rc_graph, rc_params = rate_control
+    rng = np.random.default_rng(6)
+    cases = [(toy, pair_graph, toy_params, exact_inner, 0.0,
+              initial_state(toy, pair_graph, seed=6))]
+    for seed in range(5):
+        x = initial_state(rc_game, rc_graph, seed=seed).x
+        lam = rng.uniform(-0.1, 1.0, (rc_game.n_players, rc_game.m))
+        Z = rng.normal(size=(rc_graph.n_edges, rc_game.m))
+        cases.append((rc_game, rc_graph, rc_params, gs.InnerSolver(), 1e-3,
+                      AdmmState(x, lam, Z, 0)))
+    for game, graph, params, inner, mu, state in cases:
+        reference, _ = splitting_iterate(game, graph, params, state, inner, mu)
+        Z_tilde = np.empty_like(state.Z)
+        for l, (i, j) in enumerate(graph.edges):
+            Z_tilde[l] = state.Z[l] - params.W[l] @ (state.lam[j] - state.lam[i])
+        sub = inequality_subgame(game, params, state.x, state.lam)
+        xt_blocks = game.split(inner.solve(sub, mu).x)
+        rho = params.rho
+        refl = graph.node_aggregate(2.0 * Z_tilde - state.Z)
+        lam_next = np.empty_like(state.lam)
+        blocks = game.split(state.x)
+        for i, p in enumerate(game.players):
+            reflected = p.A @ (2.0 * xt_blocks[i] - blocks[i]) + refl[i] - p.b
+            lt = np.maximum(state.lam[i] + params.H[i] @ reflected, 0.0)
+            lam_next[i] = state.lam[i] + rho * (lt - state.lam[i])
+        x_next = np.concatenate([xi + rho * (xti - xi)
+                                 for xi, xti in zip(blocks, xt_blocks)])
+        assert np.array_equal(reference.x, x_next)
+        assert np.array_equal(reference.Z, state.Z + rho * (Z_tilde - state.Z))
+        assert np.array_equal(reference.lam, lam_next)
 
 
 def test_convergence_to_oracle_solution(ineq_game, pair_graph, toy_params,
