@@ -13,7 +13,7 @@ from .errors import (ConfigError, DivergenceError, GnesolveError,
                      InexactnessError, NumericError, StructuralError,
                      ValidationError)
 from .games import (Box, EQUALITY, Game, INEQUALITY, MonotonicityReport,
-                    Player, StackedDecision, check_monotonicity_samples,
+                    Player, check_monotonicity_samples,
                     game_from_dict, game_to_dict, load_game, save_game)
 from .graphs import CommGraph, build_incidence, path_graph
 from .operators import (check_step_sizes_equality, equality_preconditioner,

@@ -90,6 +90,7 @@ class RunResult:
     iterations: int
     residuals: object
     margins: dict              # step-size validator margins checked at start
+    inner_steps: int           # over all outer iterations, traced or not
 
 
 def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
@@ -103,10 +104,11 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     trace's feasibility column.  Stops when every residual is at most
     ``stop.tol`` or after ``stop.max_iter`` iterations; a non-finite state
     raises `DivergenceError`.  An error raised inside the loop carries the
-    failing outer iteration and the trace rows computed before it.
+    failing outer iteration, the trace rows computed before it, and the
+    inner steps taken before it.
     """
     rows: list[TraceRow] = []
-    k = 0
+    k = inner_steps = 0
     try:
         res = residuals(state)
         converged = res.max() <= stop.tol
@@ -115,6 +117,7 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
             prev_x = state.x
             state, info = iterate(game, graph, params, state, inner,
                                   params.mu(k))
+            inner_steps += info.inner_iterations
             if not all(np.isfinite(a).all() for a in (state.x, state.lam, state.Z)):
                 raise DivergenceError(
                     f"non-finite state at outer iteration {k}", k)
@@ -133,9 +136,9 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
                     certified=info.certified))
             converged = res.max() <= stop.tol
     except (DivergenceError, InexactnessError, NumericError) as exc:
-        exc.iteration, exc.rows = k, rows
+        exc.iteration, exc.rows, exc.inner_steps = k, rows, inner_steps
         raise
-    return RunResult(state, rows, converged, k, res, margins)
+    return RunResult(state, rows, converged, k, res, margins, inner_steps)
 
 
 def run_admm(game: Game, graph: CommGraph, params: AlgoParams,

@@ -164,6 +164,7 @@ def cmd_run(args) -> int:
         _write_outputs(out_dir, game, exc.rows or [], {
             "algorithm": algorithm,
             "converged": False,
+            "inner_steps": exc.inner_steps,
             "wall_seconds": time.perf_counter() - started,
             "failure": {"error": type(exc).__name__, "message": str(exc),
                         "iteration": exc.iteration},
@@ -178,6 +179,7 @@ def cmd_run(args) -> int:
         "algorithm": algorithm,
         "converged": result.converged,
         "iterations": result.iterations,
+        "inner_steps": result.inner_steps,
         "wall_seconds": wall,
         "validator_margins": result.margins,
         "consensus_error": consensus_error(state.lam),

@@ -5,11 +5,13 @@ class GnesolveError(Exception):
     """Base class for all errors raised by this package.
 
     An error raised inside the outer loop of a run carries the failing outer
-    iteration and the trace rows computed before it.
+    iteration, the trace rows computed before it, and the inner steps taken
+    before it.
     """
 
     iteration: int | None = None
     rows: list | None = None
+    inner_steps: int | None = None
 
 
 class StructuralError(GnesolveError):

@@ -62,16 +62,6 @@ class Box:
             raise StructuralError(f"expected length {self.dim}, got {v.size}")
         return np.clip(v, self.lower, self.upper)
 
-    def inflate(self, fraction: float) -> "Box":
-        """Box enlarged by `fraction` of the width on each side.
-
-        Relaxation steps with ``rho > 1`` extrapolate iterates slightly
-        outside the feasible box; objective oracles are expected to remain
-        well defined on this enlarged box.
-        """
-        width = self.upper - self.lower
-        return Box(self.lower - fraction * width, self.upper + fraction * width)
-
     def sample(self, rng: SplitMix64) -> np.ndarray:
         return np.array([rng.uniform(lo, hi) for lo, hi in zip(self.lower, self.upper)])
 
@@ -101,25 +91,8 @@ class Player:
         object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class StackedDecision:
-    """Decision profile stored as per-player blocks."""
-
-    blocks: tuple
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([np.asarray(b, dtype=float) for b in self.blocks])
-
-    @classmethod
-    def from_vector(cls, game: "Game", x: np.ndarray) -> "StackedDecision":
-        return cls(tuple(game.split(x)))
-
-
 def as_vector(x) -> np.ndarray:
-    """Accept a flat array or a StackedDecision and return the flat array."""
-    if isinstance(x, StackedDecision):
-        return x.vector
+    """The profile as a flat float array."""
     return np.asarray(x, dtype=float)
 
 
@@ -190,6 +163,9 @@ class Game:
         self.separable_prox = separable_prox
         self.box_lower = np.concatenate([p.box.lower for p in players])
         self.box_upper = np.concatenate([p.box.upper for p in players])
+        #: per-player right-hand sides stacked as an (N, m) array
+        self.b_rows = np.stack([p.b for p in players])
+        self.b_rows.flags.writeable = False
 
     # -- profile helpers ---------------------------------------------------
 
@@ -238,11 +214,6 @@ class Game:
         return g
 
     # -- coupling-constraint helpers ----------------------------------------
-
-    @property
-    def b_rows(self) -> np.ndarray:
-        """Per-player right-hand sides stacked as an (N, m) array."""
-        return np.stack([p.b for p in self.players])
 
     def local_residual(self, x) -> np.ndarray:
         """(N, m) array with row ``i`` equal to ``A_i x_i - b_i``."""

@@ -57,9 +57,6 @@ class Subgame:
         """Forward-backward step whose fixed points are the equilibrium."""
         return self.backward_step(y - gamma * self.smooth_gradient(y), gamma)
 
-    def natural_residual(self, y: np.ndarray, gamma: float) -> float:
-        return float(np.linalg.norm(y - self.step(y, gamma)))
-
 
 def equality_subgame(game: Game, graph: CommGraph, params: AlgoParams,
                      x, lam, Z) -> Subgame:
@@ -105,17 +102,18 @@ class InnerSettings:
         stops at the first iterate whose computable error bound
         ``|(y - y+)/gamma - G(y) + G(y+)| / r_min`` certifies the tolerance;
         the bound follows from strong monotonicity alone.  ``"oracle"`` runs
-        the same iteration to a machine-precision fixed point and returns
-        the first iterate of a replay within the tolerance of it; it costs
-        several times the steps and is kept as a test reference.
+        fixed-step forward-backward steps to a machine-precision fixed point
+        and returns the first iterate of a replay within the tolerance of
+        it; it costs many times the steps and is kept as a test reference.
     gamma
-        Forward-backward step; default ``1 / (modulus + lipschitz)``.
+        In residual mode, the initial step of each solve (default
+        ``1 / r_max``), which then adapts to the local curvature.  In oracle
+        mode, the fixed step (default ``1 / (modulus + lipschitz)``).
     lipschitz
-        Lipschitz estimate for the subgame pseudo-gradient, used only to
-        pick the default step.  When absent it is estimated once per game
-        and parameters, from the game's hint or by sampling difference
-        quotients.  A poor estimate slows the inner solve but cannot make a
-        residual-mode certificate wrong.
+        Oracle mode only: Lipschitz estimate for the subgame
+        pseudo-gradient, used to pick the default fixed step.  When absent
+        it is estimated once per game and parameters, from the game's hint
+        or by sampling difference quotients.
     cap
         Hard iteration limit; exceeding it raises rather than silently
         returning an uncertified point.
@@ -147,9 +145,10 @@ class InnerSolver:
 
     def lipschitz(self, sub: Subgame) -> float:
         """Lipschitz estimate for the full subgame map (base game plus the
-        proximal pull); a user-supplied value takes precedence, then the
-        game's hint for the bare map plus the proximal weight.  Estimates
-        are cached for the subgame's game and parameters only."""
+        proximal pull), which sets oracle mode's default step.  A
+        user-supplied value takes precedence, then the game's hint for the
+        bare map plus the proximal weight.  Estimates are cached for the
+        subgame's game and parameters only."""
         if self.settings.lipschitz is not None:
             return self.settings.lipschitz
         cached = self._lipschitz
@@ -230,14 +229,25 @@ class InnerSolver:
         ``e = (y - y+) / gamma - G(y) + G(y+)`` lies in ``G(y+)`` plus the
         subdifferential of the backward part at ``y+``, an operator that is
         strongly monotone with modulus ``sigma = r_min``; hence
-        ``|y+ - y*| <= |e| / sigma``.  The bound needs no Lipschitz
-        constant, which only sets the step.  ``G(y+)`` is reused by the next
-        step, so each step costs one oracle call.
+        ``|y+ - y*| <= |e| / sigma`` for any step ``gamma``.  ``G(y+)`` is
+        reused by the next step, so each step costs one oracle call.
+
+        Since no step can make the bound wrong, the step adapts freely: it
+        starts at ``inner.gamma`` or ``1 / r_max`` and after each step that
+        does not certify becomes ``min(1.5 gamma, <dG, dy> / |dG|^2)`` with
+        ``dy = y+ - y`` and ``dG = G(y+) - G(y)`` (Barzilai & Borwein 1988;
+        Malitsky & Mishchenko 2020), or ``1.5 gamma`` when either quantity
+        is not positive.  The second term is the largest step for which the
+        forward map ``y - gamma G(y)`` contracts along the last move, so it
+        also shrinks on skew-dominated maps.  Nothing is carried from one
+        solve to the next.
         """
         if mu == 0.0:
             raise ValidationError(
                 "residual mode cannot certify an exactly zero tolerance")
-        gamma = self.gamma(sub)
+        gamma = self.settings.gamma
+        if gamma is None:
+            gamma = 1.0 / sub.params.r_max
         sigma = sub.modulus
         y = sub.game.project(sub.anchor)
         g = sub.smooth_gradient(y)
@@ -249,6 +259,11 @@ class InnerSolver:
             if bound <= mu:
                 return InnerSolution(
                     y_next, InnerCertificate("residual", bound, it), None)
+            dy, dg = y_next - y, g_next - g
+            curvature, dg_sq = float(dg @ dy), float(dg @ dg)
+            gamma *= 1.5
+            if curvature > 0.0 and dg_sq > 0.0:
+                gamma = min(gamma, curvature / dg_sq)
             y, g = y_next, g_next
         raise InexactnessError(
             f"residual mode could not certify {mu:.3g} within "

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +105,62 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(["run", str(cfg)]) == 0
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
     assert (out1 / "instance.json").read_bytes() == (out2 / "instance.json").read_bytes()
+
+
+RESIDUAL_QUAD_CFG = """
+game.builtin = quadratic-equality
+algorithm = admm
+params.mu = inverse-square
+inner.mode = residual
+stop.max_iter = 5000
+stop.tol = 1e-8
+trace.stride = {stride}
+output.dir = {out}
+"""
+
+
+def test_summary_counts_inner_steps_of_untraced_iterations(tmp_path):
+    totals = {}
+    for stride in (1, 2):
+        out = tmp_path / f"stride{stride}"
+        cfg = tmp_path / f"exp{stride}.cfg"
+        cfg.write_text(RESIDUAL_QUAD_CFG.format(stride=stride, out=out))
+        assert main(["run", str(cfg)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        traced = sum(int(r["inner_iterations"])
+                     for r in read_trace_csv(out / "trace.csv"))
+        totals[stride] = summary["inner_steps"], traced
+    assert totals[1][0] == totals[1][1] > 0
+    assert totals[2][0] > totals[2][1]
+    # the trace stride changes what is written, not the run
+    assert totals[2][0] == totals[1][0]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_published_configs_in_default_inner_mode(tmp_path, monkeypatch):
+    # the shipped configs through `gnesolve run`, with residual-mode inner
+    # solves; the step bounds are a third of the fixed-step solver's counts
+    # (12,717 and 27,287)
+    for name, max_inner_steps in (("rate-control", 4_239),
+                                  ("task-allocation", 9_095)):
+        out = tmp_path / name
+        monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(out))
+        assert main(["run", str(CONFIGS / f"{name}.cfg")]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["parameters"]["inner.mode"] == "residual"
+        assert summary["converged"] and summary["kkt"]["is_variational"]
+        rows = read_trace_csv(out / "trace.csv")
+        assert len(rows) == summary["iterations"]
+        assert all(float(r["certified"]) <= float(r["mu"]) for r in rows)
+        assert summary["inner_steps"] == sum(int(r["inner_iterations"])
+                                             for r in rows)
+        assert summary["inner_steps"] <= max_inner_steps
+    monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(tmp_path / "rerun"))
+    assert main(["run", str(CONFIGS / "rate-control.cfg")]) == 0
+    assert ((tmp_path / "rerun" / "trace.csv").read_bytes()
+            == (tmp_path / "rate-control" / "trace.csv").read_bytes())
 
 
 def test_validate_command(tmp_path, capsys):
@@ -313,4 +370,7 @@ def test_failed_run_keeps_partial_outputs(tmp_path, monkeypatch, capsys, kind,
     assert summary["converged"] is False
     assert summary["failure"]["error"] == failure.__name__
     assert summary["failure"]["iteration"] == 3
+    # exact solves take no steps; the solve that returned a non-finite
+    # point reported one, and it completed before the divergence
+    assert summary["inner_steps"] == (failure is gs.DivergenceError)
     assert summary["parameters"]["stop.tol"] == "1e-8"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gnesolve as gs
-from gnesolve.games import Box, Player, StackedDecision
+from gnesolve.games import Box, Player
 from gnesolve.errors import NumericError, StructuralError, ValidationError
 from gnesolve.rng import SplitMix64
 
@@ -35,12 +35,6 @@ def test_box_projection_idempotent_and_nonexpansive(u, v):
     pu, pv = box.project(u), box.project(v)
     assert np.array_equal(box.project(pu), pu)
     assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
-
-
-def test_box_inflate():
-    box = Box(np.zeros(1), np.array([10.0]))
-    big = box.inflate(0.1)
-    assert big.lower[0] == -1.0 and big.upper[0] == 11.0
 
 
 # -- pseudo-gradient -----------------------------------------------------------
@@ -158,10 +152,9 @@ def test_price_helpers_fast_path_bit_identical(monkeypatch):
 def test_stacked_decision_roundtrip():
     game, _ = gs.quadratic_game()
     x = np.array([0.25, -0.75])
-    sd = StackedDecision.from_vector(game, x)
-    assert len(sd.blocks) == 2
-    assert np.array_equal(sd.vector, x)
-    assert np.allclose(game.pseudo_gradient(sd), game.pseudo_gradient(x))
+    blocks = game.split(x)
+    assert [b.size for b in blocks] == list(game.dims) == [1, 1]
+    assert np.array_equal(np.concatenate(blocks), x)
 
 
 # -- monotonicity audit ----------------------------------------------------------

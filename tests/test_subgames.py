@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,14 +92,14 @@ def test_oracle_mode_matches_linear_solve(eq_game, pair_graph, toy_params):
     exact = InnerSolver(InnerSettings(mode="exact")).solve(sub, 0.0)
     assert np.allclose(exact.x, expected, atol=1e-12)
     # the oracle-mode equilibrium satisfies the subgame optimality residual
-    assert sub.natural_residual(sol.exact, 0.05) <= 1e-10
+    assert np.linalg.norm(sol.exact - sub.step(sol.exact, 0.05)) <= 1e-10
 
 
 def test_residual_mode_certificate(eq_game, pair_graph, toy_params):
     game, _ = eq_game
     sub = equality_subgame(game, pair_graph, toy_params, np.zeros(2),
                            np.zeros((2, 1)), np.zeros((1, 1)))
-    solver = InnerSolver(InnerSettings(mode="residual", lipschitz=11.5))
+    solver = InnerSolver(InnerSettings(mode="residual"))
     exact = InnerSolver(InnerSettings(mode="exact")).solve(sub, 0.0).x
     for mu in (1e-3, 1e-6):
         sol = solver.solve(sub, mu)
@@ -143,7 +145,7 @@ def test_uniqueness_from_different_starts(eq_game, pair_graph, toy_params):
         # same subgame data except the anchor; solve each to mu and compare
         # against its own equilibrium instead (uniqueness per subgame)
         a = solver.solve(sub, mu)
-        b = InnerSolver(InnerSettings(mode="residual", lipschitz=11.5)).solve(sub, mu)
+        b = InnerSolver(InnerSettings(mode="residual")).solve(sub, mu)
         results.append(np.linalg.norm(a.x - b.x))
     assert max(results) <= 2.0 * mu
 
@@ -152,7 +154,7 @@ def test_iteration_cap_raises(eq_game, pair_graph, toy_params):
     game, _ = eq_game
     sub = equality_subgame(game, pair_graph, toy_params, np.zeros(2),
                            np.zeros((2, 1)), np.zeros((1, 1)))
-    solver = InnerSolver(InnerSettings(mode="residual", lipschitz=11.5, cap=1))
+    solver = InnerSolver(InnerSettings(mode="residual", cap=1))
     with pytest.raises(InexactnessError) as err:
         solver.solve(sub, 1e-12)
     assert err.value.achieved is not None
@@ -191,10 +193,11 @@ def test_lipschitz_estimate_follows_the_game(eq_game, pair_graph, toy_params):
 
 def assert_residual_certificates(sub, x_star, mus):
     """Residual mode certifies every tolerance: the true distance is within
-    the bound and the bound within the tolerance, also with a step taken
-    from a Lipschitz estimate ten times too large."""
-    L = InnerSolver().lipschitz(sub)
-    for settings_ in (InnerSettings(), InnerSettings(lipschitz=10.0 * L)):
+    the bound and the bound within the tolerance, also when the adaptive
+    step starts ten times below or above its default ``1 / r_max``."""
+    gamma0 = 1.0 / sub.params.r_max
+    for settings_ in (InnerSettings(), InnerSettings(gamma=0.1 * gamma0),
+                      InnerSettings(gamma=10.0 * gamma0)):
         solver = InnerSolver(settings_)
         for mu in mus:
             sol = solver.solve(sub, mu)
@@ -249,6 +252,49 @@ def test_residual_certificate_affine_subgames(n_players, dim, prox, seed):
     sub = Subgame(game, anchor, rng.normal(size=game.n), params)
     x_star = InnerSolver(InnerSettings(mode="oracle")).solve(sub, 0.0).x
     assert_residual_certificates(sub, x_star, (1e-2, 1e-4, 1e-6))
+
+
+def box_affine_equilibrium(G, rhs, lower, upper):
+    """Equilibrium of ``y -> G y - rhs`` on a box by active-set enumeration:
+    each coordinate is free, at its lower or at its upper bound."""
+    n = rhs.size
+    for pattern in itertools.product((0, -1, 1), repeat=n):
+        pattern = np.array(pattern)
+        y = np.where(pattern < 0, lower, np.where(pattern > 0, upper, 0.0))
+        free, fixed = pattern == 0, pattern != 0
+        if free.any():
+            y[free] = np.linalg.solve(G[np.ix_(free, free)],
+                                      rhs[free] - G[np.ix_(free, fixed)] @ y[fixed])
+        grad = G @ y - rhs
+        if (np.all(y >= lower - 1e-12) and np.all(y <= upper + 1e-12)
+                and np.all(grad[pattern < 0] >= -1e-12)
+                and np.all(grad[pattern > 0] <= 1e-12)):
+            return y
+    raise AssertionError("no active set satisfies the box KKT conditions")
+
+
+def test_residual_mode_certifies_skew_dominated_subgame():
+    # 2-player affine game whose skew part dominates its symmetric part:
+    # oracle mode's fixed step 1 / (sigma + L) makes the forward map expand,
+    # so its fixed-point pass fails, while the adaptive step shrinks to
+    # what the last move shows and certifies
+    M = np.array([[0.5, 10.0], [-10.0, 0.5]])
+    c = np.array([1.0, -2.0])
+    lower, upper = np.full(2, -1.0), np.full(2, 1.0)
+    players = [Player(1, lambda xi, o: xi, np.ones((1, 1)), np.zeros(1),
+                      Box(lower[i:i + 1], upper[i:i + 1])) for i in range(2)]
+    game = gs.Game(players, gs.EQUALITY, profile_oracle=lambda x: M @ x + c,
+                   lipschitz_hint=float(np.linalg.norm(M, 2)))
+    params = gs.AlgoParams(np.ones((2, 1, 1)), np.ones((2, 1, 1)),
+                           np.ones((1, 1, 1)), 1.0)
+    anchor = np.array([0.8, -0.5])
+    sub = Subgame(game, anchor, np.zeros(2), params)
+    with pytest.raises(InexactnessError):
+        InnerSolver(InnerSettings(mode="oracle")).solve(sub, 1e-6)
+    x_star = box_affine_equilibrium(M + np.eye(2), anchor - c, lower, upper)
+    sol = InnerSolver().solve(sub, 1e-6)
+    assert sol.certificate.bound <= 1e-6
+    assert np.linalg.norm(sol.x - x_star) <= sol.certificate.bound
 
 
 @pytest.mark.parametrize("name", ["rate-control", "task-allocation"])
