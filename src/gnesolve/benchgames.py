@@ -125,7 +125,11 @@ def quadratic_game(t=(2.0, 1.0), delta: float = 0.5, c: float = 1.0,
         Rb = np.array([float(np.atleast_2d(R)[0, 0]) for R in R_blocks])
         G = J + np.diag(Rb)
         rhs = Rb * np.asarray(anchor, dtype=float) + t - np.asarray(shift, dtype=float)
-        for pattern in ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0),
+        # the interior pattern first, with no box coordinate fixed
+        y = np.linalg.solve(G, rhs)
+        if np.all((lower - 1e-12 <= y) & (y <= upper + 1e-12)):
+            return y
+        for pattern in ((0, -1), (0, 1), (-1, 0), (1, 0),
                         (-1, -1), (-1, 1), (1, -1), (1, 1)):
             y = np.where(np.array(pattern) < 0, lower,
                          np.where(np.array(pattern) > 0, upper, 0.0))

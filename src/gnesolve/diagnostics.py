@@ -29,7 +29,7 @@ class KktReport:
 
 def _stationarity_blocks(game: Game, x: np.ndarray, lam: np.ndarray) -> tuple:
     """Natural-map residual per player for one shared multiplier."""
-    price = np.concatenate([p.A.T @ lam for p in game.players])
+    price = game.price_gradient(np.broadcast_to(lam, (game.n_players, game.m)))
     stepped = game.natural_step(x, price)
     return tuple(
         float(np.linalg.norm(xi - si))
@@ -95,10 +95,15 @@ def kkt_residual(game: Game, x, lam: np.ndarray, tol: float = 1e-6) -> KktReport
 
 
 def consensus_error(lam: np.ndarray) -> float:
-    """Largest distance of any local multiplier from the average."""
+    """Largest distance of any local multiplier from the average.
+
+    Each squared distance is a stacked ``1 x m`` by ``m x 1`` product, the
+    dot kernel `np.linalg.norm` uses on one row, so the value is the same
+    to the last bit as the row-by-row norm (``sqrt`` is monotone).
+    """
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
-    mean = lam.mean(axis=0)
-    return float(max(np.linalg.norm(row - mean) for row in lam))
+    d = lam - lam.mean(axis=0)
+    return float(np.sqrt(np.max(d[:, None, :] @ d[:, :, None])))
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,6 @@ class Box:
             raise StructuralError(f"expected length {self.dim}, got {v.size}")
         return np.clip(v, self.lower, self.upper)
 
-    def sample(self, rng: SplitMix64) -> np.ndarray:
-        return np.array([rng.uniform(lo, hi) for lo, hi in zip(self.lower, self.upper)])
-
 
 @dataclass(frozen=True)
 class Player:
@@ -94,6 +91,20 @@ class Player:
 def as_vector(x) -> np.ndarray:
     """The profile as a flat float array."""
     return np.asarray(x, dtype=float)
+
+
+def padded_layout(dims: Sequence[int]) -> tuple[int, slice | np.ndarray]:
+    """Layout of per-player blocks zero-padded to a common order.
+
+    Returns that order and the index of the stacked profile's entries in
+    the flattened ``(N, order)`` padding; the index is a plain slice when
+    every block already has that order.
+    """
+    order = max(dims)
+    if min(dims) == order:
+        return order, slice(None)
+    return order, np.concatenate(
+        [i * order + np.arange(d) for i, d in enumerate(dims)])
 
 
 class Game:
@@ -166,6 +177,14 @@ class Game:
         #: per-player right-hand sides stacked as an (N, m) array
         self.b_rows = np.stack([p.b for p in players])
         self.b_rows.flags.writeable = False
+        # coupling blocks zero-padded to (N, m, d_max), so that every A_i x_i
+        # and A_i^T lam_i is one batched product; the transpose stays a view,
+        # which makes `@` run the per-block kernel of `A_i.T @ lam_i`
+        self._order, self._index = padded_layout(self.dims)
+        self._A_stack = np.zeros((self.n_players, m, self._order))
+        for As, p in zip(self._A_stack, players):
+            As[:, :p.dim] = p.A
+        self._At_stack = self._A_stack.transpose(0, 2, 1)
 
     # -- profile helpers ---------------------------------------------------
 
@@ -181,7 +200,9 @@ class Game:
         return np.clip(x, self.box_lower, self.box_upper)
 
     def sample_profile(self, rng: SplitMix64) -> np.ndarray:
-        return np.concatenate([p.box.sample(rng) for p in self.players])
+        """Profile drawn uniformly in the product box, coordinate by
+        coordinate in profile order."""
+        return rng.uniforms(self.n, self.box_lower, self.box_upper)
 
     # -- oracles -----------------------------------------------------------
 
@@ -215,15 +236,18 @@ class Game:
 
     # -- coupling-constraint helpers ----------------------------------------
 
-    def local_residual(self, x) -> np.ndarray:
-        """(N, m) array with row ``i`` equal to ``A_i x_i - b_i``."""
-        blocks = self.split(x)
-        return np.stack([p.A @ xi - p.b for p, xi in zip(self.players, blocks)])
-
     def constraint_rows(self, x) -> np.ndarray:
         """(N, m) array with row ``i`` equal to ``A_i x_i``."""
-        blocks = self.split(x)
-        return np.stack([p.A @ xi for p, xi in zip(self.players, blocks)])
+        x = as_vector(x)
+        if x.size != self.n:
+            raise StructuralError(f"profile length {x.size}, expected {self.n}")
+        padded = np.zeros((self.n_players, self._order))
+        padded.reshape(-1)[self._index] = x
+        return (self._A_stack @ padded[:, :, None])[:, :, 0]
+
+    def local_residual(self, x) -> np.ndarray:
+        """(N, m) array with row ``i`` equal to ``A_i x_i - b_i``."""
+        return self.constraint_rows(x) - self.b_rows
 
     def price_gradient(self, lam_rows: np.ndarray) -> np.ndarray:
         """Stacked ``A_i^T lambda_i`` for per-player multipliers (N, m)."""
@@ -232,8 +256,7 @@ class Game:
             raise StructuralError(
                 f"multiplier array shape {lam_rows.shape}, "
                 f"expected ({self.n_players}, {self.m})")
-        return np.concatenate(
-            [p.A.T @ li for p, li in zip(self.players, lam_rows)])
+        return (self._At_stack @ lam_rows[:, :, None]).reshape(-1)[self._index]
 
     def coupling_gap(self, x) -> np.ndarray:
         """``sum_i A_i x_i - sum_i b_i`` (length m)."""

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import StructuralError, ValidationError
-from .games import Game
+from .games import Game, padded_layout
 from .graphs import CommGraph
 
 MuSchedule = Callable[[int], float]
@@ -80,15 +80,12 @@ class AlgoParams:
         self.r_min = min(e[0] for e in r_eigs)
         self.r_max = max(e[-1] for e in r_eigs)
         # blocks zero-padded to a common order, so that R v is one batched
-        # product; _r_index maps profile entries into the padded layout and
-        # is a plain slice when every block has that order
+        # product; _r_index maps profile entries into the padded layout
         dims = [Ri.shape[0] for Ri in self.R]
-        order = max(dims)
+        order, self._r_index = padded_layout(dims)
         self._R_stack = np.zeros((len(dims), order, order))
         for Rs, Ri, d in zip(self._R_stack, self.R, dims):
             Rs[:d, :d] = Ri
-        self._r_index = (slice(None) if min(dims) == order else np.concatenate(
-            [i * order + np.arange(d) for i, d in enumerate(dims)]))
         if self.H.ndim != 3 or self.H.shape[1] != self.H.shape[2]:
             raise StructuralError("H must be an (N, m, m) array")
         if self.W.ndim != 3 or self.W.shape[1] != self.W.shape[2]:

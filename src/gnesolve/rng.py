@@ -34,5 +34,15 @@ class SplitMix64:
         u = (self.next_uint64() >> 11) * 2.0 ** -53
         return low + (high - low) * u
 
-    def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(low, high) for _ in range(n)])
+    def uniforms(self, n: int, low=0.0, high=1.0) -> np.ndarray:
+        """``n`` uniform doubles in ``[low, high)``, bounds scalars or arrays
+        of length ``n``: the same values, and the same stream position
+        afterwards, as ``n`` calls to `uniform`, computed in one batch of
+        ``uint64`` arithmetic that wraps modulo 2^64."""
+        z = np.uint64(self._state) + np.uint64(_GAMMA) * np.arange(
+            1, n + 1, dtype=np.uint64)
+        self._state = (self._state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0 ** -53
+        return low + (high - low) * u

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gnesolve as gs
 from gnesolve.benchgames import (TASK_PATTERN, N_LINKS, N_USERS,
@@ -46,6 +47,51 @@ def test_quadratic_decoupled_inactive():
 def test_quadratic_rejects_non_monotone():
     with pytest.raises(ValidationError, match="non-monotone"):
         gs.quadratic_game(delta=2.0)
+
+
+def quadratic_active_set_enumeration(game, anchor, shift, R_blocks):
+    """Exact subgame equilibrium of the two-player quadratic game by trying
+    all nine box patterns in turn: the reference for the solver that tries
+    the interior first."""
+    g = game.generator
+    t, delta, w = np.array(g["t"]), g["delta"], g["half_width"]
+    lower, upper = np.full(2, -w), np.full(2, w)
+    Rb = np.array([float(np.atleast_2d(R)[0, 0]) for R in R_blocks])
+    G = np.array([[1.0, delta], [delta, 1.0]]) + np.diag(Rb)
+    rhs = Rb * anchor + t - shift
+    for pattern in ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0),
+                    (-1, -1), (-1, 1), (1, -1), (1, 1)):
+        y = np.where(np.array(pattern) < 0, lower,
+                     np.where(np.array(pattern) > 0, upper, 0.0))
+        free = [i for i in range(2) if pattern[i] == 0]
+        fixed = [i for i in range(2) if pattern[i] != 0]
+        if free:
+            sub_rhs = rhs[free] - G[np.ix_(free, fixed)] @ y[fixed] \
+                if fixed else rhs[free]
+            y[free] = np.linalg.solve(G[np.ix_(free, free)], sub_rhs)
+        grad = G @ y - rhs
+        if all(lower[i] - 1e-12 <= y[i] <= upper[i] + 1e-12 if pattern[i] == 0
+               else grad[i] >= -1e-12 if pattern[i] < 0 else grad[i] <= 1e-12
+               for i in range(2)):
+            return y
+    raise AssertionError("no valid active set")
+
+
+@given(st.floats(-0.9, 0.9), st.integers(0, 2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_exact_quadratic_solver_equals_enumeration(delta, seed):
+    game, _ = gs.quadratic_game(delta=delta)
+    rng = np.random.default_rng(seed)
+    for scale in (1.0, 30.0, 1e4):
+        anchor = rng.uniform(-10.0, 10.0, 2)
+        shift = scale * rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 1.0, 2)
+        R_blocks = [np.array([[r]]) for r in rng.uniform(0.5, 20.0, 2)]
+        got = game.exact_subgame_solver(anchor, shift, R_blocks)
+        assert np.array_equal(
+            got, quadratic_active_set_enumeration(game, anchor, shift, R_blocks))
+        if scale == 1e4:
+            # |rhs| > 4,000 against eigenvalues of G below 22: the box binds
+            assert np.abs(got).max() == game.generator["half_width"]
 
 
 # -- rate-control game ---------------------------------------------------------------

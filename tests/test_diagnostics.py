@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gnesolve as gs
 from gnesolve.diagnostics import (consensus_error, fejer_check,
@@ -91,6 +92,25 @@ def test_consensus_error_examples():
     lam = np.array([[0.0, 1.0], [2.0, 3.0]])
     shifted = lam + np.array([5.0, -7.0])
     assert consensus_error(shifted) == pytest.approx(consensus_error(lam))
+
+
+def consensus_error_rows(lam):
+    """`consensus_error` row by row: the reference for the stacked form."""
+    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    mean = lam.mean(axis=0)
+    return float(max(np.linalg.norm(row - mean) for row in lam))
+
+
+@given(st.integers(1, 12), st.integers(1, 9), st.floats(-9.0, 2.0),
+       st.integers(0, 2 ** 31))
+@example(1, 1, -9.0, 0)
+@example(1, 6, 2.0, 1)
+@example(8, 1, 0.0, 2)
+@settings(max_examples=150, deadline=None)
+def test_consensus_error_bit_identical_to_row_loop(n_rows, m, log_scale, seed):
+    lam = np.random.default_rng(seed).normal(size=(n_rows, m)) * 10.0 ** log_scale
+    assert consensus_error(lam) == consensus_error_rows(lam)
+    assert consensus_error(lam[0]) == consensus_error_rows(lam[0]) == 0.0
 
 
 def test_fejer_check_reports():

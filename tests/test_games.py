@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import gnesolve as gs
 from gnesolve.games import Box, Player
 from gnesolve.errors import NumericError, StructuralError, ValidationError
+from gnesolve.operators import constraint_matrix
 from gnesolve.rng import SplitMix64
 
 from helpers import fd_block_gradient, quadratic_value
@@ -155,6 +156,79 @@ def test_stacked_decision_roundtrip():
     blocks = game.split(x)
     assert [b.size for b in blocks] == list(game.dims) == [1, 1]
     assert np.array_equal(np.concatenate(blocks), x)
+
+
+# -- stacked coupling blocks -------------------------------------------------------
+
+def coupling_per_player(game, x, lam_rows):
+    """`constraint_rows`, `local_residual` and `price_gradient` written
+    player by player: the reference for the stacked products."""
+    blocks = game.split(x)
+    rows = np.stack([p.A @ xi for p, xi in zip(game.players, blocks)])
+    residual = np.stack([p.A @ xi - p.b for p, xi in zip(game.players, blocks)])
+    price = np.concatenate([p.A.T @ li for p, li in zip(game.players, lam_rows)])
+    return rows, residual, price
+
+
+def coupling_stacked(game, x, lam_rows):
+    return (game.constraint_rows(x), game.local_residual(x),
+            game.price_gradient(lam_rows))
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(1, 5),
+       st.booleans(), st.integers(0, 2 ** 31))
+@settings(max_examples=80, deadline=None)
+def test_stacked_coupling_matches_per_player_forms(dims, m, equal_dims, seed):
+    if equal_dims:
+        dims = [dims[0]] * len(dims)
+    rng = np.random.default_rng(seed)
+    players = [Player(d, lambda xi, o: np.zeros_like(xi), rng.normal(size=(m, d)),
+                      rng.normal(size=m), Box(-np.ones(d), np.ones(d)))
+               for d in dims]
+    game = gs.Game(players, gs.EQUALITY)
+    x = rng.normal(size=game.n)
+    lam = rng.normal(size=(game.n_players, m))
+    rows, residual, price = coupling_stacked(game, x, lam)
+    Lam = constraint_matrix(game)
+    np.testing.assert_allclose(rows.reshape(-1), Lam @ x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(residual.reshape(-1),
+                               Lam @ x - game.b_rows.reshape(-1),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(price, Lam.T @ lam.reshape(-1),
+                               rtol=1e-12, atol=1e-12)
+    if len(set(dims)) == 1:
+        # no padding: each block runs the kernel of its per-player product
+        for got, want in zip((rows, residual, price),
+                             coupling_per_player(game, x, lam)):
+            assert np.array_equal(got, want)
+    for bad_x in (np.zeros(game.n + 1), np.zeros(game.n - 1)):
+        with pytest.raises(StructuralError):
+            game.constraint_rows(bad_x)
+        with pytest.raises(StructuralError):
+            game.local_residual(bad_x)
+    for bad_lam in (np.zeros((game.n_players, m + 1)), lam.reshape(-1),
+                    np.zeros((game.n_players + 1, m))):
+        with pytest.raises(StructuralError):
+            game.price_gradient(bad_lam)
+
+
+def test_stacked_coupling_bit_identical_on_shipped_games():
+    rng = SplitMix64(17)
+    for game in (gs.rate_control_game(0), gs.task_allocation_game(0),
+                 gs.quadratic_game()[0]):
+        shape = (game.n_players, game.m)
+        for _ in range(10):
+            x = game.sample_profile(rng)
+            lam = rng.uniforms(game.n_players * game.m, -5.0, 5.0).reshape(shape)
+            for y in (x, x - 0.5 * game.box_upper):
+                for got, want in zip(coupling_stacked(game, y, lam),
+                                     coupling_per_player(game, y, lam)):
+                    assert np.array_equal(got, want)
+            # one shared multiplier for every player, as the KKT report uses
+            shared = lam[0]
+            assert np.array_equal(
+                game.price_gradient(np.broadcast_to(shared, shape)),
+                np.concatenate([p.A.T @ shared for p in game.players]))
 
 
 # -- monotonicity audit ----------------------------------------------------------
