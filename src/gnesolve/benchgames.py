@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import (Box, EQUALITY, Game, INEQUALITY, Player,
-                    check_monotonicity_samples, register_rebuilder,
-                    sampled_lipschitz)
+                    check_monotonicity_samples, register_rebuilder)
 from .graphs import CommGraph, path_graph
 from .params import AlgoParams, MuSchedule, inverse_square
 from .rng import SplitMix64
@@ -161,8 +160,7 @@ def quadratic_game(t=(2.0, 1.0), delta: float = 0.5, c: float = 1.0,
                 exact_subgame_solver=exact_subgame_solver,
                 generator={"name": "quadratic", "t": t.tolist(),
                            "delta": delta, "c": c, "kind": kind,
-                           "half_width": half_width},
-                lipschitz_hint=float(np.linalg.norm(J, 2)))
+                           "half_width": half_width})
     solution = {"x": x_star, "lambda": lam_star, "active": active}
     return game, solution
 
@@ -258,10 +256,6 @@ def rate_control_game(seed: int) -> Game:
                            "C": C.tolist(), "B": B.tolist(),
                            "chi": chi.tolist(), "kappa": kappa.tolist(),
                            "xi": xi.tolist()})
-    # separable utility curvature peaks at chi_i (rate zero); sampling only
-    # captures the milder congestion coupling
-    game.lipschitz_hint = float(chi.max()) + sampled_lipschitz(
-        game, game.pseudo_gradient, seed ^ 0x1B5EED, 30, 1.3)
     _audit(game, seed, "rate-control game")
     return game
 
@@ -342,9 +336,10 @@ def task_allocation_game(seed: int) -> Game:
     # per-worker data stacked along a leading worker axis; the profile
     # oracles apply `@` to these stacks, which evaluates each worker's
     # products exactly as the per-worker oracles do (einsum would reorder
-    # the sums and change the last bit)
+    # the sums and change the last bit).  The transpose stays a view, which
+    # makes `@` run the per-block kernel of `blk["A"].T @ price`
     A_stack = np.stack([blk["A"] for blk in blocks])
-    At_stack = np.ascontiguousarray(A_stack.transpose(0, 2, 1))
+    At_stack = A_stack.transpose(0, 2, 1)
     S_stack = np.stack([blk["S"] for blk in blocks])
     p_stack, q_stack, xi_stack, l_rows = (
         np.stack([blk[key] for blk in blocks]) for key in ("p", "q", "xi", "l"))
@@ -420,14 +415,6 @@ def task_allocation_game(seed: int) -> Game:
                                {key: np.asarray(blk[key]).tolist()
                                 for key in ("q", "xi", "l", "d", "p", "S", "B")}
                                for blk in blocks]})
-    # elementary bound on the separable cost curvature (branch quadratic,
-    # demand term, regularizer) plus the sampled coupling estimate
-    separable = max(
-        2.0 * float(blk["q"].max()) + 2.0 * float(blk["p"] @ blk["p"])
-        + 2.0 * float(np.linalg.norm(blk["S"]))
-        for blk in blocks)
-    game.lipschitz_hint = separable + sampled_lipschitz(
-        game, game.pseudo_gradient, seed ^ 0x1B5EED, 30, 1.3)
     _audit(game, seed, "task-allocation game")
     return game
 

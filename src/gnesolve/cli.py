@@ -95,7 +95,6 @@ def _build_inner(cfg: ExperimentConfig) -> InnerSolver:
     return InnerSolver(InnerSettings(
         mode=cfg.get("inner.mode"),
         gamma=cfg.get_optional_float("inner.gamma"),
-        lipschitz=cfg.get_optional_float("inner.lipschitz"),
         cap=cfg.get_int("inner.cap")))
 
 

@@ -19,7 +19,7 @@ _KNOWN_KEYS = {
     "algorithm",
     "params.r", "params.h", "params.w", "params.rho",
     "params.preset", "params.seed", "params.mu", "params.mu0",
-    "inner.mode", "inner.gamma", "inner.lipschitz", "inner.cap",
+    "inner.mode", "inner.gamma", "inner.cap",
     "stop.max_iter", "stop.tol",
     "output.dir", "trace.stride", "run.seed",
 }

@@ -129,9 +129,6 @@ class Game:
     generator : dict, optional
         Metadata echoed into the JSON serialization so that the instance can
         be rebuilt (name of the generating family plus its parameters).
-    lipschitz_hint : float, optional
-        Estimate of the Lipschitz constant of the bare pseudo-gradient,
-        used to pick default inner step sizes.
     smooth_oracle, separable_prox : callables, optional
         Splitting structure for objectives with a separable nonsmooth part:
         ``smooth_oracle(x)`` returns the stacked gradient of the smooth
@@ -144,7 +141,6 @@ class Game:
     def __init__(self, players: Sequence[Player], kind: str,
                  profile_oracle=None, exact_subgame_solver=None,
                  generator: dict | None = None,
-                 lipschitz_hint: float | None = None,
                  smooth_oracle=None, separable_prox=None):
         if kind not in (EQUALITY, INEQUALITY):
             raise ValidationError(f"unknown coupling kind {kind!r}")
@@ -166,7 +162,6 @@ class Game:
         self.profile_oracle = profile_oracle
         self.exact_subgame_solver = exact_subgame_solver
         self.generator = dict(generator) if generator else {"name": "opaque"}
-        self.lipschitz_hint = lipschitz_hint
         if (smooth_oracle is None) != (separable_prox is None):
             raise ValidationError(
                 "smooth_oracle and separable_prox must be supplied together")
@@ -321,24 +316,6 @@ def check_monotonicity_samples(game: Game, n_pairs: int, seed: int,
         if inner < -tol:
             violations += 1
     return MonotonicityReport(worst, violations, n_pairs)
-
-
-def sampled_lipschitz(game: Game, operator: Callable[[np.ndarray], np.ndarray],
-                      seed: int, n_pairs: int, headroom: float) -> float:
-    """Largest difference quotient ``|F(a) - F(b)| / |a - b|`` of
-    ``operator`` over ``n_pairs`` profile pairs drawn in the product box,
-    times ``headroom``; 1.0 when no pair separates.  A heuristic: it may
-    underestimate the true Lipschitz constant."""
-    rng = SplitMix64(seed)
-    worst = 0.0
-    for _ in range(n_pairs):
-        a = game.sample_profile(rng)
-        b = game.sample_profile(rng)
-        gap = np.linalg.norm(a - b)
-        if gap < 1e-12:
-            continue
-        worst = max(worst, float(np.linalg.norm(operator(a) - operator(b)) / gap))
-    return headroom * worst if worst > 0 else 1.0
 
 
 # -- serialization -----------------------------------------------------------

@@ -19,7 +19,7 @@ from .graphs import CommGraph
 from .operators import (constraint_matrix, incidence_kron, pack_lifted,
                         pack_plain, unpack_lifted, unpack_plain)
 from .params import AlgoParams
-from .subgames import InnerSolver, Subgame, inequality_subgame
+from .subgames import InnerSolution, InnerSolver, Subgame, inequality_subgame
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,27 @@ class MatrixResolvent:
         return ResolventStep(w_hat, 0.0)
 
 
+def inequality_block_update(game: Game, graph: CommGraph, params: AlgoParams,
+                            inner: InnerSolver, x: np.ndarray, lam: np.ndarray,
+                            Z: np.ndarray, mu: float
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, InnerSolution]:
+    """Unrelaxed blocks ``(x_t, Z_t, lam_t)`` of one inequality step, and the
+    subgame solution behind ``x_t``.
+
+    The subgame solve and the edge update read only the given data and
+    commute; the multiplier update consumes both through reflected terms.
+    With diagonal ``H`` the projection onto the orthant in the ``H^-1``
+    metric is a plain clamp.
+    """
+    sol = inner.solve(inequality_subgame(game, params, x, lam), mu)
+    x_t = sol.x
+    Z_t = Z - params.apply_W(graph.edge_differences(lam))
+    reflected = (game.constraint_rows(2.0 * x_t - x)
+                 + graph.node_aggregate(2.0 * Z_t - Z) - game.b_rows)
+    lam_t = np.maximum(lam + params.apply_H(reflected), 0.0)
+    return x_t, Z_t, lam_t, sol
+
+
 class InequalityResolvent:
     """Structured resolvent for the inequality-coupling operator.
 
@@ -111,16 +132,11 @@ class InequalityResolvent:
         return nu / self.nu_factor
 
     def solve(self, w: np.ndarray, nu: float) -> ResolventStep:
-        game, graph, params = self.game, self.graph, self.params
-        x, Z, lam = unpack_plain(game, graph, w)
-        sub = inequality_subgame(game, params, x, lam)
-        sol = self.inner.solve(sub, self.mu_for(nu))
-        x_t = sol.x
-        Z_hat = Z - params.apply_W(graph.edge_differences(lam))
-        reflected = (game.constraint_rows(2.0 * x_t - x) - game.b_rows
-                     + graph.node_aggregate(2.0 * Z_hat - Z))
-        lam_t = np.maximum(lam + params.apply_H(reflected), 0.0)
-        point = pack_plain(x_t, Z_hat, lam_t)
+        x, Z, lam = unpack_plain(self.game, self.graph, w)
+        x_t, Z_t, lam_t, sol = inequality_block_update(
+            self.game, self.graph, self.params, self.inner, x, lam, Z,
+            self.mu_for(nu))
+        point = pack_plain(x_t, Z_t, lam_t)
         bound = self.nu_factor * sol.certificate.bound
         exact = None
         if sol.exact is not None and sol.certificate.bound == 0.0:

@@ -16,7 +16,8 @@ from .games import INEQUALITY, Game
 from .graphs import CommGraph
 from .operators import residual_inequality, step_size_margins
 from .params import AlgoParams
-from .subgames import InnerSolver, inequality_subgame
+from .proxpoint import inequality_block_update
+from .subgames import InnerSolver
 from .admm import (AdmmState, IterInfo, RunResult, StopRule, initial_state,
                    iterate_to_tolerance)
 
@@ -24,22 +25,12 @@ from .admm import (AdmmState, IterInfo, RunResult, StopRule, initial_state,
 def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
                       state: AdmmState, inner: InnerSolver,
                       mu: float) -> tuple[AdmmState, IterInfo]:
-    """One outer iteration as stacked array updates.
-
-    The subgame solve and the edge update read only iteration-k data and
-    commute; the multiplier update consumes both tilde quantities through
-    reflected terms.  With diagonal ``H`` the projection onto the orthant
-    in the ``H^-1`` metric is a plain clamp.
-    """
+    """One outer iteration: the stacked block update from iteration-k data,
+    relaxed by ``rho``."""
     x, lam, Z, k = state.x, state.lam, state.Z, state.k
     rho = params.rho
-    sub = inequality_subgame(game, params, x, lam)
-    sol = inner.solve(sub, mu)
-    x_t = sol.x
-    Z_t = Z - params.apply_W(graph.edge_differences(lam))
-    reflected = (game.constraint_rows(2.0 * x_t - x)
-                 + graph.node_aggregate(2.0 * Z_t - Z) - game.b_rows)
-    lam_t = np.maximum(lam + params.apply_H(reflected), 0.0)
+    x_t, Z_t, lam_t, sol = inequality_block_update(
+        game, graph, params, inner, x, lam, Z, mu)
     new = AdmmState(x + rho * (x_t - x), lam + rho * (lam_t - lam),
                     Z + rho * (Z_t - Z), k + 1)
     return new, IterInfo(sol.certificate.iterations, mu, sol.certificate.bound)

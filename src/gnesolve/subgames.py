@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InexactnessError, ValidationError
-from .games import Game, as_vector, sampled_lipschitz
+from .games import Game, as_vector
 from .graphs import CommGraph
 from .params import AlgoParams
 
@@ -37,11 +37,6 @@ class Subgame:
         self.anchor = as_vector(self.anchor)
         self.shift = as_vector(self.shift)
         self.modulus = self.params.r_min
-
-    def pseudo_gradient(self, y: np.ndarray) -> np.ndarray:
-        return (self.game.pseudo_gradient(y)
-                + self.params.apply_R(self.game, y - self.anchor)
-                + self.shift)
 
     def smooth_gradient(self, y: np.ndarray) -> np.ndarray:
         """Smooth part ``G`` of the subgame map: the game's smooth gradient
@@ -101,19 +96,13 @@ class InnerSettings:
         solver.  ``"residual"`` (the default) runs forward-backward steps and
         stops at the first iterate whose computable error bound
         ``|(y - y+)/gamma - G(y) + G(y+)| / r_min`` certifies the tolerance;
-        the bound follows from strong monotonicity alone.  ``"oracle"`` runs
-        fixed-step forward-backward steps to a machine-precision fixed point
-        and returns the first iterate of a replay within the tolerance of
-        it; it costs many times the steps and is kept as a test reference.
+        the bound follows from strong monotonicity alone.  ``"oracle"``
+        returns the same iterate but continues the same trajectory to a
+        machine-precision reference equilibrium, reports the true distance
+        to it as the bound, and exposes it; it is kept as a test reference.
     gamma
-        In residual mode, the initial step of each solve (default
-        ``1 / r_max``), which then adapts to the local curvature.  In oracle
-        mode, the fixed step (default ``1 / (modulus + lipschitz)``).
-    lipschitz
-        Oracle mode only: Lipschitz estimate for the subgame
-        pseudo-gradient, used to pick the default fixed step.  When absent
-        it is estimated once per game and parameters, from the game's hint
-        or by sampling difference quotients.
+        Initial step of each forward-backward solve (default ``1 / r_max``),
+        which then adapts to the local curvature.
     cap
         Hard iteration limit; exceeding it raises rather than silently
         returning an uncertified point.
@@ -121,7 +110,6 @@ class InnerSettings:
 
     mode: str = "residual"
     gamma: float | None = None
-    lipschitz: float | None = None
     cap: int = 100_000
 
     def __post_init__(self):
@@ -129,7 +117,7 @@ class InnerSettings:
             raise ValidationError(f"unknown inner mode {self.mode!r}")
 
 
-#: relative step size at which oracle mode's fixed-point pass stops
+#: relative certificate at which oracle mode's reference equilibrium stops
 FIXED_POINT_TOL = 1e-13
 
 
@@ -138,44 +126,13 @@ class InnerSolver:
 
     def __init__(self, settings: InnerSettings | None = None):
         self.settings = settings or InnerSettings()
-        # (game, params, estimate) of the last subgame family estimated
-        self._lipschitz: tuple | None = None
-
-    # -- helpers -----------------------------------------------------------
-
-    def lipschitz(self, sub: Subgame) -> float:
-        """Lipschitz estimate for the full subgame map (base game plus the
-        proximal pull), which sets oracle mode's default step.  A
-        user-supplied value takes precedence, then the game's hint for the
-        bare map plus the proximal weight.  Estimates are cached for the
-        subgame's game and parameters only."""
-        if self.settings.lipschitz is not None:
-            return self.settings.lipschitz
-        cached = self._lipschitz
-        if cached is None or cached[0] is not sub.game or cached[1] is not sub.params:
-            if sub.game.lipschitz_hint is not None:
-                value = sub.game.lipschitz_hint + sub.params.r_max
-            else:
-                value = sampled_lipschitz(sub.game, sub.pseudo_gradient,
-                                          0x5EED, 20, 1.5)
-            self._lipschitz = cached = (sub.game, sub.params, value)
-        return cached[2]
-
-    def gamma(self, sub: Subgame) -> float:
-        if self.settings.gamma is not None:
-            return self.settings.gamma
-        return 1.0 / (sub.modulus + self.lipschitz(sub))
-
-    # -- modes --------------------------------------------------------------
 
     def solve(self, sub: Subgame, mu: float) -> InnerSolution:
         if mu < 0:
             raise ValidationError("inner tolerance must be nonnegative")
         if self.settings.mode == "exact":
             return self._solve_exact(sub)
-        if self.settings.mode == "oracle":
-            return self._solve_oracle(sub, mu)
-        return self._solve_residual(sub, mu)
+        return self._forward_backward(sub, mu, self.settings.mode == "oracle")
 
     def _solve_exact(self, sub: Subgame) -> InnerSolution:
         solver = sub.game.exact_subgame_solver
@@ -187,42 +144,8 @@ class InnerSolver:
         cert = InnerCertificate("oracle", 0.0, 0)
         return InnerSolution(x_hat, cert, x_hat)
 
-    def _fixed_point(self, sub: Subgame, gamma: float) -> tuple[np.ndarray, int]:
-        y = sub.game.project(sub.anchor)
-        tol = FIXED_POINT_TOL
-        for it in range(1, self.settings.cap + 1):
-            y_next = sub.step(y, gamma)
-            step = np.linalg.norm(y_next - y)
-            y = y_next
-            if step <= tol * (1.0 + np.linalg.norm(y)):
-                return y, it
-        raise InexactnessError(
-            f"projected-gradient fixed point not reached in "
-            f"{self.settings.cap} iterations (last step {step:.3g})",
-            achieved=float(step))
-
-    def _solve_oracle(self, sub: Subgame, mu: float) -> InnerSolution:
-        gamma = self.gamma(sub)
-        x_hat, its = self._fixed_point(sub, gamma)
-        if mu <= FIXED_POINT_TOL:
-            return InnerSolution(x_hat, InnerCertificate("oracle", 0.0, its), x_hat)
-        # replay the deterministic trajectory, stop at the first point close
-        # enough to the equilibrium
-        y = sub.game.project(sub.anchor)
-        bound = float(np.linalg.norm(y - x_hat))
-        replay = 0
-        while bound > mu:
-            y = sub.step(y, gamma)
-            bound = float(np.linalg.norm(y - x_hat))
-            replay += 1
-            if replay > self.settings.cap:
-                raise InexactnessError(
-                    "replay pass failed to reach the certified tolerance",
-                    achieved=bound)
-        cert = InnerCertificate("oracle", bound, its + replay)
-        return InnerSolution(y, cert, x_hat)
-
-    def _solve_residual(self, sub: Subgame, mu: float) -> InnerSolution:
+    def _forward_backward(self, sub: Subgame, mu: float,
+                          reference: bool) -> InnerSolution:
         """Forward-backward steps ``y+ = backward(y - gamma G(y))`` until the
         computable error bound certifies ``mu``.
 
@@ -241,8 +164,14 @@ class InnerSolver:
         forward map ``y - gamma G(y)`` contracts along the last move, so it
         also shrinks on skew-dominated maps.  Nothing is carried from one
         solve to the next.
+
+        With ``reference`` (oracle mode) the same trajectory continues until
+        the bound falls to ``FIXED_POINT_TOL (1 + |y+|)``; that iterate is
+        the reference equilibrium.  The first iterate certifying ``mu`` is
+        returned with its true distance to the reference as the bound, or
+        the reference itself with bound 0 when none certified ``mu`` first.
         """
-        if mu == 0.0:
+        if mu == 0.0 and not reference:
             raise ValidationError(
                 "residual mode cannot certify an exactly zero tolerance")
         gamma = self.settings.gamma
@@ -252,13 +181,22 @@ class InnerSolver:
         y = sub.game.project(sub.anchor)
         g = sub.smooth_gradient(y)
         bound = math.inf
+        found = None
         for it in range(1, self.settings.cap + 1):
             y_next = sub.backward_step(y - gamma * g, gamma)
             g_next = sub.smooth_gradient(y_next)
             bound = float(np.linalg.norm((y - y_next) / gamma - g + g_next)) / sigma
-            if bound <= mu:
+            if found is None and bound <= mu:
+                if not reference:
+                    return InnerSolution(
+                        y_next, InnerCertificate("residual", bound, it), None)
+                found = y_next
+            if reference and bound <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(y_next)):
+                if found is None:
+                    found = y_next
+                distance = float(np.linalg.norm(found - y_next))
                 return InnerSolution(
-                    y_next, InnerCertificate("residual", bound, it), None)
+                    found, InnerCertificate("oracle", distance, it), y_next)
             dy, dg = y_next - y, g_next - g
             curvature, dg_sq = float(dg @ dy), float(dg @ dg)
             gamma *= 1.5
@@ -266,5 +204,6 @@ class InnerSolver:
                 gamma = min(gamma, curvature / dg_sq)
             y, g = y_next, g_next
         raise InexactnessError(
-            f"residual mode could not certify {mu:.3g} within "
+            f"{self.settings.mode} mode could not certify "
+            f"{FIXED_POINT_TOL if found is not None else mu:.3g} within "
             f"{self.settings.cap} iterations", achieved=bound)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import gnesolve as gs
 from gnesolve.cli import main
-from gnesolve.config import parse_config_text, parse_edge_list
+from gnesolve.config import _KNOWN_KEYS, parse_config_text, parse_edge_list
 from gnesolve.errors import ConfigError
 from gnesolve.trace import (TRACE_COLUMNS, TraceRow, read_trace_csv,
                             write_trace_csv)
@@ -168,6 +170,24 @@ def test_validate_command(tmp_path, capsys):
     cfg.write_text(QUAD_CFG.format(out=tmp_path / "o"))
     assert main(["validate", str(cfg)]) == 0
     assert "margins" in capsys.readouterr().out
+
+
+def test_lipschitz_key_rejected(tmp_path, capsys):
+    # every inner step adapts; no setting takes a Lipschitz constant
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUAD_CFG.format(out=tmp_path / "o") + "inner.lipschitz = 5\n")
+    assert main(["validate", str(cfg)]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_readme_config_table_lists_the_known_keys():
+    # the key column of README's configuration table, one or more keys a row
+    lines = (CONFIGS.parent / "README.md").read_text().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    documented = set()
+    for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:]):
+        documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert documented == _KNOWN_KEYS
 
 
 def test_rho_out_of_range_rejected(tmp_path, capsys):

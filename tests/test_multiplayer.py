@@ -37,8 +37,7 @@ def ring_game(n, delta, c, kind, half_width=25.0):
     players = [Player(1, make_oracle(i), np.array([[1.0]]),
                       np.array([c / n]), box) for i in range(n)]
     game = gs.Game(players, kind, profile_oracle=profile_oracle,
-                   exact_subgame_solver=exact_subgame_solver,
-                   lipschitz_hint=1.0 + n * delta)
+                   exact_subgame_solver=exact_subgame_solver)
 
     lam = (t.sum() - c * (1 - delta + n * delta)) / n
     x_star = (t - delta * c - lam) / (1 - delta)

@@ -19,7 +19,7 @@ def wide_affine_game(a):
     box = Box(np.full(a.size, -100.0), np.full(a.size, 100.0))
     player = Player(a.size, lambda xi, o: xi - a,
                     np.zeros((1, a.size)), np.zeros(1), box)
-    return gs.Game([player], gs.EQUALITY, lipschitz_hint=1.0)
+    return gs.Game([player], gs.EQUALITY)
 
 
 def test_equality_shift_hand_value(eq_game, pair_graph, toy_params):
@@ -53,6 +53,7 @@ def test_inequality_shift(eq_game, pair_graph, toy_params):
 
 
 def test_subgame_strong_monotonicity_sampled(eq_game, pair_graph, toy_params):
+    # the quadratic game has no separable prox: the smooth part is the map
     game, _ = eq_game
     sub = equality_subgame(game, pair_graph, toy_params,
                            np.zeros(2), np.zeros((2, 1)), np.zeros((1, 1)))
@@ -61,7 +62,7 @@ def test_subgame_strong_monotonicity_sampled(eq_game, pair_graph, toy_params):
     for _ in range(100):
         x = game.sample_profile(rng)
         y = game.sample_profile(rng)
-        inner = (x - y) @ (sub.pseudo_gradient(x) - sub.pseudo_gradient(y))
+        inner = (x - y) @ (sub.smooth_gradient(x) - sub.smooth_gradient(y))
         assert inner >= sigma * np.linalg.norm(x - y) ** 2 - 1e-9
 
 
@@ -168,27 +169,6 @@ def test_exact_mode_requires_solver(pair_graph, toy_params):
         InnerSolver(InnerSettings(mode="exact")).solve(sub, 0.0)
 
 
-def test_lipschitz_estimate_follows_the_game(eq_game, pair_graph, toy_params):
-    # one solver reused across games: each subgame family gets its own L
-    game, _ = eq_game
-    solver = InnerSolver()
-    quad = equality_subgame(game, pair_graph, toy_params, np.zeros(2),
-                            np.zeros((2, 1)), np.zeros((1, 1)))
-    assert solver.lipschitz(quad) == pytest.approx(11.5)
-    rc = gs.rate_control_game(0)
-    rc_params = gs.rate_control_params(rc, gs.path_graph(15))
-    rc_sub = inequality_subgame(rc, rc_params, np.zeros(15),
-                                np.zeros((15, rc.m)))
-    own = InnerSolver().lipschitz(rc_sub)
-    assert own == pytest.approx(rc.lipschitz_hint + 10.0)
-    assert solver.lipschitz(rc_sub) == own
-    # same game, other parameters: the proximal weight is part of L
-    heavier = gs.AlgoParams.uniform(game, pair_graph, r=20.0, h=0.5, w=0.5,
-                                    rho=1.1)
-    sub = inequality_subgame(game, heavier, np.zeros(2), np.zeros((2, 1)))
-    assert solver.lipschitz(sub) == pytest.approx(21.5)
-
-
 # -- the Lipschitz-free residual certificate ---------------------------------------
 
 def assert_residual_certificates(sub, x_star, mus):
@@ -196,6 +176,11 @@ def assert_residual_certificates(sub, x_star, mus):
     the bound and the bound within the tolerance, also when the adaptive
     step starts ten times below or above its default ``1 / r_max``."""
     gamma0 = 1.0 / sub.params.r_max
+    # x_star is a fixed point of the forward-backward map at two fixed
+    # steps, which checks the reference apart from the certificate behind it
+    for gamma in (gamma0, 0.1 * gamma0):
+        assert (np.linalg.norm(x_star - sub.step(x_star, gamma))
+                <= 1e-10 * (1.0 + np.linalg.norm(x_star)))
     for settings_ in (InnerSettings(), InnerSettings(gamma=0.1 * gamma0),
                       InnerSettings(gamma=10.0 * gamma0)):
         solver = InnerSolver(settings_)
@@ -203,8 +188,8 @@ def assert_residual_certificates(sub, x_star, mus):
             sol = solver.solve(sub, mu)
             assert sol.certificate.mode == "residual"
             assert sol.certificate.bound <= mu
-            # x_star is oracle mode's 1e-13 fixed point; the slack covers
-            # its own distance to the equilibrium
+            # x_star is oracle mode's reference, certified to 1e-13
+            # relative; the slack covers its own distance to the equilibrium
             dist = float(np.linalg.norm(sol.x - x_star))
             assert dist <= sol.certificate.bound + 1e-10 * (1.0 + mu)
 
@@ -231,8 +216,7 @@ def affine_game(rng, n_players, dim, prox):
         extra = dict(smooth_oracle=lambda x: M @ x + c,
                      separable_prox=lambda v, g: np.clip(v - g * l, lower, upper))
     return gs.Game(players, gs.EQUALITY,
-                   profile_oracle=lambda x: M @ x + c + l,
-                   lipschitz_hint=float(np.linalg.norm(M, 2)), **extra)
+                   profile_oracle=lambda x: M @ x + c + l, **extra)
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.booleans(),
@@ -274,46 +258,69 @@ def box_affine_equilibrium(G, rhs, lower, upper):
 
 
 def test_residual_mode_certifies_skew_dominated_subgame():
-    # 2-player affine game whose skew part dominates its symmetric part:
-    # oracle mode's fixed step 1 / (sigma + L) makes the forward map expand,
-    # so its fixed-point pass fails, while the adaptive step shrinks to
-    # what the last move shows and certifies
+    # 2-player affine game whose skew part dominates its symmetric part: a
+    # fixed step 1 / (sigma + L) makes the forward map expand, while the
+    # adaptive step shrinks to what the last move shows and certifies, in
+    # both modes
     M = np.array([[0.5, 10.0], [-10.0, 0.5]])
     c = np.array([1.0, -2.0])
     lower, upper = np.full(2, -1.0), np.full(2, 1.0)
     players = [Player(1, lambda xi, o: xi, np.ones((1, 1)), np.zeros(1),
                       Box(lower[i:i + 1], upper[i:i + 1])) for i in range(2)]
-    game = gs.Game(players, gs.EQUALITY, profile_oracle=lambda x: M @ x + c,
-                   lipschitz_hint=float(np.linalg.norm(M, 2)))
+    game = gs.Game(players, gs.EQUALITY, profile_oracle=lambda x: M @ x + c)
     params = gs.AlgoParams(np.ones((2, 1, 1)), np.ones((2, 1, 1)),
                            np.ones((1, 1, 1)), 1.0)
     anchor = np.array([0.8, -0.5])
     sub = Subgame(game, anchor, np.zeros(2), params)
-    with pytest.raises(InexactnessError):
-        InnerSolver(InnerSettings(mode="oracle")).solve(sub, 1e-6)
     x_star = box_affine_equilibrium(M + np.eye(2), anchor - c, lower, upper)
     sol = InnerSolver().solve(sub, 1e-6)
     assert sol.certificate.bound <= 1e-6
     assert np.linalg.norm(sol.x - x_star) <= sol.certificate.bound
+    oracle = InnerSolver(InnerSettings(mode="oracle")).solve(sub, 1e-6)
+    assert oracle.certificate.bound <= 1e-6
+    assert np.linalg.norm(oracle.exact - x_star) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["rate-control", "task-allocation"])
-def test_residual_certificate_published_first_subgames(name):
-    if name == "rate-control":
+def first_subgame(name):
+    """Subgame of the first outer iteration from the seed-0 start."""
+    if name == "toy":
+        game, _ = gs.quadratic_game()
+        graph = gs.path_graph(2)
+        params = gs.AlgoParams.uniform(game, graph, 10.0, 0.5, 0.5, 1.1,
+                                       mu=gs.inverse_square(1.0))
+    elif name == "rate-control":
         game = gs.rate_control_game(0)
         graph = gs.benchmark_graph("chain15")
         params = gs.rate_control_params(game, graph)
-        state = gs.initial_state(game, graph, seed=0)
-        sub = inequality_subgame(game, params, state.x, state.lam)
     else:
         game = gs.task_allocation_game(0)
         graph = gs.benchmark_graph("chain14")
         params = gs.task_allocation_params(game, graph, seed=0)
-        state = gs.initial_state(game, graph, seed=0)
-        sub = equality_subgame(game, graph, params, state.x, state.lam, state.Z)
+    state = gs.initial_state(game, graph, seed=0)
+    if game.kind == gs.INEQUALITY:
+        return inequality_subgame(game, params, state.x, state.lam)
+    return equality_subgame(game, graph, params, state.x, state.lam, state.Z)
+
+
+@pytest.mark.parametrize("name", ["rate-control", "task-allocation"])
+def test_residual_certificate_published_first_subgames(name):
+    sub = first_subgame(name)
     x_star = InnerSolver(InnerSettings(mode="oracle")).solve(sub, 0.0).x
-    mu_1 = params.mu(1)
+    mu_1 = sub.params.mu(1)
     assert_residual_certificates(sub, x_star, (mu_1, 1e-3 * mu_1, 1e-6))
+
+
+@pytest.mark.parametrize("name", ["toy", "rate-control", "task-allocation"])
+def test_oracle_mode_returns_the_residual_point(name):
+    # one trajectory: oracle mode only runs on past residual mode's stop
+    sub = first_subgame(name)
+    oracle = InnerSolver(InnerSettings(mode="oracle"))
+    for mu in (sub.params.mu(1), 1e-6):
+        res = InnerSolver().solve(sub, mu)
+        sol = oracle.solve(sub, mu)
+        assert np.array_equal(sol.x, res.x)
+        assert sol.certificate.bound <= res.certificate.bound
+        assert sol.certificate.iterations >= res.certificate.iterations
 
 
 def test_residual_mode_is_the_default():
