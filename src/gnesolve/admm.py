@@ -25,7 +25,7 @@ from .operators import (pack_lifted, residual_equality, step_size_margins,
 from .params import AlgoParams
 from .proxpoint import LiftedEqualityResolvent, pppa_step
 from .rng import SplitMix64
-from .subgames import InnerSolver, equality_subgame
+from .subgames import InnerSolution, InnerSolver, equality_subgame
 from .trace import TraceRow
 
 
@@ -34,7 +34,6 @@ class AdmmState:
     x: np.ndarray          # stacked decisions, length n
     lam: np.ndarray        # local multipliers, (N, m)
     Z: np.ndarray          # edge variables, (M, m)
-    k: int = 0
 
 
 def initial_state(game: Game, graph: CommGraph, seed: int = 0,
@@ -44,25 +43,18 @@ def initial_state(game: Game, graph: CommGraph, seed: int = 0,
         x0 = game.sample_profile(SplitMix64(seed))
     return AdmmState(np.asarray(x0, dtype=float),
                      np.zeros((game.n_players, game.m)),
-                     np.zeros((graph.n_edges, game.m)), 0)
-
-
-@dataclass(frozen=True)
-class IterInfo:
-    inner_iterations: int
-    mu: float
-    certified: float
+                     np.zeros((graph.n_edges, game.m)))
 
 
 def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
                  state: AdmmState, inner: InnerSolver,
-                 mu: float) -> tuple[AdmmState, IterInfo]:
+                 mu: float) -> tuple[AdmmState, InnerSolution]:
     """One outer iteration as stacked array updates: subgame solve to
     ``mu``, multiplier step along ``H`` times the tracked constraint
     residual, edge step along ``W`` times the multiplier-signal differences,
     and relaxation by ``rho``.  Each per-player and per-edge row reads only
     its own data and its neighbours' signals."""
-    x, lam, Z, k = state.x, state.lam, state.Z, state.k
+    x, lam, Z = state.x, state.lam, state.Z
     rho = params.rho
     sub = equality_subgame(game, graph, params, x, lam, Z)
     sol = inner.solve(sub, mu)
@@ -72,8 +64,8 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     lam_t = lam + h_t
     Z_t = Z - params.apply_W(graph.edge_differences(lam_t + h_t))
     new = AdmmState(x + rho * (x_t - x), lam + rho * (lam_t - lam),
-                    Z + rho * (Z_t - Z), k + 1)
-    return new, IterInfo(sol.certificate.iterations, mu, sol.certificate.bound)
+                    Z + rho * (Z_t - Z))
+    return new, sol
 
 
 @dataclass(frozen=True)
@@ -99,7 +91,8 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
                          residuals, feasibility) -> RunResult:
     """The outer loop of both algorithms.
 
-    ``iterate`` is the algorithm's one-iteration update, ``residuals(state)``
+    ``iterate`` is the algorithm's one-iteration update, which returns the
+    new state and the subgame solution behind it; ``residuals(state)`` is
     its distance to the operator's zero set, and ``feasibility(x)`` the
     trace's feasibility column.  Stops when every residual is at most
     ``stop.tol`` or after ``stop.max_iter`` iterations; a non-finite state
@@ -115,12 +108,12 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
         while not converged and k < stop.max_iter:
             k += 1
             prev_x = state.x
-            state, info = iterate(game, graph, params, state, inner,
-                                  params.mu(k))
-            inner_steps += info.inner_iterations
+            mu = params.mu(k)
+            state, sol = iterate(game, graph, params, state, inner, mu)
+            cert = sol.certificate
+            inner_steps += cert.iterations
             if not all(np.isfinite(a).all() for a in (state.x, state.lam, state.Z)):
-                raise DivergenceError(
-                    f"non-finite state at outer iteration {k}", k)
+                raise DivergenceError(f"non-finite state at outer iteration {k}")
             res = residuals(state)
             if k % trace_stride == 0:
                 rows.append(TraceRow(
@@ -131,9 +124,9 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
                     stationarity=res.stationarity,
                     # equality residuals have no complementarity part
                     complementarity=getattr(res, "complementarity", math.nan),
-                    inner_iterations=info.inner_iterations,
-                    mu=info.mu,
-                    certified=info.certified))
+                    inner_iterations=cert.iterations,
+                    mu=mu,
+                    certified=cert.bound))
             converged = res.max() <= stop.tol
     except (DivergenceError, InexactnessError, NumericError) as exc:
         exc.iteration, exc.rows, exc.inner_steps = k, rows, inner_steps
@@ -189,7 +182,7 @@ def mapped_state(game: Game, graph: CommGraph, params: AlgoParams,
     x, eta, Z, theta = unpack_lifted(game, graph, w)
     tracked = game.local_residual(x) + graph.node_aggregate(Z)
     lam = eta - theta - params.apply_H(tracked)
-    return AdmmState(x, lam, Z, 0)
+    return AdmmState(x, lam, Z)
 
 
 def correspondence_check(game: Game, graph: CommGraph, params: AlgoParams,

@@ -25,7 +25,7 @@ from .diagnostics import consensus_error, kkt_residual
 from .errors import (ConfigError, DivergenceError, GnesolveError,
                      InexactnessError, NumericError, ValidationError)
 from .games import EQUALITY, INEQUALITY, Game, game_to_dict, load_game
-from .graphs import CommGraph, build_incidence
+from .graphs import CommGraph, build_incidence, path_graph
 from .operators import step_size_margins
 from .params import AlgoParams, exact_schedule, inverse_square
 from .splitting import run_splitting
@@ -60,15 +60,13 @@ def _build_graph(cfg: ExperimentConfig, game: Game) -> CommGraph:
     if edges:
         return build_incidence(game.n_players, parse_edge_list(edges))
     name = cfg.get("graph.builtin")
+    if not name:
+        return path_graph(game.n_players)
     graph = benchgames.benchmark_graph(name)
     if graph.n_nodes != game.n_players:
-        # builtin default may not fit desk-scale games; fall back to a chain
-        from .graphs import path_graph
-        if cfg.values.get("graph.builtin"):
-            raise ConfigError(
-                f"graph {name!r} has {graph.n_nodes} nodes but the game has "
-                f"{game.n_players} players")
-        graph = path_graph(game.n_players)
+        raise ConfigError(
+            f"graph {name!r} has {graph.n_nodes} nodes but the game has "
+            f"{game.n_players} players")
     return graph
 
 
@@ -93,9 +91,7 @@ def _build_params(cfg: ExperimentConfig, game: Game, graph: CommGraph) -> AlgoPa
 
 def _build_inner(cfg: ExperimentConfig) -> InnerSolver:
     return InnerSolver(InnerSettings(
-        mode=cfg.get("inner.mode"),
-        gamma=cfg.get_optional_float("inner.gamma"),
-        cap=cfg.get_int("inner.cap")))
+        mode=cfg.get("inner.mode"), cap=cfg.get_int("inner.cap")))
 
 
 def _algorithm(cfg: ExperimentConfig, game: Game) -> str:
@@ -116,6 +112,10 @@ def _setup(cfg: ExperimentConfig):
     params = _build_params(cfg, game, graph)
     algorithm = _algorithm(cfg, game)
     inner = _build_inner(cfg)   # surfaces bad inner settings before any run
+    if cfg.get("params.mu") == "exact" and cfg.get("inner.mode") == "residual":
+        raise ConfigError(
+            "params.mu = exact needs inner.mode = exact or oracle: residual "
+            "mode cannot certify an exactly zero tolerance")
     return game, graph, params, algorithm, inner
 
 

@@ -19,14 +19,13 @@ _KNOWN_KEYS = {
     "algorithm",
     "params.r", "params.h", "params.w", "params.rho",
     "params.preset", "params.seed", "params.mu", "params.mu0",
-    "inner.mode", "inner.gamma", "inner.cap",
+    "inner.mode", "inner.cap",
     "stop.max_iter", "stop.tol",
     "output.dir", "trace.stride", "run.seed",
 }
 
 DEFAULTS = {
     "game.seed": "0",
-    "graph.builtin": "chain15",
     "params.r": "10.0",
     "params.h": "0.5",
     "params.w": "0.5",
@@ -71,12 +70,6 @@ class ExperimentConfig:
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
-
-    def get_optional_float(self, key: str) -> float | None:
-        raw = self.values.get(key)
-        if raw in (None, ""):
-            return None
-        return self.get_float(key)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -37,10 +37,6 @@ class InexactnessError(GnesolveError):
 class DivergenceError(GnesolveError):
     """An outer iteration produced a non-finite state."""
 
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
-
 
 class ConfigError(GnesolveError):
     """An experiment configuration could not be parsed or is inconsistent."""

@@ -55,13 +55,6 @@ class Box:
     def dim(self) -> int:
         return self.lower.size
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Euclidean projection (componentwise clamp)."""
-        v = _vector(v, "v")
-        if v.size != self.dim:
-            raise StructuralError(f"expected length {self.dim}, got {v.size}")
-        return np.clip(v, self.lower, self.upper)
-
 
 @dataclass(frozen=True)
 class Player:
@@ -275,9 +268,12 @@ class Game:
     def smooth_gradient(self, x) -> np.ndarray:
         """Forward part of the natural map: the smooth oracle for games with
         a splitting structure, otherwise the pseudo-gradient."""
-        if self.separable_prox is not None:
-            return np.asarray(self.smooth_oracle(as_vector(x)), dtype=float)
-        return self.pseudo_gradient(x)
+        if self.separable_prox is None:
+            return self.pseudo_gradient(x)
+        g = np.asarray(self.smooth_oracle(as_vector(x)), dtype=float)
+        if not np.isfinite(g).all():
+            raise NumericError("smooth gradient has non-finite entries")
+        return g
 
     def backward_step(self, v, gamma: float) -> np.ndarray:
         """Backward part of the natural map: the separable prox (nonsmooth
@@ -291,7 +287,6 @@ class Game:
 class MonotonicityReport:
     min_inner_product: float
     violations: int
-    n_pairs: int
 
 
 def check_monotonicity_samples(game: Game, n_pairs: int, seed: int,
@@ -315,7 +310,7 @@ def check_monotonicity_samples(game: Game, n_pairs: int, seed: int,
         worst = min(worst, inner)
         if inner < -tol:
             violations += 1
-    return MonotonicityReport(worst, violations, n_pairs)
+    return MonotonicityReport(worst, violations)
 
 
 # -- serialization -----------------------------------------------------------

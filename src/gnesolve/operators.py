@@ -42,10 +42,6 @@ def incidence_kron(graph: CommGraph, m: int) -> np.ndarray:
     return np.kron(graph.incidence, np.eye(m))
 
 
-def stacked_b(game: Game) -> np.ndarray:
-    return game.b_rows.reshape(-1)
-
-
 def equality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, np.ndarray]:
     """Linear part and constant shift of the equality-coupling operator.
 
@@ -63,7 +59,7 @@ def equality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, np.ndar
     K[n:n + mM, n + mM:] = Vb.T
     K[n + mM:, :n] = -Lam
     K[n + mM:, n:n + mM] = -Vb
-    q = np.concatenate([np.zeros(n), np.zeros(mM), stacked_b(game)])
+    q = np.concatenate([np.zeros(n), np.zeros(mM), game.b_rows.reshape(-1)])
     return K, q
 
 
@@ -84,7 +80,7 @@ def lifted_equality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, 
     K[oz:ot, ot:] = -Vb.T
     K[ot:, ox:oe] = Lam
     K[ot:, oz:ot] = Vb
-    b = stacked_b(game)
+    b = game.b_rows.reshape(-1)
     q = np.concatenate([np.zeros(n), b, np.zeros(mM), -b])
     return K, q
 
@@ -165,15 +161,7 @@ def equality_preconditioner(params: AlgoParams, game: Game,
     so positive margins for those two blocks imply a positive definite
     preconditioner.
     """
-    check = check_step_sizes_equality(params, game, graph)
-    if check.margin_x <= 0.0:
-        raise ValidationError(
-            "R - Lam^T H Lam not positive definite: "
-            f"min eig {check.margin_x:.6g}")
-    if check.margin_z <= 0.0:
-        raise ValidationError(
-            "W^-1 - Vbar^T H Vbar not positive definite: "
-            f"min eig {check.margin_z:.6g}")
+    margins = step_size_margins(params, game, graph)
     n, m = game.n, game.m
     mN, mM = m * game.n_players, m * graph.n_edges
     Lam = constraint_matrix(game)
@@ -195,7 +183,7 @@ def equality_preconditioner(params: AlgoParams, game: Game,
     Phi[ot:, ox:oe] = Lam
     Phi[ot:, oz:ot] = Vb
     Phi[ot:, ot:] = Hinv2
-    return PreconditionerReport(Phi, {"x": check.margin_x, "z": check.margin_z})
+    return PreconditionerReport(Phi, margins)
 
 
 def inequality_preconditioner(params: AlgoParams, game: Game,

@@ -121,9 +121,9 @@ class AlgoParams:
 
     # -- block applications ---------------------------------------------------
 
-    def apply_R(self, game: Game, v: np.ndarray) -> np.ndarray:
-        """Blockwise product ``R v`` on a stacked profile vector of ``game``,
-        whose player dimensions are the orders of the ``R`` blocks."""
+    def apply_R(self, v: np.ndarray) -> np.ndarray:
+        """Blockwise product ``R v`` on a stacked profile vector whose
+        player dimensions are the orders of the ``R`` blocks."""
         padded = np.zeros(self._R_stack.shape[:2])
         padded.reshape(-1)[self._r_index] = v
         return (self._R_stack @ padded[:, :, None]).reshape(-1)[self._r_index]

@@ -26,8 +26,6 @@ from .subgames import InnerSolution, InnerSolver, Subgame, inequality_subgame
 class ResolventStep:
     point: np.ndarray          # the (possibly inexact) resolvent output
     bound: float               # certified distance to the exact resolvent
-    inner_iterations: int = 0
-    exact_point: np.ndarray | None = None
 
 
 def pppa_step(resolvent, w: np.ndarray, nu: float, rho: float) -> tuple[np.ndarray, ResolventStep]:
@@ -136,12 +134,8 @@ class InequalityResolvent:
         x_t, Z_t, lam_t, sol = inequality_block_update(
             self.game, self.graph, self.params, self.inner, x, lam, Z,
             self.mu_for(nu))
-        point = pack_plain(x_t, Z_t, lam_t)
-        bound = self.nu_factor * sol.certificate.bound
-        exact = None
-        if sol.exact is not None and sol.certificate.bound == 0.0:
-            exact = point
-        return ResolventStep(point, bound, sol.certificate.iterations, exact)
+        return ResolventStep(pack_plain(x_t, Z_t, lam_t),
+                             self.nu_factor * sol.certificate.bound)
 
 
 class LiftedEqualityResolvent:
@@ -196,7 +190,7 @@ class LiftedEqualityResolvent:
 
         if sol.certificate.bound == 0.0:
             point = pack_lifted(x_hat, eta_hat, Z_hat, theta_hat)
-            return ResolventStep(point, 0.0, sol.certificate.iterations, point)
+            return ResolventStep(point, 0.0)
 
         # inexact selection: propagate the decision error through the same
         # linear maps the distributed algorithm applies
@@ -206,6 +200,5 @@ class LiftedEqualityResolvent:
         dz = 0.5 * params.apply_H(graph.node_aggregate(Z_t - Z_hat))
         eta_t = eta_hat + params.apply_H(dx_rows) + dz
         theta_t = theta_hat - params.apply_H(dx_rows) - dz
-        point = pack_lifted(x_t, eta_t, Z_t, theta_t)
-        bound = self.nu_factor * sol.certificate.bound
-        return ResolventStep(point, bound, sol.certificate.iterations, None)
+        return ResolventStep(pack_lifted(x_t, eta_t, Z_t, theta_t),
+                             self.nu_factor * sol.certificate.bound)

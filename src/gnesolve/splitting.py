@@ -17,23 +17,23 @@ from .graphs import CommGraph
 from .operators import residual_inequality, step_size_margins
 from .params import AlgoParams
 from .proxpoint import inequality_block_update
-from .subgames import InnerSolver
-from .admm import (AdmmState, IterInfo, RunResult, StopRule, initial_state,
+from .subgames import InnerSolution, InnerSolver
+from .admm import (AdmmState, RunResult, StopRule, initial_state,
                    iterate_to_tolerance)
 
 
 def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
                       state: AdmmState, inner: InnerSolver,
-                      mu: float) -> tuple[AdmmState, IterInfo]:
+                      mu: float) -> tuple[AdmmState, InnerSolution]:
     """One outer iteration: the stacked block update from iteration-k data,
     relaxed by ``rho``."""
-    x, lam, Z, k = state.x, state.lam, state.Z, state.k
+    x, lam, Z = state.x, state.lam, state.Z
     rho = params.rho
     x_t, Z_t, lam_t, sol = inequality_block_update(
         game, graph, params, inner, x, lam, Z, mu)
     new = AdmmState(x + rho * (x_t - x), lam + rho * (lam_t - lam),
-                    Z + rho * (Z_t - Z), k + 1)
-    return new, IterInfo(sol.certificate.iterations, mu, sol.certificate.bound)
+                    Z + rho * (Z_t - Z))
+    return new, sol
 
 
 def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,

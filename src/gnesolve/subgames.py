@@ -36,21 +36,17 @@ class Subgame:
     def __post_init__(self):
         self.anchor = as_vector(self.anchor)
         self.shift = as_vector(self.shift)
-        self.modulus = self.params.r_min
 
     def smooth_gradient(self, y: np.ndarray) -> np.ndarray:
         """Smooth part ``G`` of the subgame map: the game's smooth gradient
         plus the proximal pull and the price, in `Game.natural_step`'s
         order of operations."""
         return (self.game.smooth_gradient(y)
-                + (self.params.apply_R(self.game, y - self.anchor) + self.shift))
-
-    def backward_step(self, v: np.ndarray, gamma: float) -> np.ndarray:
-        return self.game.backward_step(v, gamma)
+                + (self.params.apply_R(y - self.anchor) + self.shift))
 
     def step(self, y: np.ndarray, gamma: float) -> np.ndarray:
         """Forward-backward step whose fixed points are the equilibrium."""
-        return self.backward_step(y - gamma * self.smooth_gradient(y), gamma)
+        return self.game.backward_step(y - gamma * self.smooth_gradient(y), gamma)
 
 
 def equality_subgame(game: Game, graph: CommGraph, params: AlgoParams,
@@ -75,7 +71,6 @@ def inequality_subgame(game: Game, params: AlgoParams, x, lam) -> Subgame:
 
 @dataclass(frozen=True)
 class InnerCertificate:
-    mode: str          # "oracle" or "residual"
     bound: float       # certified upper bound on the distance to the equilibrium
     iterations: int
 
@@ -100,16 +95,12 @@ class InnerSettings:
         returns the same iterate but continues the same trajectory to a
         machine-precision reference equilibrium, reports the true distance
         to it as the bound, and exposes it; it is kept as a test reference.
-    gamma
-        Initial step of each forward-backward solve (default ``1 / r_max``),
-        which then adapts to the local curvature.
     cap
         Hard iteration limit; exceeding it raises rather than silently
         returning an uncertified point.
     """
 
     mode: str = "residual"
-    gamma: float | None = None
     cap: int = 100_000
 
     def __post_init__(self):
@@ -141,8 +132,7 @@ class InnerSolver:
                 "exact inner mode requires a game with a closed-form "
                 "regularized-equilibrium solver")
         x_hat = np.asarray(solver(sub.anchor, sub.shift, sub.params.R), dtype=float)
-        cert = InnerCertificate("oracle", 0.0, 0)
-        return InnerSolution(x_hat, cert, x_hat)
+        return InnerSolution(x_hat, InnerCertificate(0.0, 0), x_hat)
 
     def _forward_backward(self, sub: Subgame, mu: float,
                           reference: bool) -> InnerSolution:
@@ -156,7 +146,7 @@ class InnerSolver:
         reused by the next step, so each step costs one oracle call.
 
         Since no step can make the bound wrong, the step adapts freely: it
-        starts at ``inner.gamma`` or ``1 / r_max`` and after each step that
+        starts at ``1 / r_max`` and after each step that
         does not certify becomes ``min(1.5 gamma, <dG, dy> / |dG|^2)`` with
         ``dy = y+ - y`` and ``dG = G(y+) - G(y)`` (Barzilai & Borwein 1988;
         Malitsky & Mishchenko 2020), or ``1.5 gamma`` when either quantity
@@ -174,29 +164,27 @@ class InnerSolver:
         if mu == 0.0 and not reference:
             raise ValidationError(
                 "residual mode cannot certify an exactly zero tolerance")
-        gamma = self.settings.gamma
-        if gamma is None:
-            gamma = 1.0 / sub.params.r_max
-        sigma = sub.modulus
+        gamma = 1.0 / sub.params.r_max
+        sigma = sub.params.r_min
         y = sub.game.project(sub.anchor)
         g = sub.smooth_gradient(y)
         bound = math.inf
         found = None
         for it in range(1, self.settings.cap + 1):
-            y_next = sub.backward_step(y - gamma * g, gamma)
+            y_next = sub.game.backward_step(y - gamma * g, gamma)
             g_next = sub.smooth_gradient(y_next)
             bound = float(np.linalg.norm((y - y_next) / gamma - g + g_next)) / sigma
             if found is None and bound <= mu:
                 if not reference:
                     return InnerSolution(
-                        y_next, InnerCertificate("residual", bound, it), None)
+                        y_next, InnerCertificate(bound, it), None)
                 found = y_next
             if reference and bound <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(y_next)):
                 if found is None:
                     found = y_next
                 distance = float(np.linalg.norm(found - y_next))
                 return InnerSolution(
-                    found, InnerCertificate("oracle", distance, it), y_next)
+                    found, InnerCertificate(distance, it), y_next)
             dy, dg = y_next - y, g_next - g
             curvature, dg_sq = float(dg @ dy), float(dg @ dg)
             gamma *= 1.5

@@ -5,10 +5,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields
 
-TRACE_COLUMNS = ("k", "step_norm", "consensus_error", "feasibility",
-                 "stationarity", "complementarity", "inner_iterations", "mu",
-                 "certified")
-
 
 @dataclass(frozen=True)
 class TraceRow:
@@ -24,6 +20,9 @@ class TraceRow:
 
     def as_tuple(self):
         return tuple(getattr(self, f.name) for f in fields(self))
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 def _fmt(value) -> str:

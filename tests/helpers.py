@@ -69,10 +69,10 @@ def admm_iterate_componentwise(game, graph, params, state, inner, mu):
     reads only its own data, its incident edge variables, and (for the edge
     update) the signal of the edge's other endpoint.  Reference for the
     stacked `gnesolve.admm.admm_iterate`."""
-    from gnesolve.admm import AdmmState, IterInfo
+    from gnesolve.admm import AdmmState
     from gnesolve.subgames import equality_subgame
 
-    x, lam, Z, k = state.x, state.lam, state.Z, state.k
+    x, lam, Z = state.x, state.lam, state.Z
     rho = params.rho
     blocks = game.split(x)
     agg = graph.node_aggregate(Z)
@@ -100,5 +100,4 @@ def admm_iterate_componentwise(game, graph, params, state, inner, mu):
 
     x_next = np.concatenate([
         xi + rho * (xti - xi) for xi, xti in zip(blocks, xt_blocks)])
-    info = IterInfo(sol.certificate.iterations, mu, sol.certificate.bound)
-    return AdmmState(x_next, lam_next, Z_next, k + 1), info
+    return AdmmState(x_next, lam_next, Z_next), sol

@@ -17,7 +17,7 @@ ALGORITHMS = {"admm": ("eq_game", run_admm),
 def kkt_state(game, graph, solution):
     lam = np.full((game.n_players, game.m), solution["lambda"])
     Z = edge_flow_for(game, graph, solution["x"])
-    return AdmmState(np.asarray(solution["x"], dtype=float), lam, Z, 0)
+    return AdmmState(np.asarray(solution["x"], dtype=float), lam, Z)
 
 
 def test_fixed_point_invariance(eq_game, pair_graph, toy_params, exact_inner):
@@ -116,7 +116,7 @@ def test_divergence_detected(algorithm, request, pair_graph, toy_params,
             if self.calls < 3:
                 return exact_inner.solve(sub, mu)
             bad = np.full(sub.anchor.shape, np.inf)
-            return InnerSolution(bad, InnerCertificate("oracle", 0.0, 1), bad)
+            return InnerSolution(bad, InnerCertificate(0.0, 1), bad)
 
     with pytest.raises(DivergenceError) as err:
         runner(game, pair_graph, toy_params, BrokenInner(),

@@ -180,6 +180,33 @@ def test_lipschitz_key_rejected(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_exact_schedule_needs_an_exact_inner_mode(tmp_path, capsys):
+    # residual mode cannot certify mu = 0: both commands refuse the pair
+    # before the run writes anything
+    out = tmp_path / "o"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUAD_CFG.format(out=out).replace("inner.mode = exact\n", ""))
+    assert main(["validate", str(cfg)]) == 2
+    validate_err = capsys.readouterr().err
+    assert "params.mu = exact" in validate_err
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == validate_err
+    assert not out.exists()
+
+
+def test_parameter_echo_replays_the_run(tmp_path, monkeypatch):
+    # a config written from summary.json's parameter echo reproduces the run
+    monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(tmp_path / "first"))
+    assert main(["run", str(CONFIGS / "quadratic-equality.cfg")]) == 0
+    echo = json.loads((tmp_path / "first" / "summary.json").read_text())["parameters"]
+    replay = tmp_path / "replay.cfg"
+    replay.write_text("".join(f"{k} = {v}\n" for k, v in echo.items()))
+    monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(tmp_path / "replay"))
+    assert main(["run", str(replay)]) == 0
+    assert ((tmp_path / "replay" / "trace.csv").read_bytes()
+            == (tmp_path / "first" / "trace.csv").read_bytes())
+
+
 def test_readme_config_table_lists_the_known_keys():
     # the key column of README's configuration table, one or more keys a row
     lines = (CONFIGS.parent / "README.md").read_text().splitlines()
@@ -357,7 +384,7 @@ class FailingInner:
             return self.exact.solve(sub, mu)
         if self.failure is gs.DivergenceError:
             bad = np.full(sub.anchor.shape, np.inf)
-            return InnerSolution(bad, InnerCertificate("oracle", 0.0, 1), bad)
+            return InnerSolution(bad, InnerCertificate(0.0, 1), bad)
         raise self.failure("inner solve failed on purpose")
 
 

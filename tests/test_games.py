@@ -13,12 +13,20 @@ from helpers import fd_block_gradient, quadratic_value
 
 # -- boxes ---------------------------------------------------------------------
 
+def box_game(lower, upper):
+    """One-player game whose private set is the box ``[lower, upper]``."""
+    box = Box(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+    player = Player(box.dim, lambda xi, o: xi, np.zeros((1, box.dim)),
+                    np.zeros(1), box)
+    return gs.Game([player], gs.EQUALITY)
+
+
 def test_box_clamps():
-    box = Box(np.zeros(2), np.full(2, 5.0))
-    assert np.allclose(box.project(np.array([-1.0, 7.0])), [0.0, 5.0])
+    game = box_game(np.zeros(2), np.full(2, 5.0))
+    assert np.allclose(game.project(np.array([-1.0, 7.0])), [0.0, 5.0])
     inside = np.array([1.0, 4.9])
-    assert np.array_equal(box.project(inside), inside)
-    tight = Box(np.zeros(3), np.full(3, 6.0))
+    assert np.array_equal(game.project(inside), inside)
+    tight = box_game(np.zeros(3), np.full(3, 6.0))
     assert np.allclose(tight.project(np.full(3, 6.0001)), np.full(3, 6.0))
 
 
@@ -31,10 +39,10 @@ def test_box_rejects_empty_interior():
        st.lists(st.floats(-50, 50), min_size=3, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_box_projection_idempotent_and_nonexpansive(u, v):
-    box = Box(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 9.0]))
+    game = box_game([-1.0, 0.0, 2.0], [1.0, 3.0, 9.0])
     u, v = np.array(u), np.array(v)
-    pu, pv = box.project(u), box.project(v)
-    assert np.array_equal(box.project(pu), pu)
+    pu, pv = game.project(u), game.project(v)
+    assert np.array_equal(game.project(pu), pu)
     assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
 
 

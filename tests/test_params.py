@@ -61,7 +61,7 @@ def test_apply_blocks(eq_game, pair_graph, dims, seed):
     game, _ = eq_game
     params = AlgoParams.uniform(game, pair_graph, 3.0, 0.5, 0.25, 1.0)
     v = np.array([1.0, -2.0])
-    assert np.allclose(params.apply_R(game, v), 3.0 * v)
+    assert np.allclose(params.apply_R(v), 3.0 * v)
     rows = np.array([[2.0], [4.0]])
     assert np.allclose(params.apply_H(rows), 0.5 * rows)
     assert np.allclose(params.apply_W(np.array([[8.0]])), np.array([[2.0]]))
@@ -75,7 +75,7 @@ def test_apply_blocks(eq_game, pair_graph, dims, seed):
         R.append(0.5 * np.eye(d) + G @ G.T)
     params = AlgoParams(R, np.ones((len(dims), 1, 1)), np.ones((1, 1, 1)), 1.0)
     v = rng.uniform(-10.0, 10.0, game.n)
-    out = params.apply_R(game, v)
+    out = params.apply_R(v)
     assert np.allclose(out, params.dense_R(game) @ v, rtol=1e-12, atol=1e-12)
     if len(set(dims)) == 1:
         # equal orders: same products as the per-block loop, bit for bit

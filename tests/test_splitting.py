@@ -36,7 +36,7 @@ def test_fixed_point_invariance(ineq_game, pair_graph, toy_params,
     game, solution = ineq_game
     lam = np.full((2, 1), solution["lambda"])
     Z = edge_flow_for(game, pair_graph, solution["x"])
-    state = AdmmState(np.asarray(solution["x"]), lam, Z, 0)
+    state = AdmmState(np.asarray(solution["x"]), lam, Z)
     new, _ = splitting_iterate(game, pair_graph, toy_params, state,
                                exact_inner, 0.0)
     assert np.linalg.norm(new.x - state.x) <= 1e-10
@@ -71,7 +71,7 @@ def test_parallel_steps_commute(ineq_game, pair_graph, toy_params,
         lam = rng.uniform(-0.1, 1.0, (rc_game.n_players, rc_game.m))
         Z = rng.normal(size=(rc_graph.n_edges, rc_game.m))
         cases.append((rc_game, rc_graph, rc_params, gs.InnerSolver(), 1e-3,
-                      AdmmState(x, lam, Z, 0)))
+                      AdmmState(x, lam, Z)))
     for game, graph, params, inner, mu, state in cases:
         reference, _ = splitting_iterate(game, graph, params, state, inner, mu)
         Z_tilde = np.empty_like(state.Z)

