@@ -23,7 +23,7 @@ from .params import AlgoParams, exact_schedule, inverse_square
 from .proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
                         MatrixResolvent, pppa_step, run_proxpoint)
 from .splitting import run_splitting, splitting_iterate
-from .subgames import (InnerCertificate, InnerSettings, InnerSolver, Subgame,
+from .subgames import (InnerCertificate, InnerSolver, Subgame,
                        equality_subgame, inequality_subgame)
 from .trace import TraceRow, read_trace_csv, write_trace_csv
 

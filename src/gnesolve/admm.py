@@ -36,12 +36,9 @@ class AdmmState:
     Z: np.ndarray          # edge variables, (M, m)
 
 
-def initial_state(game: Game, graph: CommGraph, seed: int = 0,
-                  x0: np.ndarray | None = None) -> AdmmState:
+def initial_state(game: Game, graph: CommGraph, seed: int = 0) -> AdmmState:
     """Random decisions inside the box; zero multipliers and edge variables."""
-    if x0 is None:
-        x0 = game.sample_profile(SplitMix64(seed))
-    return AdmmState(np.asarray(x0, dtype=float),
+    return AdmmState(game.sample_profile(SplitMix64(seed)),
                      np.zeros((game.n_players, game.m)),
                      np.zeros((graph.n_edges, game.m)))
 
@@ -82,13 +79,13 @@ class RunResult:
     iterations: int
     residuals: object
     margins: dict              # step-size validator margins checked at start
-    inner_steps: int           # over all outer iterations, traced or not
+    inner_steps: int           # over all outer iterations
 
 
 def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
                          inner: InnerSolver, stop: StopRule, state: AdmmState,
-                         trace_stride: int, margins: dict, iterate,
-                         residuals, feasibility) -> RunResult:
+                         margins: dict, iterate, residuals,
+                         feasibility) -> RunResult:
     """The outer loop of both algorithms.
 
     ``iterate`` is the algorithm's one-iteration update, which returns the
@@ -115,18 +112,17 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
             if not all(np.isfinite(a).all() for a in (state.x, state.lam, state.Z)):
                 raise DivergenceError(f"non-finite state at outer iteration {k}")
             res = residuals(state)
-            if k % trace_stride == 0:
-                rows.append(TraceRow(
-                    k=k,
-                    step_norm=float(np.linalg.norm(state.x - prev_x)),
-                    consensus_error=consensus_error(state.lam),
-                    feasibility=feasibility(state.x),
-                    stationarity=res.stationarity,
-                    # equality residuals have no complementarity part
-                    complementarity=getattr(res, "complementarity", math.nan),
-                    inner_iterations=cert.iterations,
-                    mu=mu,
-                    certified=cert.bound))
+            rows.append(TraceRow(
+                k=k,
+                step_norm=float(np.linalg.norm(state.x - prev_x)),
+                consensus_error=consensus_error(state.lam),
+                feasibility=feasibility(state.x),
+                stationarity=res.stationarity,
+                # equality residuals have no complementarity part
+                complementarity=getattr(res, "complementarity", math.nan),
+                inner_iterations=cert.iterations,
+                mu=mu,
+                certified=cert.bound))
             converged = res.max() <= stop.tol
     except (DivergenceError, InexactnessError, NumericError) as exc:
         exc.iteration, exc.rows, exc.inner_steps = k, rows, inner_steps
@@ -136,8 +132,7 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
 
 def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
              inner: InnerSolver, stop: StopRule = StopRule(),
-             state0: AdmmState | None = None, seed: int = 0,
-             trace_stride: int = 1) -> RunResult:
+             seed: int = 0) -> RunResult:
     """Iterate to convergence of all equality-operator residuals.
 
     Refuses to start if the fixed-step-size conditions fail, and reports
@@ -148,10 +143,9 @@ def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
     if game.kind != EQUALITY:
         raise ValidationError("the equality algorithm needs an equality-coupled game")
     margins = step_size_margins(params, game, graph)
-    state = state0 if state0 is not None else initial_state(game, graph, seed)
     return iterate_to_tolerance(
-        game, graph, params, inner, stop, state, trace_stride, margins,
-        admm_iterate,
+        game, graph, params, inner, stop, initial_state(game, graph, seed),
+        margins, admm_iterate,
         lambda s: residual_equality(game, graph, s.x, s.Z, s.lam),
         lambda x: float(np.linalg.norm(game.coupling_gap(x))))
 
@@ -186,8 +180,7 @@ def mapped_state(game: Game, graph: CommGraph, params: AlgoParams,
 
 
 def correspondence_check(game: Game, graph: CommGraph, params: AlgoParams,
-                         n_iters: int, inner: InnerSolver,
-                         state0: AdmmState | None = None, seed: int = 0,
+                         n_iters: int, inner: InnerSolver, seed: int = 0,
                          eta_perturbation: float = 0.0) -> CorrespondenceReport:
     """Run the distributed loop and the lifted proximal-point iteration side
     by side and report the worst relative mismatch under the state mapping.
@@ -196,7 +189,7 @@ def correspondence_check(game: Game, graph: CommGraph, params: AlgoParams,
     ``eta_perturbation`` shifts the lifted starting point to demonstrate
     that the mapping is not accidental.
     """
-    state = state0 if state0 is not None else initial_state(game, graph, seed)
+    state = initial_state(game, graph, seed)
     w = lifted_initial_point(game, graph, params, state)
     if eta_perturbation != 0.0:
         x0, eta0, Z0, theta0 = unpack_lifted(game, graph, w)

@@ -29,7 +29,7 @@ from .graphs import CommGraph, build_incidence, path_graph
 from .operators import step_size_margins
 from .params import AlgoParams, exact_schedule, inverse_square
 from .splitting import run_splitting
-from .subgames import InnerSettings, InnerSolver
+from .subgames import InnerSolver
 from .trace import TRACE_COLUMNS, write_trace_csv
 
 EXIT_OK = 0
@@ -57,9 +57,11 @@ def _build_game(cfg: ExperimentConfig) -> Game:
 
 def _build_graph(cfg: ExperimentConfig, game: Game) -> CommGraph:
     edges = cfg.get("graph.edges")
+    name = cfg.get("graph.builtin")
+    if edges and name:
+        raise ConfigError("give either graph.builtin or graph.edges, not both")
     if edges:
         return build_incidence(game.n_players, parse_edge_list(edges))
-    name = cfg.get("graph.builtin")
     if not name:
         return path_graph(game.n_players)
     graph = benchgames.benchmark_graph(name)
@@ -90,8 +92,7 @@ def _build_params(cfg: ExperimentConfig, game: Game, graph: CommGraph) -> AlgoPa
 
 
 def _build_inner(cfg: ExperimentConfig) -> InnerSolver:
-    return InnerSolver(InnerSettings(
-        mode=cfg.get("inner.mode"), cap=cfg.get_int("inner.cap")))
+    return InnerSolver(cfg.get("inner.mode"))
 
 
 def _algorithm(cfg: ExperimentConfig, game: Game) -> str:
@@ -157,8 +158,7 @@ def cmd_run(args) -> int:
     runner = run_admm if algorithm == "admm" else run_splitting
     try:
         result = runner(game, graph, params, inner, stop,
-                        seed=cfg.get_int("run.seed"),
-                        trace_stride=cfg.get_int("trace.stride"))
+                        seed=cfg.get_int("run.seed"))
     except (DivergenceError, InexactnessError, NumericError) as exc:
         _write_outputs(out_dir, game, exc.rows or [], {
             "algorithm": algorithm,

@@ -19,9 +19,9 @@ _KNOWN_KEYS = {
     "algorithm",
     "params.r", "params.h", "params.w", "params.rho",
     "params.preset", "params.seed", "params.mu", "params.mu0",
-    "inner.mode", "inner.cap",
+    "inner.mode",
     "stop.max_iter", "stop.tol",
-    "output.dir", "trace.stride", "run.seed",
+    "output.dir", "run.seed",
 }
 
 DEFAULTS = {
@@ -34,11 +34,9 @@ DEFAULTS = {
     "params.mu": "inverse-square",
     "params.mu0": "1.0",
     "inner.mode": "residual",
-    "inner.cap": "100000",
     "stop.max_iter": "10000",
     "stop.tol": "1e-6",
     "output.dir": "out",
-    "trace.stride": "1",
     "run.seed": "0",
 }
 
@@ -47,10 +45,10 @@ DEFAULTS = {
 class ExperimentConfig:
     values: dict = field(default_factory=dict)
 
-    def get(self, key: str, default: str | None = None) -> str | None:
+    def get(self, key: str) -> str | None:
         value = self.values.get(key)
         if value is None or value == "":
-            value = DEFAULTS.get(key, default)
+            value = DEFAULTS.get(key)
         return value
 
     def get_float(self, key: str) -> float:

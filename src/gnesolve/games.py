@@ -185,6 +185,8 @@ class Game:
     def project(self, x) -> np.ndarray:
         """Projection onto the product of the private boxes."""
         x = as_vector(x)
+        if x.size != self.n:
+            raise StructuralError(f"profile length {x.size}, expected {self.n}")
         return np.clip(x, self.box_lower, self.box_upper)
 
     def sample_profile(self, rng: SplitMix64) -> np.ndarray:
@@ -252,8 +254,8 @@ class Game:
 
     # -- natural map ---------------------------------------------------------
 
-    def natural_step(self, x, price: np.ndarray, gamma: float = 1.0) -> np.ndarray:
-        """One step of the natural map for the priced game.
+    def natural_step(self, x, price: np.ndarray) -> np.ndarray:
+        """One unit step of the natural map for the priced game.
 
         For plain games this is the box projection of a pseudo-gradient
         step; for games with a splitting structure the nonsmooth part is
@@ -262,8 +264,7 @@ class Game:
         """
         x = as_vector(x)
         price = as_vector(price)
-        return self.backward_step(x - gamma * (self.smooth_gradient(x) + price),
-                                  gamma)
+        return self.backward_step(x - (self.smooth_gradient(x) + price), 1.0)
 
     def smooth_gradient(self, x) -> np.ndarray:
         """Forward part of the natural map: the smooth oracle for games with
@@ -289,13 +290,13 @@ class MonotonicityReport:
     violations: int
 
 
-def check_monotonicity_samples(game: Game, n_pairs: int, seed: int,
-                               tol: float = 1e-9) -> MonotonicityReport:
+def check_monotonicity_samples(game: Game, n_pairs: int,
+                               seed: int) -> MonotonicityReport:
     """Sampled monotonicity audit of the pseudo-gradient.
 
     Draws ``n_pairs`` pairs uniformly in the product box and reports the
     minimum of ``<x - y, F(x) - F(y)>`` along with the count of pairs below
-    ``-tol``.  This is an audit, not a proof: monotonicity of an arbitrary
+    ``-1e-9``.  This is an audit, not a proof: monotonicity of an arbitrary
     oracle is not verifiable from samples.
     """
     if n_pairs < 1:
@@ -308,7 +309,7 @@ def check_monotonicity_samples(game: Game, n_pairs: int, seed: int,
         y = game.sample_profile(rng)
         inner = float((x - y) @ (game.pseudo_gradient(x) - game.pseudo_gradient(y)))
         worst = min(worst, inner)
-        if inner < -tol:
+        if inner < -1e-9:
             violations += 1
     return MonotonicityReport(worst, violations)
 

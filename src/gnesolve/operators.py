@@ -271,21 +271,19 @@ def residual_equality(game: Game, graph: CommGraph, x, Z, lam) -> EqualityResidu
     return EqualityResiduals(_stationarity(game, x, lam), edge, feas)
 
 
-def residual_inequality(game: Game, graph: CommGraph, x, Z, lam,
-                        neg_tol: float = 0.0) -> InequalityResiduals:
+def residual_inequality(game: Game, graph: CommGraph, x, Z,
+                        lam) -> InequalityResiduals:
     """Distance of (x, Z, lam) from the zero set of the inequality operator.
 
-    ``lam`` must be (approximately) nonnegative; entries below ``-neg_tol``
-    are rejected.  Feasibility measures only the positive part of the
-    tracked constraint, and complementarity is the projection-form residual
-    of the orthant condition on the multiplier block.
+    Feasibility measures only the positive part of the tracked constraint,
+    and complementarity is the projection-form residual of the orthant
+    condition on the multiplier block.  Relaxed multipliers dip negative by
+    O((rho - 1) |lam|) during the transient; complementarity measures that
+    negativity, so such states are accepted.
     """
     x = as_vector(x)
     Z = np.asarray(Z, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if lam.min() < -neg_tol:
-        raise ValidationError(
-            f"multipliers must be nonnegative (min entry {lam.min():.3g})")
     tracked = game.local_residual(x) + graph.node_aggregate(Z)
     edge = float(np.linalg.norm(graph.edge_differences(lam)))
     feas = float(np.linalg.norm(np.maximum(tracked, 0.0)))

@@ -16,9 +16,11 @@ MuSchedule = Callable[[int], float]
 
 def inverse_square(mu0: float = 1.0) -> MuSchedule:
     """Summable inner-tolerance schedule ``mu_k = mu0 / k^2`` (k >= 1)."""
+    if not 0.0 <= mu0 < np.inf:
+        raise ValidationError(f"mu0 must be finite and nonnegative, got {mu0}")
+
     def mu(k: int) -> float:
         return mu0 / float(k * k)
-    mu.description = f"{mu0}/k^2"
     return mu
 
 
@@ -26,7 +28,6 @@ def exact_schedule() -> MuSchedule:
     """Tolerance identically zero: subgames solved to machine precision."""
     def mu(k: int) -> float:
         return 0.0
-    mu.description = "0"
     return mu
 
 

@@ -9,8 +9,6 @@ operator, a fact tested directly against the stacked resolvent path.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ValidationError
 from .games import INEQUALITY, Game
 from .graphs import CommGraph
@@ -38,8 +36,7 @@ def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
 
 def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,
                   inner: InnerSolver, stop: StopRule = StopRule(),
-                  state0: AdmmState | None = None, seed: int = 0,
-                  trace_stride: int = 1) -> RunResult:
+                  seed: int = 0) -> RunResult:
     """Iterate until all inequality-operator residuals fall below the
     tolerance.  Validates the preconditioner and requires diagonal
     multiplier step matrices (exact orthant projection)."""
@@ -51,12 +48,8 @@ def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,
             "multiplier step matrices must be diagonal for the splitting "
             "algorithm (exact weighted orthant projection)")
     margins = step_size_margins(params, game, graph)   # raises when indefinite
-    state = state0 if state0 is not None else initial_state(game, graph, seed)
-    # extrapolated multipliers dip negative by O((rho - 1) |lam|) during the
-    # transient; the complementarity residual accounts for the negativity,
-    # so monitoring must not reject such states
     return iterate_to_tolerance(
-        game, graph, params, inner, stop, state, trace_stride, margins,
-        splitting_iterate,
-        lambda s: residual_inequality(game, graph, s.x, s.Z, s.lam, np.inf),
+        game, graph, params, inner, stop, initial_state(game, graph, seed),
+        margins, splitting_iterate,
+        lambda s: residual_inequality(game, graph, s.x, s.Z, s.lam),
         lambda x: float(max(game.coupling_gap(x).max(), 0.0)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InexactnessError, ValidationError
+from .errors import InexactnessError, StructuralError, ValidationError
 from .games import Game, as_vector
 from .graphs import CommGraph
 from .params import AlgoParams
@@ -36,6 +36,11 @@ class Subgame:
     def __post_init__(self):
         self.anchor = as_vector(self.anchor)
         self.shift = as_vector(self.shift)
+        n = self.game.n
+        if self.anchor.shape != (n,) or self.shift.shape != (n,):
+            raise StructuralError(
+                f"subgame anchor and shift have shapes {self.anchor.shape} "
+                f"and {self.shift.shape}, expected ({n},)")
 
     def smooth_gradient(self, y: np.ndarray) -> np.ndarray:
         """Smooth part ``G`` of the subgame map: the game's smooth gradient
@@ -82,9 +87,12 @@ class InnerSolution:
     exact: np.ndarray | None = None   # the equilibrium itself, when available
 
 
-@dataclass
-class InnerSettings:
-    """Inner-solver configuration.
+#: relative certificate at which oracle mode's reference equilibrium stops
+FIXED_POINT_TOL = 1e-13
+
+
+class InnerSolver:
+    """Solves regularized subgames to a certified distance bound.
 
     mode
         ``"exact"`` uses the game's closed-form regularized-equilibrium
@@ -100,30 +108,18 @@ class InnerSettings:
         returning an uncertified point.
     """
 
-    mode: str = "residual"
-    cap: int = 100_000
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "oracle", "residual"):
-            raise ValidationError(f"unknown inner mode {self.mode!r}")
-
-
-#: relative certificate at which oracle mode's reference equilibrium stops
-FIXED_POINT_TOL = 1e-13
-
-
-class InnerSolver:
-    """Solves regularized subgames to a certified distance bound."""
-
-    def __init__(self, settings: InnerSettings | None = None):
-        self.settings = settings or InnerSettings()
+    def __init__(self, mode: str = "residual", cap: int = 100_000):
+        if mode not in ("exact", "oracle", "residual"):
+            raise ValidationError(f"unknown inner mode {mode!r}")
+        self.mode = mode
+        self.cap = cap
 
     def solve(self, sub: Subgame, mu: float) -> InnerSolution:
         if mu < 0:
             raise ValidationError("inner tolerance must be nonnegative")
-        if self.settings.mode == "exact":
+        if self.mode == "exact":
             return self._solve_exact(sub)
-        return self._forward_backward(sub, mu, self.settings.mode == "oracle")
+        return self._forward_backward(sub, mu, self.mode == "oracle")
 
     def _solve_exact(self, sub: Subgame) -> InnerSolution:
         solver = sub.game.exact_subgame_solver
@@ -170,7 +166,7 @@ class InnerSolver:
         g = sub.smooth_gradient(y)
         bound = math.inf
         found = None
-        for it in range(1, self.settings.cap + 1):
+        for it in range(1, self.cap + 1):
             y_next = sub.game.backward_step(y - gamma * g, gamma)
             g_next = sub.smooth_gradient(y_next)
             bound = float(np.linalg.norm((y - y_next) / gamma - g + g_next)) / sigma
@@ -192,6 +188,6 @@ class InnerSolver:
                 gamma = min(gamma, curvature / dg_sq)
             y, g = y_next, g_next
         raise InexactnessError(
-            f"{self.settings.mode} mode could not certify "
+            f"{self.mode} mode could not certify "
             f"{FIXED_POINT_TOL if found is not None else mu:.3g} within "
-            f"{self.settings.cap} iterations", achieved=bound)
+            f"{self.cap} iterations", achieved=bound)

@@ -29,7 +29,7 @@ def toy_params(eq_game, pair_graph):
 
 @pytest.fixture
 def exact_inner():
-    return gs.InnerSolver(gs.InnerSettings(mode="exact"))
+    return gs.InnerSolver("exact")
 
 
 def edge_flow_for(game, graph, x_star):

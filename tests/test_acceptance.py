@@ -56,7 +56,7 @@ def toy_setup(kind):
     graph = gs.path_graph(2)
     params = gs.AlgoParams.uniform(game, graph, r=10.0, h=0.5, w=0.5,
                                    rho=1.1, mu=gs.exact_schedule())
-    inner = gs.InnerSolver(gs.InnerSettings(mode="exact"))
+    inner = gs.InnerSolver("exact")
     return game, graph, params, inner
 
 
@@ -202,7 +202,7 @@ def test_criterion_7_inexactness_robustness():
     r_exact = gs.run_admm(game, graph, params_exact, inner_exact, stop, seed=0)
     params_loose = gs.AlgoParams.uniform(game, graph, 10.0, 0.5, 0.5, 1.1,
                                          mu=gs.inverse_square(1.0))
-    inner_oracle = gs.InnerSolver(gs.InnerSettings(mode="oracle"))
+    inner_oracle = gs.InnerSolver("oracle")
     r_loose = gs.run_admm(game, graph, params_loose, inner_oracle, stop, seed=0)
     gap = float(np.linalg.norm(r_loose.state.x - r_exact.state.x))
     ok = (r_exact.converged and r_loose.converged and gap <= 10 * tol
@@ -216,7 +216,7 @@ def test_criterion_8_rate_control_benchmark():
     game = gs.rate_control_game(0)
     graph = gs.benchmark_graph("chain15")
     params = gs.rate_control_params(game, graph)
-    inner = gs.InnerSolver(gs.InnerSettings(mode="oracle"))
+    inner = gs.InnerSolver("oracle")
     result = gs.run_splitting(game, graph, params, inner,
                               gs.StopRule(2000, 1e-6), seed=0)
     wall = time.perf_counter() - started
@@ -235,7 +235,7 @@ def test_criterion_9_task_allocation_benchmark():
     game = gs.task_allocation_game(0)
     graph = gs.benchmark_graph("chain14")
     params = gs.task_allocation_params(game, graph, seed=0)
-    inner = gs.InnerSolver(gs.InnerSettings(mode="oracle"))
+    inner = gs.InnerSolver("oracle")
     result = gs.run_admm(game, graph, params, inner,
                          gs.StopRule(5000, 1e-5), seed=0)
     gap = float(np.linalg.norm(game.coupling_gap(result.state.x)))

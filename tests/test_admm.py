@@ -131,9 +131,9 @@ def test_trace_rows_and_stride(algorithm, request, pair_graph, toy_params,
     fixture, runner = ALGORITHMS[algorithm]
     game, _ = request.getfixturevalue(fixture)
     result = runner(game, pair_graph, toy_params, exact_inner,
-                    gs.StopRule(100, 0.0), seed=0, trace_stride=10)
+                    gs.StopRule(100, 0.0), seed=0)
     ks = [row.k for row in result.rows]
-    assert ks == list(range(10, 101, 10))
+    assert ks == list(range(1, 101))
     # complementarity is an inequality residual; equality runs write nan
     comp = [row.complementarity for row in result.rows]
     if algorithm == "admm":
@@ -167,7 +167,7 @@ def test_correspondence_with_inexact_inner(eq_game, pair_graph):
     game, _ = eq_game
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 10.0, 0.5, 0.5,
                                    1.1, mu=gs.inverse_square(0.1))
-    inner = gs.InnerSolver(gs.InnerSettings(mode="oracle"))
+    inner = gs.InnerSolver("oracle")
     report = correspondence_check(game, gs.path_graph(2), params, 50, inner,
                                   seed=1)
     assert report.max_deviation <= 1e-9
@@ -189,7 +189,7 @@ def test_correspondence_on_task_benchmark():
     graph = gs.benchmark_graph("chain14")
     params = gs.task_allocation_params(game, graph, seed=0,
                                        mu=gs.inverse_square(0.01))
-    inner = gs.InnerSolver(gs.InnerSettings(mode="oracle"))
+    inner = gs.InnerSolver("oracle")
     report = correspondence_check(game, graph, params, 30, inner, seed=0)
     assert report.max_deviation <= 1e-9
 
@@ -205,7 +205,7 @@ def test_inexactness_robustness(eq_game, pair_graph, exact_inner):
                                          1.1, mu=gs.inverse_square(1.0))
     stop = gs.StopRule(10_000, tol)
     r_exact = run_admm(game, pair_graph, exact_params, exact_inner, stop, seed=0)
-    oracle_inner = gs.InnerSolver(gs.InnerSettings(mode="oracle"))
+    oracle_inner = gs.InnerSolver("oracle")
     r_loose = run_admm(game, pair_graph, loose_params, oracle_inner, stop, seed=0)
     assert r_exact.converged and r_loose.converged
     assert np.linalg.norm(r_loose.state.x - r_exact.state.x) <= 10 * tol

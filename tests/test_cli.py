@@ -8,7 +8,8 @@ import pytest
 
 import gnesolve as gs
 from gnesolve.cli import main
-from gnesolve.config import _KNOWN_KEYS, parse_config_text, parse_edge_list
+from gnesolve.config import (_KNOWN_KEYS, DEFAULTS, parse_config_text,
+                             parse_edge_list)
 from gnesolve.errors import ConfigError
 from gnesolve.trace import (TRACE_COLUMNS, TraceRow, read_trace_csv,
                             write_trace_csv)
@@ -116,26 +117,21 @@ params.mu = inverse-square
 inner.mode = residual
 stop.max_iter = 5000
 stop.tol = 1e-8
-trace.stride = {stride}
 output.dir = {out}
 """
 
 
 def test_summary_counts_inner_steps_of_untraced_iterations(tmp_path):
-    totals = {}
-    for stride in (1, 2):
-        out = tmp_path / f"stride{stride}"
-        cfg = tmp_path / f"exp{stride}.cfg"
-        cfg.write_text(RESIDUAL_QUAD_CFG.format(stride=stride, out=out))
-        assert main(["run", str(cfg)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        traced = sum(int(r["inner_iterations"])
-                     for r in read_trace_csv(out / "trace.csv"))
-        totals[stride] = summary["inner_steps"], traced
-    assert totals[1][0] == totals[1][1] > 0
-    assert totals[2][0] > totals[2][1]
-    # the trace stride changes what is written, not the run
-    assert totals[2][0] == totals[1][0]
+    # every outer iteration writes a row, so the summary's total is the
+    # sum of the trace column
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(RESIDUAL_QUAD_CFG.format(out=out))
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    traced = sum(int(r["inner_iterations"])
+                 for r in read_trace_csv(out / "trace.csv"))
+    assert summary["inner_steps"] == traced > 0
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -180,6 +176,28 @@ def test_lipschitz_key_rejected(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["trace.stride = 0", "inner.cap = 5"])
+def test_removed_keys_rejected(tmp_path, capsys, line):
+    # every outer iteration writes a trace row, and the inner cap is fixed
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUAD_CFG.format(out=tmp_path / "o") + line + "\n")
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mu0", ["-1", "nan"])
+def test_bad_mu0_rejected_before_the_run(tmp_path, capsys, mu0):
+    out = tmp_path / "o"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(RESIDUAL_QUAD_CFG.format(out=out) + f"params.mu0 = {mu0}\n")
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert "mu0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exact_schedule_needs_an_exact_inner_mode(tmp_path, capsys):
     # residual mode cannot certify mu = 0: both commands refuse the pair
     # before the run writes anything
@@ -207,14 +225,35 @@ def test_parameter_echo_replays_the_run(tmp_path, monkeypatch):
             == (tmp_path / "first" / "trace.csv").read_bytes())
 
 
+README = (CONFIGS.parent / "README.md").read_text()
+
+
 def test_readme_config_table_lists_the_known_keys():
-    # the key column of README's configuration table, one or more keys a row
-    lines = (CONFIGS.parent / "README.md").read_text().splitlines()
+    # the key and default columns of README's configuration table, one or
+    # more keys a row; a backticked default belongs to the key in the same
+    # position, and a row without one documents keys that have no default
+    lines = README.splitlines()
     start = lines.index("| key | default | meaning |") + 2
     documented = set()
     for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:]):
-        documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        cells = line.split("|")
+        keys = re.findall(r"`([^`]+)`", cells[1])
+        defaults = re.findall(r"`([^`]+)`", cells[2])
+        documented.update(keys)
+        if defaults:
+            assert defaults == [DEFAULTS.get(k) for k in keys], line
+        else:
+            assert not set(keys) & set(DEFAULTS), line
     assert documented == _KNOWN_KEYS
+
+
+def test_readme_quick_start_converges():
+    section = README.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README quick start", "exec"), scope)
+    assert scope["result"].converged
+    assert np.abs(scope["result"].state.x - scope["solution"]["x"]).max() <= 1e-6
 
 
 def test_rho_out_of_range_rejected(tmp_path, capsys):
@@ -287,6 +326,17 @@ def test_explicit_edge_list(tmp_path):
     # an explicit builtin that does not fit the game is rejected
     cfg.write_text(QUAD_CFG.format(out=out) + "graph.builtin = chain15\n")
     assert main(["validate", str(cfg)]) == 2
+
+
+def test_both_graph_keys_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUAD_CFG.format(out=out)
+                   + "graph.builtin = pair\ngraph.edges = 2-1\n")
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert "not both" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_from_instance_file(tmp_path):
@@ -374,7 +424,7 @@ class FailingInner:
 
     def __init__(self, failure):
         self.failure = failure
-        self.exact = gs.InnerSolver(gs.InnerSettings(mode="exact"))
+        self.exact = gs.InnerSolver("exact")
         self.calls = 0
 
     def solve(self, sub, mu):

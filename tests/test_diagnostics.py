@@ -74,7 +74,7 @@ def test_kkt_accepts_local_multiplier_stack(eq_game, pair_graph):
     game, sol = eq_game
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.1,
                                    mu=gs.exact_schedule())
-    inner = gs.InnerSolver(gs.InnerSettings(mode="exact"))
+    inner = gs.InnerSolver("exact")
     tol = 1e-6
     result = gs.run_admm(game, pair_graph, params, inner,
                          gs.StopRule(5000, tol), seed=0)

@@ -30,6 +30,13 @@ def test_box_clamps():
     assert np.allclose(tight.project(np.full(3, 6.0001)), np.full(3, 6.0))
 
 
+def test_project_rejects_a_wrong_length_profile():
+    # a short profile would otherwise broadcast against the box bounds
+    game = box_game(np.zeros(2), np.full(2, 5.0))
+    with pytest.raises(StructuralError, match="profile length 1, expected 2"):
+        game.project(np.array([5.0]))
+
+
 def test_box_rejects_empty_interior():
     with pytest.raises(ValidationError):
         Box(np.array([0.0, 1.0]), np.array([1.0, 1.0]))

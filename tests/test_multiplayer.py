@@ -66,7 +66,7 @@ def test_equality_on_cyclic_graph(cyclic_graph):
     params = gs.AlgoParams.uniform(game, cyclic_graph, r=8.0, h=0.3, w=0.3,
                                    rho=1.1, mu=gs.exact_schedule())
     assert gs.check_step_sizes_equality(params, game, cyclic_graph).ok
-    inner = gs.InnerSolver(gs.InnerSettings(mode="exact"))
+    inner = gs.InnerSolver("exact")
     result = gs.run_admm(game, cyclic_graph, params, inner,
                          gs.StopRule(8000, 1e-8), seed=1)
     assert result.converged
@@ -81,7 +81,7 @@ def test_inequality_on_cyclic_graph(cyclic_graph):
     assert lam_star > 0    # the budget binds for these targets
     params = gs.AlgoParams.uniform(game, cyclic_graph, r=8.0, h=0.3, w=0.3,
                                    rho=1.1, mu=gs.exact_schedule())
-    inner = gs.InnerSolver(gs.InnerSettings(mode="exact"))
+    inner = gs.InnerSolver("exact")
     result = gs.run_splitting(game, cyclic_graph, params, inner,
                               gs.StopRule(8000, 1e-8), seed=1)
     assert result.converged
@@ -95,7 +95,7 @@ def test_orientation_invariance():
     game, x_star, _ = ring_game(4, 0.3, 2.0, gs.EQUALITY)
     graph_a = chord_cycle(4)
     graph_b = gs.build_incidence(4, [(j, i) for i, j in graph_a.edges])
-    inner = gs.InnerSolver(gs.InnerSettings(mode="exact"))
+    inner = gs.InnerSolver("exact")
     results = []
     for graph in (graph_a, graph_b):
         params = gs.AlgoParams.uniform(game, graph, r=8.0, h=0.3, w=0.3,
@@ -113,8 +113,8 @@ def test_oracle_inner_matches_exact_on_cycle(cyclic_graph):
     game, _, _ = ring_game(4, 0.3, 2.0, gs.EQUALITY)
     params = gs.AlgoParams.uniform(game, cyclic_graph, r=8.0, h=0.3, w=0.3,
                                    rho=1.1, mu=gs.exact_schedule())
-    exact = gs.InnerSolver(gs.InnerSettings(mode="exact"))
-    oracle = gs.InnerSolver(gs.InnerSettings(mode="oracle"))
+    exact = gs.InnerSolver("exact")
+    oracle = gs.InnerSolver("oracle")
     state_e = gs.initial_state(game, cyclic_graph, seed=5)
     state_o = gs.initial_state(game, cyclic_graph, seed=5)
     for _ in range(25):

@@ -159,13 +159,6 @@ def test_residual_inequality_inactive_multiplier(pair_graph):
     assert res.complementarity <= 1e-12
 
 
-def test_residual_inequality_rejects_negative(ineq_game, pair_graph):
-    game, sol = ineq_game
-    with pytest.raises(ValidationError, match="nonnegative"):
-        residual_inequality(game, pair_graph, sol["x"], np.zeros((1, 1)),
-                            np.array([[-1.0], [0.5]]))
-
-
 def test_pack_unpack_roundtrip(eq_game, pair_graph):
     game, _ = eq_game
     x = np.array([1.0, 2.0])

@@ -45,6 +45,9 @@ def test_mu_schedules():
     assert sum(mu(k) for k in range(1, 10000)) < 1.6449341   # pi^2/6
     zero = exact_schedule()
     assert zero(1) == 0.0 and zero(100) == 0.0
+    for mu0 in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="mu0"):
+            inverse_square(mu0)
 
 
 def _zero_game(dims):

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import gnesolve as gs
 from gnesolve.config import DEFAULTS
-from gnesolve.errors import InexactnessError, NumericError, ValidationError
+from gnesolve.errors import (InexactnessError, NumericError, StructuralError,
+                             ValidationError)
 from gnesolve.games import Box, Player
 from gnesolve.rng import SplitMix64
-from gnesolve.subgames import (InnerSettings, InnerSolver, Subgame,
-                               equality_subgame, inequality_subgame)
+from gnesolve.subgames import (InnerSolver, Subgame, equality_subgame,
+                               inequality_subgame)
 
 
 def wide_affine_game(a):
@@ -71,7 +72,7 @@ def test_oracle_mode_affine_fixed_point():
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 1.0, 0.5, 0.5, 1.0)
     # park the proximal anchor at the solution so the equilibrium is `a`
     sub = Subgame(game, np.array([2.0, -3.0]), np.zeros(2), params)
-    solver = InnerSolver(InnerSettings(mode="oracle"))
+    solver = InnerSolver("oracle")
     for mu in (1e-2, 1e-5, 1e-9):
         sol = solver.solve(sub, mu)
         assert np.linalg.norm(sol.x - np.array([2.0, -3.0])) <= mu
@@ -87,10 +88,10 @@ def test_oracle_mode_matches_linear_solve(eq_game, pair_graph, toy_params):
     J = np.array([[1.0, 0.5], [0.5, 1.0]])
     expected = np.linalg.solve(J + 10.0 * np.eye(2),
                                10.0 * x0 + np.array([2.0, 1.0]) - sub.shift)
-    solver = InnerSolver(InnerSettings(mode="oracle"))
+    solver = InnerSolver("oracle")
     sol = solver.solve(sub, 1e-8)
     assert np.linalg.norm(sol.x - expected) <= 1e-8
-    exact = InnerSolver(InnerSettings(mode="exact")).solve(sub, 0.0)
+    exact = InnerSolver("exact").solve(sub, 0.0)
     assert np.allclose(exact.x, expected, atol=1e-12)
     # the oracle-mode equilibrium satisfies the subgame optimality residual
     assert np.linalg.norm(sol.exact - sub.step(sol.exact, 0.05)) <= 1e-10
@@ -100,8 +101,8 @@ def test_residual_mode_certificate(eq_game, pair_graph, toy_params):
     game, _ = eq_game
     sub = equality_subgame(game, pair_graph, toy_params, np.zeros(2),
                            np.zeros((2, 1)), np.zeros((1, 1)))
-    solver = InnerSolver(InnerSettings(mode="residual"))
-    exact = InnerSolver(InnerSettings(mode="exact")).solve(sub, 0.0).x
+    solver = InnerSolver("residual")
+    exact = InnerSolver("exact").solve(sub, 0.0).x
     for mu in (1e-3, 1e-6):
         sol = solver.solve(sub, mu)
         assert sol.certificate.bound <= mu
@@ -114,7 +115,7 @@ def test_monotone_tolerance(eq_game, pair_graph, toy_params):
     game, _ = eq_game
     sub = equality_subgame(game, pair_graph, toy_params, np.zeros(2),
                            np.zeros((2, 1)), np.zeros((1, 1)))
-    solver = InnerSolver(InnerSettings(mode="oracle"))
+    solver = InnerSolver("oracle")
     tight = solver.solve(sub, 1e-7).certificate.bound
     loose = solver.solve(sub, 1e-3).certificate.bound
     assert tight <= loose
@@ -125,7 +126,7 @@ def test_schedule_certificates(eq_game, pair_graph):
     game, _ = eq_game
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 10.0, 0.5, 0.5,
                                    1.1, mu=gs.inverse_square(1.0))
-    solver = InnerSolver(InnerSettings(mode="oracle"))
+    solver = InnerSolver("oracle")
     sub = equality_subgame(game, gs.path_graph(2), params, np.zeros(2),
                            np.zeros((2, 1)), np.zeros((1, 1)))
     for k in range(1, 51):
@@ -137,7 +138,7 @@ def test_schedule_certificates(eq_game, pair_graph):
 def test_uniqueness_from_different_starts(eq_game, pair_graph, toy_params):
     game, _ = eq_game
     mu = 1e-6
-    solver = InnerSolver(InnerSettings(mode="oracle"))
+    solver = InnerSolver("oracle")
     results = []
     for anchor in (np.array([5.0, 5.0]), np.array([-5.0, 2.0])):
         sub = equality_subgame(game, pair_graph, toy_params, anchor,
@@ -145,7 +146,7 @@ def test_uniqueness_from_different_starts(eq_game, pair_graph, toy_params):
         # same subgame data except the anchor; solve each to mu and compare
         # against its own equilibrium instead (uniqueness per subgame)
         a = solver.solve(sub, mu)
-        b = InnerSolver(InnerSettings(mode="residual")).solve(sub, mu)
+        b = InnerSolver("residual").solve(sub, mu)
         results.append(np.linalg.norm(a.x - b.x))
     assert max(results) <= 2.0 * mu
 
@@ -154,7 +155,7 @@ def test_iteration_cap_raises(eq_game, pair_graph, toy_params):
     game, _ = eq_game
     sub = equality_subgame(game, pair_graph, toy_params, np.zeros(2),
                            np.zeros((2, 1)), np.zeros((1, 1)))
-    solver = InnerSolver(InnerSettings(mode="residual", cap=1))
+    solver = InnerSolver("residual", cap=1)
     with pytest.raises(InexactnessError) as err:
         solver.solve(sub, 1e-12)
     assert err.value.achieved is not None
@@ -165,7 +166,7 @@ def test_exact_mode_requires_solver(pair_graph, toy_params):
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 1.0, 0.5, 0.5, 1.0)
     sub = Subgame(game, np.zeros(1), np.zeros(1), params)
     with pytest.raises(ValidationError, match="exact inner mode"):
-        InnerSolver(InnerSettings(mode="exact")).solve(sub, 0.0)
+        InnerSolver("exact").solve(sub, 0.0)
 
 
 # -- the Lipschitz-free residual certificate ---------------------------------------
@@ -252,7 +253,7 @@ def test_residual_certificate_affine_subgames(n_players, dim, prox, seed):
                            1.0)
     anchor = rng.uniform(game.box_lower - 1.0, game.box_upper + 1.0)
     sub = Subgame(game, anchor, rng.normal(size=game.n), params)
-    x_star = InnerSolver(InnerSettings(mode="oracle")).solve(sub, 0.0).x
+    x_star = InnerSolver("oracle").solve(sub, 0.0).x
     assert_residual_certificates(sub, x_star, (1e-2, 1e-4, 1e-6))
 
 
@@ -294,7 +295,7 @@ def test_residual_mode_certifies_skew_dominated_subgame():
     sol = InnerSolver().solve(sub, 1e-6)
     assert sol.certificate.bound <= 1e-6
     assert np.linalg.norm(sol.x - x_star) <= sol.certificate.bound
-    oracle = InnerSolver(InnerSettings(mode="oracle")).solve(sub, 1e-6)
+    oracle = InnerSolver("oracle").solve(sub, 1e-6)
     assert oracle.certificate.bound <= 1e-6
     assert np.linalg.norm(oracle.exact - x_star) <= 1e-12
 
@@ -320,10 +321,20 @@ def first_subgame(name):
     return equality_subgame(game, graph, params, state.x, state.lam, state.Z)
 
 
+def test_wrong_length_anchor_or_shift_rejected():
+    # on rate control a length-1 anchor used to broadcast through the box
+    # projection and certify a length-15 point
+    sub = first_subgame("rate-control")
+    with pytest.raises(StructuralError, match=r"expected \(15,\)"):
+        Subgame(sub.game, np.array([5.0]), sub.shift, sub.params)
+    with pytest.raises(StructuralError, match=r"expected \(15,\)"):
+        Subgame(sub.game, sub.anchor, np.array([5.0]), sub.params)
+
+
 @pytest.mark.parametrize("name", ["rate-control", "task-allocation"])
 def test_residual_certificate_published_first_subgames(name):
     sub = first_subgame(name)
-    x_star = InnerSolver(InnerSettings(mode="oracle")).solve(sub, 0.0).x
+    x_star = InnerSolver("oracle").solve(sub, 0.0).x
     mu_1 = sub.params.mu(1)
     assert_residual_certificates(sub, x_star, (mu_1, 1e-3 * mu_1, 1e-6))
 
@@ -332,7 +343,7 @@ def test_residual_certificate_published_first_subgames(name):
 def test_oracle_mode_returns_the_residual_point(name):
     # one trajectory: oracle mode only runs on past residual mode's stop
     sub = first_subgame(name)
-    oracle = InnerSolver(InnerSettings(mode="oracle"))
+    oracle = InnerSolver("oracle")
     for mu in (sub.params.mu(1), 1e-6):
         res = InnerSolver().solve(sub, mu)
         sol = oracle.solve(sub, mu)
@@ -342,6 +353,7 @@ def test_oracle_mode_returns_the_residual_point(name):
 
 
 def test_residual_mode_is_the_default():
-    assert InnerSettings().mode == "residual"
-    assert InnerSolver().settings.mode == "residual"
+    assert InnerSolver().mode == "residual"
+    with pytest.raises(ValidationError, match="unknown inner mode"):
+        InnerSolver("fixed-step")
     assert DEFAULTS["inner.mode"] == "residual"
