@@ -20,7 +20,7 @@ from .errors import (DivergenceError, InexactnessError, NumericError,
                      ValidationError)
 from .games import EQUALITY, Game
 from .graphs import CommGraph
-from .operators import (pack_lifted, residual_equality, step_size_margins,
+from .operators import (pack, residual_equality, step_size_margins,
                         unpack_lifted)
 from .params import AlgoParams
 from .proxpoint import LiftedEqualityResolvent, pppa_step
@@ -167,7 +167,7 @@ def lifted_initial_point(game: Game, graph: CommGraph, params: AlgoParams,
     tracked = game.local_residual(state.x) + graph.node_aggregate(state.Z)
     eta0 = state.lam + params.apply_H(tracked)
     theta0 = np.zeros_like(eta0)
-    return pack_lifted(state.x, eta0, state.Z, theta0)
+    return pack(state.x, eta0, state.Z, theta0)
 
 
 def mapped_state(game: Game, graph: CommGraph, params: AlgoParams,
@@ -193,7 +193,7 @@ def correspondence_check(game: Game, graph: CommGraph, params: AlgoParams,
     w = lifted_initial_point(game, graph, params, state)
     if eta_perturbation != 0.0:
         x0, eta0, Z0, theta0 = unpack_lifted(game, graph, w)
-        w = pack_lifted(x0, eta0 + eta_perturbation, Z0, theta0)
+        w = pack(x0, eta0 + eta_perturbation, Z0, theta0)
     resolvent = LiftedEqualityResolvent(game, graph, params, inner)
     deviations = []
     worst = 0.0

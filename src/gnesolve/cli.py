@@ -113,10 +113,11 @@ def _setup(cfg: ExperimentConfig):
     params = _build_params(cfg, game, graph)
     algorithm = _algorithm(cfg, game)
     inner = _build_inner(cfg)   # surfaces bad inner settings before any run
-    if cfg.get("params.mu") == "exact" and cfg.get("inner.mode") == "residual":
+    if cfg.get("inner.mode") == "residual" and params.mu(1) == 0.0:
         raise ConfigError(
-            "params.mu = exact needs inner.mode = exact or oracle: residual "
-            "mode cannot certify an exactly zero tolerance")
+            "a zero tolerance schedule (params.mu = exact, or params.mu0 = 0) "
+            "needs inner.mode = exact or oracle: residual mode cannot certify "
+            "an exactly zero tolerance")
     return game, graph, params, algorithm, inner
 
 

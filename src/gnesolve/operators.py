@@ -5,13 +5,20 @@ exists to validate step sizes (smallest-eigenvalue checks at desk scale),
 to evaluate weighted norms in tests, and to verify structural identities
 such as skew-symmetry of the linear parts.
 
-Layouts of stacked iterates:
+Each stacked layout is its block sizes plus its coupling blocks above the
+block diagonal, ``{(i, j): B}`` (`layout_sizes`, `coupling_blocks`):
 
-* plain:  ``[x (n), Z (m*M), lam (m*N)]``
-* lifted: ``[x (n), eta (m*N), Z (m*M), theta (m*N)]``
+* plain ``(x, Z, lam)``: ``(0, 2): Lam^T`` and ``(1, 2): Vbar^T``;
+* lifted ``(x, eta, Z, theta)``: ``(0, 1): Lam^T``, ``(0, 3): -Lam^T``,
+  ``(1, 2): -Vbar`` and ``(2, 3): -Vbar^T``.
 
-(N, m)- and (M, m)-shaped arrays flatten row-major, i.e. node/edge blocks
-are contiguous.
+With ``U`` their strictly upper block matrix, every linear part is
+``K = U - U^T`` and every preconditioner is ``Phi = D - (U + U^T)``, where
+``D`` is ``diag(R, W^-1, H^-1)`` (plain) or ``diag(R, 2 H^-1, W^-1, 2 H^-1)``
+(lifted).  So ``Phi + K = D - 2 U^T`` is block lower triangular, and each
+resolvent is one sequential sweep: the subgame, then the local multiplier
+and edge updates.  Node and edge blocks flatten row-major from (N, m) and
+(M, m) arrays.
 """
 
 from __future__ import annotations
@@ -28,18 +35,56 @@ from .params import AlgoParams
 
 # -- dense building blocks ----------------------------------------------------
 
+def block_diag(blocks) -> np.ndarray:
+    """Dense block-diagonal matrix of 2-D blocks, rectangular ones included."""
+    rows = np.cumsum([0] + [B.shape[0] for B in blocks])
+    cols = np.cumsum([0] + [B.shape[1] for B in blocks])
+    out = np.zeros((rows[-1], cols[-1]))
+    for B, r, c in zip(blocks, rows, cols):
+        out[r:r + B.shape[0], c:c + B.shape[1]] = B
+    return out
+
+
 def constraint_matrix(game: Game) -> np.ndarray:
     """Block-diagonal stack of the player coupling blocks, (m*N, n)."""
-    m, N = game.m, game.n_players
-    out = np.zeros((m * N, game.n))
-    for i, (p, o) in enumerate(zip(game.players, game.offsets)):
-        out[i * m:(i + 1) * m, o:o + p.dim] = p.A
-    return out
+    return block_diag([p.A for p in game.players])
 
 
 def incidence_kron(graph: CommGraph, m: int) -> np.ndarray:
     """Incidence matrix acting on m-vector-valued node/edge data."""
     return np.kron(graph.incidence, np.eye(m))
+
+
+# -- the two stacked layouts ----------------------------------------------------
+
+def layout_sizes(game: Game, graph: CommGraph, lifted: bool = False) -> tuple:
+    """Block sizes of the plain ``(x, Z, lam)`` or the lifted
+    ``(x, eta, Z, theta)`` layout."""
+    n, mM, mN = game.n, game.m * graph.n_edges, game.m * game.n_players
+    return (n, mN, mM, mN) if lifted else (n, mM, mN)
+
+
+def coupling_blocks(game: Game, graph: CommGraph, lifted: bool = False) -> dict:
+    """The layout's blocks above the block diagonal, ``{(i, j): B}``."""
+    Lam, Vb = constraint_matrix(game), incidence_kron(graph, game.m)
+    if lifted:
+        return {(0, 1): Lam.T, (0, 3): -Lam.T, (1, 2): -Vb, (2, 3): -Vb.T}
+    return {(0, 2): Lam.T, (1, 2): Vb.T}
+
+
+def _assemble(game: Game, graph: CommGraph, lifted: bool, diagonal: tuple,
+              s_u: float, s_l: float) -> np.ndarray:
+    """The layout's matrix in one allocation: the given diagonal blocks,
+    ``s_u B`` at each coupling block ``(i, j)`` and ``s_l B^T`` at ``(j, i)``."""
+    edges = np.cumsum((0,) + layout_sizes(game, graph, lifted))
+    b = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    out = np.zeros((edges[-1], edges[-1]))
+    for i, D in enumerate(diagonal):
+        out[b[i], b[i]] = D
+    for (i, j), B in coupling_blocks(game, graph, lifted).items():
+        np.multiply(B, s_u, out=out[b[i], b[j]])
+        np.multiply(B.T, s_l, out=out[b[j], b[i]])
+    return out
 
 
 def equality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -51,75 +96,41 @@ def equality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, np.ndar
     has the same linear part and shift, with the normal cone of the
     nonnegative orthant added on the multiplier block.
     """
-    n, mM, mN = game.n, game.m * graph.n_edges, game.m * game.n_players
-    Lam = constraint_matrix(game)
-    Vb = incidence_kron(graph, game.m)
-    K = np.zeros((n + mM + mN,) * 2)
-    K[:n, n + mM:] = Lam.T
-    K[n:n + mM, n + mM:] = Vb.T
-    K[n + mM:, :n] = -Lam
-    K[n + mM:, n:n + mM] = -Vb
-    q = np.concatenate([np.zeros(n), np.zeros(mM), game.b_rows.reshape(-1)])
-    return K, q
+    n, mM, _ = layout_sizes(game, graph)
+    K = _assemble(game, graph, False, (), 1.0, -1.0)
+    return K, pack(np.zeros(n + mM), game.b_rows)
 
 
 def lifted_equality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, np.ndarray]:
     """Linear part and shift of the four-block lifted equality operator."""
-    n, m = game.n, game.m
-    mN, mM = m * game.n_players, m * graph.n_edges
-    Lam = constraint_matrix(game)
-    Vb = incidence_kron(graph, m)
-    dim = n + mN + mM + mN
-    K = np.zeros((dim, dim))
-    ox, oe, oz, ot = 0, n, n + mN, n + mN + mM
-    K[ox:oe, oe:oz] = Lam.T
-    K[ox:oe, ot:] = -Lam.T
-    K[oe:oz, ox:oe] = -Lam
-    K[oe:oz, oz:ot] = -Vb
-    K[oz:ot, oe:oz] = Vb.T
-    K[oz:ot, ot:] = -Vb.T
-    K[ot:, ox:oe] = Lam
-    K[ot:, oz:ot] = Vb
-    b = game.b_rows.reshape(-1)
-    q = np.concatenate([np.zeros(n), b, np.zeros(mM), -b])
-    return K, q
+    n, _, mM, _ = layout_sizes(game, graph, lifted=True)
+    K = _assemble(game, graph, True, (), 1.0, -1.0)
+    return K, pack(np.zeros(n), game.b_rows, np.zeros(mM), -game.b_rows)
 
 
 # -- packing helpers ----------------------------------------------------------
 
-def pack_plain(x, Z, lam) -> np.ndarray:
-    return np.concatenate([as_vector(x), np.asarray(Z, dtype=float).reshape(-1),
-                           np.asarray(lam, dtype=float).reshape(-1)])
+def pack(*blocks) -> np.ndarray:
+    """Stacked iterate of the given blocks, each flattened row-major."""
+    return np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks])
+
+
+def _unpack(sizes: tuple, m: int, w: np.ndarray):
+    if w.size != sum(sizes):
+        raise StructuralError(
+            f"stacked iterate has length {w.size}, expected {sum(sizes)}")
+    x, *rows = np.split(w, np.cumsum(sizes[:-1]))
+    return (x, *(r.reshape(-1, m) for r in rows))
 
 
 def unpack_plain(game: Game, graph: CommGraph, w: np.ndarray):
-    n, m = game.n, game.m
-    M, N = graph.n_edges, game.n_players
-    if w.size != n + m * M + m * N:
-        raise StructuralError("stacked iterate has wrong length")
-    x = w[:n]
-    Z = w[n:n + m * M].reshape(M, m)
-    lam = w[n + m * M:].reshape(N, m)
-    return x, Z, lam
-
-
-def pack_lifted(x, eta, Z, theta) -> np.ndarray:
-    return np.concatenate([
-        as_vector(x), np.asarray(eta, dtype=float).reshape(-1),
-        np.asarray(Z, dtype=float).reshape(-1),
-        np.asarray(theta, dtype=float).reshape(-1)])
+    """Views ``x, Z (M, m), lam (N, m)`` of a plain stacked iterate."""
+    return _unpack(layout_sizes(game, graph), game.m, w)
 
 
 def unpack_lifted(game: Game, graph: CommGraph, w: np.ndarray):
-    n, m = game.n, game.m
-    M, N = graph.n_edges, game.n_players
-    if w.size != n + 2 * m * N + m * M:
-        raise StructuralError("lifted iterate has wrong length")
-    x = w[:n]
-    eta = w[n:n + m * N].reshape(N, m)
-    Z = w[n + m * N:n + m * N + m * M].reshape(M, m)
-    theta = w[n + m * N + m * M:].reshape(N, m)
-    return x, eta, Z, theta
+    """Views ``x, eta (N, m), Z (M, m), theta (N, m)`` of a lifted iterate."""
+    return _unpack(layout_sizes(game, graph, lifted=True), game.m, w)
 
 
 # -- step-size validation -------------------------------------------------------
@@ -135,11 +146,10 @@ def check_step_sizes_equality(params: AlgoParams, game: Game,
                               graph: CommGraph) -> StepCheck:
     """Smallest eigenvalues of the two fixed-step-size conditions for the
     equality algorithm: ``R - Lam^T H Lam`` and ``W^-1 - Vbar^T H Vbar``."""
-    Lam = constraint_matrix(game)
-    Vb = incidence_kron(graph, game.m)
-    Hd = params.dense_H()
-    Mx = params.dense_R(game) - Lam.T @ Hd @ Lam
-    Mz = np.linalg.inv(params.dense_W()) - Vb.T @ Hd @ Vb
+    Lam, Vb = constraint_matrix(game), incidence_kron(graph, game.m)
+    Hd = block_diag(params.H)
+    Mx = block_diag(params.R) - Lam.T @ Hd @ Lam
+    Mz = np.linalg.inv(block_diag(params.W)) - Vb.T @ Hd @ Vb
     margin_x = float(np.linalg.eigvalsh(0.5 * (Mx + Mx.T)).min())
     margin_z = float(np.linalg.eigvalsh(0.5 * (Mz + Mz.T)).min())
     return StepCheck(margin_x > 0.0 and margin_z > 0.0, margin_x, margin_z)
@@ -162,49 +172,26 @@ def equality_preconditioner(params: AlgoParams, game: Game,
     preconditioner.
     """
     margins = step_size_margins(params, game, graph)
-    n, m = game.n, game.m
-    mN, mM = m * game.n_players, m * graph.n_edges
-    Lam = constraint_matrix(game)
-    Vb = incidence_kron(graph, m)
-    Hinv2 = 2.0 * np.linalg.inv(params.dense_H())
-    Winv = np.linalg.inv(params.dense_W())
-    dim = n + mN + mM + mN
-    Phi = np.zeros((dim, dim))
-    ox, oe, oz, ot = 0, n, n + mN, n + mN + mM
-    Phi[ox:oe, ox:oe] = params.dense_R(game)
-    Phi[ox:oe, oe:oz] = -Lam.T
-    Phi[ox:oe, ot:] = Lam.T
-    Phi[oe:oz, ox:oe] = -Lam
-    Phi[oe:oz, oe:oz] = Hinv2
-    Phi[oe:oz, oz:ot] = Vb
-    Phi[oz:ot, oe:oz] = Vb.T
-    Phi[oz:ot, oz:ot] = Winv
-    Phi[oz:ot, ot:] = Vb.T
-    Phi[ot:, ox:oe] = Lam
-    Phi[ot:, oz:ot] = Vb
-    Phi[ot:, ot:] = Hinv2
+    Hinv2 = 2.0 * np.linalg.inv(block_diag(params.H))
+    D = (block_diag(params.R), Hinv2, np.linalg.inv(block_diag(params.W)), Hinv2)
+    Phi = _assemble(game, graph, True, D, -1.0, -1.0)
     return PreconditionerReport(Phi, margins)
 
 
 def inequality_preconditioner(params: AlgoParams, game: Game,
                               graph: CommGraph) -> PreconditionerReport:
     """Dense preconditioner for the inequality operator, with its smallest
-    eigenvalue as the positive-definiteness verdict."""
-    n, m = game.n, game.m
-    mN, mM = m * game.n_players, m * graph.n_edges
-    Lam = constraint_matrix(game)
-    Vb = incidence_kron(graph, m)
-    dim = n + mM + mN
-    Phi = np.zeros((dim, dim))
-    ox, oz, ol = 0, n, n + mM
-    Phi[ox:oz, ox:oz] = params.dense_R(game)
-    Phi[ox:oz, ol:] = -Lam.T
-    Phi[oz:ol, oz:ol] = np.linalg.inv(params.dense_W())
-    Phi[oz:ol, ol:] = -Vb.T
-    Phi[ol:, ox:oz] = -Lam
-    Phi[ol:, oz:ol] = -Vb
-    Phi[ol:, ol:] = np.linalg.inv(params.dense_H())
-    smallest = float(np.linalg.eigvalsh(0.5 * (Phi + Phi.T)).min())
+    eigenvalue as the positive-definiteness verdict.  Requires diagonal
+    ``H``, for which the multiplier update's clamp onto the orthant is the
+    projection in the ``H^-1`` metric."""
+    if not params.h_is_diagonal():
+        raise ValidationError(
+            "multiplier step matrices must be diagonal for the inequality "
+            "operator (exact weighted orthant projection)")
+    D = (block_diag(params.R), np.linalg.inv(block_diag(params.W)),
+         np.linalg.inv(block_diag(params.H)))
+    Phi = _assemble(game, graph, False, D, -1.0, -1.0)
+    smallest = float(np.linalg.eigvalsh(Phi).min())
     if smallest <= 0.0:
         raise ValidationError(
             "inequality preconditioner is not positive definite: "

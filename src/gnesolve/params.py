@@ -147,25 +147,3 @@ class AlgoParams:
 
     def h_is_diagonal(self) -> bool:
         return all(np.count_nonzero(Hi - np.diag(np.diag(Hi))) == 0 for Hi in self.H)
-
-    # -- dense forms for desk-scale validation --------------------------------
-
-    def dense_R(self, game: Game) -> np.ndarray:
-        R = np.zeros((game.n, game.n))
-        for Ri, o, d in zip(self.R, game.offsets, game.dims):
-            R[o:o + d, o:o + d] = Ri
-        return R
-
-    def dense_H(self) -> np.ndarray:
-        N, m, _ = self.H.shape
-        out = np.zeros((N * m, N * m))
-        for i in range(N):
-            out[i * m:(i + 1) * m, i * m:(i + 1) * m] = self.H[i]
-        return out
-
-    def dense_W(self) -> np.ndarray:
-        M, m, _ = self.W.shape
-        out = np.zeros((M * m, M * m))
-        for l in range(M):
-            out[l * m:(l + 1) * m, l * m:(l + 1) * m] = self.W[l]
-        return out

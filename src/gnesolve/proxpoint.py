@@ -16,8 +16,9 @@ import numpy as np
 from .errors import InexactnessError, ValidationError
 from .games import Game
 from .graphs import CommGraph
-from .operators import (constraint_matrix, incidence_kron, pack_lifted,
-                        pack_plain, unpack_lifted, unpack_plain)
+from .operators import (block_diag, constraint_matrix, incidence_kron,
+                        inequality_preconditioner, pack, unpack_lifted,
+                        unpack_plain)
 from .params import AlgoParams
 from .subgames import InnerSolution, InnerSolver, Subgame, inequality_subgame
 
@@ -119,10 +120,12 @@ class InequalityResolvent:
         self.graph = graph
         self.params = params
         self.inner = inner
+        # the splitting's validator: diagonal H and a positive definite metric
+        inequality_preconditioner(params, game, graph)
         # certified inflation of the subgame tolerance into the stacked
         # iterate: the multiplier block moves by at most ||2 H Lam|| per
         # unit of decision error (the projection is nonexpansive)
-        HLam = params.dense_H() @ constraint_matrix(game)
+        HLam = block_diag(params.H) @ constraint_matrix(game)
         self.nu_factor = float(np.sqrt(
             1.0 + (2.0 * np.linalg.norm(HLam, 2)) ** 2))
 
@@ -134,7 +137,7 @@ class InequalityResolvent:
         x_t, Z_t, lam_t, sol = inequality_block_update(
             self.game, self.graph, self.params, self.inner, x, lam, Z,
             self.mu_for(nu))
-        return ResolventStep(pack_plain(x_t, Z_t, lam_t),
+        return ResolventStep(pack(x_t, Z_t, lam_t),
                              self.nu_factor * sol.certificate.bound)
 
 
@@ -159,11 +162,10 @@ class LiftedEqualityResolvent:
         self.graph = graph
         self.params = params
         self.inner = inner
-        Hd = params.dense_H()
-        Lam = constraint_matrix(game)
-        Vb = incidence_kron(graph, game.m)
+        Hd, Wd = block_diag(params.H), block_diag(params.W)
+        Lam, Vb = constraint_matrix(game), incidence_kron(graph, game.m)
         HLam = Hd @ Lam
-        ZX = -2.0 * params.dense_W() @ Vb.T @ HLam     # edge error per unit decision error
+        ZX = -2.0 * Wd @ Vb.T @ HLam                   # edge error per unit decision error
         EX = HLam + 0.5 * Hd @ Vb @ ZX                 # eta error per unit decision error
         c1 = np.linalg.norm(ZX, 2)
         c2 = np.linalg.norm(EX, 2)
@@ -189,7 +191,7 @@ class LiftedEqualityResolvent:
             reflected_x + graph.node_aggregate(Z - 2.0 * Z_hat) + b)
 
         if sol.certificate.bound == 0.0:
-            point = pack_lifted(x_hat, eta_hat, Z_hat, theta_hat)
+            point = pack(x_hat, eta_hat, Z_hat, theta_hat)
             return ResolventStep(point, 0.0)
 
         # inexact selection: propagate the decision error through the same
@@ -200,5 +202,5 @@ class LiftedEqualityResolvent:
         dz = 0.5 * params.apply_H(graph.node_aggregate(Z_t - Z_hat))
         eta_t = eta_hat + params.apply_H(dx_rows) + dz
         theta_t = theta_hat - params.apply_H(dx_rows) - dz
-        return ResolventStep(pack_lifted(x_t, eta_t, Z_t, theta_t),
+        return ResolventStep(pack(x_t, eta_t, Z_t, theta_t),
                              self.nu_factor * sol.certificate.bound)

@@ -38,16 +38,13 @@ def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,
                   inner: InnerSolver, stop: StopRule = StopRule(),
                   seed: int = 0) -> RunResult:
     """Iterate until all inequality-operator residuals fall below the
-    tolerance.  Validates the preconditioner and requires diagonal
+    tolerance.  Validates the preconditioner, which requires diagonal
     multiplier step matrices (exact orthant projection)."""
     if game.kind != INEQUALITY:
         raise ValidationError(
             "the splitting algorithm needs an inequality-coupled game")
-    if not params.h_is_diagonal():
-        raise ValidationError(
-            "multiplier step matrices must be diagonal for the splitting "
-            "algorithm (exact weighted orthant projection)")
-    margins = step_size_margins(params, game, graph)   # raises when indefinite
+    # raises on non-diagonal H or an indefinite preconditioner
+    margins = step_size_margins(params, game, graph)
     return iterate_to_tolerance(
         game, graph, params, inner, stop, initial_state(game, graph, seed),
         margins, splitting_iterate,

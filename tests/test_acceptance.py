@@ -15,8 +15,8 @@ from gnesolve.diagnostics import consensus_error, fejer_check, kkt_residual
 from gnesolve.errors import ValidationError
 from gnesolve.operators import (equality_operator, equality_preconditioner,
                                 inequality_preconditioner,
-                                lifted_equality_operator, pack_lifted,
-                                pack_plain, unpack_plain)
+                                lifted_equality_operator, pack,
+                                unpack_plain)
 from gnesolve.proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
                                 pppa_step, run_proxpoint)
 from gnesolve.splitting import splitting_iterate
@@ -104,7 +104,7 @@ def test_criterion_3_correspondence():
 def test_criterion_4_splitting_equivalence():
     game, graph, params, inner = toy_setup(gs.INEQUALITY)
     state = initial_state(game, graph, seed=0)
-    w = pack_plain(state.x, state.Z, state.lam)
+    w = pack(state.x, state.Z, state.lam)
     resolvent = InequalityResolvent(game, graph, params, inner)
     worst = 0.0
     for _ in range(100):
@@ -124,11 +124,11 @@ def test_criterion_5_fejer_monotonicity():
     x_star, lam_star = oracle_equality_solution()
     lam_rows = np.full((2, 1), lam_star)
     Z_star = graph.edge_flow(-game.local_residual(x_star))
-    w_star = pack_lifted(x_star, lam_rows, Z_star, np.zeros((2, 1)))
+    w_star = pack(x_star, lam_rows, Z_star, np.zeros((2, 1)))
     resolvent = LiftedEqualityResolvent(game, graph, params, inner)
     phi = equality_preconditioner(params, game, graph).matrix
     st = initial_state(game, graph, seed=0)
-    w0 = pack_lifted(st.x, np.zeros((2, 1)), st.Z, np.zeros((2, 1)))
+    w0 = pack(st.x, np.zeros((2, 1)), st.Z, np.zeros((2, 1)))
     _, history = run_proxpoint(resolvent, w0, params.rho, lambda k: 0.0, 400)
     rep_eq = fejer_check(history, phi, w_star)
 
@@ -136,11 +136,11 @@ def test_criterion_5_fejer_monotonicity():
     game_i, graph_i, params_i, inner_i = toy_setup(gs.INEQUALITY)
     x_i, lam_i = oracle_inequality_solution()
     Z_i = graph_i.edge_flow(-game_i.local_residual(x_i))
-    w_star_i = pack_plain(x_i, Z_i, np.full((2, 1), lam_i))
+    w_star_i = pack(x_i, Z_i, np.full((2, 1), lam_i))
     resolvent_i = InequalityResolvent(game_i, graph_i, params_i, inner_i)
     phi_i = inequality_preconditioner(params_i, game_i, graph_i).matrix
     sti = initial_state(game_i, graph_i, seed=0)
-    w0_i = pack_plain(sti.x, sti.Z, sti.lam)
+    w0_i = pack(sti.x, sti.Z, sti.lam)
     _, history_i = run_proxpoint(resolvent_i, w0_i, params_i.rho,
                                  lambda k: 0.0, 400)
     rep_in = fejer_check(history_i, phi_i, w_star_i)

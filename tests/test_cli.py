@@ -212,6 +212,19 @@ def test_exact_schedule_needs_an_exact_inner_mode(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_mu0_needs_an_exact_inner_mode(tmp_path, capsys):
+    # mu0 = 0 makes the inverse-square schedule identically zero, which the
+    # default residual inner mode cannot certify: refused like mu = exact
+    out = tmp_path / "o"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(RESIDUAL_QUAD_CFG.format(out=out).replace(
+        "inner.mode = residual\n", "") + "params.mu0 = 0\n")
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert "exactly zero tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parameter_echo_replays_the_run(tmp_path, monkeypatch):
     # a config written from summary.json's parameter echo reproduces the run
     monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(tmp_path / "first"))

@@ -3,10 +3,11 @@ import pytest
 
 import gnesolve as gs
 from gnesolve.errors import StructuralError, ValidationError
-from gnesolve.operators import (constraint_matrix, equality_operator,
-                                equality_preconditioner, incidence_kron,
+from gnesolve.operators import (block_diag, constraint_matrix,
+                                equality_operator, equality_preconditioner,
+                                incidence_kron,
                                 inequality_preconditioner,
-                                lifted_equality_operator, pack_lifted,
+                                lifted_equality_operator, pack,
                                 residual_equality, residual_inequality)
 from conftest import edge_flow_for
 
@@ -67,10 +68,10 @@ def test_equality_preconditioner_symmetric_and_identity(eq_game, pair_graph,
     # margin-weighted norms account for the whole form
     Lam = constraint_matrix(game)
     Vb = incidence_kron(pair_graph, game.m)
-    Hd = toy_params.dense_H()
+    Hd = block_diag(toy_params.H)
     Hinv = np.linalg.inv(Hd)
-    Rx = toy_params.dense_R(game) - Lam.T @ Hd @ Lam
-    Wz = np.linalg.inv(toy_params.dense_W()) - Vb.T @ Hd @ Vb
+    Rx = block_diag(toy_params.R) - Lam.T @ Hd @ Lam
+    Wz = np.linalg.inv(block_diag(toy_params.W)) - Vb.T @ Hd @ Vb
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.normal(size=game.n)
@@ -165,10 +166,50 @@ def test_pack_unpack_roundtrip(eq_game, pair_graph):
     eta = np.array([[3.0], [4.0]])
     Z = np.array([[5.0]])
     theta = np.array([[6.0], [7.0]])
-    w = pack_lifted(x, eta, Z, theta)
+    w = pack(x, eta, Z, theta)
     from gnesolve.operators import unpack_lifted
     x2, eta2, Z2, theta2 = unpack_lifted(game, pair_graph, w)
     assert np.array_equal(x, x2) and np.array_equal(eta, eta2)
     assert np.array_equal(Z, Z2) and np.array_equal(theta, theta2)
     with pytest.raises(StructuralError):
         unpack_lifted(game, pair_graph, w[:-1])
+
+
+def _published(name):
+    if name == "rate-control":
+        game = gs.rate_control_game(0)
+        graph = gs.benchmark_graph("chain15")
+        return game, graph, gs.rate_control_params(game, graph)
+    game = gs.task_allocation_game(0)
+    graph = gs.benchmark_graph("chain14")
+    return game, graph, gs.task_allocation_params(game, graph, seed=0)
+
+
+@pytest.mark.parametrize("instance", ["toy-equality", "toy-inequality",
+                                      "rate-control", "task-allocation"])
+def test_phi_plus_k_is_block_lower_triangular(instance, eq_game, ineq_game,
+                                              pair_graph, toy_params):
+    # the rule both resolvents rely on: Phi + K = D - 2 U^T, so nothing
+    # above the block diagonal and exactly the step-size blocks on it
+    if instance.startswith("toy"):
+        game = (eq_game if instance == "toy-equality" else ineq_game)[0]
+        graph, params = pair_graph, toy_params
+    else:
+        game, graph, params = _published(instance)
+    n, mM, mN = game.n, game.m * graph.n_edges, game.m * game.n_players
+    R = block_diag(params.R)
+    Hinv = np.linalg.inv(block_diag(params.H))
+    Winv = np.linalg.inv(block_diag(params.W))
+    for (K, _), Phi, sizes, D in (
+            (equality_operator(game, graph),
+             inequality_preconditioner(params, game, graph).matrix,
+             (n, mM, mN), (R, Winv, Hinv)),
+            (lifted_equality_operator(game, graph),
+             equality_preconditioner(params, game, graph).matrix,
+             (n, mN, mM, mN), (R, 2.0 * Hinv, Winv, 2.0 * Hinv))):
+        S = Phi + K
+        edges = np.cumsum((0,) + sizes)
+        for i in range(len(sizes)):
+            rows = slice(edges[i], edges[i + 1])
+            assert np.array_equal(S[rows, rows], D[i])
+            assert not S[rows, edges[i + 1]:].any()

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import gnesolve as gs
 from gnesolve.errors import ValidationError
 from gnesolve.games import Box, Player
+from gnesolve.operators import block_diag
 from gnesolve.params import AlgoParams, exact_schedule, inverse_square
 
 
@@ -79,7 +80,7 @@ def test_apply_blocks(eq_game, pair_graph, dims, seed):
     params = AlgoParams(R, np.ones((len(dims), 1, 1)), np.ones((1, 1, 1)), 1.0)
     v = rng.uniform(-10.0, 10.0, game.n)
     out = params.apply_R(v)
-    assert np.allclose(out, params.dense_R(game) @ v, rtol=1e-12, atol=1e-12)
+    assert np.allclose(out, block_diag(params.R) @ v, rtol=1e-12, atol=1e-12)
     if len(set(dims)) == 1:
         # equal orders: same products as the per-block loop, bit for bit
         blockwise = np.concatenate(
@@ -90,6 +91,6 @@ def test_apply_blocks(eq_game, pair_graph, dims, seed):
 def test_dense_forms(eq_game, pair_graph):
     game, _ = eq_game
     params = AlgoParams.uniform(game, pair_graph, 3.0, 0.5, 0.25, 1.0)
-    assert np.array_equal(params.dense_R(game), 3.0 * np.eye(2))
-    assert np.array_equal(params.dense_H(), 0.5 * np.eye(2))
-    assert np.array_equal(params.dense_W(), 0.25 * np.eye(1))
+    assert np.array_equal(block_diag(params.R), 3.0 * np.eye(2))
+    assert np.array_equal(block_diag(params.H), 0.5 * np.eye(2))
+    assert np.array_equal(block_diag(params.W), 0.25 * np.eye(1))

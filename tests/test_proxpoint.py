@@ -6,8 +6,8 @@ import gnesolve as gs
 from gnesolve.errors import InexactnessError, ValidationError
 from gnesolve.operators import (constraint_matrix, equality_preconditioner,
                                 incidence_kron, inequality_preconditioner,
-                                lifted_equality_operator, pack_lifted,
-                                pack_plain, unpack_plain)
+                                lifted_equality_operator, pack,
+                                unpack_plain)
 from gnesolve.proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
                                 MatrixResolvent, pppa_step, run_proxpoint)
 from conftest import edge_flow_for
@@ -90,7 +90,7 @@ def lifted_star(game, graph, solution):
     Z = edge_flow_for(game, graph, solution["x"])
     eta = lam.copy()
     theta = np.zeros_like(lam)
-    return pack_lifted(solution["x"], eta, Z, theta)
+    return pack(solution["x"], eta, Z, theta)
 
 
 def test_lifted_resolvent_inclusion(eq_game, pair_graph, toy_params,
@@ -192,7 +192,7 @@ def test_fejer_monotonicity_lifted(eq_game, pair_graph, toy_params,
     resolvent = LiftedEqualityResolvent(game, pair_graph, toy_params,
                                         exact_inner)
     Phi = equality_preconditioner(toy_params, game, pair_graph).matrix
-    w0 = pack_lifted(np.array([4.0, -6.0]), np.ones((2, 1)),
+    w0 = pack(np.array([4.0, -6.0]), np.ones((2, 1)),
                      np.array([[2.0]]), -np.ones((2, 1)))
     _, history = run_proxpoint(resolvent, w0, 1.1, lambda k: 0.0, 200)
     report = gs.fejer_check(history, Phi, lifted_star(game, pair_graph,
@@ -206,10 +206,10 @@ def test_fejer_monotonicity_inequality(ineq_game, pair_graph, toy_params,
     resolvent = InequalityResolvent(game, pair_graph, toy_params, exact_inner)
     Phi = inequality_preconditioner(toy_params, game, pair_graph).matrix
     lam_star = np.full((2, 1), solution["lambda"])
-    w_star = pack_plain(solution["x"],
+    w_star = pack(solution["x"],
                         edge_flow_for(game, pair_graph, solution["x"]),
                         lam_star)
-    w0 = pack_plain(np.array([4.0, -6.0]), np.array([[2.0]]),
+    w0 = pack(np.array([4.0, -6.0]), np.array([[2.0]]),
                     np.array([[1.0], [3.0]]))
     _, history = run_proxpoint(resolvent, w0, 1.1, lambda k: 0.0, 200)
     report = gs.fejer_check(history, Phi, w_star)
@@ -220,7 +220,7 @@ def test_proxpoint_converges_to_zero(ineq_game, pair_graph, toy_params,
                                      exact_inner):
     game, solution = ineq_game
     resolvent = InequalityResolvent(game, pair_graph, toy_params, exact_inner)
-    w0 = pack_plain(np.zeros(2), np.zeros((1, 1)), np.zeros((2, 1)))
+    w0 = pack(np.zeros(2), np.zeros((1, 1)), np.zeros((2, 1)))
     w, _ = run_proxpoint(resolvent, w0, 1.1, lambda k: 0.0, 2000,
                          keep_history=False)
     x, Z, lam = unpack_plain(game, pair_graph, w)

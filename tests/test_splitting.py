@@ -4,7 +4,7 @@ import pytest
 import gnesolve as gs
 from gnesolve.admm import AdmmState, initial_state
 from gnesolve.errors import ValidationError
-from gnesolve.operators import pack_plain, unpack_plain
+from gnesolve.operators import pack, step_size_margins, unpack_plain
 from gnesolve.proxpoint import InequalityResolvent, pppa_step
 from gnesolve.splitting import run_splitting, splitting_iterate
 from gnesolve.subgames import inequality_subgame
@@ -29,6 +29,20 @@ def test_weighted_projection_rejects_dense(rate_control):
     dense = gs.AlgoParams(params.R, H, params.W, params.rho, params.mu)
     with pytest.raises(ValidationError, match="diagonal"):
         run_splitting(game, graph, dense, gs.InnerSolver())
+
+
+def test_non_diagonal_h_rejected_by_every_inequality_path(rate_control):
+    # the validator and the stacked resolvent share run_splitting's check
+    # (test above): with a dense H the resolvent's clamp is not the H^-1
+    # projection
+    game, graph, params = rate_control
+    m = game.m
+    H = np.stack([0.02 * np.eye(m) + 0.005 * np.ones((m, m))] * game.n_players)
+    dense = gs.AlgoParams(params.R, H, params.W, params.rho, params.mu)
+    with pytest.raises(ValidationError, match="diagonal"):
+        step_size_margins(dense, game, graph)
+    with pytest.raises(ValidationError, match="diagonal"):
+        InequalityResolvent(game, graph, dense, gs.InnerSolver())
 
 
 def test_fixed_point_invariance(ineq_game, pair_graph, toy_params,
@@ -143,7 +157,7 @@ def test_matches_proxpoint_path(ineq_game, pair_graph, toy_params,
     # one-to-one correspondence with the stacked resolvent iteration
     game, _ = ineq_game
     state = initial_state(game, pair_graph, seed=3)
-    w = pack_plain(state.x, state.Z, state.lam)
+    w = pack(state.x, state.Z, state.lam)
     resolvent = InequalityResolvent(game, pair_graph, toy_params, exact_inner)
     worst = 0.0
     for _ in range(100):
