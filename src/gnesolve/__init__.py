@@ -16,12 +16,11 @@ from .games import (Box, EQUALITY, Game, INEQUALITY, MonotonicityReport,
                     Player, check_monotonicity_samples,
                     game_from_dict, game_to_dict, load_game, save_game)
 from .graphs import CommGraph, build_incidence, path_graph
-from .operators import (check_step_sizes_equality, equality_preconditioner,
-                        inequality_preconditioner, residual_equality,
-                        residual_inequality)
+from .operators import (check_step_sizes_equality, inequality_preconditioner,
+                        residual_equality, residual_inequality)
 from .params import AlgoParams, exact_schedule, inverse_square
 from .proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
-                        MatrixResolvent, pppa_step, run_proxpoint)
+                        pppa_step, run_proxpoint)
 from .splitting import run_splitting, splitting_iterate
 from .subgames import (InnerCertificate, InnerSolver, Subgame,
                        equality_subgame, inequality_subgame)

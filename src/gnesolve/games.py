@@ -364,6 +364,12 @@ def game_from_dict(data: dict) -> Game:
             "only registered builtin families are loadable")
     game = _REBUILDERS[name](data)
     # cross-check the structural payload against the rebuilt instance
+    given = {"kind": data.get("kind"), "m": data.get("m"),
+             "players": len(data["players"])}
+    rebuilt = {"kind": game.kind, "m": game.m, "players": game.n_players}
+    if given != rebuilt:
+        raise ValidationError(
+            f"payload {given} does not match generator {rebuilt}")
     for i, (p, pd) in enumerate(zip(game.players, data["players"])):
         if (p.dim != pd["dim"] or not np.allclose(p.A, pd["A"])
                 or not np.allclose(p.b, pd["b"])

@@ -1,24 +1,14 @@
-"""Monotone-operator assembly, preconditioner validation, and residuals.
+"""Step-size validation, stacked-iterate layouts, and residuals.
 
-The distributed algorithms never invert these matrices; dense assembly
-exists to validate step sizes (smallest-eigenvalue checks at desk scale),
-to evaluate weighted norms in tests, and to verify structural identities
-such as skew-symmetry of the linear parts.
-
-Each stacked layout is its block sizes plus its coupling blocks above the
-block diagonal, ``{(i, j): B}`` (`layout_sizes`, `coupling_blocks`):
-
-* plain ``(x, Z, lam)``: ``(0, 2): Lam^T`` and ``(1, 2): Vbar^T``;
-* lifted ``(x, eta, Z, theta)``: ``(0, 1): Lam^T``, ``(0, 3): -Lam^T``,
-  ``(1, 2): -Vbar`` and ``(2, 3): -Vbar^T``.
-
-With ``U`` their strictly upper block matrix, every linear part is
-``K = U - U^T`` and every preconditioner is ``Phi = D - (U + U^T)``, where
-``D`` is ``diag(R, W^-1, H^-1)`` (plain) or ``diag(R, 2 H^-1, W^-1, 2 H^-1)``
-(lifted).  So ``Phi + K = D - 2 U^T`` is block lower triangular, and each
-resolvent is one sequential sweep: the subgame, then the local multiplier
-and edge updates.  Node and edge blocks flatten row-major from (N, m) and
-(M, m) arrays.
+The validators decide whether each loop's preconditioner ``Phi`` is
+positive definite from the per-player blocks ``R_i``, ``A_i``, ``H_i``,
+the per-edge blocks ``W_l`` and the graph's incidence matrix: the largest
+matrix they decompose has order ``max(n, mM, mN)``, never that of the
+stacked ``Phi``.  Each returns its margins, keyed by the block of its
+condition, or raises a `ValidationError` naming the failed condition.  The
+dense stacked operators and preconditioners live in the tests, as the
+independent reference.  Node and edge blocks of a stacked iterate flatten
+row-major from (N, m) and (M, m) arrays.
 """
 
 from __future__ import annotations
@@ -55,57 +45,11 @@ def incidence_kron(graph: CommGraph, m: int) -> np.ndarray:
     return np.kron(graph.incidence, np.eye(m))
 
 
-# -- the two stacked layouts ----------------------------------------------------
-
 def layout_sizes(game: Game, graph: CommGraph, lifted: bool = False) -> tuple:
     """Block sizes of the plain ``(x, Z, lam)`` or the lifted
     ``(x, eta, Z, theta)`` layout."""
     n, mM, mN = game.n, game.m * graph.n_edges, game.m * game.n_players
     return (n, mN, mM, mN) if lifted else (n, mM, mN)
-
-
-def coupling_blocks(game: Game, graph: CommGraph, lifted: bool = False) -> dict:
-    """The layout's blocks above the block diagonal, ``{(i, j): B}``."""
-    Lam, Vb = constraint_matrix(game), incidence_kron(graph, game.m)
-    if lifted:
-        return {(0, 1): Lam.T, (0, 3): -Lam.T, (1, 2): -Vb, (2, 3): -Vb.T}
-    return {(0, 2): Lam.T, (1, 2): Vb.T}
-
-
-def _assemble(game: Game, graph: CommGraph, lifted: bool, diagonal: tuple,
-              s_u: float, s_l: float) -> np.ndarray:
-    """The layout's matrix in one allocation: the given diagonal blocks,
-    ``s_u B`` at each coupling block ``(i, j)`` and ``s_l B^T`` at ``(j, i)``."""
-    edges = np.cumsum((0,) + layout_sizes(game, graph, lifted))
-    b = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    out = np.zeros((edges[-1], edges[-1]))
-    for i, D in enumerate(diagonal):
-        out[b[i], b[i]] = D
-    for (i, j), B in coupling_blocks(game, graph, lifted).items():
-        np.multiply(B, s_u, out=out[b[i], b[j]])
-        np.multiply(B.T, s_l, out=out[b[j], b[i]])
-    return out
-
-
-def equality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Linear part and constant shift of the equality-coupling operator.
-
-    The full operator adds the normal cone of the product box plus the
-    pseudo-subdifferential on the ``x`` block; those set-valued parts are
-    handled by the resolvent routines, not here.  The inequality operator
-    has the same linear part and shift, with the normal cone of the
-    nonnegative orthant added on the multiplier block.
-    """
-    n, mM, _ = layout_sizes(game, graph)
-    K = _assemble(game, graph, False, (), 1.0, -1.0)
-    return K, pack(np.zeros(n + mM), game.b_rows)
-
-
-def lifted_equality_operator(game: Game, graph: CommGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Linear part and shift of the four-block lifted equality operator."""
-    n, _, mM, _ = layout_sizes(game, graph, lifted=True)
-    K = _assemble(game, graph, True, (), 1.0, -1.0)
-    return K, pack(np.zeros(n), game.b_rows, np.zeros(mM), -game.b_rows)
 
 
 # -- packing helpers ----------------------------------------------------------
@@ -135,68 +79,68 @@ def unpack_lifted(game: Game, graph: CommGraph, w: np.ndarray):
 
 # -- step-size validation -------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepCheck:
-    ok: bool
-    margin_x: float
-    margin_z: float
+def _check_fit(params: AlgoParams, game: Game, graph: CommGraph) -> None:
+    """The step matrices must match the game and graph: one ``R_i`` of
+    order ``d_i`` per player, ``H`` of shape (N, m, m), ``W`` of (M, m, m)."""
+    m = game.m
+    for name, given, expected in (
+            ("R block orders", tuple(Ri.shape[0] for Ri in params.R), game.dims),
+            ("H shape", params.H.shape, (game.n_players, m, m)),
+            ("W shape", params.W.shape, (graph.n_edges, m, m))):
+        if given != expected:
+            raise StructuralError(f"{name} {given}, expected {expected}")
+
+
+def _min_eig(M: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
 
 
 def check_step_sizes_equality(params: AlgoParams, game: Game,
-                              graph: CommGraph) -> StepCheck:
-    """Smallest eigenvalues of the two fixed-step-size conditions for the
-    equality algorithm: ``R - Lam^T H Lam`` and ``W^-1 - Vbar^T H Vbar``."""
-    Lam, Vb = constraint_matrix(game), incidence_kron(graph, game.m)
-    Hd = block_diag(params.H)
-    Mx = block_diag(params.R) - Lam.T @ Hd @ Lam
-    Mz = np.linalg.inv(block_diag(params.W)) - Vb.T @ Hd @ Vb
-    margin_x = float(np.linalg.eigvalsh(0.5 * (Mx + Mx.T)).min())
-    margin_z = float(np.linalg.eigvalsh(0.5 * (Mz + Mz.T)).min())
-    return StepCheck(margin_x > 0.0 and margin_z > 0.0, margin_x, margin_z)
-
-
-@dataclass(frozen=True)
-class PreconditionerReport:
-    matrix: np.ndarray
-    margins: dict
-
-
-def equality_preconditioner(params: AlgoParams, game: Game,
-                            graph: CommGraph) -> PreconditionerReport:
-    """Dense preconditioner for the lifted equality operator.
-
-    Positive definiteness is certified through the step-size conditions:
-    the quadratic form decomposes into two nonnegative weighted-norm terms
-    plus norms weighted by ``R - Lam^T H Lam`` and ``W^-1 - Vbar^T H Vbar``,
-    so positive margins for those two blocks imply a positive definite
-    preconditioner.
-    """
-    margins = step_size_margins(params, game, graph)
-    Hinv2 = 2.0 * np.linalg.inv(block_diag(params.H))
-    D = (block_diag(params.R), Hinv2, np.linalg.inv(block_diag(params.W)), Hinv2)
-    Phi = _assemble(game, graph, True, D, -1.0, -1.0)
-    return PreconditionerReport(Phi, margins)
+                              graph: CommGraph) -> dict:
+    """Margins of the equality algorithm's two fixed-step-size conditions,
+    ``x``: ``R - Lam^T H Lam`` (one block per player) and ``z``:
+    ``W^-1 - Vbar^T H Vbar``; raises `ValidationError` unless both are
+    positive definite.  Together they make the lifted preconditioner
+    positive definite: its quadratic form is two nonnegative weighted norms
+    plus the norms these two matrices weight."""
+    _check_fit(params, game, graph)
+    margin_x = min(_min_eig(Ri - p.A.T @ Hi @ p.A)
+                   for Ri, Hi, p in zip(params.R, params.H, game.players))
+    # entry ((l, a), (k, b)) is sum_i V_il V_ik H_i[a, b]: at most two terms
+    V, mM = graph.incidence, game.m * graph.n_edges
+    VHV = np.einsum("il,ik,iab->lakb", V, V, params.H).reshape(mM, mM)
+    margin_z = _min_eig(block_diag(np.linalg.inv(params.W)) - VHV)
+    if not (margin_x > 0.0 and margin_z > 0.0):
+        raise ValidationError(
+            "step-size conditions failed: "
+            f"min eig(R - Lam^T H Lam) = {margin_x:.6g}, "
+            f"min eig(W^-1 - Vbar^T H Vbar) = {margin_z:.6g}")
+    return {"x": margin_x, "z": margin_z}
 
 
 def inequality_preconditioner(params: AlgoParams, game: Game,
-                              graph: CommGraph) -> PreconditionerReport:
-    """Dense preconditioner for the inequality operator, with its smallest
-    eigenvalue as the positive-definiteness verdict.  Requires diagonal
-    ``H``, for which the multiplier update's clamp onto the orthant is the
-    projection in the ``H^-1`` metric."""
+                              graph: CommGraph) -> dict:
+    """Margin ``lam`` of the inequality preconditioner: the smallest
+    eigenvalue of its Schur complement ``H^-1 - Lam R^-1 Lam^T -
+    Vbar W Vbar^T``; raises `ValidationError` unless it is positive.
+    Requires diagonal ``H``, for which the multiplier update's clamp onto
+    the orthant is the projection in the ``H^-1`` metric."""
+    _check_fit(params, game, graph)
     if not params.h_is_diagonal():
         raise ValidationError(
             "multiplier step matrices must be diagonal for the inequality "
             "operator (exact weighted orthant projection)")
-    D = (block_diag(params.R), np.linalg.inv(block_diag(params.W)),
-         np.linalg.inv(block_diag(params.H)))
-    Phi = _assemble(game, graph, False, D, -1.0, -1.0)
-    smallest = float(np.linalg.eigvalsh(Phi).min())
-    if smallest <= 0.0:
+    # entry ((i, a), (j, b)) is sum_l V_il V_jl W_l[a, b]
+    V, mN = graph.incidence, game.m * game.n_players
+    S = -np.einsum("il,jl,lab->iajb", V, V, params.W).reshape(mN, mN)
+    S += block_diag([np.linalg.inv(Hi) - p.A @ np.linalg.solve(Ri, p.A.T)
+                     for Ri, Hi, p in zip(params.R, params.H, game.players)])
+    margin = _min_eig(S)
+    if not margin > 0.0:
         raise ValidationError(
             "inequality preconditioner is not positive definite: "
-            f"min eig {smallest:.6g}")
-    return PreconditionerReport(Phi, {"min_eig": smallest})
+            f"min eig(H^-1 - Lam R^-1 Lam^T - Vbar W Vbar^T) = {margin:.6g}")
+    return {"lam": margin}
 
 
 def step_size_margins(params: AlgoParams, game: Game,
@@ -204,14 +148,8 @@ def step_size_margins(params: AlgoParams, game: Game,
     """Validator margins of the fixed step sizes for the game's coupling
     kind; raises `ValidationError` naming the failed condition."""
     if game.kind == EQUALITY:
-        check = check_step_sizes_equality(params, game, graph)
-        if not check.ok:
-            raise ValidationError(
-                "step-size conditions failed: "
-                f"min eig(R - Lam^T H Lam) = {check.margin_x:.6g}, "
-                f"min eig(W^-1 - Vbar^T H Vbar) = {check.margin_z:.6g}")
-        return {"x": check.margin_x, "z": check.margin_z}
-    return inequality_preconditioner(params, game, graph).margins
+        return check_step_sizes_equality(params, game, graph)
+    return inequality_preconditioner(params, game, graph)
 
 
 # -- residuals to the operator zero sets ---------------------------------------

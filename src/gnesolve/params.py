@@ -35,6 +35,8 @@ def _check_spd(M: np.ndarray, name: str) -> np.ndarray:
     """Validate a symmetric positive definite block; returns its eigenvalues."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise StructuralError(f"{name} must be square, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValidationError(f"{name} has non-finite entries")
     if not np.array_equal(M, M.T):
         if np.abs(M - M.T).max() > 1e-12 * (1.0 + np.abs(M).max()):
             raise ValidationError(f"{name} is not symmetric")

@@ -65,22 +65,6 @@ def run_proxpoint(resolvent, w0: np.ndarray, rho: float, nu_schedule,
     return w, history
 
 
-class MatrixResolvent:
-    """Exact resolvent of a linear operator ``w -> M w`` under a dense
-    preconditioner: solves ``(Phi + M) w_hat = Phi w``.  Desk-scale utility
-    for engine tests."""
-
-    def __init__(self, M: np.ndarray, Phi: np.ndarray):
-        M = np.atleast_2d(np.asarray(M, dtype=float))
-        Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
-        self._lhs = Phi + M
-        self._phi = Phi
-
-    def solve(self, w: np.ndarray, nu: float) -> ResolventStep:
-        w_hat = np.linalg.solve(self._lhs, self._phi @ np.atleast_1d(w))
-        return ResolventStep(w_hat, 0.0)
-
-
 def inequality_block_update(game: Game, graph: CommGraph, params: AlgoParams,
                             inner: InnerSolver, x: np.ndarray, lam: np.ndarray,
                             Z: np.ndarray, mu: float
@@ -124,10 +108,11 @@ class InequalityResolvent:
         inequality_preconditioner(params, game, graph)
         # certified inflation of the subgame tolerance into the stacked
         # iterate: the multiplier block moves by at most ||2 H Lam|| per
-        # unit of decision error (the projection is nonexpansive)
-        HLam = block_diag(params.H) @ constraint_matrix(game)
-        self.nu_factor = float(np.sqrt(
-            1.0 + (2.0 * np.linalg.norm(HLam, 2)) ** 2))
+        # unit of decision error (the projection is nonexpansive); H Lam is
+        # block-diagonal, so its norm is the largest of its blocks' norms
+        HLam_norm = max(np.linalg.norm(Hi @ p.A, 2)
+                        for Hi, p in zip(params.H, game.players))
+        self.nu_factor = float(np.sqrt(1.0 + (2.0 * HLam_norm) ** 2))
 
     def mu_for(self, nu: float) -> float:
         return nu / self.nu_factor

@@ -1,8 +1,105 @@
 """Independent oracles used by the tests: objective values rebuilt from the
 instance payloads (not from the package's gradient code), plain central
-finite differences, and the per-player loop form of an ADMM iteration."""
+finite differences, the per-player loop form of an ADMM iteration, and the
+dense stacked operators and preconditioners the structured validators and
+resolvents are checked against."""
 
 import numpy as np
+
+from gnesolve.operators import (block_diag, constraint_matrix, incidence_kron,
+                                layout_sizes, pack)
+from gnesolve.proxpoint import ResolventStep
+
+
+# -- dense stacked operators -----------------------------------------------------
+#
+# Each stacked layout is its block sizes (`layout_sizes`) plus its coupling
+# blocks above the block diagonal, ``{(i, j): B}`` (`coupling_blocks`):
+#
+# * plain ``(x, Z, lam)``: ``(0, 2): Lam^T`` and ``(1, 2): Vbar^T``;
+# * lifted ``(x, eta, Z, theta)``: ``(0, 1): Lam^T``, ``(0, 3): -Lam^T``,
+#   ``(1, 2): -Vbar`` and ``(2, 3): -Vbar^T``.
+#
+# With ``U`` their strictly upper block matrix, every linear part is
+# ``K = U - U^T`` and every preconditioner is ``Phi = D - (U + U^T)``, where
+# ``D`` is ``diag(R, W^-1, H^-1)`` (plain) or ``diag(R, 2 H^-1, W^-1, 2 H^-1)``
+# (lifted).  So ``Phi + K = D - 2 U^T`` is block lower triangular, and each
+# resolvent is one sequential sweep: the subgame, then the local multiplier
+# and edge updates.
+
+def coupling_blocks(game, graph, lifted=False):
+    """The layout's blocks above the block diagonal, ``{(i, j): B}``."""
+    Lam, Vb = constraint_matrix(game), incidence_kron(graph, game.m)
+    if lifted:
+        return {(0, 1): Lam.T, (0, 3): -Lam.T, (1, 2): -Vb, (2, 3): -Vb.T}
+    return {(0, 2): Lam.T, (1, 2): Vb.T}
+
+
+def _assemble(game, graph, lifted, diagonal, s_u, s_l):
+    """The layout's matrix: the given diagonal blocks, ``s_u B`` at each
+    coupling block ``(i, j)`` and ``s_l B^T`` at ``(j, i)``."""
+    edges = np.cumsum((0,) + layout_sizes(game, graph, lifted))
+    b = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    out = np.zeros((edges[-1], edges[-1]))
+    for i, D in enumerate(diagonal):
+        out[b[i], b[i]] = D
+    for (i, j), B in coupling_blocks(game, graph, lifted).items():
+        out[b[i], b[j]] = s_u * B
+        out[b[j], b[i]] = s_l * B.T
+    return out
+
+
+def linear_part(game, graph, lifted=False):
+    """Linear part ``K`` and constant shift ``q`` of the plain or lifted
+    equality-coupling operator.
+
+    The full operator adds the normal cone of the product box plus the
+    pseudo-subdifferential on the ``x`` block.  The inequality operator has
+    the plain layout's linear part and shift, with the normal cone of the
+    nonnegative orthant added on the multiplier block.
+    """
+    K = _assemble(game, graph, lifted, (), 1.0, -1.0)
+    sizes = layout_sizes(game, graph, lifted)
+    if lifted:
+        n, _, mM, _ = sizes
+        return K, pack(np.zeros(n), game.b_rows, np.zeros(mM), -game.b_rows)
+    n, mM, _ = sizes
+    return K, pack(np.zeros(n + mM), game.b_rows)
+
+
+def dense_preconditioner(params, game, graph, lifted=False):
+    """Dense ``Phi`` of the plain (inequality) or lifted (equality) layout."""
+    R = block_diag(params.R)
+    Hinv = np.linalg.inv(block_diag(params.H))
+    Winv = np.linalg.inv(block_diag(params.W))
+    D = (R, 2.0 * Hinv, Winv, 2.0 * Hinv) if lifted else (R, Winv, Hinv)
+    return _assemble(game, graph, lifted, D, -1.0, -1.0)
+
+
+def dense_equality_margins(params, game, graph):
+    """Smallest eigenvalues of the dense ``R - Lam^T H Lam`` and
+    ``W^-1 - Vbar^T H Vbar``."""
+    Lam, Vb = constraint_matrix(game), incidence_kron(graph, game.m)
+    Hd = block_diag(params.H)
+    Mx = block_diag(params.R) - Lam.T @ Hd @ Lam
+    Mz = np.linalg.inv(block_diag(params.W)) - Vb.T @ Hd @ Vb
+    return {"x": float(np.linalg.eigvalsh(0.5 * (Mx + Mx.T)).min()),
+            "z": float(np.linalg.eigvalsh(0.5 * (Mz + Mz.T)).min())}
+
+
+class MatrixResolvent:
+    """Exact resolvent of a linear operator ``w -> M w`` under a dense
+    preconditioner: solves ``(Phi + M) w_hat = Phi w``."""
+
+    def __init__(self, M, Phi):
+        M = np.atleast_2d(np.asarray(M, dtype=float))
+        Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
+        self._lhs = Phi + M
+        self._phi = Phi
+
+    def solve(self, w, nu):
+        w_hat = np.linalg.solve(self._lhs, self._phi @ np.atleast_1d(w))
+        return ResolventStep(w_hat, 0.0)
 
 
 def fd_block_gradient(f_value, x, offset, dim, eps=1e-5):

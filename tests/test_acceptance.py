@@ -13,13 +13,12 @@ import gnesolve as gs
 from gnesolve.admm import correspondence_check, initial_state
 from gnesolve.diagnostics import consensus_error, fejer_check, kkt_residual
 from gnesolve.errors import ValidationError
-from gnesolve.operators import (equality_operator, equality_preconditioner,
-                                inequality_preconditioner,
-                                lifted_equality_operator, pack,
+from gnesolve.operators import (inequality_preconditioner, pack,
                                 unpack_plain)
 from gnesolve.proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
                                 pppa_step, run_proxpoint)
 from gnesolve.splitting import splitting_iterate
+from helpers import dense_preconditioner, linear_part
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -126,7 +125,7 @@ def test_criterion_5_fejer_monotonicity():
     Z_star = graph.edge_flow(-game.local_residual(x_star))
     w_star = pack(x_star, lam_rows, Z_star, np.zeros((2, 1)))
     resolvent = LiftedEqualityResolvent(game, graph, params, inner)
-    phi = equality_preconditioner(params, game, graph).matrix
+    phi = dense_preconditioner(params, game, graph, lifted=True)
     st = initial_state(game, graph, seed=0)
     w0 = pack(st.x, np.zeros((2, 1)), st.Z, np.zeros((2, 1)))
     _, history = run_proxpoint(resolvent, w0, params.rho, lambda k: 0.0, 400)
@@ -138,7 +137,7 @@ def test_criterion_5_fejer_monotonicity():
     Z_i = graph_i.edge_flow(-game_i.local_residual(x_i))
     w_star_i = pack(x_i, Z_i, np.full((2, 1), lam_i))
     resolvent_i = InequalityResolvent(game_i, graph_i, params_i, inner_i)
-    phi_i = inequality_preconditioner(params_i, game_i, graph_i).matrix
+    phi_i = dense_preconditioner(params_i, game_i, graph_i)
     sti = initial_state(game_i, graph_i, seed=0)
     w0_i = pack(sti.x, sti.Z, sti.lam)
     _, history_i = run_proxpoint(resolvent_i, w0_i, params_i.rho,
@@ -154,17 +153,18 @@ def test_criterion_6_validators():
     failures = []
     # published step sizes on the two-player toy
     game, graph, params, _ = toy_setup(gs.INEQUALITY)
-    if inequality_preconditioner(params, game, graph).margins["min_eig"] <= 0:
+    if inequality_preconditioner(params, game, graph)["lam"] <= 0:
         failures.append("toy inequality validation")
     eq_game, eq_graph, eq_params, _ = toy_setup(gs.EQUALITY)
-    if not gs.check_step_sizes_equality(eq_params, eq_game, eq_graph).ok:
+    if min(gs.check_step_sizes_equality(eq_params, eq_game,
+                                        eq_graph).values()) <= 0:
         failures.append("toy equality validation")
     # published step sizes on the benchmark topology
     bench = gs.rate_control_game(0)
     bench_graph = gs.benchmark_graph("chain15")
     bench_params = gs.rate_control_params(bench, bench_graph)
     margin = inequality_preconditioner(
-        bench_params, bench, bench_graph).margins["min_eig"]
+        bench_params, bench, bench_graph)["lam"]
     if margin <= 0:
         failures.append("benchmark inequality validation")
     # multiplier steps a hundred times larger must fail with a named condition
@@ -251,9 +251,9 @@ def test_criterion_10_structural_suite():
     # inequality operator shares the equality operator's linear part
     eq_game, graph, params, inner = toy_setup(gs.EQUALITY)
     ineq_game = toy_setup(gs.INEQUALITY)[0]
-    for K, _ in (equality_operator(eq_game, graph),
-                 equality_operator(ineq_game, graph),
-                 lifted_equality_operator(eq_game, graph)):
+    for K, _ in (linear_part(eq_game, graph),
+                 linear_part(ineq_game, graph),
+                 linear_part(eq_game, graph, lifted=True)):
         if not np.array_equal(K + K.T, np.zeros_like(K)):
             failures.append("skew symmetry")
     # column sums of incidence matrices vanish exactly
@@ -273,11 +273,11 @@ def test_criterion_10_structural_suite():
             failures.append("adjointness")
             break
     # firm nonexpansiveness and inclusion residuals on both oracle games
-    phi_eq = equality_preconditioner(params, eq_game, graph).matrix
+    phi_eq = dense_preconditioner(params, eq_game, graph, lifted=True)
     res_eq = LiftedEqualityResolvent(eq_game, graph, params, inner)
-    K_eq, q_eq = lifted_equality_operator(eq_game, graph)
+    K_eq, q_eq = linear_part(eq_game, graph, lifted=True)
     ineq_game, _, params_i, inner_i = toy_setup(gs.INEQUALITY)
-    phi_in = inequality_preconditioner(params_i, ineq_game, graph).matrix
+    phi_in = dense_preconditioner(params_i, ineq_game, graph)
     res_in = InequalityResolvent(ineq_game, graph, params_i, inner_i)
     for trial in range(100):
         w1 = rng.normal(size=phi_eq.shape[0])

@@ -225,6 +225,22 @@ def test_zero_mu0_needs_an_exact_inner_mode(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, block", [
+    ("params.r = nan", "R[0]"), ("params.r = inf", "R[0]"),
+    ("params.w = nan", "W[0]"), ("params.h = nan", "H[0]")])
+def test_non_finite_step_sizes_rejected_before_the_run(tmp_path, capsys,
+                                                       line, block):
+    out = tmp_path / "o"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUAD_CFG.format(out=out).replace(
+        "quadratic-equality\nalgorithm = admm",
+        "quadratic-inequality\nalgorithm = splitting") + line + "\n")
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert f"{block} has non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parameter_echo_replays_the_run(tmp_path, monkeypatch):
     # a config written from summary.json's parameter echo reproduces the run
     monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(tmp_path / "first"))
@@ -327,6 +343,33 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert main(["run", str(cfg)]) == 0
     assert (target / "summary.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("name, build", [
+    ("rate-control", gs.rate_control_game),
+    ("task-allocation", gs.task_allocation_game)], ids=["rate", "task"])
+def test_no_eigendecomposition_above_the_largest_block(tmp_path, monkeypatch,
+                                                       name, build):
+    # the validators decompose per-player and per-edge blocks and the
+    # order-mN Schur complement, never the stacked preconditioner; they
+    # run before the first outer iteration, so a short run covers them
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        orders.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(tmp_path / "out"))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(re.sub(r"stop\.max_iter = \d+", "stop.max_iter = 20",
+                          (CONFIGS / f"{name}.cfg").read_text()))
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 0
+    game = build(0)
+    n_edges = game.n_players - 1            # the shipped chain graphs
+    largest = max(game.n, game.m * n_edges, game.m * game.n_players)
+    assert orders and max(orders) <= largest
 
 
 def test_explicit_edge_list(tmp_path):

@@ -324,3 +324,16 @@ def test_opaque_games_not_loadable():
     data = gs.game_to_dict(game)
     with pytest.raises(ValidationError):
         gs.game_from_dict(data)
+
+
+@pytest.mark.parametrize("edit", ["cut players", "kind and m"])
+def test_payload_header_must_match_the_rebuilt_game(edit):
+    # the generator rebuilds the whole game from its seed; a payload whose
+    # player list, kind or m disagrees with it is not that game
+    data = gs.game_to_dict(gs.rate_control_game(0))
+    if edit == "cut players":
+        data["players"] = data["players"][:3]
+    else:
+        data["kind"], data["m"] = gs.EQUALITY, 99
+    with pytest.raises(ValidationError, match="does not match generator"):
+        gs.game_from_dict(data)

@@ -65,7 +65,8 @@ def test_equality_on_cyclic_graph(cyclic_graph):
     game, x_star, lam_star = ring_game(4, 0.3, 2.0, gs.EQUALITY)
     params = gs.AlgoParams.uniform(game, cyclic_graph, r=8.0, h=0.3, w=0.3,
                                    rho=1.1, mu=gs.exact_schedule())
-    assert gs.check_step_sizes_equality(params, game, cyclic_graph).ok
+    assert min(gs.check_step_sizes_equality(params, game,
+                                            cyclic_graph).values()) > 0
     inner = gs.InnerSolver("exact")
     result = gs.run_admm(game, cyclic_graph, params, inner,
                          gs.StopRule(8000, 1e-8), seed=1)

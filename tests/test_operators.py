@@ -1,49 +1,51 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gnesolve as gs
 from gnesolve.errors import StructuralError, ValidationError
+from gnesolve.games import Box, Player
 from gnesolve.operators import (block_diag, constraint_matrix,
-                                equality_operator, equality_preconditioner,
-                                incidence_kron,
-                                inequality_preconditioner,
-                                lifted_equality_operator, pack,
-                                residual_equality, residual_inequality)
+                                incidence_kron, inequality_preconditioner,
+                                pack, residual_equality, residual_inequality,
+                                step_size_margins)
+from gnesolve.proxpoint import InequalityResolvent
 from conftest import edge_flow_for
+from helpers import dense_equality_margins, dense_preconditioner, linear_part
 
 
 def test_skew_symmetry_exact(eq_game, pair_graph):
     game, _ = eq_game
-    K, _ = equality_operator(game, pair_graph)
+    K, _ = linear_part(game, pair_graph)
     assert np.array_equal(K + K.T, np.zeros_like(K))
-    Kl, _ = lifted_equality_operator(game, pair_graph)
+    Kl, _ = linear_part(game, pair_graph, lifted=True)
     assert np.array_equal(Kl + Kl.T, np.zeros_like(Kl))
 
 
 def test_skew_symmetry_benchmark_scale():
     game = gs.rate_control_game(0)
     graph = gs.benchmark_graph("chain15")
-    K, _ = equality_operator(game, graph)
+    K, _ = linear_part(game, graph)
     assert np.array_equal(K + K.T, np.zeros_like(K))
 
 
 def test_step_size_check_toy(eq_game, pair_graph, toy_params):
     game, _ = eq_game
-    check = gs.check_step_sizes_equality(toy_params, game, pair_graph)
+    margins = gs.check_step_sizes_equality(toy_params, game, pair_graph)
     # hand values: R - Lam^T H Lam = 10 - 0.5, W^-1 - Vbar^T H Vbar = 2 - 1
-    assert check.ok
-    assert check.margin_x == pytest.approx(9.5, abs=1e-12)
-    assert check.margin_z == pytest.approx(1.0, abs=1e-12)
+    assert margins["x"] == pytest.approx(9.5, abs=1e-12)
+    assert margins["z"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_size_check_sign_flip(eq_game, pair_graph):
     game, _ = eq_game
     params = gs.AlgoParams.uniform(game, pair_graph, r=0.4, h=0.5, w=0.5,
                                    rho=1.1)
-    check = gs.check_step_sizes_equality(params, game, pair_graph)
-    assert not check.ok and check.margin_x == pytest.approx(-0.1, abs=1e-12)
-    with pytest.raises(ValidationError, match="R - Lam\\^T H Lam"):
-        equality_preconditioner(params, game, pair_graph)
+    with pytest.raises(ValidationError,
+                       match=r"min eig\(R - Lam\^T H Lam\) = -0\.1,"):
+        gs.check_step_sizes_equality(params, game, pair_graph)
 
 
 def test_margins_shrink_with_larger_h(eq_game, pair_graph):
@@ -54,16 +56,16 @@ def test_margins_shrink_with_larger_h(eq_game, pair_graph):
                                   rho=1.1)
     cl = gs.check_step_sizes_equality(loose, game, pair_graph)
     ct = gs.check_step_sizes_equality(tight, game, pair_graph)
-    assert cl.margin_x > ct.margin_x and cl.margin_z > ct.margin_z
+    assert cl["x"] > ct["x"] and cl["z"] > ct["z"]
 
 
 def test_equality_preconditioner_symmetric_and_identity(eq_game, pair_graph,
                                                         toy_params):
     game, _ = eq_game
-    report = equality_preconditioner(toy_params, game, pair_graph)
-    Phi = report.matrix
+    Phi = dense_preconditioner(toy_params, game, pair_graph, lifted=True)
     assert np.array_equal(Phi, Phi.T)
-    assert min(report.margins.values()) > 0
+    assert min(gs.check_step_sizes_equality(
+        toy_params, game, pair_graph).values()) > 0
     # quadratic-form decomposition: two weighted squared norms plus the two
     # margin-weighted norms account for the whole form
     Lam = constraint_matrix(game)
@@ -88,10 +90,9 @@ def test_equality_preconditioner_symmetric_and_identity(eq_game, pair_graph,
 
 def test_inequality_preconditioner_toy(ineq_game, pair_graph, toy_params):
     game, _ = ineq_game
-    report = inequality_preconditioner(toy_params, game, pair_graph)
-    Phi = report.matrix
+    Phi = dense_preconditioner(toy_params, game, pair_graph)
     assert np.array_equal(Phi, Phi.T)
-    assert report.margins["min_eig"] > 0
+    assert inequality_preconditioner(toy_params, game, pair_graph)["lam"] > 0
 
 
 def test_inequality_preconditioner_rejects_large_h(ineq_game, pair_graph):
@@ -107,13 +108,11 @@ def test_benchmark_topology_margins():
     game = gs.rate_control_game(0)
     graph = gs.benchmark_graph("chain15")
     params = gs.rate_control_params(game, graph)
-    report = inequality_preconditioner(params, game, graph)
-    assert report.margins["min_eig"] > 0
+    assert inequality_preconditioner(params, game, graph)["lam"] > 0
     task = gs.task_allocation_game(0)
     tgraph = gs.benchmark_graph("chain14")
     tparams = gs.task_allocation_params(task, tgraph, seed=0)
-    check = gs.check_step_sizes_equality(tparams, task, tgraph)
-    assert check.ok
+    assert min(gs.check_step_sizes_equality(tparams, task, tgraph).values()) > 0
 
 
 def test_residual_equality_at_oracle_solution(eq_game, pair_graph):
@@ -200,16 +199,100 @@ def test_phi_plus_k_is_block_lower_triangular(instance, eq_game, ineq_game,
     R = block_diag(params.R)
     Hinv = np.linalg.inv(block_diag(params.H))
     Winv = np.linalg.inv(block_diag(params.W))
-    for (K, _), Phi, sizes, D in (
-            (equality_operator(game, graph),
-             inequality_preconditioner(params, game, graph).matrix,
-             (n, mM, mN), (R, Winv, Hinv)),
-            (lifted_equality_operator(game, graph),
-             equality_preconditioner(params, game, graph).matrix,
-             (n, mN, mM, mN), (R, 2.0 * Hinv, Winv, 2.0 * Hinv))):
+    for lifted, sizes, D in ((False, (n, mM, mN), (R, Winv, Hinv)),
+                             (True, (n, mN, mM, mN),
+                              (R, 2.0 * Hinv, Winv, 2.0 * Hinv))):
+        K, _ = linear_part(game, graph, lifted)
+        Phi = dense_preconditioner(params, game, graph, lifted)
         S = Phi + K
         edges = np.cumsum((0,) + sizes)
         for i in range(len(sizes)):
             rows = slice(edges[i], edges[i + 1])
             assert np.array_equal(S[rows, rows], D[i])
             assert not S[rows, edges[i + 1]:].any()
+
+
+@pytest.mark.parametrize("kind", [gs.EQUALITY, gs.INEQUALITY])
+def test_step_sizes_must_fit_the_game_and_graph(kind):
+    # step sizes built for a ring, used on the chain of the same players
+    if kind == gs.EQUALITY:
+        game = gs.task_allocation_game(0)
+        build = lambda graph: gs.task_allocation_params(game, graph, seed=0)
+    else:
+        game = gs.rate_control_game(0)
+        build = lambda graph: gs.rate_control_params(game, graph)
+    N = game.n_players
+    chain = gs.path_graph(N)
+    ring = gs.build_incidence(N, list(chain.edges) + [(N - 1, 0)])
+    params = build(chain)
+    assert min(step_size_margins(params, game, chain).values()) > 0
+    wrong = {
+        "W shape": build(ring),
+        "H shape": gs.AlgoParams(params.R, params.H[:-1], params.W, 1.1),
+        "R block orders": gs.AlgoParams(params.R[:-1], params.H, params.W,
+                                        1.1),
+    }
+    for message, bad in wrong.items():
+        with pytest.raises(StructuralError, match=message):
+            step_size_margins(bad, game, chain)
+
+
+def random_instance(seed):
+    """Two to five players of dimension 1-4 with m = 1-3 coupling rows, on
+    a path graph plus random chords, with diagonal H and SPD R and W whose
+    scales span both validator verdicts."""
+    rng = np.random.default_rng(seed)
+    N, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    dims = [int(d) for d in rng.integers(1, 5, size=N)]
+    players = [Player(d, lambda xi, o: np.zeros_like(xi),
+                      rng.normal(size=(m, d)), rng.normal(size=m),
+                      Box(-np.ones(d), np.ones(d))) for d in dims]
+    chords = [(i, j) for i in range(N) for j in range(i + 2, N)
+              if rng.random() < 0.4]
+    graph = gs.build_incidence(N, [(i, i + 1) for i in range(N - 1)] + chords)
+
+    def spd(d, scale):
+        G = rng.normal(size=(d, d))
+        return scale * (G @ G.T / d + 0.1 * np.eye(d))
+    # about half the draws pass each validator
+    R = [spd(d, 10.0 ** rng.uniform(0.0, 2.0)) for d in dims]
+    H = np.stack([np.diag(10.0 ** rng.uniform(-2.0, 0.0, size=m))
+                  for _ in range(N)])
+    W = np.stack([spd(m, 10.0 ** rng.uniform(-2.0, 0.0))
+                  for _ in range(graph.n_edges)])
+    return players, graph, gs.AlgoParams(R, H, W, 1.1)
+
+
+@given(st.integers(0, 2 ** 31))
+@settings(max_examples=150, deadline=None)
+def test_structured_validators_match_dense_reference(seed):
+    players, graph, params = random_instance(seed)
+    # equality: the margins are those of the dense conditions; a failure
+    # names both of them
+    game = gs.Game(players, gs.EQUALITY)
+    dense = dense_equality_margins(params, game, graph)
+    if min(dense.values()) > 0.0:
+        margins = gs.check_step_sizes_equality(params, game, graph)
+        assert margins == pytest.approx(dense, rel=1e-10, abs=1e-10)
+    else:
+        with pytest.raises(ValidationError) as failure:
+            gs.check_step_sizes_equality(params, game, graph)
+        shown = [float(v) for v in re.findall(r"= (\S+?),?(?: |$)",
+                                              str(failure.value))]
+        assert shown == pytest.approx([dense["x"], dense["z"]],
+                                      rel=1e-5, abs=1e-10)
+    # inequality: the Schur-complement verdict is the sign of the smallest
+    # eigenvalue of the stacked preconditioner, away from zero
+    game = gs.Game(players, gs.INEQUALITY)
+    smallest = float(np.linalg.eigvalsh(
+        dense_preconditioner(params, game, graph)).min())
+    if smallest > 1e-8:
+        assert inequality_preconditioner(params, game, graph)["lam"] > 0.0
+        # the block-diagonal H Lam has the norm of its largest block
+        HLam = block_diag(params.H) @ constraint_matrix(game)
+        dense_factor = np.sqrt(1.0 + (2.0 * np.linalg.norm(HLam, 2)) ** 2)
+        resolvent = InequalityResolvent(game, graph, params, gs.InnerSolver())
+        assert resolvent.nu_factor == pytest.approx(dense_factor, rel=1e-12)
+    elif smallest < -1e-8:
+        with pytest.raises(ValidationError, match="not positive definite"):
+            inequality_preconditioner(params, game, graph)

@@ -4,13 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 import gnesolve as gs
 from gnesolve.errors import InexactnessError, ValidationError
-from gnesolve.operators import (constraint_matrix, equality_preconditioner,
-                                incidence_kron, inequality_preconditioner,
-                                lifted_equality_operator, pack,
+from gnesolve.operators import (constraint_matrix, incidence_kron, pack,
                                 unpack_plain)
 from gnesolve.proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
-                                MatrixResolvent, pppa_step, run_proxpoint)
+                                pppa_step, run_proxpoint)
 from conftest import edge_flow_for
+from helpers import MatrixResolvent, dense_preconditioner, linear_part
 
 
 # -- engine on scalar operators ---------------------------------------------------
@@ -98,8 +97,8 @@ def test_lifted_resolvent_inclusion(eq_game, pair_graph, toy_params,
     game, _ = eq_game
     resolvent = LiftedEqualityResolvent(game, pair_graph, toy_params,
                                         exact_inner)
-    Phi = equality_preconditioner(toy_params, game, pair_graph).matrix
-    K, q = lifted_equality_operator(game, pair_graph)
+    Phi = dense_preconditioner(toy_params, game, pair_graph, lifted=True)
+    K, q = linear_part(game, pair_graph, lifted=True)
     n = game.n
     rng = np.random.default_rng(2)
     for _ in range(100):
@@ -120,7 +119,7 @@ def test_inequality_resolvent_inclusion(ineq_game, pair_graph, toy_params,
                                         exact_inner):
     game, _ = ineq_game
     resolvent = InequalityResolvent(game, pair_graph, toy_params, exact_inner)
-    Phi = inequality_preconditioner(toy_params, game, pair_graph).matrix
+    Phi = dense_preconditioner(toy_params, game, pair_graph)
     Lam = constraint_matrix(game)
     Vb = incidence_kron(pair_graph, game.m)
     n = game.n
@@ -156,7 +155,7 @@ def test_firm_nonexpansiveness_lifted(eq_game, pair_graph, toy_params,
     game, _ = eq_game
     resolvent = LiftedEqualityResolvent(game, pair_graph, toy_params,
                                         exact_inner)
-    Phi = equality_preconditioner(toy_params, game, pair_graph).matrix
+    Phi = dense_preconditioner(toy_params, game, pair_graph, lifted=True)
     rng = np.random.default_rng(4)
     for _ in range(100):
         w1 = rng.normal(size=Phi.shape[0])
@@ -172,7 +171,7 @@ def test_firm_nonexpansiveness_inequality(ineq_game, pair_graph, toy_params,
                                           exact_inner):
     game, _ = ineq_game
     resolvent = InequalityResolvent(game, pair_graph, toy_params, exact_inner)
-    Phi = inequality_preconditioner(toy_params, game, pair_graph).matrix
+    Phi = dense_preconditioner(toy_params, game, pair_graph)
     rng = np.random.default_rng(5)
     for _ in range(100):
         w1 = rng.normal(size=Phi.shape[0])
@@ -191,7 +190,7 @@ def test_fejer_monotonicity_lifted(eq_game, pair_graph, toy_params,
     game, solution = eq_game
     resolvent = LiftedEqualityResolvent(game, pair_graph, toy_params,
                                         exact_inner)
-    Phi = equality_preconditioner(toy_params, game, pair_graph).matrix
+    Phi = dense_preconditioner(toy_params, game, pair_graph, lifted=True)
     w0 = pack(np.array([4.0, -6.0]), np.ones((2, 1)),
                      np.array([[2.0]]), -np.ones((2, 1)))
     _, history = run_proxpoint(resolvent, w0, 1.1, lambda k: 0.0, 200)
@@ -204,7 +203,7 @@ def test_fejer_monotonicity_inequality(ineq_game, pair_graph, toy_params,
                                        exact_inner):
     game, solution = ineq_game
     resolvent = InequalityResolvent(game, pair_graph, toy_params, exact_inner)
-    Phi = inequality_preconditioner(toy_params, game, pair_graph).matrix
+    Phi = dense_preconditioner(toy_params, game, pair_graph)
     lam_star = np.full((2, 1), solution["lambda"])
     w_star = pack(solution["x"],
                         edge_flow_for(game, pair_graph, solution["x"]),
