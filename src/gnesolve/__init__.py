@@ -7,8 +7,7 @@ from .benchgames import (benchmark_graph, quadratic_game, rate_control_game,
                          rate_control_params, task_allocation_game,
                          task_allocation_params)
 from .diagnostics import (FejerReport, KktReport, consensus_error,
-                          fejer_check, kkt_residual, kkt_residual_equality,
-                          kkt_residual_inequality)
+                          fejer_check, kkt_residual)
 from .errors import (ConfigError, DivergenceError, GnesolveError,
                      InexactnessError, NumericError, StructuralError,
                      ValidationError)

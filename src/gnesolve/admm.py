@@ -67,8 +67,18 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
 
 @dataclass(frozen=True)
 class StopRule:
+    """Stop when every residual is at most ``tol`` or after ``max_iter``
+    outer iterations; ``tol = 0`` runs the whole budget."""
     max_iter: int = 10_000
     tol: float = 1e-6
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValidationError(
+                f"stop.tol must be finite and nonnegative, got {self.tol}")
+        if self.max_iter < 0:
+            raise ValidationError(
+                f"stop.max_iter must be nonnegative, got {self.max_iter}")
 
 
 @dataclass

@@ -113,12 +113,13 @@ def _setup(cfg: ExperimentConfig):
     params = _build_params(cfg, game, graph)
     algorithm = _algorithm(cfg, game)
     inner = _build_inner(cfg)   # surfaces bad inner settings before any run
+    stop = StopRule(cfg.get_int("stop.max_iter"), cfg.get_float("stop.tol"))
     if cfg.get("inner.mode") == "residual" and params.mu(1) == 0.0:
         raise ConfigError(
             "a zero tolerance schedule (params.mu = exact, or params.mu0 = 0) "
             "needs inner.mode = exact or oracle: residual mode cannot certify "
             "an exactly zero tolerance")
-    return game, graph, params, algorithm, inner
+    return game, graph, params, algorithm, inner, stop
 
 
 def _parameter_echo(cfg: ExperimentConfig) -> dict:
@@ -131,7 +132,7 @@ def _parameter_echo(cfg: ExperimentConfig) -> dict:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    game, graph, params, algorithm, _ = _setup(cfg)
+    game, graph, params, algorithm, _, _ = _setup(cfg)
     margins = step_size_margins(params, game, graph)
     print(f"ok: {algorithm} step sizes valid; margins: "
           + ", ".join(f"{k}={v:.6g}" for k, v in margins.items()))
@@ -149,8 +150,7 @@ def _write_outputs(out_dir: Path, game: Game, rows, summary: dict) -> None:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    game, graph, params, algorithm, inner = _setup(cfg)
-    stop = StopRule(cfg.get_int("stop.max_iter"), cfg.get_float("stop.tol"))
+    game, graph, params, algorithm, inner, stop = _setup(cfg)
     out_dir = Path(os.environ.get("GNESOLVE_OUTPUT_DIR") or cfg.get("output.dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
 

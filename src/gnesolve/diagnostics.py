@@ -36,62 +36,43 @@ def _stationarity_blocks(game: Game, x: np.ndarray, lam: np.ndarray) -> tuple:
         for xi, si in zip(game.split(x), game.split(stepped)))
 
 
-def _shared_multiplier(lam) -> tuple[np.ndarray, float]:
-    """Accept one shared multiplier (length m) or a stack of local ones
-    (N, m); local stacks are averaged and their consensus error reported."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 2:
-        return lam.mean(axis=0), consensus_error(lam)
-    return lam, 0.0
-
-
-def kkt_residual_equality(game: Game, x, lam, tol: float = 1e-6) -> KktReport:
-    """Shared-multiplier optimality certificate for equality coupling.
+def kkt_residual(game: Game, x, lam, tol: float = 1e-6) -> KktReport:
+    """Shared-multiplier optimality certificate for the game's coupling.
 
     ``lam`` is one multiplier of length m, or the (N, m) stack of local
     multipliers, which is then averaged with its consensus error recorded
     (the substitution error is bounded by the consensus error).
-    Stationarity is the projected natural-map residual per player;
-    feasibility is the norm of the coupling gap.  ``is_variational`` is true
-    when every component is below ``tol``.
+    Stationarity is the projected natural-map residual per player.
+    Feasibility is the norm of the coupling gap, of its positive part for
+    inequality coupling, which adds the complementarity residual
+    ``|| min(lam, -gap) ||``: it vanishes exactly when the multiplier is
+    supported on active rows and the constraint holds.  There the average
+    of a local stack is clipped at zero, since relaxation overshoot may
+    leave tiny negative entries in it; a single shared multiplier must be
+    nonnegative.  ``is_variational`` is true when every component is
+    below ``tol``.
     """
     x = as_vector(x)
-    shared, consensus = _shared_multiplier(lam)
-    stationarity = _stationarity_blocks(game, x, shared)
-    feasibility = float(np.linalg.norm(game.coupling_gap(x)))
-    ok = (max(stationarity) <= tol and feasibility <= tol
-          and consensus <= tol)
-    return KktReport(stationarity, feasibility, consensus, None, ok)
-
-
-def kkt_residual_inequality(game: Game, x, lam, tol: float = 1e-6) -> KktReport:
-    """Shared-multiplier optimality certificate for inequality coupling.
-
-    Adds the complementarity residual ``|| min(lam, -gap) ||`` which
-    vanishes exactly when the multiplier is supported on active rows and the
-    constraint holds.  The average of an (N, m) stack of local multipliers
-    is clipped at zero, since relaxation overshoot may leave tiny negative
-    entries in it; a single shared multiplier must be nonnegative.
-    """
-    x = as_vector(x)
-    shared, consensus = _shared_multiplier(lam)
-    if np.ndim(lam) == 2:
-        shared = np.maximum(shared, 0.0)
-    if shared.min() < 0:
-        raise ValidationError("the shared multiplier must be nonnegative")
-    stationarity = _stationarity_blocks(game, x, shared)
+    lam = np.asarray(lam, dtype=float)
+    local = lam.ndim == 2
+    shared = lam.mean(axis=0) if local else lam
+    consensus = consensus_error(lam) if local else 0.0
     gap = game.coupling_gap(x)
-    feasibility = float(np.linalg.norm(np.maximum(gap, 0.0)))
-    complementarity = float(np.linalg.norm(np.minimum(shared, -gap)))
-    ok = (max(stationarity) <= tol and feasibility <= tol
-          and complementarity <= tol and consensus <= tol)
-    return KktReport(stationarity, feasibility, consensus, complementarity, ok)
-
-
-def kkt_residual(game: Game, x, lam: np.ndarray, tol: float = 1e-6) -> KktReport:
     if game.kind == EQUALITY:
-        return kkt_residual_equality(game, x, lam, tol)
-    return kkt_residual_inequality(game, x, lam, tol)
+        feasibility = float(np.linalg.norm(gap))
+        complementarity = None
+    else:
+        if local:
+            shared = np.maximum(shared, 0.0)
+        if shared.min() < 0:
+            raise ValidationError("the shared multiplier must be nonnegative")
+        feasibility = float(np.linalg.norm(np.maximum(gap, 0.0)))
+        complementarity = float(np.linalg.norm(np.minimum(shared, -gap)))
+    stationarity = _stationarity_blocks(game, x, shared)
+    ok = (all(s <= tol for s in stationarity) and feasibility <= tol
+          and consensus <= tol
+          and (complementarity is None or complementarity <= tol))
+    return KktReport(stationarity, feasibility, consensus, complementarity, ok)
 
 
 def consensus_error(lam: np.ndarray) -> float:

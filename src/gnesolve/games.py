@@ -86,6 +86,17 @@ def as_vector(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _checked(g, shape: tuple, source: str, name: str) -> np.ndarray:
+    """An oracle's output as a float array; raises `StructuralError` unless
+    it has ``shape``, and `NumericError` unless its entries are finite."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != shape:
+        raise StructuralError(f"{source} returned shape {g.shape}, expected {shape}")
+    if not np.isfinite(g).all():
+        raise NumericError(f"{name} has non-finite entries")
+    return g
+
+
 def padded_layout(dims: Sequence[int]) -> tuple[int, slice | np.ndarray]:
     """Layout of per-player blocks zero-padded to a common order.
 
@@ -176,18 +187,20 @@ class Game:
 
     # -- profile helpers ---------------------------------------------------
 
-    def split(self, x) -> list[np.ndarray]:
+    def _profile(self, x) -> np.ndarray:
+        """``x`` as a flat float array; raises unless it has length ``n``."""
         x = as_vector(x)
         if x.size != self.n:
             raise StructuralError(f"profile length {x.size}, expected {self.n}")
+        return x
+
+    def split(self, x) -> list[np.ndarray]:
+        x = self._profile(x)
         return [x[o:o + d] for o, d in zip(self.offsets, self.dims)]
 
     def project(self, x) -> np.ndarray:
         """Projection onto the product of the private boxes."""
-        x = as_vector(x)
-        if x.size != self.n:
-            raise StructuralError(f"profile length {x.size}, expected {self.n}")
-        return np.clip(x, self.box_lower, self.box_upper)
+        return np.clip(self._profile(x), self.box_lower, self.box_upper)
 
     def sample_profile(self, rng: SplitMix64) -> np.ndarray:
         """Profile drawn uniformly in the product box, coordinate by
@@ -198,41 +211,24 @@ class Game:
 
     def pseudo_gradient(self, x) -> np.ndarray:
         """Stacked subgradient selection of all players at profile ``x``."""
-        x = as_vector(x)
         if self.profile_oracle is not None:
-            if x.size != self.n:
-                raise StructuralError(f"profile length {x.size}, expected {self.n}")
-            g = np.asarray(self.profile_oracle(x), dtype=float)
-            if g.shape != (self.n,):
-                raise StructuralError(
-                    f"profile oracle returned shape {g.shape}, expected ({self.n},)")
-        else:
-            blocks = self.split(x)
-            parts = []
-            for i, p in enumerate(self.players):
-                others = np.concatenate(
-                    [blocks[j] for j in range(self.n_players) if j != i]
-                ) if self.n_players > 1 else np.empty(0)
-                gi = np.asarray(p.oracle(blocks[i], others), dtype=float)
-                if gi.shape != (p.dim,):
-                    raise StructuralError(
-                        f"player {i} oracle returned shape {gi.shape}, "
-                        f"expected ({p.dim},)")
-                parts.append(gi)
-            g = np.concatenate(parts)
-        if not np.all(np.isfinite(g)):
-            raise NumericError("pseudo-gradient has non-finite entries")
-        return g
+            return _checked(self.profile_oracle(self._profile(x)), (self.n,),
+                            "profile oracle", "pseudo-gradient")
+        # each player's oracle also reads the other blocks in player order
+        # (none in a one-player game)
+        blocks = self.split(x)
+        return np.concatenate([
+            _checked(p.oracle(blocks[i], np.concatenate(
+                         [np.empty(0), *blocks[:i], *blocks[i + 1:]])),
+                     (p.dim,), f"player {i} oracle", "pseudo-gradient")
+            for i, p in enumerate(self.players)])
 
     # -- coupling-constraint helpers ----------------------------------------
 
     def constraint_rows(self, x) -> np.ndarray:
         """(N, m) array with row ``i`` equal to ``A_i x_i``."""
-        x = as_vector(x)
-        if x.size != self.n:
-            raise StructuralError(f"profile length {x.size}, expected {self.n}")
         padded = np.zeros((self.n_players, self._order))
-        padded.reshape(-1)[self._index] = x
+        padded.reshape(-1)[self._index] = self._profile(x)
         return (self._A_stack @ padded[:, :, None])[:, :, 0]
 
     def local_residual(self, x) -> np.ndarray:
@@ -271,10 +267,8 @@ class Game:
         a splitting structure, otherwise the pseudo-gradient."""
         if self.separable_prox is None:
             return self.pseudo_gradient(x)
-        g = np.asarray(self.smooth_oracle(as_vector(x)), dtype=float)
-        if not np.isfinite(g).all():
-            raise NumericError("smooth gradient has non-finite entries")
-        return g
+        return _checked(self.smooth_oracle(self._profile(x)), (self.n,),
+                        "smooth oracle", "smooth gradient")
 
     def backward_step(self, v, gamma: float) -> np.ndarray:
         """Backward part of the natural map: the separable prox (nonsmooth

@@ -35,14 +35,13 @@ def block_diag(blocks) -> np.ndarray:
     return out
 
 
-def constraint_matrix(game: Game) -> np.ndarray:
-    """Block-diagonal stack of the player coupling blocks, (m*N, n)."""
-    return block_diag([p.A for p in game.players])
-
-
-def incidence_kron(graph: CommGraph, m: int) -> np.ndarray:
-    """Incidence matrix acting on m-vector-valued node/edge data."""
-    return np.kron(graph.incidence, np.eye(m))
+def incidence_sandwich(V: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``Vbar blockdiag(B) Vbar^T`` with ``Vbar = V kron I_m``, for a (p, q)
+    incidence-like ``V`` and (q, m, m) blocks ``B``; order ``p m``.  Entry
+    ``((i, a), (j, b))`` is ``sum_l V_il V_jl B_l[a, b]``, so nothing of
+    order ``q m`` is formed."""
+    p, m = V.shape[0], B.shape[-1]
+    return np.einsum("il,jl,lab->iajb", V, V, B).reshape(p * m, p * m)
 
 
 def layout_sizes(game: Game, graph: CommGraph, lifted: bool = False) -> tuple:
@@ -106,9 +105,8 @@ def check_step_sizes_equality(params: AlgoParams, game: Game,
     _check_fit(params, game, graph)
     margin_x = min(_min_eig(Ri - p.A.T @ Hi @ p.A)
                    for Ri, Hi, p in zip(params.R, params.H, game.players))
-    # entry ((l, a), (k, b)) is sum_i V_il V_ik H_i[a, b]: at most two terms
-    V, mM = graph.incidence, game.m * graph.n_edges
-    VHV = np.einsum("il,ik,iab->lakb", V, V, params.H).reshape(mM, mM)
+    # each entry of Vbar^T H Vbar is a sum of at most two +-H_i terms
+    VHV = incidence_sandwich(graph.incidence.T, params.H)
     margin_z = _min_eig(block_diag(np.linalg.inv(params.W)) - VHV)
     if not (margin_x > 0.0 and margin_z > 0.0):
         raise ValidationError(
@@ -130,9 +128,7 @@ def inequality_preconditioner(params: AlgoParams, game: Game,
         raise ValidationError(
             "multiplier step matrices must be diagonal for the inequality "
             "operator (exact weighted orthant projection)")
-    # entry ((i, a), (j, b)) is sum_l V_il V_jl W_l[a, b]
-    V, mN = graph.incidence, game.m * game.n_players
-    S = -np.einsum("il,jl,lab->iajb", V, V, params.W).reshape(mN, mN)
+    S = -incidence_sandwich(graph.incidence, params.W)
     S += block_diag([np.linalg.inv(Hi) - p.A @ np.linalg.solve(Ri, p.A.T)
                      for Ri, Hi, p in zip(params.R, params.H, game.players)])
     margin = _min_eig(S)

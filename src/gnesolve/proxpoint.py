@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InexactnessError, ValidationError
 from .games import Game
 from .graphs import CommGraph
-from .operators import (block_diag, constraint_matrix, incidence_kron,
+from .operators import (block_diag, incidence_sandwich,
                         inequality_preconditioner, pack, unpack_lifted,
                         unpack_plain)
 from .params import AlgoParams
@@ -129,16 +129,21 @@ class InequalityResolvent:
 class LiftedEqualityResolvent:
     """Structured resolvent for the lifted equality operator.
 
-    The exact blocks follow from eliminating the preconditioned inclusion
-    block by block: the subgame (priced by ``eta - theta``) gives the
-    decision block, then the two auxiliary multiplier halves and the edge
-    block are explicit.  When the subgame is solved inexactly, the auxiliary
-    blocks are selected so that the combined point stays within a certified
-    multiple of the subgame error while reproducing the distributed
-    algorithm's trajectory exactly under the state mapping.  Exact
-    certificates require an inner mode that exposes the subgame equilibrium
-    ("exact" or "oracle"); with residual-mode inner solves the bound is an
-    estimate.
+    One block sweep at the subgame solution ``x_t``: the subgame (priced by
+    ``eta - theta``) gives the decision block, then the two auxiliary
+    multiplier halves and the edge block are explicit,
+    ``eta_t = eta + H (Vbar Z - A (x - 2 x_t) - b) / 2``,
+    ``Z_t = Z + W Vbar^T (eta - 2 eta_t + theta)`` and
+    ``theta_t = theta + H (A (x - 2 x_t) + Vbar (Z - 2 Z_t) + b) / 2``.
+
+    The certificate holds in every inner mode: the sweep is affine in
+    ``x_t`` with linear part ``J = (I; H Lam; -2 W Vbar^T H Lam;
+    -(I - 2 H Vbar W Vbar^T) H Lam)``, and the exact resolvent is the same
+    sweep at the exact subgame solution ``x_hat``, so the returned point
+    is within ``|J|_2 |x_t - x_hat| <= |J|_2 * certificate`` of it.  The
+    sweep at ``x_t`` also follows the distributed algorithm: the subgame
+    and `admm.mapped_state` read the auxiliary halves only through
+    ``eta - theta``.
     """
 
     def __init__(self, game: Game, graph: CommGraph, params: AlgoParams,
@@ -147,14 +152,16 @@ class LiftedEqualityResolvent:
         self.graph = graph
         self.params = params
         self.inner = inner
-        Hd, Wd = block_diag(params.H), block_diag(params.W)
-        Lam, Vb = constraint_matrix(game), incidence_kron(graph, game.m)
-        HLam = Hd @ Lam
-        ZX = -2.0 * Wd @ Vb.T @ HLam                   # edge error per unit decision error
-        EX = HLam + 0.5 * Hd @ Vb @ ZX                 # eta error per unit decision error
-        c1 = np.linalg.norm(ZX, 2)
-        c2 = np.linalg.norm(EX, 2)
-        self.nu_factor = float(np.sqrt(1.0 + c1 * c1 + 2.0 * c2 * c2))
+        # |J|_2^2 = 1 + lmax(HLam^T Q HLam) with Q = I + 4 Vbar W^T W Vbar^T
+        # + P^T P and P = I - 2 H Vbar W Vbar^T, all of order mN; HLam is
+        # block-diagonal with blocks H_i A_i, so lmax is of order n
+        V, mN = graph.incidence, game.m * game.n_players
+        P = np.eye(mN) - 2.0 * block_diag(params.H) @ incidence_sandwich(V, params.W)
+        Q = (np.eye(mN) + P.T @ P + 4.0 * incidence_sandwich(
+            V, params.W.transpose(0, 2, 1) @ params.W))
+        HLam = block_diag([Hi @ p.A for Hi, p in zip(params.H, game.players)])
+        self.nu_factor = float(np.sqrt(
+            1.0 + np.linalg.eigvalsh(HLam.T @ Q @ HLam)[-1]))
 
     def mu_for(self, nu: float) -> float:
         return nu / self.nu_factor
@@ -162,30 +169,13 @@ class LiftedEqualityResolvent:
     def solve(self, w: np.ndarray, nu: float) -> ResolventStep:
         game, graph, params = self.game, self.graph, self.params
         x, eta, Z, theta = unpack_lifted(game, graph, w)
-        b = game.b_rows
         sub = Subgame(game, x, game.price_gradient(eta - theta), params)
         sol = self.inner.solve(sub, self.mu_for(nu))
-        x_hat = sol.exact if sol.exact is not None else sol.x
-        x_t = sol.x
-
-        agg_Z = graph.node_aggregate(Z)
-        reflected_x = game.constraint_rows(x - 2.0 * x_hat)   # A_i (x - 2 x_hat)
-        eta_hat = eta + 0.5 * params.apply_H(agg_Z - reflected_x - b)
-        Z_hat = Z + params.apply_W(graph.edge_differences(eta - 2.0 * eta_hat + theta))
-        theta_hat = theta + 0.5 * params.apply_H(
-            reflected_x + graph.node_aggregate(Z - 2.0 * Z_hat) + b)
-
-        if sol.certificate.bound == 0.0:
-            point = pack(x_hat, eta_hat, Z_hat, theta_hat)
-            return ResolventStep(point, 0.0)
-
-        # inexact selection: propagate the decision error through the same
-        # linear maps the distributed algorithm applies
-        dx_rows = game.constraint_rows(x_t - x_hat)          # A_i (x_t - x_hat)
-        Z_t = Z_hat - 2.0 * params.apply_W(
-            graph.edge_differences(params.apply_H(dx_rows)))
-        dz = 0.5 * params.apply_H(graph.node_aggregate(Z_t - Z_hat))
-        eta_t = eta_hat + params.apply_H(dx_rows) + dz
-        theta_t = theta_hat - params.apply_H(dx_rows) - dz
-        return ResolventStep(pack(x_t, eta_t, Z_t, theta_t),
+        reflected = game.constraint_rows(x - 2.0 * sol.x)   # A_i (x - 2 x_t)
+        eta_t = eta + 0.5 * params.apply_H(
+            graph.node_aggregate(Z) - reflected - game.b_rows)
+        Z_t = Z + params.apply_W(graph.edge_differences(eta - 2.0 * eta_t + theta))
+        theta_t = theta + 0.5 * params.apply_H(
+            reflected + graph.node_aggregate(Z - 2.0 * Z_t) + game.b_rows)
+        return ResolventStep(pack(sol.x, eta_t, Z_t, theta_t),
                              self.nu_factor * sol.certificate.bound)

@@ -82,9 +82,8 @@ class InnerCertificate:
 
 @dataclass(frozen=True)
 class InnerSolution:
-    x: np.ndarray
-    certificate: InnerCertificate
-    exact: np.ndarray | None = None   # the equilibrium itself, when available
+    x: np.ndarray                     # the returned subgame solution
+    certificate: InnerCertificate     # its certified distance to the equilibrium
 
 
 #: relative certificate at which oracle mode's reference equilibrium stops
@@ -101,8 +100,9 @@ class InnerSolver:
         ``|(y - y+)/gamma - G(y) + G(y+)| / r_min`` certifies the tolerance;
         the bound follows from strong monotonicity alone.  ``"oracle"``
         returns the same iterate but continues the same trajectory to a
-        machine-precision reference equilibrium, reports the true distance
-        to it as the bound, and exposes it; it is kept as a test reference.
+        machine-precision reference equilibrium and reports the true
+        distance to it as the bound; at ``mu = 0`` it returns the reference
+        itself, ``solve(sub, 0.0).x``, which the tests compare against.
     cap
         Hard iteration limit; exceeding it raises rather than silently
         returning an uncertified point.
@@ -128,7 +128,7 @@ class InnerSolver:
                 "exact inner mode requires a game with a closed-form "
                 "regularized-equilibrium solver")
         x_hat = np.asarray(solver(sub.anchor, sub.shift, sub.params.R), dtype=float)
-        return InnerSolution(x_hat, InnerCertificate(0.0, 0), x_hat)
+        return InnerSolution(x_hat, InnerCertificate(0.0, 0))
 
     def _forward_backward(self, sub: Subgame, mu: float,
                           reference: bool) -> InnerSolution:
@@ -172,15 +172,13 @@ class InnerSolver:
             bound = float(np.linalg.norm((y - y_next) / gamma - g + g_next)) / sigma
             if found is None and bound <= mu:
                 if not reference:
-                    return InnerSolution(
-                        y_next, InnerCertificate(bound, it), None)
+                    return InnerSolution(y_next, InnerCertificate(bound, it))
                 found = y_next
             if reference and bound <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(y_next)):
                 if found is None:
                     found = y_next
                 distance = float(np.linalg.norm(found - y_next))
-                return InnerSolution(
-                    found, InnerCertificate(distance, it), y_next)
+                return InnerSolution(found, InnerCertificate(distance, it))
             dy, dg = y_next - y, g_next - g
             curvature, dg_sq = float(dg @ dy), float(dg @ dg)
             gamma *= 1.5

@@ -6,8 +6,7 @@ resolvents are checked against."""
 
 import numpy as np
 
-from gnesolve.operators import (block_diag, constraint_matrix, incidence_kron,
-                                layout_sizes, pack)
+from gnesolve.operators import block_diag, layout_sizes, pack
 from gnesolve.proxpoint import ResolventStep
 
 
@@ -26,6 +25,17 @@ from gnesolve.proxpoint import ResolventStep
 # (lifted).  So ``Phi + K = D - 2 U^T`` is block lower triangular, and each
 # resolvent is one sequential sweep: the subgame, then the local multiplier
 # and edge updates.
+
+def constraint_matrix(game):
+    """``Lam``: block-diagonal stack of the player coupling blocks, (m*N, n)."""
+    return block_diag([p.A for p in game.players])
+
+
+def incidence_kron(graph, m):
+    """``Vbar``: the incidence matrix acting on m-vector-valued node/edge
+    data."""
+    return np.kron(graph.incidence, np.eye(m))
+
 
 def coupling_blocks(game, graph, lifted=False):
     """The layout's blocks above the block diagonal, ``{(i, j): B}``."""
@@ -85,6 +95,16 @@ def dense_equality_margins(params, game, graph):
     Mz = np.linalg.inv(block_diag(params.W)) - Vb.T @ Hd @ Vb
     return {"x": float(np.linalg.eigvalsh(0.5 * (Mx + Mx.T)).min()),
             "z": float(np.linalg.eigvalsh(0.5 * (Mz + Mz.T)).min())}
+
+
+def dense_lifted_jacobian(params, game, graph):
+    """``J = (I; H Lam; -2 W Vbar^T H Lam; -(I - 2 H Vbar W Vbar^T) H Lam)``:
+    the linear part of the lifted resolvent's sweep in its decision block."""
+    Lam, Vb = constraint_matrix(game), incidence_kron(graph, game.m)
+    Hd, Wd = block_diag(params.H), block_diag(params.W)
+    HLam = Hd @ Lam
+    return np.vstack([np.eye(game.n), HLam, -2.0 * Wd @ Vb.T @ HLam,
+                      -(np.eye(len(Hd)) - 2.0 * Hd @ Vb @ Wd @ Vb.T) @ HLam])
 
 
 class MatrixResolvent:

@@ -116,7 +116,7 @@ def test_divergence_detected(algorithm, request, pair_graph, toy_params,
             if self.calls < 3:
                 return exact_inner.solve(sub, mu)
             bad = np.full(sub.anchor.shape, np.inf)
-            return InnerSolution(bad, InnerCertificate(0.0, 1), bad)
+            return InnerSolution(bad, InnerCertificate(0.0, 1))
 
     with pytest.raises(DivergenceError) as err:
         runner(game, pair_graph, toy_params, BrokenInner(),
@@ -162,8 +162,9 @@ def test_correspondence_breaks_with_wrong_start(eq_game, pair_graph,
 
 
 def test_correspondence_with_inexact_inner(eq_game, pair_graph):
-    # the mapping is exact for any certified subgame tolerance, because the
-    # auxiliary selections absorb the decision error
+    # the mapping is exact for any certified subgame tolerance: both
+    # trajectories take the same inexact subgame solution, and the lifted
+    # sweep applies to it the same linear maps as the distributed update
     game, _ = eq_game
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 10.0, 0.5, 0.5,
                                    1.1, mu=gs.inverse_square(0.1))
@@ -191,6 +192,18 @@ def test_correspondence_on_task_benchmark():
                                        mu=gs.inverse_square(0.01))
     inner = gs.InnerSolver("oracle")
     report = correspondence_check(game, graph, params, 30, inner, seed=0)
+    assert report.max_deviation <= 1e-9
+
+
+def test_correspondence_on_task_benchmark_in_residual_mode():
+    # the default inner mode: no reference equilibrium exists, and the
+    # lifted sweep still follows the distributed trajectory
+    game = gs.task_allocation_game(0)
+    graph = gs.benchmark_graph("chain14")
+    params = gs.task_allocation_params(game, graph, seed=0,
+                                       mu=gs.inverse_square(0.01))
+    report = correspondence_check(game, graph, params, 30, gs.InnerSolver(),
+                                  seed=0)
     assert report.max_deviation <= 1e-9
 
 

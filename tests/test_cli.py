@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import gnesolve as gs
-from gnesolve.cli import main
-from gnesolve.config import (_KNOWN_KEYS, DEFAULTS, parse_config_text,
-                             parse_edge_list)
+from gnesolve.cli import _setup, main
+from gnesolve.config import (_KNOWN_KEYS, DEFAULTS, load_config,
+                             parse_config_text, parse_edge_list)
 from gnesolve.errors import ConfigError
+from gnesolve.proxpoint import InequalityResolvent, LiftedEqualityResolvent
 from gnesolve.trace import (TRACE_COLUMNS, TraceRow, read_trace_csv,
                             write_trace_csv)
 
@@ -198,6 +199,22 @@ def test_bad_mu0_rejected_before_the_run(tmp_path, capsys, mu0):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, key", [
+    ("stop.tol = nan", "stop.tol"), ("stop.tol = inf", "stop.tol"),
+    ("stop.tol = -1", "stop.tol"), ("stop.max_iter = -3", "stop.max_iter")])
+def test_bad_stop_rule_rejected_before_the_run(tmp_path, capsys, line, key):
+    # validate used to print "ok" for these, and run to stop with exit 0
+    # after the whole iteration budget (or none of it)
+    out = tmp_path / "o"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(re.sub(rf"{re.escape(key)} = \S+", line,
+                          RESIDUAL_QUAD_CFG.format(out=out)))
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exact_schedule_needs_an_exact_inner_mode(tmp_path, capsys):
     # residual mode cannot certify mu = 0: both commands refuse the pair
     # before the run writes anything
@@ -352,7 +369,8 @@ def test_no_eigendecomposition_above_the_largest_block(tmp_path, monkeypatch,
                                                        name, build):
     # the validators decompose per-player and per-edge blocks and the
     # order-mN Schur complement, never the stacked preconditioner; they
-    # run before the first outer iteration, so a short run covers them
+    # run before the first outer iteration, so a short run covers them.
+    # The resolvents' certificate factors are held to the same orders
     orders = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -366,6 +384,10 @@ def test_no_eigendecomposition_above_the_largest_block(tmp_path, monkeypatch,
                           (CONFIGS / f"{name}.cfg").read_text()))
     for command in ("validate", "run"):
         assert main([command, str(cfg)]) == 0
+    game, graph, params, _, inner, _ = _setup(load_config(cfg))
+    resolvent = (LiftedEqualityResolvent if game.kind == gs.EQUALITY
+                 else InequalityResolvent)
+    resolvent(game, graph, params, inner)
     game = build(0)
     n_edges = game.n_players - 1            # the shipped chain graphs
     largest = max(game.n, game.m * n_edges, game.m * game.n_players)
@@ -490,7 +512,7 @@ class FailingInner:
             return self.exact.solve(sub, mu)
         if self.failure is gs.DivergenceError:
             bad = np.full(sub.anchor.shape, np.inf)
-            return InnerSolution(bad, InnerCertificate(0.0, 1), bad)
+            return InnerSolution(bad, InnerCertificate(0.0, 1))
         raise self.failure("inner solve failed on purpose")
 
 

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gnesolve as gs
-from gnesolve.diagnostics import (consensus_error, fejer_check,
-                                  kkt_residual_equality,
-                                  kkt_residual_inequality)
+from gnesolve.diagnostics import consensus_error, fejer_check, kkt_residual
 from gnesolve.errors import ValidationError
 
 
 def test_kkt_equality_at_oracle_point(eq_game):
     game, sol = eq_game
-    report = kkt_residual_equality(game, sol["x"], np.array([sol["lambda"]]))
+    report = kkt_residual(game, sol["x"], np.array([sol["lambda"]]))
     assert report.worst() <= 1e-10
     assert report.is_variational
     assert report.complementarity is None
@@ -20,7 +18,7 @@ def test_kkt_equality_at_oracle_point(eq_game):
 def test_kkt_equality_detects_perturbation(eq_game):
     game, sol = eq_game
     x = np.asarray(sol["x"]) + np.array([0.1, 0.0])
-    report = kkt_residual_equality(game, x, np.array([sol["lambda"]]))
+    report = kkt_residual(game, x, np.array([sol["lambda"]]))
     assert max(report.stationarity_per_player) > 0.01
     assert not report.is_variational
 
@@ -29,39 +27,39 @@ def test_kkt_equality_multiplier_free_case():
     # with the constraint level at the decoupled optimum, lambda = 0 certifies
     game, sol = gs.quadratic_game(t=(2.0, 1.0), delta=0.0, c=3.0)
     assert sol["lambda"] == pytest.approx(0.0, abs=1e-12)
-    report = kkt_residual_equality(game, np.array([2.0, 1.0]), np.zeros(1))
+    report = kkt_residual(game, np.array([2.0, 1.0]), np.zeros(1))
     assert report.is_variational
 
 
 def test_kkt_inequality_cases(ineq_game):
     game, sol = ineq_game
-    report = kkt_residual_inequality(game, sol["x"], np.array([sol["lambda"]]))
+    report = kkt_residual(game, sol["x"], np.array([sol["lambda"]]))
     assert report.worst() <= 1e-10 and report.is_variational
 
     # strictly feasible point with zero multiplier: zero complementarity
     feasible_game, fsol = gs.quadratic_game(c=10.0, kind=gs.INEQUALITY)
-    rep2 = kkt_residual_inequality(feasible_game, fsol["x"], np.zeros(1))
+    rep2 = kkt_residual(feasible_game, fsol["x"], np.zeros(1))
     assert rep2.complementarity <= 1e-12
 
     # violated constraint with zero multiplier: positive complementarity
-    rep3 = kkt_residual_inequality(game, np.array([2.0, 0.0]), np.zeros(1))
+    rep3 = kkt_residual(game, np.array([2.0, 0.0]), np.zeros(1))
     assert rep3.complementarity > 0.5
 
     with pytest.raises(ValidationError):
-        kkt_residual_inequality(game, sol["x"], np.array([-0.1]))
+        kkt_residual(game, sol["x"], np.array([-0.1]))
 
 
 def test_kkt_residual_continuity(eq_game):
     # perturbations of size eps move the residuals by O(eps)
     game, sol = eq_game
     lam = np.array([sol["lambda"]])
-    base = kkt_residual_equality(game, sol["x"], lam)
+    base = kkt_residual(game, sol["x"], lam)
     rng = np.random.default_rng(8)
     direction = rng.normal(size=2)
     direction /= np.linalg.norm(direction)
     values = []
     for eps in (1e-3, 1e-4):
-        rep = kkt_residual_equality(game, sol["x"] + eps * direction, lam)
+        rep = kkt_residual(game, sol["x"] + eps * direction, lam)
         delta = max(rep.stationarity_per_player) - max(base.stationarity_per_player)
         values.append(delta / eps)
     # the ratio (residual change / eps) is bounded and roughly constant
@@ -78,8 +76,8 @@ def test_kkt_accepts_local_multiplier_stack(eq_game, pair_graph):
     tol = 1e-6
     result = gs.run_admm(game, pair_graph, params, inner,
                          gs.StopRule(5000, tol), seed=0)
-    report = kkt_residual_equality(game, result.state.x, result.state.lam,
-                                   tol=10 * tol)
+    report = kkt_residual(game, result.state.x, result.state.lam,
+                          tol=10 * tol)
     assert report.is_variational
     assert report.worst() <= 10 * tol
     assert report.consensus == pytest.approx(

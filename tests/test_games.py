@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 import gnesolve as gs
 from gnesolve.games import Box, Player
 from gnesolve.errors import NumericError, StructuralError, ValidationError
-from gnesolve.operators import constraint_matrix
 from gnesolve.rng import SplitMix64
 
-from helpers import fd_block_gradient, quadratic_value
+from helpers import constraint_matrix, fd_block_gradient, quadratic_value
 
 
 # -- boxes ---------------------------------------------------------------------

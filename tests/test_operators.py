@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 import gnesolve as gs
 from gnesolve.errors import StructuralError, ValidationError
 from gnesolve.games import Box, Player
-from gnesolve.operators import (block_diag, constraint_matrix,
-                                incidence_kron, inequality_preconditioner,
+from gnesolve.operators import (block_diag, inequality_preconditioner,
                                 pack, residual_equality, residual_inequality,
                                 step_size_margins)
 from gnesolve.proxpoint import InequalityResolvent
 from conftest import edge_flow_for
-from helpers import dense_equality_margins, dense_preconditioner, linear_part
+from helpers import (constraint_matrix, dense_equality_margins,
+                     dense_preconditioner, incidence_kron, linear_part)
 
 
 def test_skew_symmetry_exact(eq_game, pair_graph):

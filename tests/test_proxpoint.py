@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 import gnesolve as gs
 from gnesolve.errors import InexactnessError, ValidationError
-from gnesolve.operators import (constraint_matrix, incidence_kron, pack,
-                                unpack_plain)
+from gnesolve.operators import pack, unpack_plain
 from gnesolve.proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
                                 pppa_step, run_proxpoint)
 from conftest import edge_flow_for
-from helpers import MatrixResolvent, dense_preconditioner, linear_part
+from gnesolve.games import Box, Player
+from helpers import (MatrixResolvent, constraint_matrix, dense_lifted_jacobian,
+                     dense_preconditioner, incidence_kron, linear_part)
 
 
 # -- engine on scalar operators ---------------------------------------------------
@@ -142,6 +143,61 @@ def test_inequality_resolvent_inclusion(ineq_game, pair_graph, toy_params,
         assert np.all(lam_hat.reshape(-1) >= -1e-12)
         assert np.all(v <= 1e-10)
         assert abs(v @ lam_hat.reshape(-1)) <= 1e-10
+
+
+def random_equality_instance(seed):
+    """Two to five players of dimension 1-3 with m = 1-3 coupling rows and an
+    affine monotone profile oracle, on a path graph plus random chords, with
+    SPD step matrices (``H`` not diagonal)."""
+    rng = np.random.default_rng(seed)
+    N, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    dims = [int(d) for d in rng.integers(1, 4, size=N)]
+    n = sum(dims)
+
+    def spd(d, scale):
+        G = rng.normal(size=(d, d))
+        return scale * (G @ G.T / d + 0.1 * np.eye(d))
+    skew = rng.normal(size=(n, n))
+    M, c = spd(n, 1.0) + 0.5 * (skew - skew.T), rng.normal(size=n)
+    players = [Player(d, lambda xi, o: np.zeros_like(xi),
+                      rng.normal(size=(m, d)), rng.normal(size=m),
+                      Box(-2.0 * np.ones(d), 2.0 * np.ones(d))) for d in dims]
+    game = gs.Game(players, gs.EQUALITY, profile_oracle=lambda x: M @ x + c)
+    chords = [(i, j) for i in range(N) for j in range(i + 2, N)
+              if rng.random() < 0.4]
+    graph = gs.build_incidence(N, [(i, i + 1) for i in range(N - 1)] + chords)
+    params = gs.AlgoParams(
+        [spd(d, 10.0 ** rng.uniform(0.0, 1.0)) for d in dims],
+        np.stack([spd(m, 10.0 ** rng.uniform(-1.0, 0.0)) for _ in range(N)]),
+        np.stack([spd(m, 10.0 ** rng.uniform(-1.0, 0.0))
+                  for _ in range(graph.n_edges)]), 1.1)
+    return game, graph, params, rng
+
+
+@given(st.integers(0, 2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_lifted_certificate_bounds_the_distance_to_the_exact_resolvent(seed):
+    # the sweep is affine in the subgame solution with linear part J, so a
+    # residual-mode step lies within |J|_2 * certificate of the exact
+    # resolvent, the oracle-mode step at nu = 0
+    game, graph, params, rng = random_equality_instance(seed)
+    J = dense_lifted_jacobian(params, game, graph)
+    resolvent = LiftedEqualityResolvent(game, graph, params, gs.InnerSolver())
+    exact = LiftedEqualityResolvent(game, graph, params,
+                                    gs.InnerSolver("oracle"))
+    assert resolvent.nu_factor == pytest.approx(np.linalg.norm(J, 2),
+                                                rel=1e-12)
+    n = game.n
+    for _ in range(2):
+        w = 2.0 * rng.normal(size=J.shape[0])
+        reference = exact.solve(w, 0.0)
+        assert reference.bound == 0.0
+        for nu in (1e-1, 1e-3, 1e-5):
+            step = resolvent.solve(w, nu)
+            gap = step.point - reference.point
+            assert step.bound <= nu
+            assert np.linalg.norm(gap) <= step.bound + 1e-10
+            assert np.allclose(gap, J @ gap[:n], atol=1e-10)
 
 
 # -- firm nonexpansiveness ----------------------------------------------------------

@@ -94,7 +94,8 @@ def test_oracle_mode_matches_linear_solve(eq_game, pair_graph, toy_params):
     exact = InnerSolver("exact").solve(sub, 0.0)
     assert np.allclose(exact.x, expected, atol=1e-12)
     # the oracle-mode equilibrium satisfies the subgame optimality residual
-    assert np.linalg.norm(sol.exact - sub.step(sol.exact, 0.05)) <= 1e-10
+    reference = solver.solve(sub, 0.0).x
+    assert np.linalg.norm(reference - sub.step(reference, 0.05)) <= 1e-10
 
 
 def test_residual_mode_certificate(eq_game, pair_graph, toy_params):
@@ -238,6 +239,26 @@ def test_non_finite_smooth_oracle_fails_at_once():
         game.natural_step(np.zeros(2), np.zeros(2))
 
 
+def test_smooth_oracle_shape_checked():
+    # a smooth oracle returning a scalar used to be broadcast, so that a
+    # residual-mode solve certified bound 0 after one step at a wrong point,
+    # and profiles of any length reached it; the prox path now checks its
+    # input and output as the profile path does
+    player = Player(2, lambda xi, o: xi, np.zeros((1, 2)), np.zeros(1),
+                    Box(np.full(2, -1.0), np.full(2, 1.0)))
+    game = gs.Game([player], gs.EQUALITY, smooth_oracle=lambda x: 1.0,
+                   separable_prox=lambda v, g: np.clip(v, -1.0, 1.0))
+    with pytest.raises(StructuralError,
+                       match=r"smooth oracle returned shape \(\), expected \(2,\)"):
+        game.smooth_gradient(np.zeros(2))
+    with pytest.raises(StructuralError, match="profile length 3, expected 2"):
+        game.smooth_gradient(np.zeros(3))
+    params = gs.AlgoParams.uniform(game, gs.path_graph(2), 1.0, 0.5, 0.5, 1.0)
+    sub = Subgame(game, np.zeros(2), np.zeros(2), params)
+    with pytest.raises(StructuralError, match="smooth oracle returned shape"):
+        InnerSolver().solve(sub, 1e-6)
+
+
 @given(st.integers(1, 3), st.integers(1, 3), st.booleans(),
        st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
@@ -297,7 +318,8 @@ def test_residual_mode_certifies_skew_dominated_subgame():
     assert np.linalg.norm(sol.x - x_star) <= sol.certificate.bound
     oracle = InnerSolver("oracle").solve(sub, 1e-6)
     assert oracle.certificate.bound <= 1e-6
-    assert np.linalg.norm(oracle.exact - x_star) <= 1e-12
+    reference = InnerSolver("oracle").solve(sub, 0.0).x
+    assert np.linalg.norm(reference - x_star) <= 1e-12
 
 
 def first_subgame(name):
