@@ -17,7 +17,7 @@ from .games import (Box, EQUALITY, Game, INEQUALITY, MonotonicityReport,
 from .graphs import CommGraph, build_incidence, path_graph
 from .operators import (check_step_sizes_equality, inequality_preconditioner,
                         residual_equality, residual_inequality)
-from .params import AlgoParams, exact_schedule, inverse_square
+from .params import AlgoParams
 from .proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
                         pppa_step, run_proxpoint)
 from .splitting import run_splitting, splitting_iterate

@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .games import (Box, EQUALITY, Game, INEQUALITY, Player,
                     check_monotonicity_samples, register_rebuilder)
 from .graphs import CommGraph, path_graph
-from .params import AlgoParams, MuSchedule, inverse_square
+from .params import AlgoParams
 from .rng import SplitMix64
 
 AUDIT_PAIRS = 200
@@ -426,14 +426,13 @@ def _rebuild_task_allocation(data: dict) -> Game:
 # -- benchmark parameter presets ----------------------------------------------------
 
 def rate_control_params(game: Game, graph: CommGraph,
-                        mu: MuSchedule | None = None) -> AlgoParams:
+                        mu0: float = 1.0) -> AlgoParams:
     """Published step sizes for the rate-control experiment."""
-    return AlgoParams.uniform(game, graph, r=10.0, h=0.5, w=0.5, rho=1.1,
-                              mu=mu if mu is not None else inverse_square())
+    return AlgoParams.uniform(game, graph, r=10.0, h=0.5, w=0.5, rho=1.1, mu0=mu0)
 
 
 def task_allocation_params(game: Game, graph: CommGraph, seed: int,
-                           mu: MuSchedule | None = None) -> AlgoParams:
+                           rho: float = 1.1, mu0: float = 1.0) -> AlgoParams:
     """Diagonal step-size draws for the task-allocation experiment.
 
     Draw order: per player the ``R`` diagonal (n_i values in [4, 8]), then
@@ -446,8 +445,7 @@ def task_allocation_params(game: Game, graph: CommGraph, seed: int,
                         for _ in range(game.n_players)])
     w_diags = np.stack([rng.uniforms(game.m, 0.2, 0.4)
                         for _ in range(graph.n_edges)])
-    return AlgoParams.diagonal(r_diags, h_diags, w_diags, 1.1,
-                               mu if mu is not None else inverse_square())
+    return AlgoParams.diagonal(r_diags, h_diags, w_diags, rho, mu0)
 
 
 def benchmark_graph(name: str) -> CommGraph:

@@ -27,7 +27,7 @@ from .errors import (ConfigError, DivergenceError, GnesolveError,
 from .games import EQUALITY, INEQUALITY, Game, game_to_dict, load_game
 from .graphs import CommGraph, build_incidence, path_graph
 from .operators import step_size_margins
-from .params import AlgoParams, exact_schedule, inverse_square
+from .params import AlgoParams
 from .splitting import run_splitting
 from .subgames import InnerSolver
 from .trace import TRACE_COLUMNS, write_trace_csv
@@ -74,21 +74,19 @@ def _build_graph(cfg: ExperimentConfig, game: Game) -> CommGraph:
 
 def _build_params(cfg: ExperimentConfig, game: Game, graph: CommGraph) -> AlgoParams:
     mu_kind = cfg.get("params.mu")
-    if mu_kind == "exact":
-        mu = exact_schedule()
-    elif mu_kind == "inverse-square":
-        mu = inverse_square(cfg.get_float("params.mu0"))
-    else:
+    if mu_kind not in ("exact", "inverse-square"):
         raise ConfigError(f"unknown tolerance schedule {mu_kind!r}")
+    mu0 = 0.0 if mu_kind == "exact" else cfg.get_float("params.mu0")
+    rho = cfg.get_float("params.rho")
     preset = cfg.get("params.preset")
     if preset == "task-allocation":
         return benchgames.task_allocation_params(
-            game, graph, cfg.get_int("params.seed"), mu)
+            game, graph, cfg.get_int("params.seed"), rho, mu0)
     if preset:
         raise ConfigError(f"unknown params preset {preset!r}")
     return AlgoParams.uniform(
         game, graph, r=cfg.get_float("params.r"), h=cfg.get_float("params.h"),
-        w=cfg.get_float("params.w"), rho=cfg.get_float("params.rho"), mu=mu)
+        w=cfg.get_float("params.w"), rho=rho, mu0=mu0)
 
 
 def _build_inner(cfg: ExperimentConfig) -> InnerSolver:
@@ -114,11 +112,14 @@ def _setup(cfg: ExperimentConfig):
     algorithm = _algorithm(cfg, game)
     inner = _build_inner(cfg)   # surfaces bad inner settings before any run
     stop = StopRule(cfg.get_int("stop.max_iter"), cfg.get_float("stop.tol"))
-    if cfg.get("inner.mode") == "residual" and params.mu(1) == 0.0:
+    if cfg.get("inner.mode") == "residual" and params.mu0 == 0.0:
         raise ConfigError(
             "a zero tolerance schedule (params.mu = exact, or params.mu0 = 0) "
             "needs inner.mode = exact or oracle: residual mode cannot certify "
             "an exactly zero tolerance")
+    if cfg.get("inner.mode") == "exact" and game.exact_subgame_solver is None:
+        raise ConfigError("inner.mode = exact needs a game with a "
+                          "closed-form subgame solver (the quadratic games)")
     return game, graph, params, algorithm, inner, stop
 
 

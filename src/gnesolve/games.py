@@ -295,17 +295,13 @@ def check_monotonicity_samples(game: Game, n_pairs: int,
     """
     if n_pairs < 1:
         raise ValidationError("n_pairs must be at least 1")
-    rng = SplitMix64(seed)
-    worst = np.inf
-    violations = 0
-    for _ in range(n_pairs):
-        x = game.sample_profile(rng)
-        y = game.sample_profile(rng)
-        inner = float((x - y) @ (game.pseudo_gradient(x) - game.pseudo_gradient(y)))
-        worst = min(worst, inner)
-        if inner < -1e-9:
-            violations += 1
-    return MonotonicityReport(worst, violations)
+    # one batch holds the same draws as 2 n_pairs `sample_profile` calls
+    draws = SplitMix64(seed).uniforms(
+        2 * n_pairs * game.n, np.tile(game.box_lower, 2 * n_pairs),
+        np.tile(game.box_upper, 2 * n_pairs)).reshape(n_pairs, 2, game.n)
+    inner = np.array([(x - y) @ (game.pseudo_gradient(x) - game.pseudo_gradient(y))
+                      for x, y in draws])
+    return MonotonicityReport(float(inner.min()), int(np.count_nonzero(inner < -1e-9)))
 
 
 # -- serialization -----------------------------------------------------------
@@ -349,27 +345,34 @@ def game_from_dict(data: dict) -> Game:
     Only instances produced by a registered generator family can be rebuilt,
     because objective oracles are code, not data.
     """
-    if data.get("schema") != "gnesolve-game-v1":
+    if not isinstance(data, dict) or data.get("schema") != "gnesolve-game-v1":
         raise ValidationError("unrecognized game schema")
-    name = data.get("generator", {}).get("name", "opaque")
-    if name not in _REBUILDERS:
-        raise ValidationError(
-            f"cannot rebuild objectives for generator {name!r}; "
-            "only registered builtin families are loadable")
-    game = _REBUILDERS[name](data)
-    # cross-check the structural payload against the rebuilt instance
-    given = {"kind": data.get("kind"), "m": data.get("m"),
-             "players": len(data["players"])}
-    rebuilt = {"kind": game.kind, "m": game.m, "players": game.n_players}
-    if given != rebuilt:
-        raise ValidationError(
-            f"payload {given} does not match generator {rebuilt}")
-    for i, (p, pd) in enumerate(zip(game.players, data["players"])):
-        if (p.dim != pd["dim"] or not np.allclose(p.A, pd["A"])
-                or not np.allclose(p.b, pd["b"])
-                or not np.allclose(p.box.lower, pd["lower"])
-                or not np.allclose(p.box.upper, pd["upper"])):
-            raise ValidationError(f"player {i} payload does not match generator")
+    try:
+        name = data.get("generator", {}).get("name", "opaque")
+        if name not in _REBUILDERS:
+            raise ValidationError(
+                f"cannot rebuild objectives for generator {name!r}; "
+                "only registered builtin families are loadable")
+        if not isinstance(data["generator"].get("seed", 0), int):
+            raise ValidationError("game payload field 'seed' is not an integer")
+        game = _REBUILDERS[name](data)
+        # cross-check the structural payload against the rebuilt instance
+        given = {"kind": data.get("kind"), "m": data.get("m"),
+                 "players": len(data["players"])}
+        rebuilt = {"kind": game.kind, "m": game.m, "players": game.n_players}
+        if given != rebuilt:
+            raise ValidationError(
+                f"payload {given} does not match generator {rebuilt}")
+        for i, (p, pd) in enumerate(zip(game.players, data["players"])):
+            if (p.dim != pd["dim"] or not np.allclose(p.A, pd["A"])
+                    or not np.allclose(p.b, pd["b"])
+                    or not np.allclose(p.box.lower, pd["lower"])
+                    or not np.allclose(p.box.upper, pd["upper"])):
+                raise ValidationError(f"player {i} payload does not match generator")
+    except KeyError as exc:
+        raise ValidationError(f"game payload is missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"game payload has a malformed field: {exc}") from exc
     return game
 
 
@@ -381,4 +384,7 @@ def save_game(game: Game, path) -> None:
 
 def load_game(path) -> Game:
     with open(path, encoding="utf-8") as fh:
-        return game_from_dict(json.load(fh))
+        try:
+            return game_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValidationError(f"game file {path} is not valid JSON: {exc}") from exc

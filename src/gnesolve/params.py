@@ -1,35 +1,15 @@
-"""Step-size matrices, relaxation factor, and inner-tolerance schedules."""
+"""Step-size matrices, relaxation factor, and the inner-tolerance scale."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import StructuralError, ValidationError
 from .games import Game, padded_layout
 from .graphs import CommGraph
-
-MuSchedule = Callable[[int], float]
-
-
-def inverse_square(mu0: float = 1.0) -> MuSchedule:
-    """Summable inner-tolerance schedule ``mu_k = mu0 / k^2`` (k >= 1)."""
-    if not 0.0 <= mu0 < np.inf:
-        raise ValidationError(f"mu0 must be finite and nonnegative, got {mu0}")
-
-    def mu(k: int) -> float:
-        return mu0 / float(k * k)
-    return mu
-
-
-def exact_schedule() -> MuSchedule:
-    """Tolerance identically zero: subgames solved to machine precision."""
-    def mu(k: int) -> float:
-        return 0.0
-    return mu
-
 
 def _check_spd(M: np.ndarray, name: str) -> np.ndarray:
     """Validate a symmetric positive definite block; returns its eigenvalues."""
@@ -61,9 +41,10 @@ class AlgoParams:
         Edge step matrices, one per edge.
     rho : float
         Relaxation/extrapolation factor in [1, 2).
-    mu : callable
-        Inner-solve tolerance schedule evaluated at the 1-based outer
-        iteration index; must be nonnegative and summable.
+    mu0 : float
+        Scale of the inner tolerances ``mu(k) = mu0 / k^2`` at the 1-based
+        outer iteration ``k``; finite and nonnegative, so they are summable
+        as the inexact proximal-point proof needs.  ``0`` means exact solves.
     r_min, r_max : float
         Smallest and largest eigenvalue over the ``R`` blocks, computed
         once at construction.
@@ -73,9 +54,12 @@ class AlgoParams:
     H: np.ndarray
     W: np.ndarray
     rho: float
-    mu: MuSchedule = field(default_factory=inverse_square)
+    mu0: float = 1.0
 
     def __post_init__(self):
+        if not 0.0 <= self.mu0 < np.inf:
+            raise ValidationError(
+                f"mu0 must be finite and nonnegative, got {self.mu0}")
         self.R = [np.atleast_2d(np.asarray(Ri, dtype=float)) for Ri in self.R]
         self.H = np.asarray(self.H, dtype=float)
         self.W = np.asarray(self.W, dtype=float)
@@ -105,22 +89,25 @@ class AlgoParams:
 
     @classmethod
     def uniform(cls, game: Game, graph: CommGraph, r: float, h: float,
-                w: float, rho: float, mu: MuSchedule | None = None) -> "AlgoParams":
+                w: float, rho: float, mu0: float = 1.0) -> "AlgoParams":
         """Scalar step sizes replicated into identity blocks."""
         m = game.m
         R = [r * np.eye(p.dim) for p in game.players]
         H = np.stack([h * np.eye(m)] * game.n_players)
         W = np.stack([w * np.eye(m)] * graph.n_edges)
-        return cls(R, H, W, rho, mu if mu is not None else inverse_square())
+        return cls(R, H, W, rho, mu0)
 
     @classmethod
     def diagonal(cls, r_diags: Sequence[np.ndarray], h_diags: np.ndarray,
-                 w_diags: np.ndarray, rho: float,
-                 mu: MuSchedule | None = None) -> "AlgoParams":
+                 w_diags: np.ndarray, rho: float, mu0: float = 1.0) -> "AlgoParams":
         R = [np.diag(np.asarray(d, dtype=float)) for d in r_diags]
         H = np.stack([np.diag(np.asarray(d, dtype=float)) for d in h_diags])
         W = np.stack([np.diag(np.asarray(d, dtype=float)) for d in w_diags])
-        return cls(R, H, W, rho, mu if mu is not None else inverse_square())
+        return cls(R, H, W, rho, mu0)
+
+    def mu(self, k: int) -> float:
+        """Inner tolerance ``mu0 / k^2`` at the 1-based outer iteration ``k``."""
+        return self.mu0 / float(k * k)
 
     # -- block applications ---------------------------------------------------
 

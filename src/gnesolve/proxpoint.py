@@ -48,21 +48,13 @@ def pppa_step(resolvent, w: np.ndarray, nu: float, rho: float) -> tuple[np.ndarr
     return w + rho * (step.point - w), step
 
 
-def run_proxpoint(resolvent, w0: np.ndarray, rho: float, nu_schedule,
-                  n_iters: int, keep_history: bool = True):
-    """Iterate ``pppa_step`` for ``n_iters`` steps.
-
-    ``nu_schedule`` maps the 1-based iteration index to the inexactness
-    tolerance.  Returns the final iterate and (optionally) the list of all
-    iterates including the initial one.
-    """
-    w = np.asarray(w0, dtype=float)
-    history = [w.copy()] if keep_history else None
-    for k in range(1, n_iters + 1):
-        w, _ = pppa_step(resolvent, w, float(nu_schedule(k)), rho)
-        if keep_history:
-            history.append(w.copy())
-    return w, history
+def run_proxpoint(resolvent, w0: np.ndarray, rho: float,
+                  n_iters: int) -> list[np.ndarray]:
+    """The iterates of ``n_iters`` exact ``pppa_step`` steps, ``w0`` first."""
+    history = [np.array(w0, dtype=float)]
+    for _ in range(n_iters):
+        history.append(pppa_step(resolvent, history[-1], 0.0, rho)[0])
+    return history
 
 
 def inequality_block_update(game: Game, graph: CommGraph, params: AlgoParams,

@@ -24,7 +24,7 @@ def ineq_game():
 def toy_params(eq_game, pair_graph):
     game, _ = eq_game
     return gs.AlgoParams.uniform(game, pair_graph, r=10.0, h=0.5, w=0.5,
-                                 rho=1.1, mu=gs.exact_schedule())
+                                 rho=1.1, mu0=0.0)
 
 
 @pytest.fixture

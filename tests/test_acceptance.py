@@ -54,7 +54,7 @@ def toy_setup(kind):
     game, _ = gs.quadratic_game(kind=kind)
     graph = gs.path_graph(2)
     params = gs.AlgoParams.uniform(game, graph, r=10.0, h=0.5, w=0.5,
-                                   rho=1.1, mu=gs.exact_schedule())
+                                   rho=1.1, mu0=0.0)
     inner = gs.InnerSolver("exact")
     return game, graph, params, inner
 
@@ -128,7 +128,7 @@ def test_criterion_5_fejer_monotonicity():
     phi = dense_preconditioner(params, game, graph, lifted=True)
     st = initial_state(game, graph, seed=0)
     w0 = pack(st.x, np.zeros((2, 1)), st.Z, np.zeros((2, 1)))
-    _, history = run_proxpoint(resolvent, w0, params.rho, lambda k: 0.0, 400)
+    history = run_proxpoint(resolvent, w0, params.rho, 400)
     rep_eq = fejer_check(history, phi, w_star)
 
     # inequality side
@@ -140,8 +140,7 @@ def test_criterion_5_fejer_monotonicity():
     phi_i = dense_preconditioner(params_i, game_i, graph_i)
     sti = initial_state(game_i, graph_i, seed=0)
     w0_i = pack(sti.x, sti.Z, sti.lam)
-    _, history_i = run_proxpoint(resolvent_i, w0_i, params_i.rho,
-                                 lambda k: 0.0, 400)
+    history_i = run_proxpoint(resolvent_i, w0_i, params_i.rho, 400)
     rep_in = fejer_check(history_i, phi_i, w_star_i)
     ok = rep_eq.monotone and rep_in.monotone
     report(5, ok, "weighted distances nonincreasing "
@@ -201,7 +200,7 @@ def test_criterion_7_inexactness_robustness():
     stop = gs.StopRule(10_000, tol)
     r_exact = gs.run_admm(game, graph, params_exact, inner_exact, stop, seed=0)
     params_loose = gs.AlgoParams.uniform(game, graph, 10.0, 0.5, 0.5, 1.1,
-                                         mu=gs.inverse_square(1.0))
+                                         mu0=1.0)
     inner_oracle = gs.InnerSolver("oracle")
     r_loose = gs.run_admm(game, graph, params_loose, inner_oracle, stop, seed=0)
     gap = float(np.linalg.norm(r_loose.state.x - r_exact.state.x))

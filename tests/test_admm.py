@@ -47,7 +47,7 @@ def test_componentwise_equals_compact(eq_game, pair_graph, toy_params,
 def test_rho_one_is_unrelaxed(eq_game, pair_graph, exact_inner):
     game, _ = eq_game
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.0,
-                                   mu=gs.exact_schedule())
+                                   mu0=0.0)
     state = initial_state(game, pair_graph, seed=2)
     new, _ = admm_iterate(game, pair_graph, params, state, exact_inner, 0.0)
     # with rho = 1 the relaxed decision equals the subgame solution itself
@@ -78,7 +78,7 @@ def test_convergence_to_oracle_solution(eq_game, pair_graph, toy_params,
 def test_high_relaxation_still_converges(eq_game, pair_graph, exact_inner):
     game, solution = eq_game
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.9,
-                                   mu=gs.exact_schedule())
+                                   mu0=0.0)
     result = run_admm(game, pair_graph, params, exact_inner,
                       gs.StopRule(8000, 1e-8), seed=0)
     assert result.converged
@@ -167,7 +167,7 @@ def test_correspondence_with_inexact_inner(eq_game, pair_graph):
     # sweep applies to it the same linear maps as the distributed update
     game, _ = eq_game
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 10.0, 0.5, 0.5,
-                                   1.1, mu=gs.inverse_square(0.1))
+                                   1.1, mu0=0.1)
     inner = gs.InnerSolver("oracle")
     report = correspondence_check(game, gs.path_graph(2), params, 50, inner,
                                   seed=1)
@@ -177,7 +177,7 @@ def test_correspondence_with_inexact_inner(eq_game, pair_graph):
 def test_correspondence_at_harsh_relaxation(eq_game, pair_graph, exact_inner):
     game, _ = eq_game
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.9,
-                                   mu=gs.exact_schedule())
+                                   mu0=0.0)
     report = correspondence_check(game, pair_graph, params, 150, exact_inner,
                                   seed=0)
     assert report.max_deviation <= 1e-9
@@ -189,7 +189,7 @@ def test_correspondence_on_task_benchmark():
     game = gs.task_allocation_game(0)
     graph = gs.benchmark_graph("chain14")
     params = gs.task_allocation_params(game, graph, seed=0,
-                                       mu=gs.inverse_square(0.01))
+                                       mu0=0.01)
     inner = gs.InnerSolver("oracle")
     report = correspondence_check(game, graph, params, 30, inner, seed=0)
     assert report.max_deviation <= 1e-9
@@ -201,7 +201,7 @@ def test_correspondence_on_task_benchmark_in_residual_mode():
     game = gs.task_allocation_game(0)
     graph = gs.benchmark_graph("chain14")
     params = gs.task_allocation_params(game, graph, seed=0,
-                                       mu=gs.inverse_square(0.01))
+                                       mu0=0.01)
     report = correspondence_check(game, graph, params, 30, gs.InnerSolver(),
                                   seed=0)
     assert report.max_deviation <= 1e-9
@@ -213,9 +213,9 @@ def test_inexactness_robustness(eq_game, pair_graph, exact_inner):
     game, solution = eq_game
     tol = 1e-6
     exact_params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5,
-                                         1.1, mu=gs.exact_schedule())
+                                         1.1, mu0=0.0)
     loose_params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5,
-                                         1.1, mu=gs.inverse_square(1.0))
+                                         1.1, mu0=1.0)
     stop = gs.StopRule(10_000, tol)
     r_exact = run_admm(game, pair_graph, exact_params, exact_inner, stop, seed=0)
     oracle_inner = gs.InnerSolver("oracle")

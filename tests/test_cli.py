@@ -242,6 +242,21 @@ def test_zero_mu0_needs_an_exact_inner_mode(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_exact_inner_mode_needs_a_closed_form_solver(tmp_path, monkeypatch,
+                                                     capsys):
+    # the rate-control game has no closed-form subgame solver: validate used
+    # to print "ok", and run to exit 2 after creating its output directory
+    out = tmp_path / "o"
+    monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(out))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text((CONFIGS / "rate-control.cfg").read_text()
+                   + "inner.mode = exact\n")
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert "closed-form" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, block", [
     ("params.r = nan", "R[0]"), ("params.r = inf", "R[0]"),
     ("params.w = nan", "W[0]"), ("params.h = nan", "H[0]")])
@@ -494,6 +509,69 @@ def test_run_validates_step_sizes_once(tmp_path, monkeypatch, capsys, kind):
         assert main([command, str(cfg)]) == 2
         errors.append(capsys.readouterr().err)
     assert "min eig" in errors[0] and errors[0] == errors[1]
+
+
+QUAD_PAYLOAD = gs.game_to_dict(gs.quadratic_game(kind=gs.INEQUALITY)[0])
+
+
+@pytest.mark.parametrize("text, named", [
+    ("{", "not valid JSON"),
+    ("[]", "unrecognized game schema"),
+    (json.dumps(dict(QUAD_PAYLOAD, generator={
+        k: v for k, v in QUAD_PAYLOAD["generator"].items() if k != "t"})), "'t'"),
+    (json.dumps({k: v for k, v in QUAD_PAYLOAD.items() if k != "players"}),
+     "'players'"),
+    (json.dumps({"schema": "gnesolve-game-v1", "kind": "inequality", "m": 16,
+                 "generator": {"name": "rate-control", "seed": "0"},
+                 "players": []}), "'seed'"),
+], ids=["truncated", "array", "no-t", "no-players", "string-seed"])
+def test_malformed_instance_file_is_a_validation_error(tmp_path, capsys,
+                                                       text, named):
+    # these used to end in a traceback and exit 1
+    inst = tmp_path / "inst.json"
+    inst.write_text(text)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(INEQ_CFG.format(inst=inst, out=out))
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_task_allocation_preset_takes_the_configured_rho():
+    # the preset draws R, H and W; the relaxation factor is the config's,
+    # as summary.json's parameter echo reports it (it used to be 1.1 always)
+    text = (CONFIGS / "task-allocation.cfg").read_text()
+    assert "params.rho" not in text
+    params = _setup(parse_config_text(text))[2]
+    assert params.rho == 1.1
+    params = _setup(parse_config_text(text + "params.rho = 1.9\n"))[2]
+    assert params.rho == 1.9
+
+
+@pytest.mark.parametrize("mu", ["exact", "inverse-square"])
+@pytest.mark.parametrize("mode", ["exact", "oracle", "residual"])
+@pytest.mark.parametrize("game, algorithm", [
+    ("quadratic-equality", "admm"), ("rate-control", "splitting")],
+    ids=["quadratic", "rate"])
+def test_validate_refuses_what_run_refuses(tmp_path, capsys, game, algorithm,
+                                           mode, mu):
+    # validate exits 2 exactly when a one-iteration run does, and then the
+    # run writes nothing
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"game.builtin = {game}\nalgorithm = {algorithm}\n"
+                   f"params.mu = {mu}\ninner.mode = {mode}\n"
+                   f"stop.max_iter = 1\noutput.dir = {out}\n")
+    validated = main(["validate", str(cfg)])
+    ran = main(["run", str(cfg)])
+    capsys.readouterr()
+    assert validated in (0, 2) and (validated == 2) == (ran == 2)
+    assert out.exists() == (ran != 2)
+    refused = ((mode == "residual" and mu == "exact")
+               or (mode == "exact" and game == "rate-control"))
+    assert (validated == 2) == refused
 
 
 class FailingInner:

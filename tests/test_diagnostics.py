@@ -71,7 +71,7 @@ def test_kkt_accepts_local_multiplier_stack(eq_game, pair_graph):
     # the consensus error recorded in the report
     game, sol = eq_game
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.1,
-                                   mu=gs.exact_schedule())
+                                   mu0=0.0)
     inner = gs.InnerSolver("exact")
     tol = 1e-6
     result = gs.run_admm(game, pair_graph, params, inner,

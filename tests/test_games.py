@@ -254,6 +254,24 @@ def test_monotone_quadratic_audit():
     assert report.min_inner_product >= -1e-9
 
 
+@pytest.mark.parametrize("build", [gs.rate_control_game, gs.task_allocation_game],
+                         ids=["rate", "task"])
+def test_audit_batch_equals_per_pair_samples(build):
+    # the audit draws all its pairs in one batch; the reference draws each
+    # profile with its own sample_profile call, x then y, pair by pair
+    game = build(0)
+    rng = SplitMix64(11)
+    inner = []
+    for _ in range(60):
+        x = game.sample_profile(rng)
+        y = game.sample_profile(rng)
+        inner.append(float((x - y) @ (game.pseudo_gradient(x)
+                                      - game.pseudo_gradient(y))))
+    report = gs.check_monotonicity_samples(game, 60, seed=11)
+    assert report.min_inner_product == min(inner)
+    assert report.violations == sum(v < -1e-9 for v in inner)
+
+
 def test_non_monotone_coupling_detected():
     # delta = 2 makes the coupling matrix indefinite; built by hand because
     # the generator refuses it

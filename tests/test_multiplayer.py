@@ -64,7 +64,7 @@ def cyclic_graph():
 def test_equality_on_cyclic_graph(cyclic_graph):
     game, x_star, lam_star = ring_game(4, 0.3, 2.0, gs.EQUALITY)
     params = gs.AlgoParams.uniform(game, cyclic_graph, r=8.0, h=0.3, w=0.3,
-                                   rho=1.1, mu=gs.exact_schedule())
+                                   rho=1.1, mu0=0.0)
     assert min(gs.check_step_sizes_equality(params, game,
                                             cyclic_graph).values()) > 0
     inner = gs.InnerSolver("exact")
@@ -81,7 +81,7 @@ def test_inequality_on_cyclic_graph(cyclic_graph):
     game, x_star, lam_star = ring_game(4, 0.3, 2.0, gs.INEQUALITY)
     assert lam_star > 0    # the budget binds for these targets
     params = gs.AlgoParams.uniform(game, cyclic_graph, r=8.0, h=0.3, w=0.3,
-                                   rho=1.1, mu=gs.exact_schedule())
+                                   rho=1.1, mu0=0.0)
     inner = gs.InnerSolver("exact")
     result = gs.run_splitting(game, cyclic_graph, params, inner,
                               gs.StopRule(8000, 1e-8), seed=1)
@@ -100,7 +100,7 @@ def test_orientation_invariance():
     results = []
     for graph in (graph_a, graph_b):
         params = gs.AlgoParams.uniform(game, graph, r=8.0, h=0.3, w=0.3,
-                                       rho=1.1, mu=gs.exact_schedule())
+                                       rho=1.1, mu0=0.0)
         results.append(gs.run_admm(game, graph, params, inner,
                                    gs.StopRule(200, 0.0), seed=1))
     a, b = results
@@ -113,7 +113,7 @@ def test_oracle_inner_matches_exact_on_cycle(cyclic_graph):
     # the iterative inner solver reproduces the closed-form trajectory
     game, _, _ = ring_game(4, 0.3, 2.0, gs.EQUALITY)
     params = gs.AlgoParams.uniform(game, cyclic_graph, r=8.0, h=0.3, w=0.3,
-                                   rho=1.1, mu=gs.exact_schedule())
+                                   rho=1.1, mu0=0.0)
     exact = gs.InnerSolver("exact")
     oracle = gs.InnerSolver("oracle")
     state_e = gs.initial_state(game, cyclic_graph, seed=5)

@@ -6,7 +6,7 @@ import gnesolve as gs
 from gnesolve.errors import ValidationError
 from gnesolve.games import Box, Player
 from gnesolve.operators import block_diag
-from gnesolve.params import AlgoParams, exact_schedule, inverse_square
+from gnesolve.params import AlgoParams
 
 
 def test_uniform_builder(eq_game, pair_graph):
@@ -40,15 +40,17 @@ def test_non_spd_blocks_rejected(eq_game, pair_graph):
                    np.ones((2, 1, 1)), np.ones((1, 1, 1)), 1.1)
 
 
-def test_mu_schedules():
-    mu = inverse_square(1.0)
+def test_mu_schedules(eq_game, pair_graph):
+    game, _ = eq_game
+    params = AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.1)
+    mu = params.mu
     assert mu(1) == 1.0 and mu(2) == 0.25 and mu(10) == pytest.approx(0.01)
     assert sum(mu(k) for k in range(1, 10000)) < 1.6449341   # pi^2/6
-    zero = exact_schedule()
+    zero = AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.1, mu0=0.0).mu
     assert zero(1) == 0.0 and zero(100) == 0.0
     for mu0 in (-1.0, np.nan, np.inf):
         with pytest.raises(ValidationError, match="mu0"):
-            inverse_square(mu0)
+            AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.1, mu0=mu0)
 
 
 def _zero_game(dims):

@@ -249,7 +249,7 @@ def test_fejer_monotonicity_lifted(eq_game, pair_graph, toy_params,
     Phi = dense_preconditioner(toy_params, game, pair_graph, lifted=True)
     w0 = pack(np.array([4.0, -6.0]), np.ones((2, 1)),
                      np.array([[2.0]]), -np.ones((2, 1)))
-    _, history = run_proxpoint(resolvent, w0, 1.1, lambda k: 0.0, 200)
+    history = run_proxpoint(resolvent, w0, 1.1, 200)
     report = gs.fejer_check(history, Phi, lifted_star(game, pair_graph,
                                                       solution))
     assert report.monotone
@@ -266,7 +266,7 @@ def test_fejer_monotonicity_inequality(ineq_game, pair_graph, toy_params,
                         lam_star)
     w0 = pack(np.array([4.0, -6.0]), np.array([[2.0]]),
                     np.array([[1.0], [3.0]]))
-    _, history = run_proxpoint(resolvent, w0, 1.1, lambda k: 0.0, 200)
+    history = run_proxpoint(resolvent, w0, 1.1, 200)
     report = gs.fejer_check(history, Phi, w_star)
     assert report.monotone
 
@@ -276,8 +276,7 @@ def test_proxpoint_converges_to_zero(ineq_game, pair_graph, toy_params,
     game, solution = ineq_game
     resolvent = InequalityResolvent(game, pair_graph, toy_params, exact_inner)
     w0 = pack(np.zeros(2), np.zeros((1, 1)), np.zeros((2, 1)))
-    w, _ = run_proxpoint(resolvent, w0, 1.1, lambda k: 0.0, 2000,
-                         keep_history=False)
+    w = run_proxpoint(resolvent, w0, 1.1, 2000)[-1]
     x, Z, lam = unpack_plain(game, pair_graph, w)
     assert np.linalg.norm(x - solution["x"]) <= 1e-6
     assert np.allclose(lam, solution["lambda"], atol=1e-6)

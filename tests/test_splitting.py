@@ -26,7 +26,7 @@ def test_weighted_projection_rejects_dense(rate_control):
     game, graph, params = rate_control
     H = params.H.copy()
     H[0, 0, 1] = H[0, 1, 0] = 0.1
-    dense = gs.AlgoParams(params.R, H, params.W, params.rho, params.mu)
+    dense = gs.AlgoParams(params.R, H, params.W, params.rho, params.mu0)
     with pytest.raises(ValidationError, match="diagonal"):
         run_splitting(game, graph, dense, gs.InnerSolver())
 
@@ -38,7 +38,7 @@ def test_non_diagonal_h_rejected_by_every_inequality_path(rate_control):
     game, graph, params = rate_control
     m = game.m
     H = np.stack([0.02 * np.eye(m) + 0.005 * np.ones((m, m))] * game.n_players)
-    dense = gs.AlgoParams(params.R, H, params.W, params.rho, params.mu)
+    dense = gs.AlgoParams(params.R, H, params.W, params.rho, params.mu0)
     with pytest.raises(ValidationError, match="diagonal"):
         step_size_margins(dense, game, graph)
     with pytest.raises(ValidationError, match="diagonal"):
@@ -61,7 +61,7 @@ def test_fixed_point_invariance(ineq_game, pair_graph, toy_params,
 def test_rho_one_is_unrelaxed(ineq_game, pair_graph, exact_inner):
     game, _ = ineq_game
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.0,
-                                   mu=gs.exact_schedule())
+                                   mu0=0.0)
     state = initial_state(game, pair_graph, seed=4)
     new, _ = splitting_iterate(game, pair_graph, params, state, exact_inner,
                                0.0)
@@ -130,7 +130,7 @@ def test_strictly_feasible_game_drives_multiplier_to_zero(pair_graph,
     game, solution = gs.quadratic_game(c=10.0, kind=gs.INEQUALITY)
     assert not solution["active"]
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.1,
-                                   mu=gs.exact_schedule())
+                                   mu0=0.0)
     result = run_splitting(game, pair_graph, params, exact_inner,
                            gs.StopRule(5000, 1e-8), seed=0)
     assert result.converged

@@ -126,7 +126,7 @@ def test_schedule_certificates(eq_game, pair_graph):
     # tolerances certified against the summable schedule for fifty steps
     game, _ = eq_game
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 10.0, 0.5, 0.5,
-                                   1.1, mu=gs.inverse_square(1.0))
+                                   1.1, mu0=1.0)
     solver = InnerSolver("oracle")
     sub = equality_subgame(game, gs.path_graph(2), params, np.zeros(2),
                            np.zeros((2, 1)), np.zeros((1, 1)))
@@ -328,7 +328,7 @@ def first_subgame(name):
         game, _ = gs.quadratic_game()
         graph = gs.path_graph(2)
         params = gs.AlgoParams.uniform(game, graph, 10.0, 0.5, 0.5, 1.1,
-                                       mu=gs.inverse_square(1.0))
+                                       mu0=1.0)
     elif name == "rate-control":
         game = gs.rate_control_game(0)
         graph = gs.benchmark_graph("chain15")
