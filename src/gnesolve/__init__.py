@@ -1,8 +1,7 @@
 """Distributed computation of variational generalized Nash equilibria in
 monotone games with affine equality or inequality coupling constraints."""
 
-from .admm import (AdmmState, StopRule, admm_iterate, correspondence_check,
-                   initial_state, run_admm)
+from .admm import AdmmState, StopRule, admm_iterate, initial_state, run_admm
 from .benchgames import (benchmark_graph, quadratic_game, rate_control_game,
                          rate_control_params, task_allocation_game,
                          task_allocation_params)
@@ -19,7 +18,7 @@ from .operators import (check_step_sizes_equality, inequality_preconditioner,
                         residual_equality, residual_inequality)
 from .params import AlgoParams
 from .proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
-                        pppa_step, run_proxpoint)
+                        correspondence_check, pppa_step, run_proxpoint)
 from .splitting import run_splitting, splitting_iterate
 from .subgames import (InnerCertificate, InnerSolver, Subgame,
                        equality_subgame, inequality_subgame)

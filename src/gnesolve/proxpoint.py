@@ -1,10 +1,14 @@
-"""Inexact relaxed preconditioned proximal-point engine.
+"""Inexact relaxed preconditioned proximal-point engine: the reference
+layer the two distributed loops are checked against.
 
 One step solves the preconditioned inclusion ``Phi (w - w_hat) in M w_hat``
 up to a certified distance ``nu`` and then relaxes:
 ``w_next = w + rho (w_tilde - w)``.  Resolvent oracles realize the solve by
 construction (sequential block formulas); no preconditioner is ever
-inverted densely.
+inverted densely.  The inequality resolvent is the splitting's sweep
+itself; the lifted equality resolvent is checked against the ADMM sweep by
+`correspondence_check`.  This module builds on `admm` and `splitting`, and
+no solver module imports it.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .admm import AdmmState, admm_iterate, initial_state, relax
 from .errors import InexactnessError, ValidationError
 from .games import Game
 from .graphs import CommGraph
@@ -20,7 +25,8 @@ from .operators import (block_diag, incidence_sandwich,
                         inequality_preconditioner, pack, unpack_lifted,
                         unpack_plain)
 from .params import AlgoParams
-from .subgames import InnerSolution, InnerSolver, Subgame, inequality_subgame
+from .splitting import splitting_iterate
+from .subgames import InnerSolver, Subgame
 
 
 @dataclass(frozen=True)
@@ -57,34 +63,11 @@ def run_proxpoint(resolvent, w0: np.ndarray, rho: float,
     return history
 
 
-def inequality_block_update(game: Game, graph: CommGraph, params: AlgoParams,
-                            inner: InnerSolver, x: np.ndarray, lam: np.ndarray,
-                            Z: np.ndarray, mu: float
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, InnerSolution]:
-    """Unrelaxed blocks ``(x_t, Z_t, lam_t)`` of one inequality step, and the
-    subgame solution behind ``x_t``.
-
-    The subgame solve and the edge update read only the given data and
-    commute; the multiplier update consumes both through reflected terms.
-    With diagonal ``H`` the projection onto the orthant in the ``H^-1``
-    metric is a plain clamp.
-    """
-    sol = inner.solve(inequality_subgame(game, params, x, lam), mu)
-    x_t = sol.x
-    Z_t = Z - params.apply_W(graph.edge_differences(lam))
-    reflected = (game.constraint_rows(2.0 * x_t - x)
-                 + graph.node_aggregate(2.0 * Z_t - Z) - game.b_rows)
-    lam_t = np.maximum(lam + params.apply_H(reflected), 0.0)
-    return x_t, Z_t, lam_t, sol
-
-
 class InequalityResolvent:
     """Structured resolvent for the inequality-coupling operator.
 
-    The three blocks are computed sequentially from local data: the
-    regularized subgame gives the decision block, the edge block integrates
-    multiplier differences, and the multiplier block applies the weighted
-    nonnegative projection to the reflected constraint tracking term.
+    It is the splitting's sweep, `splitting_iterate`, on the unpacked
+    blocks: the subgame, then the edge and the projected multiplier blocks.
     Inexactness enters only through the subgame solve; the certified bound
     inflates the subgame tolerance by the norm of the linear map the error
     passes through.
@@ -111,10 +94,10 @@ class InequalityResolvent:
 
     def solve(self, w: np.ndarray, nu: float) -> ResolventStep:
         x, Z, lam = unpack_plain(self.game, self.graph, w)
-        x_t, Z_t, lam_t, sol = inequality_block_update(
-            self.game, self.graph, self.params, self.inner, x, lam, Z,
-            self.mu_for(nu))
-        return ResolventStep(pack(x_t, Z_t, lam_t),
+        swept, sol = splitting_iterate(
+            self.game, self.graph, self.params, AdmmState(x, lam, Z),
+            self.inner, self.mu_for(nu))
+        return ResolventStep(pack(swept.x, swept.Z, swept.lam),
                              self.nu_factor * sol.certificate.bound)
 
 
@@ -134,7 +117,7 @@ class LiftedEqualityResolvent:
     sweep at the exact subgame solution ``x_hat``, so the returned point
     is within ``|J|_2 |x_t - x_hat| <= |J|_2 * certificate`` of it.  The
     sweep at ``x_t`` also follows the distributed algorithm: the subgame
-    and `admm.mapped_state` read the auxiliary halves only through
+    and `mapped_state` read the auxiliary halves only through
     ``eta - theta``.
     """
 
@@ -171,3 +154,68 @@ class LiftedEqualityResolvent:
             reflected + graph.node_aggregate(Z - 2.0 * Z_t) + game.b_rows)
         return ResolventStep(pack(sol.x, eta_t, Z_t, theta_t),
                              self.nu_factor * sol.certificate.bound)
+
+
+# -- correspondence of the ADMM loop with the lifted iteration -------------------
+
+@dataclass(frozen=True)
+class CorrespondenceReport:
+    max_deviation: float
+    per_iteration: list
+
+
+def lifted_initial_point(game: Game, graph: CommGraph, params: AlgoParams,
+                         state: AdmmState) -> np.ndarray:
+    """Lifted iterate matched to a distributed-algorithm state.
+
+    The auxiliary split starts at ``theta = 0``, which forces
+    ``eta = lam + H (tracked constraint residual)`` for the state mapping to
+    hold at iteration zero.
+    """
+    tracked = game.local_residual(state.x) + graph.node_aggregate(state.Z)
+    eta0 = state.lam + params.apply_H(tracked)
+    theta0 = np.zeros_like(eta0)
+    return pack(state.x, eta0, state.Z, theta0)
+
+
+def mapped_state(game: Game, graph: CommGraph, params: AlgoParams,
+                 w: np.ndarray) -> AdmmState:
+    """Distributed-algorithm state read off a lifted iterate."""
+    x, eta, Z, theta = unpack_lifted(game, graph, w)
+    tracked = game.local_residual(x) + graph.node_aggregate(Z)
+    lam = eta - theta - params.apply_H(tracked)
+    return AdmmState(x, lam, Z)
+
+
+def correspondence_check(game: Game, graph: CommGraph, params: AlgoParams,
+                         n_iters: int, inner: InnerSolver, seed: int = 0,
+                         eta_perturbation: float = 0.0) -> CorrespondenceReport:
+    """Run the distributed loop and the lifted proximal-point iteration side
+    by side and report the worst relative mismatch under the state mapping.
+
+    With exact inner solves the two trajectories coincide up to rounding;
+    ``eta_perturbation`` shifts the lifted starting point to demonstrate
+    that the mapping is not accidental.
+    """
+    state = initial_state(game, graph, seed)
+    w = lifted_initial_point(game, graph, params, state)
+    if eta_perturbation != 0.0:
+        x0, eta0, Z0, theta0 = unpack_lifted(game, graph, w)
+        w = pack(x0, eta0 + eta_perturbation, Z0, theta0)
+    resolvent = LiftedEqualityResolvent(game, graph, params, inner)
+    deviations = []
+    worst = 0.0
+    for k in range(1, n_iters + 1):
+        mu = params.mu(k)
+        swept, _ = admm_iterate(game, graph, params, state, inner, mu)
+        state = relax(state, swept, params.rho)
+        w, _ = pppa_step(resolvent, w, resolvent.nu_factor * mu, params.rho)
+        mapped = mapped_state(game, graph, params, w)
+        dev = max(
+            float(np.linalg.norm(state.x - mapped.x)) / (1.0 + float(np.linalg.norm(state.x))),
+            float(np.linalg.norm(state.Z - mapped.Z)) / (1.0 + float(np.linalg.norm(state.Z))),
+            float(np.linalg.norm(state.lam - mapped.lam)) / (1.0 + float(np.linalg.norm(state.lam))),
+        )
+        deviations.append(dev)
+        worst = max(worst, dev)
+    return CorrespondenceReport(worst, deviations)

@@ -99,10 +99,11 @@ class InnerSolver:
         stops at the first iterate whose computable error bound
         ``|(y - y+)/gamma - G(y) + G(y+)| / r_min`` certifies the tolerance;
         the bound follows from strong monotonicity alone.  ``"oracle"``
-        returns the same iterate but continues the same trajectory to a
-        machine-precision reference equilibrium and reports the true
-        distance to it as the bound; at ``mu = 0`` it returns the reference
-        itself, ``solve(sub, 0.0).x``, which the tests compare against.
+        runs the same trajectory on to a machine-precision reference
+        equilibrium and returns the iterate residual mode returns, with its
+        true distance to the reference as the bound; at ``mu = 0`` it
+        returns the reference itself, ``solve(sub, 0.0).x``, which the tests
+        compare against.
     cap
         Hard iteration limit; exceeding it raises rather than silently
         returning an uncertified point.
@@ -119,7 +120,16 @@ class InnerSolver:
             raise ValidationError("inner tolerance must be nonnegative")
         if self.mode == "exact":
             return self._solve_exact(sub)
-        return self._forward_backward(sub, mu, self.mode == "oracle")
+        if self.mode == "residual":
+            return self._forward_backward(sub, mu, 0.0)
+        # oracle: the trajectory is deterministic, so the reference and the
+        # first iterate certifying mu (or the reference, if it comes first)
+        # are two stops of the same run
+        ref = self._forward_backward(sub, 0.0, FIXED_POINT_TOL)
+        found = self._forward_backward(sub, mu, FIXED_POINT_TOL) if mu > 0 else ref
+        distance = float(np.linalg.norm(found.x - ref.x))
+        return InnerSolution(found.x, InnerCertificate(
+            distance, ref.certificate.iterations))
 
     def _solve_exact(self, sub: Subgame) -> InnerSolution:
         solver = sub.game.exact_subgame_solver
@@ -131,9 +141,10 @@ class InnerSolver:
         return InnerSolution(x_hat, InnerCertificate(0.0, 0))
 
     def _forward_backward(self, sub: Subgame, mu: float,
-                          reference: bool) -> InnerSolution:
+                          rel: float) -> InnerSolution:
         """Forward-backward steps ``y+ = backward(y - gamma G(y))`` until the
-        computable error bound certifies ``mu``.
+        computable error bound certifies ``mu``, or, when ``rel > 0``, until
+        it falls to ``rel (1 + |y+|)``; returns ``y+`` with that bound.
 
         ``e = (y - y+) / gamma - G(y) + G(y+)`` lies in ``G(y+)`` plus the
         subdifferential of the backward part at ``y+``, an operator that is
@@ -149,15 +160,9 @@ class InnerSolver:
         is not positive.  The second term is the largest step for which the
         forward map ``y - gamma G(y)`` contracts along the last move, so it
         also shrinks on skew-dominated maps.  Nothing is carried from one
-        solve to the next.
-
-        With ``reference`` (oracle mode) the same trajectory continues until
-        the bound falls to ``FIXED_POINT_TOL (1 + |y+|)``; that iterate is
-        the reference equilibrium.  The first iterate certifying ``mu`` is
-        returned with its true distance to the reference as the bound, or
-        the reference itself with bound 0 when none certified ``mu`` first.
+        solve to the next, so equal arguments give the same trajectory.
         """
-        if mu == 0.0 and not reference:
+        if mu == 0.0 and rel == 0.0:
             raise ValidationError(
                 "residual mode cannot certify an exactly zero tolerance")
         gamma = 1.0 / sub.params.r_max
@@ -165,20 +170,13 @@ class InnerSolver:
         y = sub.game.project(sub.anchor)
         g = sub.smooth_gradient(y)
         bound = math.inf
-        found = None
         for it in range(1, self.cap + 1):
             y_next = sub.game.backward_step(y - gamma * g, gamma)
             g_next = sub.smooth_gradient(y_next)
             bound = float(np.linalg.norm((y - y_next) / gamma - g + g_next)) / sigma
-            if found is None and bound <= mu:
-                if not reference:
-                    return InnerSolution(y_next, InnerCertificate(bound, it))
-                found = y_next
-            if reference and bound <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(y_next)):
-                if found is None:
-                    found = y_next
-                distance = float(np.linalg.norm(found - y_next))
-                return InnerSolution(found, InnerCertificate(distance, it))
+            if bound <= mu or (
+                    rel > 0.0 and bound <= rel * (1.0 + np.linalg.norm(y_next))):
+                return InnerSolution(y_next, InnerCertificate(bound, it))
             dy, dg = y_next - y, g_next - g
             curvature, dg_sq = float(dg @ dy), float(dg @ dg)
             gamma *= 1.5
@@ -186,6 +184,5 @@ class InnerSolver:
                 gamma = min(gamma, curvature / dg_sq)
             y, g = y_next, g_next
         raise InexactnessError(
-            f"{self.mode} mode could not certify "
-            f"{FIXED_POINT_TOL if found is not None else mu:.3g} within "
-            f"{self.cap} iterations", achieved=bound)
+            f"{self.mode} mode could not certify {rel if rel > 0.0 else mu:.3g} "
+            f"within {self.cap} iterations", achieved=bound)

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import gnesolve as gs
-from gnesolve.admm import correspondence_check, initial_state
+from gnesolve.admm import initial_state, relax
 from gnesolve.diagnostics import consensus_error, fejer_check, kkt_residual
 from gnesolve.errors import ValidationError
 from gnesolve.operators import (inequality_preconditioner, pack,
                                 unpack_plain)
 from gnesolve.proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
-                                pppa_step, run_proxpoint)
+                                correspondence_check, pppa_step,
+                                run_proxpoint)
 from gnesolve.splitting import splitting_iterate
 from helpers import dense_preconditioner, linear_part
 
@@ -107,7 +108,8 @@ def test_criterion_4_splitting_equivalence():
     resolvent = InequalityResolvent(game, graph, params, inner)
     worst = 0.0
     for _ in range(100):
-        state, _ = splitting_iterate(game, graph, params, state, inner, 0.0)
+        swept, _ = splitting_iterate(game, graph, params, state, inner, 0.0)
+        state = relax(state, swept, params.rho)
         w, _ = pppa_step(resolvent, w, 0.0, params.rho)
         x2, Z2, lam2 = unpack_plain(game, graph, w)
         worst = max(worst, float(np.abs(state.x - x2).max()),

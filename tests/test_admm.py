@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import gnesolve as gs
-from gnesolve.admm import (AdmmState, admm_iterate, correspondence_check,
-                           initial_state, run_admm)
+from gnesolve.admm import (AdmmState, admm_iterate, initial_state, relax,
+                           run_admm)
 from gnesolve.errors import DivergenceError, ValidationError
+from gnesolve.proxpoint import correspondence_check
 from gnesolve.splitting import run_splitting
 from conftest import edge_flow_for
 from helpers import admm_iterate_componentwise
@@ -38,6 +39,7 @@ def test_componentwise_equals_compact(eq_game, pair_graph, toy_params,
                                           exact_inner, 0.0)
         b, _ = admm_iterate(game, pair_graph, toy_params, state, exact_inner,
                             0.0)
+        b = relax(state, b, toy_params.rho)
         assert np.linalg.norm(a.x - b.x) <= 1e-12
         assert np.linalg.norm(a.lam - b.lam) <= 1e-12
         assert np.linalg.norm(a.Z - b.Z) <= 1e-12
@@ -49,7 +51,8 @@ def test_rho_one_is_unrelaxed(eq_game, pair_graph, exact_inner):
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.0,
                                    mu0=0.0)
     state = initial_state(game, pair_graph, seed=2)
-    new, _ = admm_iterate(game, pair_graph, params, state, exact_inner, 0.0)
+    swept, _ = admm_iterate(game, pair_graph, params, state, exact_inner, 0.0)
+    new = relax(state, swept, params.rho)
     # with rho = 1 the relaxed decision equals the subgame solution itself
     from gnesolve.subgames import equality_subgame
     sub = equality_subgame(game, pair_graph, params, state.x, state.lam,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gnesolve as gs
+from gnesolve.admm import relax
 from gnesolve.games import Box, Player
 
 
@@ -119,9 +120,11 @@ def test_oracle_inner_matches_exact_on_cycle(cyclic_graph):
     state_e = gs.initial_state(game, cyclic_graph, seed=5)
     state_o = gs.initial_state(game, cyclic_graph, seed=5)
     for _ in range(25):
-        state_e, _ = gs.admm_iterate(game, cyclic_graph, params, state_e,
+        swept_e, _ = gs.admm_iterate(game, cyclic_graph, params, state_e,
                                      exact, 0.0)
-        state_o, _ = gs.admm_iterate(game, cyclic_graph, params, state_o,
+        swept_o, _ = gs.admm_iterate(game, cyclic_graph, params, state_o,
                                      oracle, 0.0)
+        state_e = relax(state_e, swept_e, params.rho)
+        state_o = relax(state_o, swept_o, params.rho)
     assert np.linalg.norm(state_e.x - state_o.x) <= 1e-9
     assert np.linalg.norm(state_e.lam - state_o.lam) <= 1e-9

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,3 +283,36 @@ def test_proxpoint_converges_to_zero(ineq_game, pair_graph, toy_params,
     x, Z, lam = unpack_plain(game, pair_graph, w)
     assert np.linalg.norm(x - solution["x"]) <= 1e-6
     assert np.allclose(lam, solution["lambda"], atol=1e-6)
+
+
+# -- layering ---------------------------------------------------------------------
+
+def imports_proxpoint(tree):
+    """Whether a module's syntax tree imports ``gnesolve.proxpoint`` in any
+    spelling: relative or absolute, as a module or from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name == "gnesolve.proxpoint" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module in ("proxpoint", "gnesolve.proxpoint"):
+                return True
+            if module in ("", "gnesolve") and any(
+                    a.name == "proxpoint" for a in node.names):
+                return True
+    return False
+
+
+def test_no_solver_module_imports_the_reference_layer():
+    # the proximal-point layer is built on the two loops; a solver module
+    # importing it would make production depend on its test reference
+    src = Path(gs.__file__).resolve().parent
+    importers = sorted(
+        path.name for path in src.glob("*.py")
+        if path.name != "__init__.py"
+        and imports_proxpoint(ast.parse(path.read_text(encoding="utf-8"))))
+    assert importers == []
+    assert imports_proxpoint(ast.parse("from .proxpoint import pppa_step"))
+    assert imports_proxpoint(ast.parse("from . import proxpoint"))
+    assert imports_proxpoint(ast.parse("import gnesolve.proxpoint"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gnesolve as gs
-from gnesolve.admm import AdmmState, initial_state
+from gnesolve.admm import AdmmState, initial_state, relax
 from gnesolve.errors import ValidationError
 from gnesolve.operators import pack, step_size_margins, unpack_plain
 from gnesolve.proxpoint import InequalityResolvent, pppa_step
@@ -63,8 +63,9 @@ def test_rho_one_is_unrelaxed(ineq_game, pair_graph, exact_inner):
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.0,
                                    mu0=0.0)
     state = initial_state(game, pair_graph, seed=4)
-    new, _ = splitting_iterate(game, pair_graph, params, state, exact_inner,
-                               0.0)
+    swept, _ = splitting_iterate(game, pair_graph, params, state, exact_inner,
+                                 0.0)
+    new = relax(state, swept, params.rho)
     sub = inequality_subgame(game, params, state.x, state.lam)
     x_tilde = exact_inner.solve(sub, 0.0).x
     assert np.allclose(new.x, x_tilde, atol=1e-14)
@@ -87,7 +88,8 @@ def test_parallel_steps_commute(ineq_game, pair_graph, toy_params,
         cases.append((rc_game, rc_graph, rc_params, gs.InnerSolver(), 1e-3,
                       AdmmState(x, lam, Z)))
     for game, graph, params, inner, mu, state in cases:
-        reference, _ = splitting_iterate(game, graph, params, state, inner, mu)
+        swept, _ = splitting_iterate(game, graph, params, state, inner, mu)
+        reference = relax(state, swept, params.rho)
         Z_tilde = np.empty_like(state.Z)
         for l, (i, j) in enumerate(graph.edges):
             Z_tilde[l] = state.Z[l] - params.W[l] @ (state.lam[j] - state.lam[i])
@@ -161,8 +163,9 @@ def test_matches_proxpoint_path(ineq_game, pair_graph, toy_params,
     resolvent = InequalityResolvent(game, pair_graph, toy_params, exact_inner)
     worst = 0.0
     for _ in range(100):
-        state, _ = splitting_iterate(game, pair_graph, toy_params, state,
+        swept, _ = splitting_iterate(game, pair_graph, toy_params, state,
                                      exact_inner, 0.0)
+        state = relax(state, swept, toy_params.rho)
         w, _ = pppa_step(resolvent, w, 0.0, toy_params.rho)
         x2, Z2, lam2 = unpack_plain(game, pair_graph, w)
         worst = max(worst,
