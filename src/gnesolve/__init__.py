@@ -14,7 +14,8 @@ from .games import (Box, EQUALITY, Game, INEQUALITY, MonotonicityReport,
                     Player, check_monotonicity_samples,
                     game_from_dict, game_to_dict, load_game, save_game)
 from .graphs import CommGraph, build_incidence, path_graph
-from .operators import (check_step_sizes_equality, inequality_preconditioner,
+from .operators import (PointProducts, check_step_sizes_equality,
+                        inequality_preconditioner, point_products,
                         residual_equality, residual_inequality)
 from .params import AlgoParams
 from .proxpoint import (InequalityResolvent, LiftedEqualityResolvent,

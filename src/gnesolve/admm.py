@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import consensus_error
 from .errors import (DivergenceError, InexactnessError, NumericError,
                      ValidationError)
 from .games import EQUALITY, Game
 from .graphs import CommGraph
-from .operators import residual_equality, step_size_margins
+from .operators import PointProducts, residual_equality, step_size_margins
 from .params import AlgoParams
 from .rng import SplitMix64
 from .subgames import InnerSolution, InnerSolver, equality_subgame
@@ -43,16 +42,16 @@ def initial_state(game: Game, graph: CommGraph, seed: int = 0) -> AdmmState:
 
 
 def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
-                 state: AdmmState, inner: InnerSolver,
+                 state: AdmmState, at: PointProducts, inner: InnerSolver,
                  mu: float) -> tuple[AdmmState, InnerSolution]:
     """One unrelaxed sweep as stacked array updates: subgame solve to
     ``mu``, multiplier step along ``H`` times the tracked constraint
     residual, and edge step along ``W`` times the multiplier-signal
-    differences.  Each per-player and per-edge row reads only its own data
-    and its neighbours' signals."""
+    differences.  ``at`` holds the residual products of ``state``, which
+    the subgame reads.  Each per-player and per-edge row reads only its own
+    data and its neighbours' signals."""
     x, lam, Z = state.x, state.lam, state.Z
-    sub = equality_subgame(game, graph, params, x, lam, Z)
-    sol = inner.solve(sub, mu)
+    sol = inner.solve(equality_subgame(game, params, x, lam, at), mu)
     tracked_t = game.local_residual(sol.x) + graph.node_aggregate(Z)
     h_t = params.apply_H(tracked_t)
     lam_t = lam + h_t
@@ -96,45 +95,46 @@ class RunResult:
 
 def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
                          inner: InnerSolver, stop: StopRule, seed: int,
-                         iterate, residuals, feasibility) -> RunResult:
+                         iterate, residuals) -> RunResult:
     """The outer loop of both algorithms.
 
     Refuses to start if the step-size conditions fail (`step_size_margins`)
     and reports their margins on the result; starts from
-    ``initial_state(game, graph, seed)``.  ``iterate`` is the algorithm's
-    sweep, which returns the unrelaxed blocks and the subgame solution
-    behind them; each outer iteration relaxes it by ``params.rho``.
-    ``residuals(state)`` is the state's distance to the operator's zero
-    set, and ``feasibility(x)`` the trace's feasibility column.  Stops when
-    every residual is at most ``stop.tol`` or after ``stop.max_iter``
-    iterations; a non-finite state raises `DivergenceError`.  An error
-    raised inside the loop carries the failing outer iteration, the trace
-    rows computed before it, and the inner steps taken before it.
+    ``initial_state(game, graph, seed)``.  ``residuals(state)`` returns the
+    state's distance to the operator's zero set and the `PointProducts` it
+    computed there; ``iterate`` is the algorithm's sweep from a state and
+    those products, returning the unrelaxed blocks and the subgame solution
+    behind them, which each outer iteration relaxes by ``params.rho``.  Each
+    trace row records the residuals the stop rule tests.  Stops when every
+    residual is at most ``stop.tol`` or after ``stop.max_iter`` iterations;
+    a non-finite state raises `DivergenceError`.  An error raised inside the
+    loop carries the failing outer iteration, the trace rows computed before
+    it, and the inner steps taken before it.
     """
     margins = step_size_margins(params, game, graph)
     state = initial_state(game, graph, seed)
     rows: list[TraceRow] = []
     k = inner_steps = 0
     try:
-        res = residuals(state)
+        res, at = residuals(state)
         converged = res.max() <= stop.tol
         while not converged and k < stop.max_iter:
             k += 1
             prev_x = state.x
             mu = params.mu(k)
-            swept, sol = iterate(game, graph, params, state, inner, mu)
+            swept, sol = iterate(game, graph, params, state, at, inner, mu)
             state = relax(state, swept, params.rho)
             cert = sol.certificate
             inner_steps += cert.iterations
             if not all(np.isfinite(a).all() for a in (state.x, state.lam, state.Z)):
                 raise DivergenceError(f"non-finite state at outer iteration {k}")
-            res = residuals(state)
+            res, at = residuals(state)
             rows.append(TraceRow(
                 k=k,
                 step_norm=float(np.linalg.norm(state.x - prev_x)),
-                consensus_error=consensus_error(state.lam),
-                feasibility=feasibility(state.x),
                 stationarity=res.stationarity,
+                consensus_edge=res.consensus_edge,
+                feasibility=res.feasibility,
                 # equality residuals have no complementarity part
                 complementarity=getattr(res, "complementarity", math.nan),
                 inner_iterations=cert.iterations,
@@ -161,5 +161,4 @@ def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
         raise ValidationError("the equality algorithm needs an equality-coupled game")
     return iterate_to_tolerance(
         game, graph, params, inner, stop, seed, admm_iterate,
-        lambda s: residual_equality(game, graph, s.x, s.Z, s.lam),
-        lambda x: float(np.linalg.norm(game.coupling_gap(x))))
+        lambda s: residual_equality(game, graph, s.x, s.Z, s.lam))

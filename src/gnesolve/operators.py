@@ -172,29 +172,54 @@ class InequalityResiduals:
                    self.feasibility, self.complementarity)
 
 
-def _stationarity(game: Game, x: np.ndarray, lam: np.ndarray) -> float:
+@dataclass(frozen=True)
+class PointProducts:
+    """What the residual evaluation computes at a state ``(x, Z, lam)``, in
+    the form the next sweep from that state reads it.  The outer driver
+    hands it from the residual to that sweep; it lives for one iteration."""
+    gradient: np.ndarray           # game.smooth_gradient(x), length n
+    tracked: np.ndarray            # local_residual(x) + V Z, (N, m)
+    price_gradient: np.ndarray     # price_gradient(lam), length n
+    edge_differences: np.ndarray   # edge_differences(lam), (M, m)
+
+
+def point_products(game: Game, graph: CommGraph, x, Z, lam) -> PointProducts:
+    """The products of the game and graph maps at ``(x, Z, lam)``."""
+    x = as_vector(x)
+    lam = np.asarray(lam, dtype=float)
+    return PointProducts(
+        game.smooth_gradient(x),
+        game.local_residual(x) + graph.node_aggregate(np.asarray(Z, dtype=float)),
+        game.price_gradient(lam), graph.edge_differences(lam))
+
+
+def _stationarity(game: Game, x, at: PointProducts) -> float:
+    """Natural-map residual ``|x - natural_step(x, price)|``, from the
+    gradient and price already in hand."""
+    x = as_vector(x)
     return float(np.linalg.norm(
-        x - game.natural_step(x, game.price_gradient(lam))))
+        x - game.backward_step(x - (at.gradient + at.price_gradient), 1.0)))
 
 
-def residual_equality(game: Game, graph: CommGraph, x, Z, lam) -> EqualityResiduals:
-    """Distance of (x, Z, lam) from the zero set of the equality operator.
+def residual_equality(game: Game, graph: CommGraph, x, Z,
+                      lam) -> tuple[EqualityResiduals, PointProducts]:
+    """Distance of (x, Z, lam) from the zero set of the equality operator,
+    and the products it was computed from.
 
     All three components vanish exactly at a zero: the natural-map
     stationarity residual, the per-edge multiplier differences, and the
     local constraint-tracking error.
     """
-    x = as_vector(x)
-    Z = np.asarray(Z, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    edge = float(np.linalg.norm(graph.edge_differences(lam)))
-    feas = float(np.linalg.norm(game.local_residual(x) + graph.node_aggregate(Z)))
-    return EqualityResiduals(_stationarity(game, x, lam), edge, feas)
+    at = point_products(game, graph, x, Z, lam)
+    edge = float(np.linalg.norm(at.edge_differences))
+    feas = float(np.linalg.norm(at.tracked))
+    return EqualityResiduals(_stationarity(game, x, at), edge, feas), at
 
 
 def residual_inequality(game: Game, graph: CommGraph, x, Z,
-                        lam) -> InequalityResiduals:
-    """Distance of (x, Z, lam) from the zero set of the inequality operator.
+                        lam) -> tuple[InequalityResiduals, PointProducts]:
+    """Distance of (x, Z, lam) from the zero set of the inequality operator,
+    and the products it was computed from.
 
     Feasibility measures only the positive part of the tracked constraint,
     and complementarity is the projection-form residual of the orthant
@@ -202,11 +227,9 @@ def residual_inequality(game: Game, graph: CommGraph, x, Z,
     O((rho - 1) |lam|) during the transient; complementarity measures that
     negativity, so such states are accepted.
     """
-    x = as_vector(x)
-    Z = np.asarray(Z, dtype=float)
+    at = point_products(game, graph, x, Z, lam)
     lam = np.asarray(lam, dtype=float)
-    tracked = game.local_residual(x) + graph.node_aggregate(Z)
-    edge = float(np.linalg.norm(graph.edge_differences(lam)))
-    feas = float(np.linalg.norm(np.maximum(tracked, 0.0)))
-    comp = float(np.linalg.norm(lam - np.maximum(lam + tracked, 0.0)))
-    return InequalityResiduals(_stationarity(game, x, lam), edge, feas, comp)
+    edge = float(np.linalg.norm(at.edge_differences))
+    feas = float(np.linalg.norm(np.maximum(at.tracked, 0.0)))
+    comp = float(np.linalg.norm(lam - np.maximum(lam + at.tracked, 0.0)))
+    return InequalityResiduals(_stationarity(game, x, at), edge, feas, comp), at

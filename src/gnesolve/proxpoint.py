@@ -22,8 +22,8 @@ from .errors import InexactnessError, ValidationError
 from .games import Game
 from .graphs import CommGraph
 from .operators import (block_diag, incidence_sandwich,
-                        inequality_preconditioner, pack, unpack_lifted,
-                        unpack_plain)
+                        inequality_preconditioner, pack, point_products,
+                        unpack_lifted, unpack_plain)
 from .params import AlgoParams
 from .splitting import splitting_iterate
 from .subgames import InnerSolver, Subgame
@@ -96,7 +96,8 @@ class InequalityResolvent:
         x, Z, lam = unpack_plain(self.game, self.graph, w)
         swept, sol = splitting_iterate(
             self.game, self.graph, self.params, AdmmState(x, lam, Z),
-            self.inner, self.mu_for(nu))
+            point_products(self.game, self.graph, x, Z, lam), self.inner,
+            self.mu_for(nu))
         return ResolventStep(pack(swept.x, swept.Z, swept.lam),
                              self.nu_factor * sol.certificate.bound)
 
@@ -207,7 +208,8 @@ def correspondence_check(game: Game, graph: CommGraph, params: AlgoParams,
     worst = 0.0
     for k in range(1, n_iters + 1):
         mu = params.mu(k)
-        swept, _ = admm_iterate(game, graph, params, state, inner, mu)
+        at = point_products(game, graph, state.x, state.Z, state.lam)
+        swept, _ = admm_iterate(game, graph, params, state, at, inner, mu)
         state = relax(state, swept, params.rho)
         w, _ = pppa_step(resolvent, w, resolvent.nu_factor * mu, params.rho)
         mapped = mapped_state(game, graph, params, w)

@@ -15,17 +15,18 @@ import numpy as np
 from .errors import ValidationError
 from .games import INEQUALITY, Game
 from .graphs import CommGraph
-from .operators import residual_inequality
+from .operators import PointProducts, residual_inequality
 from .params import AlgoParams
 from .subgames import InnerSolution, InnerSolver, inequality_subgame
 from .admm import AdmmState, RunResult, StopRule, iterate_to_tolerance
 
 
 def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
-                      state: AdmmState, inner: InnerSolver,
+                      state: AdmmState, at: PointProducts, inner: InnerSolver,
                       mu: float) -> tuple[AdmmState, InnerSolution]:
     """One unrelaxed sweep from iteration-k data, and the subgame solution
-    behind its decision block.
+    behind its decision block.  ``at`` holds the residual products of
+    ``state``: the subgame's price and the edge differences of ``lam``.
 
     The subgame solve and the edge update read only the given data and
     commute; the multiplier update consumes both through reflected terms.
@@ -33,8 +34,8 @@ def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     metric is a plain clamp.
     """
     x, lam, Z = state.x, state.lam, state.Z
-    sol = inner.solve(inequality_subgame(game, params, x, lam), mu)
-    Z_t = Z - params.apply_W(graph.edge_differences(lam))
+    sol = inner.solve(inequality_subgame(game, params, x, lam, at), mu)
+    Z_t = Z - params.apply_W(at.edge_differences)
     reflected = (game.constraint_rows(2.0 * sol.x - x)
                  + graph.node_aggregate(2.0 * Z_t - Z) - game.b_rows)
     lam_t = np.maximum(lam + params.apply_H(reflected), 0.0)
@@ -52,5 +53,4 @@ def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,
             "the splitting algorithm needs an inequality-coupled game")
     return iterate_to_tolerance(
         game, graph, params, inner, stop, seed, splitting_iterate,
-        lambda s: residual_inequality(game, graph, s.x, s.Z, s.lam),
-        lambda x: float(max(game.coupling_gap(x).max(), 0.0)))
+        lambda s: residual_inequality(game, graph, s.x, s.Z, s.lam))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InexactnessError, StructuralError, ValidationError
 from .games import Game, as_vector
-from .graphs import CommGraph
+from .operators import PointProducts
 from .params import AlgoParams
 
 
@@ -25,13 +25,16 @@ class Subgame:
     """Strongly monotone regularized game anchored at the current profile.
 
     The pseudo-gradient is ``F(y) + R (y - anchor) + shift`` over the
-    original product box.
+    original product box.  ``anchor_gradient`` is the game's smooth
+    gradient at the anchor when the builder has it in hand (the residual at
+    the anchor computed it), else None.
     """
 
     game: Game
     anchor: np.ndarray
     shift: np.ndarray
     params: AlgoParams
+    anchor_gradient: np.ndarray | None = None
 
     def __post_init__(self):
         self.anchor = as_vector(self.anchor)
@@ -46,32 +49,51 @@ class Subgame:
         """Smooth part ``G`` of the subgame map: the game's smooth gradient
         plus the proximal pull and the price, in `Game.natural_step`'s
         order of operations."""
-        return (self.game.smooth_gradient(y)
-                + (self.params.apply_R(y - self.anchor) + self.shift))
+        return self._plus_pull(y, self.game.smooth_gradient(y))
+
+    def _plus_pull(self, y: np.ndarray, game_gradient: np.ndarray) -> np.ndarray:
+        return game_gradient + (self.params.apply_R(y - self.anchor) + self.shift)
+
+    def start(self) -> tuple[np.ndarray, np.ndarray]:
+        """First point of an iterative solve, the box projection of the
+        anchor, and ``G`` there.  When the projection leaves the anchor as
+        it is, ``G`` takes the game's gradient from ``anchor_gradient``
+        instead of calling the oracle again."""
+        y = self.game.project(self.anchor)
+        if self.anchor_gradient is None or not np.array_equal(y, self.anchor):
+            return y, self.smooth_gradient(y)
+        return y, self._plus_pull(y, self.anchor_gradient)
 
     def step(self, y: np.ndarray, gamma: float) -> np.ndarray:
         """Forward-backward step whose fixed points are the equilibrium."""
         return self.game.backward_step(y - gamma * self.smooth_gradient(y), gamma)
 
 
-def equality_subgame(game: Game, graph: CommGraph, params: AlgoParams,
-                     x, lam, Z) -> Subgame:
-    """Subgame of the equality algorithm.
+def equality_subgame(game: Game, params: AlgoParams, x, lam,
+                     at: PointProducts) -> Subgame:
+    """Subgame of the equality algorithm at the state whose residual
+    products are ``at``.
 
     The price of player ``i`` is its multiplier plus ``H_i`` times the
-    locally tracked constraint residual ``A_i x_i + (V Z)_i - b_i``, pulled
-    back through ``A_i^T``.
+    locally tracked constraint residual ``A_i x_i + (V Z)_i - b_i``
+    (``at.tracked``), pulled back through ``A_i^T``.
     """
-    x = as_vector(x)
-    tracked = game.local_residual(x) + graph.node_aggregate(Z)
-    price = np.asarray(lam, dtype=float) + params.apply_H(tracked)
-    return Subgame(game, x, game.price_gradient(price), params)
+    price = np.asarray(lam, dtype=float) + params.apply_H(at.tracked)
+    return Subgame(game, x, game.price_gradient(price), params, at.gradient)
 
 
-def inequality_subgame(game: Game, params: AlgoParams, x, lam) -> Subgame:
-    """Subgame of the inequality algorithm: the price is the bare multiplier."""
-    x = as_vector(x)
-    return Subgame(game, x, game.price_gradient(np.asarray(lam, dtype=float)), params)
+def inequality_subgame(game: Game, params: AlgoParams, x, lam,
+                       at: PointProducts | None = None) -> Subgame:
+    """Subgame of the inequality algorithm: the price is the bare multiplier.
+
+    The sweep passes the residual products ``at`` of its state, which hold
+    that price and the anchor's gradient; without them the price is
+    evaluated from ``lam``.
+    """
+    if at is None:
+        return Subgame(game, x, game.price_gradient(np.asarray(lam, dtype=float)),
+                       params)
+    return Subgame(game, x, at.price_gradient, params, at.gradient)
 
 
 @dataclass(frozen=True)
@@ -150,7 +172,8 @@ class InnerSolver:
         subdifferential of the backward part at ``y+``, an operator that is
         strongly monotone with modulus ``sigma = r_min``; hence
         ``|y+ - y*| <= |e| / sigma`` for any step ``gamma``.  ``G(y+)`` is
-        reused by the next step, so each step costs one oracle call.
+        reused by the next step, so each step costs one oracle call; the
+        start costs none when the anchor lies in the box (`Subgame.start`).
 
         Since no step can make the bound wrong, the step adapts freely: it
         starts at ``1 / r_max`` and after each step that
@@ -167,8 +190,7 @@ class InnerSolver:
                 "residual mode cannot certify an exactly zero tolerance")
         gamma = 1.0 / sub.params.r_max
         sigma = sub.params.r_min
-        y = sub.game.project(sub.anchor)
-        g = sub.smooth_gradient(y)
+        y, g = sub.start()
         bound = math.inf
         for it in range(1, self.cap + 1):
             y_next = sub.game.backward_step(y - gamma * g, gamma)

@@ -10,9 +10,10 @@ from dataclasses import dataclass, fields
 class TraceRow:
     k: int
     step_norm: float
-    consensus_error: float
-    feasibility: float
+    # the residuals the stop rule tests, under their own names
     stationarity: float
+    consensus_edge: float
+    feasibility: float
     complementarity: float     # nan for equality-coupled runs
     inner_iterations: int
     mu: float

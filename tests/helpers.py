@@ -6,7 +6,7 @@ resolvents are checked against."""
 
 import numpy as np
 
-from gnesolve.operators import block_diag, layout_sizes, pack
+from gnesolve.operators import block_diag, layout_sizes, pack, point_products
 from gnesolve.proxpoint import ResolventStep
 
 
@@ -180,6 +180,20 @@ def quadratic_value(t, delta, i):
     return value
 
 
+def products(game, graph, state):
+    """Residual products of an `AdmmState`, evaluated afresh: what the
+    outer driver hands the sweep from that state."""
+    return point_products(game, graph, state.x, state.Z, state.lam)
+
+
+def equality_subgame_at(game, graph, params, x, lam, Z):
+    """`equality_subgame` at the state ``(x, lam, Z)``, from its residual
+    products evaluated afresh."""
+    from gnesolve.subgames import equality_subgame
+    return equality_subgame(game, params, x, lam,
+                            point_products(game, graph, x, Z, lam))
+
+
 def admm_iterate_componentwise(game, graph, params, state, inner, mu):
     """One proximal ADMM iteration written player-by-player and
     edge-by-edge, as the distributed message pattern runs it: every player
@@ -187,7 +201,6 @@ def admm_iterate_componentwise(game, graph, params, state, inner, mu):
     update) the signal of the edge's other endpoint.  Reference for the
     stacked `gnesolve.admm.admm_iterate`."""
     from gnesolve.admm import AdmmState
-    from gnesolve.subgames import equality_subgame
 
     x, lam, Z = state.x, state.lam, state.Z
     rho = params.rho
@@ -195,7 +208,7 @@ def admm_iterate_componentwise(game, graph, params, state, inner, mu):
     agg = graph.node_aggregate(Z)
 
     # step 1: regularized subgame, solved to mu
-    sol = inner.solve(equality_subgame(game, graph, params, x, lam, Z), mu)
+    sol = inner.solve(equality_subgame_at(game, graph, params, x, lam, Z), mu)
     xt_blocks = game.split(sol.x)
 
     lam_next = np.empty_like(lam)

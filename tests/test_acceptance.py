@@ -19,7 +19,7 @@ from gnesolve.proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
                                 correspondence_check, pppa_step,
                                 run_proxpoint)
 from gnesolve.splitting import splitting_iterate
-from helpers import dense_preconditioner, linear_part
+from helpers import dense_preconditioner, linear_part, products
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -108,7 +108,8 @@ def test_criterion_4_splitting_equivalence():
     resolvent = InequalityResolvent(game, graph, params, inner)
     worst = 0.0
     for _ in range(100):
-        swept, _ = splitting_iterate(game, graph, params, state, inner, 0.0)
+        swept, _ = splitting_iterate(game, graph, params, state,
+                                     products(game, graph, state), inner, 0.0)
         state = relax(state, swept, params.rho)
         w, _ = pppa_step(resolvent, w, 0.0, params.rho)
         x2, Z2, lam2 = unpack_plain(game, graph, w)

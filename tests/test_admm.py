@@ -8,7 +8,7 @@ from gnesolve.errors import DivergenceError, ValidationError
 from gnesolve.proxpoint import correspondence_check
 from gnesolve.splitting import run_splitting
 from conftest import edge_flow_for
-from helpers import admm_iterate_componentwise
+from helpers import admm_iterate_componentwise, equality_subgame_at, products
 
 #: game fixture and run driver of each algorithm, for tests of the shared loop
 ALGORITHMS = {"admm": ("eq_game", run_admm),
@@ -24,7 +24,8 @@ def kkt_state(game, graph, solution):
 def test_fixed_point_invariance(eq_game, pair_graph, toy_params, exact_inner):
     game, solution = eq_game
     state = kkt_state(game, pair_graph, solution)
-    new, _ = admm_iterate(game, pair_graph, toy_params, state, exact_inner, 0.0)
+    new, _ = admm_iterate(game, pair_graph, toy_params, state,
+                          products(game, pair_graph, state), exact_inner, 0.0)
     assert np.linalg.norm(new.x - state.x) <= 1e-10
     assert np.linalg.norm(new.lam - state.lam) <= 1e-10
     assert np.linalg.norm(new.Z - state.Z) <= 1e-10
@@ -37,8 +38,8 @@ def test_componentwise_equals_compact(eq_game, pair_graph, toy_params,
     for _ in range(5):
         a, _ = admm_iterate_componentwise(game, pair_graph, toy_params, state,
                                           exact_inner, 0.0)
-        b, _ = admm_iterate(game, pair_graph, toy_params, state, exact_inner,
-                            0.0)
+        b, _ = admm_iterate(game, pair_graph, toy_params, state,
+                            products(game, pair_graph, state), exact_inner, 0.0)
         b = relax(state, b, toy_params.rho)
         assert np.linalg.norm(a.x - b.x) <= 1e-12
         assert np.linalg.norm(a.lam - b.lam) <= 1e-12
@@ -51,12 +52,12 @@ def test_rho_one_is_unrelaxed(eq_game, pair_graph, exact_inner):
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.0,
                                    mu0=0.0)
     state = initial_state(game, pair_graph, seed=2)
-    swept, _ = admm_iterate(game, pair_graph, params, state, exact_inner, 0.0)
+    swept, _ = admm_iterate(game, pair_graph, params, state,
+                            products(game, pair_graph, state), exact_inner, 0.0)
     new = relax(state, swept, params.rho)
     # with rho = 1 the relaxed decision equals the subgame solution itself
-    from gnesolve.subgames import equality_subgame
-    sub = equality_subgame(game, pair_graph, params, state.x, state.lam,
-                           state.Z)
+    sub = equality_subgame_at(game, pair_graph, params, state.x, state.lam,
+                              state.Z)
     x_tilde = exact_inner.solve(sub, 0.0).x
     assert np.allclose(new.x, x_tilde, atol=1e-14)
     lam_tilde = state.lam + params.apply_H(

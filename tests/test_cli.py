@@ -138,6 +138,28 @@ def test_summary_counts_inner_steps_of_untraced_iterations(tmp_path):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+@pytest.mark.parametrize("name", ["quadratic-equality", "rate-control",
+                                  "task-allocation"])
+def test_trace_shows_why_the_run_stopped(name, tmp_path, monkeypatch):
+    # the trace's residual columns are what the stop rule tests: the last
+    # row of a converged run is the first with every one at most stop.tol
+    monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(tmp_path))
+    assert main(["run", str(CONFIGS / f"{name}.cfg")]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    tol = float(summary["parameters"]["stop.tol"])
+    assert summary["converged"]
+    columns = ("stationarity", "consensus_edge", "feasibility", "complementarity")
+    rows = [[float(r[c]) for c in columns]
+            for r in read_trace_csv(tmp_path / "trace.csv")]
+    if summary["algorithm"] == "admm":
+        # equality runs have no complementarity residual
+        assert all(np.isnan(row[3]) for row in rows)
+        rows = [row[:3] for row in rows]
+    *_, before, last = rows
+    assert max(last) <= tol < max(before)
+    assert dict(zip(columns, last)) == summary["final_residuals"]
+
+
 def test_published_configs_in_default_inner_mode(tmp_path, monkeypatch):
     # the shipped configs through `gnesolve run`, with residual-mode inner
     # solves; the step bounds are a third of the fixed-step solver's counts
@@ -348,12 +370,12 @@ def test_extract(tmp_path, capsys):
     cfg.write_text(QUAD_CFG.format(out=out))
     assert main(["run", str(cfg)]) == 0
     capsys.readouterr()
-    assert main(["extract", str(out / "trace.csv"), "consensus_error"]) == 0
+    assert main(["extract", str(out / "trace.csv"), "consensus_edge"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     trace = read_trace_csv(out / "trace.csv")
     assert len(lines) == len(trace)
     k, value = lines[0].split()
-    assert k == trace[0]["k"] and value == trace[0]["consensus_error"]
+    assert k == trace[0]["k"] and value == trace[0]["consensus_edge"]
     assert main(["extract", str(out / "trace.csv"), "certified"]) == 0
     assert capsys.readouterr().out.split()[:2] == [trace[0]["k"], "0.0"]
     assert main(["extract", str(out / "trace.csv"), "bogus"]) == 2

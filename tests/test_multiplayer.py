@@ -13,6 +13,7 @@ import pytest
 import gnesolve as gs
 from gnesolve.admm import relax
 from gnesolve.games import Box, Player
+from helpers import products
 
 
 def ring_game(n, delta, c, kind, half_width=25.0):
@@ -121,8 +122,10 @@ def test_oracle_inner_matches_exact_on_cycle(cyclic_graph):
     state_o = gs.initial_state(game, cyclic_graph, seed=5)
     for _ in range(25):
         swept_e, _ = gs.admm_iterate(game, cyclic_graph, params, state_e,
+                                     products(game, cyclic_graph, state_e),
                                      exact, 0.0)
         swept_o, _ = gs.admm_iterate(game, cyclic_graph, params, state_o,
+                                     products(game, cyclic_graph, state_o),
                                      oracle, 0.0)
         state_e = relax(state_e, swept_e, params.rho)
         state_o = relax(state_o, swept_o, params.rho)

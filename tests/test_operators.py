@@ -119,12 +119,12 @@ def test_residual_equality_at_oracle_solution(eq_game, pair_graph):
     game, sol = eq_game
     lam = np.full((2, 1), sol["lambda"])
     Z = edge_flow_for(game, pair_graph, sol["x"])
-    res = residual_equality(game, pair_graph, sol["x"], Z, lam)
+    res, _ = residual_equality(game, pair_graph, sol["x"], Z, lam)
     assert res.max() <= 1e-10
     # breaking consensus shows up in the edge residual only
     lam_bad = lam.copy()
     lam_bad[0, 0] += 0.3
-    res_bad = residual_equality(game, pair_graph, sol["x"], Z, lam_bad)
+    res_bad, _ = residual_equality(game, pair_graph, sol["x"], Z, lam_bad)
     assert res_bad.consensus_edge > 0.1
 
 
@@ -134,7 +134,7 @@ def test_residual_equality_feasibility_matches_direct(eq_game, pair_graph):
     x = rng.normal(size=2)
     Z = rng.normal(size=(1, 1))
     lam = rng.normal(size=(2, 1))
-    res = residual_equality(game, pair_graph, x, Z, lam)
+    res, _ = residual_equality(game, pair_graph, x, Z, lam)
     direct = np.linalg.norm(game.local_residual(x)
                             + pair_graph.node_aggregate(Z))
     assert res.feasibility == pytest.approx(direct, rel=1e-12)
@@ -144,7 +144,7 @@ def test_residual_inequality_at_oracle_solution(ineq_game, pair_graph):
     game, sol = ineq_game
     lam = np.full((2, 1), sol["lambda"])
     Z = edge_flow_for(game, pair_graph, sol["x"])
-    res = residual_inequality(game, pair_graph, sol["x"], Z, lam)
+    res, _ = residual_inequality(game, pair_graph, sol["x"], Z, lam)
     assert res.max() <= 1e-10
 
 
@@ -155,7 +155,7 @@ def test_residual_inequality_inactive_multiplier(pair_graph):
     assert not sol["active"]
     lam = np.zeros((2, 1))
     Z = edge_flow_for(game, pair_graph, sol["x"])
-    res = residual_inequality(game, pair_graph, sol["x"], Z, lam)
+    res, _ = residual_inequality(game, pair_graph, sol["x"], Z, lam)
     assert res.complementarity <= 1e-12
 
 

@@ -1,0 +1,127 @@
+"""The outer driver evaluates each state once: the residual's products at
+``x_{k+1}`` are what the next sweep reads, and they equal an evaluation
+made afresh, so handing them on changes no trajectory."""
+
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gnesolve as gs
+from gnesolve import admm, cli, splitting
+from gnesolve.config import load_config
+from gnesolve.games import Game
+from gnesolve.operators import PointProducts
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = ("quadratic-equality", "rate-control", "task-allocation")
+
+
+def shipped(name):
+    """Game, graph, params, inner solver and sweep of a shipped config."""
+    game, graph, params, algorithm, inner, _ = cli._setup(
+        load_config(CONFIGS / f"{name}.cfg"))
+    iterate = gs.admm_iterate if algorithm == "admm" else gs.splitting_iterate
+    return game, graph, params, inner, iterate
+
+
+def fresh(game, graph, state):
+    """Every product recomputed from the game and graph maps."""
+    return PointProducts(
+        game.smooth_gradient(state.x),
+        game.local_residual(state.x) + graph.node_aggregate(state.Z),
+        game.price_gradient(state.lam), graph.edge_differences(state.lam))
+
+
+def driven_states(setup, n_iters, monkeypatch):
+    """The (state, products) pairs the driver hands the sweep in the first
+    ``n_iters`` outer iterations of a shipped config's ``setup``."""
+    game, graph, params, inner, iterate = setup
+    module = admm if iterate is gs.admm_iterate else splitting
+    seen = []
+
+    def recording(*args):
+        seen.append((args[3], args[4]))
+        return iterate(*args)
+
+    monkeypatch.setattr(module, iterate.__name__, recording)
+    runner = gs.run_admm if module is admm else gs.run_splitting
+    runner(game, graph, params, inner, gs.StopRule(n_iters, 0.0))
+    return seen
+
+
+def assert_same_sweep(a, b):
+    (swept_a, sol_a), (swept_b, sol_b) = a, b
+    for block in ("x", "lam", "Z"):
+        assert np.array_equal(getattr(swept_a, block), getattr(swept_b, block))
+    assert sol_a.certificate == sol_b.certificate
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_handed_products_match_a_fresh_evaluation(name, monkeypatch):
+    setup = game, graph, params, inner, iterate = shipped(name)
+    states = driven_states(setup, 40, monkeypatch)
+    for k, (state, handed) in list(enumerate(states, start=1))[::3]:
+        again = fresh(game, graph, state)
+        for field in fields(PointProducts):
+            assert np.array_equal(getattr(handed, field.name),
+                                  getattr(again, field.name))
+        mu = params.mu(k)
+        assert_same_sweep(iterate(game, graph, params, state, handed, inner, mu),
+                          iterate(game, graph, params, state, again, inner, mu))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_inner_start_reads_the_gradient_only_inside_the_box(name):
+    # a poisoned gradient shows whether the inner start read it: a relaxed
+    # state outside the box must call the oracle, one inside may not
+    game, graph, params, inner, iterate = shipped(name)
+    start = gs.initial_state(game, graph, seed=0)
+    swept, _ = iterate(game, graph, params, start, fresh(game, graph, start),
+                       inner, 1e-3)
+    width = game.box_upper - game.box_lower
+    outside = gs.AdmmState(np.where(np.arange(game.n) == 0,
+                                    game.box_upper + 0.05 * width, swept.x),
+                           swept.lam, swept.Z)
+    assert not np.array_equal(game.project(outside.x), outside.x)
+    for state, read in ((outside, False), (start, inner.mode != "exact")):
+        at = fresh(game, graph, state)
+        poisoned = PointProducts(np.full(game.n, np.nan), at.tracked,
+                                 at.price_gradient, at.edge_differences)
+        honest = iterate(game, graph, params, state, at, inner, 1e-3)
+        if read:
+            with pytest.raises(gs.NumericError):
+                iterate(game, graph, params, state, poisoned, inner, 1e-3)
+        else:
+            assert_same_sweep(
+                iterate(game, graph, params, state, poisoned, inner, 1e-3),
+                honest)
+
+
+def test_one_oracle_call_saved_per_anchor_in_the_box(monkeypatch):
+    # residual mode calls the oracle once per inner step, once at the inner
+    # start and once in the residual at the new state; the start's call is
+    # the one saved when the anchor lies in the box
+    calls = []
+    original = Game.smooth_gradient
+
+    def counting(game, x):
+        calls.append(1)
+        return original(game, x)
+
+    monkeypatch.setattr(Game, "smooth_gradient", counting)
+    game, graph, params, inner, iterate = shipped("rate-control")
+    anchors = []
+
+    def recording(*args):
+        anchors.append(args[3].x)
+        return iterate(*args)
+
+    monkeypatch.setattr(splitting, "splitting_iterate", recording)
+    result = gs.run_splitting(game, graph, params, inner, gs.StopRule(40, 0.0))
+    in_box = sum(np.array_equal(game.project(x), x) for x in anchors)
+    assert len(anchors) == result.iterations == 40
+    assert 0 < in_box < 40    # both kinds of anchor occur in this window
+    inner_steps = sum(row.inner_iterations for row in result.rows)
+    assert len(calls) == 1 + inner_steps + 2 * result.iterations - in_box

@@ -9,6 +9,7 @@ from gnesolve.proxpoint import InequalityResolvent, pppa_step
 from gnesolve.splitting import run_splitting, splitting_iterate
 from gnesolve.subgames import inequality_subgame
 from conftest import edge_flow_for
+from helpers import products
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,7 @@ def test_fixed_point_invariance(ineq_game, pair_graph, toy_params,
     Z = edge_flow_for(game, pair_graph, solution["x"])
     state = AdmmState(np.asarray(solution["x"]), lam, Z)
     new, _ = splitting_iterate(game, pair_graph, toy_params, state,
+                               products(game, pair_graph, state),
                                exact_inner, 0.0)
     assert np.linalg.norm(new.x - state.x) <= 1e-10
     assert np.linalg.norm(new.lam - state.lam) <= 1e-10
@@ -63,8 +65,9 @@ def test_rho_one_is_unrelaxed(ineq_game, pair_graph, exact_inner):
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.0,
                                    mu0=0.0)
     state = initial_state(game, pair_graph, seed=4)
-    swept, _ = splitting_iterate(game, pair_graph, params, state, exact_inner,
-                                 0.0)
+    swept, _ = splitting_iterate(game, pair_graph, params, state,
+                                 products(game, pair_graph, state),
+                                 exact_inner, 0.0)
     new = relax(state, swept, params.rho)
     sub = inequality_subgame(game, params, state.x, state.lam)
     x_tilde = exact_inner.solve(sub, 0.0).x
@@ -88,7 +91,8 @@ def test_parallel_steps_commute(ineq_game, pair_graph, toy_params,
         cases.append((rc_game, rc_graph, rc_params, gs.InnerSolver(), 1e-3,
                       AdmmState(x, lam, Z)))
     for game, graph, params, inner, mu, state in cases:
-        swept, _ = splitting_iterate(game, graph, params, state, inner, mu)
+        swept, _ = splitting_iterate(game, graph, params, state,
+                                     products(game, graph, state), inner, mu)
         reference = relax(state, swept, params.rho)
         Z_tilde = np.empty_like(state.Z)
         for l, (i, j) in enumerate(graph.edges):
@@ -164,6 +168,7 @@ def test_matches_proxpoint_path(ineq_game, pair_graph, toy_params,
     worst = 0.0
     for _ in range(100):
         swept, _ = splitting_iterate(game, pair_graph, toy_params, state,
+                                     products(game, pair_graph, state),
                                      exact_inner, 0.0)
         state = relax(state, swept, toy_params.rho)
         w, _ = pppa_step(resolvent, w, 0.0, toy_params.rho)

@@ -12,6 +12,7 @@ from gnesolve.games import Box, Player
 from gnesolve.rng import SplitMix64
 from gnesolve.subgames import (InnerSolver, Subgame, equality_subgame,
                                inequality_subgame)
+from helpers import equality_subgame_at, products
 
 
 def wide_affine_game(a):
@@ -27,8 +28,8 @@ def test_equality_shift_hand_value(eq_game, pair_graph, toy_params):
     # anchored at the origin with zero multipliers and edge variables, the
     # price reduces to H (A x - b) pulled through A^T: 0.5 * (0 - 0.5) each
     game, _ = eq_game
-    sub = equality_subgame(game, pair_graph, toy_params,
-                           np.zeros(2), np.zeros((2, 1)), np.zeros((1, 1)))
+    sub = equality_subgame_at(game, pair_graph, toy_params,
+                              np.zeros(2), np.zeros((2, 1)), np.zeros((1, 1)))
     assert np.allclose(sub.shift, [-0.25, -0.25])
     assert sub.params.r_min == pytest.approx(10.0)
 
@@ -37,9 +38,9 @@ def test_equality_shift_vanishes_with_local_feasibility(pair_graph):
     # b_i = A_i x_i and no edge signal: the price term is zero
     game, _ = gs.quadratic_game(c=2.0)   # b_i = 1, so x = (1, 1) is tracked
     params = gs.AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.1)
-    sub = equality_subgame(game, pair_graph, params,
-                           np.array([1.0, 1.0]), np.zeros((2, 1)),
-                           np.zeros((1, 1)))
+    sub = equality_subgame_at(game, pair_graph, params,
+                              np.array([1.0, 1.0]), np.zeros((2, 1)),
+                              np.zeros((1, 1)))
     assert np.allclose(sub.shift, 0.0)
 
 
@@ -56,8 +57,8 @@ def test_inequality_shift(eq_game, pair_graph, toy_params):
 def test_subgame_strong_monotonicity_sampled(eq_game, pair_graph, toy_params):
     # the quadratic game has no separable prox: the smooth part is the map
     game, _ = eq_game
-    sub = equality_subgame(game, pair_graph, toy_params,
-                           np.zeros(2), np.zeros((2, 1)), np.zeros((1, 1)))
+    sub = equality_subgame_at(game, pair_graph, toy_params,
+                              np.zeros(2), np.zeros((2, 1)), np.zeros((1, 1)))
     rng = SplitMix64(11)
     sigma = sub.params.r_min
     for _ in range(100):
@@ -83,8 +84,8 @@ def test_oracle_mode_matches_linear_solve(eq_game, pair_graph, toy_params):
     # first outer subgame of the equality loop: solve (J + R) x = R x0 + t - c
     game, _ = eq_game
     x0 = np.zeros(2)
-    sub = equality_subgame(game, pair_graph, toy_params, x0,
-                           np.zeros((2, 1)), np.zeros((1, 1)))
+    sub = equality_subgame_at(game, pair_graph, toy_params, x0,
+                              np.zeros((2, 1)), np.zeros((1, 1)))
     J = np.array([[1.0, 0.5], [0.5, 1.0]])
     expected = np.linalg.solve(J + 10.0 * np.eye(2),
                                10.0 * x0 + np.array([2.0, 1.0]) - sub.shift)
@@ -100,8 +101,8 @@ def test_oracle_mode_matches_linear_solve(eq_game, pair_graph, toy_params):
 
 def test_residual_mode_certificate(eq_game, pair_graph, toy_params):
     game, _ = eq_game
-    sub = equality_subgame(game, pair_graph, toy_params, np.zeros(2),
-                           np.zeros((2, 1)), np.zeros((1, 1)))
+    sub = equality_subgame_at(game, pair_graph, toy_params, np.zeros(2),
+                              np.zeros((2, 1)), np.zeros((1, 1)))
     solver = InnerSolver("residual")
     exact = InnerSolver("exact").solve(sub, 0.0).x
     for mu in (1e-3, 1e-6):
@@ -114,8 +115,8 @@ def test_residual_mode_certificate(eq_game, pair_graph, toy_params):
 
 def test_monotone_tolerance(eq_game, pair_graph, toy_params):
     game, _ = eq_game
-    sub = equality_subgame(game, pair_graph, toy_params, np.zeros(2),
-                           np.zeros((2, 1)), np.zeros((1, 1)))
+    sub = equality_subgame_at(game, pair_graph, toy_params, np.zeros(2),
+                              np.zeros((2, 1)), np.zeros((1, 1)))
     solver = InnerSolver("oracle")
     tight = solver.solve(sub, 1e-7).certificate.bound
     loose = solver.solve(sub, 1e-3).certificate.bound
@@ -128,8 +129,8 @@ def test_schedule_certificates(eq_game, pair_graph):
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 10.0, 0.5, 0.5,
                                    1.1, mu0=1.0)
     solver = InnerSolver("oracle")
-    sub = equality_subgame(game, gs.path_graph(2), params, np.zeros(2),
-                           np.zeros((2, 1)), np.zeros((1, 1)))
+    sub = equality_subgame_at(game, gs.path_graph(2), params, np.zeros(2),
+                              np.zeros((2, 1)), np.zeros((1, 1)))
     for k in range(1, 51):
         mu_k = params.mu(k)
         sol = solver.solve(sub, mu_k)
@@ -142,8 +143,8 @@ def test_uniqueness_from_different_starts(eq_game, pair_graph, toy_params):
     solver = InnerSolver("oracle")
     results = []
     for anchor in (np.array([5.0, 5.0]), np.array([-5.0, 2.0])):
-        sub = equality_subgame(game, pair_graph, toy_params, anchor,
-                               np.zeros((2, 1)), np.zeros((1, 1)))
+        sub = equality_subgame_at(game, pair_graph, toy_params, anchor,
+                                  np.zeros((2, 1)), np.zeros((1, 1)))
         # same subgame data except the anchor; solve each to mu and compare
         # against its own equilibrium instead (uniqueness per subgame)
         a = solver.solve(sub, mu)
@@ -154,8 +155,8 @@ def test_uniqueness_from_different_starts(eq_game, pair_graph, toy_params):
 
 def test_iteration_cap_raises(eq_game, pair_graph, toy_params):
     game, _ = eq_game
-    sub = equality_subgame(game, pair_graph, toy_params, np.zeros(2),
-                           np.zeros((2, 1)), np.zeros((1, 1)))
+    sub = equality_subgame_at(game, pair_graph, toy_params, np.zeros(2),
+                              np.zeros((2, 1)), np.zeros((1, 1)))
     solver = InnerSolver("residual", cap=1)
     with pytest.raises(InexactnessError) as err:
         solver.solve(sub, 1e-12)
@@ -338,9 +339,10 @@ def first_subgame(name):
         graph = gs.benchmark_graph("chain14")
         params = gs.task_allocation_params(game, graph, seed=0)
     state = gs.initial_state(game, graph, seed=0)
+    at = products(game, graph, state)
     if game.kind == gs.INEQUALITY:
-        return inequality_subgame(game, params, state.x, state.lam)
-    return equality_subgame(game, graph, params, state.x, state.lam, state.Z)
+        return inequality_subgame(game, params, state.x, state.lam, at)
+    return equality_subgame(game, params, state.x, state.lam, at)
 
 
 def test_wrong_length_anchor_or_shift_rejected():
