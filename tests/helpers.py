@@ -8,6 +8,7 @@ import numpy as np
 
 from gnesolve.operators import block_diag, layout_sizes, pack, point_products
 from gnesolve.proxpoint import ResolventStep
+from gnesolve.subgames import equality_subgame
 
 
 # -- dense stacked operators -----------------------------------------------------
@@ -189,7 +190,6 @@ def products(game, graph, state):
 def equality_subgame_at(game, graph, params, x, lam, Z):
     """`equality_subgame` at the state ``(x, lam, Z)``, from its residual
     products evaluated afresh."""
-    from gnesolve.subgames import equality_subgame
     return equality_subgame(game, params, x, lam,
                             point_products(game, graph, x, Z, lam))
 
