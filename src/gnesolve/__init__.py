@@ -5,8 +5,7 @@ from .admm import AdmmState, StopRule, admm_iterate, initial_state, run_admm
 from .benchgames import (benchmark_graph, quadratic_game, rate_control_game,
                          rate_control_params, task_allocation_game,
                          task_allocation_params)
-from .diagnostics import (FejerReport, KktReport, consensus_error,
-                          fejer_check, kkt_residual)
+from .diagnostics import KktReport, consensus_error, kkt_residual
 from .errors import (ConfigError, DivergenceError, GnesolveError,
                      InexactnessError, NumericError, StructuralError,
                      ValidationError)
@@ -18,8 +17,6 @@ from .operators import (PointProducts, check_step_sizes_equality,
                         inequality_preconditioner, point_products,
                         residual_equality, residual_inequality)
 from .params import AlgoParams
-from .proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
-                        correspondence_check, pppa_step, run_proxpoint)
 from .splitting import run_splitting, splitting_iterate
 from .subgames import (InnerCertificate, InnerSolver, Subgame,
                        equality_subgame, inequality_subgame)

@@ -6,7 +6,7 @@ multipliers with the tracked constraint residual, and exchanges the
 resulting signals along edges to update the edge variables.  The driver
 relaxes each sweep by the common factor, so one outer iteration is one
 relaxed step of the preconditioned proximal iteration on the lifted
-operator, which `proxpoint.correspondence_check` verifies.
+operator, which `correspondence_check` in `tests/reference.py` verifies.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
             state = relax(state, swept, params.rho)
             cert = sol.certificate
             inner_steps += cert.iterations
-            if not all(np.isfinite(a).all() for a in (state.x, state.lam, state.Z)):
+            if not (np.isfinite(state.x).all() and np.isfinite(state.lam).all()
+                    and np.isfinite(state.Z).all()):
                 raise DivergenceError(f"non-finite state at outer iteration {k}")
             res, at = residuals(state)
             rows.append(TraceRow(

@@ -1,5 +1,4 @@
-"""Equilibrium certificates: KKT residuals, consensus metrics, and
-trajectory-level monotone-distance checks."""
+"""Equilibrium certificates: KKT residuals and consensus metrics."""
 
 from __future__ import annotations
 
@@ -85,29 +84,3 @@ def consensus_error(lam: np.ndarray) -> float:
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
     d = lam - lam.mean(axis=0)
     return float(np.sqrt(np.max(d[:, None, :] @ d[:, :, None])))
-
-
-@dataclass(frozen=True)
-class FejerReport:
-    monotone: bool
-    worst_violation: float
-
-
-def fejer_check(history, phi: np.ndarray, w_star: np.ndarray,
-                slack: float = 1e-10) -> FejerReport:
-    """Check that the preconditioner-weighted distance to a known zero never
-    increases along a trajectory of exact relaxed resolvent steps.
-
-    ``history`` is a sequence of stacked iterates; ``phi`` the dense
-    preconditioner; ``w_star`` any zero of the operator.
-    """
-    w_star = np.asarray(w_star, dtype=float)
-    worst = 0.0
-    previous = None
-    for w in history:
-        diff = np.asarray(w, dtype=float) - w_star
-        dist = float(np.sqrt(diff @ (phi @ diff)))
-        if previous is not None:
-            worst = max(worst, dist - previous)
-        previous = dist
-    return FejerReport(worst <= slack, worst)

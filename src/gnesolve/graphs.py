@@ -49,16 +49,6 @@ class CommGraph:
                 f"expected {self.n_nodes} node values, got {per_node.shape[0]}")
         return self.incidence.T @ per_node
 
-    def edge_flow(self, node_targets: np.ndarray) -> np.ndarray:
-        """Minimum-norm edge values whose node aggregate matches the target.
-
-        Solves ``V @ Z = node_targets`` in the least-squares sense; the
-        target must sum to zero across nodes for an exact solution to exist.
-        """
-        node_targets = np.asarray(node_targets, dtype=float)
-        Z, *_ = np.linalg.lstsq(self.incidence, node_targets, rcond=None)
-        return Z
-
 
 def build_incidence(n_nodes: int, edges) -> CommGraph:
     """Build the oriented incidence structure and verify connectivity.

@@ -1,4 +1,4 @@
-"""Step-size validation, stacked-iterate layouts, and residuals.
+"""Step-size validation and residuals.
 
 The validators decide whether each loop's preconditioner ``Phi`` is
 positive definite from the per-player blocks ``R_i``, ``A_i``, ``H_i``,
@@ -6,9 +6,8 @@ the per-edge blocks ``W_l`` and the graph's incidence matrix: the largest
 matrix they decompose has order ``max(n, mM, mN)``, never that of the
 stacked ``Phi``.  Each returns its margins, keyed by the block of its
 condition, or raises a `ValidationError` naming the failed condition.  The
-dense stacked operators and preconditioners live in the tests, as the
-independent reference.  Node and edge blocks of a stacked iterate flatten
-row-major from (N, m) and (M, m) arrays.
+dense stacked operators and preconditioners, and the stacked iterates they
+act on, live in the tests, as the independent reference.
 """
 
 from __future__ import annotations
@@ -42,38 +41,6 @@ def incidence_sandwich(V: np.ndarray, B: np.ndarray) -> np.ndarray:
     order ``q m`` is formed."""
     p, m = V.shape[0], B.shape[-1]
     return np.einsum("il,jl,lab->iajb", V, V, B).reshape(p * m, p * m)
-
-
-def layout_sizes(game: Game, graph: CommGraph, lifted: bool = False) -> tuple:
-    """Block sizes of the plain ``(x, Z, lam)`` or the lifted
-    ``(x, eta, Z, theta)`` layout."""
-    n, mM, mN = game.n, game.m * graph.n_edges, game.m * game.n_players
-    return (n, mN, mM, mN) if lifted else (n, mM, mN)
-
-
-# -- packing helpers ----------------------------------------------------------
-
-def pack(*blocks) -> np.ndarray:
-    """Stacked iterate of the given blocks, each flattened row-major."""
-    return np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks])
-
-
-def _unpack(sizes: tuple, m: int, w: np.ndarray):
-    if w.size != sum(sizes):
-        raise StructuralError(
-            f"stacked iterate has length {w.size}, expected {sum(sizes)}")
-    x, *rows = np.split(w, np.cumsum(sizes[:-1]))
-    return (x, *(r.reshape(-1, m) for r in rows))
-
-
-def unpack_plain(game: Game, graph: CommGraph, w: np.ndarray):
-    """Views ``x, Z (M, m), lam (N, m)`` of a plain stacked iterate."""
-    return _unpack(layout_sizes(game, graph), game.m, w)
-
-
-def unpack_lifted(game: Game, graph: CommGraph, w: np.ndarray):
-    """Views ``x, eta (N, m), Z (M, m), theta (N, m)`` of a lifted iterate."""
-    return _unpack(layout_sizes(game, graph, lifted=True), game.m, w)
 
 
 # -- step-size validation -------------------------------------------------------

@@ -5,7 +5,7 @@ multiplier update then uses reflected (doubled-minus-old) terms and a
 weighted projection onto the nonnegative orthant.  The driver relaxes each
 sweep, so one outer iteration is one relaxed step of the preconditioned
 proximal iteration on the inequality operator, whose resolvent
-(`proxpoint.InequalityResolvent`) is this sweep.
+(`InequalityResolvent` in `tests/reference.py`) is this sweep.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     metric is a plain clamp.
     """
     x, lam, Z = state.x, state.lam, state.Z
-    sol = inner.solve(inequality_subgame(game, params, x, lam, at), mu)
+    sol = inner.solve(inequality_subgame(game, params, x, at), mu)
     Z_t = Z - params.apply_W(at.edge_differences)
     reflected = (game.constraint_rows(2.0 * sol.x - x)
                  + graph.node_aggregate(2.0 * Z_t - Z) - game.b_rows)

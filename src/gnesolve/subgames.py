@@ -82,17 +82,11 @@ def equality_subgame(game: Game, params: AlgoParams, x, lam,
     return Subgame(game, x, game.price_gradient(price), params, at.gradient)
 
 
-def inequality_subgame(game: Game, params: AlgoParams, x, lam,
-                       at: PointProducts | None = None) -> Subgame:
-    """Subgame of the inequality algorithm: the price is the bare multiplier.
-
-    The sweep passes the residual products ``at`` of its state, which hold
-    that price and the anchor's gradient; without them the price is
-    evaluated from ``lam``.
-    """
-    if at is None:
-        return Subgame(game, x, game.price_gradient(np.asarray(lam, dtype=float)),
-                       params)
+def inequality_subgame(game: Game, params: AlgoParams, x,
+                       at: PointProducts) -> Subgame:
+    """Subgame of the inequality algorithm at the state whose residual
+    products are ``at``: the price is the bare multiplier's,
+    ``at.price_gradient``."""
     return Subgame(game, x, at.price_gradient, params, at.gradient)
 
 

@@ -2,13 +2,13 @@
 instance payloads (not from the package's gradient code), plain central
 finite differences, the per-player loop form of an ADMM iteration, and the
 dense stacked operators and preconditioners the structured validators and
-resolvents are checked against."""
+the resolvents of `reference` are checked against."""
 
 import numpy as np
 
-from gnesolve.operators import block_diag, layout_sizes, pack, point_products
-from gnesolve.proxpoint import ResolventStep
+from gnesolve.operators import block_diag, point_products
 from gnesolve.subgames import equality_subgame
+from reference import ResolventStep, layout_sizes, pack
 
 
 # -- dense stacked operators -----------------------------------------------------

@@ -1,5 +1,5 @@
-"""Inexact relaxed preconditioned proximal-point engine: the reference
-layer the two distributed loops are checked against.
+"""Inexact relaxed preconditioned proximal-point iteration (PPPA): the
+reference the two distributed loops are checked against.
 
 One step solves the preconditioned inclusion ``Phi (w - w_hat) in M w_hat``
 up to a certified distance ``nu`` and then relaxes:
@@ -7,27 +7,57 @@ up to a certified distance ``nu`` and then relaxes:
 construction (sequential block formulas); no preconditioner is ever
 inverted densely.  The inequality resolvent is the splitting's sweep
 itself; the lifted equality resolvent is checked against the ADMM sweep by
-`correspondence_check`.  This module builds on `admm` and `splitting`, and
-no solver module imports it.
+`correspondence_check`.  The iterates are stacked vectors whose node and
+edge blocks flatten row-major from (N, m) and (M, m) arrays; `fejer_check`
+tests their preconditioner-weighted distance to a zero against a dense
+``Phi`` (`helpers.dense_preconditioner`).
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmState, admm_iterate, initial_state, relax
-from .errors import InexactnessError, ValidationError
-from .games import Game
-from .graphs import CommGraph
-from .operators import (block_diag, incidence_sandwich,
-                        inequality_preconditioner, pack, point_products,
-                        unpack_lifted, unpack_plain)
-from .params import AlgoParams
-from .splitting import splitting_iterate
-from .subgames import InnerSolver, Subgame
+from gnesolve.admm import AdmmState, admm_iterate, initial_state, relax
+from gnesolve.errors import InexactnessError, StructuralError, ValidationError
+from gnesolve.operators import (block_diag, incidence_sandwich,
+                                inequality_preconditioner, point_products)
+from gnesolve.splitting import splitting_iterate
+from gnesolve.subgames import Subgame
 
+
+# -- stacked layouts ------------------------------------------------------------
+
+def layout_sizes(game, graph, lifted=False):
+    """Block sizes of the plain ``(x, Z, lam)`` or the lifted
+    ``(x, eta, Z, theta)`` layout."""
+    n, mM, mN = game.n, game.m * graph.n_edges, game.m * game.n_players
+    return (n, mN, mM, mN) if lifted else (n, mM, mN)
+
+
+def pack(*blocks):
+    """Stacked iterate of the given blocks, each flattened row-major."""
+    return np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks])
+
+
+def _unpack(sizes, m, w):
+    if w.size != sum(sizes):
+        raise StructuralError(
+            f"stacked iterate has length {w.size}, expected {sum(sizes)}")
+    x, *rows = np.split(w, np.cumsum(sizes[:-1]))
+    return (x, *(r.reshape(-1, m) for r in rows))
+
+
+def unpack_plain(game, graph, w):
+    """Views ``x, Z (M, m), lam (N, m)`` of a plain stacked iterate."""
+    return _unpack(layout_sizes(game, graph), game.m, w)
+
+
+def unpack_lifted(game, graph, w):
+    """Views ``x, eta (N, m), Z (M, m), theta (N, m)`` of a lifted iterate."""
+    return _unpack(layout_sizes(game, graph, lifted=True), game.m, w)
+
+
+# -- the relaxed proximal-point step ----------------------------------------------
 
 @dataclass(frozen=True)
 class ResolventStep:
@@ -35,7 +65,7 @@ class ResolventStep:
     bound: float               # certified distance to the exact resolvent
 
 
-def pppa_step(resolvent, w: np.ndarray, nu: float, rho: float) -> tuple[np.ndarray, ResolventStep]:
+def pppa_step(resolvent, w, nu, rho):
     """One relaxed step of the inexact preconditioned proximal iteration.
 
     ``resolvent.solve(w, nu)`` must return a point within ``nu`` of the
@@ -54,8 +84,7 @@ def pppa_step(resolvent, w: np.ndarray, nu: float, rho: float) -> tuple[np.ndarr
     return w + rho * (step.point - w), step
 
 
-def run_proxpoint(resolvent, w0: np.ndarray, rho: float,
-                  n_iters: int) -> list[np.ndarray]:
+def run_proxpoint(resolvent, w0, rho, n_iters):
     """The iterates of ``n_iters`` exact ``pppa_step`` steps, ``w0`` first."""
     history = [np.array(w0, dtype=float)]
     for _ in range(n_iters):
@@ -73,8 +102,7 @@ class InequalityResolvent:
     passes through.
     """
 
-    def __init__(self, game: Game, graph: CommGraph, params: AlgoParams,
-                 inner: InnerSolver):
+    def __init__(self, game, graph, params, inner):
         self.game = game
         self.graph = graph
         self.params = params
@@ -89,15 +117,12 @@ class InequalityResolvent:
                         for Hi, p in zip(params.H, game.players))
         self.nu_factor = float(np.sqrt(1.0 + (2.0 * HLam_norm) ** 2))
 
-    def mu_for(self, nu: float) -> float:
-        return nu / self.nu_factor
-
-    def solve(self, w: np.ndarray, nu: float) -> ResolventStep:
+    def solve(self, w, nu):
         x, Z, lam = unpack_plain(self.game, self.graph, w)
         swept, sol = splitting_iterate(
             self.game, self.graph, self.params, AdmmState(x, lam, Z),
             point_products(self.game, self.graph, x, Z, lam), self.inner,
-            self.mu_for(nu))
+            nu / self.nu_factor)
         return ResolventStep(pack(swept.x, swept.Z, swept.lam),
                              self.nu_factor * sol.certificate.bound)
 
@@ -122,8 +147,7 @@ class LiftedEqualityResolvent:
     ``eta - theta``.
     """
 
-    def __init__(self, game: Game, graph: CommGraph, params: AlgoParams,
-                 inner: InnerSolver):
+    def __init__(self, game, graph, params, inner):
         self.game = game
         self.graph = graph
         self.params = params
@@ -139,14 +163,11 @@ class LiftedEqualityResolvent:
         self.nu_factor = float(np.sqrt(
             1.0 + np.linalg.eigvalsh(HLam.T @ Q @ HLam)[-1]))
 
-    def mu_for(self, nu: float) -> float:
-        return nu / self.nu_factor
-
-    def solve(self, w: np.ndarray, nu: float) -> ResolventStep:
+    def solve(self, w, nu):
         game, graph, params = self.game, self.graph, self.params
         x, eta, Z, theta = unpack_lifted(game, graph, w)
         sub = Subgame(game, x, game.price_gradient(eta - theta), params)
-        sol = self.inner.solve(sub, self.mu_for(nu))
+        sol = self.inner.solve(sub, nu / self.nu_factor)
         reflected = game.constraint_rows(x - 2.0 * sol.x)   # A_i (x - 2 x_t)
         eta_t = eta + 0.5 * params.apply_H(
             graph.node_aggregate(Z) - reflected - game.b_rows)
@@ -165,8 +186,7 @@ class CorrespondenceReport:
     per_iteration: list
 
 
-def lifted_initial_point(game: Game, graph: CommGraph, params: AlgoParams,
-                         state: AdmmState) -> np.ndarray:
+def lifted_initial_point(game, graph, params, state):
     """Lifted iterate matched to a distributed-algorithm state.
 
     The auxiliary split starts at ``theta = 0``, which forces
@@ -179,8 +199,7 @@ def lifted_initial_point(game: Game, graph: CommGraph, params: AlgoParams,
     return pack(state.x, eta0, state.Z, theta0)
 
 
-def mapped_state(game: Game, graph: CommGraph, params: AlgoParams,
-                 w: np.ndarray) -> AdmmState:
+def mapped_state(game, graph, params, w):
     """Distributed-algorithm state read off a lifted iterate."""
     x, eta, Z, theta = unpack_lifted(game, graph, w)
     tracked = game.local_residual(x) + graph.node_aggregate(Z)
@@ -188,9 +207,8 @@ def mapped_state(game: Game, graph: CommGraph, params: AlgoParams,
     return AdmmState(x, lam, Z)
 
 
-def correspondence_check(game: Game, graph: CommGraph, params: AlgoParams,
-                         n_iters: int, inner: InnerSolver, seed: int = 0,
-                         eta_perturbation: float = 0.0) -> CorrespondenceReport:
+def correspondence_check(game, graph, params, n_iters, inner, seed=0,
+                         eta_perturbation=0.0):
     """Run the distributed loop and the lifted proximal-point iteration side
     by side and report the worst relative mismatch under the state mapping.
 
@@ -221,3 +239,30 @@ def correspondence_check(game: Game, graph: CommGraph, params: AlgoParams,
         deviations.append(dev)
         worst = max(worst, dev)
     return CorrespondenceReport(worst, deviations)
+
+
+# -- trajectory-level monotone distance ---------------------------------------------
+
+@dataclass(frozen=True)
+class FejerReport:
+    monotone: bool
+    worst_violation: float
+
+
+def fejer_check(history, phi, w_star, slack=1e-10):
+    """Check that the preconditioner-weighted distance to a known zero never
+    increases along a trajectory of exact relaxed resolvent steps.
+
+    ``history`` is a sequence of stacked iterates; ``phi`` the dense
+    preconditioner; ``w_star`` any zero of the operator.
+    """
+    w_star = np.asarray(w_star, dtype=float)
+    worst = 0.0
+    previous = None
+    for w in history:
+        diff = np.asarray(w, dtype=float) - w_star
+        dist = float(np.sqrt(diff @ (phi @ diff)))
+        if previous is not None:
+            worst = max(worst, dist - previous)
+        previous = dist
+    return FejerReport(worst <= slack, worst)

@@ -11,15 +11,15 @@ import pytest
 
 import gnesolve as gs
 from gnesolve.admm import initial_state, relax
-from gnesolve.diagnostics import consensus_error, fejer_check, kkt_residual
+from gnesolve.diagnostics import consensus_error, kkt_residual
 from gnesolve.errors import ValidationError
-from gnesolve.operators import (inequality_preconditioner, pack,
-                                unpack_plain)
-from gnesolve.proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
-                                correspondence_check, pppa_step,
-                                run_proxpoint)
+from gnesolve.operators import inequality_preconditioner
 from gnesolve.splitting import splitting_iterate
+from conftest import edge_flow_for
 from helpers import dense_preconditioner, linear_part, products
+from reference import (InequalityResolvent, LiftedEqualityResolvent,
+                       correspondence_check, fejer_check, pack, pppa_step,
+                       run_proxpoint, unpack_plain)
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -125,7 +125,7 @@ def test_criterion_5_fejer_monotonicity():
     game, graph, params, inner = toy_setup(gs.EQUALITY)
     x_star, lam_star = oracle_equality_solution()
     lam_rows = np.full((2, 1), lam_star)
-    Z_star = graph.edge_flow(-game.local_residual(x_star))
+    Z_star = edge_flow_for(graph, -game.local_residual(x_star))
     w_star = pack(x_star, lam_rows, Z_star, np.zeros((2, 1)))
     resolvent = LiftedEqualityResolvent(game, graph, params, inner)
     phi = dense_preconditioner(params, game, graph, lifted=True)
@@ -137,7 +137,7 @@ def test_criterion_5_fejer_monotonicity():
     # inequality side
     game_i, graph_i, params_i, inner_i = toy_setup(gs.INEQUALITY)
     x_i, lam_i = oracle_inequality_solution()
-    Z_i = graph_i.edge_flow(-game_i.local_residual(x_i))
+    Z_i = edge_flow_for(graph_i, -game_i.local_residual(x_i))
     w_star_i = pack(x_i, Z_i, np.full((2, 1), lam_i))
     resolvent_i = InequalityResolvent(game_i, graph_i, params_i, inner_i)
     phi_i = dense_preconditioner(params_i, game_i, graph_i)

@@ -5,10 +5,10 @@ import gnesolve as gs
 from gnesolve.admm import (AdmmState, admm_iterate, initial_state, relax,
                            run_admm)
 from gnesolve.errors import DivergenceError, ValidationError
-from gnesolve.proxpoint import correspondence_check
 from gnesolve.splitting import run_splitting
 from conftest import edge_flow_for
 from helpers import admm_iterate_componentwise, equality_subgame_at, products
+from reference import correspondence_check
 
 #: game fixture and run driver of each algorithm, for tests of the shared loop
 ALGORITHMS = {"admm": ("eq_game", run_admm),
@@ -17,7 +17,7 @@ ALGORITHMS = {"admm": ("eq_game", run_admm),
 
 def kkt_state(game, graph, solution):
     lam = np.full((game.n_players, game.m), solution["lambda"])
-    Z = edge_flow_for(game, graph, solution["x"])
+    Z = edge_flow_for(graph, -game.local_residual(solution["x"]))
     return AdmmState(np.asarray(solution["x"], dtype=float), lam, Z)
 
 

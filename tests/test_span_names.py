@@ -11,6 +11,7 @@ import numpy as np
 
 import gnesolve as gs
 from gnesolve import cli
+from gnesolve.operators import point_products
 from gnesolve.subgames import inequality_subgame
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -70,8 +71,10 @@ def test_counter_hooks_read_real_calls(tmp_path, eq_game, ineq_game,
     eq, ineq = eq_game[0], ineq_game[0]
     run = gs.run_admm(eq, pair_graph, toy_params, gs.InnerSolver("exact"),
                       gs.StopRule(3, 1e-12))
-    sub = inequality_subgame(ineq, toy_params, np.zeros(ineq.n),
-                             np.ones((ineq.n_players, ineq.m)))
+    x, Z = np.zeros(ineq.n), np.zeros((pair_graph.n_edges, ineq.m))
+    lam = np.ones((ineq.n_players, ineq.m))
+    sub = inequality_subgame(ineq, toy_params, x,
+                             point_products(ineq, pair_graph, x, Z, lam))
     calls = {
         "params.AlgoParams.r_min_eig": (toy_params,),
         "params.AlgoParams.r_max_eig": (toy_params,),

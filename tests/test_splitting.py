@@ -4,12 +4,12 @@ import pytest
 import gnesolve as gs
 from gnesolve.admm import AdmmState, initial_state, relax
 from gnesolve.errors import ValidationError
-from gnesolve.operators import pack, step_size_margins, unpack_plain
-from gnesolve.proxpoint import InequalityResolvent, pppa_step
+from gnesolve.operators import step_size_margins
 from gnesolve.splitting import run_splitting, splitting_iterate
-from gnesolve.subgames import inequality_subgame
+from gnesolve.subgames import Subgame
 from conftest import edge_flow_for
 from helpers import products
+from reference import InequalityResolvent, pack, pppa_step, unpack_plain
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def test_fixed_point_invariance(ineq_game, pair_graph, toy_params,
                                 exact_inner):
     game, solution = ineq_game
     lam = np.full((2, 1), solution["lambda"])
-    Z = edge_flow_for(game, pair_graph, solution["x"])
+    Z = edge_flow_for(pair_graph, -game.local_residual(solution["x"]))
     state = AdmmState(np.asarray(solution["x"]), lam, Z)
     new, _ = splitting_iterate(game, pair_graph, toy_params, state,
                                products(game, pair_graph, state),
@@ -69,7 +69,7 @@ def test_rho_one_is_unrelaxed(ineq_game, pair_graph, exact_inner):
                                  products(game, pair_graph, state),
                                  exact_inner, 0.0)
     new = relax(state, swept, params.rho)
-    sub = inequality_subgame(game, params, state.x, state.lam)
+    sub = Subgame(game, state.x, game.price_gradient(state.lam), params)
     x_tilde = exact_inner.solve(sub, 0.0).x
     assert np.allclose(new.x, x_tilde, atol=1e-14)
 
@@ -97,7 +97,7 @@ def test_parallel_steps_commute(ineq_game, pair_graph, toy_params,
         Z_tilde = np.empty_like(state.Z)
         for l, (i, j) in enumerate(graph.edges):
             Z_tilde[l] = state.Z[l] - params.W[l] @ (state.lam[j] - state.lam[i])
-        sub = inequality_subgame(game, params, state.x, state.lam)
+        sub = Subgame(game, state.x, game.price_gradient(state.lam), params)
         xt_blocks = game.split(inner.solve(sub, mu).x)
         rho = params.rho
         refl = graph.node_aggregate(2.0 * Z_tilde - state.Z)

@@ -47,11 +47,11 @@ def test_equality_shift_vanishes_with_local_feasibility(pair_graph):
 def test_inequality_shift(eq_game, pair_graph, toy_params):
     game, _ = gs.quadratic_game(kind=gs.INEQUALITY)
     lam = np.array([[1.0], [0.0]])
-    sub = inequality_subgame(game, toy_params, np.zeros(2), lam)
+    sub = Subgame(game, np.zeros(2), game.price_gradient(lam), toy_params)
     assert np.allclose(sub.shift, [1.0, 0.0])
     assert np.allclose(
-        inequality_subgame(game, toy_params, np.zeros(2),
-                           np.zeros((2, 1))).shift, 0.0)
+        Subgame(game, np.zeros(2), game.price_gradient(np.zeros((2, 1))),
+                toy_params).shift, 0.0)
 
 
 def test_subgame_strong_monotonicity_sampled(eq_game, pair_graph, toy_params):
@@ -341,7 +341,7 @@ def first_subgame(name):
     state = gs.initial_state(game, graph, seed=0)
     at = products(game, graph, state)
     if game.kind == gs.INEQUALITY:
-        return inequality_subgame(game, params, state.x, state.lam, at)
+        return inequality_subgame(game, params, state.x, at)
     return equality_subgame(game, params, state.x, state.lam, at)
 
 
