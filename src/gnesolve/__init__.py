@@ -20,6 +20,6 @@ from .params import AlgoParams
 from .splitting import run_splitting, splitting_iterate
 from .subgames import (InnerCertificate, InnerSolver, Subgame,
                        equality_subgame, inequality_subgame)
-from .trace import TraceRow, read_trace_csv, write_trace_csv
+from .trace import TraceRow, write_trace_csv
 
 __version__ = "0.1.0"

@@ -5,13 +5,15 @@ Exit codes: 0 success, 2 validation or configuration failure, 3 divergence,
 4 I/O failure, 5 numeric failure (a non-finite oracle value, or an inner
 solve that could not certify its tolerance).  A run that fails with 3 or 5
 still writes the trace rows computed before the failure, the instance, and
-a summary whose ``failure`` field holds the error and the outer iteration.
+a summary whose ``failure`` field holds the error and the outer iteration;
+a run refused with 2 writes nothing.
 ``GNESOLVE_OUTPUT_DIR`` overrides the configured output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -21,7 +23,7 @@ from pathlib import Path
 from . import benchgames
 from .admm import StopRule, run_admm
 from .config import DEFAULTS, ExperimentConfig, load_config, parse_edge_list
-from .diagnostics import consensus_error, kkt_residual
+from .diagnostics import kkt_residual
 from .errors import (ConfigError, DivergenceError, GnesolveError,
                      InexactnessError, NumericError, ValidationError)
 from .games import EQUALITY, INEQUALITY, Game, game_to_dict, load_game
@@ -89,10 +91,6 @@ def _build_params(cfg: ExperimentConfig, game: Game, graph: CommGraph) -> AlgoPa
         w=cfg.get_float("params.w"), rho=rho, mu0=mu0)
 
 
-def _build_inner(cfg: ExperimentConfig) -> InnerSolver:
-    return InnerSolver(cfg.get("inner.mode"))
-
-
 def _algorithm(cfg: ExperimentConfig, game: Game) -> str:
     algorithm = cfg.get("algorithm")
     if algorithm not in ("admm", "splitting"):
@@ -110,7 +108,7 @@ def _setup(cfg: ExperimentConfig):
     graph = _build_graph(cfg, game)
     params = _build_params(cfg, game, graph)
     algorithm = _algorithm(cfg, game)
-    inner = _build_inner(cfg)   # surfaces bad inner settings before any run
+    inner = InnerSolver(cfg.get("inner.mode"))   # surfaces a bad mode before any run
     stop = StopRule(cfg.get_int("stop.max_iter"), cfg.get_float("stop.tol"))
     if cfg.get("inner.mode") == "residual" and params.mu0 == 0.0:
         raise ConfigError(
@@ -141,6 +139,7 @@ def cmd_validate(args) -> int:
 
 
 def _write_outputs(out_dir: Path, game: Game, rows, summary: dict) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out_dir / "trace.csv", rows)
     for name, payload in (("instance.json", game_to_dict(game)),
                           ("summary.json", summary)):
@@ -153,10 +152,10 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     game, graph, params, algorithm, inner, stop = _setup(cfg)
     out_dir = Path(os.environ.get("GNESOLVE_OUTPUT_DIR") or cfg.get("output.dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    # the runner validates the step sizes before its first iteration
+    # the runner validates the step sizes before its first iteration; a
+    # refused run writes nothing
     runner = run_admm if algorithm == "admm" else run_splitting
     try:
         result = runner(game, graph, params, inner, stop,
@@ -183,7 +182,6 @@ def cmd_run(args) -> int:
         "inner_steps": result.inner_steps,
         "wall_seconds": wall,
         "validator_margins": result.margins,
-        "consensus_error": consensus_error(state.lam),
         "kkt": {
             "stationarity_per_player": list(kkt.stationarity_per_player),
             "feasibility": kkt.feasibility,
@@ -209,10 +207,9 @@ def cmd_extract(args) -> int:
         raise ConfigError(
             f"unknown quantity {quantity!r}; "
             f"choices: {[c for c in TRACE_COLUMNS if c != 'k']}")
-    import csv
     with open(args.trace, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is not None and quantity not in reader.fieldnames:
+        if quantity not in (reader.fieldnames or ()):
             raise ConfigError(f"trace file has no column {quantity!r}")
         for row in reader:
             print(f"{row['k']} {row[quantity]}")

@@ -26,43 +26,35 @@ class Subgame:
 
     The pseudo-gradient is ``F(y) + R (y - anchor) + shift`` over the
     original product box.  ``anchor_gradient`` is the game's smooth
-    gradient at the anchor when the builder has it in hand (the residual at
-    the anchor computed it), else None.
+    gradient at the anchor, which the residual at the anchor computed; an
+    iterative solve starts at the anchor, where the subgame's ``G`` is
+    ``anchor_gradient + shift`` and costs no oracle call and no ``R``
+    product.
     """
 
     game: Game
     anchor: np.ndarray
     shift: np.ndarray
     params: AlgoParams
-    anchor_gradient: np.ndarray | None = None
+    anchor_gradient: np.ndarray
 
     def __post_init__(self):
         self.anchor = as_vector(self.anchor)
         self.shift = as_vector(self.shift)
+        self.anchor_gradient = as_vector(self.anchor_gradient)
         n = self.game.n
-        if self.anchor.shape != (n,) or self.shift.shape != (n,):
+        shapes = (self.anchor.shape, self.shift.shape, self.anchor_gradient.shape)
+        if any(shape != (n,) for shape in shapes):
             raise StructuralError(
-                f"subgame anchor and shift have shapes {self.anchor.shape} "
-                f"and {self.shift.shape}, expected ({n},)")
+                f"subgame anchor, shift and anchor gradient have shapes "
+                f"{', '.join(map(str, shapes))}, expected ({n},)")
 
     def smooth_gradient(self, y: np.ndarray) -> np.ndarray:
         """Smooth part ``G`` of the subgame map: the game's smooth gradient
         plus the proximal pull and the price, in `Game.natural_step`'s
         order of operations."""
-        return self._plus_pull(y, self.game.smooth_gradient(y))
-
-    def _plus_pull(self, y: np.ndarray, game_gradient: np.ndarray) -> np.ndarray:
-        return game_gradient + (self.params.apply_R(y - self.anchor) + self.shift)
-
-    def start(self) -> tuple[np.ndarray, np.ndarray]:
-        """First point of an iterative solve, the box projection of the
-        anchor, and ``G`` there.  When the projection leaves the anchor as
-        it is, ``G`` takes the game's gradient from ``anchor_gradient``
-        instead of calling the oracle again."""
-        y = self.game.project(self.anchor)
-        if self.anchor_gradient is None or not np.array_equal(y, self.anchor):
-            return y, self.smooth_gradient(y)
-        return y, self._plus_pull(y, self.anchor_gradient)
+        return self.game.smooth_gradient(y) + (
+            self.params.apply_R(y - self.anchor) + self.shift)
 
     def step(self, y: np.ndarray, gamma: float) -> np.ndarray:
         """Forward-backward step whose fixed points are the equilibrium."""
@@ -166,8 +158,10 @@ class InnerSolver:
         subdifferential of the backward part at ``y+``, an operator that is
         strongly monotone with modulus ``sigma = r_min``; hence
         ``|y+ - y*| <= |e| / sigma`` for any step ``gamma``.  ``G(y+)`` is
-        reused by the next step, so each step costs one oracle call; the
-        start costs none when the anchor lies in the box (`Subgame.start`).
+        reused by the next step, so each step costs one oracle call.  The
+        bound holds for any ``y``, in the box or not, so the solve starts
+        at the anchor itself, whose ``G`` the subgame already holds: the
+        start costs no oracle call and no ``R`` product.
 
         Since no step can make the bound wrong, the step adapts freely: it
         starts at ``1 / r_max`` and after each step that
@@ -184,7 +178,7 @@ class InnerSolver:
                 "residual mode cannot certify an exactly zero tolerance")
         gamma = 1.0 / sub.params.r_max
         sigma = sub.params.r_min
-        y, g = sub.start()
+        y, g = sub.anchor, sub.anchor_gradient + sub.shift
         bound = math.inf
         for it in range(1, self.cap + 1):
             y_next = sub.game.backward_step(y - gamma * g, gamma)

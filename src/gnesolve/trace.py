@@ -41,8 +41,3 @@ def write_trace_csv(path, rows) -> None:
         writer.writerow(TRACE_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(v) for v in row.as_tuple()])
-
-
-def read_trace_csv(path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))

@@ -4,11 +4,19 @@ finite differences, the per-player loop form of an ADMM iteration, and the
 dense stacked operators and preconditioners the structured validators and
 the resolvents of `reference` are checked against."""
 
+import csv
+
 import numpy as np
 
 from gnesolve.operators import block_diag, point_products
 from gnesolve.subgames import equality_subgame
 from reference import ResolventStep, layout_sizes, pack
+
+
+def read_trace_csv(path) -> list[dict]:
+    """Rows of a ``trace.csv`` as dicts of strings, keyed by column."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # -- dense stacked operators -----------------------------------------------------

@@ -166,7 +166,8 @@ class LiftedEqualityResolvent:
     def solve(self, w, nu):
         game, graph, params = self.game, self.graph, self.params
         x, eta, Z, theta = unpack_lifted(game, graph, w)
-        sub = Subgame(game, x, game.price_gradient(eta - theta), params)
+        sub = Subgame(game, x, game.price_gradient(eta - theta), params,
+                      game.smooth_gradient(x))
         sol = self.inner.solve(sub, nu / self.nu_factor)
         reflected = game.constraint_rows(x - 2.0 * sol.x)   # A_i (x - 2 x_t)
         eta_t = eta + 0.5 * params.apply_H(

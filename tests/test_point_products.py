@@ -2,6 +2,7 @@
 ``x_{k+1}`` are what the next sweep reads, and they equal an evaluation
 made afresh, so handing them on changes no trajectory."""
 
+import itertools
 from dataclasses import fields
 from pathlib import Path
 
@@ -73,9 +74,10 @@ def test_handed_products_match_a_fresh_evaluation(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", SHIPPED)
-def test_inner_start_reads_the_gradient_only_inside_the_box(name):
-    # a poisoned gradient shows whether the inner start read it: a relaxed
-    # state outside the box must call the oracle, one inside may not
+def test_inner_start_reads_the_anchor_gradient(name):
+    # a poisoned gradient shows whether the inner start read it: an
+    # iterative solve starts at the anchor, in the box or not, and reads it
+    # there; an exact solve never does
     game, graph, params, inner, iterate = shipped(name)
     start = gs.initial_state(game, graph, seed=0)
     swept, _ = iterate(game, graph, params, start, fresh(game, graph, start),
@@ -84,25 +86,30 @@ def test_inner_start_reads_the_gradient_only_inside_the_box(name):
     outside = gs.AdmmState(np.where(np.arange(game.n) == 0,
                                     game.box_upper + 0.05 * width, swept.x),
                            swept.lam, swept.Z)
+    assert np.array_equal(game.project(start.x), start.x)
     assert not np.array_equal(game.project(outside.x), outside.x)
-    for state, read in ((outside, False), (start, inner.mode != "exact")):
+    modes = ["residual", "oracle"]
+    if game.exact_subgame_solver is not None:
+        modes.append("exact")
+    for mode, state in itertools.product(modes, (start, outside)):
+        solver = gs.InnerSolver(mode)
         at = fresh(game, graph, state)
         poisoned = PointProducts(np.full(game.n, np.nan), at.tracked,
                                  at.price_gradient, at.edge_differences)
-        honest = iterate(game, graph, params, state, at, inner, 1e-3)
-        if read:
+        if mode != "exact":
             with pytest.raises(gs.NumericError):
-                iterate(game, graph, params, state, poisoned, inner, 1e-3)
+                iterate(game, graph, params, state, poisoned, solver, 1e-3)
         else:
             assert_same_sweep(
-                iterate(game, graph, params, state, poisoned, inner, 1e-3),
-                honest)
+                iterate(game, graph, params, state, poisoned, solver, 1e-3),
+                iterate(game, graph, params, state, at, solver, 1e-3))
 
 
-def test_one_oracle_call_saved_per_anchor_in_the_box(monkeypatch):
-    # residual mode calls the oracle once per inner step, once at the inner
-    # start and once in the residual at the new state; the start's call is
-    # the one saved when the anchor lies in the box
+@pytest.mark.parametrize("name", ["rate-control", "task-allocation"])
+def test_one_oracle_call_per_inner_step_and_outer_iteration(name, monkeypatch):
+    # residual mode calls the oracle once at the initial state, once per
+    # inner step and once in the residual at each new state; the inner
+    # start reads the residual's gradient, inside the box or out of it
     calls = []
     original = Game.smooth_gradient
 
@@ -111,17 +118,19 @@ def test_one_oracle_call_saved_per_anchor_in_the_box(monkeypatch):
         return original(game, x)
 
     monkeypatch.setattr(Game, "smooth_gradient", counting)
-    game, graph, params, inner, iterate = shipped("rate-control")
+    game, graph, params, inner, iterate = shipped(name)
+    module = admm if iterate is gs.admm_iterate else splitting
     anchors = []
 
     def recording(*args):
         anchors.append(args[3].x)
         return iterate(*args)
 
-    monkeypatch.setattr(splitting, "splitting_iterate", recording)
-    result = gs.run_splitting(game, graph, params, inner, gs.StopRule(40, 0.0))
-    in_box = sum(np.array_equal(game.project(x), x) for x in anchors)
+    monkeypatch.setattr(module, iterate.__name__, recording)
+    runner = gs.run_admm if module is admm else gs.run_splitting
+    result = runner(game, graph, params, inner, gs.StopRule(40, 0.0))
     assert len(anchors) == result.iterations == 40
-    assert 0 < in_box < 40    # both kinds of anchor occur in this window
+    # anchors outside the box occur in this window
+    assert any(not np.array_equal(game.project(x), x) for x in anchors)
     inner_steps = sum(row.inner_iterations for row in result.rows)
-    assert len(calls) == 1 + inner_steps + 2 * result.iterations - in_box
+    assert len(calls) == 1 + inner_steps + result.iterations

@@ -69,7 +69,8 @@ def test_rho_one_is_unrelaxed(ineq_game, pair_graph, exact_inner):
                                  products(game, pair_graph, state),
                                  exact_inner, 0.0)
     new = relax(state, swept, params.rho)
-    sub = Subgame(game, state.x, game.price_gradient(state.lam), params)
+    sub = Subgame(game, state.x, game.price_gradient(state.lam), params,
+                  game.smooth_gradient(state.x))
     x_tilde = exact_inner.solve(sub, 0.0).x
     assert np.allclose(new.x, x_tilde, atol=1e-14)
 
@@ -97,7 +98,8 @@ def test_parallel_steps_commute(ineq_game, pair_graph, toy_params,
         Z_tilde = np.empty_like(state.Z)
         for l, (i, j) in enumerate(graph.edges):
             Z_tilde[l] = state.Z[l] - params.W[l] @ (state.lam[j] - state.lam[i])
-        sub = Subgame(game, state.x, game.price_gradient(state.lam), params)
+        sub = Subgame(game, state.x, game.price_gradient(state.lam), params,
+                      game.smooth_gradient(state.x))
         xt_blocks = game.split(inner.solve(sub, mu).x)
         rho = params.rho
         refl = graph.node_aggregate(2.0 * Z_tilde - state.Z)

@@ -47,11 +47,13 @@ def test_equality_shift_vanishes_with_local_feasibility(pair_graph):
 def test_inequality_shift(eq_game, pair_graph, toy_params):
     game, _ = gs.quadratic_game(kind=gs.INEQUALITY)
     lam = np.array([[1.0], [0.0]])
-    sub = Subgame(game, np.zeros(2), game.price_gradient(lam), toy_params)
+    gradient = game.smooth_gradient(np.zeros(2))
+    sub = Subgame(game, np.zeros(2), game.price_gradient(lam), toy_params,
+                  gradient)
     assert np.allclose(sub.shift, [1.0, 0.0])
     assert np.allclose(
         Subgame(game, np.zeros(2), game.price_gradient(np.zeros((2, 1))),
-                toy_params).shift, 0.0)
+                toy_params, gradient).shift, 0.0)
 
 
 def test_subgame_strong_monotonicity_sampled(eq_game, pair_graph, toy_params):
@@ -72,7 +74,8 @@ def test_oracle_mode_affine_fixed_point():
     game = wide_affine_game(np.array([2.0, -3.0]))
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 1.0, 0.5, 0.5, 1.0)
     # park the proximal anchor at the solution so the equilibrium is `a`
-    sub = Subgame(game, np.array([2.0, -3.0]), np.zeros(2), params)
+    anchor = np.array([2.0, -3.0])
+    sub = Subgame(game, anchor, np.zeros(2), params, game.smooth_gradient(anchor))
     solver = InnerSolver("oracle")
     for mu in (1e-2, 1e-5, 1e-9):
         sol = solver.solve(sub, mu)
@@ -166,7 +169,8 @@ def test_iteration_cap_raises(eq_game, pair_graph, toy_params):
 def test_exact_mode_requires_solver(pair_graph, toy_params):
     game = wide_affine_game(np.zeros(1))
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 1.0, 0.5, 0.5, 1.0)
-    sub = Subgame(game, np.zeros(1), np.zeros(1), params)
+    sub = Subgame(game, np.zeros(1), np.zeros(1), params,
+                  game.smooth_gradient(np.zeros(1)))
     with pytest.raises(ValidationError, match="exact inner mode"):
         InnerSolver("exact").solve(sub, 0.0)
 
@@ -231,7 +235,9 @@ def test_non_finite_smooth_oracle_fails_at_once():
     game = gs.Game([player], gs.EQUALITY, smooth_oracle=smooth,
                    separable_prox=lambda v, g: np.clip(v, -1.0, 1.0))
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 1.0, 0.5, 0.5, 1.0)
-    sub = Subgame(game, np.zeros(2), np.zeros(2), params)
+    # a finite anchor gradient, so that the first inner step makes the
+    # solve's first oracle call
+    sub = Subgame(game, np.zeros(2), np.zeros(2), params, np.zeros(2))
     with pytest.raises(NumericError, match="non-finite"):
         InnerSolver().solve(sub, 1e-6)
     assert len(calls) == 1
@@ -255,7 +261,7 @@ def test_smooth_oracle_shape_checked():
     with pytest.raises(StructuralError, match="profile length 3, expected 2"):
         game.smooth_gradient(np.zeros(3))
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 1.0, 0.5, 0.5, 1.0)
-    sub = Subgame(game, np.zeros(2), np.zeros(2), params)
+    sub = Subgame(game, np.zeros(2), np.zeros(2), params, np.zeros(2))
     with pytest.raises(StructuralError, match="smooth oracle returned shape"):
         InnerSolver().solve(sub, 1e-6)
 
@@ -274,7 +280,9 @@ def test_residual_certificate_affine_subgames(n_players, dim, prox, seed):
     params = gs.AlgoParams(R, np.ones((n_players, 1, 1)), np.ones((1, 1, 1)),
                            1.0)
     anchor = rng.uniform(game.box_lower - 1.0, game.box_upper + 1.0)
-    sub = Subgame(game, anchor, rng.normal(size=game.n), params)
+    # anchors up to 1 outside the box: the solve starts there unprojected
+    sub = Subgame(game, anchor, rng.normal(size=game.n), params,
+                  game.smooth_gradient(anchor))
     x_star = InnerSolver("oracle").solve(sub, 0.0).x
     assert_residual_certificates(sub, x_star, (1e-2, 1e-4, 1e-6))
 
@@ -312,7 +320,7 @@ def test_residual_mode_certifies_skew_dominated_subgame():
     params = gs.AlgoParams(np.ones((2, 1, 1)), np.ones((2, 1, 1)),
                            np.ones((1, 1, 1)), 1.0)
     anchor = np.array([0.8, -0.5])
-    sub = Subgame(game, anchor, np.zeros(2), params)
+    sub = Subgame(game, anchor, np.zeros(2), params, game.smooth_gradient(anchor))
     x_star = box_affine_equilibrium(M + np.eye(2), anchor - c, lower, upper)
     sol = InnerSolver().solve(sub, 1e-6)
     assert sol.certificate.bound <= 1e-6
@@ -347,12 +355,15 @@ def first_subgame(name):
 
 def test_wrong_length_anchor_or_shift_rejected():
     # on rate control a length-1 anchor used to broadcast through the box
-    # projection and certify a length-15 point
+    # projection and certify a length-15 point; a length-1 anchor gradient
+    # would broadcast through the inner solve's first step
     sub = first_subgame("rate-control")
-    with pytest.raises(StructuralError, match=r"expected \(15,\)"):
-        Subgame(sub.game, np.array([5.0]), sub.shift, sub.params)
-    with pytest.raises(StructuralError, match=r"expected \(15,\)"):
-        Subgame(sub.game, sub.anchor, np.array([5.0]), sub.params)
+    short = np.array([5.0])
+    for anchor, shift, gradient in ((short, sub.shift, sub.anchor_gradient),
+                                    (sub.anchor, short, sub.anchor_gradient),
+                                    (sub.anchor, sub.shift, short)):
+        with pytest.raises(StructuralError, match=r"expected \(15,\)"):
+            Subgame(sub.game, anchor, shift, sub.params, gradient)
 
 
 @pytest.mark.parametrize("name", ["rate-control", "task-allocation"])
