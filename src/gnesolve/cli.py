@@ -6,7 +6,7 @@ Exit codes: 0 success, 2 validation or configuration failure, 3 divergence,
 solve that could not certify its tolerance).  A run that fails with 3 or 5
 still writes the trace rows computed before the failure, the instance, and
 a summary whose ``failure`` field holds the error and the outer iteration;
-a run refused with 2 writes nothing.
+a run refused with 2, or 4 for an output path it cannot create, writes nothing.
 ``GNESOLVE_OUTPUT_DIR`` overrides the configured output directory.
 """
 
@@ -26,7 +26,7 @@ from .config import DEFAULTS, ExperimentConfig, load_config, parse_edge_list
 from .diagnostics import kkt_residual
 from .errors import (ConfigError, DivergenceError, GnesolveError,
                      InexactnessError, NumericError, ValidationError)
-from .games import EQUALITY, INEQUALITY, Game, game_to_dict, load_game
+from .games import EQUALITY, INEQUALITY, Game, load_game, save_game
 from .graphs import CommGraph, build_incidence, path_graph
 from .operators import step_size_margins
 from .params import AlgoParams
@@ -124,7 +124,7 @@ def _setup(cfg: ExperimentConfig):
 def _parameter_echo(cfg: ExperimentConfig) -> dict:
     """Every effective parameter, defaults included, so a run can be
     reconstructed from its outputs alone."""
-    echo = dict(DEFAULTS)
+    echo = {key: value for key, value in DEFAULTS.items() if value is not None}
     echo.update(cfg.values)
     return dict(sorted(echo.items()))
 
@@ -138,20 +138,28 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _check_output_dir(out_dir: Path) -> None:
+    """Raise `OSError` unless ``out_dir`` is or can become a directory."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir() or not (existing == out_dir
+                                     or os.access(existing, os.W_OK)):
+        raise OSError(f"cannot write outputs to {out_dir}: "
+                      f"{existing} is not a writable directory")
+
+
 def _write_outputs(out_dir: Path, game: Game, rows, summary: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out_dir / "trace.csv", rows)
-    for name, payload in (("instance.json", game_to_dict(game)),
-                          ("summary.json", summary)):
-        with open(out_dir / name, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+    save_game(game, out_dir / "instance.json")
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=1) + "\n",
+                                          encoding="utf-8")
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     game, graph, params, algorithm, inner, stop = _setup(cfg)
     out_dir = Path(os.environ.get("GNESOLVE_OUTPUT_DIR") or cfg.get("output.dir"))
+    _check_output_dir(out_dir)   # fails before the run rather than after it
 
     started = time.perf_counter()
     # the runner validates the step sizes before its first iteration; a

@@ -13,23 +13,19 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-_KNOWN_KEYS = {
-    "game.builtin", "game.seed", "game.file",
-    "graph.builtin", "graph.edges",
-    "algorithm",
-    "params.r", "params.h", "params.w", "params.rho",
-    "params.preset", "params.seed", "params.mu", "params.mu0",
-    "inner.mode",
-    "stop.max_iter", "stop.tol",
-    "output.dir", "run.seed",
-}
-
+#: every key a config may set, with its default (``None`` for no default)
 DEFAULTS = {
+    "game.builtin": None,
     "game.seed": "0",
+    "game.file": None,
+    "graph.builtin": None,
+    "graph.edges": None,
+    "algorithm": None,
     "params.r": "10.0",
     "params.h": "0.5",
     "params.w": "0.5",
     "params.rho": "1.1",
+    "params.preset": None,
     "params.seed": "0",
     "params.mu": "inverse-square",
     "params.mu0": "1.0",
@@ -52,22 +48,17 @@ class ExperimentConfig:
         return value
 
     def get_float(self, key: str) -> float:
-        raw = self.get(key)
-        if raw is None:
-            raise ConfigError(f"missing numeric value for {key}")
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+        return self._typed(key, float, "a number")
 
     def get_int(self, key: str) -> int:
+        return self._typed(key, int, "an integer")
+
+    def _typed(self, key: str, kind, name: str):
         raw = self.get(key)
-        if raw is None:
-            raise ConfigError(f"missing integer value for {key}")
         try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
+            return kind(raw)
+        except (TypeError, ValueError) as exc:   # TypeError: no value
+            raise ConfigError(f"{key}: not {name}: {raw!r}") from exc
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -79,7 +70,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value': {raw_line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")

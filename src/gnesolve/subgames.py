@@ -9,7 +9,6 @@ with a certified distance bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,48 +95,58 @@ class InnerSolution:
 
 #: relative certificate at which oracle mode's reference equilibrium stops
 FIXED_POINT_TOL = 1e-13
+#: steps after which an iterative solve raises instead of returning uncertified
+MAX_INNER_STEPS = 100_000
 
 
 class InnerSolver:
     """Solves regularized subgames to a certified distance bound.
 
-    mode
-        ``"exact"`` uses the game's closed-form regularized-equilibrium
-        solver.  ``"residual"`` (the default) runs forward-backward steps and
-        stops at the first iterate whose computable error bound
-        ``|(y - y+)/gamma - G(y) + G(y+)| / r_min`` certifies the tolerance;
-        the bound follows from strong monotonicity alone.  ``"oracle"``
-        runs the same trajectory on to a machine-precision reference
-        equilibrium and returns the iterate residual mode returns, with its
-        true distance to the reference as the bound; at ``mu = 0`` it
-        returns the reference itself, ``solve(sub, 0.0).x``, which the tests
-        compare against.
-    cap
-        Hard iteration limit; exceeding it raises rather than silently
-        returning an uncertified point.
+    ``"exact"`` uses the game's closed-form regularized-equilibrium solver.
+    ``"residual"`` (the default) runs forward-backward steps (`_steps`) and
+    stops at the first iterate whose computable error bound
+    ``|(y - y+)/gamma - G(y) + G(y+)| / r_min`` certifies the tolerance; the
+    bound follows from strong monotonicity alone.  ``"oracle"`` runs the
+    same steps on to a machine-precision reference equilibrium, keeping on
+    the way the iterate residual mode returns, and returns that iterate with
+    its true distance to the reference as the bound; at ``mu = 0`` it
+    returns the reference itself, ``solve(sub, 0.0).x``, which the tests
+    compare against.
     """
 
-    def __init__(self, mode: str = "residual", cap: int = 100_000):
+    def __init__(self, mode: str = "residual"):
         if mode not in ("exact", "oracle", "residual"):
             raise ValidationError(f"unknown inner mode {mode!r}")
         self.mode = mode
-        self.cap = cap
 
     def solve(self, sub: Subgame, mu: float) -> InnerSolution:
-        if mu < 0:
-            raise ValidationError("inner tolerance must be nonnegative")
+        if not mu >= 0.0:
+            raise ValidationError(f"inner tolerance must be nonnegative, got {mu}")
         if self.mode == "exact":
             return self._solve_exact(sub)
         if self.mode == "residual":
-            return self._forward_backward(sub, mu, 0.0)
-        # oracle: the trajectory is deterministic, so the reference and the
-        # first iterate certifying mu (or the reference, if it comes first)
-        # are two stops of the same run
-        ref = self._forward_backward(sub, 0.0, FIXED_POINT_TOL)
-        found = self._forward_backward(sub, mu, FIXED_POINT_TOL) if mu > 0 else ref
-        distance = float(np.linalg.norm(found.x - ref.x))
-        return InnerSolution(found.x, InnerCertificate(
-            distance, ref.certificate.iterations))
+            if mu == 0.0:
+                raise ValidationError(
+                    "residual mode cannot certify an exactly zero tolerance")
+            for y, bound, it in _steps(sub):
+                if bound <= mu:
+                    return InnerSolution(y, InnerCertificate(bound, it))
+            target = mu
+        else:
+            # keeps the first iterate certifying mu (the reference if none
+            # comes before it) and bounds it by its distance to the reference
+            found = None
+            for y, bound, it in _steps(sub):
+                if found is None and bound <= mu:
+                    found = y
+                if bound <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(y)):
+                    found = y if found is None else found
+                    return InnerSolution(found, InnerCertificate(
+                        float(np.linalg.norm(found - y)), it))
+            target = FIXED_POINT_TOL
+        raise InexactnessError(
+            f"{self.mode} mode could not certify {target:.3g} "
+            f"within {MAX_INNER_STEPS} iterations", achieved=bound)
 
     def _solve_exact(self, sub: Subgame) -> InnerSolution:
         solver = sub.game.exact_subgame_solver
@@ -148,51 +157,43 @@ class InnerSolver:
         x_hat = np.asarray(solver(sub.anchor, sub.shift, sub.params.R), dtype=float)
         return InnerSolution(x_hat, InnerCertificate(0.0, 0))
 
-    def _forward_backward(self, sub: Subgame, mu: float,
-                          rel: float) -> InnerSolution:
-        """Forward-backward steps ``y+ = backward(y - gamma G(y))`` until the
-        computable error bound certifies ``mu``, or, when ``rel > 0``, until
-        it falls to ``rel (1 + |y+|)``; returns ``y+`` with that bound.
 
-        ``e = (y - y+) / gamma - G(y) + G(y+)`` lies in ``G(y+)`` plus the
-        subdifferential of the backward part at ``y+``, an operator that is
-        strongly monotone with modulus ``sigma = r_min``; hence
-        ``|y+ - y*| <= |e| / sigma`` for any step ``gamma``.  ``G(y+)`` is
-        reused by the next step, so each step costs one oracle call.  The
-        bound holds for any ``y``, in the box or not, so the solve starts
-        at the anchor itself, whose ``G`` the subgame already holds: the
-        start costs no oracle call and no ``R`` product.
+def _steps(sub: Subgame):
+    """Forward-backward steps ``y+ = backward(y - gamma G(y))``: yields
+    ``(y+, bound, iteration)`` for each of at most `MAX_INNER_STEPS` steps,
+    where ``bound`` is a computable upper bound on ``|y+ - y*|``.
 
-        Since no step can make the bound wrong, the step adapts freely: it
-        starts at ``1 / r_max`` and after each step that
-        does not certify becomes ``min(1.5 gamma, <dG, dy> / |dG|^2)`` with
-        ``dy = y+ - y`` and ``dG = G(y+) - G(y)`` (Barzilai & Borwein 1988;
-        Malitsky & Mishchenko 2020), or ``1.5 gamma`` when either quantity
-        is not positive.  The second term is the largest step for which the
-        forward map ``y - gamma G(y)`` contracts along the last move, so it
-        also shrinks on skew-dominated maps.  Nothing is carried from one
-        solve to the next, so equal arguments give the same trajectory.
-        """
-        if mu == 0.0 and rel == 0.0:
-            raise ValidationError(
-                "residual mode cannot certify an exactly zero tolerance")
-        gamma = 1.0 / sub.params.r_max
-        sigma = sub.params.r_min
-        y, g = sub.anchor, sub.anchor_gradient + sub.shift
-        bound = math.inf
-        for it in range(1, self.cap + 1):
-            y_next = sub.game.backward_step(y - gamma * g, gamma)
-            g_next = sub.smooth_gradient(y_next)
-            bound = float(np.linalg.norm((y - y_next) / gamma - g + g_next)) / sigma
-            if bound <= mu or (
-                    rel > 0.0 and bound <= rel * (1.0 + np.linalg.norm(y_next))):
-                return InnerSolution(y_next, InnerCertificate(bound, it))
-            dy, dg = y_next - y, g_next - g
-            curvature, dg_sq = float(dg @ dy), float(dg @ dg)
-            gamma *= 1.5
-            if curvature > 0.0 and dg_sq > 0.0:
-                gamma = min(gamma, curvature / dg_sq)
-            y, g = y_next, g_next
-        raise InexactnessError(
-            f"{self.mode} mode could not certify {rel if rel > 0.0 else mu:.3g} "
-            f"within {self.cap} iterations", achieved=bound)
+    ``e = (y - y+) / gamma - G(y) + G(y+)`` lies in ``G(y+)`` plus the
+    subdifferential of the backward part at ``y+``, an operator that is
+    strongly monotone with modulus ``sigma = r_min``; hence
+    ``|y+ - y*| <= |e| / sigma`` for any step ``gamma``.  ``G(y+)`` is
+    reused by the next step, so each step costs one oracle call.  The
+    bound holds for any ``y``, in the box or not, so the steps start at the
+    anchor itself, whose ``G`` the subgame already holds: the start costs
+    no oracle call and no ``R`` product.
+
+    Since no step can make the bound wrong, the step adapts freely: it
+    starts at ``1 / r_max`` and after each yielded step becomes
+    ``min(1.5 gamma, <dG, dy> / |dG|^2)`` with ``dy = y+ - y`` and
+    ``dG = G(y+) - G(y)`` (Barzilai & Borwein 1988; Malitsky & Mishchenko
+    2020), or ``1.5 gamma`` when either quantity is not positive.  The
+    second term is the largest step for which the forward map
+    ``y - gamma G(y)`` contracts along the last move, so it also shrinks on
+    skew-dominated maps.  Nothing is carried from one solve to the next, so
+    equal arguments give the same trajectory.
+    """
+    gamma = 1.0 / sub.params.r_max
+    sigma = sub.params.r_min
+    y, g = sub.anchor, sub.anchor_gradient + sub.shift
+    for it in range(1, MAX_INNER_STEPS + 1):
+        y_next = sub.game.backward_step(y - gamma * g, gamma)
+        g_next = sub.smooth_gradient(y_next)
+        yield (y_next,
+               float(np.linalg.norm((y - y_next) / gamma - g + g_next)) / sigma,
+               it)
+        dy, dg = y_next - y, g_next - g
+        curvature, dg_sq = float(dg @ dy), float(dg @ dg)
+        gamma *= 1.5
+        if curvature > 0.0 and dg_sq > 0.0:
+            gamma = min(gamma, curvature / dg_sq)
+        y, g = y_next, g_next

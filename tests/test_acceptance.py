@@ -226,11 +226,14 @@ def test_criterion_8_rate_control_benchmark():
     violation = float(max(gap.max(), 0.0))
     cons = consensus_error(result.state.lam)
     comp = abs(float(np.maximum(result.state.lam.mean(axis=0), 0.0) @ gap))
+    # outer and inner counts pinned: a change to either trajectory shows
     ok = (result.iterations <= 2000 and violation <= 1e-4 and cons <= 1e-4
-          and comp <= 1e-3 and wall < 60.0)
+          and comp <= 1e-3 and wall < 60.0
+          and (result.iterations, result.inner_steps) == (1087, 5471))
     report(8, ok, f"violation {violation:.2e}, consensus {cons:.2e}, "
                   f"complementarity {comp:.2e}, "
-                  f"{result.iterations} iterations, {wall:.1f}s")
+                  f"{result.iterations} iterations, "
+                  f"{result.inner_steps} inner steps, {wall:.1f}s")
 
 
 def test_criterion_9_task_allocation_benchmark():
@@ -242,9 +245,11 @@ def test_criterion_9_task_allocation_benchmark():
                          gs.StopRule(5000, 1e-5), seed=0)
     gap = float(np.linalg.norm(game.coupling_gap(result.state.x)))
     cons = consensus_error(result.state.lam)
-    ok = result.iterations <= 5000 and gap <= 1e-4 and cons <= 1e-4
+    ok = (result.iterations <= 5000 and gap <= 1e-4 and cons <= 1e-4
+          and (result.iterations, result.inner_steps) == (1869, 22849))
     report(9, ok, f"coupling gap {gap:.2e}, consensus {cons:.2e}, "
-                  f"{result.iterations} iterations")
+                  f"{result.iterations} iterations, "
+                  f"{result.inner_steps} inner steps")
 
 
 def test_criterion_10_structural_suite():

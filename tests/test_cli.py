@@ -9,8 +9,8 @@ import pytest
 
 import gnesolve as gs
 from gnesolve.cli import _setup, main
-from gnesolve.config import (_KNOWN_KEYS, DEFAULTS, load_config,
-                             parse_config_text, parse_edge_list)
+from gnesolve.config import (DEFAULTS, load_config, parse_config_text,
+                             parse_edge_list)
 from gnesolve.errors import ConfigError
 from gnesolve.trace import TRACE_COLUMNS, TraceRow, write_trace_csv
 from helpers import read_trace_csv
@@ -329,8 +329,8 @@ def test_readme_config_table_lists_the_known_keys():
         if defaults:
             assert defaults == [DEFAULTS.get(k) for k in keys], line
         else:
-            assert not set(keys) & set(DEFAULTS), line
-    assert documented == _KNOWN_KEYS
+            assert all(DEFAULTS.get(k, "") is None for k in keys), line
+    assert documented == set(DEFAULTS)
 
 
 def test_readme_quick_start_converges():
@@ -415,6 +415,27 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert main(["run", str(cfg)]) == 0
     assert (target / "summary.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_output_dir_below_a_file_fails_before_the_run(tmp_path, monkeypatch,
+                                                      capsys):
+    # an output path that cannot be created is an I/O failure found before
+    # the first outer iteration, not after the run; nothing is created
+    import gnesolve.cli
+    calls = []
+    monkeypatch.setattr(gnesolve.cli, "run_admm", lambda *a, **k: calls.append(a))
+    (tmp_path / "file").write_text("")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUAD_CFG.format(out=tmp_path / "file" / "out"))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", str(cfg)]) == 4
+    assert "is not a writable directory" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+    # the output path itself a regular file
+    cfg.write_text(QUAD_CFG.format(out=tmp_path / "file"))
+    assert main(["run", str(cfg)]) == 4
+    assert calls == [] and (tmp_path / "file").read_text() == ""
 
 
 @pytest.mark.parametrize("name, build", [

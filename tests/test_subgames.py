@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gnesolve as gs
+from gnesolve import subgames
 from gnesolve.config import DEFAULTS
 from gnesolve.errors import (InexactnessError, NumericError, StructuralError,
                              ValidationError)
@@ -156,14 +157,45 @@ def test_uniqueness_from_different_starts(eq_game, pair_graph, toy_params):
     assert max(results) <= 2.0 * mu
 
 
-def test_iteration_cap_raises(eq_game, pair_graph, toy_params):
+def test_iteration_cap_raises(eq_game, pair_graph, toy_params, monkeypatch):
     game, _ = eq_game
     sub = equality_subgame_at(game, pair_graph, toy_params, np.zeros(2),
                               np.zeros((2, 1)), np.zeros((1, 1)))
-    solver = InnerSolver("residual", cap=1)
-    with pytest.raises(InexactnessError) as err:
-        solver.solve(sub, 1e-12)
-    assert err.value.achieved is not None
+    monkeypatch.setattr(subgames, "MAX_INNER_STEPS", 1)
+    for mode in ("residual", "oracle"):
+        with pytest.raises(InexactnessError, match="within 1 iterations") as err:
+            InnerSolver(mode).solve(sub, 1e-12)
+        assert err.value.achieved > 1e-12
+
+
+@pytest.mark.parametrize("mode", ["exact", "residual", "oracle"])
+def test_nan_tolerance_refused_at_once(eq_game, pair_graph, toy_params,
+                                      monkeypatch, mode):
+    # a NaN tolerance used to pass the sign check: residual mode ran to the
+    # step limit, and oracle mode returned the reference with bound 0
+    game, _ = eq_game
+    sub = equality_subgame_at(game, pair_graph, toy_params, np.zeros(2),
+                              np.zeros((2, 1)), np.zeros((1, 1)))
+    calls = []
+    monkeypatch.setattr(game, "smooth_gradient", lambda y: calls.append(y))
+    with pytest.raises(ValidationError, match="nonnegative, got nan"):
+        InnerSolver(mode).solve(sub, float("nan"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["toy", "rate-control", "task-allocation"])
+def test_oracle_mode_runs_one_trajectory(name, monkeypatch):
+    # one pass to the reference: every step makes one oracle call, and the
+    # start makes none
+    sub = first_subgame(name)
+    calls = []
+    oracle = sub.game.smooth_gradient
+    monkeypatch.setattr(sub.game, "smooth_gradient",
+                        lambda y: calls.append(y) or oracle(y))
+    for mu in (sub.params.mu(1), 1e-6, 0.0):
+        calls.clear()
+        sol = InnerSolver("oracle").solve(sub, mu)
+        assert len(calls) == sol.certificate.iterations
 
 
 def test_exact_mode_requires_solver(pair_graph, toy_params):
