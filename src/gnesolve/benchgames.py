@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import (Box, EQUALITY, Game, INEQUALITY, Player,
-                    check_monotonicity_samples, register_rebuilder)
+                    check_monotonicity_samples)
 from .graphs import CommGraph, path_graph
 from .params import AlgoParams
 from .rng import SplitMix64
@@ -119,35 +119,22 @@ def quadratic_game(t=(2.0, 1.0), delta: float = 0.5, c: float = 1.0,
     upper = np.full(2, half_width)
 
     def exact_subgame_solver(anchor, shift, R_blocks):
-        # active-set enumeration over the two box coordinates: exact
-        # equilibrium of the strongly monotone affine subgame
+        # exact equilibrium of the strongly monotone affine subgame: the
+        # interior solve, or else one coordinate at a bound and the other
+        # solving its own equation, clipped to the box (for the corners)
         Rb = np.array([float(np.atleast_2d(R)[0, 0]) for R in R_blocks])
         G = J + np.diag(Rb)
         rhs = Rb * np.asarray(anchor, dtype=float) + t - np.asarray(shift, dtype=float)
-        # the interior pattern first, with no box coordinate fixed
         y = np.linalg.solve(G, rhs)
         if np.all((lower - 1e-12 <= y) & (y <= upper + 1e-12)):
             return y
-        for pattern in ((0, -1), (0, 1), (-1, 0), (1, 0),
-                        (-1, -1), (-1, 1), (1, -1), (1, 1)):
-            y = np.where(np.array(pattern) < 0, lower,
-                         np.where(np.array(pattern) > 0, upper, 0.0))
-            free = [i for i in range(2) if pattern[i] == 0]
-            fixed = [i for i in range(2) if pattern[i] != 0]
-            if free:
-                sub_rhs = rhs[free] - G[np.ix_(free, fixed)] @ y[fixed] \
-                    if fixed else rhs[free]
-                y[free] = np.linalg.solve(G[np.ix_(free, free)], sub_rhs)
-            grad = G @ y - rhs
-            ok = True
-            for i in range(2):
-                if pattern[i] == 0:
-                    ok &= lower[i] - 1e-12 <= y[i] <= upper[i] + 1e-12
-                elif pattern[i] < 0:
-                    ok &= grad[i] >= -1e-12
-                else:
-                    ok &= grad[i] <= 1e-12
-            if ok:
+        for fixed, side in ((1, -1.0), (1, 1.0), (0, -1.0), (0, 1.0)):
+            free = 1 - fixed
+            y[fixed] = side * half_width
+            y[free] = np.clip((rhs[free] - G[free, fixed] * y[fixed]) / G[free, free],
+                              -half_width, half_width)
+            # the fixed coordinate's gradient points out of the box
+            if side * (G @ y - rhs)[fixed] <= 1e-12:
                 return y
         raise ValidationError("no valid active set found for the subgame")
 
@@ -163,13 +150,6 @@ def quadratic_game(t=(2.0, 1.0), delta: float = 0.5, c: float = 1.0,
                            "half_width": half_width})
     solution = {"x": x_star, "lambda": lam_star, "active": active}
     return game, solution
-
-
-def _rebuild_quadratic(data: dict) -> Game:
-    g = data["generator"]
-    game, _ = quadratic_game(tuple(g["t"]), g["delta"], g["c"], g["kind"],
-                             g["half_width"])
-    return game
 
 
 # -- rate-control congestion game ------------------------------------------------
@@ -260,10 +240,6 @@ def rate_control_game(seed: int) -> Game:
     return game
 
 
-def _rebuild_rate_control(data: dict) -> Game:
-    return rate_control_game(data["generator"]["seed"])
-
-
 # -- task-allocation game ---------------------------------------------------------
 
 N_WORKERS = 14
@@ -298,68 +274,55 @@ def task_allocation_game(seed: int) -> Game:
     chi = rng.uniforms(N_TASKS, 0.1, 0.6)
     kappa = rng.uniforms(N_TASKS, 10.0, 20.0)
 
-    blocks = []
-    for w in range(N_WORKERS):
-        weights = rng.uniforms(4, 0.5, 1.0)
-        A_w = np.zeros((N_TASKS, 4))
-        blue, red = TASK_PATTERN[w]
-        A_w[blue, 0] = weights[0]
-        A_w[blue, 1] = weights[1]
-        A_w[red, 2] = weights[2]
-        A_w[red, 3] = weights[3]
-        q = rng.uniforms(4, 1.0, 2.0)
-        xi_w = rng.uniforms(4, 6.0, 12.0)
-        l = rng.uniforms(4, 1.0, 3.0)
-        d = rng.uniform(1.0, 2.0)
+    # per-worker data along a leading worker axis, in the documented order
+    A = np.zeros((N_WORKERS, N_TASKS, 4))
+    q, xi, l, p, B = (np.empty((N_WORKERS, 4)) for _ in range(5))
+    d = np.empty(N_WORKERS)
+    S = np.empty((N_WORKERS, 4, 4))
+    for w, (blue, red) in enumerate(TASK_PATTERN):
+        A[w, (blue, blue, red, red), range(4)] = rng.uniforms(4, 0.5, 1.0)
+        q[w] = rng.uniforms(4, 1.0, 2.0)
+        xi[w] = rng.uniforms(4, 6.0, 12.0)
+        l[w] = rng.uniforms(4, 1.0, 3.0)
+        d[w] = rng.uniform(1.0, 2.0)
         p_raw = rng.uniforms(4, 0.0, 1.0)
-        p = p_raw / p_raw.sum()
+        p[w] = p_raw / p_raw.sum()
         G = rng.uniforms(16, -1.0, 1.0).reshape(4, 4)
-        S = 0.5 * np.eye(4) + 0.25 * (G @ G.T)
-        B = rng.uniforms(4, 1.0, 3.0)
-        blocks.append(dict(A=A_w, q=q, xi=xi_w, l=l, d=d, p=p, S=S, B=B))
+        S[w] = 0.5 * np.eye(4) + 0.25 * (G @ G.T)
+        B[w] = rng.uniforms(4, 1.0, 3.0)
 
-    A_full = np.hstack([blk["A"] for blk in blocks])
+    # on [0, B] the max term equals its linear branch (the documented ranges
+    # guarantee q B <= xi + l), so its prox over the box is an exact clip
+    if np.any(q * B > xi + l):
+        raise ValidationError(
+            "max-branch crossover inside the box; the closed-form prox "
+            "is only valid for the documented parameter ranges")
+
+    A_full = np.hstack(A)
 
     def prices(load: np.ndarray) -> np.ndarray:
         return kappa - chi * _soft_log1p(load)
 
-    def branch_grad(blk, y: np.ndarray) -> np.ndarray:
-        # ties resolve to the first (quadratic) branch
-        quad = blk["q"] * y * y - blk["xi"] * y
-        lin = blk["l"] * y
-        return np.where(quad >= lin, 2.0 * blk["q"] * y - blk["xi"], blk["l"])
-
-    def smooth_cost_grad(blk, y: np.ndarray) -> np.ndarray:
-        return (2.0 * (blk["p"] @ y - blk["d"]) * blk["p"]
-                + 2.0 * blk["S"] @ y)
-
-    # per-worker data stacked along a leading worker axis; the profile
-    # oracles apply `@` to these stacks, which evaluates each worker's
-    # products exactly as the per-worker oracles do (einsum would reorder
-    # the sums and change the last bit).  The transpose stays a view, which
-    # makes `@` run the per-block kernel of `blk["A"].T @ price`
-    A_stack = np.stack([blk["A"] for blk in blocks])
-    At_stack = A_stack.transpose(0, 2, 1)
-    S_stack = np.stack([blk["S"] for blk in blocks])
-    p_stack, q_stack, xi_stack, l_rows = (
-        np.stack([blk[key] for blk in blocks]) for key in ("p", "q", "xi", "l"))
-    d_stack = np.array([blk["d"] for blk in blocks])
+    # the profile oracles apply `@` to the worker stacks, which evaluates
+    # each worker's products exactly as the per-worker oracles do (einsum
+    # would reorder the sums and change the last bit).  The transpose stays
+    # a view, which makes `@` run the per-block kernel of `A[w].T @ price`
+    At = A.transpose(0, 2, 1)
 
     def _grad_profile(x: np.ndarray, with_branch: bool) -> np.ndarray:
         load = A_full @ x
         price = prices(load)
         slope = chi * _soft_log1p_grad(load)
         y = x.reshape(N_WORKERS, 4, 1)
-        own = A_stack @ y
-        demand = (p_stack[:, None, :] @ y)[:, 0] - d_stack[:, None]
-        g = (2.0 * demand * p_stack + (2.0 * S_stack @ y)[:, :, 0]
-             - (At_stack @ price[:, None])[:, :, 0]
-             + (At_stack @ (slope[:, None] * own))[:, :, 0])
+        own = A @ y
+        demand = (p[:, None, :] @ y)[:, 0] - d[:, None]
+        g = (2.0 * demand * p + (2.0 * S @ y)[:, :, 0]
+             - (At @ price[:, None])[:, :, 0]
+             + (At @ (slope[:, None] * own))[:, :, 0])
         if with_branch:
             y = y[:, :, 0]
-            quad = q_stack * y * y - xi_stack * y
-            g = g + np.where(quad >= l_rows * y, 2.0 * q_stack * y - xi_stack,
-                             l_rows)
+            quad = q * y * y - xi * y
+            g = g + np.where(quad >= l * y, 2.0 * q * y - xi, l)
         return g.reshape(-1)
 
     def profile_oracle(x: np.ndarray) -> np.ndarray:
@@ -369,41 +332,34 @@ def task_allocation_game(seed: int) -> Game:
         return _grad_profile(x, with_branch=False)
 
     def make_oracle(w: int):
-        blk = blocks[w]
-
         def oracle(y, others):
             x = np.concatenate([others[:4 * w], y, others[4 * w:]])
             load = A_full @ x
             price = prices(load)
             slope = chi * _soft_log1p_grad(load)
-            own = blk["A"] @ y
-            return (branch_grad(blk, y) + smooth_cost_grad(blk, y)
-                    - blk["A"].T @ price + blk["A"].T @ (slope * own))
+            own = A[w] @ y
+            # ties resolve to the first (quadratic) branch
+            quad = q[w] * y * y - xi[w] * y
+            branch = np.where(quad >= l[w] * y, 2.0 * q[w] * y - xi[w], l[w])
+            return (branch + (2.0 * (p[w] @ y - d[w]) * p[w] + 2.0 * S[w] @ y)
+                    - A[w].T @ price + A[w].T @ (slope * own))
         return oracle
 
     # every worker keeps a 1/15 slice of the load vector; with fourteen
     # workers the coupling target is the sum of slices, not the full load
     b_share = C / 15.0
     players = [
-        Player(4, make_oracle(w), blocks[w]["A"].copy(), b_share.copy(),
-               Box(np.zeros(4), blocks[w]["B"].copy()))
+        Player(4, make_oracle(w), A[w].copy(), b_share.copy(),
+               Box(np.zeros(4), B[w].copy()))
         for w in range(N_WORKERS)
     ]
 
-    # on [0, B] the max term equals its linear branch (the documented ranges
-    # guarantee q B <= xi + l), so its prox over the box is an exact clip
-    l_stack = np.concatenate([blk["l"] for blk in blocks])
-    lower = np.concatenate([np.zeros(4) for _ in blocks])
-    upper = np.concatenate([blk["B"] for blk in blocks])
-    for blk in blocks:
-        if np.any(blk["q"] * blk["B"] > blk["xi"] + blk["l"]):
-            raise ValidationError(
-                "max-branch crossover inside the box; the closed-form prox "
-                "is only valid for the documented parameter ranges")
+    l_flat, lower, upper = l.reshape(-1), np.zeros(N_WORKERS * 4), B.reshape(-1)
 
     def separable_prox(v: np.ndarray, gamma: float) -> np.ndarray:
-        return np.clip(v - gamma * l_stack, lower, upper)
+        return np.clip(v - gamma * l_flat, lower, upper)
 
+    workers = {"q": q, "xi": xi, "l": l, "d": d, "p": p, "S": S, "B": B}
     game = Game(players, EQUALITY,
                 profile_oracle=profile_oracle,
                 smooth_oracle=smooth_oracle,
@@ -411,16 +367,11 @@ def task_allocation_game(seed: int) -> Game:
                 generator={"name": "task-allocation", "seed": seed,
                            "C": C.tolist(), "chi": chi.tolist(),
                            "kappa": kappa.tolist(),
-                           "workers": [
-                               {key: np.asarray(blk[key]).tolist()
-                                for key in ("q", "xi", "l", "d", "p", "S", "B")}
-                               for blk in blocks]})
+                           "workers": [{key: v[w].tolist()
+                                        for key, v in workers.items()}
+                                       for w in range(N_WORKERS)]})
     _audit(game, seed, "task-allocation game")
     return game
-
-
-def _rebuild_task_allocation(data: dict) -> Game:
-    return task_allocation_game(data["generator"]["seed"])
 
 
 # -- benchmark parameter presets ----------------------------------------------------
@@ -466,6 +417,11 @@ BUILTIN_GAMES = {
     "task-allocation": task_allocation_game,
 }
 
-register_rebuilder("quadratic", _rebuild_quadratic)
-register_rebuilder("rate-control", _rebuild_rate_control)
-register_rebuilder("task-allocation", _rebuild_task_allocation)
+#: generator families by the name in their ``generator`` block, each
+#: rebuilding its game from that block (`games.game_from_dict`)
+FAMILIES = {
+    "quadratic": lambda g: quadratic_game(g["t"], g["delta"], g["c"], g["kind"],
+                                          g["half_width"])[0],
+    "rate-control": lambda g: rate_control_game(g["seed"]),
+    "task-allocation": lambda g: task_allocation_game(g["seed"]),
+}

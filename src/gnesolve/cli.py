@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import benchgames
 from .admm import StopRule, run_admm
-from .config import DEFAULTS, ExperimentConfig, load_config, parse_edge_list
+from .config import (DEFAULTS, ExperimentConfig, load_config, parse_edge_list,
+                     read_text)
 from .diagnostics import kkt_residual
 from .errors import (ConfigError, DivergenceError, GnesolveError,
                      InexactnessError, NumericError, ValidationError)
@@ -63,7 +64,8 @@ def _build_graph(cfg: ExperimentConfig, game: Game) -> CommGraph:
     if edges and name:
         raise ConfigError("give either graph.builtin or graph.edges, not both")
     if edges:
-        return build_incidence(game.n_players, parse_edge_list(edges))
+        return build_incidence(game.n_players,
+                               parse_edge_list(edges, game.n_players))
     if not name:
         return path_graph(game.n_players)
     graph = benchgames.benchmark_graph(name)
@@ -124,9 +126,8 @@ def _setup(cfg: ExperimentConfig):
 def _parameter_echo(cfg: ExperimentConfig) -> dict:
     """Every effective parameter, defaults included, so a run can be
     reconstructed from its outputs alone."""
-    echo = {key: value for key, value in DEFAULTS.items() if value is not None}
-    echo.update(cfg.values)
-    return dict(sorted(echo.items()))
+    return {key: value for key in sorted(DEFAULTS)
+            if (value := cfg.get(key)) is not None}
 
 
 def cmd_validate(args) -> int:
@@ -215,12 +216,11 @@ def cmd_extract(args) -> int:
         raise ConfigError(
             f"unknown quantity {quantity!r}; "
             f"choices: {[c for c in TRACE_COLUMNS if c != 'k']}")
-    with open(args.trace, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if quantity not in (reader.fieldnames or ()):
-            raise ConfigError(f"trace file has no column {quantity!r}")
-        for row in reader:
-            print(f"{row['k']} {row[quantity]}")
+    reader = csv.DictReader(read_text(args.trace, "trace file").splitlines())
+    if quantity not in (reader.fieldnames or ()):
+        raise ConfigError(f"trace file has no column {quantity!r}")
+    for row in reader:
+        print(f"{row['k']} {row[quantity]}")
     return EXIT_OK
 
 

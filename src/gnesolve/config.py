@@ -78,13 +78,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(values)
 
 
+def read_text(path, what: str) -> str:
+    """The text of UTF-8 file ``path``; `ConfigError` naming it otherwise."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(read_text(path, "config file"))
 
 
-def parse_edge_list(text: str) -> list[tuple[int, int]]:
-    """Edge list syntax: 1-based pairs like ``1-2, 2-3, 3-1``."""
+def parse_edge_list(text: str, n_nodes: int) -> list[tuple[int, int]]:
+    """Edge list syntax: 1-based pairs like ``1-2, 2-3, 3-1`` of nodes
+    ``1..n_nodes``; returns the 0-based pairs."""
     pairs = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -97,6 +106,8 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
             i, j = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ConfigError(f"bad edge {chunk!r}") from exc
+        if not (1 <= i <= n_nodes and 1 <= j <= n_nodes):
+            raise ConfigError(f"edge {chunk!r} names a node outside 1..{n_nodes}")
         pairs.append((i - 1, j - 1))
     if not pairs:
         raise ConfigError("empty edge list")

@@ -306,15 +306,6 @@ def check_monotonicity_samples(game: Game, n_pairs: int,
 
 # -- serialization -----------------------------------------------------------
 
-#: registry mapping generator names to callables ``payload -> Game``,
-#: populated by the benchmark-game module at import time
-_REBUILDERS: dict[str, Callable[[dict], Game]] = {}
-
-
-def register_rebuilder(name: str, builder: Callable[[dict], Game]) -> None:
-    _REBUILDERS[name] = builder
-
-
 def game_to_dict(game: Game) -> dict:
     """Documented JSON structure for a game instance.
 
@@ -342,37 +333,33 @@ def game_to_dict(game: Game) -> dict:
 def game_from_dict(data: dict) -> Game:
     """Rebuild a game from its JSON structure.
 
-    Only instances produced by a registered generator family can be rebuilt,
-    because objective oracles are code, not data.
+    Objective oracles are code, not data, so only the builtin families of
+    `benchgames.FAMILIES` (quadratic, rate-control, task-allocation) load:
+    the ``generator`` block rebuilds the game, and the payload must equal
+    what `game_to_dict` writes for it.
     """
+    from .benchgames import FAMILIES   # benchgames imports this module
     if not isinstance(data, dict) or data.get("schema") != "gnesolve-game-v1":
         raise ValidationError("unrecognized game schema")
     try:
         name = data.get("generator", {}).get("name", "opaque")
-        if name not in _REBUILDERS:
+        if name not in FAMILIES:
             raise ValidationError(
                 f"cannot rebuild objectives for generator {name!r}; "
-                "only registered builtin families are loadable")
+                f"only the builtin families {sorted(FAMILIES)} are loadable")
         if not isinstance(data["generator"].get("seed", 0), int):
             raise ValidationError("game payload field 'seed' is not an integer")
-        game = _REBUILDERS[name](data)
-        # cross-check the structural payload against the rebuilt instance
-        given = {"kind": data.get("kind"), "m": data.get("m"),
-                 "players": len(data["players"])}
-        rebuilt = {"kind": game.kind, "m": game.m, "players": game.n_players}
-        if given != rebuilt:
-            raise ValidationError(
-                f"payload {given} does not match generator {rebuilt}")
-        for i, (p, pd) in enumerate(zip(game.players, data["players"])):
-            if (p.dim != pd["dim"] or not np.allclose(p.A, pd["A"])
-                    or not np.allclose(p.b, pd["b"])
-                    or not np.allclose(p.box.lower, pd["lower"])
-                    or not np.allclose(p.box.upper, pd["upper"])):
-                raise ValidationError(f"player {i} payload does not match generator")
+        game = FAMILIES[name](data["generator"])
+        rebuilt = game_to_dict(game)
+        differ = [key for key in sorted(data.keys() | rebuilt.keys())
+                  if data.get(key) != rebuilt.get(key)]
     except KeyError as exc:
         raise ValidationError(f"game payload is missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValidationError(f"game payload has a malformed field: {exc}") from exc
+    if differ:
+        raise ValidationError(
+            f"game payload does not match generator {name!r} in fields {differ}")
     return game
 
 

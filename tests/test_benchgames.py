@@ -94,6 +94,31 @@ def test_exact_quadratic_solver_equals_enumeration(delta, seed):
             assert np.abs(got).max() == game.generator["half_width"]
 
 
+@pytest.mark.parametrize("y, g", [
+    ((3.0, 3.0), (0.0, 0.0)),
+    ((3.0, -10.0), (0.0, 5.0)), ((3.0, 10.0), (0.0, -5.0)),
+    ((-10.0, 3.0), (5.0, 0.0)), ((10.0, 3.0), (-5.0, 0.0)),
+    ((-10.0, -10.0), (5.0, 5.0)), ((-10.0, 10.0), (5.0, -5.0)),
+    ((10.0, -10.0), (-5.0, 5.0)), ((10.0, 10.0), (-5.0, -5.0)),
+], ids=["interior", "y1-lower", "y1-upper", "y0-lower", "y0-upper",
+        "corner--", "corner-+", "corner+-", "corner++"])
+def test_exact_quadratic_solver_box_cases(y, g):
+    # a shift that makes y the subgame equilibrium with gradient g: zero on
+    # a free coordinate, pointing out of the box on one at its bound
+    game, _ = gs.quadratic_game(delta=0.5)
+    R_blocks = [np.array([[1.0]]), np.array([[2.0]])]
+    G = np.array([[2.0, 0.5], [0.5, 3.0]])
+    anchor = np.array([1.0, -1.0])
+    shift = np.array([1.0, -2.0]) + np.array(game.generator["t"]) \
+        - (G @ np.array(y) - np.array(g))
+    got = game.exact_subgame_solver(anchor, shift, R_blocks)
+    assert np.array_equal(
+        got, quadratic_active_set_enumeration(game, anchor, shift, R_blocks))
+    bound = np.abs(y) == 10.0
+    assert np.array_equal(got[bound], np.array(y)[bound])
+    assert np.allclose(got, y, rtol=0.0, atol=1e-12)
+
+
 # -- rate-control game ---------------------------------------------------------------
 
 def test_rate_control_determinism():

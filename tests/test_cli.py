@@ -44,11 +44,13 @@ def test_parse_config_errors():
 
 
 def test_parse_edge_list():
-    assert parse_edge_list("1-2, 2-3") == [(0, 1), (1, 2)]
+    assert parse_edge_list("1-2, 2-3", 3) == [(0, 1), (1, 2)]
     with pytest.raises(ConfigError):
-        parse_edge_list("1-2-3")
+        parse_edge_list("1-2-3", 3)
     with pytest.raises(ConfigError):
-        parse_edge_list("")
+        parse_edge_list("", 3)
+    with pytest.raises(ConfigError, match="edge '3-4' names a node outside 1..3"):
+        parse_edge_list("1-2, 3-4", 3)
 
 
 # -- trace files ----------------------------------------------------------------------
@@ -311,6 +313,29 @@ def test_parameter_echo_replays_the_run(tmp_path, monkeypatch):
             == (tmp_path / "first" / "trace.csv").read_bytes())
 
 
+def test_parameter_echo_of_an_empty_value_is_its_default(tmp_path, monkeypatch):
+    # an empty value runs with the default, and the echo says so
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text((CONFIGS / "quadratic-equality.cfg").read_text()
+                   + "params.mu0 =\ngraph.edges =\n")
+    monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 0
+    echo = json.loads((tmp_path / "out" / "summary.json").read_text())["parameters"]
+    assert echo["params.mu0"] == DEFAULTS["params.mu0"] == "1.0"
+    assert "graph.edges" not in echo and "" not in echo.values()
+
+
+def test_non_utf8_config_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"game.builtin = quadratic-equality\n\xff = 1\n"
+                    + f"output.dir = {out}\n".encode())
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert f"config file {cfg} is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 README = (CONFIGS.parent / "README.md").read_text()
 
 
@@ -407,6 +432,13 @@ def test_extract_refuses_a_trace_without_the_column(tmp_path, capsys, body):
     assert "trace file has no column 'step_norm'" in capsys.readouterr().err
 
 
+def test_extract_refuses_a_non_utf8_trace(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"k,step_norm\n1,\xff\xfe\n")
+    assert main(["extract", str(path), "step_norm"]) == 2
+    assert f"trace file {path} is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(QUAD_CFG.format(out=tmp_path / "ignored"))
@@ -480,6 +512,19 @@ def test_explicit_edge_list(tmp_path):
     # an explicit builtin that does not fit the game is rejected
     cfg.write_text(QUAD_CFG.format(out=out) + "graph.builtin = chain15\n")
     assert main(["validate", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("edge", ["1-3", "0-1"])
+def test_edge_list_errors_name_nodes_from_one(tmp_path, capsys, edge):
+    # they used to name 0-based nodes: "(0, 2)" and "(-1, 0)"
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUAD_CFG.format(out=out) + f"graph.edges = 1-2, {edge}\n")
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert (f"edge '{edge}' names a node outside 1..2"
+                in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_both_graph_keys_rejected(tmp_path, capsys):

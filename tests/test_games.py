@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,14 +345,42 @@ def test_opaque_games_not_loadable():
         gs.game_from_dict(data)
 
 
-@pytest.mark.parametrize("edit", ["cut players", "kind and m"])
+@pytest.mark.parametrize("edit", ["cut players", "kind and m", "b one ulp",
+                                  "generator value", "extra key"])
 def test_payload_header_must_match_the_rebuilt_game(edit):
-    # the generator rebuilds the whole game from its seed; a payload whose
-    # player list, kind or m disagrees with it is not that game
+    # the generator rebuilds the whole game from its seed; a payload that is
+    # not exactly what it writes is not that game, and the error names the
+    # differing top-level fields (a b one ulp off, a changed generator value
+    # and an extra key used to load)
     data = gs.game_to_dict(gs.rate_control_game(0))
+    fields = ["players"]
     if edit == "cut players":
         data["players"] = data["players"][:3]
-    else:
+    elif edit == "kind and m":
         data["kind"], data["m"] = gs.EQUALITY, 99
-    with pytest.raises(ValidationError, match="does not match generator"):
+        fields = ["kind", "m"]
+    elif edit == "b one ulp":
+        b = data["players"][4]["b"]
+        b[2] = float(np.nextafter(b[2], np.inf))
+    elif edit == "generator value":
+        data["generator"] = dict(data["generator"], chi=data["generator"]["B"])
+        fields = ["generator"]
+    else:
+        data["note"] = "hand-edited"
+        fields = ["note"]
+    with pytest.raises(ValidationError, match=re.escape(
+            f"does not match generator 'rate-control' in fields {fields}")):
         gs.game_from_dict(data)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("build", [
+    lambda seed: gs.quadratic_game(t=(2.0, 1.0 + seed), delta=0.5 - 0.25 * seed,
+                                   kind=(gs.EQUALITY, gs.INEQUALITY)[seed % 2])[0],
+    gs.rate_control_game, gs.task_allocation_game],
+    ids=["quadratic", "rate-control", "task-allocation"])
+def test_saved_game_loads_to_the_same_payload(tmp_path, build, seed):
+    game = build(seed)
+    gs.save_game(game, tmp_path / "game.json")
+    assert gs.game_to_dict(gs.load_game(tmp_path / "game.json")) \
+        == gs.game_to_dict(game)
