@@ -7,8 +7,8 @@ from .benchgames import (benchmark_graph, quadratic_game, rate_control_game,
                          task_allocation_params)
 from .diagnostics import KktReport, consensus_error, kkt_residual
 from .errors import (ConfigError, DivergenceError, GnesolveError,
-                     InexactnessError, NumericError, StructuralError,
-                     ValidationError)
+                     InexactnessError, MonotonicityError, NumericError,
+                     StructuralError, ValidationError)
 from .games import (Box, EQUALITY, Game, INEQUALITY, MonotonicityReport,
                     Player, check_monotonicity_samples,
                     game_from_dict, game_to_dict, load_game, save_game)

@@ -23,7 +23,8 @@ from .graphs import CommGraph
 from .operators import PointProducts, residual_equality, step_size_margins
 from .params import AlgoParams
 from .rng import SplitMix64
-from .subgames import InnerSolution, InnerSolver, equality_subgame
+from .subgames import (InnerSolution, InnerSolver, equality_subgame,
+                       monotone_ratio, norm)
 from .trace import TraceRow
 
 
@@ -91,6 +92,9 @@ class RunResult:
     residuals: object
     margins: dict              # step-size validator margins checked at start
     inner_steps: int           # over all outer iterations
+    #: smallest monotonicity ratios seen, ``"inner"`` over the inner steps
+    #: and ``"outer"`` over successive outer iterates; None without a pair
+    monotonicity: dict
 
 
 def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
@@ -104,35 +108,47 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     state's distance to the operator's zero set and the `PointProducts` it
     computed there; ``iterate`` is the algorithm's sweep from a state and
     those products, returning the unrelaxed blocks and the subgame solution
-    behind them, which each outer iteration relaxes by ``params.rho``.  Each
-    trace row records the residuals the stop rule tests.  Stops when every
-    residual is at most ``stop.tol`` or after ``stop.max_iter`` iterations;
-    a non-finite state raises `DivergenceError`.  An error raised inside the
-    loop carries the failing outer iteration, the trace rows computed before
-    it, and the inner steps taken before it.
+    behind them, which each outer iteration relaxes by ``params.rho``; the
+    inner solver is bound to the run (`InnerSolver.bind`).  Each trace row
+    records the residuals the stop rule tests.  Successive iterates'
+    smooth gradients must pass the monotonicity check ``<dF, dx> >= 0``
+    (`monotone_ratio`); the result reports its smallest ratio and that of
+    the inner solves.  Stops when every residual is at most ``stop.tol`` or
+    after ``stop.max_iter`` iterations; a non-finite state raises
+    `DivergenceError`.  An error raised inside the loop carries the failing
+    outer iteration, the trace rows computed before it, and the inner steps
+    taken before it.
     """
     margins = step_size_margins(params, game, graph)
+    inner = inner.bind(game, params)
     state = initial_state(game, graph, seed)
     rows: list[TraceRow] = []
     k = inner_steps = 0
+    inner_ratio = outer_ratio = math.inf
     try:
         res, at = residuals(state)
         converged = res.max() <= stop.tol
         while not converged and k < stop.max_iter:
             k += 1
-            prev_x = state.x
+            prev_x, prev_gradient = state.x, at.gradient
             mu = params.mu(k)
             swept, sol = iterate(game, graph, params, state, at, inner, mu)
             state = relax(state, swept, params.rho)
             cert = sol.certificate
             inner_steps += cert.iterations
+            inner_ratio = min(inner_ratio, cert.monotonicity)
             if not (np.isfinite(state.x).all() and np.isfinite(state.lam).all()
                     and np.isfinite(state.Z).all()):
                 raise DivergenceError(f"non-finite state at outer iteration {k}")
             res, at = residuals(state)
+            dx = state.x - prev_x
+            step_norm = norm(dx)
+            outer_ratio = min(outer_ratio, monotone_ratio(
+                float((at.gradient - prev_gradient).dot(dx)), 0.0, step_norm,
+                (prev_gradient, at.gradient), "<dF, dx>"))
             rows.append(TraceRow(
                 k=k,
-                step_norm=float(np.linalg.norm(state.x - prev_x)),
+                step_norm=step_norm,
                 stationarity=res.stationarity,
                 consensus_edge=res.consensus_edge,
                 feasibility=res.feasibility,
@@ -145,7 +161,10 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     except (DivergenceError, InexactnessError, NumericError) as exc:
         exc.iteration, exc.rows, exc.inner_steps = k, rows, inner_steps
         raise
-    return RunResult(state, rows, converged, k, res, margins, inner_steps)
+    monotonicity = {"inner": inner_ratio, "outer": outer_ratio}
+    return RunResult(state, rows, converged, k, res, margins, inner_steps,
+                     {key: value if value < math.inf else None
+                      for key, value in monotonicity.items()})
 
 
 def run_admm(game: Game, graph: CommGraph, params: AlgoParams,

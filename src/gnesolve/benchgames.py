@@ -10,27 +10,13 @@ fixed draw order, so instances are reproducible from their seed.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import ValidationError
-from .games import (Box, EQUALITY, Game, INEQUALITY, Player,
-                    check_monotonicity_samples)
+from .games import Box, EQUALITY, Game, INEQUALITY, Player
 from .graphs import CommGraph, path_graph
 from .params import AlgoParams
 from .rng import SplitMix64
-
-AUDIT_PAIRS = 200
-
-
-def _audit(game: Game, seed: int, label: str) -> None:
-    report = check_monotonicity_samples(game, AUDIT_PAIRS, seed ^ 0xAAD17)
-    if report.violations > 0:
-        warnings.warn(
-            f"{label} (seed {seed}): sampled monotonicity audit found "
-            f"{report.violations} violating pairs "
-            f"(min inner product {report.min_inner_product:.3g})")
 
 
 # -- smooth extension of log(1 + u) below zero ---------------------------------
@@ -115,28 +101,34 @@ def quadratic_game(t=(2.0, 1.0), delta: float = 0.5, c: float = 1.0,
     def profile_oracle(x):
         return J @ x - t
 
-    lower = np.full(2, -half_width)
-    upper = np.full(2, half_width)
+    # the box with a rounding margin, as Python floats: comparing the two
+    # coordinates one by one costs less than a numpy reduction
+    low, high = -half_width - 1e-12, half_width + 1e-12
 
-    def exact_subgame_solver(anchor, shift, R_blocks):
-        # exact equilibrium of the strongly monotone affine subgame: the
-        # interior solve, or else one coordinate at a bound and the other
-        # solving its own equation, clipped to the box (for the corners)
+    def exact_subgame_solver(R_blocks):
+        # exact equilibrium of the strongly monotone affine subgame with
+        # matrix G = J + R, bound once to the R blocks: the interior solve,
+        # or else one coordinate at a bound and the other solving its own
+        # equation, clipped to the box (for the corners)
         Rb = np.array([float(np.atleast_2d(R)[0, 0]) for R in R_blocks])
         G = J + np.diag(Rb)
-        rhs = Rb * np.asarray(anchor, dtype=float) + t - np.asarray(shift, dtype=float)
-        y = np.linalg.solve(G, rhs)
-        if np.all((lower - 1e-12 <= y) & (y <= upper + 1e-12)):
-            return y
-        for fixed, side in ((1, -1.0), (1, 1.0), (0, -1.0), (0, 1.0)):
-            free = 1 - fixed
-            y[fixed] = side * half_width
-            y[free] = np.clip((rhs[free] - G[free, fixed] * y[fixed]) / G[free, free],
-                              -half_width, half_width)
-            # the fixed coordinate's gradient points out of the box
-            if side * (G @ y - rhs)[fixed] <= 1e-12:
+
+        def solve(anchor, shift):
+            rhs = Rb * np.asarray(anchor, dtype=float) + t - np.asarray(shift, dtype=float)
+            y = np.linalg.solve(G, rhs)
+            y0, y1 = y.tolist()
+            if low <= y0 <= high and low <= y1 <= high:
                 return y
-        raise ValidationError("no valid active set found for the subgame")
+            for fixed, side in ((1, -1.0), (1, 1.0), (0, -1.0), (0, 1.0)):
+                free = 1 - fixed
+                y[fixed] = side * half_width
+                y[free] = np.clip((rhs[free] - G[free, fixed] * y[fixed]) / G[free, free],
+                                  -half_width, half_width)
+                # the fixed coordinate's gradient points out of the box
+                if side * (G @ y - rhs)[fixed] <= 1e-12:
+                    return y
+            raise ValidationError("no valid active set found for the subgame")
+        return solve
 
     players = [
         Player(1, make_oracle(i), np.array([[1.0]]), np.array([c / 2.0]), box)
@@ -236,7 +228,6 @@ def rate_control_game(seed: int) -> Game:
                            "C": C.tolist(), "B": B.tolist(),
                            "chi": chi.tolist(), "kappa": kappa.tolist(),
                            "xi": xi.tolist()})
-    _audit(game, seed, "rate-control game")
     return game
 
 
@@ -370,7 +361,6 @@ def task_allocation_game(seed: int) -> Game:
                            "workers": [{key: v[w].tolist()
                                         for key, v in workers.items()}
                                        for w in range(N_WORKERS)]})
-    _audit(game, seed, "task-allocation game")
     return game
 
 

@@ -47,15 +47,25 @@ def _build_game(cfg: ExperimentConfig) -> Game:
     file_path = cfg.get("game.file")
     if builtin and file_path:
         raise ConfigError("give either game.builtin or game.file, not both")
+    seed = cfg.get_int("game.seed")
     if file_path:
-        return load_game(file_path)
-    if not builtin:
+        game, source = load_game(file_path), f"game file {file_path}"
+    elif not builtin:
         raise ConfigError("missing game.builtin or game.file")
-    if builtin not in benchgames.BUILTIN_GAMES:
+    elif builtin not in benchgames.BUILTIN_GAMES:
         raise ConfigError(
             f"unknown builtin game {builtin!r}; "
             f"choices: {sorted(benchgames.BUILTIN_GAMES)}")
-    return benchgames.BUILTIN_GAMES[builtin](cfg.get_int("game.seed"))
+    else:
+        game = benchgames.BUILTIN_GAMES[builtin](seed)
+        source = f"builtin game {builtin!r}"
+    # every run echoes the default seed; any other must be the instance's
+    recorded = game.generator.get("seed")
+    if seed != int(DEFAULTS["game.seed"]) and recorded != seed:
+        raise ConfigError(
+            f"game.seed = {seed} is ignored by {source}, whose instance "
+            f"records {'no seed' if recorded is None else f'seed {recorded}'}")
+    return game
 
 
 def _build_graph(cfg: ExperimentConfig, game: Game) -> CommGraph:
@@ -191,6 +201,7 @@ def cmd_run(args) -> int:
         "inner_steps": result.inner_steps,
         "wall_seconds": wall,
         "validator_margins": result.margins,
+        "monotonicity": result.monotonicity,
         "kkt": {
             "stationarity_per_player": list(kkt.stationarity_per_player),
             "feasibility": kkt.feasibility,
@@ -216,11 +227,21 @@ def cmd_extract(args) -> int:
         raise ConfigError(
             f"unknown quantity {quantity!r}; "
             f"choices: {[c for c in TRACE_COLUMNS if c != 'k']}")
-    reader = csv.DictReader(read_text(args.trace, "trace file").splitlines())
-    if quantity not in (reader.fieldnames or ()):
-        raise ConfigError(f"trace file has no column {quantity!r}")
+    reader = csv.reader(read_text(args.trace, "trace file").splitlines())
+    header = next(reader, [])
+    for column in (quantity, "k"):
+        if column not in header:
+            raise ConfigError(f"trace file has no column {column!r}")
+    k_at, value_at = header.index("k"), header.index(quantity)
+    lines = []
     for row in reader:
-        print(f"{row['k']} {row[quantity]}")
+        if len(row) != len(header):
+            raise ConfigError(
+                f"trace file line {reader.line_num} has {len(row)} fields, "
+                f"its header {len(header)}")
+        lines.append(f"{row[k_at]} {row[value_at]}")
+    for line in lines:
+        print(line)
     return EXIT_OK
 
 

@@ -22,6 +22,18 @@ class NumericError(GnesolveError):
     """An oracle or update produced non-finite values."""
 
 
+class MonotonicityError(NumericError):
+    """Two points a run evaluated contradict the monotonicity that every
+    inner certificate and the outer convergence proof assume.  Raised
+    inside the outer loop, its message names the outer iteration."""
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        if self.iteration is None:
+            return text
+        return f"outer iteration {self.iteration}: {text}"
+
+
 class ValidationError(GnesolveError):
     """A parameter or step-size condition failed validation."""
 

@@ -127,9 +127,10 @@ class Game:
         When given it must agree with the per-player oracles; it is used as
         a fast path by the inner solvers.
     exact_subgame_solver : callable, optional
-        ``(anchor, shift, R_blocks) -> x_hat`` returning the exact
-        equilibrium of the proximally regularized subgame.  Supplied by
-        generators of games whose regularized equilibrium has a closed form.
+        ``R_blocks -> solve``, binding a run's proximal weights once, where
+        ``solve(anchor, shift) -> x_hat`` returns the exact equilibrium of
+        the proximally regularized subgame.  Supplied by generators of games
+        whose regularized equilibrium has a closed form.
     generator : dict, optional
         Metadata echoed into the JSON serialization so that the instance can
         be rebuilt (name of the generating family plus its parameters).
@@ -291,7 +292,9 @@ def check_monotonicity_samples(game: Game, n_pairs: int,
     Draws ``n_pairs`` pairs uniformly in the product box and reports the
     minimum of ``<x - y, F(x) - F(y)>`` along with the count of pairs below
     ``-1e-9``.  This is an audit, not a proof: monotonicity of an arbitrary
-    oracle is not verifiable from samples.
+    oracle is not verifiable from samples.  No run calls it: runs check the
+    pairs they evaluate (`subgames.monotone_ratio`), and the tests audit
+    the builtin games with it.
     """
     if n_pairs < 1:
         raise ValidationError("n_pairs must be at least 1")

@@ -11,19 +11,32 @@ from .errors import StructuralError, ValidationError
 from .games import Game, padded_layout
 from .graphs import CommGraph
 
-def _check_spd(M: np.ndarray, name: str) -> np.ndarray:
-    """Validate a symmetric positive definite block; returns its eigenvalues."""
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise StructuralError(f"{name} must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValidationError(f"{name} has non-finite entries")
-    if not np.array_equal(M, M.T):
-        if np.abs(M - M.T).max() > 1e-12 * (1.0 + np.abs(M).max()):
-            raise ValidationError(f"{name} is not symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if eigs[0] <= 0.0:
+def _check_spd(stack: np.ndarray, name: str, first: int = 0) -> np.ndarray:
+    """Validate a stack of symmetric positive definite blocks, block ``j``
+    named ``name[first + j]``, with one batched eigendecomposition; returns
+    their eigenvalues, ascending per block.  An error names the first
+    failing block, and that block's first failing condition."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise StructuralError(
+            f"{name}[{first}] must be square, got shape {stack.shape[1:]}")
+    with np.errstate(invalid="ignore"):     # inf - inf in a non-finite block
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        skew = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+        scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    bad = ~finite | (skew > 1e-12 * (1.0 + scale))
+    # the blocks before the first non-finite or asymmetric one
+    good = int(np.argmax(bad)) if bad.any() else len(stack)
+    head = stack[:good]
+    eigs = np.linalg.eigvalsh(0.5 * (head + head.transpose(0, 2, 1)))
+    indefinite = eigs[:, 0] <= 0.0
+    if indefinite.any():
+        j = int(np.argmax(indefinite))
         raise ValidationError(
-            f"{name} is not positive definite (smallest eigenvalue {eigs[0]:.3g})")
+            f"{name}[{first + j}] is not positive definite "
+            f"(smallest eigenvalue {eigs[j, 0]:.3g})")
+    if good < len(stack):
+        condition = "is not symmetric" if finite[good] else "has non-finite entries"
+        raise ValidationError(f"{name}[{first + good}] {condition}")
     return eigs
 
 
@@ -63,7 +76,7 @@ class AlgoParams:
         self.R = [np.atleast_2d(np.asarray(Ri, dtype=float)) for Ri in self.R]
         self.H = np.asarray(self.H, dtype=float)
         self.W = np.asarray(self.W, dtype=float)
-        r_eigs = [_check_spd(Ri, f"R[{i}]") for i, Ri in enumerate(self.R)]
+        r_eigs = [_check_spd(Ri[None], "R", i)[0] for i, Ri in enumerate(self.R)]
         self.r_min = min(e[0] for e in r_eigs)
         self.r_max = max(e[-1] for e in r_eigs)
         # blocks zero-padded to a common order, so that R v is one batched
@@ -77,10 +90,8 @@ class AlgoParams:
             raise StructuralError("H must be an (N, m, m) array")
         if self.W.ndim != 3 or self.W.shape[1] != self.W.shape[2]:
             raise StructuralError("W must be an (M, m, m) array")
-        for i in range(self.H.shape[0]):
-            _check_spd(self.H[i], f"H[{i}]")
-        for l in range(self.W.shape[0]):
-            _check_spd(self.W[l], f"W[{l}]")
+        _check_spd(self.H, "H")
+        _check_spd(self.W, "W")
         if not (1.0 <= self.rho < 2.0):
             raise ValidationError(
                 f"relaxation factor rho={self.rho} outside [1, 2)")

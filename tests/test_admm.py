@@ -114,6 +114,9 @@ def test_divergence_detected(algorithm, request, pair_graph, toy_params,
     class BrokenInner:
         calls = 0
 
+        def bind(self, game, params):
+            return self
+
         def solve(self, sub, mu):
             from gnesolve.subgames import InnerCertificate, InnerSolution
             self.calls += 1

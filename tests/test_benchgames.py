@@ -86,7 +86,7 @@ def test_exact_quadratic_solver_equals_enumeration(delta, seed):
         anchor = rng.uniform(-10.0, 10.0, 2)
         shift = scale * rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 1.0, 2)
         R_blocks = [np.array([[r]]) for r in rng.uniform(0.5, 20.0, 2)]
-        got = game.exact_subgame_solver(anchor, shift, R_blocks)
+        got = game.exact_subgame_solver(R_blocks)(anchor, shift)
         assert np.array_equal(
             got, quadratic_active_set_enumeration(game, anchor, shift, R_blocks))
         if scale == 1e4:
@@ -111,7 +111,7 @@ def test_exact_quadratic_solver_box_cases(y, g):
     anchor = np.array([1.0, -1.0])
     shift = np.array([1.0, -2.0]) + np.array(game.generator["t"]) \
         - (G @ np.array(y) - np.array(g))
-    got = game.exact_subgame_solver(anchor, shift, R_blocks)
+    got = game.exact_subgame_solver(R_blocks)(anchor, shift)
     assert np.array_equal(
         got, quadratic_active_set_enumeration(game, anchor, shift, R_blocks))
     bound = np.abs(y) == 10.0

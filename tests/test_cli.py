@@ -9,6 +9,7 @@ import pytest
 
 import gnesolve as gs
 from gnesolve.cli import _setup, main
+from gnesolve.games import Box, Player
 from gnesolve.config import (DEFAULTS, load_config, parse_config_text,
                              parse_edge_list)
 from gnesolve.errors import ConfigError
@@ -325,6 +326,33 @@ def test_parameter_echo_of_an_empty_value_is_its_default(tmp_path, monkeypatch):
     assert "graph.edges" not in echo and "" not in echo.values()
 
 
+def test_game_seed_must_reach_the_instance(tmp_path, capsys):
+    # a seed the game ignores used to be accepted and echoed, with no seed
+    # in instance.json; the default seed, echoed by every run, replays
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    rate = tmp_path / "rate.json"
+    gs.save_game(gs.rate_control_game(3), rate)
+    rate_cfg = f"game.file = {rate}\nalgorithm = splitting\noutput.dir = {{out}}\n"
+    quad = tmp_path / "quad.json"
+    gs.save_game(gs.quadratic_game(kind=gs.INEQUALITY)[0], quad)
+    for text, refusal in (
+            (QUAD_CFG, "builtin game 'quadratic-equality', whose instance "
+                       "records no seed"),
+            (INEQ_CFG.replace("{inst}", str(quad)),
+             f"game file {quad}, whose instance records no seed"),
+            (rate_cfg, f"game file {rate}, whose instance records seed 3")):
+        cfg.write_text(text.format(out=out) + "game.seed = 7\n")
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            assert (f"game.seed = 7 is ignored by {refusal}"
+                    in capsys.readouterr().err)
+        assert not out.exists()
+    for text, seed in ((QUAD_CFG, 0), (rate_cfg, 3), (rate_cfg, 0)):
+        cfg.write_text(text.format(out=out) + f"game.seed = {seed}\n")
+        assert main(["validate", str(cfg)]) == 0
+
+
 def test_non_utf8_config_is_a_validation_error(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = tmp_path / "bad.cfg"
@@ -430,6 +458,19 @@ def test_extract_refuses_a_trace_without_the_column(tmp_path, capsys, body):
     path.write_text("")
     assert main(["extract", str(path), "step_norm"]) == 2
     assert "trace file has no column 'step_norm'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, fields", [("1", 1), ("1,0.5,7", 3)],
+                         ids=["short", "long"])
+def test_extract_refuses_a_malformed_row(tmp_path, capsys, row, fields):
+    # a short row used to print its missing value as None, and a long one
+    # to drop its extra field, both with exit 0
+    path = tmp_path / "bad.csv"
+    path.write_text(f"k,step_norm\n1,0.5\n{row}\n")
+    assert main(["extract", str(path), "step_norm"]) == 2
+    captured = capsys.readouterr()
+    assert f"trace file line 3 has {fields} fields, its header 2" in captured.err
+    assert captured.out == ""
 
 
 def test_extract_refuses_a_non_utf8_trace(tmp_path, capsys):
@@ -689,6 +730,9 @@ class FailingInner:
         self.exact = gs.InnerSolver("exact")
         self.calls = 0
 
+    def bind(self, game, params):
+        return self
+
     def solve(self, sub, mu):
         from gnesolve.subgames import InnerCertificate, InnerSolution
         self.calls += 1
@@ -733,6 +777,93 @@ def test_failed_run_keeps_partial_outputs(tmp_path, monkeypatch, capsys, kind,
     # point reported one, and it completed before the divergence
     assert summary["inner_steps"] == (failure is gs.DivergenceError)
     assert summary["parameters"]["stop.tol"] == "1e-8"
+
+
+# -- monotonicity checks ----------------------------------------------------------------
+
+def anti_monotone_game(seed):
+    """Two players with ``F(x) = -x`` on ``[-1, 1]`` each.  With ``r = 10``
+    their subgames are strongly monotone with modulus 9, so the
+    ``r_min = 10`` behind every certificate is wrong (a communication graph
+    needs two nodes, hence two players)."""
+    box = Box(np.full(1, -1.0), np.full(1, 1.0))
+    players = [Player(1, lambda xi, o: -xi, np.ones((1, 1)), np.array([0.25]), box)
+               for _ in range(2)]
+
+    def exact_subgame_solver(R_blocks):
+        # each player solves (R_i - 1) y_i = R_i a_i - s_i, clipped to its box
+        Rb = np.array([float(R[0, 0]) for R in R_blocks])
+        return lambda anchor, shift: np.clip((Rb * anchor - shift) / (Rb - 1.0),
+                                             -1.0, 1.0)
+    return gs.Game(players, gs.EQUALITY, profile_oracle=lambda x: -x,
+                   exact_subgame_solver=exact_subgame_solver)
+
+
+@pytest.mark.parametrize("mode, mu, pair", [
+    ("residual", "inverse-square", "inner step 1: <dG, dy>"),
+    ("oracle", "exact", "inner step 1: <dG, dy>"),
+    ("exact", "exact", "<dF, dx>")])
+def test_non_monotone_game_fails_with_partial_outputs(tmp_path, monkeypatch,
+                                                      capsys, mode, mu, pair):
+    # the first evaluated pair contradicts monotonicity: inside the first
+    # inner solve, or between the first two outer iterates when the solve
+    # is exact
+    import gnesolve.benchgames
+    monkeypatch.setitem(gnesolve.benchgames.BUILTIN_GAMES, "anti-monotone",
+                        anti_monotone_game)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"game.builtin = anti-monotone\nalgorithm = admm\n"
+                   f"params.mu = {mu}\ninner.mode = {mode}\noutput.dir = {out}\n")
+    assert main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: outer iteration 1: {pair} = ")
+    assert "the game is not monotone there" in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["failure"]["error"] == "MonotonicityError"
+    assert summary["failure"]["iteration"] == 1
+    assert summary["failure"]["message"] == err.split(": ", 1)[1].strip()
+    assert read_trace_csv(out / "trace.csv") == []
+    assert json.loads((out / "instance.json").read_text())["kind"] == "equality"
+
+
+def test_validate_makes_no_oracle_call(monkeypatch):
+    # every oracle call goes through one of these two methods; validation
+    # builds the game and checks the step sizes, and samples nothing
+    calls = []
+    for name in ("pseudo_gradient", "smooth_gradient"):
+        original = getattr(gs.Game, name)
+        monkeypatch.setattr(gs.Game, name, lambda game, x, _original=original:
+                            calls.append(x) or _original(game, x))
+    for name in ("rate-control", "task-allocation"):
+        assert main(["validate", str(CONFIGS / f"{name}.cfg")]) == 0
+    assert calls == []
+    # the wrapper sees a sampled audit: one pair is two calls
+    gs.check_monotonicity_samples(gs.rate_control_game(0), 1, seed=0)
+    assert len(calls) == 2
+
+
+def test_monotonicity_summary_is_deterministic(tmp_path, monkeypatch):
+    # the smallest ratios are exact functions of the run: equal on a rerun.
+    # The exact quadratic run has no inner pair, and its outer pairs see
+    # F's modulus 1 - delta = 0.5
+    for name in ("rate-control", "quadratic-equality"):
+        seen = []
+        for rerun in ("a", "b"):
+            monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(tmp_path / name / rerun))
+            assert main(["run", str(CONFIGS / f"{name}.cfg")]) == 0
+            seen.append(json.loads((tmp_path / name / rerun / "summary.json")
+                                   .read_text())["monotonicity"])
+        assert seen[0] == seen[1]
+        ratios = seen[0]
+        if name == "rate-control":
+            assert ratios["inner"] > 0.0 and ratios["outer"] > 0.0
+        else:
+            assert ratios["inner"] is None
+            assert ratios["outer"] == pytest.approx(0.5, abs=1e-6)
 
 
 # -- package layout -------------------------------------------------------------------

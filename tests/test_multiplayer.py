@@ -29,12 +29,15 @@ def ring_game(n, delta, c, kind, half_width=25.0):
     def profile_oracle(x):
         return (1 - delta) * x + delta * x.sum() - t
 
-    def exact_subgame_solver(anchor, shift, R_blocks):
+    def exact_subgame_solver(R_blocks):
         Rb = np.array([float(np.atleast_2d(R)[0, 0]) for R in R_blocks])
         G = (1 - delta) * np.eye(n) + delta * np.ones((n, n)) + np.diag(Rb)
-        y = np.linalg.solve(G, Rb * np.asarray(anchor) + t - np.asarray(shift))
-        assert np.all(np.abs(y) < half_width - 1e-9)
-        return y
+
+        def solve(anchor, shift):
+            y = np.linalg.solve(G, Rb * np.asarray(anchor) + t - np.asarray(shift))
+            assert np.all(np.abs(y) < half_width - 1e-9)
+            return y
+        return solve
 
     players = [Player(1, make_oracle(i), np.array([[1.0]]),
                       np.array([c / n]), box) for i in range(n)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -38,6 +40,30 @@ def test_non_spd_blocks_rejected(eq_game, pair_graph):
     with pytest.raises(ValidationError, match="symmetric"):
         AlgoParams([asym, np.eye(2)],
                    np.ones((2, 1, 1)), np.ones((1, 1, 1)), 1.1)
+
+
+def test_step_matrices_checked_one_stack_at_a_time(monkeypatch):
+    # H and W each take one batched eigendecomposition (R one per block, as
+    # its blocks may differ in order); an error still names the first
+    # failing block and that block's first failing condition
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
+    eye, R = np.eye(2), [np.eye(1)] * 3
+    AlgoParams(R, np.stack([eye] * 3), np.stack([eye] * 2), 1.1)
+    assert shapes == [(1, 1, 1)] * 3 + [(3, 2, 2), (2, 2, 2)]
+    nan = np.full((2, 2), np.nan)
+    inf = np.array([[1.0, np.inf], [np.inf, 1.0]])
+    asym = np.array([[1.0, 0.5], [-0.5, 1.0]])
+    for blocks, message in (([eye, -eye, nan], "H[1] is not positive definite"),
+                            ([eye, nan, -eye], "H[1] has non-finite entries"),
+                            ([eye, eye, inf], "H[2] has non-finite entries"),
+                            ([eye, asym, -eye], "H[1] is not symmetric")):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            AlgoParams(R, np.stack(blocks), np.stack([eye] * 2), 1.1)
+        with pytest.raises(ValidationError, match=re.escape(message.replace("H", "W"))):
+            AlgoParams(R, np.stack([eye] * 3), np.stack(blocks), 1.1)
 
 
 def test_mu_schedules(eq_game, pair_graph):

@@ -363,6 +363,86 @@ def test_residual_mode_certifies_skew_dominated_subgame():
     assert np.linalg.norm(reference - x_star) <= 1e-12
 
 
+def bilinear_game(scale):
+    """Two-player zero-sum bilinear game, ``F(x) = scale [[0, 1], [-1, 0]] x
+    + c`` on ``[-5, 5]`` each: monotone with modulus exactly zero."""
+    M = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    c = np.array([1.0, -2.0])
+    players = [Player(1, lambda xi, o: xi, np.ones((1, 1)), np.array([0.25]),
+                      Box(np.array([-5.0]), np.array([5.0]))) for _ in range(2)]
+    return gs.Game(players, gs.EQUALITY, profile_oracle=lambda x: M @ x + c)
+
+
+def test_zero_modulus_game_passes_the_monotonicity_checks():
+    # solved to oracle mode's machine-precision reference, the last inner
+    # steps are rounding-sized, and <dF, dx> is exactly zero up to rounding:
+    # the allowance, scaled by the sizes of the terms summed into each
+    # gradient, covers them, and the outer pairs see the zero modulus
+    graph = gs.path_graph(2)
+    rng = np.random.default_rng(0)
+    for scale in (1.0, 3.0):
+        game = bilinear_game(scale)
+        params = gs.AlgoParams.uniform(game, graph, 1.0, 0.25, 0.25, 1.0, mu0=0.0)
+        for _ in range(5):
+            anchor = rng.uniform(-6.0, 6.0, 2)
+            sub = Subgame(game, anchor, scale * rng.normal(size=2), params,
+                          game.smooth_gradient(anchor))
+            sol = InnerSolver("oracle").solve(sub, 0.0)
+            assert sol.certificate.iterations > 1
+            assert np.isfinite(sol.certificate.monotonicity)
+    game = bilinear_game(1.0)
+    params = gs.AlgoParams.uniform(game, graph, 1.0, 0.25, 0.25, 1.0, mu0=0.0)
+    run = gs.run_admm(game, graph, params, InnerSolver("oracle"),
+                      gs.StopRule(100, 1e-9))
+    assert run.iterations == 100
+    assert abs(run.monotonicity["outer"]) <= 1e-12
+    assert run.monotonicity["inner"] is not None
+
+
+def test_monotone_ratio_checks_the_floor():
+    # ratio of a pair: curvature / step^2 - modulus; below the floor
+    # modulus step^2 less the allowance, which scales with the sizes of the
+    # gradients' terms, the pair raises and names itself
+    terms = (np.array([3.0, 4.0]), np.array([-1.0]))          # sizes 5 and 1
+    assert subgames.monotone_ratio(5.0, 1.0, 2.0, terms, "pair") == 0.25
+    assert subgames.monotone_ratio(0.0, 1.0, 0.0, terms, "pair") == np.inf
+    allowance = subgames.MONOTONE_ALLOWANCE * 2.0 * 6.0
+    assert subgames.monotone_ratio(4.0 - allowance / 2, 1.0, 2.0, terms,
+                                   "pair") < 0.0
+    with pytest.raises(gs.MonotonicityError,
+                       match=r"^inner step 4: <dG, dy> = 3\.9 is below its floor 4 "):
+        subgames.monotone_ratio(3.9, 1.0, 2.0, terms, "inner step 4: <dG, dy>")
+    with pytest.raises(gs.MonotonicityError):
+        subgames.monotone_ratio(4.0 - 2 * allowance, 1.0, 2.0, terms, "pair")
+
+
+def test_bound_exact_solver_matches_the_unbound_one(eq_game, pair_graph,
+                                                    toy_params, monkeypatch):
+    # binding builds the quadratic game's matrix once per run; a subgame of
+    # other step sizes is still solved with its own
+    game, _ = eq_game
+    binder = game.exact_subgame_solver
+    bound_to = []
+    monkeypatch.setattr(game, "exact_subgame_solver",
+                        lambda R: bound_to.append(R) or binder(R))
+    unbound = InnerSolver("exact")
+    bound = unbound.bind(game, toy_params)
+    assert bound_to == [toy_params.R]
+    other = gs.AlgoParams.uniform(game, pair_graph, 3.0, 0.5, 0.5, 1.1)
+    rng = np.random.default_rng(5)
+    for params in (toy_params, other):
+        for _ in range(20):
+            sub = Subgame(game, rng.uniform(-12.0, 12.0, 2),
+                          30.0 * rng.normal(size=2), params, np.zeros(2))
+            del bound_to[:]
+            x = bound.solve(sub, 0.0).x
+            assert bound_to == ([] if params is toy_params else [other.R])
+            assert np.array_equal(x, unbound.solve(sub, 0.0).x)
+    for mode in ("residual", "oracle"):
+        solver = InnerSolver(mode)
+        assert solver.bind(game, toy_params) is solver
+
+
 def first_subgame(name):
     """Subgame of the first outer iteration from the seed-0 start."""
     if name == "toy":
