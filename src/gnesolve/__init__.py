@@ -1,7 +1,7 @@
 """Distributed computation of variational generalized Nash equilibria in
 monotone games with affine equality or inequality coupling constraints."""
 
-from .admm import AdmmState, StopRule, admm_iterate, initial_state, run_admm
+from .admm import State, StopRule, admm_iterate, initial_state, run_admm
 from .benchgames import (benchmark_graph, quadratic_game, rate_control_game,
                          rate_control_params, task_allocation_game,
                          task_allocation_params)

@@ -20,31 +20,45 @@ from .errors import (DivergenceError, InexactnessError, NumericError,
                      ValidationError)
 from .games import EQUALITY, Game
 from .graphs import CommGraph
-from .operators import PointProducts, residual_equality, step_size_margins
+from .operators import PointProducts, norm, residual_equality, step_size_margins
 from .params import AlgoParams
 from .rng import SplitMix64
 from .subgames import (InnerSolution, InnerSolver, equality_subgame,
-                       monotone_ratio, norm)
+                       monotone_ratio)
 from .trace import TraceRow
 
 
-@dataclass(frozen=True)
-class AdmmState:
-    x: np.ndarray          # stacked decisions, length n
-    lam: np.ndarray        # local multipliers, (N, m)
-    Z: np.ndarray          # edge variables, (M, m)
+class State:
+    """The stacked iterate of both algorithms: one contiguous float vector
+    ``w``, and its views ``x`` (n,) of the decisions, ``Z`` (M, m) of the
+    edge variables and ``lam`` (N, m) of the local multipliers, in order."""
+
+    __slots__ = ("w", "x", "Z", "lam")
+
+    def __init__(self, w: np.ndarray, n: int, n_edges: int, m: int):
+        self.w = w
+        self.x = w[:n]
+        self.Z = w[n:n + n_edges * m].reshape(n_edges, m)
+        self.lam = w[n + n_edges * m:].reshape(-1, m)
+
+    @classmethod
+    def stack(cls, x, Z, lam) -> "State":
+        """The state of copies of the blocks ``x``, ``Z`` and ``lam``."""
+        n_edges, m = np.shape(Z)
+        return cls(np.concatenate((x, Z, lam), axis=None, dtype=float),
+                   np.size(x), n_edges, m)
 
 
-def initial_state(game: Game, graph: CommGraph, seed: int = 0) -> AdmmState:
+def initial_state(game: Game, graph: CommGraph, seed: int = 0) -> State:
     """Random decisions inside the box; zero multipliers and edge variables."""
-    return AdmmState(game.sample_profile(SplitMix64(seed)),
-                     np.zeros((game.n_players, game.m)),
-                     np.zeros((graph.n_edges, game.m)))
+    return State.stack(game.sample_profile(SplitMix64(seed)),
+                       np.zeros((graph.n_edges, game.m)),
+                       np.zeros((game.n_players, game.m)))
 
 
 def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
-                 state: AdmmState, at: PointProducts, inner: InnerSolver,
-                 mu: float) -> tuple[AdmmState, InnerSolution]:
+                 state: State, at: PointProducts, inner: InnerSolver,
+                 mu: float) -> tuple[State, InnerSolution]:
     """One unrelaxed sweep as stacked array updates: subgame solve to
     ``mu``, multiplier step along ``H`` times the tracked constraint
     residual, and edge step along ``W`` times the multiplier-signal
@@ -57,14 +71,12 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     h_t = params.apply_H(tracked_t)
     lam_t = lam + h_t
     Z_t = Z - params.apply_W(graph.edge_differences(lam_t + h_t))
-    return AdmmState(sol.x, lam_t, Z_t), sol
+    return State.stack(sol.x, Z_t, lam_t), sol
 
 
-def relax(state: AdmmState, swept: AdmmState, rho: float) -> AdmmState:
-    """``state + rho (swept - state)`` in every block."""
-    return AdmmState(state.x + rho * (swept.x - state.x),
-                     state.lam + rho * (swept.lam - state.lam),
-                     state.Z + rho * (swept.Z - state.Z))
+def relax(state: State, swept: State, rho: float) -> State:
+    """``w + rho (w_hat - w)`` in a new vector; callers still read the old one."""
+    return State(state.w + rho * (swept.w - state.w), state.x.size, *state.Z.shape)
 
 
 @dataclass(frozen=True)
@@ -85,7 +97,7 @@ class StopRule:
 
 @dataclass
 class RunResult:
-    state: AdmmState
+    state: State
     rows: list
     converged: bool
     iterations: int
@@ -137,8 +149,7 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
             cert = sol.certificate
             inner_steps += cert.iterations
             inner_ratio = min(inner_ratio, cert.monotonicity)
-            if not (np.isfinite(state.x).all() and np.isfinite(state.lam).all()
-                    and np.isfinite(state.Z).all()):
+            if not np.isfinite(state.w).all():
                 raise DivergenceError(f"non-finite state at outer iteration {k}")
             res, at = residuals(state)
             dx = state.x - prev_x
@@ -146,17 +157,11 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
             outer_ratio = min(outer_ratio, monotone_ratio(
                 float((at.gradient - prev_gradient).dot(dx)), 0.0, step_norm,
                 (prev_gradient, at.gradient), "<dF, dx>"))
+            # equality residuals have no complementarity part
             rows.append(TraceRow(
-                k=k,
-                step_norm=step_norm,
-                stationarity=res.stationarity,
-                consensus_edge=res.consensus_edge,
-                feasibility=res.feasibility,
-                # equality residuals have no complementarity part
-                complementarity=getattr(res, "complementarity", math.nan),
-                inner_iterations=cert.iterations,
-                mu=mu,
-                certified=cert.bound))
+                k, step_norm, res.stationarity, res.consensus_edge,
+                res.feasibility, getattr(res, "complementarity", math.nan),
+                cert.iterations, mu, cert.bound))
             converged = res.max() <= stop.tol
     except (DivergenceError, InexactnessError, NumericError) as exc:
         exc.iteration, exc.rows, exc.inner_steps = k, rows, inner_steps

@@ -93,11 +93,13 @@ def _build_params(cfg: ExperimentConfig, game: Game, graph: CommGraph) -> AlgoPa
     mu0 = 0.0 if mu_kind == "exact" else cfg.get_float("params.mu0")
     rho = cfg.get_float("params.rho")
     preset = cfg.get("params.preset")
+    seed = cfg.get_int("params.seed")
     if preset == "task-allocation":
-        return benchgames.task_allocation_params(
-            game, graph, cfg.get_int("params.seed"), rho, mu0)
+        return benchgames.task_allocation_params(game, graph, seed, rho, mu0)
     if preset:
         raise ConfigError(f"unknown params preset {preset!r}")
+    if seed != int(DEFAULTS["params.seed"]):   # the default is echoed by every run
+        raise ConfigError(f"params.seed = {seed} is ignored: no params.preset reads it")
     return AlgoParams.uniform(
         game, graph, r=cfg.get_float("params.r"), h=cfg.get_float("params.h"),
         w=cfg.get_float("params.w"), rho=rho, mu0=mu0)

@@ -12,6 +12,7 @@ act on, live in the tests, as the independent reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,13 @@ def step_size_margins(params: AlgoParams, game: Game,
 
 # -- residuals to the operator zero sets ---------------------------------------
 
+def norm(v: np.ndarray) -> float:
+    """``|v|`` of a float array, bit for bit as `np.linalg.norm` computes it
+    (``sqrt(v . v)``, flattened), without its dispatch: loops take many."""
+    v = v.ravel()
+    return math.sqrt(float(v.dot(v)))
+
+
 @dataclass(frozen=True)
 class EqualityResiduals:
     stationarity: float
@@ -164,8 +172,7 @@ def _stationarity(game: Game, x, at: PointProducts) -> float:
     """Natural-map residual ``|x - natural_step(x, price)|``, from the
     gradient and price already in hand."""
     x = as_vector(x)
-    return float(np.linalg.norm(
-        x - game.backward_step(x - (at.gradient + at.price_gradient), 1.0)))
+    return norm(x - game.backward_step(x - (at.gradient + at.price_gradient), 1.0))
 
 
 def residual_equality(game: Game, graph: CommGraph, x, Z,
@@ -178,8 +185,8 @@ def residual_equality(game: Game, graph: CommGraph, x, Z,
     local constraint-tracking error.
     """
     at = point_products(game, graph, x, Z, lam)
-    edge = float(np.linalg.norm(at.edge_differences))
-    feas = float(np.linalg.norm(at.tracked))
+    edge = norm(at.edge_differences)
+    feas = norm(at.tracked)
     return EqualityResiduals(_stationarity(game, x, at), edge, feas), at
 
 
@@ -196,7 +203,7 @@ def residual_inequality(game: Game, graph: CommGraph, x, Z,
     """
     at = point_products(game, graph, x, Z, lam)
     lam = np.asarray(lam, dtype=float)
-    edge = float(np.linalg.norm(at.edge_differences))
-    feas = float(np.linalg.norm(np.maximum(at.tracked, 0.0)))
-    comp = float(np.linalg.norm(lam - np.maximum(lam + at.tracked, 0.0)))
+    edge = norm(at.edge_differences)
+    feas = norm(np.maximum(at.tracked, 0.0))
+    comp = norm(lam - np.maximum(lam + at.tracked, 0.0))
     return InequalityResiduals(_stationarity(game, x, at), edge, feas, comp), at

@@ -131,11 +131,11 @@ class AlgoParams:
 
     def apply_H(self, rows: np.ndarray) -> np.ndarray:
         """Per-player products ``H_i rows_i`` on an (N, m) array."""
-        return np.einsum("nij,nj->ni", self.H, rows)
+        return (self.H @ rows[:, :, None])[:, :, 0]
 
     def apply_W(self, rows: np.ndarray) -> np.ndarray:
         """Per-edge products ``W_l rows_l`` on an (M, m) array."""
-        return np.einsum("lij,lj->li", self.W, rows)
+        return (self.W @ rows[:, :, None])[:, :, 0]
 
     def r_min_eig(self) -> float:
         """Smallest eigenvalue over the ``R`` blocks; same as ``r_min``."""

@@ -18,12 +18,12 @@ from .graphs import CommGraph
 from .operators import PointProducts, residual_inequality
 from .params import AlgoParams
 from .subgames import InnerSolution, InnerSolver, inequality_subgame
-from .admm import AdmmState, RunResult, StopRule, iterate_to_tolerance
+from .admm import RunResult, State, StopRule, iterate_to_tolerance
 
 
 def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
-                      state: AdmmState, at: PointProducts, inner: InnerSolver,
-                      mu: float) -> tuple[AdmmState, InnerSolution]:
+                      state: State, at: PointProducts, inner: InnerSolver,
+                      mu: float) -> tuple[State, InnerSolution]:
     """One unrelaxed sweep from iteration-k data, and the subgame solution
     behind its decision block.  ``at`` holds the residual products of
     ``state``: the subgame's price and the edge differences of ``lam``.
@@ -39,7 +39,7 @@ def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     reflected = (game.constraint_rows(2.0 * sol.x - x)
                  + graph.node_aggregate(2.0 * Z_t - Z) - game.b_rows)
     lam_t = np.maximum(lam + params.apply_H(reflected), 0.0)
-    return AdmmState(sol.x, lam_t, Z_t), sol
+    return State.stack(sol.x, Z_t, lam_t), sol
 
 
 def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,

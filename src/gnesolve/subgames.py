@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (InexactnessError, MonotonicityError, StructuralError,
                      ValidationError)
 from .games import Game, as_vector
-from .operators import PointProducts
+from .operators import PointProducts, norm
 from .params import AlgoParams
 
 
@@ -111,13 +111,6 @@ MAX_INNER_STEPS = 100_000
 #: rounding allowance of the monotonicity checks, per unit of the compared
 #: gradients' sizes times the distance between their points
 MONOTONE_ALLOWANCE = 1e-9
-
-
-def norm(v: np.ndarray) -> float:
-    """``|v|`` of a 1-D float array, bit for bit as `np.linalg.norm`
-    computes it (``sqrt(v . v)``), without its dispatch: the loops take a
-    few per step."""
-    return math.sqrt(float(v.dot(v)))
 
 
 def monotone_ratio(curvature: float, modulus: float, step: float,

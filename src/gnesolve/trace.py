@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     k: int
     step_norm: float
     # the residuals the stop rule tests, under their own names
@@ -19,25 +17,19 @@ class TraceRow:
     mu: float
     certified: float           # inner certificate bound; 0.0 for exact solves
 
-    def as_tuple(self):
-        return tuple(getattr(self, f.name) for f in fields(self))
 
-
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    # repr keeps the shortest round-trip form with a '.' decimal separator,
-    # independent of locale
-    return repr(float(value))
+TRACE_COLUMNS = TraceRow._fields
 
 
 def write_trace_csv(path, rows) -> None:
-    """Plain CSV, fixed column order, LF line endings."""
+    """Plain CSV, fixed column order, LF line endings.  Floats print as
+    ``repr(float)`` does (shortest round trip, '.' whatever the locale), a
+    numpy float64 too; a non-float in a float column, or a non-integer in
+    an integer one, raises."""
+    r = float.__repr__
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row.as_tuple()])
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        fh.writelines(
+            f"{k:d},{r(step)},{r(stat)},{r(edge)},{r(feas)},{r(comp)},"
+            f"{inner:d},{r(mu)},{r(cert)}\n"
+            for k, step, stat, edge, feas, comp, inner, mu, cert in rows)

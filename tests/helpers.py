@@ -190,7 +190,7 @@ def quadratic_value(t, delta, i):
 
 
 def products(game, graph, state):
-    """Residual products of an `AdmmState`, evaluated afresh: what the
+    """Residual products of a `State`, evaluated afresh: what the
     outer driver hands the sweep from that state."""
     return point_products(game, graph, state.x, state.Z, state.lam)
 
@@ -208,7 +208,7 @@ def admm_iterate_componentwise(game, graph, params, state, inner, mu):
     reads only its own data, its incident edge variables, and (for the edge
     update) the signal of the edge's other endpoint.  Reference for the
     stacked `gnesolve.admm.admm_iterate`."""
-    from gnesolve.admm import AdmmState
+    from gnesolve.admm import State
 
     x, lam, Z = state.x, state.lam, state.Z
     rho = params.rho
@@ -238,4 +238,4 @@ def admm_iterate_componentwise(game, graph, params, state, inner, mu):
 
     x_next = np.concatenate([
         xi + rho * (xti - xi) for xi, xti in zip(blocks, xt_blocks)])
-    return AdmmState(x_next, lam_next, Z_next), sol
+    return State.stack(x_next, Z_next, lam_next), sol

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gnesolve.admm import AdmmState, admm_iterate, initial_state, relax
+from gnesolve.admm import State, admm_iterate, initial_state, relax
 from gnesolve.errors import InexactnessError, StructuralError, ValidationError
 from gnesolve.operators import (block_diag, incidence_sandwich,
                                 inequality_preconditioner, point_products)
@@ -39,22 +39,25 @@ def pack(*blocks):
     return np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks])
 
 
-def _unpack(sizes, m, w):
+def _check_length(sizes, w):
     if w.size != sum(sizes):
         raise StructuralError(
             f"stacked iterate has length {w.size}, expected {sum(sizes)}")
-    x, *rows = np.split(w, np.cumsum(sizes[:-1]))
-    return (x, *(r.reshape(-1, m) for r in rows))
 
 
-def unpack_plain(game, graph, w):
-    """Views ``x, Z (M, m), lam (N, m)`` of a plain stacked iterate."""
-    return _unpack(layout_sizes(game, graph), game.m, w)
+def plain_state(game, graph, w):
+    """The solver's `State` over a plain stacked iterate ``w``: its views
+    ``x``, ``Z`` (M, m) and ``lam`` (N, m)."""
+    _check_length(layout_sizes(game, graph), w)
+    return State(w, game.n, graph.n_edges, game.m)
 
 
 def unpack_lifted(game, graph, w):
     """Views ``x, eta (N, m), Z (M, m), theta (N, m)`` of a lifted iterate."""
-    return _unpack(layout_sizes(game, graph, lifted=True), game.m, w)
+    sizes = layout_sizes(game, graph, lifted=True)
+    _check_length(sizes, w)
+    x, *rows = np.split(w, np.cumsum(sizes[:-1]))
+    return (x, *(r.reshape(-1, game.m) for r in rows))
 
 
 # -- the relaxed proximal-point step ----------------------------------------------
@@ -95,8 +98,9 @@ def run_proxpoint(resolvent, w0, rho, n_iters):
 class InequalityResolvent:
     """Structured resolvent for the inequality-coupling operator.
 
-    It is the splitting's sweep, `splitting_iterate`, on the unpacked
-    blocks: the subgame, then the edge and the projected multiplier blocks.
+    It is the splitting's sweep, `splitting_iterate`, on the solver's
+    `State` over the iterate: the subgame, then the edge and the projected
+    multiplier blocks.
     Inexactness enters only through the subgame solve; the certified bound
     inflates the subgame tolerance by the norm of the linear map the error
     passes through.
@@ -118,13 +122,12 @@ class InequalityResolvent:
         self.nu_factor = float(np.sqrt(1.0 + (2.0 * HLam_norm) ** 2))
 
     def solve(self, w, nu):
-        x, Z, lam = unpack_plain(self.game, self.graph, w)
+        state = plain_state(self.game, self.graph, w)
         swept, sol = splitting_iterate(
-            self.game, self.graph, self.params, AdmmState(x, lam, Z),
-            point_products(self.game, self.graph, x, Z, lam), self.inner,
-            nu / self.nu_factor)
-        return ResolventStep(pack(swept.x, swept.Z, swept.lam),
-                             self.nu_factor * sol.certificate.bound)
+            self.game, self.graph, self.params, state,
+            point_products(self.game, self.graph, state.x, state.Z, state.lam),
+            self.inner, nu / self.nu_factor)
+        return ResolventStep(swept.w, self.nu_factor * sol.certificate.bound)
 
 
 class LiftedEqualityResolvent:
@@ -205,7 +208,7 @@ def mapped_state(game, graph, params, w):
     x, eta, Z, theta = unpack_lifted(game, graph, w)
     tracked = game.local_residual(x) + graph.node_aggregate(Z)
     lam = eta - theta - params.apply_H(tracked)
-    return AdmmState(x, lam, Z)
+    return State.stack(x, Z, lam)
 
 
 def correspondence_check(game, graph, params, n_iters, inner, seed=0,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gnesolve as gs
-from gnesolve.admm import initial_state, relax
+from gnesolve.admm import State, initial_state, relax
 from gnesolve.diagnostics import consensus_error, kkt_residual
 from gnesolve.errors import ValidationError
 from gnesolve.operators import inequality_preconditioner
@@ -19,7 +19,7 @@ from conftest import edge_flow_for
 from helpers import dense_preconditioner, linear_part, products
 from reference import (InequalityResolvent, LiftedEqualityResolvent,
                        correspondence_check, fejer_check, pack, pppa_step,
-                       run_proxpoint, unpack_plain)
+                       run_proxpoint)
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -104,7 +104,7 @@ def test_criterion_3_correspondence():
 def test_criterion_4_splitting_equivalence():
     game, graph, params, inner = toy_setup(gs.INEQUALITY)
     state = initial_state(game, graph, seed=0)
-    w = pack(state.x, state.Z, state.lam)
+    w = state.w
     resolvent = InequalityResolvent(game, graph, params, inner)
     worst = 0.0
     for _ in range(100):
@@ -112,10 +112,7 @@ def test_criterion_4_splitting_equivalence():
                                      products(game, graph, state), inner, 0.0)
         state = relax(state, swept, params.rho)
         w, _ = pppa_step(resolvent, w, 0.0, params.rho)
-        x2, Z2, lam2 = unpack_plain(game, graph, w)
-        worst = max(worst, float(np.abs(state.x - x2).max()),
-                    float(np.abs(state.Z - Z2).max()),
-                    float(np.abs(state.lam - lam2).max()))
+        worst = max(worst, float(np.abs(state.w - w).max()))
     report(4, worst <= 1e-12,
            f"max pointwise deviation {worst:.2e} over 100 iterations")
 
@@ -138,11 +135,10 @@ def test_criterion_5_fejer_monotonicity():
     game_i, graph_i, params_i, inner_i = toy_setup(gs.INEQUALITY)
     x_i, lam_i = oracle_inequality_solution()
     Z_i = edge_flow_for(graph_i, -game_i.local_residual(x_i))
-    w_star_i = pack(x_i, Z_i, np.full((2, 1), lam_i))
+    w_star_i = State.stack(x_i, Z_i, np.full((2, 1), lam_i)).w
     resolvent_i = InequalityResolvent(game_i, graph_i, params_i, inner_i)
     phi_i = dense_preconditioner(params_i, game_i, graph_i)
-    sti = initial_state(game_i, graph_i, seed=0)
-    w0_i = pack(sti.x, sti.Z, sti.lam)
+    w0_i = initial_state(game_i, graph_i, seed=0).w
     history_i = run_proxpoint(resolvent_i, w0_i, params_i.rho, 400)
     rep_in = fejer_check(history_i, phi_i, w_star_i)
     ok = rep_eq.monotone and rep_in.monotone

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import gnesolve as gs
-from gnesolve.admm import (AdmmState, admm_iterate, initial_state, relax,
-                           run_admm)
+from gnesolve.admm import State, admm_iterate, initial_state, relax, run_admm
 from gnesolve.errors import DivergenceError, ValidationError
 from gnesolve.splitting import run_splitting
 from conftest import edge_flow_for
@@ -18,7 +17,7 @@ ALGORITHMS = {"admm": ("eq_game", run_admm),
 def kkt_state(game, graph, solution):
     lam = np.full((game.n_players, game.m), solution["lambda"])
     Z = edge_flow_for(graph, -game.local_residual(solution["x"]))
-    return AdmmState(np.asarray(solution["x"], dtype=float), lam, Z)
+    return State.stack(solution["x"], Z, lam)
 
 
 def test_fixed_point_invariance(eq_game, pair_graph, toy_params, exact_inner):
@@ -45,6 +44,33 @@ def test_componentwise_equals_compact(eq_game, pair_graph, toy_params,
         assert np.linalg.norm(a.lam - b.lam) <= 1e-12
         assert np.linalg.norm(a.Z - b.Z) <= 1e-12
         state = a
+
+
+def test_state_is_one_vector_and_relax_allocates(eq_game, pair_graph):
+    # x, Z and lam are views of one vector in (x, Z, lam) order; relax
+    # returns a new vector and leaves both inputs as they were, since the
+    # driver still reads the old one (the previous decisions, the anchor)
+    game, _ = eq_game
+    state = initial_state(game, pair_graph, seed=1)
+    n, mM = game.n, game.m * pair_graph.n_edges
+    assert state.w.flags.c_contiguous and state.w.dtype == float
+    assert state.w.shape == (n + mM + game.m * game.n_players,)
+    for block, view in ((state.x, state.w[:n]), (state.Z, state.w[n:n + mM]),
+                        (state.lam, state.w[n + mM:])):
+        assert block.base is state.w and np.shares_memory(block, state.w)
+        assert np.array_equal(block.reshape(-1), view)
+    assert state.Z.shape == (pair_graph.n_edges, game.m)
+    assert state.lam.shape == (game.n_players, game.m)
+    swept = State.stack(state.x + 1.0, state.Z - 2.0, state.lam + 3.0)
+    before, swept_before = state.w.copy(), swept.w.copy()
+    new = relax(state, swept, 1.5)
+    assert np.array_equal(state.w, before)
+    assert np.array_equal(swept.w, swept_before)
+    assert not np.shares_memory(new.w, state.w)
+    assert not np.shares_memory(new.w, swept.w)
+    assert np.array_equal(new.w, before + 1.5 * (swept_before - before))
+    assert new.x.base is new.w and new.lam.base is new.w
+    assert np.array_equal(new.lam, state.lam + 4.5)
 
 
 def test_rho_one_is_unrelaxed(eq_game, pair_graph, exact_inner):

@@ -74,6 +74,42 @@ def test_trace_round_trip(tmp_path):
     assert float(rows[1]["certified"]) == 0.2
 
 
+def test_trace_writer_prints_numpy_floats_as_python_floats(tmp_path):
+    # numpy 2 reprs a float64 as "np.float64(...)"; the writer prints it as
+    # the Python float of the same value, nan included, and the integer
+    # columns as plain integers
+    values = (0.1, 1e-05, 1e16, 5e-324, -0.0, float("inf"), 2.0 / 3.0)
+    rows = [TraceRow(k, v, v / 3, 1e-3 * v, 7.0, float("nan"), k + 1, v, 0.0)
+            for k, v in enumerate(values, start=1)]
+    as_numpy = [TraceRow(np.int64(row[0]),
+                         *map(np.float64, row[1:6]), np.int64(row[6]),
+                         *map(np.float64, row[7:])) for row in rows]
+    plain, numpy_rows = tmp_path / "plain.csv", tmp_path / "numpy.csv"
+    write_trace_csv(plain, rows)
+    write_trace_csv(numpy_rows, as_numpy)
+    assert plain.read_bytes() == numpy_rows.read_bytes()
+    lines = plain.read_text().splitlines()
+    assert lines[0] == ",".join(TRACE_COLUMNS)
+    assert lines[1] == "1,0.1,0.03333333333333333,0.0001,7.0,nan,2,0.1,0.0"
+    assert lines[5] == "5,-0.0,-0.0,-0.0,7.0,nan,6,-0.0,0.0"
+    for line, row in zip(lines[1:], rows):
+        fields = line.split(",")
+        assert [int(fields[0]), int(fields[6])] == [row.k, row.inner_iterations]
+        assert all(repr(float(field)) == field for i, field in enumerate(fields)
+                   if i not in (0, 6))
+
+
+@pytest.mark.parametrize("index, value", [
+    (0, 1.0), (6, 2.5), (1, np.float32(0.5)), (3, "0.5"), (8, 1)])
+def test_trace_writer_refuses_mistyped_values(tmp_path, index, value):
+    # a float in an integer column, or a non-float in a float column, would
+    # print a form the trace does not use
+    row = list(sample_rows()[0])
+    row[index] = value
+    with pytest.raises((TypeError, ValueError)):
+        write_trace_csv(tmp_path / "trace.csv", [TraceRow(*row)])
+
+
 # -- full CLI -------------------------------------------------------------------------
 
 QUAD_CFG = """
@@ -683,6 +719,26 @@ def test_malformed_instance_file_is_a_validation_error(tmp_path, capsys,
         assert main([command, str(cfg)]) == 2
         assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_params_seed_must_reach_a_preset(tmp_path, monkeypatch, capsys):
+    # a params.seed that no preset reads used to be accepted and echoed; the
+    # default seed, echoed by every run, stays accepted
+    out = tmp_path / "out"
+    monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(out))
+    cfg = tmp_path / "exp.cfg"
+    rate = (CONFIGS / "rate-control.cfg").read_text()
+    cfg.write_text(rate + "params.seed = 7\n")
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert ("params.seed = 7 is ignored: no params.preset reads it"
+                in capsys.readouterr().err)
+    assert not out.exists()
+    cfg.write_text(rate + "params.seed = 0\n")
+    assert main(["validate", str(cfg)]) == 0
+    task = (CONFIGS / "task-allocation.cfg").read_text()
+    cfg.write_text(task.replace("params.seed = 0", "params.seed = 7"))
+    assert main(["validate", str(cfg)]) == 0
 
 
 def test_task_allocation_preset_takes_the_configured_rho():

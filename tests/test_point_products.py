@@ -83,9 +83,9 @@ def test_inner_start_reads_the_anchor_gradient(name):
     swept, _ = iterate(game, graph, params, start, fresh(game, graph, start),
                        inner, 1e-3)
     width = game.box_upper - game.box_lower
-    outside = gs.AdmmState(np.where(np.arange(game.n) == 0,
-                                    game.box_upper + 0.05 * width, swept.x),
-                           swept.lam, swept.Z)
+    outside = gs.State.stack(np.where(np.arange(game.n) == 0,
+                                      game.box_upper + 0.05 * width, swept.x),
+                             swept.Z, swept.lam)
     assert np.array_equal(game.project(start.x), start.x)
     assert not np.array_equal(game.project(outside.x), outside.x)
     modes = ["residual", "oracle"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gnesolve as gs
+from gnesolve.admm import State
 from gnesolve.errors import InexactnessError, ValidationError
 from gnesolve.games import Box, Player
 from conftest import edge_flow_for
@@ -10,7 +11,7 @@ from helpers import (MatrixResolvent, constraint_matrix, dense_lifted_jacobian,
                      dense_preconditioner, incidence_kron, linear_part)
 from reference import (InequalityResolvent, LiftedEqualityResolvent,
                        ResolventStep, fejer_check, pack, pppa_step,
-                       run_proxpoint, unpack_plain)
+                       plain_state, run_proxpoint)
 
 
 # -- engine on scalar operators ---------------------------------------------------
@@ -128,7 +129,8 @@ def test_inequality_resolvent_inclusion(ineq_game, pair_graph, toy_params,
     for _ in range(100):
         w = rng.normal(size=Phi.shape[0])
         what = resolvent.solve(w, 0.0).point
-        x_hat, Z_hat, lam_hat = unpack_plain(game, pair_graph, what)
+        hat = plain_state(game, pair_graph, what)
+        x_hat, Z_hat, lam_hat = hat.x, hat.Z, hat.lam
         lhs = Phi @ (w - what)
         # decision rows: pseudo-gradient plus price
         px = game.pseudo_gradient(x_hat) + Lam.T @ lam_hat.reshape(-1)
@@ -261,9 +263,9 @@ def test_fejer_monotonicity_inequality(ineq_game, pair_graph, toy_params,
     Phi = dense_preconditioner(toy_params, game, pair_graph)
     lam_star = np.full((2, 1), solution["lambda"])
     Z_star = edge_flow_for(pair_graph, -game.local_residual(solution["x"]))
-    w_star = pack(solution["x"], Z_star, lam_star)
-    w0 = pack(np.array([4.0, -6.0]), np.array([[2.0]]),
-                    np.array([[1.0], [3.0]]))
+    w_star = State.stack(solution["x"], Z_star, lam_star).w
+    w0 = State.stack(np.array([4.0, -6.0]), np.array([[2.0]]),
+                     np.array([[1.0], [3.0]])).w
     history = run_proxpoint(resolvent, w0, 1.1, 200)
     report = fejer_check(history, Phi, w_star)
     assert report.monotone
@@ -273,9 +275,8 @@ def test_proxpoint_converges_to_zero(ineq_game, pair_graph, toy_params,
                                      exact_inner):
     game, solution = ineq_game
     resolvent = InequalityResolvent(game, pair_graph, toy_params, exact_inner)
-    w0 = pack(np.zeros(2), np.zeros((1, 1)), np.zeros((2, 1)))
-    w = run_proxpoint(resolvent, w0, 1.1, 2000)[-1]
-    x, Z, lam = unpack_plain(game, pair_graph, w)
-    assert np.linalg.norm(x - solution["x"]) <= 1e-6
-    assert np.allclose(lam, solution["lambda"], atol=1e-6)
+    w0 = State.stack(np.zeros(2), np.zeros((1, 1)), np.zeros((2, 1))).w
+    end = plain_state(game, pair_graph, run_proxpoint(resolvent, w0, 1.1, 2000)[-1])
+    assert np.linalg.norm(end.x - solution["x"]) <= 1e-6
+    assert np.allclose(end.lam, solution["lambda"], atol=1e-6)
 

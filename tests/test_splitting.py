@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import gnesolve as gs
-from gnesolve.admm import AdmmState, initial_state, relax
+from gnesolve.admm import State, initial_state, relax
 from gnesolve.errors import ValidationError
 from gnesolve.operators import step_size_margins
 from gnesolve.splitting import run_splitting, splitting_iterate
 from gnesolve.subgames import Subgame
 from conftest import edge_flow_for
 from helpers import products
-from reference import InequalityResolvent, pack, pppa_step, unpack_plain
+from reference import InequalityResolvent, pppa_step
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def test_fixed_point_invariance(ineq_game, pair_graph, toy_params,
     game, solution = ineq_game
     lam = np.full((2, 1), solution["lambda"])
     Z = edge_flow_for(pair_graph, -game.local_residual(solution["x"]))
-    state = AdmmState(np.asarray(solution["x"]), lam, Z)
+    state = State.stack(solution["x"], Z, lam)
     new, _ = splitting_iterate(game, pair_graph, toy_params, state,
                                products(game, pair_graph, state),
                                exact_inner, 0.0)
@@ -90,7 +90,7 @@ def test_parallel_steps_commute(ineq_game, pair_graph, toy_params,
         lam = rng.uniform(-0.1, 1.0, (rc_game.n_players, rc_game.m))
         Z = rng.normal(size=(rc_graph.n_edges, rc_game.m))
         cases.append((rc_game, rc_graph, rc_params, gs.InnerSolver(), 1e-3,
-                      AdmmState(x, lam, Z)))
+                      State.stack(x, Z, lam)))
     for game, graph, params, inner, mu, state in cases:
         swept, _ = splitting_iterate(game, graph, params, state,
                                      products(game, graph, state), inner, mu)
@@ -165,7 +165,7 @@ def test_matches_proxpoint_path(ineq_game, pair_graph, toy_params,
     # one-to-one correspondence with the stacked resolvent iteration
     game, _ = ineq_game
     state = initial_state(game, pair_graph, seed=3)
-    w = pack(state.x, state.Z, state.lam)
+    w = state.w
     resolvent = InequalityResolvent(game, pair_graph, toy_params, exact_inner)
     worst = 0.0
     for _ in range(100):
@@ -174,9 +174,5 @@ def test_matches_proxpoint_path(ineq_game, pair_graph, toy_params,
                                      exact_inner, 0.0)
         state = relax(state, swept, toy_params.rho)
         w, _ = pppa_step(resolvent, w, 0.0, toy_params.rho)
-        x2, Z2, lam2 = unpack_plain(game, pair_graph, w)
-        worst = max(worst,
-                    np.abs(state.x - x2).max(),
-                    np.abs(state.Z - Z2).max(),
-                    np.abs(state.lam - lam2).max())
+        worst = max(worst, np.abs(state.w - w).max())
     assert worst <= 1e-12
