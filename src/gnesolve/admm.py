@@ -41,6 +41,10 @@ class State:
         self.Z = w[n:n + n_edges * m].reshape(n_edges, m)
         self.lam = w[n + n_edges * m:].reshape(-1, m)
 
+    def like(self, w: np.ndarray) -> "State":
+        """The state over ``w`` with this state's layout."""
+        return State(w, self.x.size, *self.Z.shape)
+
     @classmethod
     def stack(cls, x, Z, lam) -> "State":
         """The state of copies of the blocks ``x``, ``Z`` and ``lam``."""
@@ -64,19 +68,22 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     residual, and edge step along ``W`` times the multiplier-signal
     differences.  ``at`` holds the residual products of ``state``, which
     the subgame reads.  Each per-player and per-edge row reads only its own
-    data and its neighbours' signals."""
+    data and its neighbours' signals.  The blocks are written into one new
+    state vector."""
     x, lam, Z = state.x, state.lam, state.Z
+    out = state.like(np.empty_like(state.w))
     sol = inner.solve(equality_subgame(game, params, x, lam, at), mu)
+    out.x[:] = sol.x
     tracked_t = game.local_residual(sol.x) + graph.node_aggregate(Z)
     h_t = params.apply_H(tracked_t)
-    lam_t = lam + h_t
-    Z_t = Z - params.apply_W(graph.edge_differences(lam_t + h_t))
-    return State.stack(sol.x, Z_t, lam_t), sol
+    np.add(lam, h_t, out=out.lam)
+    np.subtract(Z, params.apply_W(graph.edge_differences(out.lam + h_t)), out=out.Z)
+    return out, sol
 
 
 def relax(state: State, swept: State, rho: float) -> State:
     """``w + rho (w_hat - w)`` in a new vector; callers still read the old one."""
-    return State(state.w + rho * (swept.w - state.w), state.x.size, *state.Z.shape)
+    return state.like(state.w + rho * (swept.w - state.w))
 
 
 @dataclass(frozen=True)

@@ -294,27 +294,31 @@ def task_allocation_game(seed: int) -> Game:
     def prices(load: np.ndarray) -> np.ndarray:
         return kappa - chi * _soft_log1p(load)
 
-    # the profile oracles apply `@` to the worker stacks, which evaluates
-    # each worker's products exactly as the per-worker oracles do (einsum
-    # would reorder the sums and change the last bit).  The transpose stays
-    # a view, which makes `@` run the per-block kernel of `A[w].T @ price`
-    At = A.transpose(0, 2, 1)
+    # the profile oracles as flat products over the 56-entry profile: Q and c
+    # hold the demand and regularizer terms, 2 (p p^T + S) y - 2 d p, the
+    # block-diagonal Abd gives every worker's own contribution A_w y_w, and
+    # `task` names the task of each of its rows.  They sum in another order
+    # than the per-worker oracles, and agree with them to 1e-12
+    # (tests/test_games.py)
+    Q = np.zeros((4 * N_WORKERS, 4 * N_WORKERS))
+    Abd = np.zeros((N_TASKS * N_WORKERS, 4 * N_WORKERS))
+    for w in range(N_WORKERS):
+        Q[4 * w:4 * w + 4, 4 * w:4 * w + 4] = 2.0 * (np.outer(p[w], p[w]) + S[w])
+        Abd[N_TASKS * w:N_TASKS * w + N_TASKS, 4 * w:4 * w + 4] = A[w]
+    c = (2.0 * d[:, None] * p).reshape(-1)
+    task = np.tile(np.arange(N_TASKS), N_WORKERS)
+    q_flat, xi_flat, l_flat = q.reshape(-1), xi.reshape(-1), l.reshape(-1)
 
     def _grad_profile(x: np.ndarray, with_branch: bool) -> np.ndarray:
         load = A_full @ x
         price = prices(load)
         slope = chi * _soft_log1p_grad(load)
-        y = x.reshape(N_WORKERS, 4, 1)
-        own = A @ y
-        demand = (p[:, None, :] @ y)[:, 0] - d[:, None]
-        g = (2.0 * demand * p + (2.0 * S @ y)[:, :, 0]
-             - (At @ price[:, None])[:, :, 0]
-             + (At @ (slope[:, None] * own))[:, :, 0])
+        g = (Q @ x - c - A_full.T @ price
+             + Abd.T @ (slope[task] * (Abd @ x)))
         if with_branch:
-            y = y[:, :, 0]
-            quad = q * y * y - xi * y
-            g = g + np.where(quad >= l * y, 2.0 * q * y - xi, l)
-        return g.reshape(-1)
+            quad = q_flat * x * x - xi_flat * x
+            g += np.where(quad >= l_flat * x, 2.0 * q_flat * x - xi_flat, l_flat)
+        return g
 
     def profile_oracle(x: np.ndarray) -> np.ndarray:
         return _grad_profile(x, with_branch=True)
@@ -345,10 +349,12 @@ def task_allocation_game(seed: int) -> Game:
         for w in range(N_WORKERS)
     ]
 
-    l_flat, lower, upper = l.reshape(-1), np.zeros(N_WORKERS * 4), B.reshape(-1)
+    lower, upper = np.zeros(N_WORKERS * 4), B.reshape(-1)
 
     def separable_prox(v: np.ndarray, gamma: float) -> np.ndarray:
-        return np.clip(v - gamma * l_flat, lower, upper)
+        # np.minimum/np.maximum equal np.clip bit for bit, without its
+        # Python-level wrapper
+        return np.minimum(np.maximum(v - gamma * l_flat, lower), upper)
 
     workers = {"q": q, "xi": xi, "l": l, "d": d, "p": p, "S": S, "B": B}
     game = Game(players, EQUALITY,

@@ -95,6 +95,11 @@ def _build_params(cfg: ExperimentConfig, game: Game, graph: CommGraph) -> AlgoPa
     preset = cfg.get("params.preset")
     seed = cfg.get_int("params.seed")
     if preset == "task-allocation":
+        # the default step sizes are echoed by every run; others reach nothing
+        for key in ("params.r", "params.h", "params.w"):
+            if cfg.get_float(key) != float(DEFAULTS[key]):
+                raise ConfigError(f"{key} = {cfg.get(key)} is ignored: "
+                                  f"params.preset = {preset} draws the step sizes")
         return benchgames.task_allocation_params(game, graph, seed, rho, mu0)
     if preset:
         raise ConfigError(f"unknown params preset {preset!r}")

@@ -200,8 +200,9 @@ class Game:
         return [x[o:o + d] for o, d in zip(self.offsets, self.dims)]
 
     def project(self, x) -> np.ndarray:
-        """Projection onto the product of the private boxes."""
-        return np.clip(self._profile(x), self.box_lower, self.box_upper)
+        """Projection onto the product of the private boxes (`np.clip` bit
+        for bit, without its Python-level wrapper)."""
+        return np.minimum(np.maximum(self._profile(x), self.box_lower), self.box_upper)
 
     def sample_profile(self, rng: SplitMix64) -> np.ndarray:
         """Profile drawn uniformly in the product box, coordinate by

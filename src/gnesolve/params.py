@@ -125,7 +125,10 @@ class AlgoParams:
     def apply_R(self, v: np.ndarray) -> np.ndarray:
         """Blockwise product ``R v`` on a stacked profile vector whose
         player dimensions are the orders of the ``R`` blocks."""
-        padded = np.zeros(self._R_stack.shape[:2])
+        shape = self._R_stack.shape[:2]
+        if isinstance(self._r_index, slice):    # equal orders: no padding
+            return (self._R_stack @ v.reshape(*shape, 1)).reshape(-1)
+        padded = np.zeros(shape)
         padded.reshape(-1)[self._r_index] = v
         return (self._R_stack @ padded[:, :, None]).reshape(-1)[self._r_index]
 

@@ -31,15 +31,18 @@ def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     The subgame solve and the edge update read only the given data and
     commute; the multiplier update consumes both through reflected terms.
     With diagonal ``H`` the projection onto the orthant in the ``H^-1``
-    metric is a plain clamp.
+    metric is a plain clamp.  The blocks are written into one new state
+    vector.
     """
     x, lam, Z = state.x, state.lam, state.Z
+    out = state.like(np.empty_like(state.w))
     sol = inner.solve(inequality_subgame(game, params, x, at), mu)
-    Z_t = Z - params.apply_W(at.edge_differences)
+    out.x[:] = sol.x
+    np.subtract(Z, params.apply_W(at.edge_differences), out=out.Z)
     reflected = (game.constraint_rows(2.0 * sol.x - x)
-                 + graph.node_aggregate(2.0 * Z_t - Z) - game.b_rows)
-    lam_t = np.maximum(lam + params.apply_H(reflected), 0.0)
-    return State.stack(sol.x, Z_t, lam_t), sol
+                 + graph.node_aggregate(2.0 * out.Z - Z) - game.b_rows)
+    np.maximum(lam + params.apply_H(reflected), 0.0, out=out.lam)
+    return out, sol
 
 
 def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,

@@ -4,7 +4,7 @@ import pytest
 import gnesolve as gs
 from gnesolve.admm import State, admm_iterate, initial_state, relax, run_admm
 from gnesolve.errors import DivergenceError, ValidationError
-from gnesolve.splitting import run_splitting
+from gnesolve.splitting import run_splitting, splitting_iterate
 from conftest import edge_flow_for
 from helpers import admm_iterate_componentwise, equality_subgame_at, products
 from reference import correspondence_check
@@ -71,6 +71,24 @@ def test_state_is_one_vector_and_relax_allocates(eq_game, pair_graph):
     assert np.array_equal(new.w, before + 1.5 * (swept_before - before))
     assert new.x.base is new.w and new.lam.base is new.w
     assert np.array_equal(new.lam, state.lam + 4.5)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_sweeps_write_one_new_state(algorithm, request, pair_graph, toy_params,
+                                    exact_inner):
+    # each sweep writes its three blocks into one new vector, and leaves
+    # the state it starts from, which the driver still reads, as it was
+    game, _ = request.getfixturevalue(ALGORITHMS[algorithm][0])
+    iterate = admm_iterate if algorithm == "admm" else splitting_iterate
+    state = initial_state(game, pair_graph, seed=3)
+    before = state.w.copy()
+    swept, sol = iterate(game, pair_graph, toy_params, state,
+                         products(game, pair_graph, state), exact_inner, 0.0)
+    assert np.array_equal(state.w, before)
+    assert not np.shares_memory(swept.w, state.w)
+    assert all(block.base is swept.w for block in (swept.x, swept.Z, swept.lam))
+    assert np.array_equal(swept.x, sol.x)
+    assert np.isfinite(swept.w).all()
 
 
 def test_rho_one_is_unrelaxed(eq_game, pair_graph, exact_inner):

@@ -741,6 +741,25 @@ def test_params_seed_must_reach_a_preset(tmp_path, monkeypatch, capsys):
     assert main(["validate", str(cfg)]) == 0
 
 
+def test_task_allocation_preset_refuses_step_sizes_it_ignores(tmp_path, monkeypatch,
+                                                             capsys):
+    # the preset draws R, H and W, so a params.r, params.h or params.w
+    # other than the default, which every run echoes, reaches nothing
+    out = tmp_path / "out"
+    monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(out))
+    cfg = tmp_path / "exp.cfg"
+    task = (CONFIGS / "task-allocation.cfg").read_text()
+    for line in ("params.r = 5.0", "params.h = 0.3", "params.w = 0.25"):
+        cfg.write_text(task + line + "\n")
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            assert (f"{line} is ignored: params.preset = task-allocation "
+                    "draws the step sizes" in capsys.readouterr().err)
+    assert not out.exists()
+    cfg.write_text(task + "params.r = 10\nparams.h = 0.5\nparams.w = 0.50\n")
+    assert main(["validate", str(cfg)]) == 0
+
+
 def test_task_allocation_preset_takes_the_configured_rho():
     # the preset draws R, H and W; the relaxation factor is the config's,
     # as summary.json's parameter echo reports it (it used to be 1.1 always)

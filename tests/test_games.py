@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -36,6 +37,41 @@ def test_project_rejects_a_wrong_length_profile():
     game = box_game(np.zeros(2), np.full(2, 5.0))
     with pytest.raises(StructuralError, match="profile length 1, expected 2"):
         game.project(np.array([5.0]))
+
+
+#: entries on which a clamp can differ from np.clip: signed zeros, infinities,
+#: nan, the smallest subnormals and normal, and ordinary values
+CLAMP_EDGES = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        2.2250738585072014e-308, -1.5, 0.5, 1.0, 2.5])
+
+
+def same_bits(a, b) -> bool:
+    """Equal as IEEE bit patterns: signs of zero and nan payloads included."""
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
+                          np.asarray(b, dtype=float).view(np.int64))
+
+
+def test_box_steps_equal_np_clip_bit_for_bit():
+    # Game.project and task allocation's separable prox clamp with
+    # np.minimum/np.maximum instead of np.clip; they must give its bits, with
+    # the same bound arrays, on the edge entries and on the bounds themselves
+    for lower, upper in itertools.product((0.0, -0.0, 5e-324, -1.0, -np.inf),
+                                          (1.0, 5e-324, np.inf)):
+        if not lower < upper:
+            continue
+        v = np.concatenate([CLAMP_EDGES, [lower, upper]])
+        game = box_game(np.full(v.size, lower), np.full(v.size, upper))
+        assert same_bits(game.project(v),
+                         np.clip(v, game.box_lower, game.box_upper))
+    game = gs.task_allocation_game(0)
+    l = np.concatenate([w["l"] for w in game.generator["workers"]])
+    lower, upper = game.box_lower, game.box_upper
+    edges = np.resize(CLAMP_EDGES, game.n)
+    for v in (edges, lower, upper, -lower, edges + upper, edges - upper):
+        for gamma in (0.0, 0.5):
+            assert same_bits(game.separable_prox(v, gamma),
+                             np.clip(v - gamma * l, lower, upper))
+            assert same_bits(game.project(v), np.clip(v, lower, upper))
 
 
 def test_box_rejects_empty_interior():
@@ -96,30 +132,39 @@ def blockwise(game, x):
 
 
 def test_profile_oracle_matches_blockwise():
+    # the vectorized oracles against the per-player ones, on the box and at
+    # shifted points whose rates and loads go negative (the soft-log
+    # helpers' slow branch); task allocation's are flat products that sum
+    # in another order than its per-worker oracles, so agreement is to
+    # 1e-12, not bit for bit
+    negative_loads = 0
     for build in (lambda: gs.rate_control_game(0),
                   lambda: gs.task_allocation_game(0),
                   lambda: gs.quadratic_game()[0]):
         game = build()
+        A = np.hstack([p.A for p in game.players])
         rng = SplitMix64(9)
         for _ in range(5):
             x = game.sample_profile(rng)
-            assert np.allclose(game.pseudo_gradient(x),
-                               blockwise(game, x),
-                               rtol=1e-12, atol=1e-12)
-            if game.smooth_oracle is not None:
+            for y in (x, x - 0.5 * game.box_upper, x - game.box_upper):
+                reference = blockwise(game, y)
+                assert np.allclose(game.pseudo_gradient(y), reference,
+                                   rtol=1e-12, atol=1e-12)
+                if game.smooth_oracle is None:
+                    continue
                 # task allocation: smooth part plus the max-branch selection
-                # (ties to the quadratic branch), rebuilt from the payload
+                # (ties to the quadratic branch), rebuilt from the payload;
+                # the box holds only the linear branch, and the shifted
+                # points reach the quadratic one at their negative coordinates
                 workers = game.generator["workers"]
                 q, xi, l = (np.concatenate([w[key] for w in workers])
                             for key in ("q", "xi", "l"))
-                # the box holds only the linear branch; the shifted point
-                # reaches the quadratic one at its negative coordinates
-                for y in (x, x - 0.5 * game.box_upper):
-                    branch = np.where(q * y * y - xi * y >= l * y,
-                                      2.0 * q * y - xi, l)
-                    assert np.allclose(game.smooth_oracle(y) + branch,
-                                       game.profile_oracle(y),
-                                       rtol=1e-12, atol=1e-12)
+                branch = np.where(q * y * y - xi * y >= l * y,
+                                  2.0 * q * y - xi, l)
+                assert np.allclose(game.smooth_oracle(y) + branch, reference,
+                                   rtol=1e-12, atol=1e-12)
+                negative_loads += (A @ y).min() < 0.0
+    assert negative_loads >= 5
 
 
 def _where_soft_log1p(u):
