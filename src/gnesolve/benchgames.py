@@ -21,25 +21,20 @@ from .rng import SplitMix64
 
 # -- smooth extension of log(1 + u) below zero ---------------------------------
 
-def _soft_log1p(u: np.ndarray) -> np.ndarray:
-    """log(1+u) for u >= 0, quadratic C^2 extension for u < 0.
+def _soft_log1p_and_grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(1+u) and its derivative for u >= 0, with a quadratic C^2
+    extension for u < 0.
 
     Relaxed iterates can leave the box by a fraction of its width; the
     extension keeps logarithmic utilities defined there while agreeing with
     the exact formula on the box.  When no entry is negative (every call on
-    the box) only the exact formula is evaluated.
+    the box) only the exact formulas are evaluated.
     """
-    u = np.asarray(u, dtype=float)
     if u.min() >= 0.0:
-        return np.log1p(u)
-    return np.where(u >= 0.0, np.log1p(np.maximum(u, 0.0)), u - 0.5 * u * u)
-
-
-def _soft_log1p_grad(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.min() >= 0.0:
-        return 1.0 / (1.0 + u)
-    return np.where(u >= 0.0, 1.0 / (1.0 + np.maximum(u, 0.0)), 1.0 - u)
+        return np.log1p(u), 1.0 / (1.0 + u)
+    nonnegative, clamped = u >= 0.0, np.maximum(u, 0.0)
+    return (np.where(nonnegative, np.log1p(clamped), u - 0.5 * u * u),
+            np.where(nonnegative, 1.0 / (1.0 + clamped), 1.0 - u))
 
 
 # -- quadratic two-player oracle game -------------------------------------------
@@ -114,7 +109,7 @@ def quadratic_game(t=(2.0, 1.0), delta: float = 0.5, c: float = 1.0,
         G = J + np.diag(Rb)
 
         def solve(anchor, shift):
-            rhs = Rb * np.asarray(anchor, dtype=float) + t - np.asarray(shift, dtype=float)
+            rhs = Rb * anchor + t - shift
             y = np.linalg.solve(G, rhs)
             y0, y1 = y.tolist()
             if low <= y0 <= high and low <= y1 <= high:
@@ -201,7 +196,7 @@ def rate_control_game(seed: int) -> Game:
         d = kappa / den
         own_price = A.T @ d
         marginal = A.T @ (kappa / (den * den))
-        return -chi * _soft_log1p_grad(x) + own_price + x * marginal
+        return -chi * _soft_log1p_and_grad(x)[1] + own_price + x * marginal
 
     def make_oracle(i: int):
         cols = np.flatnonzero(A[:, i])
@@ -210,7 +205,7 @@ def rate_control_game(seed: int) -> Game:
             x = np.insert(others, i, xi_own[0])
             load = A @ x
             den = C - load + xi
-            grad = -chi[i] * _soft_log1p_grad(xi_own[0])
+            grad = -chi[i] * _soft_log1p_and_grad(xi_own[0])[1]
             grad += float(np.sum(kappa[cols] / den[cols]))
             grad += xi_own[0] * float(np.sum(kappa[cols] / den[cols] ** 2))
             return np.array([grad])
@@ -291,30 +286,34 @@ def task_allocation_game(seed: int) -> Game:
 
     A_full = np.hstack(A)
 
-    def prices(load: np.ndarray) -> np.ndarray:
-        return kappa - chi * _soft_log1p(load)
+    def prices_and_slopes(load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        value, grad = _soft_log1p_and_grad(load)
+        return kappa - chi * value, chi * grad
 
     # the profile oracles as flat products over the 56-entry profile: Q and c
-    # hold the demand and regularizer terms, 2 (p p^T + S) y - 2 d p, the
-    # block-diagonal Abd gives every worker's own contribution A_w y_w, and
-    # `task` names the task of each of its rows.  They sum in another order
+    # hold the demand and regularizer terms, 2 (p p^T + S) y - 2 d p.  Every
+    # channel (column of A_full) feeds one task, t_col, with weight a_col, so
+    # A_full^T v is a_col v[t_col] exactly.  Channels come in pairs (pair_col)
+    # that feed one task each (t_pair), and a worker's own contribution to a
+    # task is the sum over the pair that feeds it.  They sum in another order
     # than the per-worker oracles, and agree with them to 1e-12
     # (tests/test_games.py)
     Q = np.zeros((4 * N_WORKERS, 4 * N_WORKERS))
-    Abd = np.zeros((N_TASKS * N_WORKERS, 4 * N_WORKERS))
     for w in range(N_WORKERS):
         Q[4 * w:4 * w + 4, 4 * w:4 * w + 4] = 2.0 * (np.outer(p[w], p[w]) + S[w])
-        Abd[N_TASKS * w:N_TASKS * w + N_TASKS, 4 * w:4 * w + 4] = A[w]
     c = (2.0 * d[:, None] * p).reshape(-1)
-    task = np.tile(np.arange(N_TASKS), N_WORKERS)
+    t_pair = np.array(TASK_PATTERN).reshape(-1)
+    t_col = np.repeat(t_pair, 2)
+    a_col = A_full[t_col, np.arange(4 * N_WORKERS)]
+    pair_col = np.arange(4 * N_WORKERS) // 2
     q_flat, xi_flat, l_flat = q.reshape(-1), xi.reshape(-1), l.reshape(-1)
 
     def _grad_profile(x: np.ndarray, with_branch: bool) -> np.ndarray:
-        load = A_full @ x
-        price = prices(load)
-        slope = chi * _soft_log1p_grad(load)
-        g = (Q @ x - c - A_full.T @ price
-             + Abd.T @ (slope[task] * (Abd @ x)))
+        price, slope = prices_and_slopes(A_full @ x)
+        channel = a_col * x
+        own = channel[0::2] + channel[1::2]
+        g = (Q @ x - c - a_col * price[t_col]
+             + a_col * (slope[t_pair] * own)[pair_col])
         if with_branch:
             quad = q_flat * x * x - xi_flat * x
             g += np.where(quad >= l_flat * x, 2.0 * q_flat * x - xi_flat, l_flat)
@@ -329,9 +328,7 @@ def task_allocation_game(seed: int) -> Game:
     def make_oracle(w: int):
         def oracle(y, others):
             x = np.concatenate([others[:4 * w], y, others[4 * w:]])
-            load = A_full @ x
-            price = prices(load)
-            slope = chi * _soft_log1p_grad(load)
+            price, slope = prices_and_slopes(A_full @ x)
             own = A[w] @ y
             # ties resolve to the first (quadratic) branch
             quad = q[w] * y * y - xi[w] * y

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .games import EQUALITY, Game, as_vector
+from .games import EQUALITY, Game
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def kkt_residual(game: Game, x, lam, tol: float = 1e-6) -> KktReport:
     nonnegative.  ``is_variational`` is true when every component is
     below ``tol``.
     """
-    x = as_vector(x)
+    x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     local = lam.ndim == 2
     shared = lam.mean(axis=0) if local else lam

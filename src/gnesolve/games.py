@@ -11,6 +11,7 @@ supported, which keeps projections exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -81,18 +82,20 @@ class Player:
         object.__setattr__(self, "b", b)
 
 
-def as_vector(x) -> np.ndarray:
-    """The profile as a flat float array."""
-    return np.asarray(x, dtype=float)
-
-
 def _checked(g, shape: tuple, source: str, name: str) -> np.ndarray:
     """An oracle's output as a float array; raises `StructuralError` unless
-    it has ``shape``, and `NumericError` unless its entries are finite."""
-    g = np.asarray(g, dtype=float)
+    it has ``shape``, and `NumericError` unless its entries are finite.
+
+    A finite ``g . g`` proves every entry finite at the cost of one dot
+    product; only when it is not (a non-finite entry, or a square sum that
+    overflows) are the entries tested one by one.  `np.vdot` computes it
+    because, unlike ``dot``, it warns of no overflow, so huge finite
+    entries pass silently."""
+    if type(g) is not np.ndarray or g.dtype != np.float64:
+        g = np.asarray(g, dtype=float)
     if g.shape != shape:
         raise StructuralError(f"{source} returned shape {g.shape}, expected {shape}")
-    if not np.isfinite(g).all():
+    if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
         raise NumericError(f"{name} has non-finite entries")
     return g
 
@@ -190,7 +193,7 @@ class Game:
 
     def _profile(self, x) -> np.ndarray:
         """``x`` as a flat float array; raises unless it has length ``n``."""
-        x = as_vector(x)
+        x = np.asarray(x, dtype=float)
         if x.size != self.n:
             raise StructuralError(f"profile length {x.size}, expected {self.n}")
         return x
@@ -229,8 +232,11 @@ class Game:
 
     def constraint_rows(self, x) -> np.ndarray:
         """(N, m) array with row ``i`` equal to ``A_i x_i``."""
+        x = self._profile(x)
+        if isinstance(self._index, slice):      # equal orders: no padding
+            return (self._A_stack @ x.reshape(self.n_players, self._order, 1))[:, :, 0]
         padded = np.zeros((self.n_players, self._order))
-        padded.reshape(-1)[self._index] = self._profile(x)
+        padded.reshape(-1)[self._index] = x
         return (self._A_stack @ padded[:, :, None])[:, :, 0]
 
     def local_residual(self, x) -> np.ndarray:
@@ -260,8 +266,8 @@ class Game:
         absorbed into its prox, so fixed points characterize solutions even
         where the subgradient selection is discontinuous.
         """
-        x = as_vector(x)
-        price = as_vector(price)
+        x = np.asarray(x, dtype=float)
+        price = np.asarray(price, dtype=float)
         return self.backward_step(x - (self.smooth_gradient(x) + price), 1.0)
 
     def smooth_gradient(self, x) -> np.ndarray:

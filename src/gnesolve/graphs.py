@@ -30,9 +30,8 @@ class CommGraph:
     def node_aggregate(self, per_edge: np.ndarray) -> np.ndarray:
         """Signed sum of incident edge values at every node: ``V @ Z``.
 
-        ``per_edge`` is an (M, m) array; the result is (N, m).
+        ``per_edge`` is an (M, m) float array; the result is (N, m).
         """
-        per_edge = np.asarray(per_edge, dtype=float)
         if per_edge.shape[0] != self.n_edges:
             raise StructuralError(
                 f"expected {self.n_edges} edge values, got {per_edge.shape[0]}")
@@ -41,9 +40,8 @@ class CommGraph:
     def edge_differences(self, per_node: np.ndarray) -> np.ndarray:
         """Target-minus-source difference along every edge: ``V^T x``.
 
-        ``per_node`` is an (N, m) array; the result is (M, m).
+        ``per_node`` is an (N, m) float array; the result is (M, m).
         """
-        per_node = np.asarray(per_node, dtype=float)
         if per_node.shape[0] != self.n_nodes:
             raise StructuralError(
                 f"expected {self.n_nodes} node values, got {per_node.shape[0]}")

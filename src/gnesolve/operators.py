@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError, ValidationError
-from .games import EQUALITY, Game, as_vector
+from .games import EQUALITY, Game
 from .graphs import CommGraph
 from .params import AlgoParams
 
@@ -159,19 +159,17 @@ class PointProducts:
 
 
 def point_products(game: Game, graph: CommGraph, x, Z, lam) -> PointProducts:
-    """The products of the game and graph maps at ``(x, Z, lam)``."""
-    x = as_vector(x)
-    lam = np.asarray(lam, dtype=float)
+    """The products of the game and graph maps at ``(x, Z, lam)``, float
+    arrays of the state's shapes."""
     return PointProducts(
         game.smooth_gradient(x),
-        game.local_residual(x) + graph.node_aggregate(np.asarray(Z, dtype=float)),
+        game.local_residual(x) + graph.node_aggregate(Z),
         game.price_gradient(lam), graph.edge_differences(lam))
 
 
 def _stationarity(game: Game, x, at: PointProducts) -> float:
     """Natural-map residual ``|x - natural_step(x, price)|``, from the
     gradient and price already in hand."""
-    x = as_vector(x)
     return norm(x - game.backward_step(x - (at.gradient + at.price_gradient), 1.0))
 
 
@@ -202,7 +200,6 @@ def residual_inequality(game: Game, graph: CommGraph, x, Z,
     negativity, so such states are accepted.
     """
     at = point_products(game, graph, x, Z, lam)
-    lam = np.asarray(lam, dtype=float)
     edge = norm(at.edge_differences)
     feas = norm(np.maximum(at.tracked, 0.0))
     comp = norm(lam - np.maximum(lam + at.tracked, 0.0))

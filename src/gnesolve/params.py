@@ -40,6 +40,14 @@ def _check_spd(stack: np.ndarray, name: str, first: int = 0) -> np.ndarray:
     return eigs
 
 
+def _diagonal(stack: np.ndarray) -> np.ndarray | None:
+    """The diagonals of a stack of square blocks, (count, order), if every
+    block is diagonal; otherwise None."""
+    diag = stack.diagonal(axis1=1, axis2=2)
+    # no nonzero entry off the diagonals
+    return diag.copy() if np.count_nonzero(stack) == np.count_nonzero(diag) else None
+
+
 @dataclass
 class AlgoParams:
     """Per-player and per-edge SPD step matrices plus the relaxation factor.
@@ -61,6 +69,12 @@ class AlgoParams:
     r_min, r_max : float
         Smallest and largest eigenvalue over the ``R`` blocks, computed
         once at construction.
+
+    Construction also notes whether each of the ``R``, ``H`` and ``W``
+    stacks is diagonal, as every shipped preset's is; a diagonal stack is
+    applied as one elementwise product with its stored diagonal, which
+    gives the batched product's bits, and any other through the batched
+    product.
     """
 
     R: list
@@ -92,6 +106,10 @@ class AlgoParams:
             raise StructuralError("W must be an (M, m, m) array")
         _check_spd(self.H, "H")
         _check_spd(self.W, "W")
+        r_diag = _diagonal(self._R_stack)
+        self._r_diag = None if r_diag is None else r_diag.reshape(-1)[self._r_index]
+        self._h_diag = _diagonal(self.H)
+        self._w_diag = _diagonal(self.W)
         if not (1.0 <= self.rho < 2.0):
             raise ValidationError(
                 f"relaxation factor rho={self.rho} outside [1, 2)")
@@ -125,6 +143,8 @@ class AlgoParams:
     def apply_R(self, v: np.ndarray) -> np.ndarray:
         """Blockwise product ``R v`` on a stacked profile vector whose
         player dimensions are the orders of the ``R`` blocks."""
+        if self._r_diag is not None:
+            return self._r_diag * v
         shape = self._R_stack.shape[:2]
         if isinstance(self._r_index, slice):    # equal orders: no padding
             return (self._R_stack @ v.reshape(*shape, 1)).reshape(-1)
@@ -134,10 +154,14 @@ class AlgoParams:
 
     def apply_H(self, rows: np.ndarray) -> np.ndarray:
         """Per-player products ``H_i rows_i`` on an (N, m) array."""
+        if self._h_diag is not None:
+            return self._h_diag * rows
         return (self.H @ rows[:, :, None])[:, :, 0]
 
     def apply_W(self, rows: np.ndarray) -> np.ndarray:
         """Per-edge products ``W_l rows_l`` on an (M, m) array."""
+        if self._w_diag is not None:
+            return self._w_diag * rows
         return (self.W @ rows[:, :, None])[:, :, 0]
 
     def r_min_eig(self) -> float:
@@ -149,4 +173,4 @@ class AlgoParams:
         return self.r_max
 
     def h_is_diagonal(self) -> bool:
-        return all(np.count_nonzero(Hi - np.diag(np.diag(Hi))) == 0 for Hi in self.H)
+        return self._h_diag is not None

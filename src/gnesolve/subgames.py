@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (InexactnessError, MonotonicityError, StructuralError,
                      ValidationError)
-from .games import Game, as_vector
+from .games import Game
 from .operators import PointProducts, norm
 from .params import AlgoParams
 
@@ -30,7 +30,8 @@ class Subgame:
     gradient at the anchor, which the residual at the anchor computed; an
     iterative solve starts at the anchor, where the subgame's ``G`` is
     ``anchor_gradient + shift`` and costs no oracle call and no ``R``
-    product.
+    product.  ``anchor``, ``shift`` and ``anchor_gradient`` are float
+    vectors of length ``n``.
     """
 
     game: Game
@@ -40,9 +41,6 @@ class Subgame:
     anchor_gradient: np.ndarray
 
     def __post_init__(self):
-        self.anchor = as_vector(self.anchor)
-        self.shift = as_vector(self.shift)
-        self.anchor_gradient = as_vector(self.anchor_gradient)
         n = self.game.n
         shapes = (self.anchor.shape, self.shift.shape, self.anchor_gradient.shape)
         if any(shape != (n,) for shape in shapes):
@@ -77,7 +75,7 @@ def equality_subgame(game: Game, params: AlgoParams, x, lam,
     locally tracked constraint residual ``A_i x_i + (V Z)_i - b_i``
     (``at.tracked``), pulled back through ``A_i^T``.
     """
-    price = np.asarray(lam, dtype=float) + params.apply_H(at.tracked)
+    price = lam + params.apply_H(at.tracked)
     return Subgame(game, x, game.price_gradient(price), params, at.gradient)
 
 

@@ -125,6 +125,32 @@ def test_oracle_shape_and_finiteness_errors():
         game.pseudo_gradient(np.zeros(2))
 
 
+def test_checked_refuses_non_finite_entries_and_passes_huge_ones():
+    # one dot product proves an oracle value finite; when it is not finite
+    # the entries are tested one by one, so NaN and both infinities raise,
+    # while entries whose square sum overflows pass, without a warning
+    # (pytest turns warnings into errors)
+    from gnesolve.games import _checked
+    for bad in (np.nan, np.inf, -np.inf):
+        g = np.ones(5)
+        g[3] = bad
+        with pytest.raises(NumericError, match="gradient has non-finite entries"):
+            _checked(g, (5,), "oracle", "gradient")
+    huge = np.array([1e200, -1e200, 1e200, 0.0, 1.0])
+    assert _checked(huge, (5,), "oracle", "gradient") is huge
+    huge[2] = np.nan
+    with pytest.raises(NumericError):
+        _checked(huge, (5,), "oracle", "gradient")
+    # other inputs are converted to float arrays before the shape test
+    assert np.array_equal(_checked([1, 2], (2,), "oracle", "gradient"), [1.0, 2.0])
+    with pytest.raises(StructuralError, match=r"returned shape \(1, 2\)"):
+        _checked(np.zeros((1, 2)), (2,), "oracle", "gradient")
+    player = Player(3, lambda xi, o: xi, np.zeros((1, 3)), np.zeros(1),
+                    Box(-np.ones(3), np.ones(3)))
+    game = gs.Game([player], gs.EQUALITY, profile_oracle=lambda x: 1e200 * x)
+    assert np.array_equal(game.pseudo_gradient(np.ones(3)), np.full(3, 1e200))
+
+
 def blockwise(game, x):
     """Pseudo-gradient through the per-player oracles: the same players in
     a game without the vectorized profile oracle."""
@@ -168,19 +194,22 @@ def test_profile_oracle_matches_blockwise():
 
 
 def _where_soft_log1p(u):
-    u = np.asarray(u, dtype=float)
     return np.where(u >= 0.0, np.log1p(np.maximum(u, 0.0)), u - 0.5 * u * u)
 
 
 def _where_soft_log1p_grad(u):
-    u = np.asarray(u, dtype=float)
     return np.where(u >= 0.0, 1.0 / (1.0 + np.maximum(u, 0.0)), 1.0 - u)
 
 
-def test_price_helpers_fast_path_bit_identical(monkeypatch):
-    # the nonnegative-input fast path of the soft-log helpers reproduces the
-    # two-branch formula bit for bit, on the box and on shifted profiles
-    # whose loads and rates are partly negative
+def _where_soft_log1p_and_grad(u):
+    return _where_soft_log1p(u), _where_soft_log1p_grad(u)
+
+
+def test_soft_log1p_fast_path_bit_identical(monkeypatch):
+    # the nonnegative-input fast path of the soft-log helper (value and
+    # slope, with one `min` test) reproduces the two-branch formulas bit for
+    # bit, on the box and on shifted profiles whose loads and rates are
+    # partly negative
     from gnesolve import benchgames
     games = (gs.rate_control_game(0), gs.task_allocation_game(0))
     rng = SplitMix64(21)
@@ -196,12 +225,10 @@ def test_price_helpers_fast_path_bit_identical(monkeypatch):
             for g, y in points]
     loads = [np.concatenate([y, np.hstack([p.A for p in g.players]) @ y])
              for g, y in points]
-    helpers = [(benchgames._soft_log1p(u), benchgames._soft_log1p_grad(u))
-               for u in loads]
-    assert any(u.min() < 0.0 for u in loads)
+    helpers = [benchgames._soft_log1p_and_grad(u) for u in loads]
+    assert sum(u.min() < 0.0 for u in loads) >= 5
     assert any(u.min() >= 0.0 for u in loads)
-    monkeypatch.setattr(benchgames, "_soft_log1p", _where_soft_log1p)
-    monkeypatch.setattr(benchgames, "_soft_log1p_grad", _where_soft_log1p_grad)
+    monkeypatch.setattr(benchgames, "_soft_log1p_and_grad", _where_soft_log1p_and_grad)
     for (g, y), got in zip(points, fast):
         want = [getattr(g, name)(y) for name in oracles
                 if getattr(g, name) is not None] + [blockwise(g, y)]
@@ -271,6 +298,27 @@ def test_stacked_coupling_matches_per_player_forms(dims, m, equal_dims, seed):
                     np.zeros((game.n_players + 1, m))):
         with pytest.raises(StructuralError):
             game.price_gradient(bad_lam)
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 16),
+       st.integers(0, 2 ** 31))
+@settings(max_examples=40, deadline=None)
+def test_constraint_rows_skip_padding_bit_for_bit(order, n_players, m, seed):
+    # with equal block orders the profile is the padded layout itself, so
+    # constraint_rows multiplies it directly; that gives the bits of the
+    # zero-filled, scattered padding
+    rng = np.random.default_rng(seed)
+    players = [Player(order, lambda xi, o: np.zeros_like(xi),
+                      rng.normal(size=(m, order)), rng.normal(size=m),
+                      Box(-np.ones(order), np.ones(order)))
+               for _ in range(n_players)]
+    game = gs.Game(players, gs.EQUALITY)
+    assert isinstance(game._index, slice)
+    x = rng.normal(size=game.n)
+    padded = np.zeros((n_players, order))
+    padded.reshape(-1)[:] = x
+    want = (game._A_stack @ padded[:, :, None])[:, :, 0]
+    assert np.array_equal(game.constraint_rows(x), want)
 
 
 def test_stacked_coupling_bit_identical_on_shipped_games():

@@ -116,6 +116,48 @@ def test_apply_blocks(eq_game, pair_graph, dims, seed):
         assert np.array_equal(out, blockwise)
 
 
+def _diagonal_stack(rng, count, order):
+    return np.stack([np.diag(rng.uniform(0.1, 5.0, order)) for _ in range(count)])
+
+
+def _batched(stack, rows):
+    return (stack @ rows[:, :, None])[:, :, 0]
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       st.sampled_from([1, 16]), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_diagonal_stacks_apply_as_vectors_bit_for_bit(dims, m, seed):
+    # diagonal R, H and W are applied as one elementwise product with their
+    # stored diagonals, which gives the batched products' bits, mixed R
+    # orders (padding) included; a stack with one off-diagonal entry keeps
+    # the batched path
+    rng = np.random.default_rng(seed)
+    game = _zero_game(dims)
+    R = [np.diag(rng.uniform(0.1, 5.0, d)) for d in dims]
+    H = _diagonal_stack(rng, len(dims), m)
+    W = _diagonal_stack(rng, 3, m)
+    params = AlgoParams(R, H, W, 1.0)
+    assert params.h_is_diagonal()
+    v = rng.uniform(-10.0, 10.0, game.n)
+    rows, edge_rows = rng.normal(size=(len(dims), m)), rng.normal(size=(3, m))
+    blocks = np.concatenate([Ri @ vi for Ri, vi in zip(R, game.split(v))])
+    assert np.array_equal(params.apply_R(v), blocks)
+    # one more, dense, block sends the same blocks down the batched path
+    batched = AlgoParams(R + [np.ones((5, 5)) + np.eye(5)], H, W, 1.0)
+    assert batched._r_diag is None
+    assert np.array_equal(params.apply_R(v),
+                          batched.apply_R(np.concatenate([v, np.zeros(5)]))[:game.n])
+    assert np.array_equal(params.apply_H(rows), _batched(H, rows))
+    assert np.array_equal(params.apply_W(edge_rows), _batched(W, edge_rows))
+    if m > 1:
+        dense = H.copy()
+        dense[0, 0, 1] = dense[0, 1, 0] = 0.01
+        coupled = AlgoParams(R, dense, W, 1.0)
+        assert not coupled.h_is_diagonal()
+        assert np.array_equal(coupled.apply_H(rows), _batched(dense, rows))
+
+
 def test_dense_forms(eq_game, pair_graph):
     game, _ = eq_game
     params = AlgoParams.uniform(game, pair_graph, 3.0, 0.5, 0.25, 1.0)
