@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -78,12 +79,7 @@ def _build_graph(cfg: ExperimentConfig, game: Game) -> CommGraph:
                                parse_edge_list(edges, game.n_players))
     if not name:
         return path_graph(game.n_players)
-    graph = benchgames.benchmark_graph(name)
-    if graph.n_nodes != game.n_players:
-        raise ConfigError(
-            f"graph {name!r} has {graph.n_nodes} nodes but the game has "
-            f"{game.n_players} players")
-    return graph
+    return benchgames.benchmark_graph(name)
 
 
 def _build_params(cfg: ExperimentConfig, game: Game, graph: CommGraph) -> AlgoParams:
@@ -127,16 +123,9 @@ def _setup(cfg: ExperimentConfig):
     graph = _build_graph(cfg, game)
     params = _build_params(cfg, game, graph)
     algorithm = _algorithm(cfg, game)
-    inner = InnerSolver(cfg.get("inner.mode"))   # surfaces a bad mode before any run
+    # surfaces a bad or misfit mode before any run
+    inner = InnerSolver(cfg.get("inner.mode")).bind(game, params)
     stop = StopRule(cfg.get_int("stop.max_iter"), cfg.get_float("stop.tol"))
-    if cfg.get("inner.mode") == "residual" and params.mu0 == 0.0:
-        raise ConfigError(
-            "a zero tolerance schedule (params.mu = exact, or params.mu0 = 0) "
-            "needs inner.mode = exact or oracle: residual mode cannot certify "
-            "an exactly zero tolerance")
-    if cfg.get("inner.mode") == "exact" and game.exact_subgame_solver is None:
-        raise ConfigError("inner.mode = exact needs a game with a "
-                          "closed-form subgame solver (the quadratic games)")
     return game, graph, params, algorithm, inner, stop
 
 
@@ -209,13 +198,7 @@ def cmd_run(args) -> int:
         "wall_seconds": wall,
         "validator_margins": result.margins,
         "monotonicity": result.monotonicity,
-        "kkt": {
-            "stationarity_per_player": list(kkt.stationarity_per_player),
-            "feasibility": kkt.feasibility,
-            "consensus": kkt.consensus,
-            "complementarity": kkt.complementarity,
-            "is_variational": kkt.is_variational,
-        },
+        "kkt": dataclasses.asdict(kkt),
         "final_residuals": result.residuals.__dict__,
         "parameters": _parameter_echo(cfg),
     }

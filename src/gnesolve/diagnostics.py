@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import EQUALITY, Game
+from .operators import norm
 
 
 @dataclass(frozen=True)
@@ -30,9 +31,8 @@ def _stationarity_blocks(game: Game, x: np.ndarray, lam: np.ndarray) -> tuple:
     """Natural-map residual per player for one shared multiplier."""
     price = game.price_gradient(np.broadcast_to(lam, (game.n_players, game.m)))
     stepped = game.natural_step(x, price)
-    return tuple(
-        float(np.linalg.norm(xi - si))
-        for xi, si in zip(game.split(x), game.split(stepped)))
+    return tuple(norm(xi - si)
+                 for xi, si in zip(game.split(x), game.split(stepped)))
 
 
 def kkt_residual(game: Game, x, lam, tol: float = 1e-6) -> KktReport:
@@ -58,15 +58,15 @@ def kkt_residual(game: Game, x, lam, tol: float = 1e-6) -> KktReport:
     consensus = consensus_error(lam) if local else 0.0
     gap = game.coupling_gap(x)
     if game.kind == EQUALITY:
-        feasibility = float(np.linalg.norm(gap))
+        feasibility = norm(gap)
         complementarity = None
     else:
         if local:
             shared = np.maximum(shared, 0.0)
         if shared.min() < 0:
             raise ValidationError("the shared multiplier must be nonnegative")
-        feasibility = float(np.linalg.norm(np.maximum(gap, 0.0)))
-        complementarity = float(np.linalg.norm(np.minimum(shared, -gap)))
+        feasibility = norm(np.maximum(gap, 0.0))
+        complementarity = norm(np.minimum(shared, -gap))
     stationarity = _stationarity_blocks(game, x, shared)
     ok = (all(s <= tol for s in stationarity) and feasibility <= tol
           and consensus <= tol

@@ -47,8 +47,12 @@ def incidence_sandwich(V: np.ndarray, B: np.ndarray) -> np.ndarray:
 # -- step-size validation -------------------------------------------------------
 
 def _check_fit(params: AlgoParams, game: Game, graph: CommGraph) -> None:
-    """The step matrices must match the game and graph: one ``R_i`` of
-    order ``d_i`` per player, ``H`` of shape (N, m, m), ``W`` of (M, m, m)."""
+    """The graph and step matrices must match the game: one graph node and
+    one ``R_i`` of order ``d_i`` per player, ``H`` of shape (N, m, m), ``W``
+    of (M, m, m) for the graph's M edges."""
+    if graph.n_nodes != game.n_players:
+        raise StructuralError(f"the graph has {graph.n_nodes} nodes but the "
+                              f"game has {game.n_players} players")
     m = game.m
     for name, given, expected in (
             ("R block orders", tuple(Ri.shape[0] for Ri in params.R), game.dims),

@@ -48,6 +48,16 @@ def _diagonal(stack: np.ndarray) -> np.ndarray | None:
     return diag.copy() if np.count_nonzero(stack) == np.count_nonzero(diag) else None
 
 
+def _apply_rows(stack: np.ndarray, diag: np.ndarray | None,
+                rows: np.ndarray) -> np.ndarray:
+    """Per-block products ``stack_j rows_j`` on a (count, m) array: one
+    elementwise product with the stack's diagonals ``diag`` when it is
+    diagonal, otherwise the batched product."""
+    if diag is not None:
+        return diag * rows
+    return (stack @ rows[:, :, None])[:, :, 0]
+
+
 @dataclass
 class AlgoParams:
     """Per-player and per-edge SPD step matrices plus the relaxation factor.
@@ -120,11 +130,9 @@ class AlgoParams:
     def uniform(cls, game: Game, graph: CommGraph, r: float, h: float,
                 w: float, rho: float, mu0: float = 1.0) -> "AlgoParams":
         """Scalar step sizes replicated into identity blocks."""
-        m = game.m
-        R = [r * np.eye(p.dim) for p in game.players]
-        H = np.stack([h * np.eye(m)] * game.n_players)
-        W = np.stack([w * np.eye(m)] * graph.n_edges)
-        return cls(R, H, W, rho, mu0)
+        return cls.diagonal([np.full(p.dim, r) for p in game.players],
+                            np.full((game.n_players, game.m), h),
+                            np.full((graph.n_edges, game.m), w), rho, mu0)
 
     @classmethod
     def diagonal(cls, r_diags: Sequence[np.ndarray], h_diags: np.ndarray,
@@ -145,24 +153,17 @@ class AlgoParams:
         player dimensions are the orders of the ``R`` blocks."""
         if self._r_diag is not None:
             return self._r_diag * v
-        shape = self._R_stack.shape[:2]
-        if isinstance(self._r_index, slice):    # equal orders: no padding
-            return (self._R_stack @ v.reshape(*shape, 1)).reshape(-1)
-        padded = np.zeros(shape)
+        padded = np.zeros(self._R_stack.shape[:2])
         padded.reshape(-1)[self._r_index] = v
         return (self._R_stack @ padded[:, :, None]).reshape(-1)[self._r_index]
 
     def apply_H(self, rows: np.ndarray) -> np.ndarray:
         """Per-player products ``H_i rows_i`` on an (N, m) array."""
-        if self._h_diag is not None:
-            return self._h_diag * rows
-        return (self.H @ rows[:, :, None])[:, :, 0]
+        return _apply_rows(self.H, self._h_diag, rows)
 
     def apply_W(self, rows: np.ndarray) -> np.ndarray:
         """Per-edge products ``W_l rows_l`` on an (M, m) array."""
-        if self._w_diag is not None:
-            return self._w_diag * rows
-        return (self.W @ rows[:, :, None])[:, :, 0]
+        return _apply_rows(self.W, self._w_diag, rows)
 
     def r_min_eig(self) -> float:
         """Smallest eigenvalue over the ``R`` blocks; same as ``r_min``."""

@@ -143,7 +143,8 @@ class InnerSolver:
     """Solves regularized subgames to a certified distance bound.
 
     ``"exact"`` uses the game's closed-form regularized-equilibrium solver,
-    bound to a run's ``R`` blocks by `bind`.
+    bound to a run's ``R`` blocks by `bind`, which refuses a game without
+    one.
     ``"residual"`` (the default) runs forward-backward steps (`_steps`) and
     stops at the first iterate whose computable error bound
     ``|(y - y+)/gamma - G(y) + G(y+)| / r_min`` certifies the tolerance; the
@@ -163,12 +164,24 @@ class InnerSolver:
         self._run = (None, None, None)
 
     def bind(self, game: Game, params: AlgoParams) -> "InnerSolver":
-        """This solver for one run of ``game`` with ``params``.  Exact mode
-        binds the game's closed-form solver to the run's ``R`` blocks here,
-        once, instead of at every solve; other subgames are still solved
-        with their own blocks."""
-        if self.mode != "exact" or game.exact_subgame_solver is None:
+        """This solver for one run of ``game`` with ``params``; raises
+        `ValidationError` if the mode cannot solve that run's subgames:
+        exact mode needs the game's closed-form solver, residual mode a
+        positive tolerance scale ``params.mu0``.  Exact mode binds the
+        closed-form solver to the run's ``R`` blocks here, once, instead of
+        at every solve; other subgames are still solved with their own
+        blocks."""
+        if self.mode == "residual" and params.mu0 == 0.0:
+            raise ValidationError(
+                "a zero tolerance schedule (params.mu = exact, or params.mu0 "
+                "= 0) needs inner.mode = exact or oracle: residual mode "
+                "cannot certify an exactly zero tolerance")
+        if self.mode != "exact":
             return self
+        if game.exact_subgame_solver is None:
+            raise ValidationError(
+                "exact inner mode requires a game with a closed-form "
+                "regularized-equilibrium solver (the quadratic games)")
         bound = InnerSolver(self.mode)
         bound._run = (game, params, game.exact_subgame_solver(params.R))
         return bound
@@ -177,42 +190,32 @@ class InnerSolver:
         if not mu >= 0.0:
             raise ValidationError(f"inner tolerance must be nonnegative, got {mu}")
         if self.mode == "exact":
-            return self._solve_exact(sub)
-        if self.mode == "residual":
-            if mu == 0.0:
-                raise ValidationError(
-                    "residual mode cannot certify an exactly zero tolerance")
-            for y, bound, it, ratio in _steps(sub):
-                if bound <= mu:
-                    return InnerSolution(y, InnerCertificate(bound, it, ratio))
-            target = mu
-        else:
-            # keeps the first iterate certifying mu (the reference if none
-            # comes before it) and bounds it by its distance to the reference
-            found = None
-            for y, bound, it, ratio in _steps(sub):
-                if found is None and bound <= mu:
-                    found = y
-                if bound <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(y)):
-                    found = y if found is None else found
-                    return InnerSolution(found, InnerCertificate(
-                        float(np.linalg.norm(found - y)), it, ratio))
-            target = FIXED_POINT_TOL
-        raise InexactnessError(
-            f"{self.mode} mode could not certify {target:.3g} "
-            f"within {MAX_INNER_STEPS} iterations", achieved=bound)
-
-    def _solve_exact(self, sub: Subgame) -> InnerSolution:
-        binder = sub.game.exact_subgame_solver
-        if binder is None:
+            game, params, solve = self._run
+            if sub.game is not game or sub.params is not params:
+                solve = self.bind(sub.game, sub.params)._run[2]
+            x_hat = np.asarray(solve(sub.anchor, sub.shift), dtype=float)
+            return InnerSolution(x_hat, InnerCertificate(0.0, 0))
+        if self.mode == "residual" and mu == 0.0:
             raise ValidationError(
-                "exact inner mode requires a game with a closed-form "
-                "regularized-equilibrium solver")
-        game, params, solve = self._run
-        if sub.game is not game or sub.params is not params:
-            solve = binder(sub.params.R)
-        x_hat = np.asarray(solve(sub.anchor, sub.shift), dtype=float)
-        return InnerSolution(x_hat, InnerCertificate(0.0, 0))
+                "residual mode cannot certify an exactly zero tolerance")
+        # residual mode returns the first iterate certifying mu; oracle mode
+        # keeps it (the reference if none comes before it) and bounds it by
+        # its distance to the reference
+        oracle = self.mode == "oracle"
+        found = None
+        for y, bound, it, ratio in _steps(sub):
+            if found is None and bound <= mu:
+                if not oracle:
+                    return InnerSolution(y, InnerCertificate(bound, it, ratio))
+                found = y
+            if oracle and bound <= FIXED_POINT_TOL * (1.0 + norm(y)):
+                found = y if found is None else found
+                return InnerSolution(found, InnerCertificate(
+                    norm(found - y), it, ratio))
+        raise InexactnessError(
+            f"{self.mode} mode could not certify "
+            f"{FIXED_POINT_TOL if oracle else mu:.3g} "
+            f"within {MAX_INNER_STEPS} iterations", achieved=bound)
 
 
 def _steps(sub: Subgame):

@@ -579,16 +579,24 @@ def test_no_eigendecomposition_above_the_largest_block(tmp_path, monkeypatch,
     assert orders and max(orders) <= largest
 
 
-def test_explicit_edge_list(tmp_path):
+def test_explicit_edge_list(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(QUAD_CFG.format(out=out) + "graph.edges = 2-1\n")
     assert main(["run", str(cfg)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["kkt"]["is_variational"] is True
-    # an explicit builtin that does not fit the game is rejected
+    # an explicit builtin that does not fit the game is refused alike by
+    # both commands, before the run writes anything
+    out = tmp_path / "misfit"
     cfg.write_text(QUAD_CFG.format(out=out) + "graph.builtin = chain15\n")
+    capsys.readouterr()
     assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "the graph has 15 nodes but the game has 2 players" in err
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edge", ["1-3", "0-1"])

@@ -236,6 +236,31 @@ def test_step_sizes_must_fit_the_game_and_graph(kind):
             step_size_margins(bad, game, chain)
 
 
+@pytest.mark.parametrize("kind", [gs.EQUALITY, gs.INEQUALITY])
+def test_graph_must_have_one_node_per_player(kind, monkeypatch):
+    # a chain one node longer or shorter than the game's players, with step
+    # sizes built for it, used to reach numpy's broadcasting error
+    if kind == gs.EQUALITY:
+        game, graph = gs.task_allocation_game(0), gs.benchmark_graph("chain15")
+        params = gs.task_allocation_params(game, graph, seed=0)
+        run = gs.run_admm
+    else:
+        game, graph = gs.rate_control_game(0), gs.benchmark_graph("chain14")
+        params = gs.rate_control_params(game, graph)
+        run = gs.run_splitting
+    calls = []
+    oracle = game.smooth_gradient
+    monkeypatch.setattr(game, "smooth_gradient",
+                        lambda y: calls.append(y) or oracle(y))
+    message = (f"^the graph has {graph.n_nodes} nodes but the game has "
+               f"{game.n_players} players$")
+    with pytest.raises(StructuralError, match=message):
+        step_size_margins(params, game, graph)
+    with pytest.raises(StructuralError, match=message):
+        run(game, graph, params, gs.InnerSolver(), gs.StopRule(5, 1e-6))
+    assert calls == []
+
+
 def random_instance(seed):
     """Two to five players of dimension 1-4 with m = 1-3 coupling rows, on
     a path graph plus random chords, with diagonal H and SPD R and W whose

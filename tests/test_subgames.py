@@ -440,7 +440,36 @@ def test_bound_exact_solver_matches_the_unbound_one(eq_game, pair_graph,
             assert np.array_equal(x, unbound.solve(sub, 0.0).x)
     for mode in ("residual", "oracle"):
         solver = InnerSolver(mode)
-        assert solver.bind(game, toy_params) is solver
+        assert solver.bind(game, other) is solver
+    # residual mode cannot certify the zero schedule of mu0 = 0
+    with pytest.raises(ValidationError, match="exactly zero tolerance"):
+        InnerSolver("residual").bind(game, toy_params)
+
+
+@pytest.mark.parametrize("name", ["rate-control", "task-allocation"])
+@pytest.mark.parametrize("mode, message", [
+    ("exact", "exact inner mode requires a game with a closed-form"),
+    ("residual", "params.mu = exact.*exactly zero tolerance")])
+def test_misfit_inner_mode_refused_before_any_oracle_call(name, mode, message,
+                                                         monkeypatch):
+    # exact mode on a game without a closed-form solver, and residual mode
+    # on a zero tolerance schedule, used to evaluate the oracle once and
+    # fail inside outer iteration 1
+    mu0 = 0.0 if mode == "residual" else 1.0
+    if name == "rate-control":
+        game, graph = gs.rate_control_game(0), gs.benchmark_graph("chain15")
+        params, run = gs.rate_control_params(game, graph, mu0), gs.run_splitting
+    else:
+        game, graph = gs.task_allocation_game(0), gs.benchmark_graph("chain14")
+        params = gs.task_allocation_params(game, graph, seed=0, mu0=mu0)
+        run = gs.run_admm
+    calls = []
+    oracle = game.smooth_gradient
+    monkeypatch.setattr(game, "smooth_gradient",
+                        lambda y: calls.append(y) or oracle(y))
+    with pytest.raises(ValidationError, match=message):
+        run(game, graph, params, InnerSolver(mode), gs.StopRule(5, 1e-6))
+    assert calls == []
 
 
 def first_subgame(name):
