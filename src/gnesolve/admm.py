@@ -31,15 +31,19 @@ from .trace import TraceRow
 class State:
     """The stacked iterate of both algorithms: one contiguous float vector
     ``w``, and its views ``x`` (n,) of the decisions, ``Z`` (M, m) of the
-    edge variables and ``lam`` (N, m) of the local multipliers, in order."""
+    edge variables and ``lam`` (N, m) of the local multipliers, in order.
+    ``history`` is the outer trajectory before it, which the sweep's
+    subgame reads (`Subgame.history`): empty unless the outer loop
+    (`iterate_to_tolerance`) set it."""
 
-    __slots__ = ("w", "x", "Z", "lam")
+    __slots__ = ("w", "x", "Z", "lam", "history")
 
     def __init__(self, w: np.ndarray, n: int, n_edges: int, m: int):
         self.w = w
         self.x = w[:n]
         self.Z = w[n:n + n_edges * m].reshape(n_edges, m)
         self.lam = w[n + n_edges * m:].reshape(-1, m)
+        self.history = ()
 
     def like(self, w: np.ndarray) -> "State":
         """The state over ``w`` with this state's layout."""
@@ -67,12 +71,13 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     ``mu``, multiplier step along ``H`` times the tracked constraint
     residual, and edge step along ``W`` times the multiplier-signal
     differences.  ``at`` holds the residual products of ``state``, which
-    the subgame reads.  Each per-player and per-edge row reads only its own
-    data and its neighbours' signals.  The blocks are written into one new
-    state vector."""
+    the subgame reads with the state's history.  Each per-player and
+    per-edge row reads only its own data and its neighbours' signals.  The
+    blocks are written into one new state vector."""
     x, lam, Z = state.x, state.lam, state.Z
     out = state.like(np.empty_like(state.w))
-    sol = inner.solve(equality_subgame(game, params, x, lam, at), mu)
+    sub = equality_subgame(game, params, x, lam, at, state.history)
+    sol = inner.solve(sub, mu)
     out.x[:] = sol.x
     tracked_t = game.local_residual(sol.x) + graph.node_aggregate(Z)
     h_t = params.apply_H(tracked_t)
@@ -128,7 +133,10 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     computed there; ``iterate`` is the algorithm's sweep from a state and
     those products, returning the unrelaxed blocks and the subgame solution
     behind them, which each outer iteration relaxes by ``params.rho``; the
-    inner solver is bound to the run (`InnerSolver.bind`).  Each trace row
+    inner solver is bound to the run (`InnerSolver.bind`).  Each relaxed
+    state carries the trajectory's last two ``(x, F(x))`` pairs before it
+    as its ``history`` (references, not copies), from which the next
+    sweep's inner solve predicts its first step.  Each trace row
     records the residuals the stop rule tests.  Successive iterates'
     smooth gradients must pass the monotonicity check ``<dF, dx> >= 0``
     (`monotone_ratio`); the result reports its smallest ratio and that of
@@ -150,9 +158,11 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
         while not converged and k < stop.max_iter:
             k += 1
             prev_x, prev_gradient = state.x, at.gradient
+            history = ((prev_x, prev_gradient), *state.history[:1])
             mu = params.mu(k)
             swept, sol = iterate(game, graph, params, state, at, inner, mu)
             state = relax(state, swept, params.rho)
+            state.history = history
             cert = sol.certificate
             inner_steps += cert.iterations
             inner_ratio = min(inner_ratio, cert.monotonicity)

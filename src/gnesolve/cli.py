@@ -27,7 +27,8 @@ from .config import (DEFAULTS, ExperimentConfig, load_config, parse_edge_list,
                      read_text)
 from .diagnostics import kkt_residual
 from .errors import (ConfigError, DivergenceError, GnesolveError,
-                     InexactnessError, NumericError, ValidationError)
+                     InexactnessError, NumericError, StructuralError,
+                     ValidationError)
 from .games import EQUALITY, INEQUALITY, Game, load_game, save_game
 from .graphs import CommGraph, build_incidence, path_graph
 from .operators import step_size_margins
@@ -145,6 +146,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _inner_step_spread(rows, mode: str) -> dict:
+    """How the inner steps spread over the solves of ``rows``: the number
+    certified in one step and the most any one took.  Exact solves take no
+    steps, so an exact run reports neither."""
+    if mode == "exact":
+        return {}
+    steps = [row.inner_iterations for row in rows]
+    return {"one_step_solves": steps.count(1),
+            "max_steps_per_solve": max(steps, default=0)}
+
+
 def _check_output_dir(out_dir: Path) -> None:
     """Raise `OSError` unless ``out_dir`` is or can become a directory."""
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
@@ -180,6 +192,7 @@ def cmd_run(args) -> int:
             "algorithm": algorithm,
             "converged": False,
             "inner_steps": exc.inner_steps,
+            **_inner_step_spread(exc.rows or [], cfg.get("inner.mode")),
             "wall_seconds": time.perf_counter() - started,
             "failure": {"error": type(exc).__name__, "message": str(exc),
                         "iteration": exc.iteration},
@@ -195,6 +208,7 @@ def cmd_run(args) -> int:
         "converged": result.converged,
         "iterations": result.iterations,
         "inner_steps": result.inner_steps,
+        **_inner_step_spread(result.rows, cfg.get("inner.mode")),
         "wall_seconds": wall,
         "validator_margins": result.margins,
         "monotonicity": result.monotonicity,
@@ -253,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, StructuralError, ValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DivergenceError as exc:

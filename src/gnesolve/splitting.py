@@ -26,7 +26,8 @@ def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
                       mu: float) -> tuple[State, InnerSolution]:
     """One unrelaxed sweep from iteration-k data, and the subgame solution
     behind its decision block.  ``at`` holds the residual products of
-    ``state``: the subgame's price and the edge differences of ``lam``.
+    ``state``: the subgame's price and the edge differences of ``lam``; the
+    subgame also reads the state's history.
 
     The subgame solve and the edge update read only the given data and
     commute; the multiplier update consumes both through reflected terms.
@@ -36,7 +37,8 @@ def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     """
     x, lam, Z = state.x, state.lam, state.Z
     out = state.like(np.empty_like(state.w))
-    sol = inner.solve(inequality_subgame(game, params, x, at), mu)
+    sub = inequality_subgame(game, params, x, at, state.history)
+    sol = inner.solve(sub, mu)
     out.x[:] = sol.x
     np.subtract(Z, params.apply_W(at.edge_differences), out=out.Z)
     reflected = (game.constraint_rows(2.0 * sol.x - x)

@@ -27,11 +27,13 @@ class Subgame:
 
     The pseudo-gradient is ``F(y) + R (y - anchor) + shift`` over the
     original product box.  ``anchor_gradient`` is the game's smooth
-    gradient at the anchor, which the residual at the anchor computed; an
-    iterative solve starts at the anchor, where the subgame's ``G`` is
-    ``anchor_gradient + shift`` and costs no oracle call and no ``R``
-    product.  ``anchor``, ``shift`` and ``anchor_gradient`` are float
-    vectors of length ``n``.
+    gradient at the anchor, which the residual at the anchor computed, so
+    the subgame's ``G`` at the anchor is ``anchor_gradient + shift`` and
+    costs no oracle call and no ``R`` product.  ``history`` holds up to two
+    ``(x, F(x))`` pairs of the outer trajectory before the anchor, newest
+    first; from two, an iterative solve predicts its first step
+    (`_steps`).  ``anchor``, ``shift``, ``anchor_gradient`` and the
+    history's arrays are float vectors of length ``n``.
     """
 
     game: Game
@@ -39,14 +41,20 @@ class Subgame:
     shift: np.ndarray
     params: AlgoParams
     anchor_gradient: np.ndarray
+    history: tuple = ()
 
     def __post_init__(self):
         n = self.game.n
-        shapes = (self.anchor.shape, self.shift.shape, self.anchor_gradient.shape)
-        if any(shape != (n,) for shape in shapes):
+        if len(self.history) > 2:
+            raise StructuralError(f"subgame history has {len(self.history)} "
+                                  f"(x, F(x)) pairs, at most 2 allowed")
+        shapes = [self.anchor.shape, self.shift.shape, self.anchor_gradient.shape]
+        for x, gradient in self.history:
+            shapes += x.shape, gradient.shape
+        if shapes.count((n,)) != len(shapes):
             raise StructuralError(
-                f"subgame anchor, shift and anchor gradient have shapes "
-                f"{', '.join(map(str, shapes))}, expected ({n},)")
+                f"subgame anchor, shift, anchor gradient and history have "
+                f"shapes {', '.join(map(str, shapes))}, expected ({n},)")
 
     def smooth_parts(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The two terms of ``G(y)``: the game's smooth gradient, and the
@@ -67,24 +75,26 @@ class Subgame:
 
 
 def equality_subgame(game: Game, params: AlgoParams, x, lam,
-                     at: PointProducts) -> Subgame:
+                     at: PointProducts, history: tuple = ()) -> Subgame:
     """Subgame of the equality algorithm at the state whose residual
-    products are ``at``.
+    products are ``at`` and whose outer trajectory is ``history``
+    (`Subgame`).
 
     The price of player ``i`` is its multiplier plus ``H_i`` times the
     locally tracked constraint residual ``A_i x_i + (V Z)_i - b_i``
     (``at.tracked``), pulled back through ``A_i^T``.
     """
     price = lam + params.apply_H(at.tracked)
-    return Subgame(game, x, game.price_gradient(price), params, at.gradient)
+    return Subgame(game, x, game.price_gradient(price), params, at.gradient,
+                   history)
 
 
 def inequality_subgame(game: Game, params: AlgoParams, x,
-                       at: PointProducts) -> Subgame:
+                       at: PointProducts, history: tuple = ()) -> Subgame:
     """Subgame of the inequality algorithm at the state whose residual
-    products are ``at``: the price is the bare multiplier's,
-    ``at.price_gradient``."""
-    return Subgame(game, x, at.price_gradient, params, at.gradient)
+    products are ``at`` and whose outer trajectory is ``history``: the
+    price is the bare multiplier's, ``at.price_gradient``."""
+    return Subgame(game, x, at.price_gradient, params, at.gradient, history)
 
 
 @dataclass(frozen=True)
@@ -169,14 +179,17 @@ class InnerSolver:
         exact mode needs the game's closed-form solver, residual mode a
         positive tolerance scale ``params.mu0``.  Exact mode binds the
         closed-form solver to the run's ``R`` blocks here, once, instead of
-        at every solve; other subgames are still solved with their own
+        at every solve, and returns a solver already bound to ``game`` and
+        ``params`` as it is; other subgames are still solved with their own
         blocks."""
         if self.mode == "residual" and params.mu0 == 0.0:
             raise ValidationError(
                 "a zero tolerance schedule (params.mu = exact, or params.mu0 "
                 "= 0) needs inner.mode = exact or oracle: residual mode "
                 "cannot certify an exactly zero tolerance")
-        if self.mode != "exact":
+        bound_game, bound_params, _ = self._run
+        if self.mode != "exact" or (bound_game is game
+                                    and bound_params is params):
             return self
         if game.exact_subgame_solver is None:
             raise ValidationError(
@@ -228,37 +241,61 @@ def _steps(sub: Subgame):
     subdifferential of the backward part at ``y+``, an operator that is
     strongly monotone with modulus ``sigma = r_min``; hence
     ``|y+ - y*| <= |e| / sigma`` for any step ``gamma``.  ``G(y+)`` is
-    reused by the next step, so each step costs one oracle call.  The
-    bound holds for any ``y``, in the box or not, so the steps start at the
-    anchor itself, whose ``G`` the subgame already holds: the start costs
-    no oracle call and no ``R`` product.
+    reused by the next step, so each step costs one oracle call.
+
+    The first step costs no more.  ``y+ = prox(v)`` puts
+    ``(v - y+) / gamma`` in the subdifferential of the backward part at
+    ``y+`` for any forward point ``v``, so the bound holds with any pair
+    ``(y0, g0)`` in place of ``(y, G(y))`` in ``v = y0 - gamma g0`` and in
+    ``e``, and ``G(y0)`` is never evaluated.  With fewer than two pairs of
+    history the first step starts at the anchor, whose ``G`` the subgame
+    holds.  With the pairs ``(x_{k-1}, F_{k-1})`` and ``(x_{k-2}, F_{k-2})``
+    before the anchor ``x_k`` (`Subgame.history`), it starts from a
+    second-order prediction of the subgame solution.  The relaxed outer
+    step ``x_{k+1} - x_k`` is ``rho`` times the move from the anchor to the
+    solution, so with ``D_k = x_k - x_{k-1}`` and ``E_k = F_k - F_{k-1}``
+    the predicted move is ``d = (2 D_k - D_{k-1}) / rho``, the predicted
+    gradient change ``dF = (2 E_k - E_{k-1}) / rho``, and
+    ``y0 = anchor + d``, ``g0 = G(anchor) + dF + R d``.  Each player's
+    block of the prediction reads only that player's own decisions and
+    gradient block, so the solve stays center-free.
 
     The bound rests on the game's smooth gradient being monotone, which
     makes ``<dG, dy> >= r_min |dy|^2`` with ``dy = y+ - y`` and
     ``dG = G(y+) - G(y)``.  Every step checks that inequality
     (`monotone_ratio`) before yielding, with a rounding allowance scaled by
     the sizes of the two terms of each ``G`` (`Subgame.smooth_parts`),
-    which stay large where ``G`` itself cancels to rounding noise.
+    which stay large where ``G`` itself cancels to rounding noise.  Only
+    exactly evaluated pairs are checked: the first step's pair is the
+    anchor and ``y+``, never the prediction.
 
     Since no step can make the bound wrong, the step adapts freely: it
     starts at ``1 / r_max`` and after each yielded step becomes
     ``min(1.5 gamma, <dG, dy> / |dG|^2)`` (Barzilai & Borwein 1988;
     Malitsky & Mishchenko 2020), or ``1.5 gamma`` when either quantity is
-    not positive.  The second term is the largest step for which the
-    forward map ``y - gamma G(y)`` contracts along the last move, so it
-    also shrinks on skew-dominated maps.  Nothing is carried from one solve
-    to the next, so equal arguments give the same trajectory.
+    not positive, again from the exactly evaluated pair.  The second term
+    is the largest step for which the forward map ``y - gamma G(y)``
+    contracts along the last move, so it also shrinks on skew-dominated
+    maps.  The trajectory depends on the subgame alone, history included,
+    so equal arguments give the same trajectory.
     """
     gamma = 1.0 / sub.params.r_max
     sigma = float(sub.params.r_min)
     y, g = sub.anchor, sub.anchor_gradient + sub.shift
     terms = (sub.anchor_gradient, sub.shift)
+    y0, g0 = y, g
+    if len(sub.history) == 2:
+        (x1, f1), (x2, f2) = sub.history
+        rho = sub.params.rho
+        d = (2.0 * (y - x1) - (x1 - x2)) / rho
+        dF = (2.0 * (sub.anchor_gradient - f1) - (f1 - f2)) / rho
+        y0, g0 = y + d, g + dF + sub.params.apply_R(d)
     ratio = math.inf
     for it in range(1, MAX_INNER_STEPS + 1):
-        y_next = sub.game.backward_step(y - gamma * g, gamma)
+        y_next = sub.game.backward_step(y0 - gamma * g0, gamma)
         gradient, pull = sub.smooth_parts(y_next)
         g_next = gradient + pull
-        bound = norm((y - y_next) / gamma - g + g_next) / sigma
+        bound = norm((y0 - y_next) / gamma - g0 + g_next) / sigma
         dy, dg = y_next - y, g_next - g
         curvature = float(dg.dot(dy))
         ratio = min(ratio, monotone_ratio(
@@ -270,3 +307,4 @@ def _steps(sub: Subgame):
         if curvature > 0.0 and dg_sq > 0.0:
             gamma = min(gamma, curvature / dg_sq)
         y, g, terms = y_next, g_next, (gradient, pull)
+        y0, g0 = y, g

@@ -225,7 +225,7 @@ def test_criterion_8_rate_control_benchmark():
     # outer and inner counts pinned: a change to either trajectory shows
     ok = (result.iterations <= 2000 and violation <= 1e-4 and cons <= 1e-4
           and comp <= 1e-3 and wall < 60.0
-          and (result.iterations, result.inner_steps) == (1087, 5471))
+          and (result.iterations, result.inner_steps) == (1090, 4404))
     report(8, ok, f"violation {violation:.2e}, consensus {cons:.2e}, "
                   f"complementarity {comp:.2e}, "
                   f"{result.iterations} iterations, "
@@ -242,7 +242,7 @@ def test_criterion_9_task_allocation_benchmark():
     gap = float(np.linalg.norm(game.coupling_gap(result.state.x)))
     cons = consensus_error(result.state.lam)
     ok = (result.iterations <= 5000 and gap <= 1e-4 and cons <= 1e-4
-          and (result.iterations, result.inner_steps) == (1869, 22849))
+          and (result.iterations, result.inner_steps) == (1870, 18485))
     report(9, ok, f"coupling gap {gap:.2e}, consensus {cons:.2e}, "
                   f"{result.iterations} iterations, "
                   f"{result.inner_steps} inner steps")

@@ -175,6 +175,28 @@ def test_summary_counts_inner_steps_of_untraced_iterations(tmp_path):
     assert summary["inner_steps"] == traced > 0
 
 
+def test_run_binds_the_exact_solver_once(tmp_path, monkeypatch):
+    # `_setup` binds the exact solver to the run; `iterate_to_tolerance`'s
+    # bind returns the bound solver, so the closed-form solver is built once
+    # per run
+    import gnesolve.benchgames
+    build = gnesolve.benchgames.BUILTIN_GAMES["quadratic-equality"]
+    bound_to = []
+
+    def counting(seed):
+        game = build(seed)
+        binder = game.exact_subgame_solver
+        game.exact_subgame_solver = lambda R: bound_to.append(R) or binder(R)
+        return game
+
+    monkeypatch.setitem(gnesolve.benchgames.BUILTIN_GAMES,
+                        "quadratic-equality", counting)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUAD_CFG.format(out=tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 0
+    assert len(bound_to) == 1
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -204,8 +226,8 @@ def test_published_configs_in_default_inner_mode(tmp_path, monkeypatch):
     # the shipped configs through `gnesolve run`, the published games with
     # residual-mode inner solves; their outer and inner counts are pinned,
     # so a change that moves a trajectory shows here
-    for name, outer, inner_steps in (("rate-control", 1_087, 1_602),
-                                     ("task-allocation", 1_869, 6_031),
+    for name, outer, inner_steps in (("rate-control", 1_090, 1_095),
+                                     ("task-allocation", 1_870, 2_948),
                                      ("quadratic-equality", 328, 0)):
         out = tmp_path / name
         monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(out))
@@ -224,6 +246,24 @@ def test_published_configs_in_default_inner_mode(tmp_path, monkeypatch):
     assert main(["run", str(CONFIGS / "rate-control.cfg")]) == 0
     assert ((tmp_path / "rerun" / "trace.csv").read_bytes()
             == (tmp_path / "rate-control" / "trace.csv").read_bytes())
+
+
+def test_summary_reports_how_inner_steps_spread(tmp_path, monkeypatch):
+    # the solves certified in one step and the most steps one solve took,
+    # from the trace's inner_iterations; exact runs take no steps and
+    # report neither, so their summaries keep their fields
+    for name in ("rate-control", "quadratic-equality"):
+        out = tmp_path / name
+        monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(out))
+        assert main(["run", str(CONFIGS / f"{name}.cfg")]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        steps = [int(r["inner_iterations"])
+                 for r in read_trace_csv(out / "trace.csv")]
+        if name == "quadratic-equality":
+            assert not {"one_step_solves", "max_steps_per_solve"} & set(summary)
+            continue
+        assert summary["one_step_solves"] == steps.count(1) == 1_085
+        assert summary["max_steps_per_solve"] == max(steps) == 2
 
 
 def test_validate_command(tmp_path, capsys):
@@ -597,6 +637,19 @@ def test_explicit_edge_list(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err == err
     assert not out.exists()
+
+
+def test_misfit_graph_is_a_validation_error(tmp_path, capsys):
+    # a graph whose node count is not the game's player count is refused
+    # like any other invalid setting
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUAD_CFG.format(out=tmp_path / "out")
+                   + "graph.builtin = chain15\n")
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: the graph has 15 nodes but the game has 2 "
+            "players\n")
 
 
 @pytest.mark.parametrize("edge", ["1-3", "0-1"])

@@ -74,6 +74,19 @@ def test_handed_products_match_a_fresh_evaluation(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", SHIPPED)
+def test_each_sweep_gets_the_two_iterates_before_it(name, monkeypatch):
+    # the warm start's history is the trajectory's last two decisions and
+    # the residual's smooth gradients there, newest first, as references
+    states = driven_states(shipped(name), 6, monkeypatch)
+    for k, (state, _) in enumerate(states):
+        before = [(s.x, at.gradient) for s, at in states[max(k - 2, 0):k]]
+        assert len(state.history) == len(before)
+        for (x, gradient), (x_was, gradient_was) in zip(state.history,
+                                                        before[::-1]):
+            assert x is x_was and gradient is gradient_was
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_inner_start_reads_the_anchor_gradient(name):
     # a poisoned gradient shows whether the inner start read it: an
     # iterative solve starts at the anchor, in the box or not, and reads it

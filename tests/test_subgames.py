@@ -319,6 +319,89 @@ def test_residual_certificate_affine_subgames(n_players, dim, prox, seed):
     assert_residual_certificates(sub, x_star, (1e-2, 1e-4, 1e-6))
 
 
+def predicting_history(sub, d, dF):
+    """Two ``(x, F(x))`` pairs from which the subgame's first inner step
+    predicts the move ``d`` and the gradient change ``dF``, up to rounding:
+    the newer pair repeats the anchor's, the older lies ``rho`` times them
+    away."""
+    rho = sub.params.rho
+    return ((sub.anchor, sub.anchor_gradient),
+            (sub.anchor + rho * d, sub.anchor_gradient + rho * dF))
+
+
+def affine_subgame(rng, n_players, dim, prox, rho):
+    """A random affine game's subgame at an anchor up to 1 outside its box,
+    with random ``SPD`` proximal blocks; only ``R`` and ``rho`` enter it,
+    ``H`` and ``W`` are placeholders."""
+    game = affine_game(rng, n_players, dim, prox)
+    R = []
+    for _ in range(n_players):
+        G = rng.normal(size=(dim, dim))
+        R.append(rng.uniform(0.2, 3.0) * np.eye(dim) + 0.5 * G @ G.T)
+    params = gs.AlgoParams(R, np.ones((n_players, 1, 1)), np.ones((1, 1, 1)),
+                           rho)
+    anchor = rng.uniform(game.box_lower - 1.0, game.box_upper + 1.0)
+    return Subgame(game, anchor, rng.normal(size=game.n), params,
+                   game.smooth_gradient(anchor))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(),
+       st.floats(1.0, 1.9), st.floats(0.0, 1e3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_warm_start_certificate_holds_for_any_prediction(n_players, dim, prox,
+                                                         rho, scale, seed):
+    # the first step's bound holds whatever the predicted move and gradient
+    # change, starts far outside the box included (the boxes are at most 3
+    # wide), and so does every certificate of the warm solve
+    rng = np.random.default_rng(seed)
+    cold = affine_subgame(rng, n_players, dim, prox, rho)
+    x_star = InnerSolver("oracle").solve(cold, 0.0).x
+    d, dF = scale * rng.normal(size=(2, cold.game.n))
+    warm = Subgame(cold.game, cold.anchor, cold.shift, cold.params,
+                   cold.anchor_gradient, predicting_history(cold, d, dF))
+    y, bound, iteration, _ = next(subgames._steps(warm))
+    assert iteration == 1
+    assert (np.linalg.norm(y - x_star)
+            <= bound + 1e-10 * (1.0 + np.linalg.norm(x_star)))
+    assert_residual_certificates(warm, x_star, (1e-2, 1e-4, 1e-6))
+
+
+def test_history_without_a_move_keeps_the_anchor_start():
+    # with fewer than two pairs, or two that predict no move, the solve takes
+    # the anchor-start trajectory bit for bit; its first step is the plain
+    # forward-backward step from the anchor at the initial step 1 / r_max
+    rng = np.random.default_rng(3)
+    for prox in (False, True):
+        cold = affine_subgame(rng, 3, 2, prox, 1.1)
+        pair = (cold.anchor, cold.anchor_gradient)
+        trajectories = []
+        for history in ((), (pair,), (pair, pair)):
+            sub = Subgame(cold.game, cold.anchor, cold.shift, cold.params,
+                          cold.anchor_gradient, history)
+            trajectories.append(list(itertools.islice(subgames._steps(sub), 30)))
+        first = trajectories[0]
+        assert np.array_equal(first[0][0],
+                              cold.step(cold.anchor, 1.0 / cold.params.r_max))
+        for other in trajectories[1:]:
+            assert len(other) == len(first)
+            for (y, bound, it, ratio), (y2, bound2, it2, ratio2) in zip(first, other):
+                assert np.array_equal(y, y2)
+                assert (bound, it, ratio) == (bound2, it2, ratio2)
+
+
+def test_subgame_history_shapes_checked(eq_game, toy_params):
+    game, _ = eq_game
+    pair = (np.zeros(2), np.zeros(2))
+    with pytest.raises(StructuralError, match="history has 3 .* at most 2"):
+        Subgame(game, np.zeros(2), np.zeros(2), toy_params, np.zeros(2),
+                (pair,) * 3)
+    for history in (((np.zeros(3), np.zeros(2)), pair),
+                    (pair, (np.zeros(2), np.zeros(1)))):
+        with pytest.raises(StructuralError, match=r"expected \(2,\)"):
+            Subgame(game, np.zeros(2), np.zeros(2), toy_params, np.zeros(2),
+                    history)
+
+
 def box_affine_equilibrium(G, rhs, lower, upper):
     """Equilibrium of ``y -> G y - rhs`` on a box by active-set enumeration:
     each coordinate is free, at its lower or at its upper bound."""
