@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DivergenceError, InexactnessError, NumericError,
                      ValidationError)
-from .games import EQUALITY, Game
+from .games import EQUALITY, Game, all_finite
 from .graphs import CommGraph
 from .operators import PointProducts, norm, residual_equality, step_size_margins
 from .params import AlgoParams
@@ -32,7 +32,7 @@ class State:
     """The stacked iterate of both algorithms: one contiguous float vector
     ``w``, and its views ``x`` (n,) of the decisions, ``Z`` (M, m) of the
     edge variables and ``lam`` (N, m) of the local multipliers, in order.
-    ``history`` is the outer trajectory before it, which the sweep's
+    ``history`` holds the outer steps before it, which the sweep's
     subgame reads (`Subgame.history`): empty unless the outer loop
     (`iterate_to_tolerance`) set it."""
 
@@ -71,7 +71,8 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     ``mu``, multiplier step along ``H`` times the tracked constraint
     residual, and edge step along ``W`` times the multiplier-signal
     differences.  ``at`` holds the residual products of ``state``, which
-    the subgame reads with the state's history.  Each per-player and
+    the subgame reads with the state's history, and whose ``V Z`` the
+    tracked residual reuses.  Each per-player and
     per-edge row reads only its own data and its neighbours' signals.  The
     blocks are written into one new state vector."""
     x, lam, Z = state.x, state.lam, state.Z
@@ -79,7 +80,7 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     sub = equality_subgame(game, params, x, lam, at, state.history)
     sol = inner.solve(sub, mu)
     out.x[:] = sol.x
-    tracked_t = game.local_residual(sol.x) + graph.node_aggregate(Z)
+    tracked_t = game.local_residual(sol.x) + at.node_aggregate
     h_t = params.apply_H(tracked_t)
     np.add(lam, h_t, out=out.lam)
     np.subtract(Z, params.apply_W(graph.edge_differences(out.lam + h_t)), out=out.Z)
@@ -134,9 +135,10 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     those products, returning the unrelaxed blocks and the subgame solution
     behind them, which each outer iteration relaxes by ``params.rho``; the
     inner solver is bound to the run (`InnerSolver.bind`).  Each relaxed
-    state carries the trajectory's last two ``(x, F(x))`` pairs before it
-    as its ``history`` (references, not copies), from which the next
-    sweep's inner solve predicts its first step.  Each trace row
+    state carries the trajectory's last two outer steps and smooth-gradient
+    changes, ``(dx, dF)`` newest first, as its ``history``: the differences
+    the monotonicity check forms, from which the next sweep's inner solve
+    predicts its first step.  Each trace row
     records the residuals the stop rule tests.  Successive iterates'
     smooth gradients must pass the monotonicity check ``<dF, dx> >= 0``
     (`monotone_ratio`); the result reports its smallest ratio and that of
@@ -157,22 +159,22 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
         converged = res.max() <= stop.tol
         while not converged and k < stop.max_iter:
             k += 1
-            prev_x, prev_gradient = state.x, at.gradient
-            history = ((prev_x, prev_gradient), *state.history[:1])
+            prev, prev_gradient = state, at.gradient
             mu = params.mu(k)
             swept, sol = iterate(game, graph, params, state, at, inner, mu)
             state = relax(state, swept, params.rho)
-            state.history = history
             cert = sol.certificate
             inner_steps += cert.iterations
             inner_ratio = min(inner_ratio, cert.monotonicity)
-            if not np.isfinite(state.w).all():
+            if not all_finite(state.w):
                 raise DivergenceError(f"non-finite state at outer iteration {k}")
             res, at = residuals(state)
-            dx = state.x - prev_x
+            dx = state.x - prev.x
+            dF = at.gradient - prev_gradient
+            state.history = ((dx, dF), *prev.history[:1])
             step_norm = norm(dx)
             outer_ratio = min(outer_ratio, monotone_ratio(
-                float((at.gradient - prev_gradient).dot(dx)), 0.0, step_norm,
+                float(dF.dot(dx)), 0.0, step_norm,
                 (prev_gradient, at.gradient), "<dF, dx>"))
             # equality residuals have no complementarity part
             rows.append(TraceRow(

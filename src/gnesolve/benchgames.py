@@ -107,13 +107,25 @@ def quadratic_game(t=(2.0, 1.0), delta: float = 0.5, c: float = 1.0,
         # equation, clipped to the box (for the corners)
         Rb = np.array([float(np.atleast_2d(R)[0, 0]) for R in R_blocks])
         G = J + np.diag(Rb)
+        # G's elimination constants, bound once: G[0, 0] = 1 + R_0 > 1 >=
+        # |delta| = |G[1, 0]|, so the elimination needs no row swap, and
+        # u = det G / G[0, 0] > 0
+        (g00, g01), (g10, g11) = G.tolist()
+        l = g10 * (1.0 / g00)
+        u = g11 - l * g01
+        (R0, R1), (t0, t1) = Rb.tolist(), t.tolist()
 
         def solve(anchor, shift):
-            rhs = Rb * anchor + t - shift
-            y = np.linalg.solve(G, rhs)
-            y0, y1 = y.tolist()
+            # the right-hand side R anchor + t - shift in Python floats,
+            # which on two entries costs less than three array operations
+            (a0, a1), (s0, s1) = anchor.tolist(), shift.tolist()
+            r0, r1 = R0 * a0 + t0 - s0, R1 * a1 + t1 - s1
+            y1 = (r1 - l * r0) / u
+            y0 = (r0 - g01 * y1) / g00
+            y = np.array([y0, y1])
             if low <= y0 <= high and low <= y1 <= high:
                 return y
+            rhs = np.array([r0, r1])
             for fixed, side in ((1, -1.0), (1, 1.0), (0, -1.0), (0, 1.0)):
                 free = 1 - fixed
                 y[fixed] = side * half_width

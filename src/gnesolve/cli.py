@@ -213,7 +213,7 @@ def cmd_run(args) -> int:
         "validator_margins": result.margins,
         "monotonicity": result.monotonicity,
         "kkt": dataclasses.asdict(kkt),
-        "final_residuals": result.residuals.__dict__,
+        "final_residuals": result.residuals._asdict(),
         "parameters": _parameter_echo(cfg),
     }
     _write_outputs(out_dir, game, result.rows, summary)

@@ -82,20 +82,26 @@ class Player:
         object.__setattr__(self, "b", b)
 
 
+def all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of the float array ``v`` is finite.
+
+    A finite ``v . v`` proves it at the cost of one dot product; only when
+    it is not (a non-finite entry, or a square sum that overflows) are the
+    entries tested one by one.  `np.vdot` computes it because, unlike
+    ``dot``, it warns of no overflow, so huge finite entries pass
+    silently."""
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+
+
 def _checked(g, shape: tuple, source: str, name: str) -> np.ndarray:
     """An oracle's output as a float array; raises `StructuralError` unless
-    it has ``shape``, and `NumericError` unless its entries are finite.
-
-    A finite ``g . g`` proves every entry finite at the cost of one dot
-    product; only when it is not (a non-finite entry, or a square sum that
-    overflows) are the entries tested one by one.  `np.vdot` computes it
-    because, unlike ``dot``, it warns of no overflow, so huge finite
-    entries pass silently."""
+    it has ``shape``, and `NumericError` unless its entries are finite
+    (`all_finite`)."""
     if type(g) is not np.ndarray or g.dtype != np.float64:
         g = np.asarray(g, dtype=float)
     if g.shape != shape:
         raise StructuralError(f"{source} returned shape {g.shape}, expected {shape}")
-    if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
+    if not all_finite(g):
         raise NumericError(f"{name} has non-finite entries")
     return g
 

@@ -13,7 +13,7 @@ act on, live in the tests, as the independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,8 +129,7 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-@dataclass(frozen=True)
-class EqualityResiduals:
+class EqualityResiduals(NamedTuple):
     stationarity: float
     consensus_edge: float
     feasibility: float
@@ -139,8 +138,7 @@ class EqualityResiduals:
         return max(self.stationarity, self.consensus_edge, self.feasibility)
 
 
-@dataclass(frozen=True)
-class InequalityResiduals:
+class InequalityResiduals(NamedTuple):
     stationarity: float
     consensus_edge: float
     feasibility: float
@@ -151,13 +149,13 @@ class InequalityResiduals:
                    self.feasibility, self.complementarity)
 
 
-@dataclass(frozen=True)
-class PointProducts:
+class PointProducts(NamedTuple):
     """What the residual evaluation computes at a state ``(x, Z, lam)``, in
     the form the next sweep from that state reads it.  The outer driver
     hands it from the residual to that sweep; it lives for one iteration."""
     gradient: np.ndarray           # game.smooth_gradient(x), length n
     tracked: np.ndarray            # local_residual(x) + V Z, (N, m)
+    node_aggregate: np.ndarray     # V Z = graph.node_aggregate(Z), (N, m)
     price_gradient: np.ndarray     # price_gradient(lam), length n
     edge_differences: np.ndarray   # edge_differences(lam), (M, m)
 
@@ -165,10 +163,11 @@ class PointProducts:
 def point_products(game: Game, graph: CommGraph, x, Z, lam) -> PointProducts:
     """The products of the game and graph maps at ``(x, Z, lam)``, float
     arrays of the state's shapes."""
-    return PointProducts(
-        game.smooth_gradient(x),
-        game.local_residual(x) + graph.node_aggregate(Z),
-        game.price_gradient(lam), graph.edge_differences(lam))
+    gradient = game.smooth_gradient(x)
+    aggregate = graph.node_aggregate(Z)
+    return PointProducts(gradient, game.local_residual(x) + aggregate,
+                         aggregate, game.price_gradient(lam),
+                         graph.edge_differences(lam))
 
 
 def _stationarity(game: Game, x, at: PointProducts) -> float:

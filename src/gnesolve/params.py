@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -100,7 +101,12 @@ class AlgoParams:
         self.R = [np.atleast_2d(np.asarray(Ri, dtype=float)) for Ri in self.R]
         self.H = np.asarray(self.H, dtype=float)
         self.W = np.asarray(self.W, dtype=float)
-        r_eigs = [_check_spd(Ri[None], "R", i)[0] for i, Ri in enumerate(self.R)]
+        # each run of consecutive equal-shape blocks is one stack
+        r_eigs, first = [], 0
+        for _, run in groupby(self.R, key=np.shape):
+            run = np.stack(list(run))
+            r_eigs.extend(_check_spd(run, "R", first))
+            first += len(run)
         self.r_min = min(e[0] for e in r_eigs)
         self.r_max = max(e[-1] for e in r_eigs)
         # blocks zero-padded to a common order, so that R v is one batched

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,10 +31,12 @@ class Subgame:
     gradient at the anchor, which the residual at the anchor computed, so
     the subgame's ``G`` at the anchor is ``anchor_gradient + shift`` and
     costs no oracle call and no ``R`` product.  ``history`` holds up to two
-    ``(x, F(x))`` pairs of the outer trajectory before the anchor, newest
-    first; from two, an iterative solve predicts its first step
-    (`_steps`).  ``anchor``, ``shift``, ``anchor_gradient`` and the
-    history's arrays are float vectors of length ``n``.
+    ``(dx, dF)`` pairs, newest first: the outer steps that led to the
+    anchor and the changes of the game's smooth gradient along them, the
+    newest ``(anchor - x_prev, anchor_gradient - F(x_prev))``; from two, an
+    iterative solve predicts its first step (`_steps`).  ``anchor``,
+    ``shift``, ``anchor_gradient`` and the history's arrays are float
+    vectors of length ``n``.
     """
 
     game: Game
@@ -47,10 +50,10 @@ class Subgame:
         n = self.game.n
         if len(self.history) > 2:
             raise StructuralError(f"subgame history has {len(self.history)} "
-                                  f"(x, F(x)) pairs, at most 2 allowed")
+                                  f"(dx, dF) pairs, at most 2 allowed")
         shapes = [self.anchor.shape, self.shift.shape, self.anchor_gradient.shape]
-        for x, gradient in self.history:
-            shapes += x.shape, gradient.shape
+        for dx, dF in self.history:
+            shapes += dx.shape, dF.shape
         if shapes.count((n,)) != len(shapes):
             raise StructuralError(
                 f"subgame anchor, shift, anchor gradient and history have "
@@ -97,8 +100,7 @@ def inequality_subgame(game: Game, params: AlgoParams, x,
     return Subgame(game, x, at.price_gradient, params, at.gradient, history)
 
 
-@dataclass(frozen=True)
-class InnerCertificate:
+class InnerCertificate(NamedTuple):
     bound: float       # certified upper bound on the distance to the equilibrium
     iterations: int
     #: smallest ``<dG, dy> / |dy|^2 - r_min`` over the solve's steps
@@ -106,8 +108,7 @@ class InnerCertificate:
     monotonicity: float = math.inf
 
 
-@dataclass(frozen=True)
-class InnerSolution:
+class InnerSolution(NamedTuple):
     x: np.ndarray                     # the returned subgame solution
     certificate: InnerCertificate     # its certified distance to the equilibrium
 
@@ -249,13 +250,13 @@ def _steps(sub: Subgame):
     ``(y0, g0)`` in place of ``(y, G(y))`` in ``v = y0 - gamma g0`` and in
     ``e``, and ``G(y0)`` is never evaluated.  With fewer than two pairs of
     history the first step starts at the anchor, whose ``G`` the subgame
-    holds.  With the pairs ``(x_{k-1}, F_{k-1})`` and ``(x_{k-2}, F_{k-2})``
-    before the anchor ``x_k`` (`Subgame.history`), it starts from a
-    second-order prediction of the subgame solution.  The relaxed outer
+    holds.  With the differences ``D_k = x_k - x_{k-1}``,
+    ``E_k = F_k - F_{k-1}`` and ``D_{k-1}``, ``E_{k-1}`` of the outer
+    trajectory up to the anchor ``x_k`` (`Subgame.history`), it starts from
+    a second-order prediction of the subgame solution.  The relaxed outer
     step ``x_{k+1} - x_k`` is ``rho`` times the move from the anchor to the
-    solution, so with ``D_k = x_k - x_{k-1}`` and ``E_k = F_k - F_{k-1}``
-    the predicted move is ``d = (2 D_k - D_{k-1}) / rho``, the predicted
-    gradient change ``dF = (2 E_k - E_{k-1}) / rho``, and
+    solution, so the predicted move is ``d = (2 D_k - D_{k-1}) / rho``, the
+    predicted gradient change ``dF = (2 E_k - E_{k-1}) / rho``, and
     ``y0 = anchor + d``, ``g0 = G(anchor) + dF + R d``.  Each player's
     block of the prediction reads only that player's own decisions and
     gradient block, so the solve stays center-free.
@@ -285,10 +286,10 @@ def _steps(sub: Subgame):
     terms = (sub.anchor_gradient, sub.shift)
     y0, g0 = y, g
     if len(sub.history) == 2:
-        (x1, f1), (x2, f2) = sub.history
+        (D1, E1), (D2, E2) = sub.history
         rho = sub.params.rho
-        d = (2.0 * (y - x1) - (x1 - x2)) / rho
-        dF = (2.0 * (sub.anchor_gradient - f1) - (f1 - f2)) / rho
+        d = (2.0 * D1 - D2) / rho
+        dF = (2.0 * E1 - E2) / rho
         y0, g0 = y + d, g + dF + sub.params.apply_R(d)
     ratio = math.inf
     for it in range(1, MAX_INNER_STEPS + 1):

@@ -87,11 +87,18 @@ def test_exact_quadratic_solver_equals_enumeration(delta, seed):
         shift = scale * rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 1.0, 2)
         R_blocks = [np.array([[r]]) for r in rng.uniform(0.5, 20.0, 2)]
         got = game.exact_subgame_solver(R_blocks)(anchor, shift)
-        assert np.array_equal(
-            got, quadratic_active_set_enumeration(game, anchor, shift, R_blocks))
+        want = quadratic_active_set_enumeration(game, anchor, shift, R_blocks)
+        # the same box pattern, bit for bit; the solver's elimination and
+        # LAPACK's solve may round the free coordinates differently
+        at_bound = np.abs(want) == game.generator["half_width"]
+        assert np.array_equal(np.abs(got) == game.generator["half_width"],
+                              at_bound)
+        assert np.array_equal(got[at_bound], want[at_bound])
+        assert (np.abs(got - want)[~at_bound]
+                <= 2.0 * np.finfo(float).eps * np.abs(want).max()).all()
         if scale == 1e4:
             # |rhs| > 4,000 against eigenvalues of G below 22: the box binds
-            assert np.abs(got).max() == game.generator["half_width"]
+            assert at_bound.any()
 
 
 @pytest.mark.parametrize("y, g", [

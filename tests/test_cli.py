@@ -200,6 +200,35 @@ def test_run_binds_the_exact_solver_once(tmp_path, monkeypatch):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+def test_exact_run_solves_no_linear_system_in_its_loop(tmp_path, monkeypatch):
+    # the exact solver's elimination constants are bound once per run, so
+    # the outer loop of the shipped quadratic config calls np.linalg.solve
+    # at none of its 328 subgame solves, nor anywhere else; building the
+    # game's reference equilibrium, before the loop, still does
+    import gnesolve.admm
+    in_loop, solves = [], []
+    solve, driver = np.linalg.solve, gnesolve.admm.iterate_to_tolerance
+
+    def counting_solve(*args, **kwargs):
+        solves.append(bool(in_loop))
+        return solve(*args, **kwargs)
+
+    def driving(*args):
+        in_loop.append(True)
+        try:
+            return driver(*args)
+        finally:
+            in_loop.clear()
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(gnesolve.admm, "iterate_to_tolerance", driving)
+    monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(tmp_path))
+    assert main(["run", str(CONFIGS / "quadratic-equality.cfg")]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["iterations"] == 328
+    assert solves and not any(solves)
+
+
 @pytest.mark.parametrize("name", ["quadratic-equality", "rate-control",
                                   "task-allocation"])
 def test_trace_shows_why_the_run_stopped(name, tmp_path, monkeypatch):

@@ -43,8 +43,8 @@ def test_non_spd_blocks_rejected(eq_game, pair_graph):
 
 
 def test_step_matrices_checked_one_stack_at_a_time(monkeypatch):
-    # H and W each take one batched eigendecomposition (R one per block, as
-    # its blocks may differ in order); an error still names the first
+    # H and W each take one batched eigendecomposition, and R one per run of
+    # consecutive equal-order blocks; an error still names the first
     # failing block and that block's first failing condition
     shapes = []
     eigvalsh = np.linalg.eigvalsh
@@ -52,7 +52,22 @@ def test_step_matrices_checked_one_stack_at_a_time(monkeypatch):
                         lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
     eye, R = np.eye(2), [np.eye(1)] * 3
     AlgoParams(R, np.stack([eye] * 3), np.stack([eye] * 2), 1.1)
-    assert shapes == [(1, 1, 1)] * 3 + [(3, 2, 2), (2, 2, 2)]
+    assert shapes == [(3, 1, 1), (3, 2, 2), (2, 2, 2)]
+    # mixed orders: runs of orders 1, 2, 1; the failing block's index
+    # counts the blocks of the runs before its own
+    shapes.clear()
+    one, H, W = np.eye(1), np.ones((5, 1, 1)), np.ones((1, 1, 1))
+    AlgoParams([one, one, eye, eye, one], H, W, 1.1)
+    assert shapes == [(2, 1, 1), (2, 2, 2), (1, 1, 1), (5, 1, 1), (1, 1, 1)]
+    for blocks, message in (
+            ([one, one, eye, -eye, -one], "R[3] is not positive definite"),
+            ([one, -one, eye, np.full((2, 2), np.nan), one],
+             "R[1] is not positive definite"),
+            ([one, one, eye, np.full((2, 2), np.nan), -one],
+             "R[3] has non-finite entries"),
+            ([one, one, eye, eye, -one], "R[4] is not positive definite")):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            AlgoParams(blocks, H, W, 1.1)
     nan = np.full((2, 2), np.nan)
     inf = np.array([[1.0, np.inf], [np.inf, 1.0]])
     asym = np.array([[1.0, 0.5], [-0.5, 1.0]])
@@ -106,6 +121,11 @@ def test_apply_blocks(eq_game, pair_graph, dims, seed):
         G = rng.uniform(-1.0, 1.0, (d, d))
         R.append(0.5 * np.eye(d) + G @ G.T)
     params = AlgoParams(R, np.ones((len(dims), 1, 1)), np.ones((1, 1, 1)), 1.0)
+    # the bounds of the stacked check are those of each block's own
+    # eigendecomposition, bit for bit
+    eigs = [np.linalg.eigvalsh(0.5 * (Ri + Ri.T)) for Ri in params.R]
+    assert params.r_min == min(e[0] for e in eigs)
+    assert params.r_max == max(e[-1] for e in eigs)
     v = rng.uniform(-10.0, 10.0, game.n)
     out = params.apply_R(v)
     assert np.allclose(out, block_diag(params.R) @ v, rtol=1e-12, atol=1e-12)

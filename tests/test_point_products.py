@@ -3,7 +3,6 @@
 made afresh, so handing them on changes no trajectory."""
 
 import itertools
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ def fresh(game, graph, state):
     return PointProducts(
         game.smooth_gradient(state.x),
         game.local_residual(state.x) + graph.node_aggregate(state.Z),
+        graph.node_aggregate(state.Z),
         game.price_gradient(state.lam), graph.edge_differences(state.lam))
 
 
@@ -65,9 +65,8 @@ def test_handed_products_match_a_fresh_evaluation(name, monkeypatch):
     states = driven_states(setup, 40, monkeypatch)
     for k, (state, handed) in list(enumerate(states, start=1))[::3]:
         again = fresh(game, graph, state)
-        for field in fields(PointProducts):
-            assert np.array_equal(getattr(handed, field.name),
-                                  getattr(again, field.name))
+        for field in PointProducts._fields:
+            assert np.array_equal(getattr(handed, field), getattr(again, field))
         mu = params.mu(k)
         assert_same_sweep(iterate(game, graph, params, state, handed, inner, mu),
                           iterate(game, graph, params, state, again, inner, mu))
@@ -75,15 +74,16 @@ def test_handed_products_match_a_fresh_evaluation(name, monkeypatch):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_each_sweep_gets_the_two_iterates_before_it(name, monkeypatch):
-    # the warm start's history is the trajectory's last two decisions and
-    # the residual's smooth gradients there, newest first, as references
+    # the warm start's history is the trajectory's last two steps and the
+    # changes of the residual's smooth gradients along them, newest first
     states = driven_states(shipped(name), 6, monkeypatch)
     for k, (state, _) in enumerate(states):
-        before = [(s.x, at.gradient) for s, at in states[max(k - 2, 0):k]]
-        assert len(state.history) == len(before)
-        for (x, gradient), (x_was, gradient_was) in zip(state.history,
-                                                        before[::-1]):
-            assert x is x_was and gradient is gradient_was
+        window = states[max(k - 2, 0):k + 1]
+        steps = [(s.x - s_was.x, at.gradient - at_was.gradient)
+                 for (s_was, at_was), (s, at) in zip(window, window[1:])]
+        assert len(state.history) == len(steps)
+        for (dx, dF), (dx_was, dF_was) in zip(state.history, steps[::-1]):
+            assert np.array_equal(dx, dx_was) and np.array_equal(dF, dF_was)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -107,8 +107,7 @@ def test_inner_start_reads_the_anchor_gradient(name):
     for mode, state in itertools.product(modes, (start, outside)):
         solver = gs.InnerSolver(mode)
         at = fresh(game, graph, state)
-        poisoned = PointProducts(np.full(game.n, np.nan), at.tracked,
-                                 at.price_gradient, at.edge_differences)
+        poisoned = at._replace(gradient=np.full(game.n, np.nan))
         if mode != "exact":
             with pytest.raises(gs.NumericError):
                 iterate(game, graph, params, state, poisoned, solver, 1e-3)

@@ -320,13 +320,11 @@ def test_residual_certificate_affine_subgames(n_players, dim, prox, seed):
 
 
 def predicting_history(sub, d, dF):
-    """Two ``(x, F(x))`` pairs from which the subgame's first inner step
+    """Two ``(dx, dF)`` pairs from which the subgame's first inner step
     predicts the move ``d`` and the gradient change ``dF``, up to rounding:
-    the newer pair repeats the anchor's, the older lies ``rho`` times them
-    away."""
-    rho = sub.params.rho
-    return ((sub.anchor, sub.anchor_gradient),
-            (sub.anchor + rho * d, sub.anchor_gradient + rho * dF))
+    the newer step does not move, the older moved ``-rho`` times them."""
+    rho, zero = sub.params.rho, np.zeros(sub.game.n)
+    return (zero, zero), (-rho * d, -rho * dF)
 
 
 def affine_subgame(rng, n_players, dim, prox, rho):
@@ -373,9 +371,9 @@ def test_history_without_a_move_keeps_the_anchor_start():
     rng = np.random.default_rng(3)
     for prox in (False, True):
         cold = affine_subgame(rng, 3, 2, prox, 1.1)
-        pair = (cold.anchor, cold.anchor_gradient)
+        still = (np.zeros(cold.game.n), np.zeros(cold.game.n))
         trajectories = []
-        for history in ((), (pair,), (pair, pair)):
+        for history in ((), (still,), (still, still)):
             sub = Subgame(cold.game, cold.anchor, cold.shift, cold.params,
                           cold.anchor_gradient, history)
             trajectories.append(list(itertools.islice(subgames._steps(sub), 30)))
@@ -390,13 +388,15 @@ def test_history_without_a_move_keeps_the_anchor_start():
 
 
 def test_subgame_history_shapes_checked(eq_game, toy_params):
+    # each (dx, dF) pair of the history is two profile-length vectors
     game, _ = eq_game
-    pair = (np.zeros(2), np.zeros(2))
-    with pytest.raises(StructuralError, match="history has 3 .* at most 2"):
+    step = (np.zeros(2), np.zeros(2))
+    with pytest.raises(StructuralError,
+                       match=r"history has 3 \(dx, dF\) pairs, at most 2"):
         Subgame(game, np.zeros(2), np.zeros(2), toy_params, np.zeros(2),
-                (pair,) * 3)
-    for history in (((np.zeros(3), np.zeros(2)), pair),
-                    (pair, (np.zeros(2), np.zeros(1)))):
+                (step,) * 3)
+    for history in (((np.zeros(3), np.zeros(2)), step),
+                    (step, (np.zeros(2), np.zeros(1)))):
         with pytest.raises(StructuralError, match=r"expected \(2,\)"):
             Subgame(game, np.zeros(2), np.zeros(2), toy_params, np.zeros(2),
                     history)
