@@ -37,6 +37,26 @@ def _soft_log1p_and_grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.where(nonnegative, 1.0 / (1.0 + clamped), 1.0 - u))
 
 
+def _soft_log1p_grad(u: np.ndarray) -> np.ndarray:
+    """The derivative half of `_soft_log1p_and_grad`, with its branches,
+    for callers that need no value."""
+    if u.min() >= 0.0:
+        return 1.0 / (1.0 + u)
+    return np.where(u >= 0.0, 1.0 / (1.0 + np.maximum(u, 0.0)), 1.0 - u)
+
+
+def _draw_runs(rng: SplitMix64, repeats: int, runs) -> list:
+    """``repeats`` rows of draws, each the runs ``(count, low, high)`` in
+    order, taken from ``rng`` in one batch: one (repeats, count) array per
+    run, the values of one `SplitMix64.uniform` call per entry."""
+    counts = [count for count, _, _ in runs]
+    low = np.repeat([lo for _, lo, _ in runs], counts)
+    high = np.repeat([hi for _, _, hi in runs], counts)
+    rows = rng.uniforms(repeats * len(low), np.tile(low, repeats),
+                        np.tile(high, repeats)).reshape(repeats, -1)
+    return np.split(rows, np.cumsum(counts)[:-1], axis=1)
+
+
 # -- quadratic two-player oracle game -------------------------------------------
 
 def quadratic_game(t=(2.0, 1.0), delta: float = 0.5, c: float = 1.0,
@@ -204,7 +224,7 @@ def rate_control_game(seed: int) -> Game:
         d = kappa / den
         own_price = A.T @ d
         marginal = A.T @ (kappa / (den * den))
-        return -chi * _soft_log1p_and_grad(x)[1] + own_price + x * marginal
+        return -chi * _soft_log1p_grad(x) + own_price + x * marginal
 
     def make_oracle(i: int):
         cols = np.flatnonzero(A[:, i])
@@ -213,7 +233,7 @@ def rate_control_game(seed: int) -> Game:
             x = np.insert(others, i, xi_own[0])
             load = A @ x
             den = C - load + xi
-            grad = -chi[i] * _soft_log1p_and_grad(xi_own[0])[1]
+            grad = -chi[i] * _soft_log1p_grad(xi_own[0])
             grad += float(np.sum(kappa[cols] / den[cols]))
             grad += xi_own[0] * float(np.sum(kappa[cols] / den[cols] ** 2))
             return np.array([grad])
@@ -264,26 +284,18 @@ def task_allocation_game(seed: int) -> Game:
     matrix for the regularizer ``S = I/2 + G G^T / 4`` (16), caps ``B`` (4).
     """
     rng = SplitMix64(seed)
-    C = rng.uniforms(N_TASKS, 1.0, 2.0)
-    chi = rng.uniforms(N_TASKS, 0.1, 0.6)
-    kappa = rng.uniforms(N_TASKS, 10.0, 20.0)
-
+    C, chi, kappa = (run[0] for run in _draw_runs(rng, 1, (
+        (N_TASKS, 1.0, 2.0), (N_TASKS, 0.1, 0.6), (N_TASKS, 10.0, 20.0))))
     # per-worker data along a leading worker axis, in the documented order
+    weights, q, xi, l, d, p_raw, G, B = _draw_runs(rng, N_WORKERS, (
+        (4, 0.5, 1.0), (4, 1.0, 2.0), (4, 6.0, 12.0), (4, 1.0, 3.0),
+        (1, 1.0, 2.0), (4, 0.0, 1.0), (16, -1.0, 1.0), (4, 1.0, 3.0)))
     A = np.zeros((N_WORKERS, N_TASKS, 4))
-    q, xi, l, p, B = (np.empty((N_WORKERS, 4)) for _ in range(5))
-    d = np.empty(N_WORKERS)
-    S = np.empty((N_WORKERS, 4, 4))
-    for w, (blue, red) in enumerate(TASK_PATTERN):
-        A[w, (blue, blue, red, red), range(4)] = rng.uniforms(4, 0.5, 1.0)
-        q[w] = rng.uniforms(4, 1.0, 2.0)
-        xi[w] = rng.uniforms(4, 6.0, 12.0)
-        l[w] = rng.uniforms(4, 1.0, 3.0)
-        d[w] = rng.uniform(1.0, 2.0)
-        p_raw = rng.uniforms(4, 0.0, 1.0)
-        p[w] = p_raw / p_raw.sum()
-        G = rng.uniforms(16, -1.0, 1.0).reshape(4, 4)
-        S[w] = 0.5 * np.eye(4) + 0.25 * (G @ G.T)
-        B[w] = rng.uniforms(4, 1.0, 3.0)
+    A[np.arange(N_WORKERS)[:, None], np.repeat(TASK_PATTERN, 2, axis=1),
+      np.arange(4)] = weights
+    d = d[:, 0]
+    p = p_raw / p_raw.sum(axis=1, keepdims=True)
+    S = np.array([0.5 * np.eye(4) + 0.25 * (Gw @ Gw.T) for Gw in G.reshape(-1, 4, 4)])
 
     # on [0, B] the max term equals its linear branch (the documented ranges
     # guarantee q B <= xi + l), so its prox over the box is an exact clip
@@ -392,11 +404,12 @@ def task_allocation_params(game: Game, graph: CommGraph, seed: int,
     the ``W`` diagonal (m values in [0.2, 0.4]).
     """
     rng = SplitMix64(seed ^ 0x57E9)
-    r_diags = [rng.uniforms(p.dim, 4.0, 8.0) for p in game.players]
-    h_diags = np.stack([rng.uniforms(game.m, 0.2, 0.4)
-                        for _ in range(game.n_players)])
-    w_diags = np.stack([rng.uniforms(game.m, 0.2, 0.4)
-                        for _ in range(graph.n_edges)])
+    r_flat, h_diags, w_diags = _draw_runs(rng, 1, (
+        (game.n, 4.0, 8.0), (game.n_players * game.m, 0.2, 0.4),
+        (graph.n_edges * game.m, 0.2, 0.4)))
+    r_diags = np.split(r_flat[0], np.cumsum(game.dims)[:-1])
+    h_diags = h_diags.reshape(game.n_players, game.m)
+    w_diags = w_diags.reshape(graph.n_edges, game.m)
     return AlgoParams.diagonal(r_diags, h_diags, w_diags, rho, mu0)
 
 

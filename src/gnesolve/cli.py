@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -249,24 +250,30 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process, since `main` may be
+    called many times in one process.  Subcommands are named, not bound,
+    so `main` dispatches to the module's functions as they are at the call."""
     parser = argparse.ArgumentParser(
         prog="gnesolve",
         description="Distributed generalized Nash equilibrium experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run an experiment from a config file")
-    p_run.add_argument("config")
-    p_run.set_defaults(func=cmd_run)
-    p_val = sub.add_parser("validate", help="validate a config without running")
-    p_val.add_argument("config")
-    p_val.set_defaults(func=cmd_validate)
+    for name, text in (("run", "run an experiment from a config file"),
+                       ("validate", "validate a config without running")):
+        sub.add_parser(name, help=text).add_argument("config")
     p_ext = sub.add_parser("extract", help="extract one trace column as 'k value' rows")
     p_ext.add_argument("trace")
     p_ext.add_argument("quantity")
-    p_ext.set_defaults(func=cmd_extract)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    command = {"run": cmd_run, "validate": cmd_validate,
+               "extract": cmd_extract}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, StructuralError, ValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

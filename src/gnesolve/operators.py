@@ -2,12 +2,17 @@
 
 The validators decide whether each loop's preconditioner ``Phi`` is
 positive definite from the per-player blocks ``R_i``, ``A_i``, ``H_i``,
-the per-edge blocks ``W_l`` and the graph's incidence matrix: the largest
-matrix they decompose has order ``max(n, mM, mN)``, never that of the
-stacked ``Phi``.  Each returns its margins, keyed by the block of its
-condition, or raises a `ValidationError` naming the failed condition.  The
-dense stacked operators and preconditioners, and the stacked iterates they
-act on, live in the tests, as the independent reference.
+the per-edge blocks ``W_l`` and the graph's incidence matrix.  Each
+condition's matrix splits by row groups: two coupling rows are in one
+group when a block of the condition has a nonzero entry linking them, and
+the matrix is the direct sum of one block per group ``C``, of order
+``N |C|`` or ``M |C|`` (`_schur_margin`).  The largest matrix decomposed
+has order ``max(d_i, N |C|, M |C|)``; a pattern that couples every row is
+one group, of order ``mN`` or ``mM``.  Each validator returns its
+margins, keyed by the block of its condition, or raises a
+`ValidationError` naming the failed condition.  The dense stacked
+operators and preconditioners, and the stacked iterates they act on, live
+in the tests, as the independent reference.
 """
 
 from __future__ import annotations
@@ -21,27 +26,6 @@ from .errors import StructuralError, ValidationError
 from .games import EQUALITY, Game
 from .graphs import CommGraph
 from .params import AlgoParams
-
-
-# -- dense building blocks ----------------------------------------------------
-
-def block_diag(blocks) -> np.ndarray:
-    """Dense block-diagonal matrix of 2-D blocks, rectangular ones included."""
-    rows = np.cumsum([0] + [B.shape[0] for B in blocks])
-    cols = np.cumsum([0] + [B.shape[1] for B in blocks])
-    out = np.zeros((rows[-1], cols[-1]))
-    for B, r, c in zip(blocks, rows, cols):
-        out[r:r + B.shape[0], c:c + B.shape[1]] = B
-    return out
-
-
-def incidence_sandwich(V: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``Vbar blockdiag(B) Vbar^T`` with ``Vbar = V kron I_m``, for a (p, q)
-    incidence-like ``V`` and (q, m, m) blocks ``B``; order ``p m``.  Entry
-    ``((i, a), (j, b))`` is ``sum_l V_il V_jl B_l[a, b]``, so nothing of
-    order ``q m`` is formed."""
-    p, m = V.shape[0], B.shape[-1]
-    return np.einsum("il,jl,lab->iajb", V, V, B).reshape(p * m, p * m)
 
 
 # -- step-size validation -------------------------------------------------------
@@ -62,8 +46,73 @@ def _check_fit(params: AlgoParams, game: Game, graph: CommGraph) -> None:
             raise StructuralError(f"{name} {given}, expected {expected}")
 
 
-def _min_eig(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
+def _min_eig(stack: np.ndarray) -> float:
+    """Smallest eigenvalue over a (count, order, order) stack of blocks,
+    each symmetrized, in one batched decomposition."""
+    return float(np.linalg.eigvalsh(
+        0.5 * (stack + stack.transpose(0, 2, 1)))[:, 0].min())
+
+
+def _player_stacks(params: AlgoParams, game: Game):
+    """``(players, R, A)`` for each block order ``d``: the indices of the
+    players of that order and their stacked ``R_i`` (count, d, d) and
+    ``A_i`` (count, m, d)."""
+    by_order = {}
+    for i, d in enumerate(game.dims):
+        by_order.setdefault(d, []).append(i)
+    return [(ids, np.array([params.R[i] for i in ids]),
+             np.array([game.players[i].A for i in ids]))
+            for ids in by_order.values()]
+
+
+def _row_groups(coupled: np.ndarray) -> list:
+    """The connected components of the rows that the (m, m) boolean pattern
+    ``coupled`` links, as one (count, size) array of row indices per
+    component size."""
+    if coupled.all():               # one group, as with dense H or W
+        return [np.arange(len(coupled))[None]]
+    reach = coupled | coupled.T | np.eye(len(coupled), dtype=bool)
+    while True:                     # transitive closure by squaring
+        wider = reach @ reach
+        if (wider == reach).all():
+            break
+        reach = wider
+    # each row's component is its row of reach; its first row names it
+    components = {}
+    for row, first in enumerate(reach.argmax(axis=1).tolist()):
+        components.setdefault(first, []).append(row)
+    by_size = {}
+    for rows in components.values():
+        by_size.setdefault(len(rows), []).append(rows)
+    return [np.array(groups) for groups in by_size.values()]
+
+
+def _schur_margin(V: np.ndarray, D: np.ndarray, B: np.ndarray) -> float:
+    """Smallest eigenvalue of ``blockdiag(D) - Vbar blockdiag(B) Vbar^T``
+    with ``Vbar = V kron I_m``, for a (p, q) incidence-like ``V`` and stacks
+    of (m, m) blocks ``D`` (p) and ``B`` (q), symmetrized.
+
+    Entry ``((i, a), (j, b))`` of the matrix is ``D_i[a, b]`` on the
+    diagonal blocks minus ``sum_l V_il V_jl B_l[a, b]``, so it vanishes
+    unless some ``D_i`` or ``B_l`` has a nonzero ``(a, b)`` entry.  The
+    matrix is therefore the direct sum of its row groups' blocks (rows
+    ``(i, a)`` with ``a`` in one group ``C``, order ``p |C|``); each is
+    built from slices of ``D`` and ``B``, and the groups of one size share
+    one batched decomposition.  When every row is coupled there is one
+    group, the whole matrix."""
+    p, q = V.shape
+    nodes = np.arange(p)
+    margin = math.inf
+    for groups in _row_groups((D != 0.0).any(axis=0) | (B != 0.0).any(axis=0)):
+        count, size = groups.shape
+        rows, cols = groups[:, :, None], groups[:, None, :]
+        # sum_l V_il V_jl B_l, symmetric in (i, j): one product over l per j
+        VB = V[:, :, None, None, None] * B[:, rows, cols]
+        S = -(V @ VB.reshape(p, q, -1)).reshape(p, p, count, size, size)
+        S[nodes, nodes] += D[:, rows, cols]
+        S = S.transpose(2, 0, 3, 1, 4).reshape(count, p * size, p * size)
+        margin = min(margin, _min_eig(S))
+    return margin
 
 
 def check_step_sizes_equality(params: AlgoParams, game: Game,
@@ -75,11 +124,10 @@ def check_step_sizes_equality(params: AlgoParams, game: Game,
     positive definite: its quadratic form is two nonnegative weighted norms
     plus the norms these two matrices weight."""
     _check_fit(params, game, graph)
-    margin_x = min(_min_eig(Ri - p.A.T @ Hi @ p.A)
-                   for Ri, Hi, p in zip(params.R, params.H, game.players))
-    # each entry of Vbar^T H Vbar is a sum of at most two +-H_i terms
-    VHV = incidence_sandwich(graph.incidence.T, params.H)
-    margin_z = _min_eig(block_diag(np.linalg.inv(params.W)) - VHV)
+    margin_x = min(_min_eig(R - A.transpose(0, 2, 1) @ params.H[ids] @ A)
+                   for ids, R, A in _player_stacks(params, game))
+    margin_z = _schur_margin(graph.incidence.T, np.linalg.inv(params.W),
+                             params.H)
     if not (margin_x > 0.0 and margin_z > 0.0):
         raise ValidationError(
             "step-size conditions failed: "
@@ -100,10 +148,10 @@ def inequality_preconditioner(params: AlgoParams, game: Game,
         raise ValidationError(
             "multiplier step matrices must be diagonal for the inequality "
             "operator (exact weighted orthant projection)")
-    S = -incidence_sandwich(graph.incidence, params.W)
-    S += block_diag([np.linalg.inv(Hi) - p.A @ np.linalg.solve(Ri, p.A.T)
-                     for Ri, Hi, p in zip(params.R, params.H, game.players)])
-    margin = _min_eig(S)
+    D = np.linalg.inv(params.H)
+    for ids, R, A in _player_stacks(params, game):
+        D[ids] -= A @ np.linalg.solve(R, A.transpose(0, 2, 1))
+    margin = _schur_margin(graph.incidence, D, params.W)
     if not margin > 0.0:
         raise ValidationError(
             "inequality preconditioner is not positive definite: "

@@ -51,10 +51,15 @@ class Subgame:
         if len(self.history) > 2:
             raise StructuralError(f"subgame history has {len(self.history)} "
                                   f"(dx, dF) pairs, at most 2 allowed")
-        shapes = [self.anchor.shape, self.shift.shape, self.anchor_gradient.shape]
+        # compared directly: the list of shapes only words the error
+        fits = (self.anchor.shape == self.shift.shape
+                == self.anchor_gradient.shape == (n,))
         for dx, dF in self.history:
-            shapes += dx.shape, dF.shape
-        if shapes.count((n,)) != len(shapes):
+            fits = fits and dx.shape == dF.shape == (n,)
+        if not fits:
+            shapes = [self.anchor.shape, self.shift.shape, self.anchor_gradient.shape]
+            for dx, dF in self.history:
+                shapes += dx.shape, dF.shape
             raise StructuralError(
                 f"subgame anchor, shift, anchor gradient and history have "
                 f"shapes {', '.join(map(str, shapes))}, expected ({n},)")

@@ -8,7 +8,7 @@ import csv
 
 import numpy as np
 
-from gnesolve.operators import block_diag, point_products
+from gnesolve.operators import point_products
 from gnesolve.subgames import equality_subgame
 from reference import ResolventStep, layout_sizes, pack
 
@@ -17,6 +17,27 @@ def read_trace_csv(path) -> list[dict]:
     """Rows of a ``trace.csv`` as dicts of strings, keyed by column."""
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+# -- dense building blocks ------------------------------------------------------
+
+def block_diag(blocks) -> np.ndarray:
+    """Dense block-diagonal matrix of 2-D blocks, rectangular ones included."""
+    rows = np.cumsum([0] + [B.shape[0] for B in blocks])
+    cols = np.cumsum([0] + [B.shape[1] for B in blocks])
+    out = np.zeros((rows[-1], cols[-1]))
+    for B, r, c in zip(blocks, rows, cols):
+        out[r:r + B.shape[0], c:c + B.shape[1]] = B
+    return out
+
+
+def incidence_sandwich(V: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``Vbar blockdiag(B) Vbar^T`` with ``Vbar = V kron I_m``, for a (p, q)
+    incidence-like ``V`` and (q, m, m) blocks ``B``; order ``p m``.  Entry
+    ``((i, a), (j, b))`` is ``sum_l V_il V_jl B_l[a, b]``, so nothing of
+    order ``q m`` is formed."""
+    p, m = V.shape[0], B.shape[-1]
+    return np.einsum("il,jl,lab->iajb", V, V, B).reshape(p * m, p * m)
 
 
 # -- dense stacked operators -----------------------------------------------------
@@ -104,6 +125,16 @@ def dense_equality_margins(params, game, graph):
     Mz = np.linalg.inv(block_diag(params.W)) - Vb.T @ Hd @ Vb
     return {"x": float(np.linalg.eigvalsh(0.5 * (Mx + Mx.T)).min()),
             "z": float(np.linalg.eigvalsh(0.5 * (Mz + Mz.T)).min())}
+
+
+def dense_schur_complement(params, game, graph):
+    """Dense ``H^-1 - Lam R^-1 Lam^T - Vbar W Vbar^T`` (order mN), the Schur
+    complement whose smallest eigenvalue is the inequality margin,
+    symmetrized."""
+    S = -incidence_sandwich(graph.incidence, params.W)
+    S += block_diag([np.linalg.inv(Hi) - p.A @ np.linalg.solve(Ri, p.A.T)
+                     for Ri, Hi, p in zip(params.R, params.H, game.players)])
+    return 0.5 * (S + S.T)
 
 
 def dense_lifted_jacobian(params, game, graph):

@@ -19,8 +19,7 @@ import numpy as np
 
 from gnesolve.admm import State, admm_iterate, initial_state, relax
 from gnesolve.errors import InexactnessError, StructuralError, ValidationError
-from gnesolve.operators import (block_diag, incidence_sandwich,
-                                inequality_preconditioner, point_products)
+from gnesolve.operators import inequality_preconditioner, point_products
 from gnesolve.splitting import splitting_iterate
 from gnesolve.subgames import Subgame
 
@@ -151,6 +150,8 @@ class LiftedEqualityResolvent:
     """
 
     def __init__(self, game, graph, params, inner):
+        # imported here, since helpers imports this module
+        from helpers import block_diag, incidence_sandwich
         self.game = game
         self.graph = graph
         self.params = params

@@ -236,6 +236,45 @@ def test_task_allocation_shapes_and_ranges():
         assert np.allclose(p.b, np.array(g["C"]) / 15.0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_task_allocation_draws_in_documented_order(seed):
+    # one `uniform` call per value, in the order the docstrings document:
+    # the batched draws give the same instance and step sizes bit for bit
+    rng = SplitMix64(seed)
+
+    def draw(count, low, high):
+        return [rng.uniform(low, high) for _ in range(count)]
+    C, chi, kappa = draw(8, 1.0, 2.0), draw(8, 0.1, 0.6), draw(8, 10.0, 20.0)
+    workers, A = [], []
+    for blue, red in TASK_PATTERN:
+        Aw = np.zeros((8, 4))
+        Aw[(blue, blue, red, red), range(4)] = draw(4, 0.5, 1.0)
+        A.append(Aw.tolist())
+        blk = {"q": draw(4, 1.0, 2.0), "xi": draw(4, 6.0, 12.0),
+               "l": draw(4, 1.0, 3.0), "d": draw(1, 1.0, 2.0)[0]}
+        p_raw = np.array(draw(4, 0.0, 1.0))
+        blk["p"] = (p_raw / p_raw.sum()).tolist()
+        G = np.array(draw(16, -1.0, 1.0)).reshape(4, 4)
+        blk["S"] = (0.5 * np.eye(4) + 0.25 * (G @ G.T)).tolist()
+        blk["B"] = draw(4, 1.0, 3.0)
+        workers.append(blk)
+    game = task_allocation_game(seed)
+    payload = gs.game_to_dict(game)
+    assert payload["generator"] == {"name": "task-allocation", "seed": seed,
+                                    "C": C, "chi": chi, "kappa": kappa,
+                                    "workers": workers}
+    assert [p["A"] for p in payload["players"]] == A
+    assert [p["upper"] for p in payload["players"]] == [w["B"] for w in workers]
+    rng = SplitMix64(seed ^ 0x57E9)
+    graph = gs.path_graph(14)
+    R = [np.diag(draw(4, 4.0, 8.0)) for _ in range(14)]
+    H = [np.diag(draw(8, 0.2, 0.4)) for _ in range(14)]
+    W = [np.diag(draw(8, 0.2, 0.4)) for _ in range(13)]
+    params = gs.task_allocation_params(game, graph, seed)
+    assert all(np.array_equal(a, b) for a, b in zip(params.R, R))
+    assert np.array_equal(params.H, H) and np.array_equal(params.W, W)
+
+
 def test_task_allocation_gradient_matches_fd():
     game = task_allocation_game(0)
     payload = game.generator

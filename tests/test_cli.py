@@ -15,7 +15,8 @@ from gnesolve.config import (DEFAULTS, load_config, parse_config_text,
 from gnesolve.errors import ConfigError
 from gnesolve.trace import TRACE_COLUMNS, TraceRow, write_trace_csv
 from helpers import read_trace_csv
-from reference import InequalityResolvent, LiftedEqualityResolvent
+from reference import (InequalityResolvent, LiftedEqualityResolvent,
+                       layout_sizes)
 
 
 # -- config parsing ------------------------------------------------------------------
@@ -616,15 +617,16 @@ def test_output_dir_below_a_file_fails_before_the_run(tmp_path, monkeypatch,
     assert calls == [] and (tmp_path / "file").read_text() == ""
 
 
-@pytest.mark.parametrize("name, build", [
-    ("rate-control", gs.rate_control_game),
-    ("task-allocation", gs.task_allocation_game)], ids=["rate", "task"])
+@pytest.mark.parametrize("name, largest", [
+    ("rate-control", 75), ("task-allocation", 13)], ids=["rate", "task"])
 def test_no_eigendecomposition_above_the_largest_block(tmp_path, monkeypatch,
-                                                       name, build):
-    # the validators decompose per-player and per-edge blocks and the
-    # order-mN Schur complement, never the stacked preconditioner; they
-    # run before the first outer iteration, so a short run covers them.
-    # The resolvents' certificate factors are held to the same orders
+                                                       name, largest):
+    # the validators decompose per-player and per-edge blocks and the blocks
+    # of the coupling-row groups, never a matrix of order mN or mM: rate
+    # control's largest groups, rows {0, 8, 9, 10, 11} and {1, 12, ..., 15},
+    # give order 5 N = 75, and task allocation's z-condition splits into
+    # one-row groups of order M = 13.  They run before the first outer
+    # iteration, so a short run covers them
     orders = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -638,14 +640,15 @@ def test_no_eigendecomposition_above_the_largest_block(tmp_path, monkeypatch,
                           (CONFIGS / f"{name}.cfg").read_text()))
     for command in ("validate", "run"):
         assert main([command, str(cfg)]) == 0
+    assert orders and max(orders) <= largest
+    # the resolvents' certificate factors decompose at most the order of
+    # one block of the stacked layout, never the layout's
+    orders.clear()
     game, graph, params, _, inner, _ = _setup(load_config(cfg))
     resolvent = (LiftedEqualityResolvent if game.kind == gs.EQUALITY
                  else InequalityResolvent)
     resolvent(game, graph, params, inner)
-    game = build(0)
-    n_edges = game.n_players - 1            # the shipped chain graphs
-    largest = max(game.n, game.m * n_edges, game.m * game.n_players)
-    assert orders and max(orders) <= largest
+    assert max(orders) <= max(layout_sizes(game, graph))
 
 
 def test_explicit_edge_list(tmp_path, capsys):
@@ -736,6 +739,21 @@ stop.max_iter = 5000
 stop.tol = 1e-8
 output.dir = {out}
 """
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    # repeated in-process calls reuse one parser, and a command still
+    # reaches the module's function as it is at the call
+    import argparse
+    import gnesolve.cli
+    assert main(["validate", str(CONFIGS / "quadratic-equality.cfg")]) == 0
+    built, calls = [], []
+    monkeypatch.setattr(argparse, "ArgumentParser",
+                        lambda *a, **k: built.append(a))
+    monkeypatch.setattr(gnesolve.cli, "cmd_validate",
+                        lambda args: calls.append(args.config) or 0)
+    assert main(["validate", "exp.cfg"]) == 0
+    assert built == [] and calls == ["exp.cfg"]
 
 
 @pytest.mark.parametrize("kind", [gs.EQUALITY, gs.INEQUALITY])

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 import gnesolve as gs
 from gnesolve.errors import StructuralError, ValidationError
 from gnesolve.games import Box, Player
-from gnesolve.operators import (block_diag, inequality_preconditioner,
-                                residual_equality, residual_inequality,
-                                step_size_margins)
+from gnesolve.operators import (inequality_preconditioner, residual_equality,
+                                residual_inequality, step_size_margins)
 from conftest import edge_flow_for
-from helpers import (constraint_matrix, dense_equality_margins,
-                     dense_preconditioner, incidence_kron, linear_part)
+from helpers import (block_diag, constraint_matrix, dense_equality_margins,
+                     dense_preconditioner, dense_schur_complement,
+                     incidence_kron, linear_part)
 from reference import InequalityResolvent, pack, unpack_lifted
 
 
@@ -262,15 +262,18 @@ def test_graph_must_have_one_node_per_player(kind, monkeypatch):
 
 
 def random_instance(seed):
-    """Two to five players of dimension 1-4 with m = 1-3 coupling rows, on
-    a path graph plus random chords, with diagonal H and SPD R and W whose
-    scales span both validator verdicts."""
+    """Two to five players of dimension 1-4 with m = 1-4 coupling rows, some
+    of them zero in a player's ``A_i``, on a path graph plus random chords,
+    with diagonal H, SPD R, and W diagonal or dense SPD, whose scales span
+    both validator verdicts.  Sparse rows and diagonal W split the rows
+    into several groups."""
     rng = np.random.default_rng(seed)
-    N, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    N, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
     dims = [int(d) for d in rng.integers(1, 5, size=N)]
     players = [Player(d, lambda xi, o: np.zeros_like(xi),
-                      rng.normal(size=(m, d)), rng.normal(size=m),
-                      Box(-np.ones(d), np.ones(d))) for d in dims]
+                      rng.normal(size=(m, d)) * (rng.random((m, 1)) < 0.4),
+                      rng.normal(size=m), Box(-np.ones(d), np.ones(d)))
+               for d in dims]
     chords = [(i, j) for i in range(N) for j in range(i + 2, N)
               if rng.random() < 0.4]
     graph = gs.build_incidence(N, [(i, i + 1) for i in range(N - 1)] + chords)
@@ -278,12 +281,16 @@ def random_instance(seed):
     def spd(d, scale):
         G = rng.normal(size=(d, d))
         return scale * (G @ G.T / d + 0.1 * np.eye(d))
-    # about half the draws pass each validator
+    # the draws give both verdicts of each validator
     R = [spd(d, 10.0 ** rng.uniform(0.0, 2.0)) for d in dims]
     H = np.stack([np.diag(10.0 ** rng.uniform(-2.0, 0.0, size=m))
                   for _ in range(N)])
-    W = np.stack([spd(m, 10.0 ** rng.uniform(-2.0, 0.0))
-                  for _ in range(graph.n_edges)])
+    if rng.random() < 0.5:
+        W = np.stack([np.diag(10.0 ** rng.uniform(-2.0, 0.0, size=m))
+                      for _ in range(graph.n_edges)])
+    else:
+        W = np.stack([spd(m, 10.0 ** rng.uniform(-2.0, 0.0))
+                      for _ in range(graph.n_edges)])
     return players, graph, gs.AlgoParams(R, H, W, 1.1)
 
 
@@ -308,6 +315,15 @@ def test_structured_validators_match_dense_reference(seed):
     # inequality: the Schur-complement verdict is the sign of the smallest
     # eigenvalue of the stacked preconditioner, away from zero
     game = gs.Game(players, gs.INEQUALITY)
+    schur = float(np.linalg.eigvalsh(dense_schur_complement(params, game, graph)).min())
+    if schur > 0.0:
+        assert inequality_preconditioner(params, game, graph)["lam"] == \
+            pytest.approx(schur, rel=1e-10, abs=1e-10)
+    else:
+        with pytest.raises(ValidationError) as failure:
+            inequality_preconditioner(params, game, graph)
+        shown = float(re.search(r"= (\S+)$", str(failure.value)).group(1))
+        assert shown == pytest.approx(schur, rel=1e-5, abs=1e-10)
     smallest = float(np.linalg.eigvalsh(
         dense_preconditioner(params, game, graph)).min())
     if smallest > 1e-8:

@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import gnesolve as gs
 from gnesolve.errors import ValidationError
 from gnesolve.games import Box, Player
-from gnesolve.operators import block_diag
 from gnesolve.params import AlgoParams
+from helpers import block_diag
 
 
 def test_uniform_builder(eq_game, pair_graph):
