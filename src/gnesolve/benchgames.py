@@ -120,20 +120,19 @@ def quadratic_game(t=(2.0, 1.0), delta: float = 0.5, c: float = 1.0,
     # coordinates one by one costs less than a numpy reduction
     low, high = -half_width - 1e-12, half_width + 1e-12
 
-    def exact_subgame_solver(R_blocks):
+    def exact_subgame_solver(R):
         # exact equilibrium of the strongly monotone affine subgame with
-        # matrix G = J + R, bound once to the R blocks: the interior solve,
-        # or else one coordinate at a bound and the other solving its own
-        # equation, clipped to the box (for the corners)
-        Rb = np.array([float(np.atleast_2d(R)[0, 0]) for R in R_blocks])
-        G = J + np.diag(Rb)
+        # matrix G = J + diag(R), bound once to the R vector: the interior
+        # solve, or else one coordinate at a bound and the other solving its
+        # own equation, clipped to the box (for the corners)
+        G = J + np.diag(R)
         # G's elimination constants, bound once: G[0, 0] = 1 + R_0 > 1 >=
         # |delta| = |G[1, 0]|, so the elimination needs no row swap, and
         # u = det G / G[0, 0] > 0
         (g00, g01), (g10, g11) = G.tolist()
         l = g10 * (1.0 / g00)
         u = g11 - l * g01
-        (R0, R1), (t0, t1) = Rb.tolist(), t.tolist()
+        (R0, R1), (t0, t1) = R.tolist(), t.tolist()
 
         def solve(anchor, shift):
             # the right-hand side R anchor + t - shift in Python floats,

@@ -136,10 +136,11 @@ class Game:
         When given it must agree with the per-player oracles; it is used as
         a fast path by the inner solvers.
     exact_subgame_solver : callable, optional
-        ``R_blocks -> solve``, binding a run's proximal weights once, where
-        ``solve(anchor, shift) -> x_hat`` returns the exact equilibrium of
-        the proximally regularized subgame.  Supplied by generators of games
-        whose regularized equilibrium has a closed form.
+        ``R -> solve``, binding a run's proximal weights (the (n,) vector
+        ``AlgoParams.R``) once, where ``solve(anchor, shift) -> x_hat``
+        returns the exact equilibrium of the proximally regularized
+        subgame.  Supplied by generators of games whose regularized
+        equilibrium has a closed form.
     generator : dict, optional
         Metadata echoed into the JSON serialization so that the instance can
         be rebuilt (name of the generating family plus its parameters).

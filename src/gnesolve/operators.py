@@ -2,17 +2,19 @@
 
 The validators decide whether each loop's preconditioner ``Phi`` is
 positive definite from the per-player blocks ``R_i``, ``A_i``, ``H_i``,
-the per-edge blocks ``W_l`` and the graph's incidence matrix.  Each
-condition's matrix splits by row groups: two coupling rows are in one
-group when a block of the condition has a nonzero entry linking them, and
-the matrix is the direct sum of one block per group ``C``, of order
-``N |C|`` or ``M |C|`` (`_schur_margin`).  The largest matrix decomposed
-has order ``max(d_i, N |C|, M |C|)``; a pattern that couples every row is
-one group, of order ``mN`` or ``mM``.  Each validator returns its
-margins, keyed by the block of its condition, or raises a
-`ValidationError` naming the failed condition.  The dense stacked
-operators and preconditioners, and the stacked iterates they act on, live
-in the tests, as the independent reference.
+the per-edge blocks ``W_l`` and the graph's incidence matrix; the step
+blocks are diagonal, read from the step-size vectors.  Each condition's
+matrix splits by row groups: two coupling rows are in one group when a
+block of the condition has a nonzero entry linking them, and the matrix is
+the direct sum of one block per group ``C``, of order ``N |C|`` or
+``M |C|`` (`_schur_margin`).  Only a player's own ``A_i R_i^-1 A_i^T``
+links two rows, so the equality ``z`` condition splits into single rows,
+and the largest matrix decomposed has order ``max(d_i, N |C|, M)``; a
+pattern that couples every row is one group, of order ``mN``.  Each
+validator returns its margins, keyed by the block of its condition, or
+raises a `ValidationError` naming the failed condition.  The dense stacked
+operators and preconditioners, the dense step matrices, and the stacked
+iterates they act on, live in the tests, as the independent reference.
 """
 
 from __future__ import annotations
@@ -31,19 +33,25 @@ from .params import AlgoParams
 # -- step-size validation -------------------------------------------------------
 
 def _check_fit(params: AlgoParams, game: Game, graph: CommGraph) -> None:
-    """The graph and step matrices must match the game: one graph node and
-    one ``R_i`` of order ``d_i`` per player, ``H`` of shape (N, m, m), ``W``
-    of (M, m, m) for the graph's M edges."""
+    """The graph and step sizes must match the game: one graph node per
+    player, ``R`` of shape (n,) in blocks of the players' orders ``d_i``,
+    ``H`` of (N, m) and ``W`` of (M, m) for the graph's M edges."""
     if graph.n_nodes != game.n_players:
         raise StructuralError(f"the graph has {graph.n_nodes} nodes but the "
                               f"game has {game.n_players} players")
     m = game.m
     for name, given, expected in (
-            ("R block orders", tuple(Ri.shape[0] for Ri in params.R), game.dims),
-            ("H shape", params.H.shape, (game.n_players, m, m)),
-            ("W shape", params.W.shape, (graph.n_edges, m, m))):
+            ("R block orders", params.dims, game.dims),
+            ("H shape", params.H.shape, (game.n_players, m)),
+            ("W shape", params.W.shape, (graph.n_edges, m))):
         if given != expected:
             raise StructuralError(f"{name} {given}, expected {expected}")
+
+
+def _diag_stack(rows: np.ndarray) -> np.ndarray:
+    """The stack of diagonal matrices, (..., d, d), whose diagonals are the
+    rows of a (..., d) array."""
+    return rows[..., None] * np.eye(rows.shape[-1])
 
 
 def _min_eig(stack: np.ndarray) -> float:
@@ -55,14 +63,15 @@ def _min_eig(stack: np.ndarray) -> float:
 
 def _player_stacks(params: AlgoParams, game: Game):
     """``(players, R, A)`` for each block order ``d``: the indices of the
-    players of that order and their stacked ``R_i`` (count, d, d) and
-    ``A_i`` (count, m, d)."""
+    players of that order and their stacked ``R_i`` diagonals (count, d)
+    and ``A_i`` (count, m, d)."""
     by_order = {}
     for i, d in enumerate(game.dims):
         by_order.setdefault(d, []).append(i)
-    return [(ids, np.array([params.R[i] for i in ids]),
+    return [(ids, np.array([params.R[game.offsets[i]:game.offsets[i] + d]
+                            for i in ids]),
              np.array([game.players[i].A for i in ids]))
-            for ids in by_order.values()]
+            for d, ids in by_order.items()]
 
 
 def _row_groups(coupled: np.ndarray) -> list:
@@ -88,26 +97,28 @@ def _row_groups(coupled: np.ndarray) -> list:
 
 
 def _schur_margin(V: np.ndarray, D: np.ndarray, B: np.ndarray) -> float:
-    """Smallest eigenvalue of ``blockdiag(D) - Vbar blockdiag(B) Vbar^T``
-    with ``Vbar = V kron I_m``, for a (p, q) incidence-like ``V`` and stacks
-    of (m, m) blocks ``D`` (p) and ``B`` (q), symmetrized.
+    """Smallest eigenvalue of ``blockdiag(D) - Vbar diag(B) Vbar^T`` with
+    ``Vbar = V kron I_m``, for a (p, q) incidence-like ``V``, a stack of
+    (m, m) blocks ``D`` (p) and the rows of step sizes ``B`` (q, m),
+    symmetrized.
 
     Entry ``((i, a), (j, b))`` of the matrix is ``D_i[a, b]`` on the
-    diagonal blocks minus ``sum_l V_il V_jl B_l[a, b]``, so it vanishes
-    unless some ``D_i`` or ``B_l`` has a nonzero ``(a, b)`` entry.  The
-    matrix is therefore the direct sum of its row groups' blocks (rows
-    ``(i, a)`` with ``a`` in one group ``C``, order ``p |C|``); each is
-    built from slices of ``D`` and ``B``, and the groups of one size share
-    one batched decomposition.  When every row is coupled there is one
-    group, the whole matrix."""
+    diagonal blocks minus ``sum_l V_il V_jl B_l[a]`` when ``a = b``, so it
+    vanishes unless ``a = b`` or some ``D_i`` has a nonzero ``(a, b)``
+    entry.  The matrix is therefore the direct sum of its row groups'
+    blocks (rows ``(i, a)`` with ``a`` in one group ``C``, order
+    ``p |C|``); each is built from slices of ``D`` and ``B``, and the
+    groups of one size share one batched decomposition.  When every row
+    is coupled there is one group, the whole matrix."""
     p, q = V.shape
     nodes = np.arange(p)
     margin = math.inf
-    for groups in _row_groups((D != 0.0).any(axis=0) | (B != 0.0).any(axis=0)):
+    for groups in _row_groups((D != 0.0).any(axis=0)):
         count, size = groups.shape
         rows, cols = groups[:, :, None], groups[:, None, :]
-        # sum_l V_il V_jl B_l, symmetric in (i, j): one product over l per j
-        VB = V[:, :, None, None, None] * B[:, rows, cols]
+        # sum_l V_il V_jl diag(B_l), symmetric in (i, j): one product over
+        # l per j
+        VB = V[:, :, None, None, None] * _diag_stack(B[:, groups])
         S = -(V @ VB.reshape(p, q, -1)).reshape(p, p, count, size, size)
         S[nodes, nodes] += D[:, rows, cols]
         S = S.transpose(2, 0, 3, 1, 4).reshape(count, p * size, p * size)
@@ -124,9 +135,10 @@ def check_step_sizes_equality(params: AlgoParams, game: Game,
     positive definite: its quadratic form is two nonnegative weighted norms
     plus the norms these two matrices weight."""
     _check_fit(params, game, graph)
-    margin_x = min(_min_eig(R - A.transpose(0, 2, 1) @ params.H[ids] @ A)
+    margin_x = min(_min_eig(_diag_stack(R)
+                            - (A.transpose(0, 2, 1) * params.H[ids, None, :]) @ A)
                    for ids, R, A in _player_stacks(params, game))
-    margin_z = _schur_margin(graph.incidence.T, np.linalg.inv(params.W),
+    margin_z = _schur_margin(graph.incidence.T, _diag_stack(1.0 / params.W),
                              params.H)
     if not (margin_x > 0.0 and margin_z > 0.0):
         raise ValidationError(
@@ -141,16 +153,12 @@ def inequality_preconditioner(params: AlgoParams, game: Game,
     """Margin ``lam`` of the inequality preconditioner: the smallest
     eigenvalue of its Schur complement ``H^-1 - Lam R^-1 Lam^T -
     Vbar W Vbar^T``; raises `ValidationError` unless it is positive.
-    Requires diagonal ``H``, for which the multiplier update's clamp onto
-    the orthant is the projection in the ``H^-1`` metric."""
+    ``H`` is diagonal, so the multiplier update's clamp onto the orthant is
+    the projection in the ``H^-1`` metric."""
     _check_fit(params, game, graph)
-    if not params.h_is_diagonal():
-        raise ValidationError(
-            "multiplier step matrices must be diagonal for the inequality "
-            "operator (exact weighted orthant projection)")
-    D = np.linalg.inv(params.H)
+    D = _diag_stack(1.0 / params.H)
     for ids, R, A in _player_stacks(params, game):
-        D[ids] -= A @ np.linalg.solve(R, A.transpose(0, 2, 1))
+        D[ids] -= A @ ((1.0 / R)[:, :, None] * A.transpose(0, 2, 1))
     margin = _schur_margin(graph.incidence, D, params.W)
     if not margin > 0.0:
         raise ValidationError(

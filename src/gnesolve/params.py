@@ -1,131 +1,98 @@
-"""Step-size matrices, relaxation factor, and the inner-tolerance scale."""
+"""Step sizes, relaxation factor, and the inner-tolerance scale."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from .errors import StructuralError, ValidationError
-from .games import Game, padded_layout
+from .games import Game
 from .graphs import CommGraph
 
-def _check_spd(stack: np.ndarray, name: str, first: int = 0) -> np.ndarray:
-    """Validate a stack of symmetric positive definite blocks, block ``j``
-    named ``name[first + j]``, with one batched eigendecomposition; returns
-    their eigenvalues, ascending per block.  An error names the first
-    failing block, and that block's first failing condition."""
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise StructuralError(
-            f"{name}[{first}] must be square, got shape {stack.shape[1:]}")
-    with np.errstate(invalid="ignore"):     # inf - inf in a non-finite block
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        skew = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-        scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
-    bad = ~finite | (skew > 1e-12 * (1.0 + scale))
-    # the blocks before the first non-finite or asymmetric one
-    good = int(np.argmax(bad)) if bad.any() else len(stack)
-    head = stack[:good]
-    eigs = np.linalg.eigvalsh(0.5 * (head + head.transpose(0, 2, 1)))
-    indefinite = eigs[:, 0] <= 0.0
-    if indefinite.any():
-        j = int(np.argmax(indefinite))
-        raise ValidationError(
-            f"{name}[{first + j}] is not positive definite "
-            f"(smallest eigenvalue {eigs[j, 0]:.3g})")
-    if good < len(stack):
-        condition = "is not symmetric" if finite[good] else "has non-finite entries"
-        raise ValidationError(f"{name}[{first + good}] {condition}")
-    return eigs
 
-
-def _diagonal(stack: np.ndarray) -> np.ndarray | None:
-    """The diagonals of a stack of square blocks, (count, order), if every
-    block is diagonal; otherwise None."""
-    diag = stack.diagonal(axis1=1, axis2=2)
-    # no nonzero entry off the diagonals
-    return diag.copy() if np.count_nonzero(stack) == np.count_nonzero(diag) else None
-
-
-def _apply_rows(stack: np.ndarray, diag: np.ndarray | None,
-                rows: np.ndarray) -> np.ndarray:
-    """Per-block products ``stack_j rows_j`` on a (count, m) array: one
-    elementwise product with the stack's diagonals ``diag`` when it is
-    diagonal, otherwise the batched product."""
-    if diag is not None:
-        return diag * rows
-    return (stack @ rows[:, :, None])[:, :, 0]
+def _check_positive(values: np.ndarray, name: str, starts: Sequence[int]) -> None:
+    """Every entry of a flattened step-size array must be finite and
+    positive, which makes each diagonal step matrix positive definite;
+    block ``i`` of ``name`` runs from ``starts[i]`` to the next start.  An
+    error names the first failing block, and that block's first failing
+    condition."""
+    failing = ~((values > 0.0) & (values < np.inf))     # nan compares False
+    if not failing.any():
+        return
+    i = int(np.searchsorted(starts, np.argmax(failing), side="right")) - 1
+    block = np.split(values, starts[1:])[i]
+    if not np.isfinite(block).all():
+        raise ValidationError(f"{name}[{i}] has non-finite entries")
+    raise ValidationError(f"{name}[{i}] is not positive definite "
+                          f"(smallest eigenvalue {block.min():.3g})")
 
 
 @dataclass
 class AlgoParams:
-    """Per-player and per-edge SPD step matrices plus the relaxation factor.
+    """Per-player and per-edge diagonal step sizes plus the relaxation factor.
+
+    Each step matrix is diagonal and is stored as its diagonal: player
+    ``i``'s ``R_i`` is ``diag`` of its slice of ``R``, ``H_i = diag(H[i])``
+    and edge ``l``'s ``W_l = diag(W[l])``.
 
     Attributes
     ----------
-    R : list of (n_i, n_i) arrays
-        Proximal weights, one per player.
-    H : (N, m, m) array
-        Multiplier step matrices, one per player.
-    W : (M, m, m) array
-        Edge step matrices, one per edge.
+    R : (n,) array
+        Proximal weights in profile order.
+    H : (N, m) array
+        Multiplier step sizes, one row per player.
+    W : (M, m) array
+        Edge step sizes, one row per edge.
     rho : float
         Relaxation/extrapolation factor in [1, 2).
     mu0 : float
         Scale of the inner tolerances ``mu(k) = mu0 / k^2`` at the 1-based
         outer iteration ``k``; finite and nonnegative, so they are summable
         as the inexact proximal-point proof needs.  ``0`` means exact solves.
+    dims : tuple of int, optional
+        Orders of the players' ``R_i``: errors name the blocks of ``R`` by
+        them, and the validators match them against the game's; by default
+        each entry of ``R`` is one block.
     r_min, r_max : float
-        Smallest and largest eigenvalue over the ``R`` blocks, computed
-        once at construction.
+        Smallest and largest entry of ``R``, the extreme eigenvalues of the
+        ``R_i``.
 
-    Construction also notes whether each of the ``R``, ``H`` and ``W``
-    stacks is diagonal, as every shipped preset's is; a diagonal stack is
-    applied as one elementwise product with its stored diagonal, which
-    gives the batched product's bits, and any other through the batched
-    product.
+    Every entry must be finite and positive; an error names the first
+    failing block (``R[i]``, ``H[i]`` or ``W[l]``).
     """
 
-    R: list
+    R: np.ndarray
     H: np.ndarray
     W: np.ndarray
     rho: float
     mu0: float = 1.0
+    dims: Sequence[int] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.mu0 < np.inf:
             raise ValidationError(
                 f"mu0 must be finite and nonnegative, got {self.mu0}")
-        self.R = [np.atleast_2d(np.asarray(Ri, dtype=float)) for Ri in self.R]
-        self.H = np.asarray(self.H, dtype=float)
-        self.W = np.asarray(self.W, dtype=float)
-        # each run of consecutive equal-shape blocks is one stack
-        r_eigs, first = [], 0
-        for _, run in groupby(self.R, key=np.shape):
-            run = np.stack(list(run))
-            r_eigs.extend(_check_spd(run, "R", first))
-            first += len(run)
-        self.r_min = min(e[0] for e in r_eigs)
-        self.r_max = max(e[-1] for e in r_eigs)
-        # blocks zero-padded to a common order, so that R v is one batched
-        # product; _r_index maps profile entries into the padded layout
-        dims = [Ri.shape[0] for Ri in self.R]
-        order, self._r_index = padded_layout(dims)
-        self._R_stack = np.zeros((len(dims), order, order))
-        for Rs, Ri, d in zip(self._R_stack, self.R, dims):
-            Rs[:d, :d] = Ri
-        if self.H.ndim != 3 or self.H.shape[1] != self.H.shape[2]:
-            raise StructuralError("H must be an (N, m, m) array")
-        if self.W.ndim != 3 or self.W.shape[1] != self.W.shape[2]:
-            raise StructuralError("W must be an (M, m, m) array")
-        _check_spd(self.H, "H")
-        _check_spd(self.W, "W")
-        r_diag = _diagonal(self._R_stack)
-        self._r_diag = None if r_diag is None else r_diag.reshape(-1)[self._r_index]
-        self._h_diag = _diagonal(self.H)
-        self._w_diag = _diagonal(self.W)
+        # private read-only copies: the checks below hold for the run
+        self.R, self.H, self.W = (np.array(a, dtype=float)
+                                  for a in (self.R, self.H, self.W))
+        for a in (self.R, self.H, self.W):
+            a.flags.writeable = False
+        if self.R.ndim != 1:
+            raise StructuralError(f"R must be an (n,) array, got shape {self.R.shape}")
+        self.dims = (1,) * self.R.size if self.dims is None else tuple(self.dims)
+        if sum(self.dims) != self.R.size:
+            raise StructuralError(f"R has {self.R.size} entries but its block "
+                                  f"orders {self.dims} sum to {sum(self.dims)}")
+        _check_positive(self.R, "R", np.cumsum((0,) + self.dims[:-1]))
+        for name, rows in (("H", self.H), ("W", self.W)):
+            if rows.ndim != 2:
+                raise StructuralError(f"{name} must be a 2-D array of rows, "
+                                      f"got shape {rows.shape}")
+            _check_positive(rows.ravel(), name, np.arange(len(rows)) * rows.shape[1])
+        self.r_min = float(self.R.min())
+        self.r_max = float(self.R.max())
         if not (1.0 <= self.rho < 2.0):
             raise ValidationError(
                 f"relaxation factor rho={self.rho} outside [1, 2)")
@@ -135,18 +102,17 @@ class AlgoParams:
     @classmethod
     def uniform(cls, game: Game, graph: CommGraph, r: float, h: float,
                 w: float, rho: float, mu0: float = 1.0) -> "AlgoParams":
-        """Scalar step sizes replicated into identity blocks."""
-        return cls.diagonal([np.full(p.dim, r) for p in game.players],
-                            np.full((game.n_players, game.m), h),
-                            np.full((graph.n_edges, game.m), w), rho, mu0)
+        """Scalar step sizes replicated over every entry."""
+        return cls(np.full(game.n, r), np.full((game.n_players, game.m), h),
+                   np.full((graph.n_edges, game.m), w), rho, mu0, game.dims)
 
     @classmethod
     def diagonal(cls, r_diags: Sequence[np.ndarray], h_diags: np.ndarray,
                  w_diags: np.ndarray, rho: float, mu0: float = 1.0) -> "AlgoParams":
-        R = [np.diag(np.asarray(d, dtype=float)) for d in r_diags]
-        H = np.stack([np.diag(np.asarray(d, dtype=float)) for d in h_diags])
-        W = np.stack([np.diag(np.asarray(d, dtype=float)) for d in w_diags])
-        return cls(R, H, W, rho, mu0)
+        """Step sizes from the per-player ``R_i`` diagonals, in player order,
+        and the ``H`` and ``W`` rows."""
+        return cls(np.concatenate(r_diags), h_diags, w_diags, rho, mu0,
+                   [np.size(d) for d in r_diags])
 
     def mu(self, k: int) -> float:
         """Inner tolerance ``mu0 / k^2`` at the 1-based outer iteration ``k``."""
@@ -155,21 +121,16 @@ class AlgoParams:
     # -- block applications ---------------------------------------------------
 
     def apply_R(self, v: np.ndarray) -> np.ndarray:
-        """Blockwise product ``R v`` on a stacked profile vector whose
-        player dimensions are the orders of the ``R`` blocks."""
-        if self._r_diag is not None:
-            return self._r_diag * v
-        padded = np.zeros(self._R_stack.shape[:2])
-        padded.reshape(-1)[self._r_index] = v
-        return (self._R_stack @ padded[:, :, None]).reshape(-1)[self._r_index]
+        """Blockwise product ``R v`` on a stacked profile vector."""
+        return self.R * v
 
     def apply_H(self, rows: np.ndarray) -> np.ndarray:
         """Per-player products ``H_i rows_i`` on an (N, m) array."""
-        return _apply_rows(self.H, self._h_diag, rows)
+        return self.H * rows
 
     def apply_W(self, rows: np.ndarray) -> np.ndarray:
         """Per-edge products ``W_l rows_l`` on an (M, m) array."""
-        return _apply_rows(self.W, self._w_diag, rows)
+        return self.W * rows
 
     def r_min_eig(self) -> float:
         """Smallest eigenvalue over the ``R`` blocks; same as ``r_min``."""
@@ -178,6 +139,3 @@ class AlgoParams:
     def r_max_eig(self) -> float:
         """Largest eigenvalue over the ``R`` blocks; same as ``r_max``."""
         return self.r_max
-
-    def h_is_diagonal(self) -> bool:
-        return self._h_diag is not None

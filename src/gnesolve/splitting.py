@@ -51,8 +51,9 @@ def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,
                   inner: InnerSolver, stop: StopRule = StopRule(),
                   seed: int = 0) -> RunResult:
     """Iterate until all inequality-operator residuals fall below the
-    tolerance.  The driver validates the preconditioner, which requires
-    diagonal multiplier step matrices (exact orthant projection)."""
+    tolerance.  The driver validates the preconditioner; the multiplier
+    step matrices are diagonal, so the clamp is the exact orthant
+    projection in their metric."""
     if game.kind != INEQUALITY:
         raise ValidationError(
             "the splitting algorithm needs an inequality-coupled game")

@@ -159,7 +159,7 @@ class InnerSolver:
     """Solves regularized subgames to a certified distance bound.
 
     ``"exact"`` uses the game's closed-form regularized-equilibrium solver,
-    bound to a run's ``R`` blocks by `bind`, which refuses a game without
+    bound to a run's ``R`` by `bind`, which refuses a game without
     one.
     ``"residual"`` (the default) runs forward-backward steps (`_steps`) and
     stops at the first iterate whose computable error bound
@@ -184,10 +184,10 @@ class InnerSolver:
         `ValidationError` if the mode cannot solve that run's subgames:
         exact mode needs the game's closed-form solver, residual mode a
         positive tolerance scale ``params.mu0``.  Exact mode binds the
-        closed-form solver to the run's ``R`` blocks here, once, instead of
-        at every solve, and returns a solver already bound to ``game`` and
+        closed-form solver to the run's ``R`` here, once, instead of at
+        every solve, and returns a solver already bound to ``game`` and
         ``params`` as it is; other subgames are still solved with their own
-        blocks."""
+        ``R``."""
         if self.mode == "residual" and params.mu0 == 0.0:
             raise ValidationError(
                 "a zero tolerance schedule (params.mu = exact, or params.mu0 "

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests: objective values rebuilt from the
 instance payloads (not from the package's gradient code), plain central
-finite differences, the per-player loop form of an ADMM iteration, and the
-dense stacked operators and preconditioners the structured validators and
-the resolvents of `reference` are checked against."""
+finite differences, the per-player loop form of an ADMM iteration, the
+dense step matrices of the step-size vectors, and the dense stacked
+operators and preconditioners the structured validators and the resolvents
+of `reference` are checked against."""
 
 import csv
 
@@ -29,6 +30,16 @@ def block_diag(blocks) -> np.ndarray:
     for B, r, c in zip(blocks, rows, cols):
         out[r:r + B.shape[0], c:c + B.shape[1]] = B
     return out
+
+
+def step_matrices(params, game):
+    """The dense step matrices of ``params``: the per-player ``R_i`` (a
+    list) and the ``H`` (N, m, m) and ``W`` (M, m, m) stacks, the diagonal
+    matrices of its step-size vectors.  The references below use the
+    general SPD-block algebra on them."""
+    return ([np.diag(r) for r in game.split(params.R)],
+            params.H[:, :, None] * np.eye(params.H.shape[1]),
+            params.W[:, :, None] * np.eye(params.W.shape[1]))
 
 
 def incidence_sandwich(V: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -109,9 +120,10 @@ def linear_part(game, graph, lifted=False):
 
 def dense_preconditioner(params, game, graph, lifted=False):
     """Dense ``Phi`` of the plain (inequality) or lifted (equality) layout."""
-    R = block_diag(params.R)
-    Hinv = np.linalg.inv(block_diag(params.H))
-    Winv = np.linalg.inv(block_diag(params.W))
+    R, H, W = step_matrices(params, game)
+    R = block_diag(R)
+    Hinv = np.linalg.inv(block_diag(H))
+    Winv = np.linalg.inv(block_diag(W))
     D = (R, 2.0 * Hinv, Winv, 2.0 * Hinv) if lifted else (R, Winv, Hinv)
     return _assemble(game, graph, lifted, D, -1.0, -1.0)
 
@@ -120,9 +132,10 @@ def dense_equality_margins(params, game, graph):
     """Smallest eigenvalues of the dense ``R - Lam^T H Lam`` and
     ``W^-1 - Vbar^T H Vbar``."""
     Lam, Vb = constraint_matrix(game), incidence_kron(graph, game.m)
-    Hd = block_diag(params.H)
-    Mx = block_diag(params.R) - Lam.T @ Hd @ Lam
-    Mz = np.linalg.inv(block_diag(params.W)) - Vb.T @ Hd @ Vb
+    R, H, W = step_matrices(params, game)
+    Hd = block_diag(H)
+    Mx = block_diag(R) - Lam.T @ Hd @ Lam
+    Mz = np.linalg.inv(block_diag(W)) - Vb.T @ Hd @ Vb
     return {"x": float(np.linalg.eigvalsh(0.5 * (Mx + Mx.T)).min()),
             "z": float(np.linalg.eigvalsh(0.5 * (Mz + Mz.T)).min())}
 
@@ -131,9 +144,10 @@ def dense_schur_complement(params, game, graph):
     """Dense ``H^-1 - Lam R^-1 Lam^T - Vbar W Vbar^T`` (order mN), the Schur
     complement whose smallest eigenvalue is the inequality margin,
     symmetrized."""
-    S = -incidence_sandwich(graph.incidence, params.W)
+    R, H, W = step_matrices(params, game)
+    S = -incidence_sandwich(graph.incidence, W)
     S += block_diag([np.linalg.inv(Hi) - p.A @ np.linalg.solve(Ri, p.A.T)
-                     for Ri, Hi, p in zip(params.R, params.H, game.players)])
+                     for Ri, Hi, p in zip(R, H, game.players)])
     return 0.5 * (S + S.T)
 
 
@@ -141,7 +155,8 @@ def dense_lifted_jacobian(params, game, graph):
     """``J = (I; H Lam; -2 W Vbar^T H Lam; -(I - 2 H Vbar W Vbar^T) H Lam)``:
     the linear part of the lifted resolvent's sweep in its decision block."""
     Lam, Vb = constraint_matrix(game), incidence_kron(graph, game.m)
-    Hd, Wd = block_diag(params.H), block_diag(params.W)
+    _, H, W = step_matrices(params, game)
+    Hd, Wd = block_diag(H), block_diag(W)
     HLam = Hd @ Lam
     return np.vstack([np.eye(game.n), HLam, -2.0 * Wd @ Vb.T @ HLam,
                       -(np.eye(len(Hd)) - 2.0 * Hd @ Vb @ Wd @ Vb.T) @ HLam])
@@ -243,6 +258,7 @@ def admm_iterate_componentwise(game, graph, params, state, inner, mu):
 
     x, lam, Z = state.x, state.lam, state.Z
     rho = params.rho
+    _, H, W = step_matrices(params, game)
     blocks = game.split(x)
     agg = graph.node_aggregate(Z)
 
@@ -254,17 +270,17 @@ def admm_iterate_componentwise(game, graph, params, state, inner, mu):
     tracked_t = np.empty_like(lam)
     for i, p in enumerate(game.players):
         tracked_t[i] = p.A @ xt_blocks[i] + agg[i] - p.b
-        lam_next[i] = lam[i] + rho * (params.H[i] @ tracked_t[i])
+        lam_next[i] = lam[i] + rho * (H[i] @ tracked_t[i])
 
     # step 3 signal: recover the unrelaxed multiplier from the relaxed one
     s = np.empty_like(lam)
     for i in range(game.n_players):
         lam_tilde_i = lam_next[i] / rho + (rho - 1.0) / rho * lam[i]
-        s[i] = lam_tilde_i + params.H[i] @ tracked_t[i]
+        s[i] = lam_tilde_i + H[i] @ tracked_t[i]
 
     Z_next = Z.copy()
     for l, (i, j) in enumerate(graph.edges):
-        z_tilde = Z[l] - params.W[l] @ (s[j] - s[i])
+        z_tilde = Z[l] - W[l] @ (s[j] - s[i])
         Z_next[l] = Z[l] + rho * (z_tilde - Z[l])
 
     x_next = np.concatenate([

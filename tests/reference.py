@@ -110,14 +110,17 @@ class InequalityResolvent:
         self.graph = graph
         self.params = params
         self.inner = inner
-        # the splitting's validator: diagonal H and a positive definite metric
+        # imported here, since helpers imports this module
+        from helpers import step_matrices
+        # the splitting's validator: a positive definite metric
         inequality_preconditioner(params, game, graph)
         # certified inflation of the subgame tolerance into the stacked
         # iterate: the multiplier block moves by at most ||2 H Lam|| per
         # unit of decision error (the projection is nonexpansive); H Lam is
         # block-diagonal, so its norm is the largest of its blocks' norms
+        _, H, _ = step_matrices(params, game)
         HLam_norm = max(np.linalg.norm(Hi @ p.A, 2)
-                        for Hi, p in zip(params.H, game.players))
+                        for Hi, p in zip(H, game.players))
         self.nu_factor = float(np.sqrt(1.0 + (2.0 * HLam_norm) ** 2))
 
     def solve(self, w, nu):
@@ -151,7 +154,7 @@ class LiftedEqualityResolvent:
 
     def __init__(self, game, graph, params, inner):
         # imported here, since helpers imports this module
-        from helpers import block_diag, incidence_sandwich
+        from helpers import block_diag, incidence_sandwich, step_matrices
         self.game = game
         self.graph = graph
         self.params = params
@@ -160,10 +163,11 @@ class LiftedEqualityResolvent:
         # + P^T P and P = I - 2 H Vbar W Vbar^T, all of order mN; HLam is
         # block-diagonal with blocks H_i A_i, so lmax is of order n
         V, mN = graph.incidence, game.m * game.n_players
-        P = np.eye(mN) - 2.0 * block_diag(params.H) @ incidence_sandwich(V, params.W)
+        _, H, W = step_matrices(params, game)
+        P = np.eye(mN) - 2.0 * block_diag(H) @ incidence_sandwich(V, W)
         Q = (np.eye(mN) + P.T @ P + 4.0 * incidence_sandwich(
-            V, params.W.transpose(0, 2, 1) @ params.W))
-        HLam = block_diag([Hi @ p.A for Hi, p in zip(params.H, game.players)])
+            V, W.transpose(0, 2, 1) @ W))
+        HLam = block_diag([Hi @ p.A for Hi, p in zip(H, game.players)])
         self.nu_factor = float(np.sqrt(
             1.0 + np.linalg.eigvalsh(HLam.T @ Q @ HLam)[-1]))
 

@@ -182,9 +182,9 @@ def test_criterion_6_validators():
         if "[1, 2)" not in str(exc):
             failures.append("rho failure message")
     try:
-        gs.AlgoParams([-np.eye(1)] * 2, 0.5 * np.ones((2, 1, 1)),
-                      0.5 * np.ones((1, 1, 1)), 1.1)
-        failures.append("non-SPD R accepted")
+        gs.AlgoParams(-np.ones(2), 0.5 * np.ones((2, 1)), 0.5 * np.ones((1, 1)),
+                      1.1)
+        failures.append("non-positive R accepted")
     except ValidationError:
         pass
     report(6, not failures,

@@ -49,16 +49,15 @@ def test_quadratic_rejects_non_monotone():
         gs.quadratic_game(delta=2.0)
 
 
-def quadratic_active_set_enumeration(game, anchor, shift, R_blocks):
+def quadratic_active_set_enumeration(game, anchor, shift, R):
     """Exact subgame equilibrium of the two-player quadratic game by trying
     all nine box patterns in turn: the reference for the solver that tries
     the interior first."""
     g = game.generator
     t, delta, w = np.array(g["t"]), g["delta"], g["half_width"]
     lower, upper = np.full(2, -w), np.full(2, w)
-    Rb = np.array([float(np.atleast_2d(R)[0, 0]) for R in R_blocks])
-    G = np.array([[1.0, delta], [delta, 1.0]]) + np.diag(Rb)
-    rhs = Rb * anchor + t - shift
+    G = np.array([[1.0, delta], [delta, 1.0]]) + np.diag(R)
+    rhs = R * anchor + t - shift
     for pattern in ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0),
                     (-1, -1), (-1, 1), (1, -1), (1, 1)):
         y = np.where(np.array(pattern) < 0, lower,
@@ -85,9 +84,9 @@ def test_exact_quadratic_solver_equals_enumeration(delta, seed):
     for scale in (1.0, 30.0, 1e4):
         anchor = rng.uniform(-10.0, 10.0, 2)
         shift = scale * rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 1.0, 2)
-        R_blocks = [np.array([[r]]) for r in rng.uniform(0.5, 20.0, 2)]
-        got = game.exact_subgame_solver(R_blocks)(anchor, shift)
-        want = quadratic_active_set_enumeration(game, anchor, shift, R_blocks)
+        R = rng.uniform(0.5, 20.0, 2)
+        got = game.exact_subgame_solver(R)(anchor, shift)
+        want = quadratic_active_set_enumeration(game, anchor, shift, R)
         # the same box pattern, bit for bit; the solver's elimination and
         # LAPACK's solve may round the free coordinates differently
         at_bound = np.abs(want) == game.generator["half_width"]
@@ -113,14 +112,14 @@ def test_exact_quadratic_solver_box_cases(y, g):
     # a shift that makes y the subgame equilibrium with gradient g: zero on
     # a free coordinate, pointing out of the box on one at its bound
     game, _ = gs.quadratic_game(delta=0.5)
-    R_blocks = [np.array([[1.0]]), np.array([[2.0]])]
+    R = np.array([1.0, 2.0])
     G = np.array([[2.0, 0.5], [0.5, 3.0]])
     anchor = np.array([1.0, -1.0])
     shift = np.array([1.0, -2.0]) + np.array(game.generator["t"]) \
         - (G @ np.array(y) - np.array(g))
-    got = game.exact_subgame_solver(R_blocks)(anchor, shift)
+    got = game.exact_subgame_solver(R)(anchor, shift)
     assert np.array_equal(
-        got, quadratic_active_set_enumeration(game, anchor, shift, R_blocks))
+        got, quadratic_active_set_enumeration(game, anchor, shift, R))
     bound = np.abs(y) == 10.0
     assert np.array_equal(got[bound], np.array(y)[bound])
     assert np.allclose(got, y, rtol=0.0, atol=1e-12)
@@ -267,11 +266,11 @@ def test_task_allocation_draws_in_documented_order(seed):
     assert [p["upper"] for p in payload["players"]] == [w["B"] for w in workers]
     rng = SplitMix64(seed ^ 0x57E9)
     graph = gs.path_graph(14)
-    R = [np.diag(draw(4, 4.0, 8.0)) for _ in range(14)]
-    H = [np.diag(draw(8, 0.2, 0.4)) for _ in range(14)]
-    W = [np.diag(draw(8, 0.2, 0.4)) for _ in range(13)]
+    R = [draw(4, 4.0, 8.0) for _ in range(14)]
+    H = [draw(8, 0.2, 0.4) for _ in range(14)]
+    W = [draw(8, 0.2, 0.4) for _ in range(13)]
     params = gs.task_allocation_params(game, graph, seed)
-    assert all(np.array_equal(a, b) for a, b in zip(params.R, R))
+    assert np.array_equal(params.R, np.concatenate(R)) and params.dims == (4,) * 14
     assert np.array_equal(params.H, H) and np.array_equal(params.W, W)
 
 

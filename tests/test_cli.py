@@ -651,6 +651,29 @@ def test_no_eigendecomposition_above_the_largest_block(tmp_path, monkeypatch,
     assert max(orders) <= max(layout_sizes(game, graph))
 
 
+@pytest.mark.parametrize("name, shapes", [
+    ("rate-control", [(2, 75, 75), (6, 15, 15)]),
+    ("task-allocation", [(14, 4, 4), (8, 13, 13)]),
+    ("quadratic-equality", [(2, 1, 1), (1, 1, 1)]),
+], ids=["rate", "task", "quadratic"])
+def test_validators_are_the_only_eigendecompositions(tmp_path, monkeypatch,
+                                                     name, shapes):
+    # the step sizes are vectors, checked entry by entry, so `validate`
+    # decomposes only the validators' stacks: the coupling-row groups
+    # (rate control's lam; the z condition's one-row groups) and the
+    # per-player x blocks
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    monkeypatch.setenv("GNESOLVE_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["validate", str(CONFIGS / f"{name}.cfg")]) == 0
+    assert seen == shapes
+
+
 def test_explicit_edge_list(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = tmp_path / "exp.cfg"
@@ -973,10 +996,9 @@ def anti_monotone_game(seed):
     players = [Player(1, lambda xi, o: -xi, np.ones((1, 1)), np.array([0.25]), box)
                for _ in range(2)]
 
-    def exact_subgame_solver(R_blocks):
+    def exact_subgame_solver(R):
         # each player solves (R_i - 1) y_i = R_i a_i - s_i, clipped to its box
-        Rb = np.array([float(R[0, 0]) for R in R_blocks])
-        return lambda anchor, shift: np.clip((Rb * anchor - shift) / (Rb - 1.0),
+        return lambda anchor, shift: np.clip((R * anchor - shift) / (R - 1.0),
                                              -1.0, 1.0)
     return gs.Game(players, gs.EQUALITY, profile_oracle=lambda x: -x,
                    exact_subgame_solver=exact_subgame_solver)

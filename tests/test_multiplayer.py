@@ -29,12 +29,11 @@ def ring_game(n, delta, c, kind, half_width=25.0):
     def profile_oracle(x):
         return (1 - delta) * x + delta * x.sum() - t
 
-    def exact_subgame_solver(R_blocks):
-        Rb = np.array([float(np.atleast_2d(R)[0, 0]) for R in R_blocks])
-        G = (1 - delta) * np.eye(n) + delta * np.ones((n, n)) + np.diag(Rb)
+    def exact_subgame_solver(R):
+        G = (1 - delta) * np.eye(n) + delta * np.ones((n, n)) + np.diag(R)
 
         def solve(anchor, shift):
-            y = np.linalg.solve(G, Rb * np.asarray(anchor) + t - np.asarray(shift))
+            y = np.linalg.solve(G, R * np.asarray(anchor) + t - np.asarray(shift))
             assert np.all(np.abs(y) < half_width - 1e-9)
             return y
         return solve

@@ -12,7 +12,7 @@ from gnesolve.operators import (inequality_preconditioner, residual_equality,
 from conftest import edge_flow_for
 from helpers import (block_diag, constraint_matrix, dense_equality_margins,
                      dense_preconditioner, dense_schur_complement,
-                     incidence_kron, linear_part)
+                     incidence_kron, linear_part, step_matrices)
 from reference import InequalityResolvent, pack, unpack_lifted
 
 
@@ -70,10 +70,11 @@ def test_equality_preconditioner_symmetric_and_identity(eq_game, pair_graph,
     # margin-weighted norms account for the whole form
     Lam = constraint_matrix(game)
     Vb = incidence_kron(pair_graph, game.m)
-    Hd = block_diag(toy_params.H)
+    R, H, W = step_matrices(toy_params, game)
+    Hd = block_diag(H)
     Hinv = np.linalg.inv(Hd)
-    Rx = block_diag(toy_params.R) - Lam.T @ Hd @ Lam
-    Wz = np.linalg.inv(block_diag(toy_params.W)) - Vb.T @ Hd @ Vb
+    Rx = block_diag(R) - Lam.T @ Hd @ Lam
+    Wz = np.linalg.inv(block_diag(W)) - Vb.T @ Hd @ Vb
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.normal(size=game.n)
@@ -195,9 +196,10 @@ def test_phi_plus_k_is_block_lower_triangular(instance, eq_game, ineq_game,
     else:
         game, graph, params = _published(instance)
     n, mM, mN = game.n, game.m * graph.n_edges, game.m * game.n_players
-    R = block_diag(params.R)
-    Hinv = np.linalg.inv(block_diag(params.H))
-    Winv = np.linalg.inv(block_diag(params.W))
+    R, H, W = step_matrices(params, game)
+    R = block_diag(R)
+    Hinv = np.linalg.inv(block_diag(H))
+    Winv = np.linalg.inv(block_diag(W))
     for lifted, sizes, D in ((False, (n, mM, mN), (R, Winv, Hinv)),
                              (True, (n, mN, mM, mN),
                               (R, 2.0 * Hinv, Winv, 2.0 * Hinv))):
@@ -227,7 +229,8 @@ def test_step_sizes_must_fit_the_game_and_graph(kind):
     assert min(step_size_margins(params, game, chain).values()) > 0
     wrong = {
         "W shape": build(ring),
-        "H shape": gs.AlgoParams(params.R, params.H[:-1], params.W, 1.1),
+        "H shape": gs.AlgoParams(params.R, params.H[:-1], params.W, 1.1,
+                                 dims=params.dims),
         "R block orders": gs.AlgoParams(params.R[:-1], params.H, params.W,
                                         1.1),
     }
@@ -264,9 +267,9 @@ def test_graph_must_have_one_node_per_player(kind, monkeypatch):
 def random_instance(seed):
     """Two to five players of dimension 1-4 with m = 1-4 coupling rows, some
     of them zero in a player's ``A_i``, on a path graph plus random chords,
-    with diagonal H, SPD R, and W diagonal or dense SPD, whose scales span
-    both validator verdicts.  Sparse rows and diagonal W split the rows
-    into several groups."""
+    with step-size vectors whose scales span both validator verdicts.
+    Sparse rows split the inequality condition's rows into several
+    groups."""
     rng = np.random.default_rng(seed)
     N, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
     dims = [int(d) for d in rng.integers(1, 5, size=N)]
@@ -277,21 +280,12 @@ def random_instance(seed):
     chords = [(i, j) for i in range(N) for j in range(i + 2, N)
               if rng.random() < 0.4]
     graph = gs.build_incidence(N, [(i, i + 1) for i in range(N - 1)] + chords)
-
-    def spd(d, scale):
-        G = rng.normal(size=(d, d))
-        return scale * (G @ G.T / d + 0.1 * np.eye(d))
     # the draws give both verdicts of each validator
-    R = [spd(d, 10.0 ** rng.uniform(0.0, 2.0)) for d in dims]
-    H = np.stack([np.diag(10.0 ** rng.uniform(-2.0, 0.0, size=m))
-                  for _ in range(N)])
-    if rng.random() < 0.5:
-        W = np.stack([np.diag(10.0 ** rng.uniform(-2.0, 0.0, size=m))
-                      for _ in range(graph.n_edges)])
-    else:
-        W = np.stack([spd(m, 10.0 ** rng.uniform(-2.0, 0.0))
-                      for _ in range(graph.n_edges)])
-    return players, graph, gs.AlgoParams(R, H, W, 1.1)
+    R = [10.0 ** rng.uniform(0.0, 2.0) * rng.uniform(0.1, 1.0, size=d)
+         for d in dims]
+    H = 10.0 ** rng.uniform(-2.0, 0.0, size=(N, m))
+    W = 10.0 ** rng.uniform(-2.0, 0.0, size=(graph.n_edges, m))
+    return players, graph, gs.AlgoParams.diagonal(R, H, W, 1.1)
 
 
 @given(st.integers(0, 2 ** 31))
@@ -329,7 +323,7 @@ def test_structured_validators_match_dense_reference(seed):
     if smallest > 1e-8:
         assert inequality_preconditioner(params, game, graph)["lam"] > 0.0
         # the block-diagonal H Lam has the norm of its largest block
-        HLam = block_diag(params.H) @ constraint_matrix(game)
+        HLam = block_diag(step_matrices(params, game)[1]) @ constraint_matrix(game)
         dense_factor = np.sqrt(1.0 + (2.0 * np.linalg.norm(HLam, 2)) ** 2)
         resolvent = InequalityResolvent(game, graph, params, gs.InnerSolver())
         assert resolvent.nu_factor == pytest.approx(dense_factor, rel=1e-12)

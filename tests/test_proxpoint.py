@@ -149,7 +149,7 @@ def test_inequality_resolvent_inclusion(ineq_game, pair_graph, toy_params,
 def random_equality_instance(seed):
     """Two to five players of dimension 1-3 with m = 1-3 coupling rows and an
     affine monotone profile oracle, on a path graph plus random chords, with
-    SPD step matrices (``H`` not diagonal)."""
+    random step-size vectors."""
     rng = np.random.default_rng(seed)
     N, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
     dims = [int(d) for d in rng.integers(1, 4, size=N)]
@@ -167,11 +167,10 @@ def random_equality_instance(seed):
     chords = [(i, j) for i in range(N) for j in range(i + 2, N)
               if rng.random() < 0.4]
     graph = gs.build_incidence(N, [(i, i + 1) for i in range(N - 1)] + chords)
-    params = gs.AlgoParams(
-        [spd(d, 10.0 ** rng.uniform(0.0, 1.0)) for d in dims],
-        np.stack([spd(m, 10.0 ** rng.uniform(-1.0, 0.0)) for _ in range(N)]),
-        np.stack([spd(m, 10.0 ** rng.uniform(-1.0, 0.0))
-                  for _ in range(graph.n_edges)]), 1.1)
+    params = gs.AlgoParams.diagonal(
+        [10.0 ** rng.uniform(0.0, 1.0, size=d) for d in dims],
+        10.0 ** rng.uniform(-1.0, 0.0, size=(N, m)),
+        10.0 ** rng.uniform(-1.0, 0.0, size=(graph.n_edges, m)), 1.1)
     return game, graph, params, rng
 
 

@@ -3,12 +3,11 @@ import pytest
 
 import gnesolve as gs
 from gnesolve.admm import State, initial_state, relax
-from gnesolve.errors import ValidationError
-from gnesolve.operators import step_size_margins
+from gnesolve.errors import StructuralError, ValidationError
 from gnesolve.splitting import run_splitting, splitting_iterate
 from gnesolve.subgames import Subgame
 from conftest import edge_flow_for
-from helpers import products
+from helpers import products, step_matrices
 from reference import InequalityResolvent, pppa_step
 
 
@@ -23,27 +22,12 @@ def rate_control():
 
 def test_weighted_projection_rejects_dense(rate_control):
     # the orthant projection in the H^-1 metric is a plain clamp only for
-    # diagonal H; the driver refuses dense multiplier steps up front
+    # diagonal H; step sizes hold H as its diagonals, so dense multiplier
+    # step matrices are refused when the step sizes are built
     game, graph, params = rate_control
-    H = params.H.copy()
-    H[0, 0, 1] = H[0, 1, 0] = 0.1
-    dense = gs.AlgoParams(params.R, H, params.W, params.rho, params.mu0)
-    with pytest.raises(ValidationError, match="diagonal"):
-        run_splitting(game, graph, dense, gs.InnerSolver())
-
-
-def test_non_diagonal_h_rejected_by_every_inequality_path(rate_control):
-    # the validator and the stacked resolvent share run_splitting's check
-    # (test above): with a dense H the resolvent's clamp is not the H^-1
-    # projection
-    game, graph, params = rate_control
-    m = game.m
-    H = np.stack([0.02 * np.eye(m) + 0.005 * np.ones((m, m))] * game.n_players)
-    dense = gs.AlgoParams(params.R, H, params.W, params.rho, params.mu0)
-    with pytest.raises(ValidationError, match="diagonal"):
-        step_size_margins(dense, game, graph)
-    with pytest.raises(ValidationError, match="diagonal"):
-        InequalityResolvent(game, graph, dense, gs.InnerSolver())
+    dense = step_matrices(params, game)[1]
+    with pytest.raises(StructuralError, match="H must be a 2-D array"):
+        gs.AlgoParams(params.R, dense, params.W, params.rho, params.mu0)
 
 
 def test_fixed_point_invariance(ineq_game, pair_graph, toy_params,
@@ -92,12 +76,13 @@ def test_parallel_steps_commute(ineq_game, pair_graph, toy_params,
         cases.append((rc_game, rc_graph, rc_params, gs.InnerSolver(), 1e-3,
                       State.stack(x, Z, lam)))
     for game, graph, params, inner, mu, state in cases:
+        _, H, W = step_matrices(params, game)
         swept, _ = splitting_iterate(game, graph, params, state,
                                      products(game, graph, state), inner, mu)
         reference = relax(state, swept, params.rho)
         Z_tilde = np.empty_like(state.Z)
         for l, (i, j) in enumerate(graph.edges):
-            Z_tilde[l] = state.Z[l] - params.W[l] @ (state.lam[j] - state.lam[i])
+            Z_tilde[l] = state.Z[l] - W[l] @ (state.lam[j] - state.lam[i])
         sub = Subgame(game, state.x, game.price_gradient(state.lam), params,
                       game.smooth_gradient(state.x))
         xt_blocks = game.split(inner.solve(sub, mu).x)
@@ -107,7 +92,7 @@ def test_parallel_steps_commute(ineq_game, pair_graph, toy_params,
         blocks = game.split(state.x)
         for i, p in enumerate(game.players):
             reflected = p.A @ (2.0 * xt_blocks[i] - blocks[i]) + refl[i] - p.b
-            lt = np.maximum(state.lam[i] + params.H[i] @ reflected, 0.0)
+            lt = np.maximum(state.lam[i] + H[i] @ reflected, 0.0)
             lam_next[i] = state.lam[i] + rho * (lt - state.lam[i])
         x_next = np.concatenate([xi + rho * (xti - xi)
                                  for xi, xti in zip(blocks, xt_blocks)])

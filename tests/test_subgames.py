@@ -304,13 +304,9 @@ def test_smooth_oracle_shape_checked():
 def test_residual_certificate_affine_subgames(n_players, dim, prox, seed):
     rng = np.random.default_rng(seed)
     game = affine_game(rng, n_players, dim, prox)
-    R = []
-    for _ in range(n_players):
-        G = rng.normal(size=(dim, dim))
-        R.append(rng.uniform(0.2, 3.0) * np.eye(dim) + 0.5 * G @ G.T)
     # only R enters the subgame; H and W are placeholders
-    params = gs.AlgoParams(R, np.ones((n_players, 1, 1)), np.ones((1, 1, 1)),
-                           1.0)
+    params = gs.AlgoParams(rng.uniform(0.2, 3.0, game.n),
+                           np.ones((n_players, 1)), np.ones((1, 1)), 1.0)
     anchor = rng.uniform(game.box_lower - 1.0, game.box_upper + 1.0)
     # anchors up to 1 outside the box: the solve starts there unprojected
     sub = Subgame(game, anchor, rng.normal(size=game.n), params,
@@ -329,15 +325,11 @@ def predicting_history(sub, d, dF):
 
 def affine_subgame(rng, n_players, dim, prox, rho):
     """A random affine game's subgame at an anchor up to 1 outside its box,
-    with random ``SPD`` proximal blocks; only ``R`` and ``rho`` enter it,
-    ``H`` and ``W`` are placeholders."""
+    with random proximal weights; only ``R`` and ``rho`` enter it, ``H``
+    and ``W`` are placeholders."""
     game = affine_game(rng, n_players, dim, prox)
-    R = []
-    for _ in range(n_players):
-        G = rng.normal(size=(dim, dim))
-        R.append(rng.uniform(0.2, 3.0) * np.eye(dim) + 0.5 * G @ G.T)
-    params = gs.AlgoParams(R, np.ones((n_players, 1, 1)), np.ones((1, 1, 1)),
-                           rho)
+    params = gs.AlgoParams(rng.uniform(0.2, 3.0, game.n),
+                           np.ones((n_players, 1)), np.ones((1, 1)), rho)
     anchor = rng.uniform(game.box_lower - 1.0, game.box_upper + 1.0)
     return Subgame(game, anchor, rng.normal(size=game.n), params,
                    game.smooth_gradient(anchor))
@@ -432,8 +424,7 @@ def test_residual_mode_certifies_skew_dominated_subgame():
     players = [Player(1, lambda xi, o: xi, np.ones((1, 1)), np.zeros(1),
                       Box(lower[i:i + 1], upper[i:i + 1])) for i in range(2)]
     game = gs.Game(players, gs.EQUALITY, profile_oracle=lambda x: M @ x + c)
-    params = gs.AlgoParams(np.ones((2, 1, 1)), np.ones((2, 1, 1)),
-                           np.ones((1, 1, 1)), 1.0)
+    params = gs.AlgoParams(np.ones(2), np.ones((2, 1)), np.ones((1, 1)), 1.0)
     anchor = np.array([0.8, -0.5])
     sub = Subgame(game, anchor, np.zeros(2), params, game.smooth_gradient(anchor))
     x_star = box_affine_equilibrium(M + np.eye(2), anchor - c, lower, upper)
@@ -510,7 +501,7 @@ def test_bound_exact_solver_matches_the_unbound_one(eq_game, pair_graph,
                         lambda R: bound_to.append(R) or binder(R))
     unbound = InnerSolver("exact")
     bound = unbound.bind(game, toy_params)
-    assert bound_to == [toy_params.R]
+    assert len(bound_to) == 1 and bound_to[0] is toy_params.R
     other = gs.AlgoParams.uniform(game, pair_graph, 3.0, 0.5, 0.5, 1.1)
     rng = np.random.default_rng(5)
     for params in (toy_params, other):
@@ -519,7 +510,10 @@ def test_bound_exact_solver_matches_the_unbound_one(eq_game, pair_graph,
                           30.0 * rng.normal(size=2), params, np.zeros(2))
             del bound_to[:]
             x = bound.solve(sub, 0.0).x
-            assert bound_to == ([] if params is toy_params else [other.R])
+            if params is toy_params:
+                assert bound_to == []
+            else:
+                assert len(bound_to) == 1 and bound_to[0] is other.R
             assert np.array_equal(x, unbound.solve(sub, 0.0).x)
     for mode in ("residual", "oracle"):
         solver = InnerSolver(mode)
