@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DivergenceError, InexactnessError, NumericError,
-                     ValidationError)
+from .errors import DivergenceError, GnesolveError, ValidationError
 from .games import EQUALITY, Game, all_finite
 from .graphs import CommGraph
 from .operators import PointProducts, norm, residual_equality, step_size_margins
@@ -80,16 +79,28 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     sub = equality_subgame(game, params, x, lam, at, state.history)
     sol = inner.solve(sub, mu)
     out.x[:] = sol.x
-    tracked_t = game.local_residual(sol.x) + at.node_aggregate
+    tracked_t = game._local_residual(sol.x) + at.node_aggregate
     h_t = params.apply_H(tracked_t)
     np.add(lam, h_t, out=out.lam)
-    np.subtract(Z, params.apply_W(graph.edge_differences(out.lam + h_t)), out=out.Z)
+    np.subtract(Z, params.apply_W(graph._edge_differences(out.lam + h_t)), out=out.Z)
     return out, sol
 
 
 def relax(state: State, swept: State, rho: float) -> State:
-    """``w + rho (w_hat - w)`` in a new vector; callers still read the old one."""
-    return state.like(state.w + rho * (swept.w - state.w))
+    """``w + rho (w_hat - w)`` in a new vector; callers still read both."""
+    return _relax_into(state, state.like(swept.w.copy()), rho)
+
+
+def _relax_into(state: State, swept: State, rho: float) -> State:
+    """`relax`, written over ``swept``'s vector and returned as ``swept``:
+    the outer loop no longer reads the sweep, so each of its iterations
+    builds one new state, the sweep's.  The same products and sums as
+    `relax`'s, whose operands commute exactly."""
+    w = swept.w
+    w -= state.w
+    w *= rho
+    w += state.w
+    return swept
 
 
 @dataclass(frozen=True)
@@ -129,9 +140,13 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
 
     Refuses to start if the step-size conditions fail (`step_size_margins`)
     and reports their margins on the result; starts from
-    ``initial_state(game, graph, seed)``.  ``residuals(state)`` returns the
-    state's distance to the operator's zero set and the `PointProducts` it
-    computed there; ``iterate`` is the algorithm's sweep from a state and
+    ``initial_state(game, graph, seed)``.  Those two fix every shape the
+    loop passes on, once per run: the validators check that the graph and
+    step sizes fit the game (`operators._check_fit`), and the initial state
+    lays out the iterate, so the loop's maps do not check shapes again.
+    ``residuals(game, graph, x, Z, lam)`` returns a state's distance to the
+    operator's zero set and the `PointProducts` it computed there;
+    ``iterate`` is the algorithm's sweep from a state and
     those products, returning the unrelaxed blocks and the subgame solution
     behind them, which each outer iteration relaxes by ``params.rho``; the
     inner solver is bound to the run (`InnerSolver.bind`).  Each relaxed
@@ -144,9 +159,9 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     (`monotone_ratio`); the result reports its smallest ratio and that of
     the inner solves.  Stops when every residual is at most ``stop.tol`` or
     after ``stop.max_iter`` iterations; a non-finite state raises
-    `DivergenceError`.  An error raised inside the loop carries the failing
-    outer iteration, the trace rows computed before it, and the inner steps
-    taken before it.
+    `DivergenceError`.  Any `GnesolveError` raised inside the loop carries
+    the failing outer iteration, the trace rows computed before it, and the
+    inner steps taken before it; one raised before the loop carries none.
     """
     margins = step_size_margins(params, game, graph)
     inner = inner.bind(game, params)
@@ -155,20 +170,20 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     k = inner_steps = 0
     inner_ratio = outer_ratio = math.inf
     try:
-        res, at = residuals(state)
+        res, at = residuals(game, graph, state.x, state.Z, state.lam)
         converged = res.max() <= stop.tol
         while not converged and k < stop.max_iter:
             k += 1
             prev, prev_gradient = state, at.gradient
             mu = params.mu(k)
             swept, sol = iterate(game, graph, params, state, at, inner, mu)
-            state = relax(state, swept, params.rho)
+            state = _relax_into(state, swept, params.rho)
             cert = sol.certificate
             inner_steps += cert.iterations
             inner_ratio = min(inner_ratio, cert.monotonicity)
             if not all_finite(state.w):
                 raise DivergenceError(f"non-finite state at outer iteration {k}")
-            res, at = residuals(state)
+            res, at = residuals(game, graph, state.x, state.Z, state.lam)
             dx = state.x - prev.x
             dF = at.gradient - prev_gradient
             state.history = ((dx, dF), *prev.history[:1])
@@ -182,7 +197,7 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
                 res.feasibility, getattr(res, "complementarity", math.nan),
                 cert.iterations, mu, cert.bound))
             converged = res.max() <= stop.tol
-    except (DivergenceError, InexactnessError, NumericError) as exc:
+    except GnesolveError as exc:
         exc.iteration, exc.rows, exc.inner_steps = k, rows, inner_steps
         raise
     monotonicity = {"inner": inner_ratio, "outer": outer_ratio}
@@ -203,6 +218,5 @@ def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
     """
     if game.kind != EQUALITY:
         raise ValidationError("the equality algorithm needs an equality-coupled game")
-    return iterate_to_tolerance(
-        game, graph, params, inner, stop, seed, admm_iterate,
-        lambda s: residual_equality(game, graph, s.x, s.Z, s.lam))
+    return iterate_to_tolerance(game, graph, params, inner, stop, seed,
+                                admm_iterate, residual_equality)

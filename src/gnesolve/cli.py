@@ -3,10 +3,11 @@ the matching algorithm, and write the trace, summary, and instance files.
 
 Exit codes: 0 success, 2 validation or configuration failure, 3 divergence,
 4 I/O failure, 5 numeric failure (a non-finite oracle value, or an inner
-solve that could not certify its tolerance).  A run that fails with 3 or 5
-still writes the trace rows computed before the failure, the instance, and
-a summary whose ``failure`` field holds the error and the outer iteration;
-a run refused with 2, or 4 for an output path it cannot create, writes nothing.
+solve that could not certify its tolerance).  A run that fails inside its
+outer loop, whatever the error, still writes the trace rows computed before
+the failure, the instance, and a summary whose ``failure`` field holds the
+error and the outer iteration; a run refused before its loop, with 2, or 4
+for an output path it cannot create, writes nothing.
 ``GNESOLVE_OUTPUT_DIR`` overrides the configured output directory.
 """
 
@@ -183,17 +184,19 @@ def cmd_run(args) -> int:
 
     started = time.perf_counter()
     # the runner validates the step sizes before its first iteration; a
-    # refused run writes nothing
+    # refused run writes nothing, and its error carries no rows
     runner = run_admm if algorithm == "admm" else run_splitting
     try:
         result = runner(game, graph, params, inner, stop,
                         seed=cfg.get_int("run.seed"))
-    except (DivergenceError, InexactnessError, NumericError) as exc:
-        _write_outputs(out_dir, game, exc.rows or [], {
+    except GnesolveError as exc:
+        if exc.rows is None:
+            raise
+        _write_outputs(out_dir, game, exc.rows, {
             "algorithm": algorithm,
             "converged": False,
             "inner_steps": exc.inner_steps,
-            **_inner_step_spread(exc.rows or [], cfg.get("inner.mode")),
+            **_inner_step_spread(exc.rows, cfg.get("inner.mode")),
             "wall_seconds": time.perf_counter() - started,
             "failure": {"error": type(exc).__name__, "message": str(exc),
                         "iteration": exc.iteration},
@@ -218,9 +221,9 @@ def cmd_run(args) -> int:
         "parameters": _parameter_echo(cfg),
     }
     _write_outputs(out_dir, game, result.rows, summary)
-    # exhausting the iteration budget is reported, not an error; divergence
-    # and numeric failures raise after writing the partial outputs, and map
-    # to their own exit codes
+    # exhausting the iteration budget is reported, not an error; failures
+    # inside the loop raise after writing the partial outputs, and map to
+    # their own exit codes
     print(f"{algorithm}: {'converged' if result.converged else 'stopped'} "
           f"after {result.iterations} iterations; outputs in {out_dir}")
     return EXIT_OK

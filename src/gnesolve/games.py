@@ -197,6 +197,13 @@ class Game:
         self._At_stack = self._A_stack.transpose(0, 2, 1)
 
     # -- profile helpers ---------------------------------------------------
+    #
+    # Each public map checks its argument's shape and calls its unchecked
+    # core, the method of the same name with a leading underscore.  A run's
+    # loops call the cores: `operators._check_fit` and
+    # `admm.initial_state` fix the shapes of everything the loops pass
+    # them, once per run.  Oracle outputs are checked on every call
+    # (`_checked`).
 
     def _profile(self, x) -> np.ndarray:
         """``x`` as a flat float array; raises unless it has length ``n``."""
@@ -210,9 +217,12 @@ class Game:
         return [x[o:o + d] for o, d in zip(self.offsets, self.dims)]
 
     def project(self, x) -> np.ndarray:
-        """Projection onto the product of the private boxes (`np.clip` bit
-        for bit, without its Python-level wrapper)."""
-        return np.minimum(np.maximum(self._profile(x), self.box_lower), self.box_upper)
+        """Projection onto the product of the private boxes."""
+        return self._project(self._profile(x))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        # `np.clip` bit for bit, without its Python-level wrapper
+        return np.minimum(np.maximum(x, self.box_lower), self.box_upper)
 
     def sample_profile(self, rng: SplitMix64) -> np.ndarray:
         """Profile drawn uniformly in the product box, coordinate by
@@ -223,8 +233,11 @@ class Game:
 
     def pseudo_gradient(self, x) -> np.ndarray:
         """Stacked subgradient selection of all players at profile ``x``."""
+        return self._pseudo_gradient(self._profile(x))
+
+    def _pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
         if self.profile_oracle is not None:
-            return _checked(self.profile_oracle(self._profile(x)), (self.n,),
+            return _checked(self.profile_oracle(x), (self.n,),
                             "profile oracle", "pseudo-gradient")
         # each player's oracle also reads the other blocks in player order
         # (none in a one-player game)
@@ -239,7 +252,9 @@ class Game:
 
     def constraint_rows(self, x) -> np.ndarray:
         """(N, m) array with row ``i`` equal to ``A_i x_i``."""
-        x = self._profile(x)
+        return self._constraint_rows(self._profile(x))
+
+    def _constraint_rows(self, x: np.ndarray) -> np.ndarray:
         if isinstance(self._index, slice):      # equal orders: no padding
             return (self._A_stack @ x.reshape(self.n_players, self._order, 1))[:, :, 0]
         padded = np.zeros((self.n_players, self._order))
@@ -248,7 +263,10 @@ class Game:
 
     def local_residual(self, x) -> np.ndarray:
         """(N, m) array with row ``i`` equal to ``A_i x_i - b_i``."""
-        return self.constraint_rows(x) - self.b_rows
+        return self._local_residual(self._profile(x))
+
+    def _local_residual(self, x: np.ndarray) -> np.ndarray:
+        return self._constraint_rows(x) - self.b_rows
 
     def price_gradient(self, lam_rows: np.ndarray) -> np.ndarray:
         """Stacked ``A_i^T lambda_i`` for per-player multipliers (N, m)."""
@@ -257,6 +275,9 @@ class Game:
             raise StructuralError(
                 f"multiplier array shape {lam_rows.shape}, "
                 f"expected ({self.n_players}, {self.m})")
+        return self._price_gradient(lam_rows)
+
+    def _price_gradient(self, lam_rows: np.ndarray) -> np.ndarray:
         return (self._At_stack @ lam_rows[:, :, None]).reshape(-1)[self._index]
 
     def coupling_gap(self, x) -> np.ndarray:
@@ -280,17 +301,25 @@ class Game:
     def smooth_gradient(self, x) -> np.ndarray:
         """Forward part of the natural map: the smooth oracle for games with
         a splitting structure, otherwise the pseudo-gradient."""
+        return self._smooth_gradient(self._profile(x))
+
+    def _smooth_gradient(self, x: np.ndarray) -> np.ndarray:
         if self.separable_prox is None:
-            return self.pseudo_gradient(x)
-        return _checked(self.smooth_oracle(self._profile(x)), (self.n,),
+            return self._pseudo_gradient(x)
+        return _checked(self.smooth_oracle(x), (self.n,),
                         "smooth oracle", "smooth gradient")
 
     def backward_step(self, v, gamma: float) -> np.ndarray:
         """Backward part of the natural map: the separable prox (nonsmooth
         part plus box) when present, otherwise the box projection."""
+        if self.separable_prox is None:
+            v = self._profile(v)
+        return self._backward_step(v, gamma)
+
+    def _backward_step(self, v: np.ndarray, gamma: float) -> np.ndarray:
         if self.separable_prox is not None:
             return self.separable_prox(v, gamma)
-        return self.project(v)
+        return self._project(v)
 
 
 @dataclass(frozen=True)

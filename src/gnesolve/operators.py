@@ -182,7 +182,7 @@ def norm(v: np.ndarray) -> float:
     """``|v|`` of a float array, bit for bit as `np.linalg.norm` computes it
     (``sqrt(v . v)``, flattened), without its dispatch: loops take many."""
     v = v.ravel()
-    return math.sqrt(float(v.dot(v)))
+    return math.sqrt(v.dot(v))
 
 
 class EqualityResiduals(NamedTuple):
@@ -218,18 +218,20 @@ class PointProducts(NamedTuple):
 
 def point_products(game: Game, graph: CommGraph, x, Z, lam) -> PointProducts:
     """The products of the game and graph maps at ``(x, Z, lam)``, float
-    arrays of the state's shapes."""
-    gradient = game.smooth_gradient(x)
-    aggregate = graph.node_aggregate(Z)
-    return PointProducts(gradient, game.local_residual(x) + aggregate,
-                         aggregate, game.price_gradient(lam),
-                         graph.edge_differences(lam))
+    arrays of the state's shapes (`admm.State`), which these unchecked maps
+    do not check again: the loops call this with states whose shapes the
+    run fixed once (`_check_fit`, `admm.initial_state`)."""
+    gradient = game._smooth_gradient(x)
+    aggregate = graph._node_aggregate(Z)
+    return PointProducts(gradient, game._local_residual(x) + aggregate,
+                         aggregate, game._price_gradient(lam),
+                         graph._edge_differences(lam))
 
 
 def _stationarity(game: Game, x, at: PointProducts) -> float:
     """Natural-map residual ``|x - natural_step(x, price)|``, from the
     gradient and price already in hand."""
-    return norm(x - game.backward_step(x - (at.gradient + at.price_gradient), 1.0))
+    return norm(x - game._backward_step(x - (at.gradient + at.price_gradient), 1.0))
 
 
 def residual_equality(game: Game, graph: CommGraph, x, Z,

@@ -41,8 +41,8 @@ def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     sol = inner.solve(sub, mu)
     out.x[:] = sol.x
     np.subtract(Z, params.apply_W(at.edge_differences), out=out.Z)
-    reflected = (game.constraint_rows(2.0 * sol.x - x)
-                 + graph.node_aggregate(2.0 * out.Z - Z) - game.b_rows)
+    reflected = (game._constraint_rows(2.0 * sol.x - x)
+                 + graph._node_aggregate(2.0 * out.Z - Z) - game.b_rows)
     np.maximum(lam + params.apply_H(reflected), 0.0, out=out.lam)
     return out, sol
 
@@ -57,6 +57,5 @@ def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,
     if game.kind != INEQUALITY:
         raise ValidationError(
             "the splitting algorithm needs an inequality-coupled game")
-    return iterate_to_tolerance(
-        game, graph, params, inner, stop, seed, splitting_iterate,
-        lambda s: residual_inequality(game, graph, s.x, s.Z, s.lam))
+    return iterate_to_tolerance(game, graph, params, inner, stop, seed,
+                                splitting_iterate, residual_inequality)

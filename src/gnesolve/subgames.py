@@ -66,8 +66,10 @@ class Subgame:
 
     def smooth_parts(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The two terms of ``G(y)``: the game's smooth gradient, and the
-        proximal pull plus the price."""
-        return (self.game.smooth_gradient(y),
+        proximal pull plus the price, at a float vector ``y`` of length
+        ``n``, which is not checked again (the steps' iterates have the
+        anchor's shape)."""
+        return (self.game._smooth_gradient(y),
                 self.params.apply_R(y - self.anchor) + self.shift)
 
     def smooth_gradient(self, y: np.ndarray) -> np.ndarray:
@@ -93,7 +95,7 @@ def equality_subgame(game: Game, params: AlgoParams, x, lam,
     (``at.tracked``), pulled back through ``A_i^T``.
     """
     price = lam + params.apply_H(at.tracked)
-    return Subgame(game, x, game.price_gradient(price), params, at.gradient,
+    return Subgame(game, x, game._price_gradient(price), params, at.gradient,
                    history)
 
 
@@ -111,6 +113,10 @@ class InnerCertificate(NamedTuple):
     #: smallest ``<dG, dy> / |dy|^2 - r_min`` over the solve's steps
     #: (`monotone_ratio`); ``inf`` when no step moved
     monotonicity: float = math.inf
+
+
+#: the certificate of every exact solve
+EXACT_CERTIFICATE = InnerCertificate(0.0, 0)
 
 
 class InnerSolution(NamedTuple):
@@ -213,7 +219,7 @@ class InnerSolver:
             if sub.game is not game or sub.params is not params:
                 solve = self.bind(sub.game, sub.params)._run[2]
             x_hat = np.asarray(solve(sub.anchor, sub.shift), dtype=float)
-            return InnerSolution(x_hat, InnerCertificate(0.0, 0))
+            return InnerSolution(x_hat, EXACT_CERTIFICATE)
         if self.mode == "residual" and mu == 0.0:
             raise ValidationError(
                 "residual mode cannot certify an exactly zero tolerance")
@@ -298,7 +304,7 @@ def _steps(sub: Subgame):
         y0, g0 = y + d, g + dF + sub.params.apply_R(d)
     ratio = math.inf
     for it in range(1, MAX_INNER_STEPS + 1):
-        y_next = sub.game.backward_step(y0 - gamma * g0, gamma)
+        y_next = sub.game._backward_step(y0 - gamma * g0, gamma)
         gradient, pull = sub.smooth_parts(y_next)
         g_next = gradient + pull
         bound = norm((y0 - y_next) / gamma - g0 + g_next) / sigma

@@ -3,7 +3,7 @@ import pytest
 
 import gnesolve as gs
 from gnesolve.admm import State, admm_iterate, initial_state, relax, run_admm
-from gnesolve.errors import DivergenceError, ValidationError
+from gnesolve.errors import DivergenceError, StructuralError, ValidationError
 from gnesolve.splitting import run_splitting, splitting_iterate
 from conftest import edge_flow_for
 from helpers import admm_iterate_componentwise, equality_subgame_at, products
@@ -174,6 +174,33 @@ def test_divergence_detected(algorithm, request, pair_graph, toy_params,
                gs.StopRule(50, 1e-6), seed=0)
     assert err.value.iteration == 3
     assert [row.k for row in err.value.rows] == [1, 2]
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_structural_error_in_the_loop_keeps_progress(algorithm, request,
+                                                     pair_graph, toy_params,
+                                                     exact_inner):
+    # an oracle whose output changes shape mid-run fails its per-call
+    # check inside the loop; like every error raised there, the
+    # StructuralError carries the iteration and the rows and inner steps
+    # before it.  Exact mode calls the oracle once per residual: at the
+    # initial state and at the end of each iteration, so the 4th call is in
+    # iteration 3
+    fixture, runner = ALGORITHMS[algorithm]
+    game, _ = request.getfixturevalue(fixture)
+    oracle, calls = game.profile_oracle, []
+
+    def reshaping(x):
+        calls.append(1)
+        return oracle(x) if len(calls) < 4 else np.zeros(3)
+
+    game.profile_oracle = reshaping
+    with pytest.raises(StructuralError, match=r"returned shape \(3,\)") as err:
+        runner(game, pair_graph, toy_params, exact_inner,
+               gs.StopRule(50, 0.0), seed=0)
+    assert err.value.iteration == 3
+    assert [row.k for row in err.value.rows] == [1, 2]
+    assert err.value.inner_steps == 0
 
 
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))

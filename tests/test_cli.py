@@ -929,7 +929,9 @@ def test_validate_refuses_what_run_refuses(tmp_path, capsys, game, algorithm,
 
 class FailingInner:
     """Exact inner solves for two outer iterations, then a failure: a raised
-    inner error, or a non-finite solution that makes the run diverge."""
+    error, or a non-finite solution that makes the run diverge.  A raised
+    `StructuralError` or `ValidationError` stands for a closed-form solver
+    that fails, or an oracle whose output changes shape, mid-run."""
 
     def __init__(self, failure):
         self.failure = failure
@@ -955,7 +957,9 @@ class FailingInner:
     (gs.InexactnessError, 5, "numeric failure: inner solve failed"),
     (gs.NumericError, 5, "numeric failure: inner solve failed"),
     (gs.DivergenceError, 3, "divergence: non-finite state at outer iteration 3"),
-], ids=["inexact", "numeric", "divergence"])
+    (gs.StructuralError, 2, "validation error: inner solve failed"),
+    (gs.ValidationError, 2, "validation error: inner solve failed"),
+], ids=["inexact", "numeric", "divergence", "structural", "validation"])
 @pytest.mark.parametrize("kind", [gs.EQUALITY, gs.INEQUALITY])
 def test_failed_run_keeps_partial_outputs(tmp_path, monkeypatch, capsys, kind,
                                           failure, code, message):

@@ -33,10 +33,16 @@ def test_box_clamps():
 
 
 def test_project_rejects_a_wrong_length_profile():
-    # a short profile would otherwise broadcast against the box bounds
+    # a short profile would otherwise broadcast against the box bounds; the
+    # other public profile maps check it too, while the loops call their
+    # unchecked cores on shapes the run fixed once
     game = box_game(np.zeros(2), np.full(2, 5.0))
-    with pytest.raises(StructuralError, match="profile length 1, expected 2"):
-        game.project(np.array([5.0]))
+    for call in (game.project, game.pseudo_gradient, game.smooth_gradient,
+                 game.constraint_rows, game.local_residual,
+                 lambda x: game.backward_step(x, 1.0),
+                 lambda x: game.natural_step(x, np.zeros(1))):
+        with pytest.raises(StructuralError, match="profile length 1, expected 2"):
+            call(np.array([5.0]))
 
 
 #: entries on which a clamp can differ from np.clip: signed zeros, infinities,

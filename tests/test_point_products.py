@@ -122,14 +122,15 @@ def test_one_oracle_call_per_inner_step_and_outer_iteration(name, monkeypatch):
     # residual mode calls the oracle once at the initial state, once per
     # inner step and once in the residual at each new state; the inner
     # start reads the residual's gradient, inside the box or out of it
+    # (counted in the unchecked core, which the public map also calls)
     calls = []
-    original = Game.smooth_gradient
+    original = Game._smooth_gradient
 
     def counting(game, x):
         calls.append(1)
         return original(game, x)
 
-    monkeypatch.setattr(Game, "smooth_gradient", counting)
+    monkeypatch.setattr(Game, "_smooth_gradient", counting)
     game, graph, params, inner, iterate = shipped(name)
     module = admm if iterate is gs.admm_iterate else splitting
     anchors = []
@@ -146,3 +147,60 @@ def test_one_oracle_call_per_inner_step_and_outer_iteration(name, monkeypatch):
     assert any(not np.array_equal(game.project(x), x) for x in anchors)
     inner_steps = sum(row.inner_iterations for row in result.rows)
     assert len(calls) == 1 + inner_steps + result.iterations
+
+
+#: each toy game's run driver, residual and sweep
+TOY_ALGORITHMS = {
+    "admm": (gs.EQUALITY, gs.run_admm, gs.residual_equality, gs.admm_iterate),
+    "splitting": (gs.INEQUALITY, gs.run_splitting, gs.residual_inequality,
+                  gs.splitting_iterate),
+}
+
+
+def public_loop(game, graph, params, inner, stop, residuals, iterate):
+    """The outer loop written with the public maps: every residual's
+    products are checked against `fresh`, which computes them with the
+    shape-checked `Game` and `CommGraph` methods, and every step is the
+    allocating `relax`.  Returns the trace rows and the final state."""
+    inner = inner.bind(game, params)
+    state = gs.initial_state(game, graph, seed=0)
+    res, at = residuals(game, graph, state.x, state.Z, state.lam)
+    rows, k = [], 0
+    while res.max() > stop.tol and k < stop.max_iter:
+        k += 1
+        mu = params.mu(k)
+        swept, sol = iterate(game, graph, params, state, at, inner, mu)
+        new = admm.relax(state, swept, params.rho)
+        res, at_new = residuals(game, graph, new.x, new.Z, new.lam)
+        again = fresh(game, graph, new)
+        for field in PointProducts._fields:
+            assert np.array_equal(getattr(at_new, field), getattr(again, field))
+        dx, dF = new.x - state.x, at_new.gradient - at.gradient
+        new.history = ((dx, dF), *state.history[:1])
+        comp = getattr(res, "complementarity", np.nan)
+        rows.append((k, np.linalg.norm(dx), res.stationarity,
+                     res.consensus_edge, res.feasibility, comp,
+                     sol.certificate.iterations, mu, sol.certificate.bound))
+        state, at = new, at_new
+    return rows, state
+
+
+@pytest.mark.parametrize("algorithm", sorted(TOY_ALGORITHMS))
+def test_driver_matches_a_loop_over_the_public_maps(algorithm):
+    # the driver calls the unchecked cores and relaxes in place; over a
+    # full exact run its rows and final state equal, bit for bit, those of
+    # the loop over the public checked maps and the allocating relax
+    kind, runner, residuals, iterate = TOY_ALGORITHMS[algorithm]
+    game, _ = gs.quadratic_game(kind=kind)
+    graph = gs.path_graph(2)
+    params = gs.AlgoParams.uniform(game, graph, r=10.0, h=0.5, w=0.5,
+                                   rho=1.1, mu0=0.0)
+    stop = gs.StopRule(5000, 1e-8)
+    inner = gs.InnerSolver("exact")
+    result = runner(game, graph, params, inner, stop, seed=0)
+    rows, state = public_loop(game, graph, params, inner, stop, residuals,
+                              iterate)
+    assert result.converged and len(rows) == result.iterations > 100
+    assert np.array(result.rows).tobytes() == np.array(rows).tobytes()
+    assert result.state.w.tobytes() == state.w.tobytes()
+

@@ -189,8 +189,8 @@ def test_oracle_mode_runs_one_trajectory(name, monkeypatch):
     # start makes none
     sub = first_subgame(name)
     calls = []
-    oracle = sub.game.smooth_gradient
-    monkeypatch.setattr(sub.game, "smooth_gradient",
+    oracle = sub.game._smooth_gradient
+    monkeypatch.setattr(sub.game, "_smooth_gradient",
                         lambda y: calls.append(y) or oracle(y))
     for mu in (sub.params.mu(1), 1e-6, 0.0):
         calls.clear()
