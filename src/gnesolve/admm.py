@@ -87,15 +87,10 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
 
 
 def relax(state: State, swept: State, rho: float) -> State:
-    """``w + rho (w_hat - w)`` in a new vector; callers still read both."""
-    return _relax_into(state, state.like(swept.w.copy()), rho)
-
-
-def _relax_into(state: State, swept: State, rho: float) -> State:
-    """`relax`, written over ``swept``'s vector and returned as ``swept``:
-    the outer loop no longer reads the sweep, so each of its iterations
-    builds one new state, the sweep's.  The same products and sums as
-    `relax`'s, whose operands commute exactly."""
+    """``w + rho (w_hat - w)``, written over ``swept``'s vector and returned
+    as ``swept``: the outer loop does not read the sweep again, so each of
+    its iterations builds one new state, the sweep's.  A caller that still
+    reads the sweep relaxes a copy of it."""
     w = swept.w
     w -= state.w
     w *= rho
@@ -177,7 +172,7 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
             prev, prev_gradient = state, at.gradient
             mu = params.mu(k)
             swept, sol = iterate(game, graph, params, state, at, inner, mu)
-            state = _relax_into(state, swept, params.rho)
+            state = relax(state, swept, params.rho)
             cert = sol.certificate
             inner_steps += cert.iterations
             inner_ratio = min(inner_ratio, cert.monotonicity)

@@ -124,8 +124,6 @@ class InnerSolution(NamedTuple):
     certificate: InnerCertificate     # its certified distance to the equilibrium
 
 
-#: relative certificate at which oracle mode's reference equilibrium stops
-FIXED_POINT_TOL = 1e-13
 #: steps after which an iterative solve raises instead of returning uncertified
 MAX_INNER_STEPS = 100_000
 #: rounding allowance of the monotonicity checks, per unit of the compared
@@ -170,16 +168,11 @@ class InnerSolver:
     ``"residual"`` (the default) runs forward-backward steps (`_steps`) and
     stops at the first iterate whose computable error bound
     ``|(y - y+)/gamma - G(y) + G(y+)| / r_min`` certifies the tolerance; the
-    bound follows from strong monotonicity alone.  ``"oracle"`` runs the
-    same steps on to a machine-precision reference equilibrium, keeping on
-    the way the iterate residual mode returns, and returns that iterate with
-    its true distance to the reference as the bound; at ``mu = 0`` it
-    returns the reference itself, ``solve(sub, 0.0).x``, which the tests
-    compare against.
+    bound follows from strong monotonicity alone.
     """
 
     def __init__(self, mode: str = "residual"):
-        if mode not in ("exact", "oracle", "residual"):
+        if mode not in ("exact", "residual"):
             raise ValidationError(f"unknown inner mode {mode!r}")
         self.mode = mode
         # (game, params, closed-form solve bound to params.R) of one run
@@ -197,8 +190,8 @@ class InnerSolver:
         if self.mode == "residual" and params.mu0 == 0.0:
             raise ValidationError(
                 "a zero tolerance schedule (params.mu = exact, or params.mu0 "
-                "= 0) needs inner.mode = exact or oracle: residual mode "
-                "cannot certify an exactly zero tolerance")
+                "= 0) needs inner.mode = exact: residual mode cannot "
+                "certify an exactly zero tolerance")
         bound_game, bound_params, _ = self._run
         if self.mode != "exact" or (bound_game is game
                                     and bound_params is params):
@@ -219,28 +212,20 @@ class InnerSolver:
             if sub.game is not game or sub.params is not params:
                 solve = self.bind(sub.game, sub.params)._run[2]
             x_hat = np.asarray(solve(sub.anchor, sub.shift), dtype=float)
+            if x_hat.shape != sub.anchor.shape:
+                raise StructuralError(
+                    f"closed-form subgame solver returned shape "
+                    f"{x_hat.shape}, expected {sub.anchor.shape}")
             return InnerSolution(x_hat, EXACT_CERTIFICATE)
-        if self.mode == "residual" and mu == 0.0:
+        if mu == 0.0:
             raise ValidationError(
                 "residual mode cannot certify an exactly zero tolerance")
-        # residual mode returns the first iterate certifying mu; oracle mode
-        # keeps it (the reference if none comes before it) and bounds it by
-        # its distance to the reference
-        oracle = self.mode == "oracle"
-        found = None
         for y, bound, it, ratio in _steps(sub):
-            if found is None and bound <= mu:
-                if not oracle:
-                    return InnerSolution(y, InnerCertificate(bound, it, ratio))
-                found = y
-            if oracle and bound <= FIXED_POINT_TOL * (1.0 + norm(y)):
-                found = y if found is None else found
-                return InnerSolution(found, InnerCertificate(
-                    norm(found - y), it, ratio))
+            if bound <= mu:
+                return InnerSolution(y, InnerCertificate(bound, it, ratio))
         raise InexactnessError(
-            f"{self.mode} mode could not certify "
-            f"{FIXED_POINT_TOL if oracle else mu:.3g} "
-            f"within {MAX_INNER_STEPS} iterations", achieved=bound)
+            f"residual mode could not certify {mu:.3g} within "
+            f"{MAX_INNER_STEPS} iterations", achieved=bound)
 
 
 def _steps(sub: Subgame):

@@ -241,6 +241,24 @@ def products(game, graph, state):
     return point_products(game, graph, state.x, state.Z, state.lam)
 
 
+def misshapen_after(game, solves):
+    """``game`` with its closed-form subgame solver replaced by one that
+    returns shape (3,) once ``solves`` solves have succeeded, as a
+    closed-form solver with a bug would."""
+    binder, calls = game.exact_subgame_solver, []
+
+    def bind(R):
+        solve = binder(R)
+
+        def misshapen(anchor, shift):
+            calls.append(1)
+            return solve(anchor, shift) if len(calls) <= solves else np.zeros(3)
+        return misshapen
+
+    game.exact_subgame_solver = bind
+    return game
+
+
 def equality_subgame_at(game, graph, params, x, lam, Z):
     """`equality_subgame` at the state ``(x, lam, Z)``, from its residual
     products evaluated afresh."""

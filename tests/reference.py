@@ -10,18 +10,58 @@ itself; the lifted equality resolvent is checked against the ADMM sweep by
 `correspondence_check`.  The iterates are stacked vectors whose node and
 edge blocks flatten row-major from (N, m) and (M, m) arrays; `fejer_check`
 tests their preconditioner-weighted distance to a zero against a dense
-``Phi`` (`helpers.dense_preconditioner`).
+``Phi`` (`helpers.dense_preconditioner`).  `ReferenceSolver` solves
+subgames to machine precision, with true distances as certificates.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from gnesolve import subgames
 from gnesolve.admm import State, admm_iterate, initial_state, relax
 from gnesolve.errors import InexactnessError, StructuralError, ValidationError
-from gnesolve.operators import inequality_preconditioner, point_products
+from gnesolve.operators import inequality_preconditioner, norm, point_products
 from gnesolve.splitting import splitting_iterate
-from gnesolve.subgames import Subgame
+from gnesolve.subgames import InnerCertificate, InnerSolution, Subgame
+
+
+# -- the reference subgame solve --------------------------------------------------
+
+#: relative certificate at which the reference equilibrium stops
+REFERENCE_TOL = 1e-13
+
+
+class ReferenceSolver:
+    """Inner solver whose certificates are true distances, for the tests.
+
+    It runs residual mode's forward-backward steps (`subgames._steps`) once,
+    on until the certificate falls to ``REFERENCE_TOL (1 + |y|)``, which
+    gives the reference equilibrium.  On the way it keeps the first iterate
+    that certifies ``mu``, residual mode's point, and returns it with its
+    distance to the reference as the bound; when ``mu`` is 0, or too small
+    to be certified before the reference, it returns the reference itself
+    with bound 0, so the reference is ``solve(sub, 0.0).x``.  The run
+    drivers accept it like `InnerSolver`: `bind` returns it as it is.
+    """
+
+    def bind(self, game, params):
+        return self
+
+    def solve(self, sub, mu):
+        if not mu >= 0.0:
+            raise ValidationError(f"inner tolerance must be nonnegative, got {mu}")
+        found = None
+        for y, bound, it, ratio in subgames._steps(sub):
+            if found is None and bound <= mu:
+                found = y
+            if bound <= REFERENCE_TOL * (1.0 + norm(y)):
+                found = y if found is None else found
+                return InnerSolution(found, InnerCertificate(
+                    norm(found - y), it, ratio))
+        raise InexactnessError(
+            f"the reference solve could not certify {REFERENCE_TOL:.3g} "
+            f"within {subgames.MAX_INNER_STEPS} iterations", achieved=bound)
 
 
 # -- stacked layouts ------------------------------------------------------------

@@ -18,8 +18,8 @@ from gnesolve.splitting import splitting_iterate
 from conftest import edge_flow_for
 from helpers import dense_preconditioner, linear_part, products
 from reference import (InequalityResolvent, LiftedEqualityResolvent,
-                       correspondence_check, fejer_check, pack, pppa_step,
-                       run_proxpoint)
+                       ReferenceSolver, correspondence_check, fejer_check,
+                       pack, pppa_step, run_proxpoint)
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -200,7 +200,7 @@ def test_criterion_7_inexactness_robustness():
     r_exact = gs.run_admm(game, graph, params_exact, inner_exact, stop, seed=0)
     params_loose = gs.AlgoParams.uniform(game, graph, 10.0, 0.5, 0.5, 1.1,
                                          mu0=1.0)
-    inner_oracle = gs.InnerSolver("oracle")
+    inner_oracle = ReferenceSolver()
     r_loose = gs.run_admm(game, graph, params_loose, inner_oracle, stop, seed=0)
     gap = float(np.linalg.norm(r_loose.state.x - r_exact.state.x))
     ok = (r_exact.converged and r_loose.converged and gap <= 10 * tol
@@ -214,7 +214,7 @@ def test_criterion_8_rate_control_benchmark():
     game = gs.rate_control_game(0)
     graph = gs.benchmark_graph("chain15")
     params = gs.rate_control_params(game, graph)
-    inner = gs.InnerSolver("oracle")
+    inner = ReferenceSolver()
     result = gs.run_splitting(game, graph, params, inner,
                               gs.StopRule(2000, 1e-6), seed=0)
     wall = time.perf_counter() - started
@@ -236,7 +236,7 @@ def test_criterion_9_task_allocation_benchmark():
     game = gs.task_allocation_game(0)
     graph = gs.benchmark_graph("chain14")
     params = gs.task_allocation_params(game, graph, seed=0)
-    inner = gs.InnerSolver("oracle")
+    inner = ReferenceSolver()
     result = gs.run_admm(game, graph, params, inner,
                          gs.StopRule(5000, 1e-5), seed=0)
     gap = float(np.linalg.norm(game.coupling_gap(result.state.x)))

@@ -6,8 +6,9 @@ from gnesolve.admm import State, admm_iterate, initial_state, relax, run_admm
 from gnesolve.errors import DivergenceError, StructuralError, ValidationError
 from gnesolve.splitting import run_splitting, splitting_iterate
 from conftest import edge_flow_for
-from helpers import admm_iterate_componentwise, equality_subgame_at, products
-from reference import correspondence_check
+from helpers import (admm_iterate_componentwise, equality_subgame_at,
+                     misshapen_after, products)
+from reference import ReferenceSolver, correspondence_check
 
 #: game fixture and run driver of each algorithm, for tests of the shared loop
 ALGORITHMS = {"admm": ("eq_game", run_admm),
@@ -46,10 +47,12 @@ def test_componentwise_equals_compact(eq_game, pair_graph, toy_params,
         state = a
 
 
-def test_state_is_one_vector_and_relax_allocates(eq_game, pair_graph):
+def test_state_is_one_vector_and_relax_writes_over_the_sweep(eq_game,
+                                                             pair_graph):
     # x, Z and lam are views of one vector in (x, Z, lam) order; relax
-    # returns a new vector and leaves both inputs as they were, since the
-    # driver still reads the old one (the previous decisions, the anchor)
+    # writes over the sweep's vector and returns the sweep, and leaves the
+    # state as it was, since the driver still reads it (the previous
+    # decisions, the anchor)
     game, _ = eq_game
     state = initial_state(game, pair_graph, seed=1)
     n, mM = game.n, game.m * pair_graph.n_edges
@@ -64,10 +67,9 @@ def test_state_is_one_vector_and_relax_allocates(eq_game, pair_graph):
     swept = State.stack(state.x + 1.0, state.Z - 2.0, state.lam + 3.0)
     before, swept_before = state.w.copy(), swept.w.copy()
     new = relax(state, swept, 1.5)
+    assert new is swept
     assert np.array_equal(state.w, before)
-    assert np.array_equal(swept.w, swept_before)
     assert not np.shares_memory(new.w, state.w)
-    assert not np.shares_memory(new.w, swept.w)
     assert np.array_equal(new.w, before + 1.5 * (swept_before - before))
     assert new.x.base is new.w and new.lam.base is new.w
     assert np.array_equal(new.lam, state.lam + 4.5)
@@ -204,6 +206,25 @@ def test_structural_error_in_the_loop_keeps_progress(algorithm, request,
 
 
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_misshapen_exact_solution_in_the_loop_keeps_progress(
+        algorithm, request, pair_graph, toy_params, exact_inner):
+    # a closed-form solver whose output has the wrong shape used to fail in
+    # the sweep with numpy's broadcasting ValueError, which is no
+    # GnesolveError; the exact solve's shape check raises StructuralError
+    # in iteration 3, carrying the rows and inner steps before it
+    fixture, runner = ALGORITHMS[algorithm]
+    game, _ = request.getfixturevalue(fixture)
+    misshapen_after(game, 2)
+    with pytest.raises(StructuralError, match=r"closed-form subgame solver "
+                       r"returned shape \(3,\), expected \(2,\)") as err:
+        runner(game, pair_graph, toy_params, exact_inner,
+               gs.StopRule(50, 0.0), seed=0)
+    assert err.value.iteration == 3
+    assert [row.k for row in err.value.rows] == [1, 2]
+    assert err.value.inner_steps == 0
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
 def test_trace_rows_and_stride(algorithm, request, pair_graph, toy_params,
                                exact_inner):
     fixture, runner = ALGORITHMS[algorithm]
@@ -246,7 +267,7 @@ def test_correspondence_with_inexact_inner(eq_game, pair_graph):
     game, _ = eq_game
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 10.0, 0.5, 0.5,
                                    1.1, mu0=0.1)
-    inner = gs.InnerSolver("oracle")
+    inner = ReferenceSolver()
     report = correspondence_check(game, gs.path_graph(2), params, 50, inner,
                                   seed=1)
     assert report.max_deviation <= 1e-9
@@ -268,7 +289,7 @@ def test_correspondence_on_task_benchmark():
     graph = gs.benchmark_graph("chain14")
     params = gs.task_allocation_params(game, graph, seed=0,
                                        mu0=0.01)
-    inner = gs.InnerSolver("oracle")
+    inner = ReferenceSolver()
     report = correspondence_check(game, graph, params, 30, inner, seed=0)
     assert report.max_deviation <= 1e-9
 
@@ -296,7 +317,7 @@ def test_inexactness_robustness(eq_game, pair_graph, exact_inner):
                                          1.1, mu0=1.0)
     stop = gs.StopRule(10_000, tol)
     r_exact = run_admm(game, pair_graph, exact_params, exact_inner, stop, seed=0)
-    oracle_inner = gs.InnerSolver("oracle")
+    oracle_inner = ReferenceSolver()
     r_loose = run_admm(game, pair_graph, loose_params, oracle_inner, stop, seed=0)
     assert r_exact.converged and r_loose.converged
     assert np.linalg.norm(r_loose.state.x - r_exact.state.x) <= 10 * tol

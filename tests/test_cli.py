@@ -14,7 +14,7 @@ from gnesolve.config import (DEFAULTS, load_config, parse_config_text,
                              parse_edge_list)
 from gnesolve.errors import ConfigError
 from gnesolve.trace import TRACE_COLUMNS, TraceRow, write_trace_csv
-from helpers import read_trace_csv
+from helpers import misshapen_after, read_trace_csv
 from reference import (InequalityResolvent, LiftedEqualityResolvent,
                        layout_sizes)
 
@@ -492,6 +492,23 @@ def test_readme_config_table_lists_the_known_keys():
     assert documented == set(DEFAULTS)
 
 
+def test_readme_inner_modes_are_the_accepted_ones():
+    # the values README's configuration table documents for inner.mode are
+    # the modes InnerSolver takes: each binds on a game it fits, and the
+    # removed oracle mode is refused
+    row = next(line for line in README.splitlines()
+               if line.startswith("| `inner.mode` |"))
+    modes = re.findall(r"`([^`]+)`", row.split("|")[3])
+    assert DEFAULTS["inner.mode"] in modes and "oracle" not in modes
+    game, _ = gs.quadratic_game()
+    graph = gs.path_graph(2)
+    params = gs.AlgoParams.uniform(game, graph, 10.0, 0.5, 0.5, 1.1, mu0=1.0)
+    for mode in modes:
+        assert gs.InnerSolver(mode).bind(game, params).mode == mode
+    with pytest.raises(gs.ValidationError, match="unknown inner mode 'oracle'"):
+        gs.InnerSolver("oracle")
+
+
 def test_readme_quick_start_converges():
     section = README.split("## Library quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
@@ -922,7 +939,8 @@ def test_validate_refuses_what_run_refuses(tmp_path, capsys, game, algorithm,
     capsys.readouterr()
     assert validated in (0, 2) and (validated == 2) == (ran == 2)
     assert out.exists() == (ran != 2)
-    refused = ((mode == "residual" and mu == "exact")
+    # oracle is not a mode: both commands refuse it on every game and schedule
+    refused = (mode == "oracle" or (mode == "residual" and mu == "exact")
                or (mode == "exact" and game == "rate-control") or bool(extra))
     assert (validated == 2) == refused
 
@@ -1010,7 +1028,6 @@ def anti_monotone_game(seed):
 
 @pytest.mark.parametrize("mode, mu, pair", [
     ("residual", "inverse-square", "inner step 1: <dG, dy>"),
-    ("oracle", "exact", "inner step 1: <dG, dy>"),
     ("exact", "exact", "<dF, dx>")])
 def test_non_monotone_game_fails_with_partial_outputs(tmp_path, monkeypatch,
                                                       capsys, mode, mu, pair):
@@ -1037,6 +1054,44 @@ def test_non_monotone_game_fails_with_partial_outputs(tmp_path, monkeypatch,
     assert summary["failure"]["message"] == err.split(": ", 1)[1].strip()
     assert read_trace_csv(out / "trace.csv") == []
     assert json.loads((out / "instance.json").read_text())["kind"] == "equality"
+
+
+def test_misshapen_exact_solution_fails_with_partial_outputs(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    # a closed-form solver's output of the wrong shape used to end the run
+    # in numpy's traceback, with nothing written; the run now exits 2 and
+    # keeps the two iterations before the failure
+    import gnesolve.benchgames
+    monkeypatch.setitem(gnesolve.benchgames.BUILTIN_GAMES, "quadratic-equality",
+                        lambda seed: misshapen_after(gs.quadratic_game()[0], 2))
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUAD_CFG.format(out=out))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: closed-form subgame solver returned shape (3,), "
+        "expected (2,)\n")
+    assert [r["k"] for r in read_trace_csv(out / "trace.csv")] == ["1", "2"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failure"]["error"] == "StructuralError"
+    assert summary["failure"]["iteration"] == 3
+    assert summary["inner_steps"] == 0
+    assert json.loads((out / "instance.json").read_text())["kind"] == "equality"
+
+
+def test_oracle_inner_mode_is_refused(tmp_path, capsys):
+    # the machine-precision reference solve of the former oracle mode is a
+    # test helper now: both commands refuse the mode and write nothing
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUAD_CFG.format(out=out).replace("inner.mode = exact",
+                                                    "inner.mode = oracle"))
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: unknown inner mode 'oracle'\n")
+    assert not out.exists()
 
 
 def test_validate_makes_no_oracle_call(monkeypatch):

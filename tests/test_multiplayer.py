@@ -14,6 +14,7 @@ import gnesolve as gs
 from gnesolve.admm import relax
 from gnesolve.games import Box, Player
 from helpers import products
+from reference import ReferenceSolver
 
 
 def ring_game(n, delta, c, kind, half_width=25.0):
@@ -119,7 +120,7 @@ def test_oracle_inner_matches_exact_on_cycle(cyclic_graph):
     params = gs.AlgoParams.uniform(game, cyclic_graph, r=8.0, h=0.3, w=0.3,
                                    rho=1.1, mu0=0.0)
     exact = gs.InnerSolver("exact")
-    oracle = gs.InnerSolver("oracle")
+    oracle = ReferenceSolver()
     state_e = gs.initial_state(game, cyclic_graph, seed=5)
     state_o = gs.initial_state(game, cyclic_graph, seed=5)
     for _ in range(25):

@@ -13,6 +13,7 @@ from gnesolve import admm, cli, splitting
 from gnesolve.config import load_config
 from gnesolve.games import Game
 from gnesolve.operators import PointProducts
+from reference import ReferenceSolver
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = ("quadratic-equality", "rate-control", "task-allocation")
@@ -101,14 +102,14 @@ def test_inner_start_reads_the_anchor_gradient(name):
                              swept.Z, swept.lam)
     assert np.array_equal(game.project(start.x), start.x)
     assert not np.array_equal(game.project(outside.x), outside.x)
-    modes = ["residual", "oracle"]
+    exact = gs.InnerSolver("exact")
+    solvers = [gs.InnerSolver(), ReferenceSolver()]
     if game.exact_subgame_solver is not None:
-        modes.append("exact")
-    for mode, state in itertools.product(modes, (start, outside)):
-        solver = gs.InnerSolver(mode)
+        solvers.append(exact)
+    for solver, state in itertools.product(solvers, (start, outside)):
         at = fresh(game, graph, state)
         poisoned = at._replace(gradient=np.full(game.n, np.nan))
-        if mode != "exact":
+        if solver is not exact:
             with pytest.raises(gs.NumericError):
                 iterate(game, graph, params, state, poisoned, solver, 1e-3)
         else:
@@ -160,8 +161,8 @@ TOY_ALGORITHMS = {
 def public_loop(game, graph, params, inner, stop, residuals, iterate):
     """The outer loop written with the public maps: every residual's
     products are checked against `fresh`, which computes them with the
-    shape-checked `Game` and `CommGraph` methods, and every step is the
-    allocating `relax`.  Returns the trace rows and the final state."""
+    shape-checked `Game` and `CommGraph` methods, and every step is
+    `relax`.  Returns the trace rows and the final state."""
     inner = inner.bind(game, params)
     state = gs.initial_state(game, graph, seed=0)
     res, at = residuals(game, graph, state.x, state.Z, state.lam)
@@ -187,9 +188,9 @@ def public_loop(game, graph, params, inner, stop, residuals, iterate):
 
 @pytest.mark.parametrize("algorithm", sorted(TOY_ALGORITHMS))
 def test_driver_matches_a_loop_over_the_public_maps(algorithm):
-    # the driver calls the unchecked cores and relaxes in place; over a
-    # full exact run its rows and final state equal, bit for bit, those of
-    # the loop over the public checked maps and the allocating relax
+    # the driver calls the unchecked cores; over a full exact run its rows
+    # and final state equal, bit for bit, those of the loop over the public
+    # checked maps
     kind, runner, residuals, iterate = TOY_ALGORITHMS[algorithm]
     game, _ = gs.quadratic_game(kind=kind)
     graph = gs.path_graph(2)

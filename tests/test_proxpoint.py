@@ -10,8 +10,8 @@ from conftest import edge_flow_for
 from helpers import (MatrixResolvent, constraint_matrix, dense_lifted_jacobian,
                      dense_preconditioner, incidence_kron, linear_part)
 from reference import (InequalityResolvent, LiftedEqualityResolvent,
-                       ResolventStep, fejer_check, pack, pppa_step,
-                       plain_state, run_proxpoint)
+                       ReferenceSolver, ResolventStep, fejer_check, pack,
+                       pppa_step, plain_state, run_proxpoint)
 
 
 # -- engine on scalar operators ---------------------------------------------------
@@ -179,12 +179,11 @@ def random_equality_instance(seed):
 def test_lifted_certificate_bounds_the_distance_to_the_exact_resolvent(seed):
     # the sweep is affine in the subgame solution with linear part J, so a
     # residual-mode step lies within |J|_2 * certificate of the exact
-    # resolvent, the oracle-mode step at nu = 0
+    # resolvent, the reference solve's step at nu = 0
     game, graph, params, rng = random_equality_instance(seed)
     J = dense_lifted_jacobian(params, game, graph)
     resolvent = LiftedEqualityResolvent(game, graph, params, gs.InnerSolver())
-    exact = LiftedEqualityResolvent(game, graph, params,
-                                    gs.InnerSolver("oracle"))
+    exact = LiftedEqualityResolvent(game, graph, params, ReferenceSolver())
     assert resolvent.nu_factor == pytest.approx(np.linalg.norm(J, 2),
                                                 rel=1e-12)
     n = game.n

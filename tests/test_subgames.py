@@ -14,6 +14,7 @@ from gnesolve.rng import SplitMix64
 from gnesolve.subgames import (InnerSolver, Subgame, equality_subgame,
                                inequality_subgame)
 from helpers import equality_subgame_at, products
+from reference import ReferenceSolver
 
 
 def wide_affine_game(a):
@@ -77,7 +78,7 @@ def test_oracle_mode_affine_fixed_point():
     # park the proximal anchor at the solution so the equilibrium is `a`
     anchor = np.array([2.0, -3.0])
     sub = Subgame(game, anchor, np.zeros(2), params, game.smooth_gradient(anchor))
-    solver = InnerSolver("oracle")
+    solver = ReferenceSolver()
     for mu in (1e-2, 1e-5, 1e-9):
         sol = solver.solve(sub, mu)
         assert np.linalg.norm(sol.x - np.array([2.0, -3.0])) <= mu
@@ -93,12 +94,12 @@ def test_oracle_mode_matches_linear_solve(eq_game, pair_graph, toy_params):
     J = np.array([[1.0, 0.5], [0.5, 1.0]])
     expected = np.linalg.solve(J + 10.0 * np.eye(2),
                                10.0 * x0 + np.array([2.0, 1.0]) - sub.shift)
-    solver = InnerSolver("oracle")
+    solver = ReferenceSolver()
     sol = solver.solve(sub, 1e-8)
     assert np.linalg.norm(sol.x - expected) <= 1e-8
     exact = InnerSolver("exact").solve(sub, 0.0)
     assert np.allclose(exact.x, expected, atol=1e-12)
-    # the oracle-mode equilibrium satisfies the subgame optimality residual
+    # the reference equilibrium satisfies the subgame optimality residual
     reference = solver.solve(sub, 0.0).x
     assert np.linalg.norm(reference - sub.step(reference, 0.05)) <= 1e-10
 
@@ -121,7 +122,7 @@ def test_monotone_tolerance(eq_game, pair_graph, toy_params):
     game, _ = eq_game
     sub = equality_subgame_at(game, pair_graph, toy_params, np.zeros(2),
                               np.zeros((2, 1)), np.zeros((1, 1)))
-    solver = InnerSolver("oracle")
+    solver = ReferenceSolver()
     tight = solver.solve(sub, 1e-7).certificate.bound
     loose = solver.solve(sub, 1e-3).certificate.bound
     assert tight <= loose
@@ -132,7 +133,7 @@ def test_schedule_certificates(eq_game, pair_graph):
     game, _ = eq_game
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 10.0, 0.5, 0.5,
                                    1.1, mu0=1.0)
-    solver = InnerSolver("oracle")
+    solver = ReferenceSolver()
     sub = equality_subgame_at(game, gs.path_graph(2), params, np.zeros(2),
                               np.zeros((2, 1)), np.zeros((1, 1)))
     for k in range(1, 51):
@@ -144,7 +145,7 @@ def test_schedule_certificates(eq_game, pair_graph):
 def test_uniqueness_from_different_starts(eq_game, pair_graph, toy_params):
     game, _ = eq_game
     mu = 1e-6
-    solver = InnerSolver("oracle")
+    solver = ReferenceSolver()
     results = []
     for anchor in (np.array([5.0, 5.0]), np.array([-5.0, 2.0])):
         sub = equality_subgame_at(game, pair_graph, toy_params, anchor,
@@ -162,24 +163,26 @@ def test_iteration_cap_raises(eq_game, pair_graph, toy_params, monkeypatch):
     sub = equality_subgame_at(game, pair_graph, toy_params, np.zeros(2),
                               np.zeros((2, 1)), np.zeros((1, 1)))
     monkeypatch.setattr(subgames, "MAX_INNER_STEPS", 1)
-    for mode in ("residual", "oracle"):
+    for solver in (InnerSolver("residual"), ReferenceSolver()):
         with pytest.raises(InexactnessError, match="within 1 iterations") as err:
-            InnerSolver(mode).solve(sub, 1e-12)
+            solver.solve(sub, 1e-12)
         assert err.value.achieved > 1e-12
 
 
-@pytest.mark.parametrize("mode", ["exact", "residual", "oracle"])
+@pytest.mark.parametrize("solver", [
+    InnerSolver("exact"), InnerSolver("residual"), ReferenceSolver()],
+    ids=["exact", "residual", "oracle"])
 def test_nan_tolerance_refused_at_once(eq_game, pair_graph, toy_params,
-                                      monkeypatch, mode):
+                                      monkeypatch, solver):
     # a NaN tolerance used to pass the sign check: residual mode ran to the
-    # step limit, and oracle mode returned the reference with bound 0
+    # step limit, and the reference solve returned the reference with bound 0
     game, _ = eq_game
     sub = equality_subgame_at(game, pair_graph, toy_params, np.zeros(2),
                               np.zeros((2, 1)), np.zeros((1, 1)))
     calls = []
     monkeypatch.setattr(game, "smooth_gradient", lambda y: calls.append(y))
     with pytest.raises(ValidationError, match="nonnegative, got nan"):
-        InnerSolver(mode).solve(sub, float("nan"))
+        solver.solve(sub, float("nan"))
     assert calls == []
 
 
@@ -194,7 +197,7 @@ def test_oracle_mode_runs_one_trajectory(name, monkeypatch):
                         lambda y: calls.append(y) or oracle(y))
     for mu in (sub.params.mu(1), 1e-6, 0.0):
         calls.clear()
-        sol = InnerSolver("oracle").solve(sub, mu)
+        sol = ReferenceSolver().solve(sub, mu)
         assert len(calls) == sol.certificate.iterations
 
 
@@ -222,7 +225,7 @@ def assert_residual_certificates(sub, x_star, mus):
     for mu in mus:
         sol = solver.solve(sub, mu)
         assert sol.certificate.bound <= mu
-        # x_star is oracle mode's reference, certified to 1e-13 relative;
+        # x_star is the reference solve's, certified to 1e-13 relative;
         # the slack covers its own distance to the equilibrium
         dist = float(np.linalg.norm(sol.x - x_star))
         assert dist <= sol.certificate.bound + 1e-10 * (1.0 + mu)
@@ -311,7 +314,7 @@ def test_residual_certificate_affine_subgames(n_players, dim, prox, seed):
     # anchors up to 1 outside the box: the solve starts there unprojected
     sub = Subgame(game, anchor, rng.normal(size=game.n), params,
                   game.smooth_gradient(anchor))
-    x_star = InnerSolver("oracle").solve(sub, 0.0).x
+    x_star = ReferenceSolver().solve(sub, 0.0).x
     assert_residual_certificates(sub, x_star, (1e-2, 1e-4, 1e-6))
 
 
@@ -345,7 +348,7 @@ def test_warm_start_certificate_holds_for_any_prediction(n_players, dim, prox,
     # wide), and so does every certificate of the warm solve
     rng = np.random.default_rng(seed)
     cold = affine_subgame(rng, n_players, dim, prox, rho)
-    x_star = InnerSolver("oracle").solve(cold, 0.0).x
+    x_star = ReferenceSolver().solve(cold, 0.0).x
     d, dF = scale * rng.normal(size=(2, cold.game.n))
     warm = Subgame(cold.game, cold.anchor, cold.shift, cold.params,
                    cold.anchor_gradient, predicting_history(cold, d, dF))
@@ -431,9 +434,9 @@ def test_residual_mode_certifies_skew_dominated_subgame():
     sol = InnerSolver().solve(sub, 1e-6)
     assert sol.certificate.bound <= 1e-6
     assert np.linalg.norm(sol.x - x_star) <= sol.certificate.bound
-    oracle = InnerSolver("oracle").solve(sub, 1e-6)
+    oracle = ReferenceSolver().solve(sub, 1e-6)
     assert oracle.certificate.bound <= 1e-6
-    reference = InnerSolver("oracle").solve(sub, 0.0).x
+    reference = ReferenceSolver().solve(sub, 0.0).x
     assert np.linalg.norm(reference - x_star) <= 1e-12
 
 
@@ -448,7 +451,7 @@ def bilinear_game(scale):
 
 
 def test_zero_modulus_game_passes_the_monotonicity_checks():
-    # solved to oracle mode's machine-precision reference, the last inner
+    # solved to the machine-precision reference, the last inner
     # steps are rounding-sized, and <dF, dx> is exactly zero up to rounding:
     # the allowance, scaled by the sizes of the terms summed into each
     # gradient, covers them, and the outer pairs see the zero modulus
@@ -461,12 +464,12 @@ def test_zero_modulus_game_passes_the_monotonicity_checks():
             anchor = rng.uniform(-6.0, 6.0, 2)
             sub = Subgame(game, anchor, scale * rng.normal(size=2), params,
                           game.smooth_gradient(anchor))
-            sol = InnerSolver("oracle").solve(sub, 0.0)
+            sol = ReferenceSolver().solve(sub, 0.0)
             assert sol.certificate.iterations > 1
             assert np.isfinite(sol.certificate.monotonicity)
     game = bilinear_game(1.0)
     params = gs.AlgoParams.uniform(game, graph, 1.0, 0.25, 0.25, 1.0, mu0=0.0)
-    run = gs.run_admm(game, graph, params, InnerSolver("oracle"),
+    run = gs.run_admm(game, graph, params, ReferenceSolver(),
                       gs.StopRule(100, 1e-9))
     assert run.iterations == 100
     assert abs(run.monotonicity["outer"]) <= 1e-12
@@ -515,8 +518,7 @@ def test_bound_exact_solver_matches_the_unbound_one(eq_game, pair_graph,
             else:
                 assert len(bound_to) == 1 and bound_to[0] is other.R
             assert np.array_equal(x, unbound.solve(sub, 0.0).x)
-    for mode in ("residual", "oracle"):
-        solver = InnerSolver(mode)
+    for solver in (InnerSolver("residual"), ReferenceSolver()):
         assert solver.bind(game, other) is solver
     # residual mode cannot certify the zero schedule of mu0 = 0
     with pytest.raises(ValidationError, match="exactly zero tolerance"):
@@ -587,16 +589,17 @@ def test_wrong_length_anchor_or_shift_rejected():
 @pytest.mark.parametrize("name", ["rate-control", "task-allocation"])
 def test_residual_certificate_published_first_subgames(name):
     sub = first_subgame(name)
-    x_star = InnerSolver("oracle").solve(sub, 0.0).x
+    x_star = ReferenceSolver().solve(sub, 0.0).x
     mu_1 = sub.params.mu(1)
     assert_residual_certificates(sub, x_star, (mu_1, 1e-3 * mu_1, 1e-6))
 
 
 @pytest.mark.parametrize("name", ["toy", "rate-control", "task-allocation"])
 def test_oracle_mode_returns_the_residual_point(name):
-    # one trajectory: oracle mode only runs on past residual mode's stop
+    # one trajectory: the reference solve only runs on past residual
+    # mode's stop
     sub = first_subgame(name)
-    oracle = InnerSolver("oracle")
+    oracle = ReferenceSolver()
     for mu in (sub.params.mu(1), 1e-6):
         res = InnerSolver().solve(sub, mu)
         sol = oracle.solve(sub, mu)
@@ -607,6 +610,8 @@ def test_oracle_mode_returns_the_residual_point(name):
 
 def test_residual_mode_is_the_default():
     assert InnerSolver().mode == "residual"
-    with pytest.raises(ValidationError, match="unknown inner mode"):
-        InnerSolver("fixed-step")
+    # oracle is not a mode: the reference solve is a test helper
+    for mode in ("fixed-step", "oracle"):
+        with pytest.raises(ValidationError, match="unknown inner mode"):
+            InnerSolver(mode)
     assert DEFAULTS["inner.mode"] == "residual"
