@@ -205,11 +205,12 @@ class Game:
     # them, once per run.  Oracle outputs are checked on every call
     # (`_checked`).
 
-    def _profile(self, x) -> np.ndarray:
-        """``x`` as a flat float array; raises unless it has length ``n``."""
+    def _profile(self, x, name: str = "profile") -> np.ndarray:
+        """``x`` as a float array; raises, calling it ``name``, unless its
+        shape is ``(n,)``."""
         x = np.asarray(x, dtype=float)
-        if x.size != self.n:
-            raise StructuralError(f"profile length {x.size}, expected {self.n}")
+        if x.shape != (self.n,):
+            raise StructuralError(f"{name} shape {x.shape}, expected ({self.n},)")
         return x
 
     def split(self, x) -> list[np.ndarray]:
@@ -294,9 +295,9 @@ class Game:
         absorbed into its prox, so fixed points characterize solutions even
         where the subgradient selection is discontinuous.
         """
-        x = np.asarray(x, dtype=float)
-        price = np.asarray(price, dtype=float)
-        return self.backward_step(x - (self.smooth_gradient(x) + price), 1.0)
+        x = self._profile(x)
+        price = self._profile(price, "price")
+        return self._backward_step(x - (self._smooth_gradient(x) + price), 1.0)
 
     def smooth_gradient(self, x) -> np.ndarray:
         """Forward part of the natural map: the smooth oracle for games with
@@ -312,9 +313,7 @@ class Game:
     def backward_step(self, v, gamma: float) -> np.ndarray:
         """Backward part of the natural map: the separable prox (nonsmooth
         part plus box) when present, otherwise the box projection."""
-        if self.separable_prox is None:
-            v = self._profile(v)
-        return self._backward_step(v, gamma)
+        return self._backward_step(self._profile(v), gamma)
 
     def _backward_step(self, v: np.ndarray, gamma: float) -> np.ndarray:
         if self.separable_prox is not None:

@@ -34,14 +34,14 @@ from .params import AlgoParams
 
 def _check_fit(params: AlgoParams, game: Game, graph: CommGraph) -> None:
     """The graph and step sizes must match the game: one graph node per
-    player, ``R`` of shape (n,) in blocks of the players' orders ``d_i``,
-    ``H`` of (N, m) and ``W`` of (M, m) for the graph's M edges."""
+    player, ``R`` of shape (n,), ``H`` of (N, m) and ``W`` of (M, m) for
+    the graph's M edges."""
     if graph.n_nodes != game.n_players:
         raise StructuralError(f"the graph has {graph.n_nodes} nodes but the "
                               f"game has {game.n_players} players")
     m = game.m
     for name, given, expected in (
-            ("R block orders", params.dims, game.dims),
+            ("R shape", params.R.shape, (game.n,)),
             ("H shape", params.H.shape, (game.n_players, m)),
             ("W shape", params.W.shape, (graph.n_edges, m))):
         if given != expected:

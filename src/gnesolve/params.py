@@ -12,21 +12,17 @@ from .games import Game
 from .graphs import CommGraph
 
 
-def _check_positive(values: np.ndarray, name: str, starts: Sequence[int]) -> None:
-    """Every entry of a flattened step-size array must be finite and
-    positive, which makes each diagonal step matrix positive definite;
-    block ``i`` of ``name`` runs from ``starts[i]`` to the next start.  An
-    error names the first failing block, and that block's first failing
-    condition."""
+def _check_positive(values: np.ndarray, name: str) -> None:
+    """Every entry of a step-size array must be finite and positive, which
+    makes each diagonal step matrix positive definite.  An error names the
+    first failing entry in row-major order, and its value."""
     failing = ~((values > 0.0) & (values < np.inf))     # nan compares False
     if not failing.any():
         return
-    i = int(np.searchsorted(starts, np.argmax(failing), side="right")) - 1
-    block = np.split(values, starts[1:])[i]
-    if not np.isfinite(block).all():
-        raise ValidationError(f"{name}[{i}] has non-finite entries")
-    raise ValidationError(f"{name}[{i}] is not positive definite "
-                          f"(smallest eigenvalue {block.min():.3g})")
+    index = np.unravel_index(np.argmax(failing), values.shape)
+    raise ValidationError(
+        f"{name}[{', '.join(map(str, index))}] = {values[index]:.3g} "
+        f"is not a finite positive step size")
 
 
 @dataclass
@@ -51,16 +47,12 @@ class AlgoParams:
         Scale of the inner tolerances ``mu(k) = mu0 / k^2`` at the 1-based
         outer iteration ``k``; finite and nonnegative, so they are summable
         as the inexact proximal-point proof needs.  ``0`` means exact solves.
-    dims : tuple of int, optional
-        Orders of the players' ``R_i``: errors name the blocks of ``R`` by
-        them, and the validators match them against the game's; by default
-        each entry of ``R`` is one block.
     r_min, r_max : float
         Smallest and largest entry of ``R``, the extreme eigenvalues of the
         ``R_i``.
 
     Every entry must be finite and positive; an error names the first
-    failing block (``R[i]``, ``H[i]`` or ``W[l]``).
+    failing entry and its value (``R[j]``, ``H[i, a]`` or ``W[l, a]``).
     """
 
     R: np.ndarray
@@ -68,7 +60,6 @@ class AlgoParams:
     W: np.ndarray
     rho: float
     mu0: float = 1.0
-    dims: Sequence[int] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.mu0 < np.inf:
@@ -81,16 +72,12 @@ class AlgoParams:
             a.flags.writeable = False
         if self.R.ndim != 1:
             raise StructuralError(f"R must be an (n,) array, got shape {self.R.shape}")
-        self.dims = (1,) * self.R.size if self.dims is None else tuple(self.dims)
-        if sum(self.dims) != self.R.size:
-            raise StructuralError(f"R has {self.R.size} entries but its block "
-                                  f"orders {self.dims} sum to {sum(self.dims)}")
-        _check_positive(self.R, "R", np.cumsum((0,) + self.dims[:-1]))
+        _check_positive(self.R, "R")
         for name, rows in (("H", self.H), ("W", self.W)):
             if rows.ndim != 2:
                 raise StructuralError(f"{name} must be a 2-D array of rows, "
                                       f"got shape {rows.shape}")
-            _check_positive(rows.ravel(), name, np.arange(len(rows)) * rows.shape[1])
+            _check_positive(rows, name)
         self.r_min = float(self.R.min())
         self.r_max = float(self.R.max())
         if not (1.0 <= self.rho < 2.0):
@@ -104,24 +91,23 @@ class AlgoParams:
                 w: float, rho: float, mu0: float = 1.0) -> "AlgoParams":
         """Scalar step sizes replicated over every entry."""
         return cls(np.full(game.n, r), np.full((game.n_players, game.m), h),
-                   np.full((graph.n_edges, game.m), w), rho, mu0, game.dims)
+                   np.full((graph.n_edges, game.m), w), rho, mu0)
 
     @classmethod
     def diagonal(cls, r_diags: Sequence[np.ndarray], h_diags: np.ndarray,
                  w_diags: np.ndarray, rho: float, mu0: float = 1.0) -> "AlgoParams":
         """Step sizes from the per-player ``R_i`` diagonals, in player order,
         and the ``H`` and ``W`` rows."""
-        return cls(np.concatenate(r_diags), h_diags, w_diags, rho, mu0,
-                   [np.size(d) for d in r_diags])
+        return cls(np.concatenate(r_diags), h_diags, w_diags, rho, mu0)
 
     def mu(self, k: int) -> float:
         """Inner tolerance ``mu0 / k^2`` at the 1-based outer iteration ``k``."""
         return self.mu0 / float(k * k)
 
-    # -- block applications ---------------------------------------------------
+    # -- products with the step matrices -------------------------------------
 
     def apply_R(self, v: np.ndarray) -> np.ndarray:
-        """Blockwise product ``R v`` on a stacked profile vector."""
+        """Product ``R v`` on a stacked profile vector."""
         return self.R * v
 
     def apply_H(self, rows: np.ndarray) -> np.ndarray:
@@ -133,9 +119,9 @@ class AlgoParams:
         return self.W * rows
 
     def r_min_eig(self) -> float:
-        """Smallest eigenvalue over the ``R`` blocks; same as ``r_min``."""
+        """Smallest eigenvalue of the diagonal ``R``; same as ``r_min``."""
         return self.r_min
 
     def r_max_eig(self) -> float:
-        """Largest eigenvalue over the ``R`` blocks; same as ``r_max``."""
+        """Largest eigenvalue of the diagonal ``R``; same as ``r_max``."""
         return self.r_max

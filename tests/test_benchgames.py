@@ -270,7 +270,7 @@ def test_task_allocation_draws_in_documented_order(seed):
     H = [draw(8, 0.2, 0.4) for _ in range(14)]
     W = [draw(8, 0.2, 0.4) for _ in range(13)]
     params = gs.task_allocation_params(game, graph, seed)
-    assert np.array_equal(params.R, np.concatenate(R)) and params.dims == (4,) * 14
+    assert np.array_equal(params.R, np.concatenate(R))
     assert np.array_equal(params.H, H) and np.array_equal(params.W, W)
 
 

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 import itertools
 import json
 import re
@@ -43,6 +45,31 @@ def test_parse_config_errors():
     cfg = parse_config_text("stop.tol = banana")
     with pytest.raises(ConfigError, match="not a number"):
         cfg.get_float("stop.tol")
+
+
+def test_library_defaults_match_the_config_defaults():
+    # the library restates defaults that DEFAULTS holds for configs; one
+    # changed on a single side would make a library run and a config run
+    # of the same setup differ
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    stop = {f.name: f.default for f in dataclasses.fields(gs.StopRule)}
+    params = {f.name: f.default for f in dataclasses.fields(gs.AlgoParams)}
+    restated = [
+        ("stop.max_iter", stop["max_iter"]), ("stop.tol", stop["tol"]),
+        ("inner.mode", default(gs.InnerSolver, "mode")),
+        ("params.mu0", params["mu0"]),
+        ("params.mu0", default(gs.AlgoParams.uniform, "mu0")),
+        ("params.mu0", default(gs.AlgoParams.diagonal, "mu0")),
+        ("params.mu0", default(gs.rate_control_params, "mu0")),
+        ("params.mu0", default(gs.task_allocation_params, "mu0")),
+        ("params.rho", default(gs.task_allocation_params, "rho")),
+        ("run.seed", default(gs.run_admm, "seed")),
+        ("run.seed", default(gs.run_splitting, "seed")),
+    ]
+    for key, value in restated:
+        assert type(value)(DEFAULTS[key]) == value, key
 
 
 def test_parse_edge_list():
@@ -391,11 +418,11 @@ def test_exact_inner_mode_needs_a_closed_form_solver(tmp_path, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line, block", [
+@pytest.mark.parametrize("line, entry", [
     ("params.r = nan", "R[0]"), ("params.r = inf", "R[0]"),
-    ("params.w = nan", "W[0]"), ("params.h = nan", "H[0]")])
+    ("params.w = nan", "W[0, 0]"), ("params.h = nan", "H[0, 0]")])
 def test_non_finite_step_sizes_rejected_before_the_run(tmp_path, capsys,
-                                                       line, block):
+                                                       line, entry):
     out = tmp_path / "o"
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(QUAD_CFG.format(out=out).replace(
@@ -403,7 +430,9 @@ def test_non_finite_step_sizes_rejected_before_the_run(tmp_path, capsys,
         "quadratic-inequality\nalgorithm = splitting") + line + "\n")
     for command in ("validate", "run"):
         assert main([command, str(cfg)]) == 2
-        assert f"{block} has non-finite entries" in capsys.readouterr().err
+        value = line.rsplit(" ", 1)[1]
+        assert (f"{entry} = {value} is not a finite positive step size"
+                in capsys.readouterr().err)
     assert not out.exists()
 
 

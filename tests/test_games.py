@@ -33,16 +33,26 @@ def test_box_clamps():
 
 
 def test_project_rejects_a_wrong_length_profile():
-    # a short profile would otherwise broadcast against the box bounds; the
-    # other public profile maps check it too, while the loops call their
-    # unchecked cores on shapes the run fixed once
-    game = box_game(np.zeros(2), np.full(2, 5.0))
-    for call in (game.project, game.pseudo_gradient, game.smooth_gradient,
-                 game.constraint_rows, game.local_residual,
-                 lambda x: game.backward_step(x, 1.0),
-                 lambda x: game.natural_step(x, np.zeros(1))):
-        with pytest.raises(StructuralError, match="profile length 1, expected 2"):
-            call(np.array([5.0]))
+    # a short profile would otherwise broadcast against the box bounds, and
+    # a column profile of the right length would broadcast to a square; the
+    # other public profile maps check the shape too, the backward step
+    # whether it is the box projection or a separable prox, while the loops
+    # call their unchecked cores on shapes the run fixed once
+    for game in (box_game(np.zeros(2), np.full(2, 5.0)),
+                 gs.task_allocation_game(0)):
+        n = game.n
+        for call in (game.project, game.pseudo_gradient, game.smooth_gradient,
+                     game.constraint_rows, game.local_residual,
+                     lambda x: game.backward_step(x, 1.0),
+                     lambda x: game.natural_step(x, np.zeros(n))):
+            for bad in (np.full(n - 1, 5.0), np.full((n, 1), 5.0)):
+                with pytest.raises(StructuralError, match=re.escape(
+                        f"profile shape {bad.shape}, expected ({n},)")):
+                    call(bad)
+        for price in (np.zeros(n + 1), np.zeros((n, 1))):
+            with pytest.raises(StructuralError, match=re.escape(
+                    f"price shape {price.shape}, expected ({n},)")):
+                game.natural_step(np.zeros(n), price)
 
 
 #: entries on which a clamp can differ from np.clip: signed zeros, infinities,

@@ -229,10 +229,8 @@ def test_step_sizes_must_fit_the_game_and_graph(kind):
     assert min(step_size_margins(params, game, chain).values()) > 0
     wrong = {
         "W shape": build(ring),
-        "H shape": gs.AlgoParams(params.R, params.H[:-1], params.W, 1.1,
-                                 dims=params.dims),
-        "R block orders": gs.AlgoParams(params.R[:-1], params.H, params.W,
-                                        1.1),
+        "H shape": gs.AlgoParams(params.R, params.H[:-1], params.W, 1.1),
+        "R shape": gs.AlgoParams(params.R[:-1], params.H, params.W, 1.1),
     }
     for message, bad in wrong.items():
         with pytest.raises(StructuralError, match=message):

@@ -16,8 +16,11 @@ def test_uniform_builder(eq_game, pair_graph):
     params = AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.1)
     assert params.r_min == params.r_min_eig() == 10.0
     assert params.r_max == params.r_max_eig() == 10.0
-    assert params.R.shape == (2,) and params.dims == (1, 1)
+    assert params.R.shape == (2,)
     assert params.H.shape == (2, 1) and params.W.shape == (1, 1)
+    # the step sizes carry no block orders of their own: the game has them
+    with pytest.raises(TypeError, match="dims"):
+        AlgoParams(params.R, params.H, params.W, 1.1, dims=(1, 1))
 
 
 def test_rho_bounds(eq_game, pair_graph):
@@ -28,68 +31,57 @@ def test_rho_bounds(eq_game, pair_graph):
     AlgoParams.uniform(game, pair_graph, 10.0, 0.5, 0.5, 1.0)   # boundary ok
 
 
-#: block orders of the ``R`` cases below: entries 0 | 1 | 2 3 | 4 5 | 6
-_DIMS = (1, 1, 2, 2, 1)
+_STEP = "is not a finite positive step size"
 
 
 @pytest.mark.parametrize("name, change, error, message", [
-    ("R", {0: 0.0}, ValidationError,
-     "R[0] is not positive definite (smallest eigenvalue 0)"),
-    ("R", {2: -1.0}, ValidationError,
-     "R[2] is not positive definite (smallest eigenvalue -1)"),
-    ("R", {3: -2.0}, ValidationError,
-     "R[2] is not positive definite (smallest eigenvalue -2)"),
-    ("R", {3: np.nan}, ValidationError, "R[2] has non-finite entries"),
-    ("R", {4: np.inf}, ValidationError, "R[3] has non-finite entries"),
-    ("R", {6: -np.inf}, ValidationError, "R[4] has non-finite entries"),
-    # the first failing block wins, and in it non-finite entries
-    ("R", {1: -1.0, 4: np.nan}, ValidationError, "R[1] is not positive definite"),
-    ("R", {3: np.nan, 6: -1.0}, ValidationError, "R[2] has non-finite entries"),
-    ("R", {2: -1.0, 3: np.nan}, ValidationError, "R[2] has non-finite entries"),
-    ("H", {(1, 0): 0.0}, ValidationError,
-     "H[1] is not positive definite (smallest eigenvalue 0)"),
+    ("R", {0: 0.0}, ValidationError, f"R[0] = 0 {_STEP}"),
+    ("R", {2: -1.0}, ValidationError, f"R[2] = -1 {_STEP}"),
+    ("R", {3: -2.0}, ValidationError, f"R[3] = -2 {_STEP}"),
+    ("R", {3: np.nan}, ValidationError, f"R[3] = nan {_STEP}"),
+    ("R", {4: np.inf}, ValidationError, f"R[4] = inf {_STEP}"),
+    ("R", {6: -np.inf}, ValidationError, f"R[6] = -inf {_STEP}"),
+    # the first failing entry in row-major order wins, whatever fails later
+    ("R", {1: -1.0, 4: np.nan}, ValidationError, f"R[1] = -1 {_STEP}"),
+    ("R", {3: np.nan, 6: -1.0}, ValidationError, f"R[3] = nan {_STEP}"),
+    ("R", {2: -1.0, 3: np.nan}, ValidationError, f"R[2] = -1 {_STEP}"),
+    ("H", {(1, 0): 0.0}, ValidationError, f"H[1, 0] = 0 {_STEP}"),
     ("H", {(1, 1): -2.0, (2, 0): np.nan}, ValidationError,
-     "H[1] is not positive definite"),
+     f"H[1, 1] = -2 {_STEP}"),
     ("H", {(1, 0): np.nan, (2, 0): -1.0}, ValidationError,
-     "H[1] has non-finite entries"),
-    ("H", {(2, 1): np.inf}, ValidationError, "H[2] has non-finite entries"),
-    ("H", {(0, 0): -np.inf}, ValidationError, "H[0] has non-finite entries"),
-    ("W", {(1, 1): 0.0}, ValidationError,
-     "W[1] is not positive definite (smallest eigenvalue 0)"),
+     f"H[1, 0] = nan {_STEP}"),
+    ("H", {(2, 1): np.inf}, ValidationError, f"H[2, 1] = inf {_STEP}"),
+    ("H", {(0, 0): -np.inf}, ValidationError, f"H[0, 0] = -inf {_STEP}"),
+    ("W", {(1, 1): 0.0}, ValidationError, f"W[1, 1] = 0 {_STEP}"),
     ("W", {(0, 1): -0.5, (1, 0): np.inf}, ValidationError,
-     "W[0] is not positive definite"),
-    ("W", {(1, 0): np.nan}, ValidationError, "W[1] has non-finite entries"),
+     f"W[0, 1] = -0.5 {_STEP}"),
+    ("W", {(1, 0): np.nan}, ValidationError, f"W[1, 0] = nan {_STEP}"),
     ("W", {(0, 0): -np.inf, (0, 1): -1.0}, ValidationError,
-     "W[0] has non-finite entries"),
-    # wrong shapes, the dense (count, m, m) stacks among them, and block
-    # orders that do not cover R
+     f"W[0, 0] = -inf {_STEP}"),
+    # wrong shapes, the dense (count, m, m) stacks among them
     ("R", np.ones((7, 1)), StructuralError, "R must be an (n,) array"),
     ("H", np.ones(10), StructuralError, "H must be a 2-D array"),
     ("H", np.ones((5, 2, 2)), StructuralError, "H must be a 2-D array"),
     ("W", np.ones((2, 2, 2)), StructuralError, "W must be a 2-D array"),
-    ("dims", (1, 1, 2, 2), StructuralError, "block orders (1, 1, 2, 2) sum to 6"),
 ], ids=["R-zero", "R-negative-at-boundary", "R-negative-block-end", "R-nan",
         "R-inf-at-boundary", "R-minus-inf-last", "R-first-block-wins",
         "R-nan-before-negative", "R-nan-beside-negative", "H-zero",
         "H-first-block-wins", "H-nan-before-negative", "H-inf", "H-minus-inf",
         "W-zero", "W-first-block-wins", "W-nan", "W-minus-inf-beside-negative",
-        "R-2d", "H-1d", "H-dense-stack", "W-dense-stack", "R-orders"])
+        "R-2d", "H-1d", "H-dense-stack", "W-dense-stack"])
 def test_step_sizes_checked_block_by_block(name, change, error, message):
     # every entry of R, H and W is the eigenvalue of a diagonal step
-    # matrix; an error names the first failing block (a player's slice of
-    # R, with mixed orders here, or a row of H or W) and its first failing
-    # condition
-    steps = {"R": np.ones(sum(_DIMS)), "H": np.ones((5, 2)),
-             "W": np.ones((2, 2)), "dims": _DIMS}
-    valid = AlgoParams(steps["R"], steps["H"], steps["W"], 1.1,
-                       dims=steps["dims"])
+    # matrix, a block of order one, so the check runs entry by entry: an
+    # error names the first failing entry and its value
+    steps = {"R": np.ones(7), "H": np.ones((5, 2)), "W": np.ones((2, 2))}
+    valid = AlgoParams(steps["R"], steps["H"], steps["W"], 1.1)
     if isinstance(change, dict):
         for index, value in change.items():
             steps[name][index] = value
     else:
         steps[name] = change
     with pytest.raises(error, match=re.escape(message)):
-        AlgoParams(steps["R"], steps["H"], steps["W"], 1.1, dims=steps["dims"])
+        AlgoParams(steps["R"], steps["H"], steps["W"], 1.1)
     # the checked step sizes are read-only copies, out of the caller's reach
     for rows in (valid.R, valid.H, valid.W):
         assert (rows == 1.0).all() and not rows.flags.writeable
@@ -133,7 +125,6 @@ def test_apply_blocks(eq_game, pair_graph, dims, seed):
     r_diags = [rng.uniform(0.1, 5.0, d) for d in dims]
     params = AlgoParams.diagonal(r_diags, np.ones((len(dims), 1)),
                                  np.ones((1, 1)), 1.0)
-    assert params.dims == tuple(dims)
     # the bounds are the extreme eigenvalues of the dense blocks
     R = step_matrices(params, game)[0]
     eigs = np.linalg.eigvalsh(block_diag(R))

@@ -293,7 +293,7 @@ def test_smooth_oracle_shape_checked():
     with pytest.raises(StructuralError,
                        match=r"smooth oracle returned shape \(\), expected \(2,\)"):
         game.smooth_gradient(np.zeros(2))
-    with pytest.raises(StructuralError, match="profile length 3, expected 2"):
+    with pytest.raises(StructuralError, match=r"profile shape \(3,\), expected \(2,\)"):
         game.smooth_gradient(np.zeros(3))
     params = gs.AlgoParams.uniform(game, gs.path_graph(2), 1.0, 0.5, 0.5, 1.0)
     sub = Subgame(game, np.zeros(2), np.zeros(2), params, np.zeros(2))
