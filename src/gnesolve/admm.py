@@ -19,11 +19,11 @@ import numpy as np
 from .errors import DivergenceError, GnesolveError, ValidationError
 from .games import EQUALITY, Game, all_finite
 from .graphs import CommGraph
-from .operators import PointProducts, norm, residual_equality, step_size_margins
+from .operators import PointProducts, norm, residual_map, step_size_margins
 from .params import AlgoParams
 from .rng import SplitMix64
-from .subgames import (InnerSolution, InnerSolver, equality_subgame,
-                       monotone_ratio)
+from .subgames import (InnerSolution, InnerSolver, equality_shift,
+                       monotone_ratio, subgame_solver)
 from .trace import TraceRow
 
 
@@ -44,10 +44,6 @@ class State:
         self.lam = w[n + n_edges * m:].reshape(-1, m)
         self.history = ()
 
-    def like(self, w: np.ndarray) -> "State":
-        """The state over ``w`` with this state's layout."""
-        return State(w, self.x.size, *self.Z.shape)
-
     @classmethod
     def stack(cls, x, Z, lam) -> "State":
         """The state of copies of the blocks ``x``, ``Z`` and ``lam``."""
@@ -55,12 +51,37 @@ class State:
         return cls(np.concatenate((x, Z, lam), axis=None, dtype=float),
                    np.size(x), n_edges, m)
 
+    def empty_like(self) -> "State":
+        """A state with this state's layout over a new, unset vector."""
+        return State(np.empty_like(self.w), self.x.size, *self.Z.shape)
+
 
 def initial_state(game: Game, graph: CommGraph, seed: int = 0) -> State:
     """Random decisions inside the box; zero multipliers and edge variables."""
     return State.stack(game.sample_profile(SplitMix64(seed)),
                        np.zeros((graph.n_edges, game.m)),
                        np.zeros((game.n_players, game.m)))
+
+
+def admm_sweep(game: Game, graph: CommGraph, params: AlgoParams, solve):
+    """The sweep of `admm_iterate`, bound to one run:
+    ``sweep(state, at, mu, out) -> InnerSolution`` writes the unrelaxed
+    blocks over the state ``out``, and ``solve`` is the run's subgame solve
+    (`subgame_solver`).  The coupling rows, step sizes and incidence
+    matrix are looked up here, once."""
+    shift = equality_shift(game, params)
+    constraint_rows, b_rows = game._constraint_rows, game.b_rows
+    H, W, Vt = params.H, params.W, graph.incidence.T
+
+    def sweep(state, at, mu, out):
+        x, lam, Z = state.x, state.lam, state.Z
+        sol = solve(x, shift(lam, at.tracked), at.gradient, state.history, mu)
+        out.x[:] = sol.x
+        h_t = H * (constraint_rows(sol.x) - b_rows + at.node_aggregate)
+        np.add(lam, h_t, out=out.lam)
+        np.subtract(Z, W * (Vt @ (out.lam + h_t)), out=out.Z)
+        return sol
+    return sweep
 
 
 def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
@@ -73,24 +94,18 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     the subgame reads with the state's history, and whose ``V Z`` the
     tracked residual reuses.  Each per-player and
     per-edge row reads only its own data and its neighbours' signals.  The
-    blocks are written into one new state vector."""
-    x, lam, Z = state.x, state.lam, state.Z
-    out = state.like(np.empty_like(state.w))
-    sub = equality_subgame(game, params, x, lam, at, state.history)
-    sol = inner.solve(sub, mu)
-    out.x[:] = sol.x
-    tracked_t = game._local_residual(sol.x) + at.node_aggregate
-    h_t = params.apply_H(tracked_t)
-    np.add(lam, h_t, out=out.lam)
-    np.subtract(Z, params.apply_W(graph._edge_differences(out.lam + h_t)), out=out.Z)
-    return out, sol
+    blocks are written into one new state, by the sweep a run binds once
+    (`admm_sweep`)."""
+    out = state.empty_like()
+    sweep = admm_sweep(game, graph, params,
+                       subgame_solver(inner, game, params))
+    return out, sweep(state, at, mu, out)
 
 
 def relax(state: State, swept: State, rho: float) -> State:
     """``w + rho (w_hat - w)``, written over ``swept``'s vector and returned
-    as ``swept``: the outer loop does not read the sweep again, so each of
-    its iterations builds one new state, the sweep's.  A caller that still
-    reads the sweep relaxes a copy of it."""
+    as ``swept``: the outer loop does not read the sweep again.  A caller
+    that still reads the sweep relaxes a copy of it."""
     w = swept.w
     w -= state.w
     w *= rho
@@ -130,7 +145,7 @@ class RunResult:
 
 def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
                          inner: InnerSolver, stop: StopRule, seed: int,
-                         iterate, residuals) -> RunResult:
+                         bind_sweep) -> RunResult:
     """The outer loop of both algorithms.
 
     Refuses to start if the step-size conditions fail (`step_size_margins`)
@@ -139,12 +154,16 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     loop passes on, once per run: the validators check that the graph and
     step sizes fit the game (`operators._check_fit`), and the initial state
     lays out the iterate, so the loop's maps do not check shapes again.
-    ``residuals(game, graph, x, Z, lam)`` returns a state's distance to the
-    operator's zero set and the `PointProducts` it computed there;
-    ``iterate`` is the algorithm's sweep from a state and
-    those products, returning the unrelaxed blocks and the subgame solution
-    behind them, which each outer iteration relaxes by ``params.rho``; the
-    inner solver is bound to the run (`InnerSolver.bind`).  Each relaxed
+    Then the run binds its maps once: the inner solver (`InnerSolver.bind`,
+    `subgame_solver`), the residual of the game's coupling kind
+    (`residual_map`), which returns a state's distance to the operator's
+    zero set and the `PointProducts` it computed there, and the
+    algorithm's sweep ``bind_sweep(game, graph, params, solve)``, which
+    from a state and those products writes the unrelaxed blocks over a
+    second state and returns the subgame solution behind them.  Each outer
+    iteration sweeps into the idle one of two states made once per run and
+    relaxes it by ``params.rho`` in place (`relax`), so the loop allocates
+    no state.  Each relaxed
     state carries the trajectory's last two outer steps and smooth-gradient
     changes, ``(dx, dF)`` newest first, as its ``history``: the differences
     the monotonicity check forms, from which the next sweep's inner solve
@@ -161,37 +180,41 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     margins = step_size_margins(params, game, graph)
     inner = inner.bind(game, params)
     state = initial_state(game, graph, seed)
+    idle = state.empty_like()
+    sweep = bind_sweep(game, graph, params, subgame_solver(inner, game, params))
+    residual = residual_map(game, graph, game.kind)
+    rho = params.rho
     rows: list[TraceRow] = []
     k = inner_steps = 0
     inner_ratio = outer_ratio = math.inf
     try:
-        res, at = residuals(game, graph, state.x, state.Z, state.lam)
-        converged = res.max() <= stop.tol
+        res, at = residual(state.x, state.Z, state.lam)
+        converged = max(res) <= stop.tol
         while not converged and k < stop.max_iter:
             k += 1
-            prev, prev_gradient = state, at.gradient
             mu = params.mu(k)
-            swept, sol = iterate(game, graph, params, state, at, inner, mu)
-            state = relax(state, swept, params.rho)
+            sol = sweep(state, at, mu, idle)
+            new = relax(state, idle, rho)
             cert = sol.certificate
             inner_steps += cert.iterations
             inner_ratio = min(inner_ratio, cert.monotonicity)
-            if not all_finite(state.w):
+            if not all_finite(new.w):
                 raise DivergenceError(f"non-finite state at outer iteration {k}")
-            res, at = residuals(game, graph, state.x, state.Z, state.lam)
-            dx = state.x - prev.x
-            dF = at.gradient - prev_gradient
-            state.history = ((dx, dF), *prev.history[:1])
+            res, at_new = residual(new.x, new.Z, new.lam)
+            dx = new.x - state.x
+            dF = at_new.gradient - at.gradient
+            new.history = ((dx, dF), *state.history[:1])
             step_norm = norm(dx)
             outer_ratio = min(outer_ratio, monotone_ratio(
                 float(dF.dot(dx)), 0.0, step_norm,
-                (prev_gradient, at.gradient), "<dF, dx>"))
+                (at.gradient, at_new.gradient), "<dF, dx>"))
             # equality residuals have no complementarity part
             rows.append(TraceRow(
                 k, step_norm, res.stationarity, res.consensus_edge,
                 res.feasibility, getattr(res, "complementarity", math.nan),
                 cert.iterations, mu, cert.bound))
-            converged = res.max() <= stop.tol
+            converged = max(res) <= stop.tol
+            state, idle, at = new, state, at_new
     except GnesolveError as exc:
         exc.iteration, exc.rows, exc.inner_steps = k, rows, inner_steps
         raise
@@ -214,4 +237,4 @@ def run_admm(game: Game, graph: CommGraph, params: AlgoParams,
     if game.kind != EQUALITY:
         raise ValidationError("the equality algorithm needs an equality-coupled game")
     return iterate_to_tolerance(game, graph, params, inner, stop, seed,
-                                admm_iterate, residual_equality)
+                                admm_sweep)

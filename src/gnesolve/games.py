@@ -106,6 +106,22 @@ def _checked(g, shape: tuple, source: str, name: str) -> np.ndarray:
     return g
 
 
+def _checking(oracle, n: int, source: str, name: str):
+    """``oracle`` with every output checked as `_checked` checks it.  An
+    output that is already a float vector of length ``n`` with a finite
+    square sum passes on the spot, which is all `_checked` would find;
+    any other goes through `_checked`, which converts it or raises."""
+    shape = (n,)
+
+    def checked(x):
+        g = oracle(x)
+        if (type(g) is np.ndarray and g.dtype == np.float64
+                and g.shape == shape and math.isfinite(np.vdot(g, g))):
+            return g
+        return _checked(g, shape, source, name)
+    return checked
+
+
 def padded_layout(dims: Sequence[int]) -> tuple[int, slice | np.ndarray]:
     """Layout of per-player blocks zero-padded to a common order.
 
@@ -118,6 +134,35 @@ def padded_layout(dims: Sequence[int]) -> tuple[int, slice | np.ndarray]:
         return order, slice(None)
     return order, np.concatenate(
         [i * order + np.arange(d) for i, d in enumerate(dims)])
+
+
+def _coupling_maps(A_stack: np.ndarray, index):
+    """The unchecked coupling cores over the blocks ``A_stack``, zero-padded
+    to (N, m, order), and the stacked profile's ``index`` in the flattened
+    padding (`padded_layout`): ``constraint_rows(x)``, the (N, m) array of
+    rows ``A_i x_i``, and ``price_gradient(lam_rows)``, the stacked
+    ``A_i^T lam_i``.  Each is one batched product.  With equal orders the
+    profile is that padding already, so neither map copies or indexes it."""
+    n_players, _, order = A_stack.shape
+    # a view: it makes `@` run the per-block kernel of `A_i.T @ lam_i`
+    At_stack = A_stack.transpose(0, 2, 1)
+    if isinstance(index, slice):
+
+        def constraint_rows(x):
+            return (A_stack @ x.reshape(n_players, order, 1))[:, :, 0]
+
+        def price_gradient(lam_rows):
+            return (At_stack @ lam_rows[:, :, None]).reshape(-1)
+        return constraint_rows, price_gradient
+
+    def constraint_rows(x):
+        padded = np.zeros((n_players, order))
+        padded.reshape(-1)[index] = x
+        return (A_stack @ padded[:, :, None])[:, :, 0]
+
+    def price_gradient(lam_rows):
+        return (At_stack @ lam_rows[:, :, None]).reshape(-1)[index]
+    return constraint_rows, price_gradient
 
 
 class Game:
@@ -188,20 +233,23 @@ class Game:
         self.b_rows = np.stack([p.b for p in players])
         self.b_rows.flags.writeable = False
         # coupling blocks zero-padded to (N, m, d_max), so that every A_i x_i
-        # and A_i^T lam_i is one batched product; the transpose stays a view,
-        # which makes `@` run the per-block kernel of `A_i.T @ lam_i`
+        # and A_i^T lam_i is one batched product; the unchecked cores of
+        # `constraint_rows` and `price_gradient` are bound to them here
         self._order, self._index = padded_layout(self.dims)
         self._A_stack = np.zeros((self.n_players, m, self._order))
         for As, p in zip(self._A_stack, players):
             As[:, :p.dim] = p.A
-        self._At_stack = self._A_stack.transpose(0, 2, 1)
+        self._constraint_rows, self._price_gradient = _coupling_maps(
+            self._A_stack, self._index)
 
     # -- profile helpers ---------------------------------------------------
     #
-    # Each public map checks its argument's shape and calls its unchecked
-    # core, the method of the same name with a leading underscore.  A run's
-    # loops call the cores: `operators._check_fit` and
-    # `admm.initial_state` fix the shapes of everything the loops pass
+    # Each public map checks its argument's shape and calls an unchecked
+    # core, a method or closure with a leading underscore.  A run
+    # binds the oracle and backward cores once (`_gradient_map`,
+    # `_backward_map`; the coupling cores are bound when the game is built,
+    # `_coupling_maps`) and its loops call them: `operators._check_fit`
+    # and `admm.initial_state` fix the shapes of everything the loops pass
     # them, once per run.  Oracle outputs are checked on every call
     # (`_checked`).
 
@@ -221,8 +269,10 @@ class Game:
         """Projection onto the product of the private boxes."""
         return self._project(self._profile(x))
 
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        # `np.clip` bit for bit, without its Python-level wrapper
+    def _project(self, x: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+        # `np.clip` bit for bit, without its Python-level wrapper; a
+        # projection is the prox of the box indicator at every step size, so
+        # ``gamma`` is ignored and this is also the plain games' backward step
         return np.minimum(np.maximum(x, self.box_lower), self.box_upper)
 
     def sample_profile(self, rng: SplitMix64) -> np.ndarray:
@@ -237,9 +287,23 @@ class Game:
         return self._pseudo_gradient(self._profile(x))
 
     def _pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._gradient_map(smooth=False)(x)
+
+    def _gradient_map(self, smooth: bool = True):
+        """The unchecked core `_smooth_gradient` (`_pseudo_gradient` when
+        ``smooth`` is false) as a map of float vectors of length ``n``,
+        bound to the game's oracles as they are now: a run binds it once,
+        and calls it without looking the oracle up again.  Every output is
+        still checked (`_checking`)."""
+        if smooth and self.separable_prox is not None:
+            return _checking(self.smooth_oracle, self.n, "smooth oracle",
+                             "smooth gradient")
         if self.profile_oracle is not None:
-            return _checked(self.profile_oracle(x), (self.n,),
-                            "profile oracle", "pseudo-gradient")
+            return _checking(self.profile_oracle, self.n, "profile oracle",
+                             "pseudo-gradient")
+        return self._player_gradient
+
+    def _player_gradient(self, x: np.ndarray) -> np.ndarray:
         # each player's oracle also reads the other blocks in player order
         # (none in a one-player game)
         blocks = self.split(x)
@@ -255,19 +319,9 @@ class Game:
         """(N, m) array with row ``i`` equal to ``A_i x_i``."""
         return self._constraint_rows(self._profile(x))
 
-    def _constraint_rows(self, x: np.ndarray) -> np.ndarray:
-        if isinstance(self._index, slice):      # equal orders: no padding
-            return (self._A_stack @ x.reshape(self.n_players, self._order, 1))[:, :, 0]
-        padded = np.zeros((self.n_players, self._order))
-        padded.reshape(-1)[self._index] = x
-        return (self._A_stack @ padded[:, :, None])[:, :, 0]
-
     def local_residual(self, x) -> np.ndarray:
         """(N, m) array with row ``i`` equal to ``A_i x_i - b_i``."""
-        return self._local_residual(self._profile(x))
-
-    def _local_residual(self, x: np.ndarray) -> np.ndarray:
-        return self._constraint_rows(x) - self.b_rows
+        return self._constraint_rows(self._profile(x)) - self.b_rows
 
     def price_gradient(self, lam_rows: np.ndarray) -> np.ndarray:
         """Stacked ``A_i^T lambda_i`` for per-player multipliers (N, m)."""
@@ -277,9 +331,6 @@ class Game:
                 f"multiplier array shape {lam_rows.shape}, "
                 f"expected ({self.n_players}, {self.m})")
         return self._price_gradient(lam_rows)
-
-    def _price_gradient(self, lam_rows: np.ndarray) -> np.ndarray:
-        return (self._At_stack @ lam_rows[:, :, None]).reshape(-1)[self._index]
 
     def coupling_gap(self, x) -> np.ndarray:
         """``sum_i A_i x_i - sum_i b_i`` (length m)."""
@@ -305,10 +356,7 @@ class Game:
         return self._smooth_gradient(self._profile(x))
 
     def _smooth_gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.separable_prox is None:
-            return self._pseudo_gradient(x)
-        return _checked(self.smooth_oracle(x), (self.n,),
-                        "smooth oracle", "smooth gradient")
+        return self._gradient_map()(x)
 
     def backward_step(self, v, gamma: float) -> np.ndarray:
         """Backward part of the natural map: the separable prox (nonsmooth
@@ -316,9 +364,14 @@ class Game:
         return self._backward_step(self._profile(v), gamma)
 
     def _backward_step(self, v: np.ndarray, gamma: float) -> np.ndarray:
+        return self._backward_map()(v, gamma)
+
+    def _backward_map(self):
+        """The unchecked core `_backward_step` as a map ``(v, gamma)``,
+        bound to the game's backward part as it is now (`_gradient_map`)."""
         if self.separable_prox is not None:
-            return self.separable_prox(v, gamma)
-        return self._project(v)
+            return self.separable_prox
+        return self._project
 
 
 @dataclass(frozen=True)

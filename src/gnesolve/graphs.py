@@ -20,9 +20,8 @@ from .errors import StructuralError, ValidationError
 @dataclass(frozen=True)
 class CommGraph:
     """Nodes, oriented edges and their (N, M) incidence matrix ``V``.  The
-    public maps check their argument's shape and call their unchecked
-    cores, the methods of the same name with a leading underscore, which a
-    run's loops call (`Game` explains why)."""
+    public maps check their argument's shape; a run's loops bind ``V`` and
+    its transpose once and multiply by them (`operators.residual_map`)."""
 
     n_nodes: int
     edges: tuple
@@ -40,9 +39,6 @@ class CommGraph:
         if per_edge.shape[0] != self.n_edges:
             raise StructuralError(
                 f"expected {self.n_edges} edge values, got {per_edge.shape[0]}")
-        return self._node_aggregate(per_edge)
-
-    def _node_aggregate(self, per_edge: np.ndarray) -> np.ndarray:
         return self.incidence @ per_edge
 
     def edge_differences(self, per_node: np.ndarray) -> np.ndarray:
@@ -53,9 +49,6 @@ class CommGraph:
         if per_node.shape[0] != self.n_nodes:
             raise StructuralError(
                 f"expected {self.n_nodes} node values, got {per_node.shape[0]}")
-        return self._edge_differences(per_node)
-
-    def _edge_differences(self, per_node: np.ndarray) -> np.ndarray:
         return self.incidence.T @ per_node
 
 

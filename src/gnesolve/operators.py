@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructuralError, ValidationError
-from .games import EQUALITY, Game
+from .games import EQUALITY, INEQUALITY, Game
 from .graphs import CommGraph
 from .params import AlgoParams
 
@@ -216,22 +216,54 @@ class PointProducts(NamedTuple):
     edge_differences: np.ndarray   # edge_differences(lam), (M, m)
 
 
+def _point_products_map(game: Game, graph: CommGraph):
+    """`point_products` bound to one run of ``game`` on ``graph``: the
+    game's cores (`Game._gradient_map`), the coupling rows and the
+    incidence matrix are looked up here, once."""
+    gradient_of = game._gradient_map()
+    constraint_rows, price_gradient = game._constraint_rows, game._price_gradient
+    b_rows, V = game.b_rows, graph.incidence
+    Vt = V.T
+
+    def products(x, Z, lam) -> PointProducts:
+        gradient = gradient_of(x)
+        aggregate = V @ Z
+        return PointProducts(gradient, constraint_rows(x) - b_rows + aggregate,
+                             aggregate, price_gradient(lam), Vt @ lam)
+    return products
+
+
 def point_products(game: Game, graph: CommGraph, x, Z, lam) -> PointProducts:
     """The products of the game and graph maps at ``(x, Z, lam)``, float
     arrays of the state's shapes (`admm.State`), which these unchecked maps
-    do not check again: the loops call this with states whose shapes the
-    run fixed once (`_check_fit`, `admm.initial_state`)."""
-    gradient = game._smooth_gradient(x)
-    aggregate = graph._node_aggregate(Z)
-    return PointProducts(gradient, game._local_residual(x) + aggregate,
-                         aggregate, game._price_gradient(lam),
-                         graph._edge_differences(lam))
+    do not check again: the loops evaluate them with states whose shapes
+    the run fixed once (`_check_fit`, `admm.initial_state`), through the
+    map this binds (`residual_map`)."""
+    return _point_products_map(game, graph)(x, Z, lam)
 
 
-def _stationarity(game: Game, x, at: PointProducts) -> float:
-    """Natural-map residual ``|x - natural_step(x, price)|``, from the
-    gradient and price already in hand."""
-    return norm(x - game._backward_step(x - (at.gradient + at.price_gradient), 1.0))
+def residual_map(game: Game, graph: CommGraph, kind: str):
+    """The residual of one run of ``game`` on ``graph`` for the coupling
+    ``kind``, bound once: ``(x, Z, lam) -> (residuals, products)``
+    (`residual_equality`, `residual_inequality`).
+
+    The stationarity residual is the natural-map residual
+    ``|x - natural_step(x, price)|``, from the gradient and price already in
+    hand; the edge residual is the multipliers' per-edge differences.
+    """
+    products = _point_products_map(game, graph)
+    backward = game._backward_map()
+
+    def residual(x, Z, lam):
+        at = products(x, Z, lam)
+        stationarity = norm(x - backward(x - (at.gradient + at.price_gradient), 1.0))
+        edge = norm(at.edge_differences)
+        if kind == EQUALITY:
+            return EqualityResiduals(stationarity, edge, norm(at.tracked)), at
+        feas = norm(np.maximum(at.tracked, 0.0))
+        comp = norm(lam - np.maximum(lam + at.tracked, 0.0))
+        return InequalityResiduals(stationarity, edge, feas, comp), at
+    return residual
 
 
 def residual_equality(game: Game, graph: CommGraph, x, Z,
@@ -243,10 +275,7 @@ def residual_equality(game: Game, graph: CommGraph, x, Z,
     stationarity residual, the per-edge multiplier differences, and the
     local constraint-tracking error.
     """
-    at = point_products(game, graph, x, Z, lam)
-    edge = norm(at.edge_differences)
-    feas = norm(at.tracked)
-    return EqualityResiduals(_stationarity(game, x, at), edge, feas), at
+    return residual_map(game, graph, EQUALITY)(x, Z, lam)
 
 
 def residual_inequality(game: Game, graph: CommGraph, x, Z,
@@ -260,8 +289,4 @@ def residual_inequality(game: Game, graph: CommGraph, x, Z,
     O((rho - 1) |lam|) during the transient; complementarity measures that
     negativity, so such states are accepted.
     """
-    at = point_products(game, graph, x, Z, lam)
-    edge = norm(at.edge_differences)
-    feas = norm(np.maximum(at.tracked, 0.0))
-    comp = norm(lam - np.maximum(lam + at.tracked, 0.0))
-    return InequalityResiduals(_stationarity(game, x, at), edge, feas, comp), at
+    return residual_map(game, graph, INEQUALITY)(x, Z, lam)

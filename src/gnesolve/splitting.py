@@ -15,10 +15,30 @@ import numpy as np
 from .errors import ValidationError
 from .games import INEQUALITY, Game
 from .graphs import CommGraph
-from .operators import PointProducts, residual_inequality
+from .operators import PointProducts
 from .params import AlgoParams
-from .subgames import InnerSolution, InnerSolver, inequality_subgame
+from .subgames import InnerSolution, InnerSolver, subgame_solver
 from .admm import RunResult, State, StopRule, iterate_to_tolerance
+
+
+def splitting_sweep(game: Game, graph: CommGraph, params: AlgoParams, solve):
+    """The sweep of `splitting_iterate`, bound to one run:
+    ``sweep(state, at, mu, out) -> InnerSolution`` writes the unrelaxed
+    blocks over the state ``out``, and ``solve`` is the run's subgame solve
+    (`subgame_solver`).  The coupling rows, step sizes and incidence
+    matrix are looked up here, once."""
+    constraint_rows, b_rows = game._constraint_rows, game.b_rows
+    H, W, V = params.H, params.W, graph.incidence
+
+    def sweep(state, at, mu, out):
+        x, lam, Z = state.x, state.lam, state.Z
+        sol = solve(x, at.price_gradient, at.gradient, state.history, mu)
+        out.x[:] = sol.x
+        np.subtract(Z, W * at.edge_differences, out=out.Z)
+        reflected = constraint_rows(2.0 * sol.x - x) + V @ (2.0 * out.Z - Z) - b_rows
+        np.maximum(lam + H * reflected, 0.0, out=out.lam)
+        return sol
+    return sweep
 
 
 def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
@@ -32,19 +52,13 @@ def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     The subgame solve and the edge update read only the given data and
     commute; the multiplier update consumes both through reflected terms.
     With diagonal ``H`` the projection onto the orthant in the ``H^-1``
-    metric is a plain clamp.  The blocks are written into one new state
-    vector.
+    metric is a plain clamp.  The blocks are written into one new state,
+    by the sweep a run binds once (`splitting_sweep`).
     """
-    x, lam, Z = state.x, state.lam, state.Z
-    out = state.like(np.empty_like(state.w))
-    sub = inequality_subgame(game, params, x, at, state.history)
-    sol = inner.solve(sub, mu)
-    out.x[:] = sol.x
-    np.subtract(Z, params.apply_W(at.edge_differences), out=out.Z)
-    reflected = (game._constraint_rows(2.0 * sol.x - x)
-                 + graph._node_aggregate(2.0 * out.Z - Z) - game.b_rows)
-    np.maximum(lam + params.apply_H(reflected), 0.0, out=out.lam)
-    return out, sol
+    out = state.empty_like()
+    sweep = splitting_sweep(game, graph, params,
+                            subgame_solver(inner, game, params))
+    return out, sweep(state, at, mu, out)
 
 
 def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,
@@ -58,4 +72,4 @@ def run_splitting(game: Game, graph: CommGraph, params: AlgoParams,
         raise ValidationError(
             "the splitting algorithm needs an inequality-coupled game")
     return iterate_to_tolerance(game, graph, params, inner, stop, seed,
-                                splitting_iterate, residual_inequality)
+                                splitting_sweep)

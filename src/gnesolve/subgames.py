@@ -1,10 +1,12 @@
 """Regularized subgames and their inexact solution with certified accuracy.
 
-Every outer iteration builds a subgame whose pseudo-gradient is the base
+Every outer iteration solves a subgame whose pseudo-gradient is the base
 game's plus a proximal pull toward the current profile and a per-player
 linear price term.  The proximal weights make the subgame strongly
 monotone, so its equilibrium exists, is unique, and can be approximated
-with a certified distance bound.
+with a certified distance bound.  A run binds its solve once
+(`subgame_solver`) and hands it the subgame's arrays; `Subgame` holds them
+as one checked object for the public maps and the tests.
 """
 
 from __future__ import annotations
@@ -64,39 +66,38 @@ class Subgame:
                 f"subgame anchor, shift, anchor gradient and history have "
                 f"shapes {', '.join(map(str, shapes))}, expected ({n},)")
 
-    def smooth_parts(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The two terms of ``G(y)``: the game's smooth gradient, and the
-        proximal pull plus the price, at a float vector ``y`` of length
-        ``n``, which is not checked again (the steps' iterates have the
-        anchor's shape)."""
-        return (self.game._smooth_gradient(y),
-                self.params.apply_R(y - self.anchor) + self.shift)
-
     def smooth_gradient(self, y: np.ndarray) -> np.ndarray:
         """Smooth part ``G`` of the subgame map: the game's smooth gradient
         plus the proximal pull and the price, in `Game.natural_step`'s
         order of operations."""
-        gradient, pull = self.smooth_parts(y)
-        return gradient + pull
+        return (self.game._smooth_gradient(y)
+                + (self.params.apply_R(y - self.anchor) + self.shift))
 
     def step(self, y: np.ndarray, gamma: float) -> np.ndarray:
         """Forward-backward step whose fixed points are the equilibrium."""
         return self.game.backward_step(y - gamma * self.smooth_gradient(y), gamma)
 
 
+def equality_shift(game: Game, params: AlgoParams):
+    """The price term of the equality algorithm's subgames, bound to one
+    run: ``(lam, tracked) -> shift``.  The price of player ``i`` is its
+    multiplier plus ``H_i`` times the locally tracked constraint residual
+    ``A_i x_i + (V Z)_i - b_i`` (``tracked``), pulled back through
+    ``A_i^T``."""
+    price_gradient, H = game._price_gradient, params.H
+
+    def shift(lam, tracked):
+        return price_gradient(lam + H * tracked)
+    return shift
+
+
 def equality_subgame(game: Game, params: AlgoParams, x, lam,
                      at: PointProducts, history: tuple = ()) -> Subgame:
     """Subgame of the equality algorithm at the state whose residual
     products are ``at`` and whose outer trajectory is ``history``
-    (`Subgame`).
-
-    The price of player ``i`` is its multiplier plus ``H_i`` times the
-    locally tracked constraint residual ``A_i x_i + (V Z)_i - b_i``
-    (``at.tracked``), pulled back through ``A_i^T``.
-    """
-    price = lam + params.apply_H(at.tracked)
-    return Subgame(game, x, game._price_gradient(price), params, at.gradient,
-                   history)
+    (`Subgame`), priced by `equality_shift`."""
+    return Subgame(game, x, equality_shift(game, params)(lam, at.tracked),
+                   params, at.gradient, history)
 
 
 def inequality_subgame(game: Game, params: AlgoParams, x,
@@ -169,13 +170,17 @@ class InnerSolver:
     stops at the first iterate whose computable error bound
     ``|(y - y+)/gamma - G(y) + G(y+)| / r_min`` certifies the tolerance; the
     bound follows from strong monotonicity alone.
+
+    Either mode's solve of one run's subgames is a closure over that run's
+    game and step sizes (`subgame_solver`), which `solve` calls on a
+    `Subgame` and the run's sweep calls on its arrays, without building one.
     """
 
     def __init__(self, mode: str = "residual"):
         if mode not in ("exact", "residual"):
             raise ValidationError(f"unknown inner mode {mode!r}")
         self.mode = mode
-        # (game, params, closed-form solve bound to params.R) of one run
+        # (game, params, the mode's solve bound to them) of one run
         self._run = (None, None, None)
 
     def bind(self, game: Game, params: AlgoParams) -> "InnerSolver":
@@ -196,43 +201,91 @@ class InnerSolver:
         if self.mode != "exact" or (bound_game is game
                                     and bound_params is params):
             return self
-        if game.exact_subgame_solver is None:
-            raise ValidationError(
-                "exact inner mode requires a game with a closed-form "
-                "regularized-equilibrium solver (the quadratic games)")
         bound = InnerSolver(self.mode)
-        bound._run = (game, params, game.exact_subgame_solver(params.R))
+        bound._run = (game, params, _exact_solve(game, params))
         return bound
 
     def solve(self, sub: Subgame, mu: float) -> InnerSolution:
+        return subgame_solver(self, sub.game, sub.params)(
+            sub.anchor, sub.shift, sub.anchor_gradient, sub.history, mu)
+
+
+def _exact_solve(game: Game, params: AlgoParams):
+    """Exact mode's solve ``(anchor, shift, anchor_gradient, history, mu)``
+    of the subgames of ``game`` with ``params``: the closed-form solver,
+    bound to ``params.R`` here, whose every output must have the anchor's
+    shape (n,)."""
+    if game.exact_subgame_solver is None:
+        raise ValidationError(
+            "exact inner mode requires a game with a closed-form "
+            "regularized-equilibrium solver (the quadratic games)")
+    closed_form = game.exact_subgame_solver(params.R)
+    shape = (game.n,)
+
+    def solve(anchor, shift, anchor_gradient, history, mu):
         if not mu >= 0.0:
             raise ValidationError(f"inner tolerance must be nonnegative, got {mu}")
-        if self.mode == "exact":
-            game, params, solve = self._run
-            if sub.game is not game or sub.params is not params:
-                solve = self.bind(sub.game, sub.params)._run[2]
-            x_hat = np.asarray(solve(sub.anchor, sub.shift), dtype=float)
-            if x_hat.shape != sub.anchor.shape:
-                raise StructuralError(
-                    f"closed-form subgame solver returned shape "
-                    f"{x_hat.shape}, expected {sub.anchor.shape}")
-            return InnerSolution(x_hat, EXACT_CERTIFICATE)
+        x_hat = np.asarray(closed_form(anchor, shift), dtype=float)
+        if x_hat.shape != shape:
+            raise StructuralError(
+                f"closed-form subgame solver returned shape "
+                f"{x_hat.shape}, expected {shape}")
+        return InnerSolution(x_hat, EXACT_CERTIFICATE)
+    return solve
+
+
+def _residual_solve(game: Game, params: AlgoParams):
+    """Residual mode's solve ``(anchor, shift, anchor_gradient, history,
+    mu)`` of the subgames of ``game`` with ``params``: the first step of
+    `_steps` whose bound is at most ``mu``."""
+    steps = _steps(game, params)
+
+    def solve(anchor, shift, anchor_gradient, history, mu):
+        if not mu >= 0.0:
+            raise ValidationError(f"inner tolerance must be nonnegative, got {mu}")
         if mu == 0.0:
             raise ValidationError(
                 "residual mode cannot certify an exactly zero tolerance")
-        for y, bound, it, ratio in _steps(sub):
+        for y, bound, it, ratio in steps(anchor, shift, anchor_gradient,
+                                         history):
             if bound <= mu:
                 return InnerSolution(y, InnerCertificate(bound, it, ratio))
         raise InexactnessError(
             f"residual mode could not certify {mu:.3g} within "
             f"{MAX_INNER_STEPS} iterations", achieved=bound)
+    return solve
 
 
-def _steps(sub: Subgame):
-    """Forward-backward steps ``y+ = backward(y - gamma G(y))``: yields
+def subgame_solver(inner, game: Game, params: AlgoParams):
+    """``inner``'s solve of the subgames of ``game`` with ``params``, as
+    ``solve(anchor, shift, anchor_gradient, history, mu) -> InnerSolution``
+    on the arrays of a `Subgame`; a run binds it once.  An `InnerSolver`
+    gives its mode's closure, the one `InnerSolver.bind` made for this game
+    and these step sizes or else a new one, which builds no subgame and
+    checks its arrays no further: the run fixed their shapes.  Any other
+    solver with ``solve(sub, mu)`` is handed a checked `Subgame` on every
+    call."""
+    if not isinstance(inner, InnerSolver):
+        def solve(anchor, shift, anchor_gradient, history, mu):
+            return inner.solve(Subgame(game, anchor, shift, params,
+                                       anchor_gradient, history), mu)
+        return solve
+    bound_game, bound_params, solve = inner._run
+    if bound_game is game and bound_params is params:
+        return solve
+    if inner.mode == "exact":
+        return _exact_solve(game, params)
+    return _residual_solve(game, params)
+
+
+def _steps(game: Game, params: AlgoParams):
+    """Forward-backward steps ``y+ = backward(y - gamma G(y))`` on the
+    subgames of ``game`` with ``params``, bound once:
+    ``steps(anchor, shift, anchor_gradient, history)`` yields
     ``(y+, bound, iteration, ratio)`` for each of at most `MAX_INNER_STEPS`
-    steps, where ``bound`` is a computable upper bound on ``|y+ - y*|`` and
-    ``ratio`` the smallest `monotone_ratio` of the steps so far.
+    steps of the subgame of those arrays (`Subgame`), where ``bound`` is a
+    computable upper bound on ``|y+ - y*|`` and ``ratio`` the smallest
+    `monotone_ratio` of the steps so far.
 
     ``e = (y - y+) / gamma - G(y) + G(y+)`` lies in ``G(y+)`` plus the
     subdifferential of the backward part at ``y+``, an operator that is
@@ -261,10 +314,11 @@ def _steps(sub: Subgame):
     makes ``<dG, dy> >= r_min |dy|^2`` with ``dy = y+ - y`` and
     ``dG = G(y+) - G(y)``.  Every step checks that inequality
     (`monotone_ratio`) before yielding, with a rounding allowance scaled by
-    the sizes of the two terms of each ``G`` (`Subgame.smooth_parts`),
-    which stay large where ``G`` itself cancels to rounding noise.  Only
-    exactly evaluated pairs are checked: the first step's pair is the
-    anchor and ``y+``, never the prediction.
+    the sizes of the two terms of each ``G``, the game's smooth gradient
+    and the proximal pull plus the price, which stay large where ``G``
+    itself cancels to rounding noise.  Only exactly evaluated pairs are
+    checked: the first step's pair is the anchor and ``y+``, never the
+    prediction.
 
     Since no step can make the bound wrong, the step adapts freely: it
     starts at ``1 / r_max`` and after each yielded step becomes
@@ -276,32 +330,37 @@ def _steps(sub: Subgame):
     maps.  The trajectory depends on the subgame alone, history included,
     so equal arguments give the same trajectory.
     """
-    gamma = 1.0 / sub.params.r_max
-    sigma = float(sub.params.r_min)
-    y, g = sub.anchor, sub.anchor_gradient + sub.shift
-    terms = (sub.anchor_gradient, sub.shift)
-    y0, g0 = y, g
-    if len(sub.history) == 2:
-        (D1, E1), (D2, E2) = sub.history
-        rho = sub.params.rho
-        d = (2.0 * D1 - D2) / rho
-        dF = (2.0 * E1 - E2) / rho
-        y0, g0 = y + d, g + dF + sub.params.apply_R(d)
-    ratio = math.inf
-    for it in range(1, MAX_INNER_STEPS + 1):
-        y_next = sub.game._backward_step(y0 - gamma * g0, gamma)
-        gradient, pull = sub.smooth_parts(y_next)
-        g_next = gradient + pull
-        bound = norm((y0 - y_next) / gamma - g0 + g_next) / sigma
-        dy, dg = y_next - y, g_next - g
-        curvature = float(dg.dot(dy))
-        ratio = min(ratio, monotone_ratio(
-            curvature, sigma, norm(dy), (*terms, gradient, pull),
-            f"inner step {it}: <dG, dy>"))
-        yield y_next, bound, it, ratio
-        dg_sq = float(dg.dot(dg))
-        gamma *= 1.5
-        if curvature > 0.0 and dg_sq > 0.0:
-            gamma = min(gamma, curvature / dg_sq)
-        y, g, terms = y_next, g_next, (gradient, pull)
+    gradient_of, backward = game._gradient_map(), game._backward_map()
+    R, rho = params.R, params.rho
+    gamma_start, sigma = 1.0 / params.r_max, float(params.r_min)
+
+    def steps(anchor, shift, anchor_gradient, history):
+        gamma = gamma_start
+        y, g = anchor, anchor_gradient + shift
+        terms = (anchor_gradient, shift)
         y0, g0 = y, g
+        if len(history) == 2:
+            (D1, E1), (D2, E2) = history
+            d = (2.0 * D1 - D2) / rho
+            dF = (2.0 * E1 - E2) / rho
+            y0, g0 = y + d, g + dF + R * d
+        ratio = math.inf
+        for it in range(1, MAX_INNER_STEPS + 1):
+            y_next = backward(y0 - gamma * g0, gamma)
+            gradient = gradient_of(y_next)
+            pull = R * (y_next - anchor) + shift
+            g_next = gradient + pull
+            bound = norm((y0 - y_next) / gamma - g0 + g_next) / sigma
+            dy, dg = y_next - y, g_next - g
+            curvature = float(dg.dot(dy))
+            ratio = min(ratio, monotone_ratio(
+                curvature, sigma, norm(dy), (*terms, gradient, pull),
+                f"inner step {it}: <dG, dy>"))
+            yield y_next, bound, it, ratio
+            dg_sq = float(dg.dot(dg))
+            gamma *= 1.5
+            if curvature > 0.0 and dg_sq > 0.0:
+                gamma = min(gamma, curvature / dg_sq)
+            y, g, terms = y_next, g_next, (gradient, pull)
+            y0, g0 = y, g
+    return steps

@@ -1,7 +1,7 @@
 """Independent oracles used by the tests: objective values rebuilt from the
 instance payloads (not from the package's gradient code), plain central
-finite differences, the per-player loop form of an ADMM iteration, the
-dense step matrices of the step-size vectors, and the dense stacked
+finite differences, the per-player loop form of an ADMM iteration, an
+inner solver that fails on purpose mid-run, the dense step matrices of the step-size vectors, and the dense stacked
 operators and preconditioners the structured validators and the resolvents
 of `reference` are checked against."""
 
@@ -9,8 +9,10 @@ import csv
 
 import numpy as np
 
+from gnesolve.errors import DivergenceError
 from gnesolve.operators import point_products
-from gnesolve.subgames import equality_subgame
+from gnesolve.subgames import (InnerCertificate, InnerSolution, InnerSolver,
+                               equality_subgame)
 from reference import ResolventStep, layout_sizes, pack
 
 
@@ -239,6 +241,41 @@ def products(game, graph, state):
     """Residual products of a `State`, evaluated afresh: what the
     outer driver hands the sweep from that state."""
     return point_products(game, graph, state.x, state.Z, state.lam)
+
+
+class FailingInner:
+    """Exact inner solves for two outer iterations, then a failure: a raised
+    error, or a non-finite solution that makes the run diverge.  A raised
+    `StructuralError` or `ValidationError` stands for a closed-form solver
+    that fails, or an oracle whose output changes shape, mid-run."""
+
+    def __init__(self, failure):
+        self.failure = failure
+        self.exact = InnerSolver("exact")
+        self.calls = 0
+
+    def bind(self, game, params):
+        return self
+
+    def solve(self, sub, mu):
+        self.calls += 1
+        if self.calls < 3:
+            return self.exact.solve(sub, mu)
+        if self.failure is DivergenceError:
+            bad = np.full(sub.anchor.shape, np.inf)
+            return InnerSolution(bad, InnerCertificate(0.0, 1))
+        raise self.failure("inner solve failed on purpose")
+
+
+def count_oracle_calls(game):
+    """Wrap the oracle the game's smooth gradient reads (the smooth oracle
+    of a game with a separable prox, else the profile oracle) in a counter;
+    returns the list it appends to.  A run binds the oracle when it starts,
+    so the wrapper must be in place before."""
+    attr = "smooth_oracle" if game.separable_prox is not None else "profile_oracle"
+    oracle, calls = getattr(game, attr), []
+    setattr(game, attr, lambda x: calls.append(1) or oracle(x))
+    return calls
 
 
 def misshapen_after(game, solves):

@@ -32,10 +32,17 @@ from gnesolve.subgames import InnerCertificate, InnerSolution, Subgame
 REFERENCE_TOL = 1e-13
 
 
+def subgame_steps(sub):
+    """Residual mode's forward-backward steps (`subgames._steps`) on the
+    subgame ``sub``."""
+    return subgames._steps(sub.game, sub.params)(
+        sub.anchor, sub.shift, sub.anchor_gradient, sub.history)
+
+
 class ReferenceSolver:
     """Inner solver whose certificates are true distances, for the tests.
 
-    It runs residual mode's forward-backward steps (`subgames._steps`) once,
+    It runs residual mode's forward-backward steps (`subgame_steps`) once,
     on until the certificate falls to ``REFERENCE_TOL (1 + |y|)``, which
     gives the reference equilibrium.  On the way it keeps the first iterate
     that certifies ``mu``, residual mode's point, and returns it with its
@@ -52,7 +59,7 @@ class ReferenceSolver:
         if not mu >= 0.0:
             raise ValidationError(f"inner tolerance must be nonnegative, got {mu}")
         found = None
-        for y, bound, it, ratio in subgames._steps(sub):
+        for y, bound, it, ratio in subgame_steps(sub):
             if found is None and bound <= mu:
                 found = y
             if bound <= REFERENCE_TOL * (1.0 + norm(y)):

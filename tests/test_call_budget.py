@@ -3,9 +3,12 @@
 The count is deterministic and independent of the machine and of numpy:
 only frames whose code lives under ``src/gnesolve`` are counted, so numpy's
 own Python-level functions never enter it.  The budgets are the counts
-since the loops stopped re-checking shapes that the run fixed once
-(`admm.iterate_to_tolerance`).  Raising a budget is a decision: declare it
-in CHANGES.md with the calls it adds and why they are worth their cost.
+since each run binds its sweep, residual and subgame solve once and sweeps
+into the idle one of two states (`admm.iterate_to_tolerance`): 21 (ADMM)
+and 20 (splitting), down from 38 and 36 when every iteration built a
+subgame and a state and walked the wrapper chains of the game's maps.
+Raising a budget is a decision: declare it in CHANGES.md with the calls it
+adds and why they are worth their cost.
 """
 
 import os
@@ -18,7 +21,7 @@ import gnesolve as gs
 PACKAGE_DIR = os.path.dirname(gs.__file__) + os.sep
 
 #: Python calls into the package per outer iteration, exact inner solves
-BUDGET = {"admm": 38, "splitting": 36}
+BUDGET = {"admm": 21, "splitting": 20}
 
 
 def package_calls(run) -> int:

@@ -16,7 +16,7 @@ from gnesolve.config import (DEFAULTS, load_config, parse_config_text,
                              parse_edge_list)
 from gnesolve.errors import ConfigError
 from gnesolve.trace import TRACE_COLUMNS, TraceRow, write_trace_csv
-from helpers import misshapen_after, read_trace_csv
+from helpers import FailingInner, misshapen_after, read_trace_csv
 from reference import (InequalityResolvent, LiftedEqualityResolvent,
                        layout_sizes)
 
@@ -972,31 +972,6 @@ def test_validate_refuses_what_run_refuses(tmp_path, capsys, game, algorithm,
     refused = (mode == "oracle" or (mode == "residual" and mu == "exact")
                or (mode == "exact" and game == "rate-control") or bool(extra))
     assert (validated == 2) == refused
-
-
-class FailingInner:
-    """Exact inner solves for two outer iterations, then a failure: a raised
-    error, or a non-finite solution that makes the run diverge.  A raised
-    `StructuralError` or `ValidationError` stands for a closed-form solver
-    that fails, or an oracle whose output changes shape, mid-run."""
-
-    def __init__(self, failure):
-        self.failure = failure
-        self.exact = gs.InnerSolver("exact")
-        self.calls = 0
-
-    def bind(self, game, params):
-        return self
-
-    def solve(self, sub, mu):
-        from gnesolve.subgames import InnerCertificate, InnerSolution
-        self.calls += 1
-        if self.calls < 3:
-            return self.exact.solve(sub, mu)
-        if self.failure is gs.DivergenceError:
-            bad = np.full(sub.anchor.shape, np.inf)
-            return InnerSolution(bad, InnerCertificate(0.0, 1))
-        raise self.failure("inner solve failed on purpose")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

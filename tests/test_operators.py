@@ -10,9 +10,10 @@ from gnesolve.games import Box, Player
 from gnesolve.operators import (inequality_preconditioner, residual_equality,
                                 residual_inequality, step_size_margins)
 from conftest import edge_flow_for
-from helpers import (block_diag, constraint_matrix, dense_equality_margins,
-                     dense_preconditioner, dense_schur_complement,
-                     incidence_kron, linear_part, step_matrices)
+from helpers import (block_diag, constraint_matrix, count_oracle_calls,
+                     dense_equality_margins, dense_preconditioner,
+                     dense_schur_complement, incidence_kron, linear_part,
+                     step_matrices)
 from reference import InequalityResolvent, pack, unpack_lifted
 
 
@@ -238,7 +239,7 @@ def test_step_sizes_must_fit_the_game_and_graph(kind):
 
 
 @pytest.mark.parametrize("kind", [gs.EQUALITY, gs.INEQUALITY])
-def test_graph_must_have_one_node_per_player(kind, monkeypatch):
+def test_graph_must_have_one_node_per_player(kind):
     # a chain one node longer or shorter than the game's players, with step
     # sizes built for it, used to reach numpy's broadcasting error
     if kind == gs.EQUALITY:
@@ -249,10 +250,7 @@ def test_graph_must_have_one_node_per_player(kind, monkeypatch):
         game, graph = gs.rate_control_game(0), gs.benchmark_graph("chain14")
         params = gs.rate_control_params(game, graph)
         run = gs.run_splitting
-    calls = []
-    oracle = game.smooth_gradient
-    monkeypatch.setattr(game, "smooth_gradient",
-                        lambda y: calls.append(y) or oracle(y))
+    calls = count_oracle_calls(game)
     message = (f"^the graph has {graph.n_nodes} nodes but the game has "
                f"{game.n_players} players$")
     with pytest.raises(StructuralError, match=message):

@@ -13,8 +13,8 @@ from gnesolve.games import Box, Player
 from gnesolve.rng import SplitMix64
 from gnesolve.subgames import (InnerSolver, Subgame, equality_subgame,
                                inequality_subgame)
-from helpers import equality_subgame_at, products
-from reference import ReferenceSolver
+from helpers import count_oracle_calls, equality_subgame_at, products
+from reference import ReferenceSolver, subgame_steps
 
 
 def wide_affine_game(a):
@@ -173,28 +173,24 @@ def test_iteration_cap_raises(eq_game, pair_graph, toy_params, monkeypatch):
     InnerSolver("exact"), InnerSolver("residual"), ReferenceSolver()],
     ids=["exact", "residual", "oracle"])
 def test_nan_tolerance_refused_at_once(eq_game, pair_graph, toy_params,
-                                      monkeypatch, solver):
+                                      solver):
     # a NaN tolerance used to pass the sign check: residual mode ran to the
     # step limit, and the reference solve returned the reference with bound 0
     game, _ = eq_game
     sub = equality_subgame_at(game, pair_graph, toy_params, np.zeros(2),
                               np.zeros((2, 1)), np.zeros((1, 1)))
-    calls = []
-    monkeypatch.setattr(game, "smooth_gradient", lambda y: calls.append(y))
+    calls = count_oracle_calls(game)
     with pytest.raises(ValidationError, match="nonnegative, got nan"):
         solver.solve(sub, float("nan"))
     assert calls == []
 
 
 @pytest.mark.parametrize("name", ["toy", "rate-control", "task-allocation"])
-def test_oracle_mode_runs_one_trajectory(name, monkeypatch):
+def test_oracle_mode_runs_one_trajectory(name):
     # one pass to the reference: every step makes one oracle call, and the
     # start makes none
     sub = first_subgame(name)
-    calls = []
-    oracle = sub.game._smooth_gradient
-    monkeypatch.setattr(sub.game, "_smooth_gradient",
-                        lambda y: calls.append(y) or oracle(y))
+    calls = count_oracle_calls(sub.game)
     for mu in (sub.params.mu(1), 1e-6, 0.0):
         calls.clear()
         sol = ReferenceSolver().solve(sub, mu)
@@ -352,7 +348,7 @@ def test_warm_start_certificate_holds_for_any_prediction(n_players, dim, prox,
     d, dF = scale * rng.normal(size=(2, cold.game.n))
     warm = Subgame(cold.game, cold.anchor, cold.shift, cold.params,
                    cold.anchor_gradient, predicting_history(cold, d, dF))
-    y, bound, iteration, _ = next(subgames._steps(warm))
+    y, bound, iteration, _ = next(subgame_steps(warm))
     assert iteration == 1
     assert (np.linalg.norm(y - x_star)
             <= bound + 1e-10 * (1.0 + np.linalg.norm(x_star)))
@@ -371,7 +367,7 @@ def test_history_without_a_move_keeps_the_anchor_start():
         for history in ((), (still,), (still, still)):
             sub = Subgame(cold.game, cold.anchor, cold.shift, cold.params,
                           cold.anchor_gradient, history)
-            trajectories.append(list(itertools.islice(subgames._steps(sub), 30)))
+            trajectories.append(list(itertools.islice(subgame_steps(sub), 30)))
         first = trajectories[0]
         assert np.array_equal(first[0][0],
                               cold.step(cold.anchor, 1.0 / cold.params.r_max))
@@ -529,8 +525,7 @@ def test_bound_exact_solver_matches_the_unbound_one(eq_game, pair_graph,
 @pytest.mark.parametrize("mode, message", [
     ("exact", "exact inner mode requires a game with a closed-form"),
     ("residual", "params.mu = exact.*exactly zero tolerance")])
-def test_misfit_inner_mode_refused_before_any_oracle_call(name, mode, message,
-                                                         monkeypatch):
+def test_misfit_inner_mode_refused_before_any_oracle_call(name, mode, message):
     # exact mode on a game without a closed-form solver, and residual mode
     # on a zero tolerance schedule, used to evaluate the oracle once and
     # fail inside outer iteration 1
@@ -542,10 +537,7 @@ def test_misfit_inner_mode_refused_before_any_oracle_call(name, mode, message,
         game, graph = gs.task_allocation_game(0), gs.benchmark_graph("chain14")
         params = gs.task_allocation_params(game, graph, seed=0, mu0=mu0)
         run = gs.run_admm
-    calls = []
-    oracle = game.smooth_gradient
-    monkeypatch.setattr(game, "smooth_gradient",
-                        lambda y: calls.append(y) or oracle(y))
+    calls = count_oracle_calls(game)
     with pytest.raises(ValidationError, match=message):
         run(game, graph, params, InnerSolver(mode), gs.StopRule(5, 1e-6))
     assert calls == []
