@@ -28,9 +28,10 @@ def _soft_log1p_and_grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Relaxed iterates can leave the box by a fraction of its width; the
     extension keeps logarithmic utilities defined there while agreeing with
     the exact formula on the box.  When no entry is negative (every call on
-    the box) only the exact formulas are evaluated.
+    the box) only the exact formulas are evaluated.  The test is the
+    reduction ``u.min()`` runs, called without its Python-level frame.
     """
-    if u.min() >= 0.0:
+    if np.minimum.reduce(u) >= 0.0:
         return np.log1p(u), 1.0 / (1.0 + u)
     nonnegative, clamped = u >= 0.0, np.maximum(u, 0.0)
     return (np.where(nonnegative, np.log1p(clamped), u - 0.5 * u * u),
@@ -40,7 +41,7 @@ def _soft_log1p_and_grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _soft_log1p_grad(u: np.ndarray) -> np.ndarray:
     """The derivative half of `_soft_log1p_and_grad`, with its branches,
     for callers that need no value."""
-    if u.min() >= 0.0:
+    if np.minimum.reduce(u) >= 0.0:
         return 1.0 / (1.0 + u)
     return np.where(u >= 0.0, 1.0 / (1.0 + np.maximum(u, 0.0)), 1.0 - u)
 
@@ -216,14 +217,17 @@ def rate_control_game(seed: int) -> Game:
     # 10%-inflated box: no link carries more than two routes, so its load
     # there is at most 2 * 1.1 * 10 = 22, and C + xi >= 30
     A = wanet_routing_matrix()
+    # bound once: negation is exact, and the transpose is the same view
+    # (same strides) that taking it on every call would give
+    neg_chi, At = -chi, A.T
 
     def profile_oracle(x: np.ndarray) -> np.ndarray:
         load = A @ x
         den = C - load + xi
         d = kappa / den
-        own_price = A.T @ d
-        marginal = A.T @ (kappa / (den * den))
-        return -chi * _soft_log1p_grad(x) + own_price + x * marginal
+        own_price = At @ d
+        marginal = At @ (kappa / (den * den))
+        return neg_chi * _soft_log1p_grad(x) + own_price + x * marginal
 
     def make_oracle(i: int):
         cols = np.flatnonzero(A[:, i])
@@ -403,13 +407,11 @@ def task_allocation_params(game: Game, graph: CommGraph, seed: int,
     the ``W`` diagonal (m values in [0.2, 0.4]).
     """
     rng = SplitMix64(seed ^ 0x57E9)
-    r_flat, h_diags, w_diags = _draw_runs(rng, 1, (
+    r, h, w = _draw_runs(rng, 1, (
         (game.n, 4.0, 8.0), (game.n_players * game.m, 0.2, 0.4),
         (graph.n_edges * game.m, 0.2, 0.4)))
-    r_diags = np.split(r_flat[0], np.cumsum(game.dims)[:-1])
-    h_diags = h_diags.reshape(game.n_players, game.m)
-    w_diags = w_diags.reshape(graph.n_edges, game.m)
-    return AlgoParams.diagonal(r_diags, h_diags, w_diags, rho, mu0)
+    return AlgoParams(r[0], h.reshape(game.n_players, game.m),
+                      w.reshape(graph.n_edges, game.m), rho, mu0)
 
 
 def benchmark_graph(name: str) -> CommGraph:

@@ -141,27 +141,61 @@ def _coupling_maps(A_stack: np.ndarray, index):
     to (N, m, order), and the stacked profile's ``index`` in the flattened
     padding (`padded_layout`): ``constraint_rows(x)``, the (N, m) array of
     rows ``A_i x_i``, and ``price_gradient(lam_rows)``, the stacked
-    ``A_i^T lam_i``.  Each is one batched product.  With equal orders the
-    profile is that padding already, so neither map copies or indexes it."""
-    n_players, _, order = A_stack.shape
-    # a view: it makes `@` run the per-block kernel of `A_i.T @ lam_i`
-    At_stack = A_stack.transpose(0, 2, 1)
-    if isinstance(index, slice):
+    ``A_i^T lam_i``.  With equal orders the profile is that padding
+    already, so neither map copies or indexes it.
+
+    Each map's kernel is chosen here, once per game.  When the contracted
+    axis has length one (order 1 for ``constraint_rows``, ``m = 1`` for
+    ``price_gradient``) every entry of the product is a one-term sum, which
+    is its single product: the map is a broadcast multiply with a
+    contiguous (N, m) or (N, order) copy of the blocks, equal to the
+    batched product bit for bit at a fraction of its call cost.  (The
+    batched product adds that term to a zero, so the two can differ only
+    in the sign of an exact zero, which no output can show: every trace
+    and summary value the maps feed is a norm.)  Every other shape is one
+    batched product.
+    """
+    n_players, m, order = A_stack.shape
+    padded = not isinstance(index, slice)
+    if order == 1:
+        # one player per profile entry, so the layout is never padded
+        A_rows = A_stack[:, :, 0].copy()
+
+        def constraint_rows(x):
+            return A_rows * x[:, None]
+    elif padded:
+
+        def constraint_rows(x):
+            padding = np.zeros((n_players, order))
+            padding.reshape(-1)[index] = x
+            return (A_stack @ padding[:, :, None])[:, :, 0]
+    else:
 
         def constraint_rows(x):
             return (A_stack @ x.reshape(n_players, order, 1))[:, :, 0]
 
-        def price_gradient(lam_rows):
-            return (At_stack @ lam_rows[:, :, None]).reshape(-1)
+    if m == 1:
+        A_cols = A_stack[:, 0, :].copy()
+        if padded:
+
+            def price_gradient(lam_rows):
+                return (A_cols * lam_rows).reshape(-1)[index]
+        else:
+
+            def price_gradient(lam_rows):
+                return (A_cols * lam_rows).reshape(-1)
         return constraint_rows, price_gradient
 
-    def constraint_rows(x):
-        padded = np.zeros((n_players, order))
-        padded.reshape(-1)[index] = x
-        return (A_stack @ padded[:, :, None])[:, :, 0]
+    # a view: it makes `@` run the per-block kernel of `A_i.T @ lam_i`
+    At_stack = A_stack.transpose(0, 2, 1)
+    if padded:
 
-    def price_gradient(lam_rows):
-        return (At_stack @ lam_rows[:, :, None]).reshape(-1)[index]
+        def price_gradient(lam_rows):
+            return (At_stack @ lam_rows[:, :, None]).reshape(-1)[index]
+    else:
+
+        def price_gradient(lam_rows):
+            return (At_stack @ lam_rows[:, :, None]).reshape(-1)
     return constraint_rows, price_gradient
 
 
@@ -233,8 +267,9 @@ class Game:
         self.b_rows = np.stack([p.b for p in players])
         self.b_rows.flags.writeable = False
         # coupling blocks zero-padded to (N, m, d_max), so that every A_i x_i
-        # and A_i^T lam_i is one batched product; the unchecked cores of
-        # `constraint_rows` and `price_gradient` are bound to them here
+        # and A_i^T lam_i is one product over all players; the unchecked
+        # cores of `constraint_rows` and `price_gradient`, each with its
+        # kernel chosen for the blocks' shape, are bound to them here
         self._order, self._index = padded_layout(self.dims)
         self._A_stack = np.zeros((self.n_players, m, self._order))
         for As, p in zip(self._A_stack, players):

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gnesolve as gs
 from gnesolve.games import Box, Player
@@ -335,6 +335,52 @@ def test_constraint_rows_skip_padding_bit_for_bit(order, n_players, m, seed):
     padded.reshape(-1)[:] = x
     want = (game._A_stack @ padded[:, :, None])[:, :, 0]
     assert np.array_equal(game.constraint_rows(x), want)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(1, 16),
+       st.booleans(), st.integers(0, 2 ** 31))
+@example([1, 1], 1, False, 0)           # both maps one-term (the sweep's game)
+@example([1] * 5, 16, False, 1)         # order 1 (rate control's layout)
+@example([4, 2, 3], 1, True, 2)         # m = 1 on a padded layout
+@example([1, 3, 2], 5, True, 3)         # padded, neither axis of length one
+@settings(max_examples=120, deadline=None)
+def test_coupling_kernels_bit_identical_to_batched_matmul(dims, m, mixed, seed):
+    # whichever kernel `Game` chose for the blocks' shape (a broadcast
+    # multiply where the contracted axis has length one, a batched matmul
+    # otherwise), the coupling maps give the bits of the batched matmul over
+    # the padded stack, and of the per-player products when no block is
+    # padded; "mixed" puts a one-dimensional player among wider ones
+    rng = np.random.default_rng(seed)
+    if mixed:
+        dims = list(rng.permutation([1] + [max(d, 2) for d in (dims[1:] or [2])]))
+    else:
+        dims = [dims[0]] * len(dims)
+    players = [Player(d, lambda xi, o: np.zeros_like(xi), rng.normal(size=(m, d)),
+                      rng.normal(size=m), Box(-np.ones(d), np.ones(d)))
+               for d in dims]
+    game = gs.Game(players, gs.EQUALITY)
+    assert isinstance(game._index, slice) == (not mixed)
+    shape = (game.n_players, m)
+    x = rng.normal(size=game.n)
+    lam = rng.normal(size=shape)
+    shared = np.broadcast_to(lam[0], shape)     # the KKT report's multiplier
+    padding = np.zeros((game.n_players, game._order))
+    padding.reshape(-1)[game._index] = x
+    rows = (game._A_stack @ padding[:, :, None])[:, :, 0]
+
+    def price(lam_rows):
+        return (game._A_stack.transpose(0, 2, 1)
+                @ lam_rows[:, :, None]).reshape(-1)[game._index]
+    assert np.array_equal(game.constraint_rows(x), rows)
+    assert np.array_equal(game.local_residual(x), rows - game.b_rows)
+    for lam_rows in (lam, shared):
+        assert np.array_equal(game.price_gradient(lam_rows), price(lam_rows))
+    if not mixed:
+        for got, want in zip(coupling_stacked(game, x, lam),
+                             coupling_per_player(game, x, lam)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(game.price_gradient(shared),
+                              coupling_per_player(game, x, shared)[2])
 
 
 def test_stacked_coupling_bit_identical_on_shipped_games():
