@@ -156,8 +156,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     workloads = load_workloads(roots["change"])
-    with tempfile.TemporaryDirectory(prefix="same-outputs-") as scratch:
-        work = (args.work or Path(scratch)).resolve()
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as temporary:
+        work = (args.work or Path(temporary)).resolve()
         sides, codes, names = {}, {}, None
         for label, root in roots.items():
             sides[label] = work / label
