@@ -23,7 +23,7 @@ from .operators import PointProducts, norm, residual_map, step_size_margins
 from .params import AlgoParams
 from .rng import SplitMix64
 from .subgames import (InnerSolution, InnerSolver, equality_shift,
-                       monotone_ratio, subgame_solver)
+                       monotone_ratio)
 from .trace import TraceRow
 
 
@@ -67,7 +67,7 @@ def admm_sweep(game: Game, graph: CommGraph, params: AlgoParams, solve):
     """The sweep of `admm_iterate`, bound to one run:
     ``sweep(state, at, mu, out) -> InnerSolution`` writes the unrelaxed
     blocks over the state ``out``, and ``solve`` is the run's subgame solve
-    (`subgame_solver`).  The coupling rows, step sizes and incidence
+    (`InnerSolver.bind`).  The coupling rows, step sizes and incidence
     matrix are looked up here, once."""
     shift = equality_shift(game, params)
     constraint_rows, b_rows = game._constraint_rows, game.b_rows
@@ -94,11 +94,10 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     the subgame reads with the state's history, and whose ``V Z`` the
     tracked residual reuses.  Each per-player and
     per-edge row reads only its own data and its neighbours' signals.  The
-    blocks are written into one new state, by the sweep a run binds once
-    (`admm_sweep`)."""
+    blocks are written into one new state, by the sweep and solve a run
+    binds once (`admm_sweep`, `InnerSolver.bind`)."""
     out = state.empty_like()
-    sweep = admm_sweep(game, graph, params,
-                       subgame_solver(inner, game, params))
+    sweep = admm_sweep(game, graph, params, inner.bind(game, params))
     return out, sweep(state, at, mu, out)
 
 
@@ -154,8 +153,8 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     loop passes on, once per run: the validators check that the graph and
     step sizes fit the game (`operators._check_fit`), and the initial state
     lays out the iterate, so the loop's maps do not check shapes again.
-    Then the run binds its maps once: the inner solver (`InnerSolver.bind`,
-    `subgame_solver`), the residual of the game's coupling kind
+    Then the run binds its maps once: the subgame solve
+    (`InnerSolver.bind`), the residual of the game's coupling kind
     (`residual_map`), which returns a state's distance to the operator's
     zero set and the `PointProducts` it computed there, and the
     algorithm's sweep ``bind_sweep(game, graph, params, solve)``, which
@@ -178,10 +177,9 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     inner steps taken before it; one raised before the loop carries none.
     """
     margins = step_size_margins(params, game, graph)
-    inner = inner.bind(game, params)
+    sweep = bind_sweep(game, graph, params, inner.bind(game, params))
     state = initial_state(game, graph, seed)
     idle = state.empty_like()
-    sweep = bind_sweep(game, graph, params, subgame_solver(inner, game, params))
     residual = residual_map(game, graph, game.kind)
     rho = params.rho
     rows: list[TraceRow] = []

@@ -230,7 +230,8 @@ def rate_control_game(seed: int) -> Game:
         return neg_chi * _soft_log1p_grad(x) + own_price + x * marginal
 
     def make_oracle(i: int):
-        cols = np.flatnonzero(A[:, i])
+        # user i's links, ascending: the nonzero rows of A[:, i]
+        cols = list(WANET_ROUTES[i])
 
         def oracle(xi_own, others):
             x = np.insert(others, i, xi_own[0])

@@ -126,8 +126,8 @@ def _setup(cfg: ExperimentConfig):
     graph = _build_graph(cfg, game)
     params = _build_params(cfg, game, graph)
     algorithm = _algorithm(cfg, game)
-    # surfaces a bad or misfit mode before any run
-    inner = InnerSolver(cfg.get("inner.mode")).bind(game, params)
+    # an unknown mode fails here; a misfit one where the run binds it
+    inner = InnerSolver(cfg.get("inner.mode"))
     stop = StopRule(cfg.get_int("stop.max_iter"), cfg.get_float("stop.tol"))
     return game, graph, params, algorithm, inner, stop
 
@@ -141,8 +141,10 @@ def _parameter_echo(cfg: ExperimentConfig) -> dict:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    game, graph, params, algorithm, _, _ = _setup(cfg)
+    game, graph, params, algorithm, inner, _ = _setup(cfg)
+    # the run driver's checks before its loop, in its order
     margins = step_size_margins(params, game, graph)
+    inner.bind(game, params)
     print(f"ok: {algorithm} step sizes valid; margins: "
           + ", ".join(f"{k}={v:.6g}" for k, v in margins.items()))
     return EXIT_OK

@@ -280,13 +280,13 @@ class Game:
     # -- profile helpers ---------------------------------------------------
     #
     # Each public map checks its argument's shape and calls an unchecked
-    # core, a method or closure with a leading underscore.  A run
-    # binds the oracle and backward cores once (`_gradient_map`,
-    # `_backward_map`; the coupling cores are bound when the game is built,
-    # `_coupling_maps`) and its loops call them: `operators._check_fit`
-    # and `admm.initial_state` fix the shapes of everything the loops pass
-    # them, once per run.  Oracle outputs are checked on every call
-    # (`_checked`).
+    # core, a method or closure with a leading underscore.  `_gradient_map`
+    # and `_backward_map` bind the oracle and backward cores (the coupling
+    # cores are bound when the game is built, `_coupling_maps`): at each
+    # call of a public map, and once per run in the run's binders
+    # (`InnerSolver.bind`, `residual_map`), whose loops call them; the
+    # run's `_check_fit` and `initial_state` fix the shapes of everything
+    # they pass.  Oracle outputs are checked on every call (`_checked`).
 
     def _profile(self, x, name: str = "profile") -> np.ndarray:
         """``x`` as a float array; raises, calling it ``name``, unless its
@@ -319,14 +319,11 @@ class Game:
 
     def pseudo_gradient(self, x) -> np.ndarray:
         """Stacked subgradient selection of all players at profile ``x``."""
-        return self._pseudo_gradient(self._profile(x))
-
-    def _pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._gradient_map(smooth=False)(x)
+        return self._gradient_map(smooth=False)(self._profile(x))
 
     def _gradient_map(self, smooth: bool = True):
-        """The unchecked core `_smooth_gradient` (`_pseudo_gradient` when
-        ``smooth`` is false) as a map of float vectors of length ``n``,
+        """The unchecked core of `smooth_gradient` (of `pseudo_gradient`
+        when ``smooth`` is false) as a map of float vectors of length ``n``,
         bound to the game's oracles as they are now: a run binds it once,
         and calls it without looking the oracle up again.  Every output is
         still checked (`_checking`)."""
@@ -383,26 +380,20 @@ class Game:
         """
         x = self._profile(x)
         price = self._profile(price, "price")
-        return self._backward_step(x - (self._smooth_gradient(x) + price), 1.0)
+        return self._backward_map()(x - (self._gradient_map()(x) + price), 1.0)
 
     def smooth_gradient(self, x) -> np.ndarray:
         """Forward part of the natural map: the smooth oracle for games with
         a splitting structure, otherwise the pseudo-gradient."""
-        return self._smooth_gradient(self._profile(x))
-
-    def _smooth_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._gradient_map()(x)
+        return self._gradient_map()(self._profile(x))
 
     def backward_step(self, v, gamma: float) -> np.ndarray:
         """Backward part of the natural map: the separable prox (nonsmooth
         part plus box) when present, otherwise the box projection."""
-        return self._backward_step(self._profile(v), gamma)
-
-    def _backward_step(self, v: np.ndarray, gamma: float) -> np.ndarray:
-        return self._backward_map()(v, gamma)
+        return self._backward_map()(self._profile(v), gamma)
 
     def _backward_map(self):
-        """The unchecked core `_backward_step` as a map ``(v, gamma)``,
+        """The unchecked core of `backward_step` as a map ``(v, gamma)``,
         bound to the game's backward part as it is now (`_gradient_map`)."""
         if self.separable_prox is not None:
             return self.separable_prox

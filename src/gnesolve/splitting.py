@@ -17,7 +17,7 @@ from .games import INEQUALITY, Game
 from .graphs import CommGraph
 from .operators import PointProducts
 from .params import AlgoParams
-from .subgames import InnerSolution, InnerSolver, subgame_solver
+from .subgames import InnerSolution, InnerSolver
 from .admm import RunResult, State, StopRule, iterate_to_tolerance
 
 
@@ -25,7 +25,7 @@ def splitting_sweep(game: Game, graph: CommGraph, params: AlgoParams, solve):
     """The sweep of `splitting_iterate`, bound to one run:
     ``sweep(state, at, mu, out) -> InnerSolution`` writes the unrelaxed
     blocks over the state ``out``, and ``solve`` is the run's subgame solve
-    (`subgame_solver`).  The coupling rows, step sizes and incidence
+    (`InnerSolver.bind`).  The coupling rows, step sizes and incidence
     matrix are looked up here, once."""
     constraint_rows, b_rows = game._constraint_rows, game.b_rows
     H, W, V = params.H, params.W, graph.incidence
@@ -53,11 +53,11 @@ def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     commute; the multiplier update consumes both through reflected terms.
     With diagonal ``H`` the projection onto the orthant in the ``H^-1``
     metric is a plain clamp.  The blocks are written into one new state,
-    by the sweep a run binds once (`splitting_sweep`).
+    by the sweep and solve a run binds once (`splitting_sweep`,
+    `InnerSolver.bind`).
     """
     out = state.empty_like()
-    sweep = splitting_sweep(game, graph, params,
-                            subgame_solver(inner, game, params))
+    sweep = splitting_sweep(game, graph, params, inner.bind(game, params))
     return out, sweep(state, at, mu, out)
 
 

@@ -5,7 +5,7 @@ game's plus a proximal pull toward the current profile and a per-player
 linear price term.  The proximal weights make the subgame strongly
 monotone, so its equilibrium exists, is unique, and can be approximated
 with a certified distance bound.  A run binds its solve once
-(`subgame_solver`) and hands it the subgame's arrays; `Subgame` holds them
+(`InnerSolver.bind`) and hands it the subgame's arrays; `Subgame` holds them
 as one checked object for the public maps and the tests.
 """
 
@@ -70,7 +70,7 @@ class Subgame:
         """Smooth part ``G`` of the subgame map: the game's smooth gradient
         plus the proximal pull and the price, in `Game.natural_step`'s
         order of operations."""
-        return (self.game._smooth_gradient(y)
+        return (self.game._gradient_map()(y)
                 + (self.params.apply_R(y - self.anchor) + self.shift))
 
     def step(self, y: np.ndarray, gamma: float) -> np.ndarray:
@@ -163,50 +163,40 @@ def monotone_ratio(curvature: float, modulus: float, step: float,
 class InnerSolver:
     """Solves regularized subgames to a certified distance bound.
 
-    ``"exact"`` uses the game's closed-form regularized-equilibrium solver,
-    bound to a run's ``R`` by `bind`, which refuses a game without
-    one.
+    ``"exact"`` uses the game's closed-form regularized-equilibrium solver;
+    `bind` refuses a game without one.
     ``"residual"`` (the default) runs forward-backward steps (`_steps`) and
     stops at the first iterate whose computable error bound
     ``|(y - y+)/gamma - G(y) + G(y+)| / r_min`` certifies the tolerance; the
     bound follows from strong monotonicity alone.
 
     Either mode's solve of one run's subgames is a closure over that run's
-    game and step sizes (`subgame_solver`), which `solve` calls on a
-    `Subgame` and the run's sweep calls on its arrays, without building one.
+    game and step sizes (`_SOLVES`): `bind` returns it for the run's sweep
+    to call on a subgame's arrays, and `solve` binds one for a `Subgame`
+    on any tolerance schedule.
     """
 
     def __init__(self, mode: str = "residual"):
-        if mode not in ("exact", "residual"):
+        if mode not in _SOLVES:
             raise ValidationError(f"unknown inner mode {mode!r}")
         self.mode = mode
-        # (game, params, the mode's solve bound to them) of one run
-        self._run = (None, None, None)
 
-    def bind(self, game: Game, params: AlgoParams) -> "InnerSolver":
-        """This solver for one run of ``game`` with ``params``; raises
-        `ValidationError` if the mode cannot solve that run's subgames:
-        exact mode needs the game's closed-form solver, residual mode a
-        positive tolerance scale ``params.mu0``.  Exact mode binds the
-        closed-form solver to the run's ``R`` here, once, instead of at
-        every solve, and returns a solver already bound to ``game`` and
-        ``params`` as it is; other subgames are still solved with their own
-        ``R``."""
+    def bind(self, game: Game, params: AlgoParams):
+        """The solve ``(anchor, shift, anchor_gradient, history, mu) ->
+        InnerSolution`` of one run's subgames of ``game`` with ``params``,
+        on a `Subgame`'s arrays, whose shapes the run fixed.  Raises
+        `ValidationError` if the mode cannot solve them: exact mode needs
+        the game's closed-form solver, residual mode a positive tolerance
+        scale ``params.mu0``."""
         if self.mode == "residual" and params.mu0 == 0.0:
             raise ValidationError(
                 "a zero tolerance schedule (params.mu = exact, or params.mu0 "
                 "= 0) needs inner.mode = exact: residual mode cannot "
                 "certify an exactly zero tolerance")
-        bound_game, bound_params, _ = self._run
-        if self.mode != "exact" or (bound_game is game
-                                    and bound_params is params):
-            return self
-        bound = InnerSolver(self.mode)
-        bound._run = (game, params, _exact_solve(game, params))
-        return bound
+        return _SOLVES[self.mode](game, params)
 
     def solve(self, sub: Subgame, mu: float) -> InnerSolution:
-        return subgame_solver(self, sub.game, sub.params)(
+        return _SOLVES[self.mode](sub.game, sub.params)(
             sub.anchor, sub.shift, sub.anchor_gradient, sub.history, mu)
 
 
@@ -256,26 +246,8 @@ def _residual_solve(game: Game, params: AlgoParams):
     return solve
 
 
-def subgame_solver(inner, game: Game, params: AlgoParams):
-    """``inner``'s solve of the subgames of ``game`` with ``params``, as
-    ``solve(anchor, shift, anchor_gradient, history, mu) -> InnerSolution``
-    on the arrays of a `Subgame`; a run binds it once.  An `InnerSolver`
-    gives its mode's closure, the one `InnerSolver.bind` made for this game
-    and these step sizes or else a new one, which builds no subgame and
-    checks its arrays no further: the run fixed their shapes.  Any other
-    solver with ``solve(sub, mu)`` is handed a checked `Subgame` on every
-    call."""
-    if not isinstance(inner, InnerSolver):
-        def solve(anchor, shift, anchor_gradient, history, mu):
-            return inner.solve(Subgame(game, anchor, shift, params,
-                                       anchor_gradient, history), mu)
-        return solve
-    bound_game, bound_params, solve = inner._run
-    if bound_game is game and bound_params is params:
-        return solve
-    if inner.mode == "exact":
-        return _exact_solve(game, params)
-    return _residual_solve(game, params)
+#: each inner mode's solve, bound to one run's game and step sizes
+_SOLVES = {"exact": _exact_solve, "residual": _residual_solve}
 
 
 def _steps(game: Game, params: AlgoParams):

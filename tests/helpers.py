@@ -13,7 +13,7 @@ from gnesolve.errors import DivergenceError
 from gnesolve.operators import point_products
 from gnesolve.subgames import (InnerCertificate, InnerSolution, InnerSolver,
                                equality_subgame)
-from reference import ResolventStep, layout_sizes, pack
+from reference import ResolventStep, bind_checked, layout_sizes, pack
 
 
 def read_trace_csv(path) -> list[dict]:
@@ -255,7 +255,7 @@ class FailingInner:
         self.calls = 0
 
     def bind(self, game, params):
-        return self
+        return bind_checked(self, game, params)
 
     def solve(self, sub, mu):
         self.calls += 1

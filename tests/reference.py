@@ -39,6 +39,17 @@ def subgame_steps(sub):
         sub.anchor, sub.shift, sub.anchor_gradient, sub.history)
 
 
+def bind_checked(solver, game, params):
+    """The solve of a stand-in inner solver with ``solve(sub, mu)``, bound
+    to ``game`` and ``params`` as `InnerSolver.bind` binds a mode's: each
+    call builds a checked `Subgame` of its arrays and hands it to
+    ``solver.solve``."""
+    def solve(anchor, shift, anchor_gradient, history, mu):
+        return solver.solve(Subgame(game, anchor, shift, params,
+                                    anchor_gradient, history), mu)
+    return solve
+
+
 class ReferenceSolver:
     """Inner solver whose certificates are true distances, for the tests.
 
@@ -49,11 +60,12 @@ class ReferenceSolver:
     distance to the reference as the bound; when ``mu`` is 0, or too small
     to be certified before the reference, it returns the reference itself
     with bound 0, so the reference is ``solve(sub, 0.0).x``.  The run
-    drivers accept it like `InnerSolver`: `bind` returns it as it is.
+    drivers accept it like `InnerSolver`: `bind` returns its solve
+    (`bind_checked`).
     """
 
     def bind(self, game, params):
-        return self
+        return bind_checked(self, game, params)
 
     def solve(self, sub, mu):
         if not mu >= 0.0:

@@ -8,7 +8,7 @@ from gnesolve.splitting import run_splitting, splitting_iterate
 from conftest import edge_flow_for
 from helpers import (admm_iterate_componentwise, equality_subgame_at,
                      misshapen_after, products)
-from reference import ReferenceSolver, correspondence_check
+from reference import ReferenceSolver, bind_checked, correspondence_check
 
 #: game fixture and run driver of each algorithm, for tests of the shared loop
 ALGORITHMS = {"admm": ("eq_game", run_admm),
@@ -161,7 +161,7 @@ def test_divergence_detected(algorithm, request, pair_graph, toy_params,
         calls = 0
 
         def bind(self, game, params):
-            return self
+            return bind_checked(self, game, params)
 
         def solve(self, sub, mu):
             from gnesolve.subgames import InnerCertificate, InnerSolution

@@ -204,9 +204,9 @@ def test_summary_counts_inner_steps_of_untraced_iterations(tmp_path):
 
 
 def test_run_binds_the_exact_solver_once(tmp_path, monkeypatch):
-    # `_setup` binds the exact solver to the run; `iterate_to_tolerance`'s
-    # bind returns the bound solver, so the closed-form solver is built once
-    # per run
+    # `validate` binds the exact solver after the step sizes, as the run
+    # driver does before its loop; `_setup` does not bind, so each
+    # command builds the closed-form solver once
     import gnesolve.benchgames
     build = gnesolve.benchgames.BUILTIN_GAMES["quadratic-equality"]
     bound_to = []
@@ -221,8 +221,10 @@ def test_run_binds_the_exact_solver_once(tmp_path, monkeypatch):
                         "quadratic-equality", counting)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(QUAD_CFG.format(out=tmp_path / "out"))
-    assert main(["run", str(cfg)]) == 0
-    assert len(bound_to) == 1
+    for command in ("validate", "run"):
+        del bound_to[:]
+        assert main([command, str(cfg)]) == 0
+        assert len(bound_to) == 1, command
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -523,8 +525,8 @@ def test_readme_config_table_lists_the_known_keys():
 
 def test_readme_inner_modes_are_the_accepted_ones():
     # the values README's configuration table documents for inner.mode are
-    # the modes InnerSolver takes: each binds on a game it fits, and the
-    # removed oracle mode is refused
+    # the modes InnerSolver takes: each binds a solve on a game it fits,
+    # and the removed oracle mode is refused
     row = next(line for line in README.splitlines()
                if line.startswith("| `inner.mode` |"))
     modes = re.findall(r"`([^`]+)`", row.split("|")[3])
@@ -533,7 +535,7 @@ def test_readme_inner_modes_are_the_accepted_ones():
     graph = gs.path_graph(2)
     params = gs.AlgoParams.uniform(game, graph, 10.0, 0.5, 0.5, 1.1, mu0=1.0)
     for mode in modes:
-        assert gs.InnerSolver(mode).bind(game, params).mode == mode
+        assert callable(gs.InnerSolver(mode).bind(game, params))
     with pytest.raises(gs.ValidationError, match="unknown inner mode 'oracle'"):
         gs.InnerSolver("oracle")
 
@@ -972,6 +974,39 @@ def test_validate_refuses_what_run_refuses(tmp_path, capsys, game, algorithm,
     refused = (mode == "oracle" or (mode == "residual" and mu == "exact")
                or (mode == "exact" and game == "rate-control") or bool(extra))
     assert (validated == 2) == refused
+
+
+@pytest.mark.parametrize("game, algorithm, mu, mode, bad_step", [
+    ("quadratic-equality", "admm", "exact", "residual", "params.r = 0.4"),
+    ("rate-control", "splitting", "inverse-square", "exact", "params.h = 5.0")],
+    ids=["quadratic", "rate"])
+def test_step_sizes_are_refused_before_a_misfit_inner_mode(
+        tmp_path, capsys, game, algorithm, mu, mode, bad_step):
+    # with both faults, every entry point reports the step sizes: validate
+    # makes the run driver's checks in the driver's order
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    text = (f"game.builtin = {game}\nalgorithm = {algorithm}\n"
+            f"params.mu = {mu}\ninner.mode = {mode}\n"
+            f"stop.max_iter = 1\noutput.dir = {out}\n")
+    cfg.write_text(text + bad_step + "\n")
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "min eig" in err and "inner" not in err
+    assert not out.exists()
+    built, graph, params, _, inner, stop = _setup(load_config(cfg))
+    runner = gs.run_admm if algorithm == "admm" else gs.run_splitting
+    with pytest.raises(gs.ValidationError, match="min eig"):
+        runner(built, graph, params, inner, stop)
+    # the misfit mode alone is refused where the run binds it: after the
+    # output directory, which an unwritable one fails first
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 2
+    assert "inner" in capsys.readouterr().err
+    (tmp_path / "file").write_text("")
+    cfg.write_text(text.replace(str(out), str(tmp_path / "file" / "out")))
+    assert main(["run", str(cfg)]) == 4
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -5,6 +5,7 @@ sweep and residual once and sweeps into the idle one of two states; these
 tests record the bound sweep's calls, and compare whole runs with a loop
 over the public maps."""
 
+import dataclasses
 import itertools
 from pathlib import Path
 from typing import NamedTuple
@@ -140,12 +141,14 @@ def test_inner_start_reads_the_anchor_gradient(name):
     solvers = [gs.InnerSolver(), ReferenceSolver()]
     if game.exact_subgame_solver is not None:
         solvers.append(exact)
+    # the same step sizes, which residual mode binds to on every schedule
+    iterative = dataclasses.replace(params, mu0=1.0)
     for solver, state in itertools.product(solvers, (start, outside)):
         at = fresh(game, graph, state)
         poisoned = at._replace(gradient=np.full(game.n, np.nan))
         if solver is not exact:
             with pytest.raises(gs.NumericError):
-                iterate(game, graph, params, state, poisoned, solver, 1e-3)
+                iterate(game, graph, iterative, state, poisoned, solver, 1e-3)
         else:
             assert_same_sweep(
                 iterate(game, graph, params, state, poisoned, solver, 1e-3),
@@ -183,7 +186,6 @@ def public_loop(game, graph, params, inner, stop, residuals, iterate):
     products are checked against `fresh`, which computes them with the
     shape-checked `Game` and `CommGraph` methods, and every step is
     `relax`.  Returns the trace rows and the final state."""
-    inner = inner.bind(game, params)
     state = gs.initial_state(game, graph, seed=0)
     res, at = residuals(game, graph, state.x, state.Z, state.lam)
     rows, k = [], 0

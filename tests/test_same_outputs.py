@@ -52,3 +52,18 @@ def test_each_differing_or_one_sided_output_is_named(tmp_path):
     (parent / "c" / "instance.json").unlink()
     assert tool.differences(["a", "b", "c"], parent, change) == [
         "a/trace.csv", "b/summary.json", "c/instance.json (on one side only)"]
+
+
+def test_each_differing_validation_or_exit_code_is_named():
+    # `run_side` results are [validate exit code, validate output, run exit
+    # code] per run; each field that differs is named with both values
+    tool = load_tool()
+    ok = "ok: admm step sizes valid; margins: x=9.5, z=1\n"
+    parent = [[0, ok, 0], [0, ok, 0], [2, "", 2]]
+    change = [[0, ok, 0], [0, ok.replace("9.5", "9.25"), 0], [0, ok, 2]]
+    assert tool.result_differences(["a", "b", "c"], parent, parent) == []
+    assert tool.result_differences(["a", "b", "c"], parent, change) == [
+        f"b: validate output {ok!r} (parent) != "
+        f"{ok.replace('9.5', '9.25')!r} (change)",
+        "c: validate exit code 2 (parent) != 0 (change)",
+        f"c: validate output '' (parent) != {ok!r} (change)"]

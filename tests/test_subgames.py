@@ -489,33 +489,27 @@ def test_monotone_ratio_checks_the_floor():
         subgames.monotone_ratio(4.0 - 2 * allowance, 1.0, 2.0, terms, "pair")
 
 
-def test_bound_exact_solver_matches_the_unbound_one(eq_game, pair_graph,
-                                                    toy_params, monkeypatch):
-    # binding builds the quadratic game's matrix once per run; a subgame of
-    # other step sizes is still solved with its own
+def test_bound_exact_solver_matches_the_unbound_one(eq_game, toy_params,
+                                                    monkeypatch):
+    # binding builds the quadratic game's closed-form solver once, for the
+    # run's R, and its solves equal those of the per-subgame `solve`
     game, _ = eq_game
     binder = game.exact_subgame_solver
     bound_to = []
     monkeypatch.setattr(game, "exact_subgame_solver",
                         lambda R: bound_to.append(R) or binder(R))
-    unbound = InnerSolver("exact")
-    bound = unbound.bind(game, toy_params)
-    assert len(bound_to) == 1 and bound_to[0] is toy_params.R
-    other = gs.AlgoParams.uniform(game, pair_graph, 3.0, 0.5, 0.5, 1.1)
+    solve = InnerSolver("exact").bind(game, toy_params)
     rng = np.random.default_rng(5)
-    for params in (toy_params, other):
-        for _ in range(20):
-            sub = Subgame(game, rng.uniform(-12.0, 12.0, 2),
-                          30.0 * rng.normal(size=2), params, np.zeros(2))
-            del bound_to[:]
-            x = bound.solve(sub, 0.0).x
-            if params is toy_params:
-                assert bound_to == []
-            else:
-                assert len(bound_to) == 1 and bound_to[0] is other.R
-            assert np.array_equal(x, unbound.solve(sub, 0.0).x)
-    for solver in (InnerSolver("residual"), ReferenceSolver()):
-        assert solver.bind(game, other) is solver
+    subs = [Subgame(game, rng.uniform(-12.0, 12.0, 2),
+                    30.0 * rng.normal(size=2), toy_params, np.zeros(2))
+            for _ in range(20)]
+    bound = [solve(sub.anchor, sub.shift, sub.anchor_gradient, sub.history,
+                   0.0) for sub in subs]
+    assert len(bound_to) == 1 and bound_to[0] is toy_params.R
+    for sub, sol in zip(subs, bound):
+        unbound = InnerSolver("exact").solve(sub, 0.0)
+        assert np.array_equal(sol.x, unbound.x)
+        assert sol.certificate == unbound.certificate
     # residual mode cannot certify the zero schedule of mu0 = 0
     with pytest.raises(ValidationError, match="exactly zero tolerance"):
         InnerSolver("residual").bind(game, toy_params)

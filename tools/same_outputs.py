@@ -3,7 +3,8 @@
     python3 tools/same_outputs.py PARENT_ROOT CHANGE_ROOT [--seed 0]
         [--published-seeds 1 2] [--work DIR]
 
-Runs ``gnesolve run`` from each checkout's ``src`` on the same inputs:
+Runs ``gnesolve validate`` and ``gnesolve run`` from each checkout's
+``src`` on the same inputs:
 
 * the shipped configs (``configs/*.cfg``);
 * the 40 ``quadratic-sweep`` instances of the benchmark at ``--seed``;
@@ -12,11 +13,12 @@ Runs ``gnesolve run`` from each checkout's ``src`` on the same inputs:
 
 Every input comes from CHANGE_ROOT: its configs, and the sweep and published
 inputs that its ``perfbench/workloads.py`` writes (imported read-only, with
-no bytecode cache).  Each run's ``trace.csv`` and ``instance.json`` must be
-byte-identical between the checkouts, and so must ``summary.json`` once its
+no bytecode cache).  Each input's exit codes and ``validate`` output
+must be the same in both checkouts, each run's ``trace.csv`` and
+``instance.json`` byte-identical, and so must ``summary.json`` once its
 ``wall_seconds`` is dropped and the run directory in its paths is replaced
-by a placeholder.  Each differing or missing file is printed, and the exit
-status is 1 on any difference, 0 when every file agrees.
+by a placeholder.  Each difference is printed, and the exit status is 1 on
+any difference, 0 when everything agrees.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from pathlib import Path
 OUTPUTS = ("trace.csv", "instance.json", "summary.json")
 PUBLISHED = ("rate-control", "task-allocation")
 
-#: runs every (config, output directory or "") pair of the JSON job list on
-#: standard input with the gnesolve of the ``src`` named in argv[1], and
-#: prints the exit codes as one JSON list
+#: validates and runs every (config, output directory or "") pair of the
+#: JSON job list on standard input with the gnesolve of the ``src`` named in
+#: argv[1], and prints one JSON list with a ``[validate exit code, validate
+#: standard output, run exit code]`` entry per job
 _RUNNER = """\
-import json, os, sys
+import contextlib, io, json, os, sys
 from pathlib import Path
 src = Path(sys.argv[1]).resolve()
 sys.path.insert(0, str(src))
@@ -45,13 +48,16 @@ import gnesolve
 from gnesolve import cli
 if Path(gnesolve.__file__).resolve().parent != src / "gnesolve":
     raise SystemExit(f"gnesolve imported from {gnesolve.__file__}")
-codes = []
+results = []
 for config, out_dir in json.load(sys.stdin):
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        validated = cli.main(["validate", config])
     os.environ.pop("GNESOLVE_OUTPUT_DIR", None)
     if out_dir:
         os.environ["GNESOLVE_OUTPUT_DIR"] = out_dir
-    codes.append(cli.main(["run", config]))
-print(json.dumps(codes))
+    results.append([validated, printed.getvalue(), cli.main(["run", config])])
+print(json.dumps(results))
 """
 
 
@@ -94,7 +100,9 @@ def build_jobs(inputs: Path, side: Path, workloads, seed: int,
 
 
 def run_side(root: Path, jobs: list) -> list:
-    """Run ``jobs`` with the gnesolve of ``root/src`` in one process."""
+    """Validate and run ``jobs`` with the gnesolve of ``root/src`` in one
+    process; returns each job's ``[validate exit code, validate output, run
+    exit code]``."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
@@ -124,6 +132,18 @@ def comparable(path: Path, side: Path):
     summary = json.loads(data)
     summary.pop("wall_seconds", None)
     return _placeholder(summary, str(side))
+
+
+#: what each field of a `run_side` result is called when it differs
+RESULT_FIELDS = ("validate exit code", "validate output", "run exit code")
+
+
+def result_differences(names, parent: list, change: list) -> list:
+    """The fields of the `run_side` results of runs ``names`` that differ
+    between the ``parent`` and ``change`` results, each with both values."""
+    return [f"{name}: {field} {a!r} (parent) != {b!r} (change)"
+            for name, pair in zip(names, zip(parent, change))
+            for field, a, b in zip(RESULT_FIELDS, *pair) if a != b]
 
 
 def differences(names, parent: Path, change: Path) -> list:
@@ -158,20 +178,19 @@ def main(argv=None) -> int:
     workloads = load_workloads(roots["change"])
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as temporary:
         work = (args.work or Path(temporary)).resolve()
-        sides, codes, names = {}, {}, None
+        sides, results, names = {}, {}, None
         for label, root in roots.items():
             sides[label] = work / label
             jobs = build_jobs(roots["change"], sides[label], workloads,
                               args.seed, args.published_seeds)
             names = [name for name, _, _ in jobs]
-            codes[label] = run_side(root, jobs)
-        differ = [f"{name}: exit code {a} (parent) != {b} (change)"
-                  for name, a, b in zip(names, codes["parent"], codes["change"])
-                  if a != b]
+            results[label] = run_side(root, jobs)
+        differ = result_differences(names, results["parent"], results["change"])
         differ += differences(names, sides["parent"], sides["change"])
         for line in differ:
             print(line)
-        print(f"{len(names)} runs, {len(names) * len(OUTPUTS)} outputs compared: "
+        print(f"{len(names)} validations and runs, "
+              f"{len(names) * len(OUTPUTS)} outputs compared: "
               + (f"{len(differ)} differ" if differ else "all identical"))
     return 1 if differ else 0
 
