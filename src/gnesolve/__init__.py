@@ -14,8 +14,8 @@ from .games import (Box, EQUALITY, Game, INEQUALITY, MonotonicityReport,
                     game_from_dict, game_to_dict, load_game, save_game)
 from .graphs import CommGraph, build_incidence, path_graph
 from .operators import (PointProducts, check_step_sizes_equality,
-                        inequality_preconditioner, point_products,
-                        residual_equality, residual_inequality)
+                        inequality_preconditioner, residual_equality,
+                        residual_inequality)
 from .params import AlgoParams
 from .splitting import run_splitting, splitting_iterate
 from .subgames import (InnerCertificate, InnerSolver, Subgame,

@@ -22,8 +22,7 @@ from .graphs import CommGraph
 from .operators import PointProducts, norm, residual_map, step_size_margins
 from .params import AlgoParams
 from .rng import SplitMix64
-from .subgames import (InnerSolution, InnerSolver, equality_shift,
-                       monotone_ratio)
+from .subgames import InnerSolution, InnerSolver, monotone_ratio
 from .trace import TraceRow
 
 
@@ -67,15 +66,18 @@ def admm_sweep(game: Game, graph: CommGraph, params: AlgoParams, solve):
     """The sweep of `admm_iterate`, bound to one run:
     ``sweep(state, at, mu, out) -> InnerSolution`` writes the unrelaxed
     blocks over the state ``out``, and ``solve`` is the run's subgame solve
-    (`InnerSolver.bind`).  The coupling rows, step sizes and incidence
-    matrix are looked up here, once."""
-    shift = equality_shift(game, params)
+    (`InnerSolver.bind`).  Player ``i``'s subgame price is ``A_i^T`` times
+    its multiplier plus ``H_i`` times its tracked constraint residual
+    (``at.tracked``).  The coupling rows, step sizes and incidence matrix
+    are looked up here, once."""
+    price_gradient = game._price_gradient
     constraint_rows, b_rows = game._constraint_rows, game.b_rows
     H, W, Vt = params.H, params.W, graph.incidence.T
 
     def sweep(state, at, mu, out):
         x, lam, Z = state.x, state.lam, state.Z
-        sol = solve(x, shift(lam, at.tracked), at.gradient, state.history, mu)
+        sol = solve(x, price_gradient(lam + H * at.tracked), at.gradient,
+                    state.history, mu)
         out.x[:] = sol.x
         h_t = H * (constraint_rows(sol.x) - b_rows + at.node_aggregate)
         np.add(lam, h_t, out=out.lam)
@@ -90,12 +92,13 @@ def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
     """One unrelaxed sweep as stacked array updates: subgame solve to
     ``mu``, multiplier step along ``H`` times the tracked constraint
     residual, and edge step along ``W`` times the multiplier-signal
-    differences.  ``at`` holds the residual products of ``state``, which
-    the subgame reads with the state's history, and whose ``V Z`` the
-    tracked residual reuses.  Each per-player and
-    per-edge row reads only its own data and its neighbours' signals.  The
-    blocks are written into one new state, by the sweep and solve a run
-    binds once (`admm_sweep`, `InnerSolver.bind`)."""
+    differences.  ``at`` holds the products the residual built at
+    ``state`` (`residual_map`): the subgame reads them with the state's
+    history, and the new tracked residual reuses their ``V Z``.  Each
+    per-player and per-edge row reads only its own data and its
+    neighbours' signals.  The blocks are written into one new state, by
+    the sweep and solve a run binds once (`admm_sweep`,
+    `InnerSolver.bind`)."""
     out = state.empty_like()
     sweep = admm_sweep(game, graph, params, inner.bind(game, params))
     return out, sweep(state, at, mu, out)
@@ -155,20 +158,19 @@ def iterate_to_tolerance(game: Game, graph: CommGraph, params: AlgoParams,
     lays out the iterate, so the loop's maps do not check shapes again.
     Then the run binds its maps once: the subgame solve
     (`InnerSolver.bind`), the residual of the game's coupling kind
-    (`residual_map`), which returns a state's distance to the operator's
-    zero set and the `PointProducts` it computed there, and the
-    algorithm's sweep ``bind_sweep(game, graph, params, solve)``, which
-    from a state and those products writes the unrelaxed blocks over a
-    second state and returns the subgame solution behind them.  Each outer
-    iteration sweeps into the idle one of two states made once per run and
-    relaxes it by ``params.rho`` in place (`relax`), so the loop allocates
-    no state.  Each relaxed
-    state carries the trajectory's last two outer steps and smooth-gradient
-    changes, ``(dx, dF)`` newest first, as its ``history``: the differences
-    the monotonicity check forms, from which the next sweep's inner solve
-    predicts its first step.  Each trace row
-    records the residuals the stop rule tests.  Successive iterates'
-    smooth gradients must pass the monotonicity check ``<dF, dx> >= 0``
+    (`residual_map`), which builds a state's `PointProducts` and returns
+    them with its distance to the operator's zero set, and the algorithm's
+    sweep ``bind_sweep(game, graph, params, solve)``, which from a state and
+    those products writes the unrelaxed blocks over a second state and
+    returns the subgame solution behind them.  Each outer iteration sweeps
+    into the idle one of two states made once per run and relaxes it by
+    ``params.rho`` in place (`relax`), so the loop allocates no state.  Each
+    relaxed state carries the trajectory's last two outer steps and
+    smooth-gradient changes, ``(dx, dF)`` newest first, as its ``history``:
+    the differences the monotonicity check forms, from which the next
+    sweep's inner solve predicts its first step.  Each trace row records
+    the residuals the stop rule tests.  Successive iterates' smooth
+    gradients must pass the monotonicity check ``<dF, dx> >= 0``
     (`monotone_ratio`); the result reports its smallest ratio and that of
     the inner solves.  Stops when every residual is at most ``stop.tol`` or
     after ``stop.max_iter`` iterations; a non-finite state raises

@@ -78,7 +78,7 @@ def _row_groups(coupled: np.ndarray) -> list:
     """The connected components of the rows that the (m, m) boolean pattern
     ``coupled`` links, as one (count, size) array of row indices per
     component size."""
-    if coupled.all():               # one group, as with dense H or W
+    if coupled.all():               # one group: m = 1, or every row linked
         return [np.arange(len(coupled))[None]]
     reach = coupled | coupled.T | np.eye(len(coupled), dtype=bool)
     while True:                     # transitive closure by squaring
@@ -206,9 +206,9 @@ class InequalityResiduals(NamedTuple):
 
 
 class PointProducts(NamedTuple):
-    """What the residual evaluation computes at a state ``(x, Z, lam)``, in
-    the form the next sweep from that state reads it.  The outer driver
-    hands it from the residual to that sweep; it lives for one iteration."""
+    """What `residual_map` computes at a state ``(x, Z, lam)``, in the form
+    the next sweep from that state reads it.  The outer driver hands it
+    from the residual to that sweep; it lives for one iteration."""
     gradient: np.ndarray           # game.smooth_gradient(x), length n
     tracked: np.ndarray            # local_residual(x) + V Z, (N, m)
     node_aggregate: np.ndarray     # V Z = graph.node_aggregate(Z), (N, m)
@@ -216,47 +216,27 @@ class PointProducts(NamedTuple):
     edge_differences: np.ndarray   # edge_differences(lam), (M, m)
 
 
-def _point_products_map(game: Game, graph: CommGraph):
-    """`point_products` bound to one run of ``game`` on ``graph``: the
-    game's cores (`Game._gradient_map`), the coupling rows and the
-    incidence matrix are looked up here, once."""
-    gradient_of = game._gradient_map()
-    constraint_rows, price_gradient = game._constraint_rows, game._price_gradient
-    b_rows, V = game.b_rows, graph.incidence
-    Vt = V.T
-
-    def products(x, Z, lam) -> PointProducts:
-        gradient = gradient_of(x)
-        aggregate = V @ Z
-        return PointProducts(gradient, constraint_rows(x) - b_rows + aggregate,
-                             aggregate, price_gradient(lam), Vt @ lam)
-    return products
-
-
-def point_products(game: Game, graph: CommGraph, x, Z, lam) -> PointProducts:
-    """The products of the game and graph maps at ``(x, Z, lam)``, float
-    arrays of the state's shapes (`admm.State`), which these unchecked maps
-    do not check again: the loops evaluate them with states whose shapes
-    the run fixed once (`_check_fit`, `admm.initial_state`), through the
-    map this binds (`residual_map`)."""
-    return _point_products_map(game, graph)(x, Z, lam)
-
-
 def residual_map(game: Game, graph: CommGraph, kind: str):
     """The residual of one run of ``game`` on ``graph`` for the coupling
     ``kind``, bound once: ``(x, Z, lam) -> (residuals, products)``
-    (`residual_equality`, `residual_inequality`).
+    (`residual_equality`, `residual_inequality`), where ``products`` are the
+    state's `PointProducts`.  The state's blocks are not checked again: the
+    run fixed their shapes (`_check_fit`, `admm.initial_state`).
 
     The stationarity residual is the natural-map residual
     ``|x - natural_step(x, price)|``, from the gradient and price already in
     hand; the edge residual is the multipliers' per-edge differences.
     """
-    products = _point_products_map(game, graph)
-    backward = game._backward_map()
+    gradient_of, backward = game._gradient_map(), game._backward_map()
+    constraint_rows, price_gradient = game._constraint_rows, game._price_gradient
+    b_rows, V, Vt = game.b_rows, graph.incidence, graph.incidence.T
 
     def residual(x, Z, lam):
-        at = products(x, Z, lam)
-        stationarity = norm(x - backward(x - (at.gradient + at.price_gradient), 1.0))
+        gradient = gradient_of(x)
+        aggregate = V @ Z
+        at = PointProducts(gradient, constraint_rows(x) - b_rows + aggregate,
+                           aggregate, price_gradient(lam), Vt @ lam)
+        stationarity = norm(x - backward(x - (gradient + at.price_gradient), 1.0))
         edge = norm(at.edge_differences)
         if kind == EQUALITY:
             return EqualityResiduals(stationarity, edge, norm(at.tracked)), at

@@ -78,25 +78,12 @@ class Subgame:
         return self.game.backward_step(y - gamma * self.smooth_gradient(y), gamma)
 
 
-def equality_shift(game: Game, params: AlgoParams):
-    """The price term of the equality algorithm's subgames, bound to one
-    run: ``(lam, tracked) -> shift``.  The price of player ``i`` is its
-    multiplier plus ``H_i`` times the locally tracked constraint residual
-    ``A_i x_i + (V Z)_i - b_i`` (``tracked``), pulled back through
-    ``A_i^T``."""
-    price_gradient, H = game._price_gradient, params.H
-
-    def shift(lam, tracked):
-        return price_gradient(lam + H * tracked)
-    return shift
-
-
 def equality_subgame(game: Game, params: AlgoParams, x, lam,
                      at: PointProducts, history: tuple = ()) -> Subgame:
     """Subgame of the equality algorithm at the state whose residual
     products are ``at`` and whose outer trajectory is ``history``
-    (`Subgame`), priced by `equality_shift`."""
-    return Subgame(game, x, equality_shift(game, params)(lam, at.tracked),
+    (`Subgame`), priced as the run's sweep prices it (`admm.admm_sweep`)."""
+    return Subgame(game, x, game._price_gradient(lam + params.H * at.tracked),
                    params, at.gradient, history)
 
 

@@ -10,7 +10,7 @@ import csv
 import numpy as np
 
 from gnesolve.errors import DivergenceError
-from gnesolve.operators import point_products
+from gnesolve.operators import residual_map
 from gnesolve.subgames import (InnerCertificate, InnerSolution, InnerSolver,
                                equality_subgame)
 from reference import ResolventStep, bind_checked, layout_sizes, pack
@@ -238,9 +238,9 @@ def quadratic_value(t, delta, i):
 
 
 def products(game, graph, state):
-    """Residual products of a `State`, evaluated afresh: what the
-    outer driver hands the sweep from that state."""
-    return point_products(game, graph, state.x, state.Z, state.lam)
+    """Residual products of a `State`, evaluated afresh by the residual a
+    run binds: what the outer driver hands the sweep from that state."""
+    return residual_map(game, graph, game.kind)(state.x, state.Z, state.lam)[1]
 
 
 class FailingInner:
@@ -300,7 +300,7 @@ def equality_subgame_at(game, graph, params, x, lam, Z):
     """`equality_subgame` at the state ``(x, lam, Z)``, from its residual
     products evaluated afresh."""
     return equality_subgame(game, params, x, lam,
-                            point_products(game, graph, x, Z, lam))
+                            residual_map(game, graph, game.kind)(x, Z, lam)[1])
 
 
 def admm_iterate_componentwise(game, graph, params, state, inner, mu):

@@ -21,7 +21,7 @@ import numpy as np
 from gnesolve import subgames
 from gnesolve.admm import State, admm_iterate, initial_state, relax
 from gnesolve.errors import InexactnessError, StructuralError, ValidationError
-from gnesolve.operators import inequality_preconditioner, norm, point_products
+from gnesolve.operators import inequality_preconditioner, norm, residual_map
 from gnesolve.splitting import splitting_iterate
 from gnesolve.subgames import InnerCertificate, InnerSolution, Subgame
 
@@ -186,7 +186,8 @@ class InequalityResolvent:
         state = plain_state(self.game, self.graph, w)
         swept, sol = splitting_iterate(
             self.game, self.graph, self.params, state,
-            point_products(self.game, self.graph, state.x, state.Z, state.lam),
+            residual_map(self.game, self.graph, self.game.kind)(
+                state.x, state.Z, state.lam)[1],
             self.inner, nu / self.nu_factor)
         return ResolventStep(swept.w, self.nu_factor * sol.certificate.bound)
 
@@ -294,7 +295,7 @@ def correspondence_check(game, graph, params, n_iters, inner, seed=0,
     worst = 0.0
     for k in range(1, n_iters + 1):
         mu = params.mu(k)
-        at = point_products(game, graph, state.x, state.Z, state.lam)
+        at = residual_map(game, graph, game.kind)(state.x, state.Z, state.lam)[1]
         swept, _ = admm_iterate(game, graph, params, state, at, inner, mu)
         state = relax(state, swept, params.rho)
         w, _ = pppa_step(resolvent, w, resolvent.nu_factor * mu, params.rho)

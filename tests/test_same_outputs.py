@@ -67,3 +67,58 @@ def test_each_differing_validation_or_exit_code_is_named():
         f"{ok.replace('9.5', '9.25')!r} (change)",
         "c: validate exit code 2 (parent) != 0 (change)",
         f"c: validate output '' (parent) != {ok!r} (change)"]
+
+
+def test_each_differing_refusal_message_is_named():
+    # results also carry validate's and run's standard error; with each
+    # side's run root replaced, only a changed message is named
+    tool = load_tool()
+
+    def blocked(side):
+        return (f"i/o error: cannot write outputs to {side}/refused/blocker/out: "
+                f"{side}/refused/blocker is not a writable directory\n")
+
+    step = "validation error: step-size conditions failed: min eig = -1\n"
+    mode = "validation error: inner mode 'exact' does not fit\n"
+    parent = tool._placeholder(
+        [[2, "", 2, step, step], [0, "ok\n", 4, "", blocked("/w/parent")]],
+        "/w/parent")
+    change = tool._placeholder(
+        [[2, "", 2, mode, step], [0, "ok\n", 4, "", blocked("/w/change")]],
+        "/w/change")
+    assert tool.result_differences(["a", "b"], parent, change) == [
+        f"a: validate errors {step!r} (parent) != {mode!r} (change)"]
+
+
+def test_refused_inputs_are_refused(tmp_path, monkeypatch, capsys):
+    # each refused input sets only its keys in the shipped rate-control
+    # config, and both commands refuse it as it is meant to be refused,
+    # writing nothing
+    from gnesolve import cli
+    from gnesolve.config import load_config
+
+    tool = load_tool()
+    root = TOOL.parents[1]
+    monkeypatch.delenv("GNESOLVE_OUTPUT_DIR", raising=False)
+    base = load_config(root / "configs" / "rate-control.cfg").values
+    jobs = tool.refused_jobs(root, tmp_path)
+    assert [name for name, _, _ in jobs] == [f"refused/{name}"
+                                             for name in tool.REFUSED]
+    exits = {"step-size": (2, 2), "inner-mode": (2, 2),
+             "step-size-and-inner-mode": (2, 2), "unwritable-output": (0, 4),
+             "unknown-key": (2, 2)}
+    assert set(exits) == set(tool.REFUSED)
+    for (name, config, _), (key, settings) in zip(jobs, tool.REFUSED.items()):
+        if key != "unknown-key":
+            out_dir = tmp_path / "refused" / settings.get("output.dir", key)
+            assert load_config(config).values == {
+                **base, **settings, "output.dir": str(out_dir)}
+        assert (cli.main(["validate", config]),
+                cli.main(["run", config])) == exits[key], name
+        # one error line from each command that refused
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == sum(code != 0 for code in exits[key]), name
+        if key == "unknown-key":
+            assert errors[0].endswith("unknown key 'params.unknown'")
+    assert sorted(p.name for p in (tmp_path / "refused").iterdir()) == sorted(
+        ["blocker", *(f"{name}.cfg" for name in tool.REFUSED)])

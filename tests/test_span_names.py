@@ -11,7 +11,7 @@ import numpy as np
 
 import gnesolve as gs
 from gnesolve import cli
-from gnesolve.operators import point_products
+from gnesolve.operators import residual_map
 from gnesolve.subgames import inequality_subgame
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -73,8 +73,8 @@ def test_counter_hooks_read_real_calls(tmp_path, eq_game, ineq_game,
                       gs.StopRule(3, 1e-12))
     x, Z = np.zeros(ineq.n), np.zeros((pair_graph.n_edges, ineq.m))
     lam = np.ones((ineq.n_players, ineq.m))
-    sub = inequality_subgame(ineq, toy_params, x,
-                             point_products(ineq, pair_graph, x, Z, lam))
+    at = residual_map(ineq, pair_graph, ineq.kind)(x, Z, lam)[1]
+    sub = inequality_subgame(ineq, toy_params, x, at)
     calls = {
         "params.AlgoParams.r_min_eig": (toy_params,),
         "params.AlgoParams.r_max_eig": (toy_params,),

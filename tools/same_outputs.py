@@ -9,16 +9,20 @@ Runs ``gnesolve validate`` and ``gnesolve run`` from each checkout's
 * the shipped configs (``configs/*.cfg``);
 * the 40 ``quadratic-sweep`` instances of the benchmark at ``--seed``;
 * the published seeds ``--published-seeds`` of the rate-control and
-  task-allocation games, as the benchmark runs them.
+  task-allocation games, as the benchmark runs them;
+* refused inputs derived from the shipped rate-control config (`REFUSED`):
+  a failing step size, a misfit inner mode, both, an unwritable
+  ``output.dir`` and an unknown key.
 
 Every input comes from CHANGE_ROOT: its configs, and the sweep and published
 inputs that its ``perfbench/workloads.py`` writes (imported read-only, with
-no bytecode cache).  Each input's exit codes and ``validate`` output
-must be the same in both checkouts, each run's ``trace.csv`` and
-``instance.json`` byte-identical, and so must ``summary.json`` once its
-``wall_seconds`` is dropped and the run directory in its paths is replaced
-by a placeholder.  Each difference is printed, and the exit status is 1 on
-any difference, 0 when everything agrees.
+no bytecode cache).  Each input's exit codes, ``validate`` output, and
+``validate`` and ``run`` error output must be the same in both checkouts,
+once the run root in them is replaced by a placeholder; each run's
+``trace.csv`` and ``instance.json`` byte-identical, and so must
+``summary.json`` once its ``wall_seconds`` is dropped and the run root in
+its paths is replaced.  Each difference is printed, and the exit status is
+1 on any difference, 0 when everything agrees.
 """
 
 from __future__ import annotations
@@ -35,10 +39,23 @@ from pathlib import Path
 OUTPUTS = ("trace.csv", "instance.json", "summary.json")
 PUBLISHED = ("rate-control", "task-allocation")
 
+#: refused inputs: the name of each and the keys it sets in the shipped
+#: rate-control config.  ``output.dir``, the input's name unless set here,
+#: is taken in the directory of the refused inputs, where ``blocker`` is a
+#: regular file
+REFUSED = {
+    "step-size": {"params.h": "5"},
+    "inner-mode": {"inner.mode": "exact"},
+    "step-size-and-inner-mode": {"params.h": "5", "inner.mode": "exact"},
+    "unwritable-output": {"output.dir": "blocker/out"},
+    "unknown-key": {"params.unknown": "1"},
+}
+
 #: validates and runs every (config, output directory or "") pair of the
 #: JSON job list on standard input with the gnesolve of the ``src`` named in
 #: argv[1], and prints one JSON list with a ``[validate exit code, validate
-#: standard output, run exit code]`` entry per job
+#: standard output, run exit code, validate standard error, run standard
+#: error]`` entry per job
 _RUNNER = """\
 import contextlib, io, json, os, sys
 from pathlib import Path
@@ -50,13 +67,17 @@ if Path(gnesolve.__file__).resolve().parent != src / "gnesolve":
     raise SystemExit(f"gnesolve imported from {gnesolve.__file__}")
 results = []
 for config, out_dir in json.load(sys.stdin):
-    printed = io.StringIO()
+    printed, validate_errors, run_errors = (io.StringIO() for _ in range(3))
     with contextlib.redirect_stdout(printed):
-        validated = cli.main(["validate", config])
+        with contextlib.redirect_stderr(validate_errors):
+            validated = cli.main(["validate", config])
     os.environ.pop("GNESOLVE_OUTPUT_DIR", None)
     if out_dir:
         os.environ["GNESOLVE_OUTPUT_DIR"] = out_dir
-    results.append([validated, printed.getvalue(), cli.main(["run", config])])
+    with contextlib.redirect_stderr(run_errors):
+        ran = cli.main(["run", config])
+    results.append([validated, printed.getvalue(), ran,
+                    validate_errors.getvalue(), run_errors.getvalue()])
 print(json.dumps(results))
 """
 
@@ -78,6 +99,34 @@ def load_workloads(root: Path):
     return module
 
 
+def derived_config(text: str, settings: dict) -> str:
+    """Config ``text`` with each key of ``settings`` set to its value: on
+    the line that sets the key, or on a line appended."""
+    left, lines = dict(settings), []
+    for line in text.splitlines():
+        key = line.split("#", 1)[0].split("=", 1)[0].strip()
+        lines.append(f"{key} = {left.pop(key)}" if key in left else line)
+    lines += [f"{key} = {value}" for key, value in left.items()]
+    return "\n".join(lines) + "\n"
+
+
+def refused_jobs(inputs: Path, side: Path) -> list:
+    """The (name, config, "") jobs of the `REFUSED` inputs, whose configs
+    and ``blocker`` file are written in ``side/refused``."""
+    base = (inputs / "configs" / "rate-control.cfg").read_text(encoding="utf-8")
+    refused = side / "refused"
+    refused.mkdir(parents=True, exist_ok=True)
+    (refused / "blocker").write_text("", encoding="utf-8")
+    jobs = []
+    for name, settings in REFUSED.items():
+        out_dir = refused / settings.get("output.dir", name)
+        config = refused / f"{name}.cfg"
+        config.write_text(derived_config(base, {**settings, "output.dir": out_dir}),
+                          encoding="utf-8")
+        jobs.append((f"refused/{name}", str(config), ""))
+    return jobs
+
+
 def build_jobs(inputs: Path, side: Path, workloads, seed: int,
                published_seeds) -> list:
     """The (name, config, output directory or "") jobs of one checkout,
@@ -96,13 +145,13 @@ def build_jobs(inputs: Path, side: Path, workloads, seed: int,
             for instance in workloads.build(workload, out, 0, published):
                 jobs.append((instance.out_dir.relative_to(side).as_posix(),
                              str(instance.config), ""))
-    return jobs
+    return jobs + refused_jobs(inputs, side)
 
 
 def run_side(root: Path, jobs: list) -> list:
     """Validate and run ``jobs`` with the gnesolve of ``root/src`` in one
     process; returns each job's ``[validate exit code, validate output, run
-    exit code]``."""
+    exit code, validate errors, run errors]``."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
@@ -135,12 +184,15 @@ def comparable(path: Path, side: Path):
 
 
 #: what each field of a `run_side` result is called when it differs
-RESULT_FIELDS = ("validate exit code", "validate output", "run exit code")
+RESULT_FIELDS = ("validate exit code", "validate output", "run exit code",
+                 "validate errors", "run errors")
 
 
 def result_differences(names, parent: list, change: list) -> list:
     """The fields of the `run_side` results of runs ``names`` that differ
-    between the ``parent`` and ``change`` results, each with both values."""
+    between the ``parent`` and ``change`` results, each with both values;
+    the results are compared as given, so their run roots are replaced
+    first (`_placeholder`)."""
     return [f"{name}: {field} {a!r} (parent) != {b!r} (change)"
             for name, pair in zip(names, zip(parent, change))
             for field, a, b in zip(RESULT_FIELDS, *pair) if a != b]
@@ -184,7 +236,7 @@ def main(argv=None) -> int:
             jobs = build_jobs(roots["change"], sides[label], workloads,
                               args.seed, args.published_seeds)
             names = [name for name, _, _ in jobs]
-            results[label] = run_side(root, jobs)
+            results[label] = _placeholder(run_side(root, jobs), str(sides[label]))
         differ = result_differences(names, results["parent"], results["change"])
         differ += differences(names, sides["parent"], sides["change"])
         for line in differ:
