@@ -1,7 +1,7 @@
 """Distributed computation of variational generalized Nash equilibria in
 monotone games with affine equality or inequality coupling constraints."""
 
-from .admm import State, StopRule, admm_iterate, initial_state, run_admm
+from .admm import State, StopRule, initial_state, run_admm
 from .benchgames import (benchmark_graph, quadratic_game, rate_control_game,
                          rate_control_params, task_allocation_game,
                          task_allocation_params)
@@ -9,17 +9,13 @@ from .diagnostics import KktReport, consensus_error, kkt_residual
 from .errors import (ConfigError, DivergenceError, GnesolveError,
                      InexactnessError, MonotonicityError, NumericError,
                      StructuralError, ValidationError)
-from .games import (Box, EQUALITY, Game, INEQUALITY, MonotonicityReport,
-                    Player, check_monotonicity_samples,
-                    game_from_dict, game_to_dict, load_game, save_game)
+from .games import (Box, EQUALITY, Game, INEQUALITY, Player, game_from_dict,
+                    game_to_dict, load_game, save_game)
 from .graphs import CommGraph, build_incidence, path_graph
-from .operators import (PointProducts, check_step_sizes_equality,
-                        inequality_preconditioner, residual_equality,
-                        residual_inequality)
+from .operators import check_step_sizes_equality, inequality_preconditioner
 from .params import AlgoParams
-from .splitting import run_splitting, splitting_iterate
-from .subgames import (InnerCertificate, InnerSolver, Subgame,
-                       equality_subgame, inequality_subgame)
+from .splitting import run_splitting
+from .subgames import InnerSolver
 from .trace import TraceRow, write_trace_csv
 
 __version__ = "0.1.0"

@@ -89,16 +89,15 @@ def admm_sweep(game: Game, graph: CommGraph, params: AlgoParams, solve):
 def admm_iterate(game: Game, graph: CommGraph, params: AlgoParams,
                  state: State, at: PointProducts, inner: InnerSolver,
                  mu: float) -> tuple[State, InnerSolution]:
-    """One unrelaxed sweep as stacked array updates: subgame solve to
-    ``mu``, multiplier step along ``H`` times the tracked constraint
-    residual, and edge step along ``W`` times the multiplier-signal
-    differences.  ``at`` holds the products the residual built at
-    ``state`` (`residual_map`): the subgame reads them with the state's
-    history, and the new tracked residual reuses their ``V Z``.  Each
-    per-player and per-edge row reads only its own data and its
-    neighbours' signals.  The blocks are written into one new state, by
-    the sweep and solve a run binds once (`admm_sweep`,
-    `InnerSolver.bind`)."""
+    """Per-call form for `perfbench/spans.py`; a run binds its closure once.
+    One unrelaxed sweep (`admm_sweep`, solving by `InnerSolver.bind`) as
+    stacked array updates: subgame solve to ``mu``, multiplier step along
+    ``H`` times the tracked constraint residual, and edge step along ``W``
+    times the multiplier-signal differences.  ``at`` holds the products the
+    residual built at ``state`` (`residual_map`): the subgame reads them
+    with the state's history, and the new tracked residual reuses their
+    ``V Z``.  Each per-player and per-edge row reads only its own data and
+    its neighbours' signals; the blocks are written into one new state."""
     out = state.empty_like()
     sweep = admm_sweep(game, graph, params, inner.bind(game, params))
     return out, sweep(state, at, mu, out)

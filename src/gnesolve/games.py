@@ -471,6 +471,10 @@ def game_from_dict(data: dict) -> Game:
             raise ValidationError(
                 f"cannot rebuild objectives for generator {name!r}; "
                 f"only the builtin families {sorted(FAMILIES)} are loadable")
+        # JSON true equals 1, so the payload comparison would accept it
+        for key, value in data["generator"].items():
+            if isinstance(value, bool):
+                raise ValidationError(f"game payload field {key!r} is a boolean")
         if not isinstance(data["generator"].get("seed", 0), int):
             raise ValidationError("game payload field 'seed' is not an integer")
         game = FAMILIES[name](data["generator"])

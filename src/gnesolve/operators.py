@@ -190,19 +190,12 @@ class EqualityResiduals(NamedTuple):
     consensus_edge: float
     feasibility: float
 
-    def max(self) -> float:
-        return max(self.stationarity, self.consensus_edge, self.feasibility)
-
 
 class InequalityResiduals(NamedTuple):
     stationarity: float
     consensus_edge: float
     feasibility: float
     complementarity: float
-
-    def max(self) -> float:
-        return max(self.stationarity, self.consensus_edge,
-                   self.feasibility, self.complementarity)
 
 
 class PointProducts(NamedTuple):
@@ -248,25 +241,24 @@ def residual_map(game: Game, graph: CommGraph, kind: str):
 
 def residual_equality(game: Game, graph: CommGraph, x, Z,
                       lam) -> tuple[EqualityResiduals, PointProducts]:
-    """Distance of (x, Z, lam) from the zero set of the equality operator,
-    and the products it was computed from.
-
-    All three components vanish exactly at a zero: the natural-map
-    stationarity residual, the per-edge multiplier differences, and the
-    local constraint-tracking error.
+    """Per-call form for `perfbench/spans.py`; a run binds its closure once.
+    Distance of (x, Z, lam) from the equality operator's zero set, and the
+    products it was computed from.  All three components vanish exactly at
+    a zero: the natural-map stationarity residual, the per-edge multiplier
+    differences, and the local constraint-tracking error.
     """
     return residual_map(game, graph, EQUALITY)(x, Z, lam)
 
 
 def residual_inequality(game: Game, graph: CommGraph, x, Z,
                         lam) -> tuple[InequalityResiduals, PointProducts]:
-    """Distance of (x, Z, lam) from the zero set of the inequality operator,
-    and the products it was computed from.
-
-    Feasibility measures only the positive part of the tracked constraint,
-    and complementarity is the projection-form residual of the orthant
-    condition on the multiplier block.  Relaxed multipliers dip negative by
-    O((rho - 1) |lam|) during the transient; complementarity measures that
-    negativity, so such states are accepted.
+    """Per-call form for `perfbench/spans.py`; a run binds its closure once.
+    Distance of (x, Z, lam) from the inequality operator's zero set, and
+    the products it was computed from.  Feasibility measures only the
+    positive part of the tracked constraint, and complementarity is the
+    projection-form residual of the orthant condition on the multiplier
+    block.  Relaxed multipliers dip negative by O((rho - 1) |lam|) during
+    the transient; complementarity measures that negativity, so such
+    states are accepted.
     """
     return residual_map(game, graph, INEQUALITY)(x, Z, lam)

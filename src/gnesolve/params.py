@@ -107,7 +107,8 @@ class AlgoParams:
     # -- products with the step matrices -------------------------------------
 
     def apply_R(self, v: np.ndarray) -> np.ndarray:
-        """Product ``R v`` on a stacked profile vector."""
+        """Per-call form for `perfbench/spans.py`; a run binds its closure
+        once.  Product ``R v`` on a stacked profile vector."""
         return self.R * v
 
     def apply_H(self, rows: np.ndarray) -> np.ndarray:

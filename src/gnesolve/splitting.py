@@ -44,17 +44,17 @@ def splitting_sweep(game: Game, graph: CommGraph, params: AlgoParams, solve):
 def splitting_iterate(game: Game, graph: CommGraph, params: AlgoParams,
                       state: State, at: PointProducts, inner: InnerSolver,
                       mu: float) -> tuple[State, InnerSolution]:
-    """One unrelaxed sweep from iteration-k data, and the subgame solution
-    behind its decision block.  ``at`` holds the residual products of
-    ``state``: the subgame's price and the edge differences of ``lam``; the
-    subgame also reads the state's history.
+    """Per-call form for `perfbench/spans.py`; a run binds its closure once.
+    One unrelaxed sweep (`splitting_sweep`, solving by `InnerSolver.bind`)
+    from iteration-k data, and the subgame solution behind its decision
+    block.  ``at`` holds the residual products of ``state``: the subgame's
+    price and the edge differences of ``lam``; the subgame also reads the
+    state's history.
 
     The subgame solve and the edge update read only the given data and
     commute; the multiplier update consumes both through reflected terms.
     With diagonal ``H`` the projection onto the orthant in the ``H^-1``
-    metric is a plain clamp.  The blocks are written into one new state,
-    by the sweep and solve a run binds once (`splitting_sweep`,
-    `InnerSolver.bind`).
+    metric is a plain clamp.  The blocks are written into one new state.
     """
     out = state.empty_like()
     sweep = splitting_sweep(game, graph, params, inner.bind(game, params))

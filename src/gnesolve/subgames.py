@@ -80,18 +80,18 @@ class Subgame:
 
 def equality_subgame(game: Game, params: AlgoParams, x, lam,
                      at: PointProducts, history: tuple = ()) -> Subgame:
-    """Subgame of the equality algorithm at the state whose residual
-    products are ``at`` and whose outer trajectory is ``history``
-    (`Subgame`), priced as the run's sweep prices it (`admm.admm_sweep`)."""
+    """Per-call form for `perfbench/spans.py`; a run binds its closure once.
+    The equality subgame at the state with residual products ``at`` and
+    outer trajectory ``history``, priced as `admm.admm_sweep` prices it."""
     return Subgame(game, x, game._price_gradient(lam + params.H * at.tracked),
                    params, at.gradient, history)
 
 
 def inequality_subgame(game: Game, params: AlgoParams, x,
                        at: PointProducts, history: tuple = ()) -> Subgame:
-    """Subgame of the inequality algorithm at the state whose residual
-    products are ``at`` and whose outer trajectory is ``history``: the
-    price is the bare multiplier's, ``at.price_gradient``."""
+    """Per-call form for `perfbench/spans.py`; a run binds its closure once.
+    The inequality subgame at the state with residual products ``at`` and
+    outer trajectory ``history``, priced by ``at.price_gradient``."""
     return Subgame(game, x, at.price_gradient, params, at.gradient, history)
 
 
@@ -183,6 +183,8 @@ class InnerSolver:
         return _SOLVES[self.mode](game, params)
 
     def solve(self, sub: Subgame, mu: float) -> InnerSolution:
+        """Per-call form for `perfbench/spans.py`; a run binds its closure
+        once (`bind`)."""
         return _SOLVES[self.mode](sub.game, sub.params)(
             sub.anchor, sub.shift, sub.anchor_gradient, sub.history, mu)
 
@@ -229,7 +231,8 @@ def _residual_solve(game: Game, params: AlgoParams):
                 return InnerSolution(y, InnerCertificate(bound, it, ratio))
         raise InexactnessError(
             f"residual mode could not certify {mu:.3g} within "
-            f"{MAX_INNER_STEPS} iterations", achieved=bound)
+            f"{MAX_INNER_STEPS} iterations (last bound {bound:.3g})",
+            achieved=bound)
     return solve
 
 

@@ -10,6 +10,7 @@ from gnesolve.benchgames import (TASK_PATTERN, N_LINKS, N_USERS,
                                  wanet_routing_matrix)
 from gnesolve.diagnostics import kkt_residual
 from gnesolve.errors import ValidationError
+from gnesolve.games import check_monotonicity_samples
 from gnesolve.rng import SplitMix64
 
 from helpers import (fd_block_gradient, rate_control_value,
@@ -47,6 +48,23 @@ def test_quadratic_decoupled_inactive():
 def test_quadratic_rejects_non_monotone():
     with pytest.raises(ValidationError, match="non-monotone"):
         gs.quadratic_game(delta=2.0)
+
+
+@pytest.mark.parametrize("args, message", [
+    (dict(t=(1.0, 2.0, 3.0)), "the quadratic test game has exactly two players"),
+    (dict(kind="mixed"), "unknown coupling kind 'mixed'"),
+    # the solution (1.5, -0.5) lies outside [-1, 1]
+    (dict(half_width=1.0), "half_width too small: the solution touches the box"),
+    # the free solution sums to c = 0 exactly, but rounds 4.4e-16 above it,
+    # so the coupled solve runs and its multiplier rounds below zero
+    (dict(t=(-2.7, 2.7), delta=-0.2, c=0.0, kind=gs.INEQUALITY),
+     "active-constraint multiplier is negative; no complementary solution "
+     "exists for these parameters"),
+], ids=["three-targets", "unknown-kind", "box-touched", "negative-multiplier"])
+def test_quadratic_game_refusals(args, message):
+    with pytest.raises(ValidationError) as err:
+        gs.quadratic_game(**args)
+    assert str(err.value) == message
 
 
 def quadratic_active_set_enumeration(game, anchor, shift, R):
@@ -191,7 +209,7 @@ def test_rate_control_gradient_matches_fd():
 def test_rate_control_audit_seeds():
     for seed in range(10):
         game = rate_control_game(seed)
-        report = gs.check_monotonicity_samples(game, 200, seed=seed + 1000)
+        report = check_monotonicity_samples(game, 200, seed=seed + 1000)
         assert report.violations == 0
 
 
@@ -308,7 +326,7 @@ def test_task_allocation_tie_selection():
 def test_task_allocation_audit_seeds():
     for seed in range(10):
         game = task_allocation_game(seed)
-        report = gs.check_monotonicity_samples(game, 150, seed=seed + 2000)
+        report = check_monotonicity_samples(game, 150, seed=seed + 2000)
         assert report.violations == 0
 
 

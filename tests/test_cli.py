@@ -3,7 +3,10 @@ import dataclasses
 import inspect
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 
 import gnesolve as gs
 from gnesolve.cli import _setup, main
-from gnesolve.games import Box, Player
+from gnesolve.games import Box, Player, check_monotonicity_samples
 from gnesolve.config import (DEFAULTS, load_config, parse_config_text,
                              parse_edge_list)
 from gnesolve.errors import ConfigError
@@ -779,6 +782,65 @@ def test_both_graph_keys_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("", "game.file = inst.json\n",
+     "give either game.builtin or game.file, not both"),
+    ("game.builtin = quadratic-equality\n", "",
+     "missing game.builtin or game.file"),
+    ("= quadratic-equality", "= quadratic",
+     "unknown builtin game 'quadratic'; choices: ['quadratic-equality', "
+     "'quadratic-inequality', 'rate-control', 'task-allocation']"),
+    ("params.mu = exact", "params.mu = harmonic",
+     "unknown tolerance schedule 'harmonic'"),
+    ("", "params.preset = rate-control\n",
+     "unknown params preset 'rate-control'"),
+    ("algorithm = admm", "algorithm = newton",
+     "algorithm must be 'admm' or 'splitting'"),
+    ("", "graph.edges = a-b\n", "bad edge 'a-b'"),
+    ("", "graph.builtin = ring\n", "unknown builtin graph 'ring'"),
+], ids=["both-games", "no-game", "unknown-game", "unknown-mu", "unknown-preset",
+        "unknown-algorithm", "bad-edge", "unknown-graph"])
+def test_setup_refusals_are_named(tmp_path, capsys, old, new, message):
+    out = tmp_path / "out"
+    text = QUAD_CFG.format(out=out)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text.replace(old, new) if old else text + new)
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
+def test_builtin_pair_graph_is_the_default_two_player_graph(tmp_path):
+    # a two-player game runs on the path of two nodes unless told otherwise
+    outputs = []
+    for extra in ("", "graph.builtin = pair\n"):
+        out = tmp_path / f"out{len(outputs)}"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(QUAD_CFG.format(out=out) + extra)
+        assert main(["run", str(cfg)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("trace.csv", "instance.json")])
+    assert outputs[0] == outputs[1]
+
+
+def test_module_entry_point_exits_with_the_command_code(tmp_path):
+    # `python -m gnesolve.cli` runs this checkout's package in a new process
+    src = Path(gs.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("no.such.key = 1\n")
+    runs = [subprocess.run([sys.executable, "-m", "gnesolve.cli", "validate",
+                            str(cfg)], capture_output=True, text=True,
+                           env=env, cwd=tmp_path)
+            for cfg in (CONFIGS / "rate-control.cfg", bad)]
+    assert [run.returncode for run in runs] == [0, 2]
+    assert runs[0].stdout.startswith("ok: splitting step sizes valid")
+    assert runs[1].stderr == "validation error: line 1: unknown key 'no.such.key'\n"
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_run_from_instance_file(tmp_path):
     game, _ = gs.quadratic_game(kind=gs.INEQUALITY)
     inst = tmp_path / "inst.json"
@@ -873,6 +935,7 @@ def test_run_validates_step_sizes_once(tmp_path, monkeypatch, capsys, kind):
 
 
 QUAD_PAYLOAD = gs.game_to_dict(gs.quadratic_game(kind=gs.INEQUALITY)[0])
+RATE_PAYLOAD = gs.game_to_dict(gs.rate_control_game(1))
 
 
 @pytest.mark.parametrize("text, named", [
@@ -885,7 +948,17 @@ QUAD_PAYLOAD = gs.game_to_dict(gs.quadratic_game(kind=gs.INEQUALITY)[0])
     (json.dumps({"schema": "gnesolve-game-v1", "kind": "inequality", "m": 16,
                  "generator": {"name": "rate-control", "seed": "0"},
                  "players": []}), "'seed'"),
-], ids=["truncated", "array", "no-t", "no-players", "string-seed"])
+    # JSON true equals 1: both used to load, and to be echoed as true
+    (json.dumps(dict(QUAD_PAYLOAD, generator=dict(QUAD_PAYLOAD["generator"],
+                                                  c=True))),
+     "game payload field 'c' is a boolean"),
+    (json.dumps(dict(RATE_PAYLOAD, generator={"name": "rate-control",
+                                              "seed": True})),
+     "game payload field 'seed' is a boolean"),
+    (json.dumps(dict(QUAD_PAYLOAD, generator=["quadratic"])),
+     "game payload has a malformed field: 'list' object has no attribute 'get'"),
+], ids=["truncated", "array", "no-t", "no-players", "string-seed", "true-c",
+        "true-seed", "array-generator"])
 def test_malformed_instance_file_is_a_validation_error(tmp_path, capsys,
                                                        text, named):
     # these used to end in a traceback and exit 1
@@ -1145,7 +1218,7 @@ def test_validate_makes_no_oracle_call(monkeypatch):
         assert main(["validate", str(CONFIGS / f"{name}.cfg")]) == 0
     assert calls == []
     # the wrapper sees a sampled audit: one pair is two calls
-    gs.check_monotonicity_samples(gs.rate_control_game(0), 1, seed=0)
+    check_monotonicity_samples(gs.rate_control_game(0), 1, seed=0)
     assert len(calls) == 2
 
 

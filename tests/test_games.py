@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gnesolve as gs
-from gnesolve.games import Box, Player
+from gnesolve.games import Box, Player, check_monotonicity_samples
 from gnesolve.errors import NumericError, StructuralError, ValidationError
 from gnesolve.rng import SplitMix64
 
@@ -95,6 +95,42 @@ def test_box_rejects_empty_interior():
         Box(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
 
+def player(**changes):
+    """A one-dimensional player with one coupling row, with ``changes``."""
+    fields = dict(dim=1, oracle=lambda xi, o: xi, A=np.ones((1, 1)),
+                  b=np.zeros(1), box=Box(np.array([-1.0]), np.array([1.0])))
+    return Player(**dict(fields, **changes))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Box(np.zeros((1, 1)), np.ones((1, 1))), StructuralError,
+     "lower must be a 1-d vector, got shape (1, 1)"),
+    (lambda: Box(np.zeros(2), np.ones(3)), StructuralError,
+     "box bounds must have equal length"),
+    (lambda: player(dim=0), ValidationError, "player dimension must be positive"),
+    (lambda: player(A=np.ones((1, 2))), StructuralError,
+     "A has 2 columns, expected 1"),
+    (lambda: player(b=np.zeros(2)), StructuralError,
+     "b length must equal the row count of A"),
+    (lambda: player(dim=2, A=np.ones((1, 2))), StructuralError,
+     "box dimension must equal the player dimension"),
+    (lambda: gs.Game([player()], "mixed"), ValidationError,
+     "unknown coupling kind 'mixed'"),
+    (lambda: gs.Game([], gs.EQUALITY), ValidationError,
+     "a game needs at least one player"),
+    (lambda: gs.Game([player(), player(A=np.ones((2, 1)), b=np.zeros(2))],
+                     gs.EQUALITY), StructuralError,
+     "player 1 has 2 coupling rows, expected 1"),
+    (lambda: gs.Game([player()], gs.EQUALITY, smooth_oracle=lambda x: x),
+     ValidationError, "smooth_oracle and separable_prox must be supplied together"),
+], ids=["box-2d", "box-lengths", "player-dim", "player-columns", "player-b",
+        "player-box", "game-kind", "game-empty", "game-rows", "game-prox"])
+def test_malformed_structure_is_refused(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+
+
 @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3),
        st.lists(st.floats(-50, 50), min_size=3, max_size=3))
 @settings(max_examples=100, deadline=None)
@@ -121,7 +157,7 @@ def test_zero_objective_game():
                       np.array([0.0]), box) for _ in range(3)]
     game = gs.Game(players, gs.EQUALITY)
     assert np.array_equal(game.pseudo_gradient(np.zeros(3)), np.zeros(3))
-    report = gs.check_monotonicity_samples(game, 50, seed=1)
+    report = check_monotonicity_samples(game, 50, seed=1)
     assert report.violations == 0 and report.min_inner_product == 0.0
 
 
@@ -406,7 +442,7 @@ def test_stacked_coupling_bit_identical_on_shipped_games():
 
 def test_monotone_quadratic_audit():
     game, _ = gs.quadratic_game(delta=0.5)
-    report = gs.check_monotonicity_samples(game, 1000, seed=7)
+    report = check_monotonicity_samples(game, 1000, seed=7)
     assert report.violations == 0
     assert report.min_inner_product >= -1e-9
 
@@ -424,7 +460,7 @@ def test_audit_batch_equals_per_pair_samples(build):
         y = game.sample_profile(rng)
         inner.append(float((x - y) @ (game.pseudo_gradient(x)
                                       - game.pseudo_gradient(y))))
-    report = gs.check_monotonicity_samples(game, 60, seed=11)
+    report = check_monotonicity_samples(game, 60, seed=11)
     assert report.min_inner_product == min(inner)
     assert report.violations == sum(v < -1e-9 for v in inner)
 
@@ -441,14 +477,14 @@ def test_non_monotone_coupling_detected():
     players = [Player(1, oracle(i), np.array([[1.0]]), np.array([0.5]), box)
                for i in range(2)]
     game = gs.Game(players, gs.EQUALITY)
-    report = gs.check_monotonicity_samples(game, 1000, seed=7)
+    report = check_monotonicity_samples(game, 1000, seed=7)
     assert report.violations > 0
 
 
 def test_audit_rejects_zero_pairs():
     game, _ = gs.quadratic_game()
     with pytest.raises(ValidationError):
-        gs.check_monotonicity_samples(game, 0, seed=0)
+        check_monotonicity_samples(game, 0, seed=0)
 
 
 # -- finite differences against the analytic oracles ------------------------------

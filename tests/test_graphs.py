@@ -34,6 +34,17 @@ def test_self_loop_and_duplicate_rejected():
         build_incidence(3, [(0, 1), (1, 0), (1, 2)])
 
 
+@pytest.mark.parametrize("n_nodes, edges, error, message", [
+    (1, [], ValidationError, "a communication graph needs at least 2 nodes"),
+    (3, [(0, 1), (1, 3)], StructuralError,
+     "edge (1, 3) references a missing node"),
+], ids=["one-node", "missing-node"])
+def test_malformed_graph_is_refused(n_nodes, edges, error, message):
+    with pytest.raises(error) as err:
+        build_incidence(n_nodes, edges)
+    assert str(err.value) == message
+
+
 def test_edge_differences_examples():
     graph = build_incidence(3, [(0, 1), (1, 2)])
     consensus = np.ones((3, 1))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gnesolve as gs
-from gnesolve.admm import relax
+from gnesolve.admm import admm_iterate, relax
 from gnesolve.games import Box, Player
 from helpers import products
 from reference import ReferenceSolver
@@ -124,10 +124,10 @@ def test_oracle_inner_matches_exact_on_cycle(cyclic_graph):
     state_e = gs.initial_state(game, cyclic_graph, seed=5)
     state_o = gs.initial_state(game, cyclic_graph, seed=5)
     for _ in range(25):
-        swept_e, _ = gs.admm_iterate(game, cyclic_graph, params, state_e,
+        swept_e, _ = admm_iterate(game, cyclic_graph, params, state_e,
                                      products(game, cyclic_graph, state_e),
                                      exact, 0.0)
-        swept_o, _ = gs.admm_iterate(game, cyclic_graph, params, state_o,
+        swept_o, _ = admm_iterate(game, cyclic_graph, params, state_o,
                                      products(game, cyclic_graph, state_o),
                                      oracle, 0.0)
         state_e = relax(state_e, swept_e, params.rho)

@@ -17,7 +17,8 @@ import gnesolve as gs
 from gnesolve import admm, cli, splitting
 from gnesolve.config import load_config
 from gnesolve.games import Box, Player
-from gnesolve.operators import PointProducts
+from gnesolve.operators import (PointProducts, residual_equality,
+                                residual_inequality)
 from helpers import FailingInner, count_oracle_calls
 from reference import ReferenceSolver
 
@@ -35,7 +36,8 @@ def shipped(name):
     shipped config."""
     game, graph, params, algorithm, inner, _ = cli._setup(
         load_config(CONFIGS / f"{name}.cfg"))
-    iterate = gs.admm_iterate if algorithm == "admm" else gs.splitting_iterate
+    iterate = (admm.admm_iterate if algorithm == "admm"
+               else splitting.splitting_iterate)
     return game, graph, params, inner, algorithm, iterate
 
 
@@ -175,9 +177,9 @@ def test_one_oracle_call_per_inner_step_and_outer_iteration(name, monkeypatch):
 
 #: each toy game's run driver, residual and sweep
 TOY_ALGORITHMS = {
-    "admm": (gs.EQUALITY, gs.run_admm, gs.residual_equality, gs.admm_iterate),
-    "splitting": (gs.INEQUALITY, gs.run_splitting, gs.residual_inequality,
-                  gs.splitting_iterate),
+    "admm": (gs.EQUALITY, gs.run_admm, residual_equality, admm.admm_iterate),
+    "splitting": (gs.INEQUALITY, gs.run_splitting, residual_inequality,
+                  splitting.splitting_iterate),
 }
 
 
@@ -189,7 +191,7 @@ def public_loop(game, graph, params, inner, stop, residuals, iterate):
     state = gs.initial_state(game, graph, seed=0)
     res, at = residuals(game, graph, state.x, state.Z, state.lam)
     rows, k = [], 0
-    while res.max() > stop.tol and k < stop.max_iter:
+    while max(res) > stop.tol and k < stop.max_iter:
         k += 1
         mu = params.mu(k)
         swept, sol = iterate(game, graph, params, state, at, inner, mu)
@@ -289,7 +291,7 @@ def test_driver_matches_the_public_loop_on_task_allocation():
     stop = gs.StopRule(50, 0.0)
     result = gs.run_admm(game, graph, params, inner, stop)
     rows, state = public_loop(game, graph, params, inner, stop,
-                              gs.residual_equality, iterate)
+                              residual_equality, iterate)
     assert len(rows) == result.iterations == 50
     assert np.array(result.rows).tobytes() == np.array(rows).tobytes()
     assert result.state.w.tobytes() == state.w.tobytes()

@@ -28,6 +28,26 @@ def spans_constant(name):
     raise AssertionError(f"perfbench/spans.py defines no {name}")
 
 
+#: names that only the tests and the span targets use, by module: each is
+#: its module's attribute, and none is re-exported by the package
+MODULE_ONLY = {
+    "admm": ["admm_iterate"],
+    "splitting": ["splitting_iterate"],
+    "operators": ["residual_equality", "residual_inequality", "PointProducts"],
+    "subgames": ["Subgame", "equality_subgame", "inequality_subgame",
+                 "InnerCertificate"],
+    "games": ["check_monotonicity_samples", "MonotonicityReport"],
+}
+
+
+def test_per_call_names_stay_out_of_the_package_namespace():
+    for module, names in MODULE_ONLY.items():
+        mod = importlib.import_module(f"gnesolve.{module}")
+        for name in names:
+            assert name not in vars(gs), name
+            assert hasattr(mod, name), f"{module}.{name}"
+
+
 def test_span_targets_resolve():
     missing = []
     for module, names in spans_constant("TARGETS").items():

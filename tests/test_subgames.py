@@ -167,6 +167,11 @@ def test_iteration_cap_raises(eq_game, pair_graph, toy_params, monkeypatch):
         with pytest.raises(InexactnessError, match="within 1 iterations") as err:
             solver.solve(sub, 1e-12)
         assert err.value.achieved > 1e-12
+    # the message names by how much the solve missed
+    with pytest.raises(InexactnessError) as err:
+        InnerSolver("residual").solve(sub, 1e-12)
+    assert str(err.value) == ("residual mode could not certify 1e-12 within 1 "
+                              f"iterations (last bound {err.value.achieved:.3g})")
 
 
 @pytest.mark.parametrize("solver", [
